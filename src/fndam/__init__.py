@@ -105,6 +105,5 @@ from .trainer import (
     train_network_with_dam_decay,
     train_perceptron,
 )
+from .config import TOOL_VERSION as __version__
 from .config import ExperimentConfig, load_config, read_config_file
-
-__version__ = "0.1.0"

@@ -7,9 +7,26 @@ generator, then rate-matching each cell so it starts at zero weight.
 The draw stream is PCG64; the algorithm name and seed are stored in
 saved state so an array is reproducible from its document alone.
 
+The array holds its state as read-only float64 columns, one entry (or
+one SET/RESET pair) per cell, and every operation is one elementwise
+expression over them.  The decay is ``node.decayed``, the same
+expression a single node evolves by, so an array operation gives the
+same bits as the per-cell path in ``fndam.cell``.  Operations return a
+new array and never write into their input.
+
 State documents are JSON trees carrying a format tag, a schema version
-and a SHA-256 checksum over the canonical serialization; voltages are
-serialized as full-precision floats so load(save(a)) is lossless.
+and a SHA-256 checksum over the canonical serialization (sorted keys,
+compact separators, everything but the checksum).  Schema version 2,
+the one written, stores one list per column under ``columns``:
+``set_v_fg``, ``reset_v_fg``, ``set_k1``, ``reset_k1``, ``set_k2``,
+``reset_k2`` and ``weight_scale``.  Floats are serialized at full
+precision, so load(save(a)) is lossless.  Version 1 documents, one
+object per cell under ``cells``, still load.  Either version is
+rejected with a ``StateFormatError`` naming the JSON path when it
+cannot describe the array: clocks must be finite, non-negative and
+shared by all cells, 0 < v_fg < k2 on every node, weight_scale > 0, and
+every cell must share the capacitances and charge quantization of
+``nominal_params``.
 """
 
 from __future__ import annotations
@@ -22,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cell import DamCell, WeightReading, decay, pulse_cell, read_weight, synchronize
+from .cell import WEIGHT_SCALE, DamCell, WeightReading, rate_matched_voltage
 from .errors import (
     ArgumentError,
     DomainError,
@@ -30,13 +47,36 @@ from .errors import (
     InitializationError,
     StateFormatError,
 )
-from .node import FnParams, NodeState, Pulse
+from .node import FnParams, NodeState, Pulse, decayed, k0_from_initial, programmable
 
 STATE_FORMAT = "fndam-array-state"
-STATE_VERSION = 1
+STATE_VERSION = 2
 RNG_ALGORITHM = "numpy.random.PCG64"
 
 _DISTRIBUTIONS = ("gaussian", "uniform")
+
+# per-cell columns of a DamArray; all but weight_scale are (N, 2) SET/RESET
+_COLUMNS = ("v", "k1", "log_k1", "k2", "weight_scale")
+# schema v2 column -> (DamArray column, node); log_k1 is recomputed on load
+_DOC_COLUMNS = {
+    "set_v_fg": ("v", 0),
+    "reset_v_fg": ("v", 1),
+    "set_k1": ("k1", 0),
+    "reset_k1": ("k1", 1),
+    "set_k2": ("k2", 0),
+    "reset_k2": ("k2", 1),
+    "weight_scale": ("weight_scale", None),
+}
+# the same fields inside one cell of a schema v1 document
+_V1_PATHS = {
+    "set_v_fg": "set_node.v_fg",
+    "reset_v_fg": "reset_node.v_fg",
+    "set_k1": "set_params.k1",
+    "reset_k1": "reset_params.k1",
+    "set_k2": "set_params.k2",
+    "reset_k2": "reset_params.k2",
+    "weight_scale": "weight_scale",
+}
 
 
 @dataclass(frozen=True)
@@ -65,16 +105,90 @@ class MismatchSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DamArray:
-    cells: tuple[DamCell, ...]
+    """N cells as read-only float64 columns sharing one clock.
+
+    Column 0 of each (N, 2) column is the SET node, column 1 the RESET
+    node.  ``log_k1`` is ``math.log(k1)`` per node, kept so that no
+    operation takes a logarithm per cell.  Every cell reads
+    ``global_clock`` as its own clock and takes c_total, c_couple and
+    quantize_charge from ``nominal_params``.  A column given as a
+    writable array is copied, so no caller can change an array after
+    the fact.
+    """
+
+    v: np.ndarray  # (N, 2) floating-gate voltages, V
+    k1: np.ndarray  # (N, 2) 1/s
+    log_k1: np.ndarray  # (N, 2)
+    k2: np.ndarray  # (N, 2) V
+    weight_scale: np.ndarray  # (N,) mV per volt of node difference
     nominal_params: FnParams
     mismatch: MismatchSpec
     v0: float
     global_clock: float = 0.0
 
+    def __post_init__(self):
+        for name in _COLUMNS:
+            col = np.asarray(getattr(self, name), dtype=np.float64)
+            if col.flags.writeable:
+                col = col.copy()
+                col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        n = self.weight_scale.shape[0] if self.weight_scale.ndim == 1 else 0
+        if n < 1 or any(getattr(self, c).shape != (n, 2) for c in _COLUMNS[:-1]):
+            raise ArgumentError(
+                "columns must be (N, 2) with an (N,) weight_scale, N >= 1; got "
+                + ", ".join(f"{c} {getattr(self, c).shape}" for c in _COLUMNS)
+            )
+
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.weight_scale.shape[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, DamArray):
+            return NotImplemented
+        return (
+            (self.nominal_params, self.mismatch, self.v0, self.global_clock)
+            == (other.nominal_params, other.mismatch, other.v0, other.global_clock)
+            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
+        )
+
+    def weights(self, noise_sigma: float = 0.0, rng=None) -> np.ndarray:
+        """Per-cell weight in mV, as ``cell.read_weight`` reads each cell.
+
+        With noise_sigma > 0 (volts of node difference) one
+        standard-normal draw per cell, in cell order, comes from rng.
+        """
+        diff = self.v[:, 1] - self.v[:, 0]
+        if noise_sigma:
+            if noise_sigma < 0:
+                raise DomainError(f"noise_sigma must be >= 0, got {noise_sigma!r}")
+            rng = rng if rng is not None else np.random.default_rng()
+            diff = diff + noise_sigma * rng.standard_normal(len(diff))
+        return self.weight_scale * diff
+
+    @property
+    def cells(self) -> tuple[DamCell, ...]:
+        """The cells as ``DamCell`` objects, built anew on every access.
+
+        For inspection and the single-cell API; array operations never
+        build them.  Each node's k0 is that of a node programmed to v0
+        (no operation reads k0).
+        """
+        p = self.nominal_params
+        out = []
+        for (vs, vr), (k1s, k1r), (k2s, k2r), ws in zip(
+            self.v.tolist(), self.k1.tolist(), self.k2.tolist(), self.weight_scale.tolist()
+        ):
+            set_params = FnParams(k1s, k2s, p.c_total, p.c_couple, p.quantize_charge)
+            reset_params = FnParams(k1r, k2r, p.c_total, p.c_couple, p.quantize_charge)
+            out.append(DamCell(
+                NodeState(vs, k0_from_initial(set_params, self.v0)),
+                NodeState(vr, k0_from_initial(reset_params, self.v0)),
+                set_params, reset_params, ws, self.global_clock,
+            ))
+        return tuple(out)
 
 
 def _draw_factors(n: int, spec: MismatchSpec) -> np.ndarray:
@@ -87,50 +201,78 @@ def _draw_factors(n: int, spec: MismatchSpec) -> np.ndarray:
     return 1.0 + spec.relative_sigma * z
 
 
+def _log_each(a: np.ndarray) -> np.ndarray:
+    """math.log per element: the scalar path's logarithm, bit for bit."""
+    return np.array(list(map(math.log, a.ravel().tolist()))).reshape(a.shape)
+
+
 def build_array(
     n: int, nominal: FnParams, v0: float, mismatch: MismatchSpec | None = None
 ) -> DamArray:
-    """n freshly synchronized cells with seeded per-node k1/k2 mismatch."""
+    """n freshly synchronized cells with seeded per-node k1/k2 mismatch.
+
+    Each cell gets exactly what ``cell.synchronize`` would give it; the
+    cells that cannot be synchronized are reported together.
+    """
     if n < 1:
         raise ArgumentError(f"array size must be >= 1, got {n!r}")
     spec = mismatch if mismatch is not None else MismatchSpec(relative_sigma=0.0)
     factors = _draw_factors(n, spec)
-    cells = []
-    failed = []
-    for i in range(n):
+    k1 = nominal.k1 * factors[:, :, 0]
+    k2 = nominal.k2 * factors[:, :, 1]
+    ok = np.all(np.isfinite(k1) & (k1 > 0) & np.isfinite(k2) & (k2 > 0), axis=1)
+    if math.isfinite(v0) and v0 > 0:
+        ok &= programmable(k2[:, 0], v0)
+    else:
+        ok[:] = False
+    log_k1 = _log_each(np.where(ok[:, None], k1, 1.0))
+    v = np.full_like(k1, v0)
+    k1_rows, k2_rows, log_rows = k1.tolist(), k2.tolist(), log_k1.tolist()
+    for i in np.flatnonzero(ok).tolist():
+        if k1_rows[i][0] == k1_rows[i][1] and k2_rows[i][0] == k2_rows[i][1]:
+            continue  # identical nodes start at v0 together
         try:
-            set_params = replace(
-                nominal,
-                k1=float(nominal.k1 * factors[i, 0, 0]),
-                k2=float(nominal.k2 * factors[i, 0, 1]),
+            v[i, 1] = rate_matched_voltage(
+                log_rows[i][0], k2_rows[i][0], log_rows[i][1], k2_rows[i][1], v0
             )
-            reset_params = replace(
-                nominal,
-                k1=float(nominal.k1 * factors[i, 1, 0]),
-                k2=float(nominal.k2 * factors[i, 1, 1]),
-            )
-            cells.append(synchronize(set_params, reset_params, v0))
         except FndamError:
-            failed.append(i)
-    if failed:
+            ok[i] = False
+    ok &= programmable(k2[:, 1], v[:, 1])
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
         raise InitializationError(
-            f"{len(failed)} cell(s) failed to initialize", indices=tuple(failed)
+            f"{len(bad)} cell(s) failed to initialize", indices=tuple(bad.tolist())
         )
-    return DamArray(
-        cells=tuple(cells), nominal_params=nominal, mismatch=spec, v0=v0
-    )
+    return DamArray(v, k1, log_k1, k2, np.full(n, WEIGHT_SCALE), nominal, spec, v0)
+
+
+def _evolved(array: DamArray, v: np.ndarray, dt: float) -> DamArray:
+    """array with node voltages v, dt seconds later."""
+    dead = ~(v > 0)
+    if dead.any():
+        i, node = np.argwhere(dead)[0].tolist()
+        raise DomainError(
+            f"cell {i} {('SET', 'RESET')[node]} node driven to {v[i, node]:.6g} V <= 0"
+        )
+    v.flags.writeable = False
+    return replace(array, v=v, global_clock=array.global_clock + dt)
 
 
 def batch_read(array: DamArray, noise_sigma: float = 0.0, rng=None) -> tuple[WeightReading, ...]:
-    return tuple(read_weight(c, noise_sigma, rng) for c in array.cells)
+    """One reading per cell (see ``DamArray.weights``), stamped with the clock."""
+    t = array.global_clock
+    return tuple(WeightReading(w, t) for w in array.weights(noise_sigma, rng).tolist())
 
 
 def advance(array: DamArray, dt: float) -> DamArray:
     """Evolve every cell by dt; the global clock moves uniformly."""
-    return replace(
-        array,
-        cells=tuple(decay(c, dt) for c in array.cells),
-        global_clock=array.global_clock + dt,
+    if not (math.isfinite(dt) and dt >= 0):
+        raise DomainError(f"dt must be >= 0, got {dt!r}")
+    if dt == 0.0:
+        return _evolved(array, array.v, dt)
+    p = array.nominal_params
+    return _evolved(
+        array, decayed(array.v, array.log_k1, array.k2, math.log(dt), p.charge_lsb), dt
     )
 
 
@@ -141,20 +283,23 @@ def batch_pulse(
 ) -> DamArray:
     """Pulse targeted cells; everything else idles for the same window.
 
-    All pulses in one batch must share a duration (the wall-clock
-    window applied to the whole array).  At most one pulse per cell per
-    call.  With an empty target list, ``duration`` must be given and
-    the call is plain decay.
+    A target is (cell index, polarity, pulse): polarity +1 pulses the
+    SET node, -1 the RESET node.  All pulses in one batch must share a
+    duration (the wall-clock window applied to the whole array).  At
+    most one pulse per cell per call.  With an empty target list,
+    ``duration`` must be given and the call is plain decay.
     """
     if not targets:
         if duration is None:
             raise ArgumentError("empty batch needs an explicit duration")
         return advance(array, duration)
 
+    n = len(array)
+    rows, nodes, amplitudes = [], [], []
     seen = set()
     for idx, polarity, pulse in targets:
-        if not isinstance(idx, (int, np.integer)) or not 0 <= idx < len(array.cells):
-            raise ArgumentError(f"cell index {idx!r} out of range for {len(array.cells)} cells")
+        if not isinstance(idx, (int, np.integer)) or not 0 <= idx < n:
+            raise ArgumentError(f"cell index {idx!r} out of range for {n} cells")
         if idx in seen:
             raise ArgumentError(f"duplicate cell index {idx} in batch")
         seen.add(idx)
@@ -165,26 +310,31 @@ def batch_pulse(
                 f"batch pulses must share one duration; got {pulse.duration!r} "
                 f"after {duration!r}"
             )
+        if polarity not in (1, -1):
+            raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
+        rows.append(idx)
+        nodes.append(0 if polarity == 1 else 1)
+        amplitudes.append(pulse.amplitude)
 
-    by_index = {int(idx): (polarity, pulse) for idx, polarity, pulse in targets}
-    new_cells = []
-    for i, cell in enumerate(array.cells):
-        if i in by_index:
-            polarity, pulse = by_index[i]
-            new_cells.append(pulse_cell(cell, pulse, polarity))
-        else:
-            new_cells.append(decay(cell, duration))
-    return replace(
-        array, cells=tuple(new_cells), global_clock=array.global_clock + duration
-    )
+    # node.apply_pulse on the pulsed nodes: the gate is lifted by the
+    # coupled step, tunnels for the window and is released.  Idle nodes
+    # have a zero step, which leaves their decay bit-identical to evolve.
+    p = array.nominal_params
+    step = np.zeros_like(array.v)
+    step[rows, nodes] = amplitudes
+    step *= p.coupling_ratio
+    lifted = array.v + step
+    if not np.all(lifted > 0):
+        raise DomainError("pulse drives a gate to <= 0 V")
+    tunnelled = decayed(lifted, array.log_k1, array.k2, math.log(duration), p.charge_lsb)
+    return _evolved(array, tunnelled - step, duration)
 
 
 def weights_csv(array: DamArray) -> str:
     """Per-cell weight dump: index, weight in mV, cell clock."""
-    lines = ["index,weight_mV,t_s"]
-    for i, reading in enumerate(batch_read(array)):
-        lines.append(f"{i},{reading.weight!r},{reading.timestamp!r}")
-    return "\n".join(lines) + "\n"
+    t = repr(array.global_clock)
+    rows = (f"{i},{w!r},{t}" for i, w in enumerate(array.weights().tolist()))
+    return "\n".join(["index,weight_mV,t_s", *rows]) + "\n"
 
 
 def _params_doc(p: FnParams) -> dict:
@@ -197,21 +347,6 @@ def _params_doc(p: FnParams) -> dict:
     }
 
 
-def _node_doc(s: NodeState) -> dict:
-    return {"v_fg": s.v_fg, "k0": s.k0}
-
-
-def _cell_doc(c: DamCell) -> dict:
-    return {
-        "set_node": _node_doc(c.set_node),
-        "reset_node": _node_doc(c.reset_node),
-        "set_params": _params_doc(c.set_params),
-        "reset_params": _params_doc(c.reset_params),
-        "weight_scale": c.weight_scale,
-        "t": c.t,
-    }
-
-
 def _checksum(doc: dict) -> str:
     payload = {k: v for k, v in doc.items() if k != "checksum"}
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -220,6 +355,10 @@ def _checksum(doc: dict) -> str:
 
 def save_state(array: DamArray) -> dict:
     """Versioned, checksummed document; round-trips through load_state."""
+    columns = {}
+    for key, (name, node) in _DOC_COLUMNS.items():
+        col = getattr(array, name)
+        columns[key] = (col if node is None else col[:, node]).tolist()
     doc = {
         "format": STATE_FORMAT,
         "version": STATE_VERSION,
@@ -232,14 +371,14 @@ def save_state(array: DamArray) -> dict:
         "nominal_params": _params_doc(array.nominal_params),
         "v0": array.v0,
         "global_clock": array.global_clock,
-        "cells": [_cell_doc(c) for c in array.cells],
+        "columns": columns,
     }
     doc["checksum"] = _checksum(doc)
     return doc
 
 
 def state_to_json(array: DamArray) -> str:
-    return json.dumps(save_state(array), indent=2, sort_keys=True) + "\n"
+    return json.dumps(save_state(array), sort_keys=True) + "\n"
 
 
 def _need(doc, key, path, kind=None):
@@ -288,15 +427,114 @@ def _node_from(doc, path) -> NodeState:
         raise StateFormatError(f"invalid node state at {path}: {exc}") from None
 
 
+def _v1_columns(doc, nominal: FnParams, clock: float) -> dict[str, np.ndarray]:
+    """Schema v1: one object per cell, each with its own params and clock."""
+    cells_doc = _need(doc, "cells", "", list)
+    if not cells_doc:
+        raise StateFormatError("empty cell list at cells")
+    shared = {"c_total": nominal.c_total, "c_couple": nominal.c_couple,
+              "quantize_charge": nominal.quantize_charge}
+    columns = {key: [] for key in _DOC_COLUMNS}
+    for i, cd in enumerate(cells_doc):
+        path = f"cells[{i}]"
+        if not isinstance(cd, dict):
+            raise StateFormatError(f"wrong type at {path}: expected mapping")
+        for side in ("set", "reset"):
+            node = _node_from(_need(cd, f"{side}_node", path, dict), f"{path}.{side}_node")
+            params = _params_from(
+                _need(cd, f"{side}_params", path, dict), f"{path}.{side}_params"
+            )
+            for field, want in shared.items():
+                if getattr(params, field) != want:
+                    raise StateFormatError(
+                        f"{path}.{side}_params.{field} = {getattr(params, field)!r} "
+                        f"differs from nominal_params.{field} = {want!r}"
+                    )
+            columns[f"{side}_v_fg"].append(node.v_fg)
+            columns[f"{side}_k1"].append(params.k1)
+            columns[f"{side}_k2"].append(params.k2)
+        columns["weight_scale"].append(_float_at(cd, "weight_scale", path))
+        t = _float_at(cd, "t", path)
+        if not (math.isfinite(t) and t >= 0):
+            raise StateFormatError(f"invalid clock at {path}.t: {t!r}")
+        if t != clock:
+            raise StateFormatError(
+                f"cell clock at {path}.t = {t!r} differs from global_clock = {clock!r}"
+            )
+    return {key: np.array(col) for key, col in columns.items()}
+
+
+def _v2_columns(doc) -> dict[str, np.ndarray]:
+    """Schema v2: one list of numbers per column, all of one length."""
+    cols = _need(doc, "columns", "", dict)
+    out = {}
+    n = None
+    for key in _DOC_COLUMNS:
+        path = f"columns.{key}"
+        values = _need(cols, key, "columns", list)
+        if not values:
+            raise StateFormatError(f"empty cell list at {path}")
+        if n is None:
+            n = len(values)
+        elif len(values) != n:
+            raise StateFormatError(f"{path} holds {len(values)} cells, expected {n}")
+        if not set(map(type, values)) <= {float, int}:
+            i, bad = next((i, x) for i, x in enumerate(values) if type(x) not in (float, int))
+            raise StateFormatError(
+                f"wrong type at {path}[{i}]: expected number, got {type(bad).__name__}"
+            )
+        try:
+            out[key] = np.array(values, dtype=np.float64)
+        except OverflowError:
+            raise StateFormatError(f"number out of float range at {path}") from None
+    return out
+
+
+def _columns_from(cols: dict[str, np.ndarray], v0: float, where) -> dict[str, np.ndarray]:
+    """DamArray columns from document columns, checking that they describe cells.
+
+    ``where(key, i)`` names the JSON path of entry i of column key.
+    """
+
+    def reject(key, bad, what):
+        i = int(np.argmax(bad))
+        value = float(cols[key][i])
+        raise StateFormatError(f"invalid value at {where(key, i)}: {value!r}, {what}")
+
+    for key in ("set_k1", "reset_k1", "set_k2", "reset_k2", "weight_scale"):
+        bad = ~(np.isfinite(cols[key]) & (cols[key] > 0))
+        if bad.any():
+            reject(key, bad, "must be positive and finite")
+    for side in ("set", "reset"):
+        v, k2 = cols[f"{side}_v_fg"], cols[f"{side}_k2"]
+        bad = ~((v > 0) & (v < k2))
+        if bad.any():
+            reject(f"{side}_v_fg", bad, "must satisfy 0 < v_fg < k2")
+    for side in ("set", "reset"):
+        if not programmable(cols[f"{side}_k2"], v0).all():
+            raise StateFormatError(f"invalid value at v0: {v0!r}, no {side} node starts there")
+
+    out = {name: np.empty((len(cols["weight_scale"]), 2)) for name in ("v", "k1", "k2")}
+    out["weight_scale"] = cols["weight_scale"]
+    for key, (name, node) in _DOC_COLUMNS.items():
+        if node is not None:
+            out[name][:, node] = cols[key]
+    out["log_k1"] = _log_each(out["k1"])
+    return out
+
+
 def load_state(doc: dict) -> DamArray:
-    """Rebuild an array from a save_state document, verifying integrity."""
+    """Rebuild an array from a save_state document, verifying integrity.
+
+    Reads schema versions 1 and 2 (see the module docstring).
+    """
     if not isinstance(doc, dict):
         raise StateFormatError(f"state document must be a mapping, got {type(doc).__name__}")
     fmt = _need(doc, "format", "", str)
     if fmt != STATE_FORMAT:
         raise StateFormatError(f"unrecognized format tag at format: {fmt!r}")
     version = _need(doc, "version", "", int)
-    if version != STATE_VERSION:
+    if version not in (1, STATE_VERSION):
         raise StateFormatError(f"unsupported schema version at version: {version!r}")
     stored = _need(doc, "checksum", "", str)
     actual = _checksum(doc)
@@ -320,32 +558,20 @@ def load_state(doc: dict) -> DamArray:
         raise StateFormatError(f"invalid field at mismatch: {exc}") from None
 
     nominal = _params_from(_need(doc, "nominal_params", "", dict), "nominal_params")
-    cells_doc = _need(doc, "cells", "", list)
-    cells = []
-    for i, cd in enumerate(cells_doc):
-        path = f"cells[{i}]"
-        if not isinstance(cd, dict):
-            raise StateFormatError(f"wrong type at {path}: expected mapping")
-        cells.append(
-            DamCell(
-                set_node=_node_from(_need(cd, "set_node", path, dict), f"{path}.set_node"),
-                reset_node=_node_from(_need(cd, "reset_node", path, dict), f"{path}.reset_node"),
-                set_params=_params_from(_need(cd, "set_params", path, dict), f"{path}.set_params"),
-                reset_params=_params_from(
-                    _need(cd, "reset_params", path, dict), f"{path}.reset_params"
-                ),
-                weight_scale=_float_at(cd, "weight_scale", path),
-                t=_float_at(cd, "t", path),
-            )
-        )
-    if not cells:
-        raise StateFormatError("empty cell list at cells")
+    v0 = _float_at(doc, "v0", "")
+    if not (math.isfinite(v0) and v0 > 0):
+        raise StateFormatError(f"invalid value at v0: {v0!r}, must be positive and finite")
+    clock = _float_at(doc, "global_clock", "")
+    if not (math.isfinite(clock) and clock >= 0):
+        raise StateFormatError(f"invalid clock at global_clock: {clock!r}")
+
+    if version == 1:
+        raw = _v1_columns(doc, nominal, clock)
+        columns = _columns_from(raw, v0, lambda key, i: f"cells[{i}].{_V1_PATHS[key]}")
+    else:
+        columns = _columns_from(_v2_columns(doc), v0, lambda key, i: f"columns.{key}[{i}]")
     return DamArray(
-        cells=tuple(cells),
-        nominal_params=nominal,
-        mismatch=mismatch,
-        v0=_float_at(doc, "v0", ""),
-        global_clock=_float_at(doc, "global_clock", ""),
+        nominal_params=nominal, mismatch=mismatch, v0=v0, global_clock=clock, **columns
     )
 
 

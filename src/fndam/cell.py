@@ -23,6 +23,8 @@ from scipy import optimize
 from .errors import ArgumentError, DomainError, InitializationError, SaturationError, StepSizeError
 from .node import FnParams, NodeState, Pulse, apply_pulse, evolve, initial_state
 
+WEIGHT_SCALE = 1000.0  # mV per volt of node difference
+
 
 @dataclass(frozen=True)
 class DamCell:
@@ -37,7 +39,7 @@ class DamCell:
     reset_node: NodeState
     set_params: FnParams
     reset_params: FnParams
-    weight_scale: float = 1000.0  # mV per volt of node difference
+    weight_scale: float = WEIGHT_SCALE  # mV per volt of node difference
     t: float = 0.0  # s since synchronization
 
 
@@ -47,32 +49,25 @@ class WeightReading:
     timestamp: float  # s, cell clock at the moment of the read
 
 
-def _log_rate(params: FnParams, v: float) -> float:
+def _log_rate(log_k1: float, k2: float, v: float) -> float:
     """log of the tunneling rate magnitude |dV/dt| at voltage v."""
-    return params.log_k1 - math.log(params.k2) + 2.0 * math.log(v) - params.k2 / v
+    return log_k1 - math.log(k2) + 2.0 * math.log(v) - k2 / v
 
 
-def synchronize(
-    set_params: FnParams, reset_params: FnParams, v0: float, weight_scale: float = 1000.0
-) -> DamCell:
-    """Build a cell whose nodes tunnel at identical rates at t = 0.
+def rate_matched_voltage(
+    set_log_k1: float, set_k2: float, reset_log_k1: float, reset_k2: float, v0: float
+) -> float:
+    """RESET-node voltage whose |dV/dt| equals the SET node's at v0.
 
-    With identical parameters both nodes start at exactly v0.  With
-    mismatched parameters the RESET node voltage is solved so that
-    |dV/dt| matches the SET node's; the residual rate difference is
-    required to be below 1e-10 relative.
+    Solved by Brent's method; the residual rate difference is required
+    to be below 1e-10 relative.  Raises InitializationError otherwise.
     """
-    set_node = initial_state(set_params, v0)
-    if (reset_params.k1, reset_params.k2) == (set_params.k1, set_params.k2):
-        reset_node = initial_state(reset_params, v0)
-        return DamCell(set_node, reset_node, set_params, reset_params, weight_scale)
-
-    target = _log_rate(set_params, v0)
+    target = _log_rate(set_log_k1, set_k2, v0)
 
     def imbalance(v):
-        return _log_rate(reset_params, v) - target
+        return _log_rate(reset_log_k1, reset_k2, v) - target
 
-    lo, hi = 0.5 * v0, min(1.5 * v0, 0.999 * reset_params.k2)
+    lo, hi = 0.5 * v0, min(1.5 * v0, 0.999 * reset_k2)
     try:
         v_reset = optimize.brentq(imbalance, lo, hi, xtol=1e-14, rtol=1e-15, maxiter=200)
     except ValueError as exc:
@@ -82,6 +77,25 @@ def synchronize(
     if abs(imbalance(v_reset)) > 1e-10:
         raise InitializationError(
             f"rate matching residual {imbalance(v_reset):.3e} exceeds 1e-10", indices=(0,)
+        )
+    return v_reset
+
+
+def synchronize(
+    set_params: FnParams, reset_params: FnParams, v0: float, weight_scale: float = WEIGHT_SCALE
+) -> DamCell:
+    """Build a cell whose nodes tunnel at identical rates at t = 0.
+
+    With identical parameters both nodes start at exactly v0.  With
+    mismatched parameters the RESET node voltage is solved by
+    ``rate_matched_voltage``.
+    """
+    set_node = initial_state(set_params, v0)
+    if (reset_params.k1, reset_params.k2) == (set_params.k1, set_params.k2):
+        v_reset = v0
+    else:
+        v_reset = rate_matched_voltage(
+            set_params.log_k1, set_params.k2, reset_params.log_k1, reset_params.k2, v0
         )
     reset_node = initial_state(reset_params, v_reset)
     return DamCell(set_node, reset_node, set_params, reset_params, weight_scale)
@@ -102,33 +116,38 @@ def read_weight(cell: DamCell, noise_sigma: float = 0.0, rng=None) -> WeightRead
     return WeightReading(weight=cell.weight_scale * diff, timestamp=cell.t)
 
 
+def _moved(cell: DamCell, set_node: NodeState, reset_node: NodeState, dt: float) -> DamCell:
+    return DamCell(set_node, reset_node, cell.set_params, cell.reset_params,
+                   cell.weight_scale, cell.t + dt)
+
+
 def decay(cell: DamCell, dt: float) -> DamCell:
     """Both nodes tunnel undisturbed for dt seconds."""
-    return replace(
+    return _moved(
         cell,
-        set_node=evolve(cell.set_node, cell.set_params, dt),
-        reset_node=evolve(cell.reset_node, cell.reset_params, dt),
-        t=cell.t + dt,
+        evolve(cell.set_node, cell.set_params, dt),
+        evolve(cell.reset_node, cell.reset_params, dt),
+        dt,
     )
 
 
 def set_pulse(cell: DamCell, pulse: Pulse) -> DamCell:
     """Pulse the SET node (raises the weight); RESET node idles."""
-    return replace(
+    return _moved(
         cell,
-        set_node=apply_pulse(cell.set_node, cell.set_params, pulse, polarity=1),
-        reset_node=evolve(cell.reset_node, cell.reset_params, pulse.duration),
-        t=cell.t + pulse.duration,
+        apply_pulse(cell.set_node, cell.set_params, pulse, polarity=1),
+        evolve(cell.reset_node, cell.reset_params, pulse.duration),
+        pulse.duration,
     )
 
 
 def reset_pulse(cell: DamCell, pulse: Pulse) -> DamCell:
     """Pulse the RESET node (lowers the weight); SET node idles."""
-    return replace(
+    return _moved(
         cell,
-        set_node=evolve(cell.set_node, cell.set_params, pulse.duration),
-        reset_node=apply_pulse(cell.reset_node, cell.reset_params, pulse, polarity=1),
-        t=cell.t + pulse.duration,
+        evolve(cell.set_node, cell.set_params, pulse.duration),
+        apply_pulse(cell.reset_node, cell.reset_params, pulse, polarity=1),
+        pulse.duration,
     )
 
 
@@ -166,7 +185,7 @@ def discrete_update(
     params: FnParams,
     dt: float,
     dv_train: float = 0.0,
-    weight_scale: float = 1000.0,
+    weight_scale: float = WEIGHT_SCALE,
 ) -> float:
     """One linearized weight step: decay about the SET-node voltage plus input.
 

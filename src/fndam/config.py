@@ -32,7 +32,7 @@ from .errors import ConfigError
 from .node import FnParams
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.1.0"  # the package version: fndam.__version__ and pyproject.toml read it here
 
 TRAIN_KINDS = ("perceptron", "network")
 CHARACTERIZE_EXPERIMENTS = (

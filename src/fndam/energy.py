@@ -18,11 +18,9 @@ from dataclasses import dataclass
 
 from .cell import DamCell, decay, read_weight
 from .errors import DomainError
-from .node import FnParams, voltage_at
+from .node import ELECTRON_CHARGE, FnParams, voltage_at
 
 TEN_YEARS_S = 10 * 365.25 * 86400.0  # default retention search horizon
-
-ELECTRON_CHARGE = 1.602e-19  # coulomb
 
 
 @dataclass(frozen=True)

@@ -291,7 +291,7 @@ def _char_mismatch(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
     par = cfg.device.fn_params()
     arr = build_array(_MISMATCH_CELLS, par, cfg.device.v0,
                       MismatchSpec(seed=exp.seed))
-    initial = [read_weight(c).weight for c in arr.cells]
+    initial = arr.weights().tolist()
     amp = precompensated_amplitude(_fresh_cell(cfg), exp.step_mv,
                                    CAL_PULSE_DURATION_S)
     pulse = Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S)
@@ -299,14 +299,11 @@ def _char_mismatch(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
         targets = [(i, 1, pulse) for i in range(len(arr))]
         arr = batch_pulse(arr, targets)
         arr = advance(arr, CAL_PULSE_DURATION_S)
-    rows = []
-    for i, cell in enumerate(arr.cells):
-        rows.append([
-            i,
-            cell.set_params.k1, cell.set_params.k2,
-            cell.reset_params.k1, cell.reset_params.k2,
-            initial[i], read_weight(cell).weight,
-        ])
+    final = arr.weights().tolist()
+    rows = [
+        [i, k1[0], k2[0], k1[1], k2[1], initial[i], final[i]]
+        for i, (k1, k2) in enumerate(zip(arr.k1.tolist(), arr.k2.tolist()))
+    ]
     writer.csv(
         "mismatch.csv",
         ["cell", "k1_set", "k2_set", "k1_reset", "k2_reset",

@@ -23,7 +23,7 @@ float range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,6 +81,11 @@ class FnParams:
     def log_k1(self) -> float:
         return math.log(self.k1)
 
+    @property
+    def charge_lsb(self) -> float:
+        """Voltage of one electron on c_total when quantizing, else 0.0."""
+        return ELECTRON_CHARGE / self.c_total if self.quantize_charge else 0.0
+
 
 @dataclass(frozen=True)
 class NodeState:
@@ -125,6 +130,15 @@ def k0_from_initial(params: FnParams, v0: float) -> float:
     return math.exp(params.k2 / v0)
 
 
+def programmable(k2, v0):
+    """Elementwise form of the domain ``k0_from_initial`` accepts.
+
+    True where a node with barrier k2 can be programmed to v0 > 0:
+    v0 < k2 and exp(k2/v0) within float64 range.
+    """
+    return (v0 < k2) & (k2 / v0 <= _MAX_EXP_ARG)
+
+
 def initial_state(params: FnParams, v0: float) -> NodeState:
     """Node freshly programmed to v0 (t = 0)."""
     return NodeState(v_fg=v0, k0=k0_from_initial(params, v0))
@@ -159,18 +173,28 @@ def tunneling_current(params: FnParams, v_fg: float) -> float:
     return params.c_total * v_fg * v_fg / params.k2 * math.exp(exponent)
 
 
-def _quantize(params: FnParams, v_before: float, v_after: float) -> float:
-    """Round a tunneling-induced voltage change to whole electrons."""
-    lsb = ELECTRON_CHARGE / params.c_total
-    steps = round((v_after - v_before) / lsb)
-    return v_before + steps * lsb
+def decayed(v, log_k1, k2, log_dt, lsb=0.0):
+    """Gate voltage after exp(log_dt) seconds of undisturbed tunneling decay.
+
+    With a = k2/v the new log-argument is log(exp(a) + k1*dt), computed
+    as a log-sum-exp.  Elementwise on floats and numpy arrays alike:
+    ``evolve`` and every array operation call this one expression, so a
+    cell in an array decays to the same bits as the cell on its own.
+    With ``lsb`` > 0 the tunneling-induced change is rounded to whole
+    multiples of lsb (one electron on c_total; ``FnParams.charge_lsb``).
+    """
+    # sub-resolution decay: k2/(k2/v) can land one ulp above v, and
+    # tunneling must never raise the gate voltage
+    new_v = np.minimum(k2 / np.logaddexp(k2 / v, log_k1 + log_dt), v)
+    if lsb:
+        new_v = v + np.rint((new_v - v) / lsb) * lsb
+    return new_v
 
 
 def evolve(state: NodeState, params: FnParams, dt: float) -> NodeState:
     """Advance a node by dt seconds of undisturbed tunneling decay.
 
-    Uses the closed form: with a = k2/v_fg the new log-argument is
-    log(exp(a) + k1*dt), computed as a log-sum-exp.  Exact semigroup:
+    Uses the closed form (see ``decayed``).  Exact semigroup:
     evolve(dt1) then evolve(dt2) equals evolve(dt1+dt2) to rounding.
     dt = 0 returns the state unchanged, bit for bit.
     """
@@ -178,16 +202,8 @@ def evolve(state: NodeState, params: FnParams, dt: float) -> NodeState:
         raise DomainError(f"dt must be >= 0, got {dt!r}")
     if dt == 0.0:
         return state
-    a = params.k2 / state.v_fg
-    new_a = float(np.logaddexp(a, params.log_k1 + math.log(dt)))
-    new_v = params.k2 / new_a
-    if new_v > state.v_fg:
-        # sub-resolution decay: k2/(k2/v) can land one ulp above v, and
-        # tunneling must never raise the gate voltage
-        new_v = state.v_fg
-    if params.quantize_charge:
-        new_v = _quantize(params, state.v_fg, new_v)
-    return replace(state, v_fg=new_v)
+    new_v = decayed(state.v_fg, params.log_k1, params.k2, math.log(dt), params.charge_lsb)
+    return NodeState(float(new_v), state.k0)
 
 
 def apply_pulse(
@@ -209,11 +225,11 @@ def apply_pulse(
         raise DomainError(
             f"pulse drives gate to {v_up:.6g} V <= 0 (amplitude {pulse.amplitude!r})"
         )
-    elevated = evolve(replace(state, v_fg=v_up), params, pulse.duration)
+    elevated = evolve(NodeState(v_up, state.k0), params, pulse.duration)
     v_down = elevated.v_fg - step
     if v_down <= 0:
         raise DomainError(f"pulse release drives gate to {v_down:.6g} V <= 0")
-    return replace(state, v_fg=v_down)
+    return NodeState(v_down, state.k0)
 
 
 def pulse_train(

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import optimize
 
 from .array import DamArray, advance, batch_pulse, batch_read
-from .cell import DamCell, decay, precompensated_amplitude, read_weight, synchronize
+from .cell import DamCell, decay, precompensated_amplitude, synchronize
 from .energy import EnergyLedger
 from .errors import ArgumentError, DomainError
 from .node import Pulse
@@ -299,8 +299,8 @@ def train_perceptron(
     the momentary weight values.  Refuses datasets that the decision
     family cannot separate.
     """
-    if len(array.cells) != 2:
-        raise ArgumentError(f"perceptron needs a 2-cell array, got {len(array.cells)}")
+    if len(array) != 2:
+        raise ArgumentError(f"perceptron needs a 2-cell array, got {len(array)}")
     if not dataset:
         raise ArgumentError("dataset is empty")
     margin = best_margin(dataset)
@@ -522,24 +522,22 @@ def _write_params_to_array(array: DamArray, theta: np.ndarray) -> DamArray:
     preserves the device's position along its decay trajectory and only
     the differential (the weight) is overwritten.
     """
-    new_cells = []
-    for cell, w in zip(array.cells, theta):
-        mid = 0.5 * (cell.set_node.v_fg + cell.reset_node.v_fg)
-        half = 0.5 * w / cell.weight_scale
-        if mid - abs(half) <= 0:
-            raise DomainError(f"weight {w!r} too large to park on a {mid!r} V cell")
-        new_cells.append(
-            replace(
-                cell,
-                set_node=replace(cell.set_node, v_fg=mid - half),
-                reset_node=replace(cell.reset_node, v_fg=mid + half),
-            )
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (len(array),):
+        raise ArgumentError(f"need one value per cell: {theta.shape} for {len(array)} cells")
+    mid = 0.5 * (array.v[:, 0] + array.v[:, 1])
+    half = 0.5 * theta / array.weight_scale
+    too_large = ~(mid - np.abs(half) > 0)  # NaN included
+    if too_large.any():
+        i = int(np.argmax(too_large))
+        raise DomainError(
+            f"weight {float(theta[i])!r} too large to park on a {float(mid[i])!r} V cell"
         )
-    return replace(array, cells=tuple(new_cells))
+    return replace(array, v=np.stack((mid - half, mid + half), axis=1))
 
 
 def _read_params_from_array(array: DamArray) -> np.ndarray:
-    return np.array([read_weight(c).weight for c in array.cells])
+    return array.weights()
 
 
 @dataclass(frozen=True)
@@ -576,10 +574,10 @@ def train_network_with_dam_decay(
     """
     x_train, y_train = train_set
     x_test, y_test = test_set
-    if array is not None and len(array.cells) != spec.n_params:
+    if array is not None and len(array) != spec.n_params:
         raise ArgumentError(
             f"need one cell per parameter: {spec.n_params} params, "
-            f"{len(array.cells)} cells"
+            f"{len(array)} cells"
         )
     rng = np.random.Generator(np.random.PCG64(config.seed))
     theta = _init_mlp(spec, rng)

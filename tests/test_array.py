@@ -3,6 +3,7 @@ versioned state round-trip."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ from fndam.calibrate import default_params
 from fndam.cell import read_weight, set_pulse
 from fndam.errors import ArgumentError, DomainError, InitializationError, StateFormatError
 from fndam.node import Pulse
+
+
+V1_FIXTURE = Path(__file__).parent / "data" / "state_v1.json"
+# batch_read of the fixture's array, taken by the code that wrote it
+V1_WEIGHTS_MV = [-13.684085787649458, 3.4975811764743625, 12.887827169284272]
+V1_CLOCK_S = 105.5
+
+
+def v1_doc():
+    """Schema v1 document: 3 mismatched cells after pulses and decay."""
+    return json.loads(V1_FIXTURE.read_text())
 
 
 def small_array(n=4, sigma=0.0, seed=0, **spec_kwargs):
@@ -199,11 +211,20 @@ class TestStatePersistence:
         assert doc["format"] == STATE_FORMAT
         assert doc["version"] == STATE_VERSION
         assert doc["rng"] == {"algorithm": RNG_ALGORITHM, "seed": 7}
-        assert len(doc["cells"]) == 2
+        assert sorted(doc["columns"]) == sorted(
+            ["set_v_fg", "reset_v_fg", "set_k1", "reset_k1", "set_k2", "reset_k2",
+             "weight_scale"])
+        assert all(len(col) == 2 for col in doc["columns"].values())
 
     def test_tampered_document_rejected(self):
-        doc = save_state(small_array(2))
+        doc = v1_doc()
         doc["cells"][0]["set_node"]["v_fg"] = 7.4
+        with pytest.raises(StateFormatError, match="checksum"):
+            load_state(doc)
+
+    def test_tampered_v2_document_rejected(self):
+        doc = save_state(small_array(2))
+        doc["columns"]["set_v_fg"][0] = 7.4
         with pytest.raises(StateFormatError, match="checksum"):
             load_state(doc)
 
@@ -228,17 +249,39 @@ class TestStatePersistence:
             load_state(doc)
 
     def test_missing_field_is_located(self):
-        doc = save_state(small_array(2))
+        doc = v1_doc()
         del doc["cells"][1]["reset_node"]
         doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match=r"cells\[1\]"):
             load_state(doc)
 
-    def test_wrong_scalar_type_is_located(self):
+    def test_missing_v2_column_is_located(self):
         doc = save_state(small_array(2))
+        del doc["columns"]["reset_v_fg"]
+        doc["checksum"] = _rechecksum(doc)
+        with pytest.raises(StateFormatError, match=r"columns\.reset_v_fg"):
+            load_state(doc)
+
+    def test_short_v2_column_is_located(self):
+        doc = save_state(small_array(2))
+        doc["columns"]["set_k2"].pop()
+        doc["checksum"] = _rechecksum(doc)
+        with pytest.raises(StateFormatError, match=r"columns\.set_k2"):
+            load_state(doc)
+
+    def test_wrong_scalar_type_is_located(self):
+        doc = v1_doc()
         doc["cells"][0]["t"] = "zero"
         doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match=r"cells\[0\].t"):
+            load_state(doc)
+
+    @pytest.mark.parametrize("value", ["zero", True, None, [1.0]])
+    def test_wrong_v2_entry_type_is_located(self, value):
+        doc = save_state(small_array(2))
+        doc["columns"]["weight_scale"][1] = value
+        doc["checksum"] = _rechecksum(doc)
+        with pytest.raises(StateFormatError, match=r"columns\.weight_scale\[1\]"):
             load_state(doc)
 
     def test_bool_is_not_a_number(self):
@@ -257,11 +300,24 @@ class TestStatePersistence:
             load_state([1, 2, 3])
 
     def test_empty_cell_list_rejected(self):
-        doc = save_state(small_array(1))
+        doc = v1_doc()
         doc["cells"] = []
         doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match="empty"):
             load_state(doc)
+
+    def test_empty_v2_columns_rejected(self):
+        doc = save_state(small_array(1))
+        doc["columns"] = {key: [] for key in doc["columns"]}
+        doc["checksum"] = _rechecksum(doc)
+        with pytest.raises(StateFormatError, match="empty"):
+            load_state(doc)
+
+    def test_json_is_one_line_with_full_precision(self):
+        array = advance(small_array(3, sigma=1e-3, seed=4), 1.0 / 3.0)
+        text = state_to_json(array)
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.loads(text)["global_clock"] == 1.0 / 3.0
 
     @given(seed=st.integers(0, 2**32 - 1), dt=st.floats(0.0, 1e4))
     @settings(max_examples=25, deadline=None)
@@ -274,3 +330,138 @@ def _rechecksum(doc):
     from fndam.array import _checksum
 
     return _checksum(doc)
+
+
+class TestVersion1Documents:
+    def test_loads_to_the_same_weights_and_clock(self):
+        array = load_state(v1_doc())
+        assert [r.weight for r in batch_read(array)] == V1_WEIGHTS_MV
+        assert array.global_clock == V1_CLOCK_S
+        assert all(r.timestamp == V1_CLOCK_S for r in batch_read(array))
+
+    def test_columns_hold_the_document_values(self):
+        doc = v1_doc()
+        array = load_state(doc)
+        for i, cd in enumerate(doc["cells"]):
+            assert array.v[i].tolist() == [cd["set_node"]["v_fg"], cd["reset_node"]["v_fg"]]
+            assert array.k1[i].tolist() == [cd["set_params"]["k1"], cd["reset_params"]["k1"]]
+            assert array.k2[i].tolist() == [cd["set_params"]["k2"], cd["reset_params"]["k2"]]
+            assert array.weight_scale[i] == cd["weight_scale"]
+
+    def test_resaves_as_version_2(self):
+        array = load_state(v1_doc())
+        doc = save_state(array)
+        assert doc["version"] == STATE_VERSION == 2
+        assert "cells" not in doc
+        restored = state_from_json(state_to_json(array))
+        assert restored == array
+        assert [r.weight for r in batch_read(restored)] == V1_WEIGHTS_MV
+
+
+def _edit(doc, change):
+    change(doc)
+    doc["checksum"] = _rechecksum(doc)
+    return doc
+
+
+def _set(path, value):
+    """Document edit that sets the field at a key path (tuple of keys/indices)."""
+    def change(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return change
+
+
+class TestPhysicalInvariantsOnLoad:
+    """Checksummed documents that cannot describe an array are rejected."""
+
+    @pytest.mark.parametrize("path, value, where", [
+        (("cells", 0, "t"), -5.0, r"cells\[0\]\.t"),
+        (("cells", 1, "t"), 1.0, r"cells\[1\]\.t"),  # differs from global_clock
+        (("cells", 2, "t"), math.nan, r"cells\[2\]\.t"),
+        (("cells", 0, "weight_scale"), 0.0, r"cells\[0\]\.weight_scale"),
+        (("cells", 1, "weight_scale"), -1000.0, r"cells\[1\]\.weight_scale"),
+        (("cells", 1, "weight_scale"), math.inf, r"cells\[1\]\.weight_scale"),
+        (("global_clock",), math.nan, "global_clock"),
+        (("global_clock",), -5.0, "global_clock"),
+        (("cells", 0, "set_node", "v_fg"), 0.0, r"cells\[0\]\.set_node"),
+        (("cells", 2, "reset_node", "v_fg"), 5000.0, r"cells\[2\]\.reset_node\.v_fg"),
+        (("cells", 2, "reset_params", "c_total"), 2e-12,
+         r"cells\[2\]\.reset_params\.c_total"),
+        (("cells", 0, "set_params", "c_couple"), 2e-13, r"cells\[0\]\.set_params\.c_couple"),
+        (("cells", 1, "set_params", "quantize_charge"), True,
+         r"cells\[1\]\.set_params\.quantize_charge"),
+        (("v0",), -7.5, "v0"),
+    ])
+    def test_version_1(self, path, value, where):
+        doc = _edit(v1_doc(), _set(path, value))
+        with pytest.raises(StateFormatError, match=where):
+            load_state(doc)
+
+    @pytest.mark.parametrize("path, value, where", [
+        (("columns", "weight_scale", 1), 0.0, r"columns\.weight_scale\[1\]"),
+        (("columns", "weight_scale", 0), math.nan, r"columns\.weight_scale\[0\]"),
+        (("global_clock",), math.nan, "global_clock"),
+        (("global_clock",), -5.0, "global_clock"),
+        (("global_clock",), math.inf, "global_clock"),
+        (("columns", "set_v_fg", 0), 0.0, r"columns\.set_v_fg\[0\]"),
+        (("columns", "set_v_fg", 1), -7.5, r"columns\.set_v_fg\[1\]"),
+        (("columns", "reset_v_fg", 1), 5000.0, r"columns\.reset_v_fg\[1\]"),
+        (("columns", "reset_k1", 0), 0.0, r"columns\.reset_k1\[0\]"),
+        (("columns", "set_k2", 1), math.inf, r"columns\.set_k2\[1\]"),
+        (("columns", "set_k1", 0), 10**400, r"columns\.set_k1"),
+        (("v0",), 0.0, "v0"),
+    ])
+    def test_version_2(self, path, value, where):
+        doc = _edit(save_state(small_array(2, sigma=1e-3, seed=3)), _set(path, value))
+        with pytest.raises(StateFormatError, match=where):
+            load_state(doc)
+
+
+class TestColumns:
+    def test_columns_are_read_only(self):
+        array = small_array(3)
+        for col in (array.v, array.k1, array.log_k1, array.k2, array.weight_scale):
+            with pytest.raises(ValueError):
+                col[0] = 1.0
+
+    def test_operations_leave_their_input_unchanged(self):
+        array = small_array(4, sigma=1e-3, seed=2)
+        before = save_state(array)
+        pulse = Pulse(amplitude=0.2, duration=0.5)
+        advance(array, 3.0)
+        batch_pulse(array, [(0, 1, pulse), (3, -1, pulse)])
+        batch_read(array, 1e-3, np.random.default_rng(0))
+        assert save_state(array) == before
+
+    def test_writable_inputs_are_copied(self):
+        array = small_array(2)
+        v = np.array(array.v)
+        built = DamArray(v, array.k1, array.log_k1, array.k2, array.weight_scale,
+                         array.nominal_params, array.mismatch, array.v0)
+        v[0, 0] = 1.0
+        assert built == array
+        assert v.flags.writeable
+
+    def test_shape_mismatch_rejected(self):
+        array = small_array(2)
+        with pytest.raises(ArgumentError):
+            DamArray(array.v[:1], array.k1, array.log_k1, array.k2, array.weight_scale,
+                     array.nominal_params, array.mismatch, array.v0)
+
+    def test_equality_compares_every_column(self):
+        array = small_array(2)
+        assert array == small_array(2)
+        assert array != advance(array, 1.0)
+        assert array != small_array(2, sigma=1e-3)
+        assert array != "not an array"
+
+    def test_cells_view_matches_columns(self):
+        array = advance(small_array(3, sigma=1e-3, seed=8), 2.0)
+        for i, cell in enumerate(array.cells):
+            assert [cell.set_node.v_fg, cell.reset_node.v_fg] == array.v[i].tolist()
+            assert [cell.set_params.k1, cell.reset_params.k1] == array.k1[i].tolist()
+            assert cell.t == array.global_clock
+            assert read_weight(cell).weight == array.weights()[i]
