@@ -319,6 +319,10 @@ class TestStatePersistence:
         assert text.count("\n") == 1 and text.endswith("\n")
         assert json.loads(text)["global_clock"] == 1.0 / 3.0
 
+    def test_json_parses_to_the_saved_document(self):
+        array = advance(small_array(5, sigma=1e-3, seed=9), 2.5)
+        assert json.loads(state_to_json(array)) == save_state(array)
+
     @given(seed=st.integers(0, 2**32 - 1), dt=st.floats(0.0, 1e4))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_any_seed_and_age(self, seed, dt):

@@ -96,6 +96,69 @@ class TestRejection:
             load_config({"device": {"v0": float("nan")}})
 
 
+# Exact loader messages.  The inputs with two faults fix which one is
+# reported: fields in declaration order, then unknown keys, then the
+# cross-field checks.
+GOLDEN_MESSAGES = [
+    ({"devise": {}}, "devise: unknown key"),
+    ({"device": {"k3": 1.0}}, "device.k3: unknown key"),
+    ({"experiment": {"train": {"perceptron": {"unit": 1}}}},
+     "experiment.train.perceptron.unit: unknown key"),
+    ({"noise": {"sigma0": "quiet"}}, "noise.sigma0: expected a number, got str"),
+    ({"device": {"k1": True}}, "device.k1: expected a number, got bool"),
+    ({"experiment": {"n_samples": 2.5}},
+     "experiment.n_samples: expected an integer, got float"),
+    ({"experiment": {"n_samples": 1}}, "experiment.n_samples: must be >= 2"),
+    ({"experiment": {"seed": -1}}, "experiment.seed: must be >= 0"),
+    ({"experiment": {"seed": 2**64}},
+     "experiment.seed: must be <= 18446744073709551615"),
+    ({"experiment": {"horizon_s": 0}}, "experiment.horizon_s: must be > 0.0"),
+    ({"experiment": {"amplitude_grid_v": []}},
+     "experiment.amplitude_grid_v: must not be empty"),
+    ({"experiment": {"amplitude_grid_v": [1.0, 0.0]}},
+     "experiment.amplitude_grid_v[1]: must be > 0.0"),
+    ({"experiment": {"train": {"kind": "svm"}}},
+     "experiment.train.kind: must be one of perceptron, network"),
+    ({"device": {"c_couple": 2e-12}}, "device.c_couple: must be smaller than c_total"),
+    ({"experiment": {"train": {"network": {"momentum": 1.0}}}},
+     "experiment.train.network.momentum: must be < 1"),
+    ({"output_dir": 7}, "output_dir: expected a string, got int"),
+    ({"device": []}, "device: expected an object, got list"),
+    ({"zebra": 1, "aardvark": 2}, "aardvark: unknown key"),
+    ({"device": {"v0": float("nan")}}, "device.v0: must be finite"),
+    ([], "<config>: expected an object, got list"),
+    ({"device": {"c_total": 0}}, "device.c_total: must be > 0.0"),
+    ({"noise": {"sigma_coeff": -1.0}}, "noise.sigma_coeff: must be >= 0.0"),
+    ({"experiment": {"step_grid_mv": 5}},
+     "experiment.step_grid_mv: expected a list of numbers, got int"),
+    ({"device": {"c_couple": 1e-12, "c_total": 1e-12}},
+     "device.c_couple: must be smaller than c_total"),
+    # two faults
+    ({"device": {"c_couple": 2e-12, "zz": 1}}, "device.zz: unknown key"),
+    ({"experiment": {"train": {"network": {"momentum": 1.0, "aa": 1}}}},
+     "experiment.train.network.aa: unknown key"),
+    ({"device": {"k2": "x", "k1": -1}}, "device.k1: must be > 0.0"),
+    ({"zz": 1, "device": {"k1": -1}}, "device.k1: must be > 0.0"),
+    ({"device": {"zz": 1}, "noise": {"sigma0": -1}}, "device.zz: unknown key"),
+    ({"output_dir": 7, "experiment": {"seed": -1}}, "experiment.seed: must be >= 0"),
+    ({"experiment": {"train": [], "seed": -1}}, "experiment.seed: must be >= 0"),
+    ({"experiment": {"train": {"kind": "svm", "perceptron": {"epochs": 0}}}},
+     "experiment.train.kind: must be one of perceptron, network"),
+    ({"experiment": {"bias_grid_v": [1, "a"], "age_grid_s": [-1]}},
+     "experiment.bias_grid_v[1]: expected a number, got str"),
+    ({"experiment": {"train": {"network": {"batch_size": 0, "momentum": -0.1}}}},
+     "experiment.train.network.momentum: must be >= 0.0"),
+]
+
+
+class TestGoldenMessages:
+    @pytest.mark.parametrize("data,message", GOLDEN_MESSAGES)
+    def test_exact_message(self, data, message):
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(data)
+        assert str(exc_info.value) == message
+
+
 class TestJsonEntryPoints:
     def test_round_trip_through_text(self):
         cfg = config_from_json('{"experiment": {"seed": 9}}')
@@ -131,6 +194,11 @@ class TestHash:
     def test_output_dir_does_not_change_identity(self):
         base = load_config({})
         assert base.config_hash() == base.with_output_dir("elsewhere").config_hash()
+
+    def test_default_hash_is_pinned(self):
+        # every output's .meta.json carries this; it changes only with the schema
+        assert load_config({}).config_hash() == (
+            "e837ddb066b9f4f024dd0842100fc1d9c277a5983efa811a4afb31f78498f506")
 
     def test_to_dict_is_json_ready(self):
         import json
