@@ -25,8 +25,9 @@ object per cell under ``cells``, still load.  Either version is
 rejected with a ``StateFormatError`` naming the JSON path when it
 cannot describe the array: clocks must be finite, non-negative and
 shared by all cells, 0 < v_fg < k2 on every node, weight_scale > 0, and
-every cell must share the capacitances and charge quantization of
-``nominal_params``.
+every cell must share the capacitances of ``nominal_params``.  Charge
+quantization is not modeled: a document whose ``quantize_charge`` is
+true is rejected, one that carries it as false still loads.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ class DamArray:
     Column 0 of each (N, 2) column is the SET node, column 1 the RESET
     node.  ``log_k1`` is ``math.log(k1)`` per node, kept so that no
     operation takes a logarithm per cell.  Every cell reads
-    ``global_clock`` as its own clock and takes c_total, c_couple and
-    quantize_charge from ``nominal_params``.  A column given as a
+    ``global_clock`` as its own clock and takes c_total and c_couple
+    from ``nominal_params``.  A column given as a
     writable array is copied, so no caller can change an array after
     the fact.
     """
@@ -181,8 +182,8 @@ class DamArray:
         for (vs, vr), (k1s, k1r), (k2s, k2r), ws in zip(
             self.v.tolist(), self.k1.tolist(), self.k2.tolist(), self.weight_scale.tolist()
         ):
-            set_params = FnParams(k1s, k2s, p.c_total, p.c_couple, p.quantize_charge)
-            reset_params = FnParams(k1r, k2r, p.c_total, p.c_couple, p.quantize_charge)
+            set_params = FnParams(k1s, k2s, p.c_total, p.c_couple)
+            reset_params = FnParams(k1r, k2r, p.c_total, p.c_couple)
             out.append(DamCell(
                 NodeState(vs, k0_from_initial(set_params, self.v0)),
                 NodeState(vr, k0_from_initial(reset_params, self.v0)),
@@ -270,10 +271,7 @@ def advance(array: DamArray, dt: float) -> DamArray:
         raise DomainError(f"dt must be >= 0, got {dt!r}")
     if dt == 0.0:
         return _evolved(array, array.v, dt)
-    p = array.nominal_params
-    return _evolved(
-        array, decayed(array.v, array.log_k1, array.k2, math.log(dt), p.charge_lsb), dt
-    )
+    return _evolved(array, decayed(array.v, array.log_k1, array.k2, math.log(dt)), dt)
 
 
 def batch_pulse(
@@ -319,14 +317,13 @@ def batch_pulse(
     # node.apply_pulse on the pulsed nodes: the gate is lifted by the
     # coupled step, tunnels for the window and is released.  Idle nodes
     # have a zero step, which leaves their decay bit-identical to evolve.
-    p = array.nominal_params
     step = np.zeros_like(array.v)
     step[rows, nodes] = amplitudes
-    step *= p.coupling_ratio
+    step *= array.nominal_params.coupling_ratio
     lifted = array.v + step
     if not np.all(lifted > 0):
         raise DomainError("pulse drives a gate to <= 0 V")
-    tunnelled = decayed(lifted, array.log_k1, array.k2, math.log(duration), p.charge_lsb)
+    tunnelled = decayed(lifted, array.log_k1, array.k2, math.log(duration))
     return _evolved(array, tunnelled - step, duration)
 
 
@@ -337,29 +334,23 @@ def weights_csv(array: DamArray) -> str:
     return "\n".join(["index,weight_mV,t_s", *rows]) + "\n"
 
 
-def _params_doc(p: FnParams) -> dict:
-    return {
-        "k1": p.k1,
-        "k2": p.k2,
-        "c_total": p.c_total,
-        "c_couple": p.c_couple,
-        "quantize_charge": p.quantize_charge,
-    }
+def _canonical(doc: dict) -> str:
+    """Sorted keys, compact separators, everything but the checksum."""
+    payload = {k: v for k, v in doc.items() if k != "checksum"}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _checksum(doc: dict) -> str:
-    payload = {k: v for k, v in doc.items() if k != "checksum"}
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
 
 
-def save_state(array: DamArray) -> dict:
-    """Versioned, checksummed document; round-trips through load_state."""
+def _unsigned_document(array: DamArray) -> dict:
+    p = array.nominal_params
     columns = {}
     for key, (name, node) in _DOC_COLUMNS.items():
         col = getattr(array, name)
         columns[key] = (col if node is None else col[:, node]).tolist()
-    doc = {
+    return {
         "format": STATE_FORMAT,
         "version": STATE_VERSION,
         "rng": {"algorithm": RNG_ALGORITHM, "seed": array.mismatch.seed},
@@ -368,17 +359,27 @@ def save_state(array: DamArray) -> dict:
             "seed": array.mismatch.seed,
             "distribution": array.mismatch.distribution,
         },
-        "nominal_params": _params_doc(array.nominal_params),
+        "nominal_params": {"k1": p.k1, "k2": p.k2, "c_total": p.c_total,
+                           "c_couple": p.c_couple},
         "v0": array.v0,
         "global_clock": array.global_clock,
         "columns": columns,
     }
+
+
+def save_state(array: DamArray) -> dict:
+    """Versioned, checksummed document; round-trips through load_state."""
+    doc = _unsigned_document(array)
     doc["checksum"] = _checksum(doc)
     return doc
 
 
 def state_to_json(array: DamArray) -> str:
-    return json.dumps(save_state(array), sort_keys=True) + "\n"
+    """save_state(array) in canonical form, serialized once: "checksum"
+    sorts first, so it is spliced in front of the string it covers."""
+    canonical = _canonical(_unsigned_document(array))
+    checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return '{"checksum":"' + checksum + '",' + canonical[1:] + "\n"
 
 
 def _need(doc, key, path, kind=None):
@@ -408,13 +409,15 @@ def _float_at(doc, key, path):
 
 
 def _params_from(doc, path) -> FnParams:
+    # older documents carry charge quantization, which is no longer modeled
+    if "quantize_charge" in doc and _need(doc, "quantize_charge", path, bool):
+        raise StateFormatError(f"unsupported value at {path}.quantize_charge: true")
     try:
         return FnParams(
             k1=_float_at(doc, "k1", path),
             k2=_float_at(doc, "k2", path),
             c_total=_float_at(doc, "c_total", path),
             c_couple=_float_at(doc, "c_couple", path),
-            quantize_charge=_need(doc, "quantize_charge", path, bool),
         )
     except DomainError as exc:
         raise StateFormatError(f"invalid parameters at {path}: {exc}") from None
@@ -432,8 +435,7 @@ def _v1_columns(doc, nominal: FnParams, clock: float) -> dict[str, np.ndarray]:
     cells_doc = _need(doc, "cells", "", list)
     if not cells_doc:
         raise StateFormatError("empty cell list at cells")
-    shared = {"c_total": nominal.c_total, "c_couple": nominal.c_couple,
-              "quantize_charge": nominal.quantize_charge}
+    shared = {"c_total": nominal.c_total, "c_couple": nominal.c_couple}
     columns = {key: [] for key in _DOC_COLUMNS}
     for i, cd in enumerate(cells_doc):
         path = f"cells[{i}]"

@@ -37,8 +37,8 @@ from .cell import (
     synchronize,
 )
 from .errors import DomainError
-from .node import FnParams, Pulse, initial_state, voltage_at
-from .energy import write_energy
+from .node import FnParams, Pulse, k0_from_initial
+from .energy import setpoint_write
 
 DEFAULT_V0 = 7.5  # V, fresh floating-gate voltage
 DEFAULT_C_TOTAL = 1e-12  # F
@@ -189,10 +189,7 @@ def energy_per_update(params: FnParams, t_s: float,
                       c_in: float = DEFAULT_C_IN,
                       v0: float = DEFAULT_V0) -> float:
     """Energy of a write lifting the gate offset_v above its trajectory."""
-    k0 = initial_state(params, v0).k0
-    v_fg = voltage_at(params, k0, t_s)
-    v_train = (v0 + offset_v - v_fg) / params.coupling_ratio
-    return write_energy(c_in, v_train)
+    return setpoint_write(params, k0_from_initial(params, v0), v0 + offset_v, t_s, c_in)[2]
 
 
 def evaluate_calibration(params: FnParams,

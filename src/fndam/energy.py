@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 from .cell import DamCell, decay, read_weight
 from .errors import DomainError
-from .node import ELECTRON_CHARGE, FnParams, voltage_at
+from .node import FnParams, voltage_at
 
+ELECTRON_CHARGE = 1.602e-19  # coulomb
 TEN_YEARS_S = 10 * 365.25 * 86400.0  # default retention search horizon
 
 
@@ -142,6 +143,33 @@ def v_train_required(v_target: float, v_fg: float, coupling_ratio: float) -> flo
     return (v_target - v_fg) / coupling_ratio
 
 
+def setpoint_write(
+    params: FnParams, k0: float, v_target: float, t: float, c_in: float
+) -> tuple[float, float, float]:
+    """(v_fg, v_train, energy) of a write lifting a gate, t s after k0, to v_target."""
+    v_fg = voltage_at(params, k0, t)
+    v_train = v_train_required(v_target, v_fg, params.coupling_ratio)
+    return v_fg, v_train, write_energy(c_in, v_train)
+
+
+def trajectory_times(horizon_s: float, n_samples: int) -> list[float]:
+    """n_samples times from t = 0 to exactly horizon_s, geometric after t = 0.
+
+    Early life is where the write-energy trajectory bends fastest.
+    """
+    if n_samples < 2:
+        raise DomainError(f"n_samples must be >= 2, got {n_samples!r}")
+    if not (math.isfinite(horizon_s) and horizon_s > 0):
+        raise DomainError(f"horizon_s must be positive, got {horizon_s!r}")
+    t_first = min(1.0, horizon_s / n_samples)
+    ratio = (horizon_s / t_first) ** (1.0 / (n_samples - 2)) if n_samples > 2 else 1.0
+    times = [0.0]
+    for i in range(n_samples - 1):
+        times.append(min(t_first * ratio**i, horizon_s))
+    times[-1] = horizon_s
+    return times
+
+
 def write_energy_trajectory(
     params: FnParams,
     k0: float,
@@ -158,28 +186,11 @@ def write_energy_trajectory(
     grow monotonically.  Samples start at t = 0 (energy
     (1/2) c_in (offset/coupling_ratio)^2) and end exactly at horizon_s.
     """
-    if n_samples < 2:
-        raise DomainError(f"n_samples must be >= 2, got {n_samples!r}")
-    if not (math.isfinite(horizon_s) and horizon_s > 0):
-        raise DomainError(f"horizon_s must be positive, got {horizon_s!r}")
+    times = trajectory_times(horizon_s, n_samples)
     if v_target_offset <= 0:
         raise DomainError(f"v_target_offset must be positive, got {v_target_offset!r}")
-    v_start = voltage_at(params, k0, 0.0)
-    v_target = v_start + v_target_offset
-    # geometric spacing after the t=0 sample: early life is where the
-    # trajectory bends fastest
-    t_first = min(1.0, horizon_s / n_samples)
-    ratio = (horizon_s / t_first) ** (1.0 / (n_samples - 2)) if n_samples > 2 else 1.0
-    times = [0.0]
-    for i in range(n_samples - 1):
-        times.append(min(t_first * ratio**i, horizon_s))
-    times[-1] = horizon_s
-    out = []
-    for t in times:
-        v_fg = voltage_at(params, k0, t)
-        amp = v_train_required(v_target, v_fg, params.coupling_ratio)
-        out.append((t, write_energy(c_in, amp)))
-    return out
+    v_target = voltage_at(params, k0, 0.0) + v_target_offset
+    return [(t, setpoint_write(params, k0, v_target, t, c_in)[2]) for t in times]
 
 
 def noise_floor(model: NoiseModel, t: float) -> float:

@@ -23,6 +23,7 @@ from .calibrate import (
     REGIME_RETENTION,
     CalibrationTargets,
     age_for_retention,
+    cell_at_age,
     fit_device_parameters,
 )
 from .cell import (
@@ -32,7 +33,6 @@ from .cell import (
     read_weight,
     set_pulse,
     reset_pulse,
-    synchronize,
 )
 from .config import (
     CHARACTERIZE_EXPERIMENTS,
@@ -41,9 +41,9 @@ from .config import (
     TRAIN_KINDS,
     ExperimentConfig,
 )
-from .energy import v_train_required, write_energy, retention_time
+from .energy import retention_time, setpoint_write, trajectory_times
 from .errors import ConfigError
-from .node import Pulse, initial_state, voltage_at
+from .node import Pulse, k0_from_initial
 from .trainer import (
     MlpSpec,
     NetworkConfig,
@@ -157,9 +157,7 @@ def _regime_ages(cfg: ExperimentConfig) -> tuple[float, ...]:
 
 
 def _fresh_cell(cfg: ExperimentConfig, age_s: float = 0.0):
-    par = cfg.device.fn_params()
-    cell = synchronize(par, par, cfg.device.v0)
-    return decay(cell, age_s) if age_s > 0 else cell
+    return cell_at_age(cfg.device.fn_params(), age_s, cfg.device.v0)
 
 
 def _weight_trace(cell, window_s: float, n_points: int):
@@ -342,20 +340,10 @@ def run_characterize(cfg: ExperimentConfig, experiment: str | None = None) -> li
 def _energy_report(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
     par = cfg.device.fn_params()
     exp = cfg.experiment
-    k0 = initial_state(par, cfg.device.v0).k0
+    k0 = k0_from_initial(par, cfg.device.v0)
     v_target = cfg.device.v0 + exp.offset_v
-    t_first = min(1.0, exp.horizon_s / exp.n_samples)
-    ratio = (exp.horizon_s / t_first) ** (1.0 / (exp.n_samples - 2)) \
-        if exp.n_samples > 2 else 1.0
-    times = [0.0]
-    for i in range(exp.n_samples - 1):
-        times.append(min(t_first * ratio**i, exp.horizon_s))
-    times[-1] = exp.horizon_s
-    rows = []
-    for t in times:
-        v_fg = voltage_at(par, k0, t)
-        v_train = v_train_required(v_target, v_fg, par.coupling_ratio)
-        rows.append([t, v_fg, v_train, write_energy(cfg.device.c_in, v_train)])
+    rows = [[t, *setpoint_write(par, k0, v_target, t, cfg.device.c_in)]
+            for t in trajectory_times(exp.horizon_s, exp.n_samples)]
     writer.csv(
         "energy_trajectory.csv",
         ["t_s", "v_fg_V", "v_train_V", "energy_J"],
@@ -370,10 +358,7 @@ def run_energy_report(cfg: ExperimentConfig) -> list[str]:
 
 def _retention_cell(cfg: ExperimentConfig, bias_v: float, age_s: float,
                     step_mv: float):
-    par = cfg.device.fn_params()
-    cell = synchronize(par, par, bias_v)
-    if age_s > 0:
-        cell = decay(cell, age_s)
+    cell = cell_at_age(cfg.device.fn_params(), age_s, bias_v)
     if step_mv == 0.0:
         return cell
     amp = precompensated_amplitude(cell, step_mv, CAL_PULSE_DURATION_S)

@@ -29,8 +29,6 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError
 
-ELECTRON_CHARGE = 1.602e-19  # coulomb
-
 # exp() overflows float64 beyond this; k2/v must stay below it wherever a
 # bare exp(k2/v) is materialized (k0_from_initial).
 _MAX_EXP_ARG = math.log(np.finfo(float).max)  # ~709.78
@@ -50,17 +48,12 @@ class FnParams:
     c_total is the total floating-gate capacitance and c_couple the
     input coupling capacitance, so ``c_couple / c_total`` is the
     fraction of an input step that appears on the gate.
-
-    When ``quantize_charge`` is set, tunneling-induced voltage changes
-    are rounded to multiples of one electron on ``c_total``.  Off by
-    default; the continuous model is the reference behavior.
     """
 
     k1: float  # 1/s
     k2: float  # V
     c_total: float = 1e-12  # F
     c_couple: float = 1e-13  # F
-    quantize_charge: bool = False
 
     def __post_init__(self):
         _require_finite_positive("k1", self.k1)
@@ -80,11 +73,6 @@ class FnParams:
     @property
     def log_k1(self) -> float:
         return math.log(self.k1)
-
-    @property
-    def charge_lsb(self) -> float:
-        """Voltage of one electron on c_total when quantizing, else 0.0."""
-        return ELECTRON_CHARGE / self.c_total if self.quantize_charge else 0.0
 
 
 @dataclass(frozen=True)
@@ -173,22 +161,17 @@ def tunneling_current(params: FnParams, v_fg: float) -> float:
     return params.c_total * v_fg * v_fg / params.k2 * math.exp(exponent)
 
 
-def decayed(v, log_k1, k2, log_dt, lsb=0.0):
+def decayed(v, log_k1, k2, log_dt):
     """Gate voltage after exp(log_dt) seconds of undisturbed tunneling decay.
 
     With a = k2/v the new log-argument is log(exp(a) + k1*dt), computed
     as a log-sum-exp.  Elementwise on floats and numpy arrays alike:
     ``evolve`` and every array operation call this one expression, so a
     cell in an array decays to the same bits as the cell on its own.
-    With ``lsb`` > 0 the tunneling-induced change is rounded to whole
-    multiples of lsb (one electron on c_total; ``FnParams.charge_lsb``).
     """
     # sub-resolution decay: k2/(k2/v) can land one ulp above v, and
     # tunneling must never raise the gate voltage
-    new_v = np.minimum(k2 / np.logaddexp(k2 / v, log_k1 + log_dt), v)
-    if lsb:
-        new_v = v + np.rint((new_v - v) / lsb) * lsb
-    return new_v
+    return np.minimum(k2 / np.logaddexp(k2 / v, log_k1 + log_dt), v)
 
 
 def evolve(state: NodeState, params: FnParams, dt: float) -> NodeState:
@@ -202,7 +185,7 @@ def evolve(state: NodeState, params: FnParams, dt: float) -> NodeState:
         raise DomainError(f"dt must be >= 0, got {dt!r}")
     if dt == 0.0:
         return state
-    new_v = decayed(state.v_fg, params.log_k1, params.k2, math.log(dt), params.charge_lsb)
+    new_v = decayed(state.v_fg, params.log_k1, params.k2, math.log(dt))
     return NodeState(float(new_v), state.k0)
 
 

@@ -321,7 +321,19 @@ class TestStatePersistence:
 
     def test_json_parses_to_the_saved_document(self):
         array = advance(small_array(5, sigma=1e-3, seed=9), 2.5)
-        assert json.loads(state_to_json(array)) == save_state(array)
+        text = state_to_json(array)
+        assert json.loads(text) == save_state(array)
+        # the compact canonical form, checksum first
+        assert text == json.dumps(save_state(array), sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+
+    def test_quantize_charge_false_still_loads(self):
+        array = small_array(2, sigma=1e-3, seed=3)
+        doc = save_state(array)
+        assert "quantize_charge" not in doc["nominal_params"]
+        doc["nominal_params"]["quantize_charge"] = False
+        doc["checksum"] = _rechecksum(doc)
+        assert load_state(doc) == array
 
     @given(seed=st.integers(0, 2**32 - 1), dt=st.floats(0.0, 1e4))
     @settings(max_examples=25, deadline=None)
@@ -417,6 +429,7 @@ class TestPhysicalInvariantsOnLoad:
         (("columns", "set_k2", 1), math.inf, r"columns\.set_k2\[1\]"),
         (("columns", "set_k1", 0), 10**400, r"columns\.set_k1"),
         (("v0",), 0.0, "v0"),
+        (("nominal_params", "quantize_charge"), True, r"nominal_params\.quantize_charge"),
     ])
     def test_version_2(self, path, value, where):
         doc = _edit(save_state(small_array(2, sigma=1e-3, seed=3)), _set(path, value))

@@ -63,19 +63,18 @@ def batches(draw, n):
     return [(i, draw(st.sampled_from([1, -1])), draw(st.floats(0.0, 20.0))) for i in rows]
 
 
-def build_both(n, sigma, seed, quantize):
-    nominal = default_params(quantize_charge=quantize)
+def build_both(n, sigma, seed):
+    nominal = default_params()
     cells = reference_cells(n, nominal, sigma, seed)
     array = build_array(n, nominal, V0, MismatchSpec(relative_sigma=sigma, seed=seed))
     same_bits(array, cells)
     return array, cells
 
 
-@given(n=sizes, sigma=sigmas, seed=seeds, quantize=st.booleans(), dt=durations,
-       width=durations, data=st.data())
+@given(n=sizes, sigma=sigmas, seed=seeds, dt=durations, width=durations, data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_advance_and_batch_pulse_match_cell_path(n, sigma, seed, quantize, dt, width, data):
-    array, cells = build_both(n, sigma, seed, quantize)
+def test_advance_and_batch_pulse_match_cell_path(n, sigma, seed, dt, width, data):
+    array, cells = build_both(n, sigma, seed)
     assert advance(array, 0.0) == array
 
     array = advance(array, dt)
@@ -101,7 +100,7 @@ def test_advance_and_batch_pulse_match_cell_path(n, sigma, seed, quantize, dt, w
        read_seed=seeds)
 @settings(max_examples=40, deadline=None)
 def test_batch_read_matches_read_weight(n, sigma, seed, dt, noise, read_seed):
-    array, cells = build_both(n, sigma, seed, False)
+    array, cells = build_both(n, sigma, seed)
     array = advance(array, dt)
     cells = [decay(c, dt) for c in cells]
     rng = np.random.default_rng(read_seed)
@@ -114,7 +113,7 @@ def test_batch_read_matches_read_weight(n, sigma, seed, dt, noise, read_seed):
 @given(n=sizes, sigma=sigmas, seed=seeds, dt=durations, data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_parking_matches_per_cell_split(n, sigma, seed, dt, data):
-    array, cells = build_both(n, sigma, seed, False)
+    array, cells = build_both(n, sigma, seed)
     theta = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
     parked = _write_params_to_array(array, theta)
     expected = []

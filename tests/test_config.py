@@ -133,6 +133,7 @@ GOLDEN_MESSAGES = [
      "experiment.step_grid_mv: expected a list of numbers, got int"),
     ({"device": {"c_couple": 1e-12, "c_total": 1e-12}},
      "device.c_couple: must be smaller than c_total"),
+    ({"read": {}}, "read: unknown key"),  # the unused read block is gone
     # two faults
     ({"device": {"c_couple": 2e-12, "zz": 1}}, "device.zz: unknown key"),
     ({"experiment": {"train": {"network": {"momentum": 1.0, "aa": 1}}}},
@@ -196,9 +197,10 @@ class TestHash:
         assert base.config_hash() == base.with_output_dir("elsewhere").config_hash()
 
     def test_default_hash_is_pinned(self):
-        # every output's .meta.json carries this; it changes only with the schema
+        # every output's .meta.json carries this; it changes only with the
+        # schema (e837ddb0... while the config still carried a read block)
         assert load_config({}).config_hash() == (
-            "e837ddb066b9f4f024dd0842100fc1d9c277a5983efa811a4afb31f78498f506")
+            "6c228b4e700ae18d583519155da611653f55f6c976b4a7d0aabe03c97f6da582")
 
     def test_to_dict_is_json_ready(self):
         import json

@@ -11,7 +11,6 @@ from scipy.integrate import solve_ivp
 from fndam.calibrate import DEFAULT_K1, DEFAULT_K2, DEFAULT_V0, default_params
 from fndam.errors import ArgumentError, DomainError
 from fndam.node import (
-    ELECTRON_CHARGE,
     FnParams,
     NodeState,
     Pulse,
@@ -216,24 +215,6 @@ class TestPulses:
         s = initial_state(p, DEFAULT_V0)
         with pytest.raises(ArgumentError):
             apply_pulse(s, p, Pulse(amplitude=0.1, duration=0.1), polarity=0)
-
-
-class TestQuantization:
-    def test_quantized_evolution_lands_on_electron_grid(self):
-        p = default_params(quantize_charge=True)
-        s = initial_state(p, DEFAULT_V0)
-        out = evolve(s, p, 10.0)
-        lsb = ELECTRON_CHARGE / p.c_total
-        steps = (s.v_fg - out.v_fg) / lsb
-        np.testing.assert_allclose(steps, round(steps), atol=1e-6)
-
-    def test_quantized_tracks_continuous_within_one_electron(self):
-        p_q = default_params(quantize_charge=True)
-        p_c = default_params()
-        s = initial_state(p_c, DEFAULT_V0)
-        v_q = evolve(s, p_q, 10.0).v_fg
-        v_c = evolve(s, p_c, 10.0).v_fg
-        assert abs(v_q - v_c) <= ELECTRON_CHARGE / p_c.c_total
 
 
 class TestValidation:
