@@ -375,8 +375,10 @@ def save_state(array: DamArray) -> dict:
 
 
 def state_to_json(array: DamArray) -> str:
-    """save_state(array) in canonical form, serialized once: "checksum"
-    sorts first, so it is spliced in front of the string it covers."""
+    """save_state(array) as one line of canonical JSON, serialized once.
+
+    "checksum" sorts first, so it is spliced in front of the string it covers.
+    """
     canonical = _canonical(_unsigned_document(array))
     checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return '{"checksum":"' + checksum + '",' + canonical[1:] + "\n"
@@ -409,7 +411,7 @@ def _float_at(doc, key, path):
 
 
 def _params_from(doc, path) -> FnParams:
-    # older documents carry charge quantization, which is no longer modeled
+    # charge quantization is not modeled; documents may carry it switched off
     if "quantize_charge" in doc and _need(doc, "quantize_charge", path, bool):
         raise StateFormatError(f"unsupported value at {path}.quantize_charge: true")
     try:

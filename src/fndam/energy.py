@@ -146,7 +146,10 @@ def v_train_required(v_target: float, v_fg: float, coupling_ratio: float) -> flo
 def setpoint_write(
     params: FnParams, k0: float, v_target: float, t: float, c_in: float
 ) -> tuple[float, float, float]:
-    """(v_fg, v_train, energy) of a write lifting a gate, t s after k0, to v_target."""
+    """(v_fg, v_train, energy) of the write that lifts the gate to v_target.
+
+    The gate has decayed undisturbed for t seconds from k0.
+    """
     v_fg = voltage_at(params, k0, t)
     v_train = v_train_required(v_target, v_fg, params.coupling_ratio)
     return v_fg, v_train, write_energy(c_in, v_train)
