@@ -9,9 +9,10 @@ saved state so an array is reproducible from its document alone.
 
 The array holds its state as read-only float64 columns, one entry (or
 one SET/RESET pair) per cell, and every operation is one elementwise
-expression over them.  The decay is ``node.decayed``, the same
-expression a single node evolves by, so an array operation gives the
-same bits as the per-cell path in ``fndam.cell``.  Operations return a
+expression over them.  The decay is ``node.decayed`` and a pulse
+``node.released``, the same expressions a single node evolves by, so an
+array operation gives the same bits as the per-cell path in
+``fndam.cell``.  Operations return a
 new array and never write into their input.
 
 State documents are JSON trees carrying a format tag, a schema version
@@ -48,7 +49,8 @@ from .errors import (
     InitializationError,
     StateFormatError,
 )
-from .node import FnParams, NodeState, Pulse, decayed, k0_from_initial, programmable
+from .node import (FnParams, NodeState, Pulse, decayed, k0_from_initial, programmable,
+                   released)
 
 STATE_FORMAT = "fndam-array-state"
 STATE_VERSION = 2
@@ -320,11 +322,10 @@ def batch_pulse(
     step = np.zeros_like(array.v)
     step[rows, nodes] = amplitudes
     step *= array.nominal_params.coupling_ratio
-    lifted = array.v + step
-    if not np.all(lifted > 0):
+    if not np.all(array.v + step > 0):
         raise DomainError("pulse drives a gate to <= 0 V")
-    tunnelled = decayed(lifted, array.log_k1, array.k2, math.log(duration))
-    return _evolved(array, tunnelled - step, duration)
+    return _evolved(array, released(array.v, step, array.log_k1, array.k2,
+                                    math.log(duration)), duration)
 
 
 def weights_csv(array: DamArray) -> str:

@@ -21,7 +21,8 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ArgumentError, DomainError, InitializationError, SaturationError, StepSizeError
-from .node import FnParams, NodeState, Pulse, apply_pulse, evolve, initial_state
+from .node import (FnParams, NodeState, Pulse, apply_pulse, decayed, evolve, initial_state,
+                   released)
 
 WEIGHT_SCALE = 1000.0  # mV per volt of node difference
 
@@ -272,45 +273,196 @@ def precompensated_amplitude(
 ) -> float:
     """Pulse amplitude that produces a net weight change of target_dw mV.
 
-    Solves the full two-node pulse response by bisection, so the answer
-    already compensates for the cell's current depth into its decay
+    The answer compensates for the cell's current depth into its decay
     trajectory (an older cell needs a larger amplitude for the same
     step).  target_dw is a magnitude; polarity picks the direction.
-    Returns 0.0 for a zero target.  Raises SaturationError when the
-    target is unreachable at amp_max.
+    Returns 0.0 for a zero target.
+
+    The amplitude is the one a bisection over [0, amp_max] returns: the
+    first midpoint whose net change lies within tol_mv of the target,
+    the bracket narrowing until it spans 1e-12 * amp_max.  One pulse has
+    a closed-form response (``node.released`` on the pulsed node,
+    ``node.decayed`` on the idle one) that rises with the amplitude, so
+    the two band edges, net change = target -/+ tol_mv, are found first
+    by safeguarded Newton steps on its analytic slope.  The bisection is
+    then replayed in float arithmetic against the edges; the response is
+    evaluated, to the bit, only at midpoints too close to an edge to
+    place with certainty.  The result equals the full bisection's.
+
+    Raises SaturationError when the target is unreachable at amp_max or
+    overshot by the smallest amplitude, and ArgumentError when it is
+    reachable but tol_mv is finer than the amplitude grid resolves.
     """
-    if target_dw < 0:
+    if not target_dw >= 0:
         raise DomainError(f"target_dw is a magnitude, got {target_dw!r}")
     if target_dw == 0.0:
         return 0.0
     if amp_max <= 0:
         raise DomainError(f"amp_max must be positive, got {amp_max!r}")
+    if not tol_mv >= 0:
+        raise DomainError(f"tol_mv must be >= 0, got {tol_mv!r}")
+    Pulse(amplitude=amp_max, duration=duration)  # every trial pulse is valid
+    if polarity == 1:
+        node, params, idle_node, idle_params = (
+            cell.set_node, cell.set_params, cell.reset_node, cell.reset_params)
+    elif polarity == -1:
+        node, params, idle_node, idle_params = (
+            cell.reset_node, cell.reset_params, cell.set_node, cell.set_params)
+    else:
+        raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
 
-    w0 = read_weight(cell).weight
     sign = 1.0 if polarity == 1 else -1.0
+    ws = cell.weight_scale
+    w0 = read_weight(cell).weight
+    v, r, log_k1, k2 = node.v_fg, params.coupling_ratio, params.log_k1, params.k2
+    log_dt = math.log(duration)
+    idle = float(decayed(idle_node.v_fg, idle_params.log_k1, idle_params.k2, log_dt))
 
-    def net_change(amp):
-        pulsed = pulse_cell(cell, Pulse(amplitude=amp, duration=duration), polarity)
-        return sign * (read_weight(pulsed).weight - w0)
+    def net(amp):
+        """Net weight change of one pulse at amp, as read after the pulse."""
+        v_after = float(released(v, r * amp, log_k1, k2, log_dt))
+        if v_after <= 0:
+            raise DomainError(f"pulse release drives gate to {v_after:.6g} V <= 0")
+        diff = idle - v_after if polarity == 1 else v_after - idle
+        return sign * (ws * diff - w0)
 
-    hi_change = net_change(amp_max)
+    hi_change = net(amp_max)
     if hi_change < target_dw - tol_mv:
         raise SaturationError(
             f"target {target_dw!r} mV unreachable: amp_max={amp_max!r} V "
             f"yields {hi_change:.6g} mV"
         )
+
+    below, above, band = _band_edges(
+        v, r, log_k1 + log_dt, k2, idle, ws, w0, sign, amp_max, hi_change,
+        target_dw, tol_mv,
+    )
     lo, hi = 0.0, amp_max
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        change = net_change(mid)
-        if abs(change - target_dw) <= tol_mv:
-            return mid
-        if change < target_dw:
+        if mid <= below:
             lo = mid
-        else:
+        elif mid >= above:
             hi = mid
+        elif band[0] <= mid <= band[1]:
+            return mid
+        else:
+            change = net(mid)
+            if abs(change - target_dw) <= tol_mv:
+                return mid
+            if change < target_dw:
+                lo = mid
+            else:
+                hi = mid
         if hi - lo <= 1e-12 * amp_max:
             break
-    raise SaturationError(
-        f"bisection failed to reach {target_dw!r} mV within tolerance {tol_mv!r} mV"
+    if net(0.0) > target_dw + tol_mv:
+        raise SaturationError(
+            f"bisection failed to reach {target_dw!r} mV within tolerance {tol_mv!r} mV"
+        )
+    raise ArgumentError(
+        f"tol_mv={tol_mv!r} mV is below the resolution of the amplitude solve: "
+        f"near {target_dw!r} mV one {hi - lo:.3g} V step of its amplitude grid "
+        f"moves the weight by {net(hi) - net(lo):.3g} mV"
     )
+
+
+def _band_edges(v, r, log_rate, k2, idle, ws, w0, sign, amp_max, hi_change,
+                target_dw, tol_mv):
+    """Amplitudes the bisection replay can place without evaluating a pulse.
+
+    Returns (below, above, (first, last)): every amplitude <= below
+    changes the weight by less than target_dw - tol_mv, every one >=
+    above by more than target_dw + tol_mv, and every one in [first,
+    last] lands in the band.  Each claim is checked on ``model`` with a
+    margin covering the rounding of both the model and the bit-exact
+    response, so it holds for the response the bisection reads; a claim
+    that cannot be checked is dropped (-inf, inf or an empty band) and
+    the replay falls back to evaluating the pulse.
+    """
+    if not ws > 0:  # the response only rises with amplitude for ws > 0
+        return -math.inf, math.inf, (math.inf, -math.inf)
+
+    def excess(amp):
+        """Extra decay x - decayed(x) of the gate lifted to x, and its slope.
+
+        With a = k2/x the decayed gate is k2/ell, ell = logaddexp(a,
+        log_rate), so the excess is x * (ell - a) / ell, free of the
+        cancellation in x - k2/ell.  Its slope in amp is
+        r * (1 - (k2/ell)**2 / x**2 / (1 + exp(log_rate - a))).
+        """
+        x = v + r * amp
+        a = k2 / x
+        if a >= log_rate:
+            e = math.exp(log_rate - a)
+            rise = math.log1p(e)
+            ell, sigma = a + rise, 1.0 / (1.0 + e)
+        else:
+            e = math.exp(a - log_rate)
+            ell = log_rate + math.log1p(e)
+            rise, sigma = ell - a, e / (1.0 + e)
+        return x * rise / ell, r * (1.0 - (k2 / ell / x) ** 2 * sigma)
+
+    # The pulsed gate ends at v - excess, so the net change is the
+    # unpulsed drift plus ws times the excess the pulse adds.
+    base = excess(0.0)[0]
+    diff = idle - (v - base) if sign > 0 else (v - base) - idle
+    at_zero = sign * (ws * diff - w0)
+
+    def model(amp):
+        return at_zero + ws * (excess(amp)[0] - base)
+
+    # bound on |computed - exact| net change, for the model and for the
+    # response alike, with room for the rounding of target -/+ tol_mv
+    err = 64 * 2.0**-52 * (ws * (v + r * amp_max + idle) + abs(w0) + target_dw + tol_mv)
+    margin = 4 * err
+    res = 1e-12 * amp_max
+
+    def crossing(y, x):
+        """(below, above, root) around the amplitude where the net change is y.
+
+        Newton steps on log(excess), which is concave and nearly linear
+        in the amplitude, from x below the crossing; a step that leaves
+        the bracket [lo, hi] bisects it instead.
+        """
+        if at_zero > y + margin:
+            return -math.inf, 0.0, 0.0
+        if hi_change < y - margin:
+            return amp_max, math.inf, amp_max
+        goal = base + (y - at_zero) / ws
+        lo, hi, slope = 0.0, amp_max, 0.0
+        if goal > 0:
+            log_goal = math.log(goal)
+            for _ in range(200):
+                d, slope = excess(x)
+                if d < goal:
+                    lo = x
+                elif d > goal:
+                    hi = x
+                else:
+                    break
+                nx = x - (math.log(d) - log_goal) * d / slope if d > 0 and slope > 0 else lo
+                if not lo < nx < hi:
+                    nx = 0.5 * (lo + hi)
+                done = abs(nx - x) <= res or hi - lo <= res
+                x = nx
+                if done:
+                    break
+        guard = max(4 * res, 4 * margin / (ws * slope)) if slope > 0 else amp_max
+        return certain(y, x, -guard), certain(y, x, guard), x
+
+    def certain(y, root, guard):
+        """root + guard, widened until the model is margin past y there."""
+        side = 1.0 if guard > 0 else -1.0
+        for _ in range(4):
+            amp = root + guard
+            if amp >= amp_max if side > 0 else amp <= 0.0:
+                return amp  # no midpoint lies beyond it
+            if side * (model(amp) - y) > margin:
+                return amp
+            guard *= 16
+        return side * math.inf
+
+    below, first, root = crossing(target_dw - tol_mv, 0.0)
+    last, above, _ = crossing(target_dw + tol_mv, root)
+    return below, above, (first, last)

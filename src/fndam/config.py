@@ -221,12 +221,8 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def to_dict(self) -> dict:
-        """Resolved configuration as plain JSON-compatible data."""
-        data = asdict(self)
-        exp = data["experiment"]
-        for key in ("amplitude_grid_v", "bias_grid_v", "age_grid_s", "step_grid_mv"):
-            exp[key] = list(exp[key])
-        return data
+        """Resolved configuration as plain data; json.dumps writes its tuples as lists."""
+        return asdict(self)
 
     def config_hash(self) -> str:
         """sha256 over the experiment-defining fields.

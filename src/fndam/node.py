@@ -174,6 +174,17 @@ def decayed(v, log_k1, k2, log_dt):
     return np.minimum(k2 / np.logaddexp(k2 / v, log_k1 + log_dt), v)
 
 
+def released(v, step, log_k1, k2, log_dt):
+    """Gate voltage after one pulse: lifted by step, decayed, released.
+
+    The gate tunnels at v + step for exp(log_dt) seconds and the coupled
+    step is then taken off again.  Elementwise like ``decayed``:
+    ``apply_pulse``, ``array.batch_pulse`` and the precompensation solve
+    in ``cell`` all call this one expression.
+    """
+    return decayed(v + step, log_k1, k2, log_dt) - step
+
+
 def evolve(state: NodeState, params: FnParams, dt: float) -> NodeState:
     """Advance a node by dt seconds of undisturbed tunneling decay.
 
@@ -208,8 +219,8 @@ def apply_pulse(
         raise DomainError(
             f"pulse drives gate to {v_up:.6g} V <= 0 (amplitude {pulse.amplitude!r})"
         )
-    elevated = evolve(NodeState(v_up, state.k0), params, pulse.duration)
-    v_down = elevated.v_fg - step
+    v_down = float(released(state.v_fg, step, params.log_k1, params.k2,
+                            math.log(pulse.duration)))
     if v_down <= 0:
         raise DomainError(f"pulse release drives gate to {v_down:.6g} V <= 0")
     return NodeState(v_down, state.k0)

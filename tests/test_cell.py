@@ -356,6 +356,50 @@ class TestPrecompensatedAmplitude:
         with pytest.raises(DomainError):
             precompensated_amplitude(default_cell(), 1.0, 0.5, amp_max=0.0)
 
+    def test_unreachable_target_keeps_its_message(self):
+        with pytest.raises(SaturationError) as exc_info:
+            precompensated_amplitude(default_cell(), 500.0, 1e-3, amp_max=1.0)
+        assert str(exc_info.value).startswith(
+            "target 500.0 mV unreachable: amp_max=1.0 V yields ")
+
+    def test_target_overshot_by_decay_alone_is_unreachable(self):
+        # a 5 mV weight decays by about 0.2 mV in 0.5 s on its own, so a
+        # 0.01 mV RESET step is overshot at every amplitude
+        cell = cell_with_weight(default_params(), 7.5, 5.0)
+        with pytest.raises(SaturationError, match=(
+                r"^bisection failed to reach 0\.01 mV within tolerance 0\.0001 mV$")):
+            precompensated_amplitude(cell, 0.01, 0.5, polarity=-1, tol_mv=1e-4)
+
+    def test_tolerance_below_resolution_is_an_argument_error(self):
+        # 32 V moves a 500 s old cell far past 1 mV, but one step of the
+        # 1e-12 * amp_max amplitude grid moves it by more than 1e-12 mV
+        with pytest.raises(ArgumentError, match=(
+                r"^tol_mv=1e-12 mV is below the resolution of the amplitude solve: "
+                r"near 1\.0 mV one 2\.91e-11 V step of its amplitude grid moves "
+                r"the weight by \S+ mV$")):
+            precompensated_amplitude(default_cell(500.0), 1.0, 0.5, tol_mv=1e-12)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(target_dw=math.nan), "target_dw is a magnitude, got nan"),
+        (dict(tol_mv=-1e-3), "tol_mv must be >= 0, got -0.001"),
+        (dict(tol_mv=math.nan), "tol_mv must be >= 0, got nan"),
+        (dict(duration=0.0), "pulse duration must be positive and finite, got 0.0"),
+        (dict(amp_max=math.inf), "pulse amplitude must be >= 0, got inf"),
+    ])
+    def test_invalid_arguments_are_domain_errors(self, kwargs, message):
+        args = dict(cell=default_cell(), target_dw=1.0, duration=0.5)
+        args.update(kwargs)
+        with pytest.raises(DomainError) as exc_info:
+            precompensated_amplitude(**args)
+        assert str(exc_info.value) == message
+
+    def test_infinite_tolerance_takes_the_first_midpoint(self):
+        assert precompensated_amplitude(default_cell(), 1.0, 0.5, tol_mv=math.inf) == 16.0
+
+    def test_bad_polarity_is_an_argument_error(self):
+        with pytest.raises(ArgumentError, match="polarity must be"):
+            precompensated_amplitude(default_cell(), 1.0, 0.5, polarity=0)
+
 
 class TestShortPulseLinearity:
     def test_small_steps_accumulate_linearly(self):

@@ -1,0 +1,44 @@
+"""Every CSV and fitted_device.json that the six CLI commands write equals
+the reference outputs under bench/refs/cli, byte for byte.
+
+The references were recorded by bench/record_refs.py: files that do not
+depend on the seed live in ``common``, the rest in ``seed-<n>``.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from fndam.cli import main
+
+REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli"
+COMMANDS = (
+    ["calibrate"],
+    ["characterize"],
+    ["energy-report"],
+    ["retention-report"],
+    ["train", "--experiment", "perceptron"],
+    ["train", "--experiment", "network"],
+)
+
+
+def reference_files(seed):
+    return {p.name: p.read_bytes()
+            for folder in (REFS / "common", REFS / f"seed-{seed}")
+            for p in folder.iterdir()}
+
+
+@pytest.mark.parametrize("seed", (0, 2104))
+def test_outputs_equal_the_references(seed, tmp_path):
+    written = {}
+    for i, argv in enumerate(COMMANDS):
+        out = tmp_path / str(i)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
+        written.update((p.name, p.read_bytes()) for p in out.iterdir()
+                       if p.suffix == ".csv" or p.name == "fitted_device.json")
+    expected = reference_files(seed)
+    assert sorted(written) == sorted(expected)
+    assert [name for name in sorted(expected) if written[name] != expected[name]] == []

@@ -1,0 +1,149 @@
+"""The closed-form precompensation solve against the bisection it replaces.
+
+``bisection_amplitude`` below is the earlier ``precompensated_amplitude``
+copied unchanged: up to 200 midpoints, each a full two-node
+``pulse_cell`` + ``read_weight``.  The solver must return the same float
+for every sampled cell and target, and raise the same error with the
+same message.  The one intended difference: a reachable target whose
+tolerance is finer than the amplitude grid now raises ArgumentError
+where the bisection gave up with SaturationError.
+"""
+
+import math
+from dataclasses import replace
+
+from hypothesis import example, given, settings, strategies as st
+
+from fndam.calibrate import default_params
+from fndam.cell import (
+    decay,
+    precompensated_amplitude,
+    pulse_cell,
+    read_weight,
+    synchronize,
+)
+from fndam.errors import ArgumentError, DomainError, SaturationError
+from fndam.node import NodeState, Pulse, decayed, evolve, released
+
+V0 = 7.5
+
+
+def bisection_amplitude(
+    cell,
+    target_dw: float,
+    duration: float,
+    polarity: int = 1,
+    amp_max: float = 32.0,
+    tol_mv: float = 1e-3,
+) -> float:
+    if target_dw < 0:
+        raise DomainError(f"target_dw is a magnitude, got {target_dw!r}")
+    if target_dw == 0.0:
+        return 0.0
+    if amp_max <= 0:
+        raise DomainError(f"amp_max must be positive, got {amp_max!r}")
+
+    w0 = read_weight(cell).weight
+    sign = 1.0 if polarity == 1 else -1.0
+
+    def net_change(amp):
+        pulsed = pulse_cell(cell, Pulse(amplitude=amp, duration=duration), polarity)
+        return sign * (read_weight(pulsed).weight - w0)
+
+    hi_change = net_change(amp_max)
+    if hi_change < target_dw - tol_mv:
+        raise SaturationError(
+            f"target {target_dw!r} mV unreachable: amp_max={amp_max!r} V "
+            f"yields {hi_change:.6g} mV"
+        )
+    lo, hi = 0.0, amp_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        change = net_change(mid)
+        if abs(change - target_dw) <= tol_mv:
+            return mid
+        if change < target_dw:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * amp_max:
+            break
+    raise SaturationError(
+        f"bisection failed to reach {target_dw!r} mV within tolerance {tol_mv!r} mV"
+    )
+
+
+def aged_cell(mismatch, age):
+    """Default cell with per-node k2 factors, decayed for age seconds."""
+    nominal = default_params()
+    set_params = replace(nominal, k2=nominal.k2 * mismatch[0])
+    reset_params = replace(nominal, k2=nominal.k2 * mismatch[1])
+    cell = synchronize(set_params, reset_params, V0)
+    return decay(cell, age) if age > 0 else cell
+
+
+def outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (ArgumentError, SaturationError) as exc:
+        return type(exc), str(exc)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+mismatches = st.tuples(st.floats(0.98, 1.02), st.floats(0.98, 1.02))
+ages = st.one_of(st.just(0.0), st.floats(0.0, 1e8), log_uniform(1e-3, 1e8))
+polarities = st.sampled_from((1, -1))
+targets = log_uniform(1e-3, 30.0)
+durations = log_uniform(1e-4, 10.0)
+tolerances = log_uniform(1e-12, 1e-2)
+amp_maxes = st.sampled_from((1.0, 5.0, 32.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mismatches, ages, polarities, targets, durations, tolerances, amp_maxes)
+@example((1.0, 1.0), 0.0, 1, 1.0, 0.5, 1e-6, 32.0)  # calibration: fresh cell
+@example((1.0, 1.0), 500.0, 1, 1.0, 0.5, 1e-12, 32.0)  # tol below resolution
+@example((1.0, 1.0), 0.0, 1, 500.0, 1e-3, 1e-3, 1.0)  # unreachable at amp_max
+def test_same_amplitude_as_bisection(mismatch, age, polarity, target, duration, tol, amp_max):
+    cell = aged_cell(mismatch, age)
+    args = (cell, target, duration, polarity, amp_max, tol)
+    expected = outcome(bisection_amplitude, *args)
+    got = outcome(precompensated_amplitude, *args)
+    if isinstance(expected, float):
+        assert isinstance(got, float) and got == expected
+    elif got != expected:
+        # the bisection gave up on a target it could reach: the tolerance
+        # is finer than its amplitude grid
+        assert expected[0] is SaturationError
+        assert expected[1].startswith("bisection failed")
+        assert got[0] is ArgumentError
+        assert got[1].startswith(
+            f"tol_mv={tol!r} mV is below the resolution of the amplitude solve")
+
+
+@settings(max_examples=200, deadline=None)
+@given(mismatches, ages, polarities, st.floats(0.0, 32.0), durations)
+def test_closed_form_pulse_is_pulse_cell(mismatch, age, polarity, amp, duration):
+    cell = aged_cell(mismatch, age)
+    pulsed, idle = (
+        (cell.set_node, cell.reset_node) if polarity == 1 else (cell.reset_node, cell.set_node)
+    )
+    pulsed_params, idle_params = (
+        (cell.set_params, cell.reset_params) if polarity == 1
+        else (cell.reset_params, cell.set_params)
+    )
+    step = pulsed_params.coupling_ratio * amp
+    log_dt = math.log(duration)
+    v_pulsed = float(released(pulsed.v_fg, step, pulsed_params.log_k1, pulsed_params.k2, log_dt))
+    v_idle = float(decayed(idle.v_fg, idle_params.log_k1, idle_params.k2, log_dt))
+    # the gate lifted by the step, decayed as a node on its own, released
+    lifted = evolve(NodeState(pulsed.v_fg + step, pulsed.k0), pulsed_params, duration)
+    assert v_pulsed == lifted.v_fg - step
+
+    diff = v_idle - v_pulsed if polarity == 1 else v_pulsed - v_idle
+    after = pulse_cell(cell, Pulse(amplitude=amp, duration=duration), polarity)
+    assert read_weight(after).weight == cell.weight_scale * diff
+
