@@ -12,8 +12,8 @@ one SET/RESET pair) per cell, and every operation is one elementwise
 expression over them.  The decay is ``node.decayed`` and a pulse
 ``node.released``, the same expressions a single node evolves by, so an
 array operation gives the same bits as the per-cell path in
-``fndam.cell``.  Operations return a
-new array and never write into their input.
+``fndam.cell``.  Operations return a new array and never write into
+their input.
 
 State documents are JSON trees carrying a format tag, a schema version
 and a SHA-256 checksum over the canonical serialization (sorted keys,

@@ -418,11 +418,11 @@ def _band_edges(v, r, log_rate, k2, idle, ws, w0, sign, amp_max, hi_change,
     margin = 4 * err
     res = 1e-12 * amp_max
 
-    def crossing(y, x):
+    def crossing(y, amp):
         """(below, above, root) around the amplitude where the net change is y.
 
         Newton steps on log(excess), which is concave and nearly linear
-        in the amplitude, from x below the crossing; a step that leaves
+        in the amplitude, from amp below the crossing; a step that leaves
         the bracket [lo, hi] bisects it instead.
         """
         if at_zero > y + margin:
@@ -434,22 +434,22 @@ def _band_edges(v, r, log_rate, k2, idle, ws, w0, sign, amp_max, hi_change,
         if goal > 0:
             log_goal = math.log(goal)
             for _ in range(200):
-                d, slope = excess(x)
+                d, slope = excess(amp)
                 if d < goal:
-                    lo = x
+                    lo = amp
                 elif d > goal:
-                    hi = x
+                    hi = amp
                 else:
                     break
-                nx = x - (math.log(d) - log_goal) * d / slope if d > 0 and slope > 0 else lo
+                nx = amp - (math.log(d) - log_goal) * d / slope if d > 0 and slope > 0 else lo
                 if not lo < nx < hi:
                     nx = 0.5 * (lo + hi)
-                done = abs(nx - x) <= res or hi - lo <= res
-                x = nx
+                done = abs(nx - amp) <= res or hi - lo <= res
+                amp = nx
                 if done:
                     break
         guard = max(4 * res, 4 * margin / (ws * slope)) if slope > 0 else amp_max
-        return certain(y, x, -guard), certain(y, x, guard), x
+        return certain(y, amp, -guard), certain(y, amp, guard), amp
 
     def certain(y, root, guard):
         """root + guard, widened until the model is margin past y there."""
