@@ -7,6 +7,17 @@ generator, then rate-matching each cell so it starts at zero weight.
 The draw stream is PCG64; the algorithm name and seed are stored in
 saved state so an array is reproducible from its document alone.
 
+Rate matching solves, for every cell whose nodes differ, the RESET
+voltage at which that node tunnels as fast as the SET node does at v0.
+``cell.rate_matched_voltages`` runs the steps of scipy's ``brentq`` on
+numpy columns, all such cells at once, with the same bracket,
+tolerances and float operations in the same order, and logarithms
+from ``math.log`` per element; each cell leaves the active set when it
+converges.  Every root has the bits one ``brentq`` call per cell would
+give.  A cell with no sign change over its bracket, a NaN residual, no
+convergence in 200 steps or a residual above 1e-10 fails, and
+``build_array`` reports all failing cells in one InitializationError.
+
 The array holds its state as read-only float64 columns, one entry (or
 one SET/RESET pair) per cell, and every operation is one elementwise
 expression over them.  The decay is ``node.decayed`` and a pulse
@@ -41,16 +52,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .cell import WEIGHT_SCALE, DamCell, WeightReading, rate_matched_voltage
-from .errors import (
-    ArgumentError,
-    DomainError,
-    FndamError,
-    InitializationError,
-    StateFormatError,
-)
-from .node import (FnParams, NodeState, Pulse, decayed, k0_from_initial, programmable,
-                   released)
+from .cell import WEIGHT_SCALE, DamCell, WeightReading, rate_matched_voltages
+from .errors import ArgumentError, DomainError, InitializationError, StateFormatError
+from .node import (FnParams, NodeState, Pulse, decayed, k0_from_initial, log_each,
+                   programmable, released)
 
 STATE_FORMAT = "fndam-array-state"
 STATE_VERSION = 2
@@ -204,11 +209,6 @@ def _draw_factors(n: int, spec: MismatchSpec) -> np.ndarray:
     return 1.0 + spec.relative_sigma * z
 
 
-def _log_each(a: np.ndarray) -> np.ndarray:
-    """math.log per element: the scalar path's logarithm, bit for bit."""
-    return np.array(list(map(math.log, a.ravel().tolist()))).reshape(a.shape)
-
-
 def build_array(
     n: int, nominal: FnParams, v0: float, mismatch: MismatchSpec | None = None
 ) -> DamArray:
@@ -228,18 +228,14 @@ def build_array(
         ok &= programmable(k2[:, 0], v0)
     else:
         ok[:] = False
-    log_k1 = _log_each(np.where(ok[:, None], k1, 1.0))
+    log_k1 = log_each(np.where(ok[:, None], k1, 1.0))
     v = np.full_like(k1, v0)
-    k1_rows, k2_rows, log_rows = k1.tolist(), k2.tolist(), log_k1.tolist()
-    for i in np.flatnonzero(ok).tolist():
-        if k1_rows[i][0] == k1_rows[i][1] and k2_rows[i][0] == k2_rows[i][1]:
-            continue  # identical nodes start at v0 together
-        try:
-            v[i, 1] = rate_matched_voltage(
-                log_rows[i][0], k2_rows[i][0], log_rows[i][1], k2_rows[i][1], v0
-            )
-        except FndamError:
-            ok[i] = False
+    # identical nodes start at v0 together; the others are solved at once
+    rows = np.flatnonzero(ok & ((k1[:, 0] != k1[:, 1]) | (k2[:, 0] != k2[:, 1])))
+    if rows.size:
+        v[rows, 1] = rate_matched_voltages(
+            log_k1[rows, 0], k2[rows, 0], log_k1[rows, 1], k2[rows, 1], v0
+        )
     ok &= programmable(k2[:, 1], v[:, 1])
     if not ok.all():
         bad = np.flatnonzero(~ok)
@@ -524,7 +520,7 @@ def _columns_from(cols: dict[str, np.ndarray], v0: float, where) -> dict[str, np
     for key, (name, node) in _DOC_COLUMNS.items():
         if node is not None:
             out[name][:, node] = cols[key]
-    out["log_k1"] = _log_each(out["k1"])
+    out["log_k1"] = log_each(out["k1"])
     return out
 
 

@@ -23,6 +23,7 @@ decay speed and decoupling the two axes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -148,11 +149,12 @@ def step_amplitude(params: FnParams, age_s: float,
 def weight_retention(params: FnParams, age_s: float,
                      window_s: float = RETENTION_WINDOW_S) -> float:
     """Fraction of a freshly programmed 1 mV weight left after window_s."""
-    cell = cell_at_age(params, age_s)
-    amp = precompensated_amplitude(
-        cell, CAL_STEP_MV, CAL_PULSE_DURATION_S, tol_mv=_AMP_TOL_MV
-    )
-    pulsed = set_pulse(cell, Pulse(amp, CAL_PULSE_DURATION_S))
+    return _retained(params, age_s, step_amplitude(params, age_s), window_s)
+
+
+def _retained(params: FnParams, age_s: float, amp: float, window_s: float) -> float:
+    """weight_retention, given the amplitude step_amplitude(params, age_s)."""
+    pulsed = set_pulse(cell_at_age(params, age_s), Pulse(amp, CAL_PULSE_DURATION_S))
     w_start = read_weight(pulsed).weight
     w_end = read_weight(decay(pulsed, window_s)).weight
     return w_end / w_start
@@ -166,11 +168,16 @@ def age_for_retention(params: FnParams, fraction: float,
     gate discharges), so the crossing is bracketed by doubling and then
     bisected.
     """
+    return _age_for(lambda age: weight_retention(params, age, window_s), fraction)
+
+
+def _age_for(retention, fraction: float) -> float:
+    """age_for_retention over retention(age), a window retention by age."""
     if not 0 < fraction < 1:
         raise DomainError(f"fraction must lie in (0, 1), got {fraction!r}")
 
     def shortfall(age):
-        return weight_retention(params, age, window_s) - fraction
+        return retention(age) - fraction
 
     if shortfall(0.0) >= 0:
         return 0.0
@@ -196,19 +203,40 @@ def evaluate_calibration(params: FnParams,
                          targets: CalibrationTargets | None = None) -> dict:
     """All five characterization metrics for a parameter set."""
     t = targets or CalibrationTargets()
-    age_mid = age_for_retention(params, 0.70)
-    age_late = age_for_retention(params, 0.95)
+    amplitude, retention = _memoized_by_age(params)
+    age_mid = _age_for(retention, 0.70)
+    age_late = _age_for(retention, 0.95)
     return {
-        "amp_fresh_v": step_amplitude(params, 0.0),
-        "retention_fresh": weight_retention(params, 0.0),
+        "amp_fresh_v": amplitude(0.0),
+        "retention_fresh": retention(0.0),
         "age_mid_s": age_mid,
         "age_late_s": age_late,
-        "amp_mid_v": step_amplitude(params, age_mid),
-        "amp_late_v": step_amplitude(params, age_late),
+        "amp_mid_v": amplitude(age_mid),
+        "amp_late_v": amplitude(age_late),
         "energy_at_horizon_j": energy_per_update(
             params, t.energy_horizon_s, t.energy_offset_v
         ),
     }
+
+
+def _memoized_by_age(params: FnParams):
+    """step_amplitude and weight_retention of params, each age solved once.
+
+    Both age searches start from the fresh cell and double their bracket
+    over the same ages, and the root each returns is an age it has
+    already solved, so without the memo evaluate_calibration repeats
+    solves it has made.
+    """
+
+    @functools.cache
+    def amplitude(age_s):
+        return step_amplitude(params, age_s)
+
+    @functools.cache
+    def retention(age_s):
+        return _retained(params, age_s, amplitude(age_s), RETENTION_WINDOW_S)
+
+    return amplitude, retention
 
 
 def fit_device_parameters(targets: CalibrationTargets | None = None,

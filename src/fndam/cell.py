@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ArgumentError, DomainError, InitializationError, SaturationError, StepSizeError
 from .node import (FnParams, NodeState, Pulse, apply_pulse, decayed, evolve, initial_state,
-                   released)
+                   log_each, released)
 
 WEIGHT_SCALE = 1000.0  # mV per volt of node difference
 
@@ -51,8 +50,99 @@ class WeightReading:
 
 
 def _log_rate(log_k1: float, k2: float, v: float) -> float:
-    """log of the tunneling rate magnitude |dV/dt| at voltage v."""
+    """log of the tunneling rate magnitude |dV/dt| at voltage v.
+
+    The scalar form of the residual ``rate_matched_voltages`` evaluates
+    column-wise, operation for operation.
+    """
     return log_k1 - math.log(k2) + 2.0 * math.log(v) - k2 / v
+
+
+_MATCH_XTOL, _MATCH_RTOL, _MATCH_MAXITER = 1e-14, 1e-15, 200
+_MATCH_RESIDUAL = 1e-10  # largest log-rate difference accepted at the root
+
+
+def rate_matched_voltages(set_log_k1, set_k2, reset_log_k1, reset_k2, v0: float) -> np.ndarray:
+    """Per cell, the RESET-node voltage whose |dV/dt| equals the SET node's at v0.
+
+    Arguments are (N,) columns.  Each cell's log-rate difference is
+    solved on [0.5*v0, min(1.5*v0, 0.999*reset_k2)] by the steps of
+    scipy's ``brentq`` (its C routine, ``optimize/Zeros/brentq.c``;
+    xtol 1e-14, rtol 1e-15, 200 iterations), run on numpy columns for
+    all cells at once: the same float operations in the same order,
+    including the interpolate/extrapolate/bisect choice and the minimum
+    ``delta`` step, so every root has brentq's bits.  The residual takes
+    its logarithms with ``math.log`` (``log_each``), as ``_log_rate``
+    does.  A cell leaves the active set once it converges.
+
+    A cell fails, and reads NaN, when the bracket shows no sign change,
+    a residual is NaN, 200 iterations pass, or the residual at the root
+    exceeds 1e-10.
+    """
+    set_k2, reset_k2 = np.asarray(set_k2, np.float64), np.asarray(reset_k2, np.float64)
+    target = set_log_k1 - log_each(set_k2) + 2.0 * math.log(v0) - set_k2 / v0
+    offset = reset_log_k1 - log_each(reset_k2)
+
+    def imbalance(rows, v):
+        """_log_rate of the RESET node at v minus target, for the given cells."""
+        return offset[rows] + 2.0 * log_each(v) - reset_k2[rows] / v - target[rows]
+
+    n = target.shape[0]
+    out = np.full(n, np.nan)
+    rows = np.arange(n)
+    xpre, xcur = np.full(n, 0.5 * v0), np.minimum(1.5 * v0, 0.999 * reset_k2)
+    fpre, fcur = imbalance(rows, xpre), imbalance(rows, xcur)
+    # brentq's checks before its first step: a NaN raises, a zero at an
+    # end is the root, equal signs at both ends raise
+    valid = ~(np.isnan(fpre) | np.isnan(fcur))
+    at_lo = valid & (fpre == 0)
+    at_hi = valid & ~at_lo & (fcur == 0)
+    out[at_lo], out[at_hi] = xpre[at_lo], xcur[at_hi]
+    keep = valid & ~at_lo & ~at_hi & (np.signbit(fpre) != np.signbit(fcur))
+    zero = np.zeros(n)
+    state = (rows, xpre, xcur, zero, fpre, fcur, zero, zero, zero)
+    for _ in range(_MATCH_MAXITER):
+        rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (a[keep] for a in state)
+        if not rows.size:
+            break
+        # where xpre and xcur straddle the root, xpre becomes the far end xblk
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        # the end with the smaller residual becomes xcur
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (_MATCH_XTOL + _MATCH_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        found = done & (np.abs(fcur) <= _MATCH_RESIDUAL)
+        out[rows[found]] = xcur[found]
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        limit = 3 * np.abs(sbis) - delta
+        limit = np.where(np.abs(spre) < limit, np.abs(spre), limit)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < limit))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        # a step no longer than delta is taken as delta, toward xblk
+        step = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        xpre, fpre, xcur = xcur, fcur, xcur + step
+        # converged cells and NaN residuals leave the active set
+        fcur = np.full(rows.size, np.nan)
+        fcur[~done] = imbalance(rows[~done], xcur[~done])
+        keep = ~np.isnan(fcur)
+        state = (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
+    return out
 
 
 def rate_matched_voltage(
@@ -60,24 +150,19 @@ def rate_matched_voltage(
 ) -> float:
     """RESET-node voltage whose |dV/dt| equals the SET node's at v0.
 
-    Solved by Brent's method; the residual rate difference is required
-    to be below 1e-10 relative.  Raises InitializationError otherwise.
+    The N = 1 case of ``rate_matched_voltages``, which replays scipy's
+    ``brentq`` step for step.  Raises InitializationError when the cell
+    fails there: no sign change over the bracket, a NaN residual, no
+    convergence in 200 iterations, or a residual above 1e-10.
     """
-    target = _log_rate(set_log_k1, set_k2, v0)
-
-    def imbalance(v):
-        return _log_rate(reset_log_k1, reset_k2, v) - target
-
-    lo, hi = 0.5 * v0, min(1.5 * v0, 0.999 * reset_k2)
-    try:
-        v_reset = optimize.brentq(imbalance, lo, hi, xtol=1e-14, rtol=1e-15, maxiter=200)
-    except ValueError as exc:
+    v_reset = float(rate_matched_voltages(
+        [set_log_k1], [set_k2], [reset_log_k1], [reset_k2], v0
+    )[0])
+    if math.isnan(v_reset):
         raise InitializationError(
-            f"could not rate-match reset node near v0={v0!r}: {exc}", indices=(0,)
-        ) from None
-    if abs(imbalance(v_reset)) > 1e-10:
-        raise InitializationError(
-            f"rate matching residual {imbalance(v_reset):.3e} exceeds 1e-10", indices=(0,)
+            f"could not rate-match reset node near v0={v0!r}: no root of the rate "
+            f"difference within {_MATCH_RESIDUAL:g} in {_MATCH_MAXITER} Brent steps",
+            indices=(0,),
         )
     return v_reset
 

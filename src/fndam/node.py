@@ -127,6 +127,17 @@ def programmable(k2, v0):
     return (v0 < k2) & (k2 / v0 <= _MAX_EXP_ARG)
 
 
+def log_each(a) -> np.ndarray:
+    """math.log per element: the scalar path's logarithm, bit for bit.
+
+    np.log may round differently from math.log (numpy picks its SIMD
+    routine by CPU), so every array logarithm that must reproduce a
+    scalar one goes through here.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    return np.array(list(map(math.log, a.ravel().tolist()))).reshape(a.shape)
+
+
 def initial_state(params: FnParams, v0: float) -> NodeState:
     """Node freshly programmed to v0 (t = 0)."""
     return NodeState(v_fg=v0, k0=k0_from_initial(params, v0))

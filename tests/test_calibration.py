@@ -144,3 +144,30 @@ class TestFit:
             residuals=result.residuals, metrics=bad,
         )
         assert not degraded.within_tolerance(CalibrationTargets())
+
+
+class TestEvaluationSolvesEachAgeOnce:
+    def test_no_precompensation_solve_repeats(self, monkeypatch):
+        import fndam.calibrate as calibrate
+
+        solved = []
+        solve = calibrate.precompensated_amplitude
+
+        def counting(cell, *args, **kwargs):
+            solved.append((cell, args, tuple(sorted(kwargs.items()))))
+            return solve(cell, *args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "precompensated_amplitude", counting)
+        evaluate_calibration(default_params())
+        assert solved
+        assert len(set(solved)) == len(solved)
+
+    def test_metrics_equal_the_public_solvers(self):
+        params = default_params()
+        m = evaluate_calibration(params)
+        assert m["age_mid_s"] == age_for_retention(params, 0.70)
+        assert m["age_late_s"] == age_for_retention(params, 0.95)
+        assert m["amp_fresh_v"] == step_amplitude(params, 0.0)
+        assert m["retention_fresh"] == weight_retention(params, 0.0)
+        assert m["amp_mid_v"] == step_amplitude(params, m["age_mid_s"])
+        assert m["amp_late_v"] == step_amplitude(params, m["age_late_s"])
