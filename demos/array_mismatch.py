@@ -37,8 +37,7 @@ cell = cell_at_age(par, REGIME_AGES_S[1])
 amp = precompensated_amplitude(cell, 2.0, 0.5)
 cell = set_pulse(cell, Pulse(amplitude=amp, duration=0.5))
 bumped = common_mode_step(cell, 0.1)
-lopsided = replace(cell, set_node=replace(cell.set_node,
-                                          v_fg=cell.set_node.v_fg + 0.1))
+lopsided = replace(cell, v=[[cell.v[0, 0] + 0.1, cell.v[0, 1]]])
 print(f"\n2 mV weight, 100 mV bump, read immediately: "
       f"common-mode shifts {abs(read_weight(bumped).weight - read_weight(cell).weight):.4f} mV, "
       f"single-ended shifts {abs(read_weight(lopsided).weight - read_weight(cell).weight):.1f} mV")

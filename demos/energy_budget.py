@@ -10,12 +10,14 @@ readout noise falls as 1/sqrt(power), so every decade of noise costs
 two decades of read power.
 """
 
+from dataclasses import replace
+
 from fndam.calibrate import default_params
 from fndam.energy import (NoiseModel, ReadModel, min_read_power, noise_floor,
                           read_noise, retention_time, write_energy,
                           write_energy_trajectory)
-from fndam.cell import DamCell
-from fndam.node import initial_state, k0_from_initial
+from fndam.cell import synchronize
+from fndam.node import k0_from_initial
 
 par = default_params()
 k0 = k0_from_initial(par, 7.5)
@@ -34,8 +36,7 @@ print(f"\nreadout noise floor: {noise_floor(model, 0.0) * 1e6:.0f} uV fresh, "
 
 print("\nhow long stays a 1 mV weight above the noise floor?")
 for v_start, label in ((7.5, "fresh pair"), (7.2, "rested pair")):
-    cell = DamCell(initial_state(par, v_start),
-                   initial_state(par, v_start + 0.001), par, par)
+    cell = replace(synchronize(par, par, v_start), v=[[v_start, v_start + 0.001]])
     r = retention_time(cell, model)
     print(f"  {label} ({v_start} V): {r.seconds:.3g} s")
 

@@ -3,7 +3,7 @@
 A two-node tunneling cell stores an analog weight in the controlled
 desynchronization of two self-discharging floating gates.  This package
 models single nodes (closed-form decay, pulse programming), differential
-cells, mismatched cell arrays with persistence, the energy/noise/retention
+cells (each a one-cell array), mismatched cell arrays with persistence, the energy/noise/retention
 bookkeeping around them, and training loops that keep their weights on
 simulated cells.
 """
@@ -31,9 +31,7 @@ from .node import (
     voltage_at,
 )
 from .cell import (
-    DamCell,
     DecaySchedule,
-    WeightReading,
     common_mode_step,
     decay,
     decay_factor,
@@ -78,6 +76,7 @@ from .calibrate import (
 from .array import (
     DamArray,
     MismatchSpec,
+    WeightReading,
     advance,
     batch_pulse,
     batch_read,

@@ -9,21 +9,22 @@ saved state so an array is reproducible from its document alone.
 
 Rate matching solves, for every cell whose nodes differ, the RESET
 voltage at which that node tunnels as fast as the SET node does at v0.
-``cell.rate_matched_voltages`` runs the steps of scipy's ``brentq`` on
-numpy columns, all such cells at once, with the same bracket,
-tolerances and float operations in the same order, and logarithms
-from ``math.log`` per element; each cell leaves the active set when it
-converges.  Every root has the bits one ``brentq`` call per cell would
-give.  A cell with no sign change over its bracket, a NaN residual, no
-convergence in 200 steps or a residual above 1e-10 fails, and
-``build_array`` reports all failing cells in one InitializationError.
+``rate_matched_voltages`` runs the steps of scipy's ``brentq`` on numpy
+columns, all such cells at once, with the same bracket, tolerances and
+float operations in the same order, and logarithms from ``math.log``
+per element; each cell leaves the active set when it converges.  Every
+root has the bits one ``brentq`` call per cell would give.  A cell with
+no sign change over its bracket, a NaN residual, no convergence in 200
+steps or a residual above 1e-10 fails, and ``build_array`` reports all
+failing cells in one InitializationError.
 
 The array holds its state as read-only float64 columns, one entry (or
 one SET/RESET pair) per cell, and every operation is one elementwise
 expression over them.  The decay is ``node.decayed`` and a pulse
-``node.released``, the same expressions a single node evolves by, so an
-array operation gives the same bits as the per-cell path in
-``fndam.cell``.  Operations return a new array and never write into
+``node.released``, the same expressions ``node.evolve`` and
+``node.apply_pulse`` use, so every node in an array gets the bits it
+would get on its own.  A single cell is the one-cell array (see
+``fndam.cell``).  Operations return a new array and never write into
 their input.
 
 State documents are JSON trees carrying a format tag, a schema version
@@ -47,16 +48,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cell import WEIGHT_SCALE, DamCell, WeightReading, rate_matched_voltages
 from .errors import ArgumentError, DomainError, InitializationError, StateFormatError
-from .node import (FnParams, NodeState, Pulse, decayed, k0_from_initial, log_each,
-                   programmable, released)
+from .node import FnParams, NodeState, Pulse, decayed, log_each, programmable, released
 
+WEIGHT_SCALE = 1000.0  # mV per volt of node difference
 STATE_FORMAT = "fndam-array-state"
 STATE_VERSION = 2
 RNG_ALGORITHM = "numpy.random.PCG64"
@@ -76,14 +76,9 @@ _DOC_COLUMNS = {
     "weight_scale": ("weight_scale", None),
 }
 # the same fields inside one cell of a schema v1 document
-_V1_PATHS = {
-    "set_v_fg": "set_node.v_fg",
-    "reset_v_fg": "reset_node.v_fg",
-    "set_k1": "set_params.k1",
-    "reset_k1": "reset_params.k1",
-    "set_k2": "set_params.k2",
-    "reset_k2": "reset_params.k2",
-    "weight_scale": "weight_scale",
+_V1_PATHS = {"weight_scale": "weight_scale"} | {
+    f"{side}_{field}": f"{side}_{'node' if field == 'v_fg' else 'params'}.{field}"
+    for side in ("set", "reset") for field in ("v_fg", "k1", "k2")
 }
 
 
@@ -113,6 +108,12 @@ class MismatchSpec:
             )
 
 
+@dataclass(frozen=True)
+class WeightReading:
+    weight: float  # mV
+    timestamp: float  # s, array clock at the moment of the read
+
+
 @dataclass(frozen=True, eq=False)
 class DamArray:
     """N cells as read-only float64 columns sharing one clock.
@@ -121,9 +122,8 @@ class DamArray:
     node.  ``log_k1`` is ``math.log(k1)`` per node, kept so that no
     operation takes a logarithm per cell.  Every cell reads
     ``global_clock`` as its own clock and takes c_total and c_couple
-    from ``nominal_params``.  A column given as a
-    writable array is copied, so no caller can change an array after
-    the fact.
+    from ``nominal_params``.  A column given as a writable array is
+    copied, so no caller can change an array after the fact.
     """
 
     v: np.ndarray  # (N, 2) floating-gate voltages, V
@@ -153,6 +153,21 @@ class DamArray:
     def __len__(self) -> int:
         return self.weight_scale.shape[0]
 
+    @classmethod
+    def _of(cls, v, k1, log_k1, k2, weight_scale, nominal_params, mismatch, v0,
+            global_clock) -> DamArray:
+        """An array over columns an operation has just computed.
+
+        Skips ``__post_init__``: the columns must already be read-only
+        float64 arrays of the right shapes, and no caller may hold a
+        writable view of them.
+        """
+        array = object.__new__(cls)
+        array.__dict__.update(v=v, k1=k1, log_k1=log_k1, k2=k2, weight_scale=weight_scale,
+                              nominal_params=nominal_params, mismatch=mismatch, v0=v0,
+                              global_clock=global_clock)
+        return array
+
     def __eq__(self, other):
         if not isinstance(other, DamArray):
             return NotImplemented
@@ -163,7 +178,7 @@ class DamArray:
         )
 
     def weights(self, noise_sigma: float = 0.0, rng=None) -> np.ndarray:
-        """Per-cell weight in mV, as ``cell.read_weight`` reads each cell.
+        """Per-cell weight in mV: weight_scale * (RESET - SET voltage).
 
         With noise_sigma > 0 (volts of node difference) one
         standard-normal draw per cell, in cell order, comes from rng.
@@ -176,28 +191,6 @@ class DamArray:
             diff = diff + noise_sigma * rng.standard_normal(len(diff))
         return self.weight_scale * diff
 
-    @property
-    def cells(self) -> tuple[DamCell, ...]:
-        """The cells as ``DamCell`` objects, built anew on every access.
-
-        For inspection and the single-cell API; array operations never
-        build them.  Each node's k0 is that of a node programmed to v0
-        (no operation reads k0).
-        """
-        p = self.nominal_params
-        out = []
-        for (vs, vr), (k1s, k1r), (k2s, k2r), ws in zip(
-            self.v.tolist(), self.k1.tolist(), self.k2.tolist(), self.weight_scale.tolist()
-        ):
-            set_params = FnParams(k1s, k2s, p.c_total, p.c_couple)
-            reset_params = FnParams(k1r, k2r, p.c_total, p.c_couple)
-            out.append(DamCell(
-                NodeState(vs, k0_from_initial(set_params, self.v0)),
-                NodeState(vr, k0_from_initial(reset_params, self.v0)),
-                set_params, reset_params, ws, self.global_clock,
-            ))
-        return tuple(out)
-
 
 def _draw_factors(n: int, spec: MismatchSpec) -> np.ndarray:
     """(n, 2 nodes, 2 params) multiplicative factors, reproducible by seed."""
@@ -207,6 +200,102 @@ def _draw_factors(n: int, spec: MismatchSpec) -> np.ndarray:
     else:
         z = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(n, 2, 2))
     return 1.0 + spec.relative_sigma * z
+
+
+def _log_rate(log_k1: float, k2: float, v: float) -> float:
+    """log of the tunneling rate magnitude |dV/dt| at voltage v.
+
+    The scalar form of the residual ``rate_matched_voltages`` evaluates
+    column-wise, operation for operation.
+    """
+    return log_k1 - math.log(k2) + 2.0 * math.log(v) - k2 / v
+
+
+_MATCH_XTOL, _MATCH_RTOL, _MATCH_MAXITER = 1e-14, 1e-15, 200
+_MATCH_RESIDUAL = 1e-10  # largest log-rate difference accepted at the root
+
+
+def rate_matched_voltages(set_log_k1, set_k2, reset_log_k1, reset_k2, v0: float) -> np.ndarray:
+    """Per cell, the RESET-node voltage whose |dV/dt| equals the SET node's at v0.
+
+    Arguments are (N,) columns.  Each cell's log-rate difference is
+    solved on [0.5*v0, min(1.5*v0, 0.999*reset_k2)] by the steps of
+    scipy's ``brentq`` (its C routine, ``optimize/Zeros/brentq.c``;
+    xtol 1e-14, rtol 1e-15, 200 iterations), run on numpy columns for
+    all cells at once: the same float operations in the same order,
+    including the interpolate/extrapolate/bisect choice and the minimum
+    ``delta`` step, so every root has brentq's bits.  The residual takes
+    its logarithms with ``math.log`` (``log_each``), as ``_log_rate``
+    does.  A cell leaves the active set once it converges.
+
+    A cell fails, and reads NaN, when the bracket shows no sign change,
+    a residual is NaN, 200 iterations pass, or the residual at the root
+    exceeds 1e-10.
+    """
+    set_k2, reset_k2 = np.asarray(set_k2, np.float64), np.asarray(reset_k2, np.float64)
+    target = set_log_k1 - log_each(set_k2) + 2.0 * math.log(v0) - set_k2 / v0
+    offset = reset_log_k1 - log_each(reset_k2)
+
+    def imbalance(rows, v):
+        """_log_rate of the RESET node at v minus target, for the given cells."""
+        return offset[rows] + 2.0 * log_each(v) - reset_k2[rows] / v - target[rows]
+
+    n = target.shape[0]
+    out = np.full(n, np.nan)
+    rows = np.arange(n)
+    xpre, xcur = np.full(n, 0.5 * v0), np.minimum(1.5 * v0, 0.999 * reset_k2)
+    fpre, fcur = imbalance(rows, xpre), imbalance(rows, xcur)
+    # brentq's checks before its first step: a NaN raises, a zero at an
+    # end is the root, equal signs at both ends raise
+    valid = ~(np.isnan(fpre) | np.isnan(fcur))
+    at_lo = valid & (fpre == 0)
+    at_hi = valid & ~at_lo & (fcur == 0)
+    out[at_lo], out[at_hi] = xpre[at_lo], xcur[at_hi]
+    keep = valid & ~at_lo & ~at_hi & (np.signbit(fpre) != np.signbit(fcur))
+    zero = np.zeros(n)
+    state = (rows, xpre, xcur, zero, fpre, fcur, zero, zero, zero)
+    for _ in range(_MATCH_MAXITER):
+        rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (a[keep] for a in state)
+        if not rows.size:
+            break
+        # where xpre and xcur straddle the root, xpre becomes the far end xblk
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        # the end with the smaller residual becomes xcur
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (_MATCH_XTOL + _MATCH_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        found = done & (np.abs(fcur) <= _MATCH_RESIDUAL)
+        out[rows[found]] = xcur[found]
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        limit = 3 * np.abs(sbis) - delta
+        limit = np.where(np.abs(spre) < limit, np.abs(spre), limit)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < limit))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        # a step no longer than delta is taken as delta, toward xblk
+        step = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        xpre, fpre, xcur = xcur, fcur, xcur + step
+        # converged cells and NaN residuals leave the active set
+        fcur = np.full(rows.size, np.nan)
+        fcur[~done] = imbalance(rows[~done], xcur[~done])
+        keep = ~np.isnan(fcur)
+        state = (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
+    return out
 
 
 def build_array(
@@ -245,16 +334,25 @@ def build_array(
     return DamArray(v, k1, log_k1, k2, np.full(n, WEIGHT_SCALE), nominal, spec, v0)
 
 
+def _with_voltages(array: DamArray, v: np.ndarray, clock: float) -> DamArray:
+    """array with the (N, 2) node voltages v just computed, at clock."""
+    v.flags.writeable = False
+    return DamArray._of(v, array.k1, array.log_k1, array.k2, array.weight_scale,
+                        array.nominal_params, array.mismatch, array.v0, clock)
+
+
 def _evolved(array: DamArray, v: np.ndarray, dt: float) -> DamArray:
-    """array with node voltages v, dt seconds later."""
-    dead = ~(v > 0)
-    if dead.any():
-        i, node = np.argwhere(dead)[0].tolist()
+    """array with node voltages v, dt seconds later.
+
+    Raises DomainError when a node is not positive; the minimum is NaN
+    if any node is.
+    """
+    if not np.minimum.reduce(v, axis=None) > 0:
+        i, node = np.argwhere(~(v > 0))[0].tolist()
         raise DomainError(
             f"cell {i} {('SET', 'RESET')[node]} node driven to {v[i, node]:.6g} V <= 0"
         )
-    v.flags.writeable = False
-    return replace(array, v=v, global_clock=array.global_clock + dt)
+    return _with_voltages(array, v, array.global_clock + dt)
 
 
 def batch_read(array: DamArray, noise_sigma: float = 0.0, rng=None) -> tuple[WeightReading, ...]:
@@ -290,8 +388,12 @@ def batch_pulse(
             raise ArgumentError("empty batch needs an explicit duration")
         return advance(array, duration)
 
+    # node.apply_pulse on the pulsed nodes: the gate is lifted by the
+    # coupled step, tunnels for the window and is released.  Idle nodes
+    # have a zero step, which leaves their decay bit-identical to evolve.
     n = len(array)
-    rows, nodes, amplitudes = [], [], []
+    ratio = array.nominal_params.coupling_ratio
+    step = np.zeros((n, 2))
     seen = set()
     for idx, polarity, pulse in targets:
         if not isinstance(idx, (int, np.integer)) or not 0 <= idx < n:
@@ -308,18 +410,8 @@ def batch_pulse(
             )
         if polarity not in (1, -1):
             raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
-        rows.append(idx)
-        nodes.append(0 if polarity == 1 else 1)
-        amplitudes.append(pulse.amplitude)
+        step[idx, 0 if polarity == 1 else 1] = pulse.amplitude * ratio
 
-    # node.apply_pulse on the pulsed nodes: the gate is lifted by the
-    # coupled step, tunnels for the window and is released.  Idle nodes
-    # have a zero step, which leaves their decay bit-identical to evolve.
-    step = np.zeros_like(array.v)
-    step[rows, nodes] = amplitudes
-    step *= array.nominal_params.coupling_ratio
-    if not np.all(array.v + step > 0):
-        raise DomainError("pulse drives a gate to <= 0 V")
     return _evolved(array, released(array.v, step, array.log_k1, array.k2,
                                     math.log(duration)), duration)
 
@@ -422,11 +514,16 @@ def _params_from(doc, path) -> FnParams:
         raise StateFormatError(f"invalid parameters at {path}: {exc}") from None
 
 
-def _node_from(doc, path) -> NodeState:
+def _v_fg_from(doc, path) -> float:
+    """A v1 node's voltage; its k0 is checked but not kept."""
+    v_fg, k0 = _float_at(doc, "v_fg", path), _float_at(doc, "k0", path)
     try:
-        return NodeState(v_fg=_float_at(doc, "v_fg", path), k0=_float_at(doc, "k0", path))
+        NodeState(v_fg)
+        if not (math.isfinite(k0) and k0 >= 1.0):
+            raise DomainError(f"k0 must be finite and >= 1, got {k0!r}")
     except DomainError as exc:
         raise StateFormatError(f"invalid node state at {path}: {exc}") from None
+    return v_fg
 
 
 def _v1_columns(doc, nominal: FnParams, clock: float) -> dict[str, np.ndarray]:
@@ -441,7 +538,7 @@ def _v1_columns(doc, nominal: FnParams, clock: float) -> dict[str, np.ndarray]:
         if not isinstance(cd, dict):
             raise StateFormatError(f"wrong type at {path}: expected mapping")
         for side in ("set", "reset"):
-            node = _node_from(_need(cd, f"{side}_node", path, dict), f"{path}.{side}_node")
+            v_fg = _v_fg_from(_need(cd, f"{side}_node", path, dict), f"{path}.{side}_node")
             params = _params_from(
                 _need(cd, f"{side}_params", path, dict), f"{path}.{side}_params"
             )
@@ -451,7 +548,7 @@ def _v1_columns(doc, nominal: FnParams, clock: float) -> dict[str, np.ndarray]:
                         f"{path}.{side}_params.{field} = {getattr(params, field)!r} "
                         f"differs from nominal_params.{field} = {want!r}"
                     )
-            columns[f"{side}_v_fg"].append(node.v_fg)
+            columns[f"{side}_v_fg"].append(v_fg)
             columns[f"{side}_k1"].append(params.k1)
             columns[f"{side}_k2"].append(params.k2)
         columns["weight_scale"].append(_float_at(cd, "weight_scale", path))

@@ -29,14 +29,8 @@ from dataclasses import dataclass, field
 
 from scipy import optimize
 
-from .cell import (
-    DamCell,
-    decay,
-    precompensated_amplitude,
-    read_weight,
-    set_pulse,
-    synchronize,
-)
+from .array import DamArray
+from .cell import decay, precompensated_amplitude, read_weight, set_pulse, synchronize
 from .errors import DomainError
 from .node import FnParams, Pulse, k0_from_initial
 from .energy import setpoint_write
@@ -127,13 +121,13 @@ def default_params(**overrides) -> FnParams:
     return FnParams(**base)
 
 
-def cell_at_age(params: FnParams, age_s: float, v0: float = DEFAULT_V0) -> DamCell:
+def cell_at_age(params: FnParams, age_s: float, v0: float = DEFAULT_V0) -> DamArray:
     """Synchronized cell that has decayed undisturbed for age_s seconds."""
     cell = synchronize(params, params, v0)
     return decay(cell, age_s) if age_s > 0 else cell
 
 
-def default_cell(age_s: float = 0.0) -> DamCell:
+def default_cell(age_s: float = 0.0) -> DamArray:
     return cell_at_age(default_params(), age_s)
 
 
@@ -141,20 +135,25 @@ def step_amplitude(params: FnParams, age_s: float,
                    target_mv: float = CAL_STEP_MV,
                    duration_s: float = CAL_PULSE_DURATION_S) -> float:
     """Pulse amplitude that programs target_mv on a cell of the given age."""
-    return precompensated_amplitude(
-        cell_at_age(params, age_s), target_mv, duration_s, tol_mv=_AMP_TOL_MV
-    )
+    return _amplitude(cell_at_age(params, age_s), target_mv, duration_s)
+
+
+def _amplitude(cell: DamArray, target_mv: float = CAL_STEP_MV,
+               duration_s: float = CAL_PULSE_DURATION_S) -> float:
+    """step_amplitude on the aged cell itself."""
+    return precompensated_amplitude(cell, target_mv, duration_s, tol_mv=_AMP_TOL_MV)
 
 
 def weight_retention(params: FnParams, age_s: float,
                      window_s: float = RETENTION_WINDOW_S) -> float:
     """Fraction of a freshly programmed 1 mV weight left after window_s."""
-    return _retained(params, age_s, step_amplitude(params, age_s), window_s)
+    cell = cell_at_age(params, age_s)
+    return _retained(cell, _amplitude(cell), window_s)
 
 
-def _retained(params: FnParams, age_s: float, amp: float, window_s: float) -> float:
-    """weight_retention, given the amplitude step_amplitude(params, age_s)."""
-    pulsed = set_pulse(cell_at_age(params, age_s), Pulse(amp, CAL_PULSE_DURATION_S))
+def _retained(cell: DamArray, amp: float, window_s: float) -> float:
+    """weight_retention on the aged cell, given its amplitude _amplitude(cell)."""
+    pulsed = set_pulse(cell, Pulse(amp, CAL_PULSE_DURATION_S))
     w_start = read_weight(pulsed).weight
     w_end = read_weight(decay(pulsed, window_s)).weight
     return w_end / w_start
@@ -225,16 +224,20 @@ def _memoized_by_age(params: FnParams):
     Both age searches start from the fresh cell and double their bracket
     over the same ages, and the root each returns is an age it has
     already solved, so without the memo evaluate_calibration repeats
-    solves it has made.
+    solves it has made.  Each age's cell is built once and serves both.
     """
 
     @functools.cache
+    def aged(age_s):
+        return cell_at_age(params, age_s)
+
+    @functools.cache
     def amplitude(age_s):
-        return step_amplitude(params, age_s)
+        return _amplitude(aged(age_s))
 
     @functools.cache
     def retention(age_s):
-        return _retained(params, age_s, amplitude(age_s), RETENTION_WINDOW_S)
+        return _retained(aged(age_s), amplitude(age_s), RETENTION_WINDOW_S)
 
     return amplitude, retention
 

@@ -10,6 +10,14 @@ toward zero on its own timescale — that decay is the memory's built-in
 
 Weights are reported in millivolts: weight = weight_scale * (W_R - W_S)
 with weight_scale = 1000 by default.
+
+A cell is a one-cell ``DamArray``: its SET and RESET voltages are
+``cell.v[0, 0]`` and ``cell.v[0, 1]`` and its clock is
+``cell.global_clock``.  ``decay``, ``set_pulse``, ``reset_pulse`` and
+``read_weight`` are the array operations on that one cell.  The
+solvers (``precompensated_amplitude`` and the schedules) read a cell's
+columns once and run on plain floats, where one evaluation costs far
+less than a numpy call.
 """
 
 from __future__ import annotations
@@ -19,234 +27,82 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .array import (_MATCH_MAXITER, _MATCH_RESIDUAL, WEIGHT_SCALE, DamArray, MismatchSpec,
+                    WeightReading, advance, batch_pulse, rate_matched_voltages)
 from .errors import ArgumentError, DomainError, InitializationError, SaturationError, StepSizeError
-from .node import (FnParams, NodeState, Pulse, apply_pulse, decayed, evolve, initial_state,
-                   log_each, released)
+from .node import FnParams, Pulse, decayed, k0_from_initial, released
 
-WEIGHT_SCALE = 1000.0  # mV per volt of node difference
-
-
-@dataclass(frozen=True)
-class DamCell:
-    """Two-node differential memory cell.
-
-    ``t`` is seconds elapsed since synchronization; every operation that
-    consumes wall-clock time advances it.  Instances are immutable —
-    operations return updated copies.
-    """
-
-    set_node: NodeState
-    reset_node: NodeState
-    set_params: FnParams
-    reset_params: FnParams
-    weight_scale: float = WEIGHT_SCALE  # mV per volt of node difference
-    t: float = 0.0  # s since synchronization
-
-
-@dataclass(frozen=True)
-class WeightReading:
-    weight: float  # mV
-    timestamp: float  # s, cell clock at the moment of the read
-
-
-def _log_rate(log_k1: float, k2: float, v: float) -> float:
-    """log of the tunneling rate magnitude |dV/dt| at voltage v.
-
-    The scalar form of the residual ``rate_matched_voltages`` evaluates
-    column-wise, operation for operation.
-    """
-    return log_k1 - math.log(k2) + 2.0 * math.log(v) - k2 / v
-
-
-_MATCH_XTOL, _MATCH_RTOL, _MATCH_MAXITER = 1e-14, 1e-15, 200
-_MATCH_RESIDUAL = 1e-10  # largest log-rate difference accepted at the root
-
-
-def rate_matched_voltages(set_log_k1, set_k2, reset_log_k1, reset_k2, v0: float) -> np.ndarray:
-    """Per cell, the RESET-node voltage whose |dV/dt| equals the SET node's at v0.
-
-    Arguments are (N,) columns.  Each cell's log-rate difference is
-    solved on [0.5*v0, min(1.5*v0, 0.999*reset_k2)] by the steps of
-    scipy's ``brentq`` (its C routine, ``optimize/Zeros/brentq.c``;
-    xtol 1e-14, rtol 1e-15, 200 iterations), run on numpy columns for
-    all cells at once: the same float operations in the same order,
-    including the interpolate/extrapolate/bisect choice and the minimum
-    ``delta`` step, so every root has brentq's bits.  The residual takes
-    its logarithms with ``math.log`` (``log_each``), as ``_log_rate``
-    does.  A cell leaves the active set once it converges.
-
-    A cell fails, and reads NaN, when the bracket shows no sign change,
-    a residual is NaN, 200 iterations pass, or the residual at the root
-    exceeds 1e-10.
-    """
-    set_k2, reset_k2 = np.asarray(set_k2, np.float64), np.asarray(reset_k2, np.float64)
-    target = set_log_k1 - log_each(set_k2) + 2.0 * math.log(v0) - set_k2 / v0
-    offset = reset_log_k1 - log_each(reset_k2)
-
-    def imbalance(rows, v):
-        """_log_rate of the RESET node at v minus target, for the given cells."""
-        return offset[rows] + 2.0 * log_each(v) - reset_k2[rows] / v - target[rows]
-
-    n = target.shape[0]
-    out = np.full(n, np.nan)
-    rows = np.arange(n)
-    xpre, xcur = np.full(n, 0.5 * v0), np.minimum(1.5 * v0, 0.999 * reset_k2)
-    fpre, fcur = imbalance(rows, xpre), imbalance(rows, xcur)
-    # brentq's checks before its first step: a NaN raises, a zero at an
-    # end is the root, equal signs at both ends raise
-    valid = ~(np.isnan(fpre) | np.isnan(fcur))
-    at_lo = valid & (fpre == 0)
-    at_hi = valid & ~at_lo & (fcur == 0)
-    out[at_lo], out[at_hi] = xpre[at_lo], xcur[at_hi]
-    keep = valid & ~at_lo & ~at_hi & (np.signbit(fpre) != np.signbit(fcur))
-    zero = np.zeros(n)
-    state = (rows, xpre, xcur, zero, fpre, fcur, zero, zero, zero)
-    for _ in range(_MATCH_MAXITER):
-        rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (a[keep] for a in state)
-        if not rows.size:
-            break
-        # where xpre and xcur straddle the root, xpre becomes the far end xblk
-        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-        spre = np.where(flip, xcur - xpre, spre)
-        scur = np.where(flip, xcur - xpre, scur)
-        # the end with the smaller residual becomes xcur
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
-
-        delta = (_MATCH_XTOL + _MATCH_RTOL * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0) | (np.abs(sbis) < delta)
-        found = done & (np.abs(fcur) <= _MATCH_RESIDUAL)
-        out[rows[found]] = xcur[found]
-
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        stry = np.where(xpre == xblk, interpolate, extrapolate)
-        limit = 3 * np.abs(sbis) - delta
-        limit = np.where(np.abs(spre) < limit, np.abs(spre), limit)
-        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                 & (2 * np.abs(stry) < limit))
-        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-        # a step no longer than delta is taken as delta, toward xblk
-        step = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        xpre, fpre, xcur = xcur, fcur, xcur + step
-        # converged cells and NaN residuals leave the active set
-        fcur = np.full(rows.size, np.nan)
-        fcur[~done] = imbalance(rows[~done], xcur[~done])
-        keep = ~np.isnan(fcur)
-        state = (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
-    return out
-
-
-def rate_matched_voltage(
-    set_log_k1: float, set_k2: float, reset_log_k1: float, reset_k2: float, v0: float
-) -> float:
-    """RESET-node voltage whose |dV/dt| equals the SET node's at v0.
-
-    The N = 1 case of ``rate_matched_voltages``, which replays scipy's
-    ``brentq`` step for step.  Raises InitializationError when the cell
-    fails there: no sign change over the bracket, a NaN residual, no
-    convergence in 200 iterations, or a residual above 1e-10.
-    """
-    v_reset = float(rate_matched_voltages(
-        [set_log_k1], [set_k2], [reset_log_k1], [reset_k2], v0
-    )[0])
-    if math.isnan(v_reset):
-        raise InitializationError(
-            f"could not rate-match reset node near v0={v0!r}: no root of the rate "
-            f"difference within {_MATCH_RESIDUAL:g} in {_MATCH_MAXITER} Brent steps",
-            indices=(0,),
-        )
-    return v_reset
+_NO_MISMATCH = MismatchSpec(relative_sigma=0.0)
 
 
 def synchronize(
     set_params: FnParams, reset_params: FnParams, v0: float, weight_scale: float = WEIGHT_SCALE
-) -> DamCell:
+) -> DamArray:
     """Build a cell whose nodes tunnel at identical rates at t = 0.
 
     With identical parameters both nodes start at exactly v0.  With
     mismatched parameters the RESET node voltage is solved by
-    ``rate_matched_voltage``.
+    ``array.rate_matched_voltages``; InitializationError when it fails.
+    The nodes must share c_total and c_couple.
     """
-    set_node = initial_state(set_params, v0)
-    if (reset_params.k1, reset_params.k2) == (set_params.k1, set_params.k2):
-        v_reset = v0
-    else:
-        v_reset = rate_matched_voltage(
-            set_params.log_k1, set_params.k2, reset_params.log_k1, reset_params.k2, v0
+    if (set_params.c_total, set_params.c_couple) != (reset_params.c_total,
+                                                     reset_params.c_couple):
+        raise ArgumentError(
+            "SET and RESET nodes must share c_total and c_couple, got "
+            f"{set_params.c_total!r}/{set_params.c_couple!r} and "
+            f"{reset_params.c_total!r}/{reset_params.c_couple!r}"
         )
-    reset_node = initial_state(reset_params, v_reset)
-    return DamCell(set_node, reset_node, set_params, reset_params, weight_scale)
+    k0_from_initial(set_params, v0)
+    v_reset = v0  # identical nodes: the RESET node is the SET node, checked above
+    if (reset_params.k1, reset_params.k2) != (set_params.k1, set_params.k2):
+        v_reset = rate_matched_voltages(
+            [set_params.log_k1], [set_params.k2], [reset_params.log_k1], [reset_params.k2], v0
+        ).item()
+        if math.isnan(v_reset):
+            raise InitializationError(
+                f"could not rate-match reset node near v0={v0!r}: no root of the rate "
+                f"difference within {_MATCH_RESIDUAL:g} in {_MATCH_MAXITER} Brent steps",
+                indices=(0,),
+            )
+        k0_from_initial(reset_params, v_reset)
+    columns = np.array([v0, v_reset, set_params.k1, reset_params.k1, set_params.log_k1,
+                        reset_params.log_k1, set_params.k2, reset_params.k2, weight_scale],
+                       dtype=np.float64)
+    columns.flags.writeable = False  # and so are its views, the cell's columns
+    v, k1, log_k1, k2 = columns[:8].reshape(4, 1, 2)
+    return DamArray._of(v, k1, log_k1, k2, columns[8:], set_params, _NO_MISMATCH, v0, 0.0)
 
 
-def read_weight(cell: DamCell, noise_sigma: float = 0.0, rng=None) -> WeightReading:
+def read_weight(cell: DamArray, noise_sigma: float = 0.0, rng=None) -> WeightReading:
     """Differential weight in mV, optionally with Gaussian read noise.
 
     noise_sigma is in volts of node difference (the same unit as the
     readout chain sees); default 0 keeps reads deterministic.
     """
-    diff = cell.reset_node.v_fg - cell.set_node.v_fg
-    if noise_sigma:
-        if noise_sigma < 0:
-            raise DomainError(f"noise_sigma must be >= 0, got {noise_sigma!r}")
-        rng = rng if rng is not None else np.random.default_rng()
-        diff += noise_sigma * rng.standard_normal()
-    return WeightReading(weight=cell.weight_scale * diff, timestamp=cell.t)
+    return WeightReading(*cell.weights(noise_sigma, rng).tolist(), cell.global_clock)
 
 
-def _moved(cell: DamCell, set_node: NodeState, reset_node: NodeState, dt: float) -> DamCell:
-    return DamCell(set_node, reset_node, cell.set_params, cell.reset_params,
-                   cell.weight_scale, cell.t + dt)
-
-
-def decay(cell: DamCell, dt: float) -> DamCell:
+def decay(cell: DamArray, dt: float) -> DamArray:
     """Both nodes tunnel undisturbed for dt seconds."""
-    return _moved(
-        cell,
-        evolve(cell.set_node, cell.set_params, dt),
-        evolve(cell.reset_node, cell.reset_params, dt),
-        dt,
-    )
+    return advance(cell, dt)
 
 
-def set_pulse(cell: DamCell, pulse: Pulse) -> DamCell:
+def set_pulse(cell: DamArray, pulse: Pulse) -> DamArray:
     """Pulse the SET node (raises the weight); RESET node idles."""
-    return _moved(
-        cell,
-        apply_pulse(cell.set_node, cell.set_params, pulse, polarity=1),
-        evolve(cell.reset_node, cell.reset_params, pulse.duration),
-        pulse.duration,
-    )
+    return batch_pulse(cell, [(0, 1, pulse)])
 
 
-def reset_pulse(cell: DamCell, pulse: Pulse) -> DamCell:
+def reset_pulse(cell: DamArray, pulse: Pulse) -> DamArray:
     """Pulse the RESET node (lowers the weight); SET node idles."""
-    return _moved(
-        cell,
-        evolve(cell.set_node, cell.set_params, pulse.duration),
-        apply_pulse(cell.reset_node, cell.reset_params, pulse, polarity=1),
-        pulse.duration,
-    )
+    return batch_pulse(cell, [(0, -1, pulse)])
 
 
-def pulse_cell(cell: DamCell, pulse: Pulse, polarity: int) -> DamCell:
+def pulse_cell(cell: DamArray, pulse: Pulse, polarity: int) -> DamArray:
     """Dispatch on polarity: +1 -> set_pulse, -1 -> reset_pulse."""
-    if polarity == 1:
-        return set_pulse(cell, pulse)
-    if polarity == -1:
-        return reset_pulse(cell, pulse)
-    raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
+    return batch_pulse(cell, [(0, polarity, pulse)])
 
 
-def common_mode_step(cell: DamCell, dv: float) -> DamCell:
+def common_mode_step(cell: DamArray, dv: float) -> DamArray:
     """Identical instantaneous voltage perturbation on both nodes.
 
     Models a common-mode environmental disturbance (supply bump, charge
@@ -254,15 +110,10 @@ def common_mode_step(cell: DamCell, dv: float) -> DamCell:
     """
     if not math.isfinite(dv):
         raise DomainError(f"dv must be finite, got {dv!r}")
-    v_set = cell.set_node.v_fg + dv
-    v_reset = cell.reset_node.v_fg + dv
-    if v_set <= 0 or v_reset <= 0:
+    v = cell.v + dv
+    if not (v > 0).all():
         raise DomainError(f"common-mode step {dv!r} V drives a node non-positive")
-    return replace(
-        cell,
-        set_node=replace(cell.set_node, v_fg=v_set),
-        reset_node=replace(cell.reset_node, v_fg=v_reset),
-    )
+    return replace(cell, v=v)
 
 
 def discrete_update(
@@ -349,7 +200,7 @@ class DecaySchedule:
 
 
 def precompensated_amplitude(
-    cell: DamCell,
+    cell: DamArray,
     target_dw: float,
     duration: float,
     polarity: int = 1,
@@ -387,21 +238,21 @@ def precompensated_amplitude(
     if not tol_mv >= 0:
         raise DomainError(f"tol_mv must be >= 0, got {tol_mv!r}")
     Pulse(amplitude=amp_max, duration=duration)  # every trial pulse is valid
+    (v_set, v_reset), = cell.v.tolist()
+    set_side, reset_side = zip((v_set, v_reset), *cell.log_k1.tolist(), *cell.k2.tolist())
     if polarity == 1:
-        node, params, idle_node, idle_params = (
-            cell.set_node, cell.set_params, cell.reset_node, cell.reset_params)
+        (v, log_k1, k2), (idle_v, idle_log_k1, idle_k2) = set_side, reset_side
     elif polarity == -1:
-        node, params, idle_node, idle_params = (
-            cell.reset_node, cell.reset_params, cell.set_node, cell.set_params)
+        (v, log_k1, k2), (idle_v, idle_log_k1, idle_k2) = reset_side, set_side
     else:
         raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
 
     sign = 1.0 if polarity == 1 else -1.0
-    ws = cell.weight_scale
-    w0 = read_weight(cell).weight
-    v, r, log_k1, k2 = node.v_fg, params.coupling_ratio, params.log_k1, params.k2
+    ws, = cell.weight_scale.tolist()
+    w0 = ws * (v_reset - v_set)  # read_weight(cell).weight
+    r = cell.nominal_params.coupling_ratio
     log_dt = math.log(duration)
-    idle = float(decayed(idle_node.v_fg, idle_params.log_k1, idle_params.k2, log_dt))
+    idle = float(decayed(idle_v, idle_log_k1, idle_k2, log_dt))
 
     def net(amp):
         """Net weight change of one pulse at amp, as read after the pulse."""

@@ -16,7 +16,8 @@ import io
 import math
 from dataclasses import dataclass
 
-from .cell import DamCell, decay, read_weight
+from .array import DamArray
+from .cell import decay, read_weight
 from .errors import DomainError
 from .node import FnParams, voltage_at
 
@@ -204,7 +205,7 @@ def noise_floor(model: NoiseModel, t: float) -> float:
 
 
 def retention_time(
-    cell: DamCell, model: NoiseModel, horizon_s: float = TEN_YEARS_S
+    cell: DamArray, model: NoiseModel, horizon_s: float = TEN_YEARS_S
 ) -> RetentionResult:
     """Time until the cell's decaying weight sinks into the noise floor.
 
@@ -217,8 +218,10 @@ def retention_time(
     if not (math.isfinite(horizon_s) and horizon_s > 0):
         raise DomainError(f"horizon_s must be positive, got {horizon_s!r}")
 
+    ws, = cell.weight_scale.tolist()
+
     def margin(t):
-        w_v = abs(read_weight(decay(cell, t)).weight) / cell.weight_scale
+        w_v = abs(read_weight(decay(cell, t)).weight) / ws
         return w_v - noise_floor(model, t)
 
     if margin(0.0) <= 0:

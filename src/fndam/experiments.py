@@ -199,7 +199,7 @@ def _char_bidirectional(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
             step += 1
             cell = apply(cell, pulse)
             cell = decay(cell, CAL_PULSE_DURATION_S)
-            rows.append([step, phase, cell.t, read_weight(cell).weight])
+            rows.append([step, phase, cell.global_clock, read_weight(cell).weight])
     writer.csv("bidirectional.csv", ["step", "phase", "t_s", "weight_mV"], rows)
 
 
@@ -237,17 +237,16 @@ def _char_amplitude_sweep(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
 
 
 def _char_pulse_count(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
-    base = _fresh_cell(cfg)
-    amp = precompensated_amplitude(base, _COUNT_UNIT_MV, _COUNT_DURATION_S)
+    cell = _fresh_cell(cfg)
+    amp = precompensated_amplitude(cell, _COUNT_UNIT_MV, _COUNT_DURATION_S)
+    pulse = Pulse(amplitude=amp, duration=_COUNT_DURATION_S)
     period = 2 * _COUNT_DURATION_S
     rows = []
-    for n in range(1, _COUNT_MAX + 1):
-        cell = base
-        for _ in range(n):
-            cell = set_pulse(cell, Pulse(amplitude=amp, duration=_COUNT_DURATION_S))
-            cell = decay(cell, period - _COUNT_DURATION_S)
+    for n in range(1, _COUNT_MAX + 1):  # one pulse train, read after every pulse
+        cell = set_pulse(cell, pulse)
+        cell = decay(cell, period - _COUNT_DURATION_S)
         dw = read_weight(cell).weight
-        rows.append([n, cell.t, dw, dw / n])
+        rows.append([n, cell.global_clock, dw, dw / n])
     writer.csv(
         "pulse_count.csv",
         ["n_pulses", "t_s", "net_dw_mV", "per_pulse_mV"],
@@ -266,11 +265,7 @@ def _char_common_mode(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
     cell = set_pulse(cell, Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S))
 
     bumped = common_mode_step(cell, _COMMON_MODE_STEP_V)
-    lopsided = replace(
-        cell,
-        set_node=replace(cell.set_node,
-                         v_fg=cell.set_node.v_fg + _COMMON_MODE_STEP_V),
-    )
+    lopsided = replace(cell, v=[[cell.v[0, 0] + _COMMON_MODE_STEP_V, cell.v[0, 1]]])
     rows = []
     for arm, start in (("baseline", cell), ("common_mode", bumped),
                        ("single_ended", lopsided)):

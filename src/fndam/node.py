@@ -17,7 +17,10 @@ current.  ``k1`` (1/s) and ``k2`` (V) are fitted device constants; see
 All state transitions are computed in log space: the closed form above
 composes exactly under ``log(exp(a) + k1*dt)`` and evaluating that as a
 log-sum-exp keeps full precision even when ``exp(k2/v)`` is far outside
-float range.
+float range.  A node's state is its gate voltage alone; k0 is the
+initial condition of an undisturbed trajectory (``voltage_at``) and is
+not stored.  ``decayed`` and ``released`` are elementwise, so the cell
+arrays of ``fndam.array`` evolve every node by these same expressions.
 """
 
 from __future__ import annotations
@@ -77,20 +80,12 @@ class FnParams:
 
 @dataclass(frozen=True)
 class NodeState:
-    """Instantaneous state of a node.
-
-    v_fg is the floating-gate voltage; k0 is the initial-condition
-    constant ``exp(k2 / v_initial)`` kept as bookkeeping, from which the
-    effective device age can always be recovered.
-    """
+    """Instantaneous state of a node: its floating-gate voltage."""
 
     v_fg: float  # V
-    k0: float
 
     def __post_init__(self):
         _require_finite_positive("v_fg", self.v_fg)
-        if not (math.isfinite(self.k0) and self.k0 >= 1.0):
-            raise DomainError(f"k0 must be finite and >= 1, got {self.k0!r}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +134,9 @@ def log_each(a) -> np.ndarray:
 
 
 def initial_state(params: FnParams, v0: float) -> NodeState:
-    """Node freshly programmed to v0 (t = 0)."""
-    return NodeState(v_fg=v0, k0=k0_from_initial(params, v0))
+    """Node freshly programmed to v0 (t = 0); v0 must admit a k0."""
+    k0_from_initial(params, v0)
+    return NodeState(v_fg=v0)
 
 
 def voltage_at(params: FnParams, k0: float, t: float) -> float:
@@ -208,7 +204,7 @@ def evolve(state: NodeState, params: FnParams, dt: float) -> NodeState:
     if dt == 0.0:
         return state
     new_v = decayed(state.v_fg, params.log_k1, params.k2, math.log(dt))
-    return NodeState(float(new_v), state.k0)
+    return NodeState(float(new_v))
 
 
 def apply_pulse(
@@ -234,7 +230,7 @@ def apply_pulse(
                             math.log(pulse.duration)))
     if v_down <= 0:
         raise DomainError(f"pulse release drives gate to {v_down:.6g} V <= 0")
-    return NodeState(v_down, state.k0)
+    return NodeState(v_down)
 
 
 def pulse_train(

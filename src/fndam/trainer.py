@@ -17,14 +17,14 @@ and the loop is plain SGDM, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize
 
-from .array import DamArray, advance, batch_pulse, batch_read
-from .cell import DamCell, decay, precompensated_amplitude, synchronize
+from .array import DamArray, _with_voltages, advance, batch_pulse
+from .cell import decay, precompensated_amplitude, synchronize
 from .energy import EnergyLedger
 from .errors import ArgumentError, DomainError
 from .node import Pulse
@@ -118,7 +118,7 @@ class PulseCommand:
     clipped: bool = False
 
 
-def gradient_to_pulses(update_mv: float, config: TrainerConfig, cell: DamCell) -> PulseCommand:
+def gradient_to_pulses(update_mv: float, config: TrainerConfig, cell: DamArray) -> PulseCommand:
     """Quantize a desired weight change into pulses on the given cell.
 
     update_mv is the signed post-learning-rate weight change.  Its sign
@@ -324,8 +324,7 @@ def train_perceptron(
         for point_index in order:
             point = dataset[int(point_index)]
             t_sample = array.global_clock
-            readings = batch_read(array)
-            w = (float(readings[0].weight), float(readings[1].weight))
+            w = tuple(array.weights().tolist())
             loss = hinge_loss(point.x, point.y, w)
             grad = hinge_gradient(point.x, point.y, w)
             commands = (PulseCommand(1, 0, 0.0), PulseCommand(1, 0, 0.0))
@@ -361,8 +360,7 @@ def train_perceptron(
             array = advance(array, remainder)
             reference = decay(reference, remainder)
 
-            after = batch_read(array)
-            new_w = (float(after[0].weight), float(after[1].weight))
+            new_w = tuple(array.weights().tolist())
             if grad != (0.0, 0.0):
                 abs_updates.append(abs(new_w[0] - w[0]) + abs(new_w[1] - w[1]))
             trace.steps.append(
@@ -386,8 +384,7 @@ def train_perceptron(
             )
             step += 1
 
-        readings = batch_read(array)
-        w_now = (float(readings[0].weight), float(readings[1].weight))
+        w_now = tuple(array.weights().tolist())
         epoch_entries = trace.ledger.entries[epoch_energy_start:]
         trace.epochs.append(
             EpochSummary(
@@ -401,8 +398,7 @@ def train_perceptron(
             )
         )
 
-    readings = batch_read(array)
-    trace.final_weights_mv = (float(readings[0].weight), float(readings[1].weight))
+    trace.final_weights_mv = tuple(array.weights().tolist())
     return trace, array
 
 
@@ -533,7 +529,7 @@ def _write_params_to_array(array: DamArray, theta: np.ndarray) -> DamArray:
         raise DomainError(
             f"weight {float(theta[i])!r} too large to park on a {float(mid[i])!r} V cell"
         )
-    return replace(array, v=np.stack((mid - half, mid + half), axis=1))
+    return _with_voltages(array, np.stack((mid - half, mid + half), axis=1), array.global_clock)
 
 
 def _read_params_from_array(array: DamArray) -> np.ndarray:

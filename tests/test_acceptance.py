@@ -31,7 +31,6 @@ from fndam.calibrate import (
     cell_at_age,
 )
 from fndam.cell import (
-    DamCell,
     DecaySchedule,
     common_mode_step,
     decay,
@@ -39,6 +38,7 @@ from fndam.cell import (
     precompensated_amplitude,
     read_weight,
     set_pulse,
+    synchronize,
 )
 from fndam.config import load_config
 from fndam.energy import NoiseModel, noise_floor, retention_time, write_energy, write_energy_trajectory
@@ -155,8 +155,7 @@ def test_05_linearized_update_tracks_two_node_simulation():
         w_mv = float(rng.uniform(0.1, 5.0) * rng.choice([-1.0, 1.0]))
         w_set = float(rng.uniform(6.0, 7.5))
         dt = float(rng.uniform(0.0, 1.0))
-        cell = DamCell(initial_state(par, w_set),
-                       initial_state(par, w_set + w_mv / 1000.0), par, par)
+        cell = replace(synchronize(par, par, w_set), v=[[w_set, w_set + w_mv / 1000.0]])
         w_sim = read_weight(decay(cell, dt)).weight
         w_lin = discrete_update(w_mv, w_set, par, dt)
         worst = max(worst, abs(w_lin - w_sim) / abs(w_sim))
@@ -230,8 +229,7 @@ def test_09_common_mode_rejection_ratio():
 
     w_base = read_weight(decay(cell, 40.0)).weight
     w_common = read_weight(decay(common_mode_step(cell, 0.1), 40.0)).weight
-    lopsided = replace(cell, set_node=replace(cell.set_node,
-                                              v_fg=cell.set_node.v_fg + 0.1))
+    lopsided = replace(cell, v=[[cell.v[0, 0] + 0.1, cell.v[0, 1]]])
     w_single = read_weight(decay(lopsided, 40.0)).weight
 
     d_common = abs(w_common - w_base)
@@ -297,9 +295,8 @@ def test_12_retention_time_ordering_and_noise_floor():
 
     seconds = []
     for age in REGIME_AGES_S:
-        v = cell_at_age(par, age).set_node.v_fg
-        cell = DamCell(initial_state(par, v),
-                       initial_state(par, v + 0.001), par, par)
+        v = cell_at_age(par, age).v[0, 0]
+        cell = replace(synchronize(par, par, v), v=[[v, v + 0.001]])
         result = retention_time(cell, model)
         assert not result.saturated
         seconds.append(result.seconds)

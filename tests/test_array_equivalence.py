@@ -1,23 +1,30 @@
-"""The column operations of DamArray against the per-cell reference.
+"""DamArray and the single-cell API against a per-node reference.
 
-Every array operation must give the bits that the single-cell path
-(``cell.synchronize``, ``decay``, ``set_pulse``, ``reset_pulse`` and
-``read_weight``) gives cell by cell.  The reference array is built here
-from the documented PCG64 mismatch draw, one ``synchronize`` per cell,
-without going through ``build_array``.
+Every array operation, and every function of ``fndam.cell`` (a cell is
+the one-cell array), must give the bits that ``node.evolve`` and
+``node.apply_pulse`` give node by node.  The reference cells are built
+here from the documented PCG64 mismatch draw.  A mismatched cell's
+RESET start voltage is a plain ``scipy.optimize.brentq`` call on
+``array._log_rate``, with the rate match's bracket, tolerances,
+iteration limit and 1e-10 residual limit.  Nothing in the reference goes
+through ``build_array``, ``synchronize`` or a column operation, and
+floats compare with ``==``.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
-from fndam.array import MismatchSpec, advance, batch_pulse, batch_read, build_array
+from fndam.array import (MismatchSpec, WeightReading, _log_rate, advance, batch_pulse,
+                         batch_read, build_array)
 from fndam.calibrate import default_params
-from fndam.cell import decay, read_weight, reset_pulse, set_pulse, synchronize
+from fndam.cell import (common_mode_step, decay, pulse_cell, read_weight, reset_pulse,
+                        set_pulse, synchronize)
 from fndam.errors import DomainError, InitializationError
-from fndam.node import Pulse
+from fndam.node import NodeState, Pulse, apply_pulse, evolve, initial_state
 from fndam.trainer import _read_params_from_array, _write_params_to_array
 
 V0 = 7.5
@@ -28,28 +35,83 @@ seeds = st.integers(0, 2**32 - 1)
 durations = st.floats(1e-6, 1e6)
 
 
+@dataclass(frozen=True)
+class RefCell:
+    """One cell as two nodes evolved one at a time."""
+
+    v: tuple[float, float]  # SET, RESET gate voltages
+    params: tuple  # SET, RESET FnParams
+    t: float = 0.0
+    weight_scale: float = 1000.0
+
+    def decay(self, dt):
+        v = tuple(evolve(NodeState(x), p, dt).v_fg for x, p in zip(self.v, self.params))
+        return replace(self, v=v, t=self.t + dt)
+
+    def pulse(self, polarity, pulse):
+        hit = 0 if polarity == 1 else 1
+        v = tuple(
+            apply_pulse(NodeState(x), p, pulse).v_fg if node == hit
+            else evolve(NodeState(x), p, pulse.duration).v_fg
+            for node, (x, p) in enumerate(zip(self.v, self.params))
+        )
+        return replace(self, v=v, t=self.t + pulse.duration)
+
+    def weight(self, noise=0.0, rng=None):
+        diff = self.v[1] - self.v[0]
+        if noise:
+            diff += noise * rng.standard_normal()
+        return self.weight_scale * diff
+
+
 def mismatch_factors(n, sigma, seed):
     z = np.random.Generator(np.random.PCG64(seed)).standard_normal((n, 2, 2))
     return 1.0 + sigma * z
 
 
-def reference_cell(nominal, f):
-    """One cell from its (node, [k1, k2]) factors, as synchronize builds it."""
-    set_params = replace(nominal, k1=float(nominal.k1 * f[0, 0]), k2=float(nominal.k2 * f[0, 1]))
-    reset_params = replace(nominal, k1=float(nominal.k1 * f[1, 0]),
-                           k2=float(nominal.k2 * f[1, 1]))
-    return synchronize(set_params, reset_params, V0)
+def node_params(nominal, f):
+    """SET and RESET FnParams from one cell's (node, [k1, k2]) factors."""
+    return tuple(replace(nominal, k1=float(nominal.k1 * k1), k2=float(nominal.k2 * k2))
+                 for k1, k2 in f.tolist())
+
+
+def brentq_start(set_p, reset_p, v0):
+    """RESET voltage whose |dV/dt| equals the SET node's at v0, from scipy."""
+    target = _log_rate(set_p.log_k1, set_p.k2, v0)
+
+    def imbalance(v):
+        return _log_rate(reset_p.log_k1, reset_p.k2, v) - target
+
+    try:
+        root = optimize.brentq(imbalance, 0.5 * v0, min(1.5 * v0, 0.999 * reset_p.k2),
+                               xtol=1e-14, rtol=1e-15, maxiter=200)
+    except (ValueError, RuntimeError):
+        raise InitializationError("brentq found no root", indices=(0,)) from None
+    if not abs(imbalance(root)) <= 1e-10:
+        raise InitializationError("residual above 1e-10", indices=(0,))
+    return root
+
+
+def reference_cell(set_p, reset_p, v0=V0):
+    """A freshly synchronized cell; raises where synchronize must."""
+    initial_state(set_p, v0)
+    if (set_p.k1, set_p.k2) == (reset_p.k1, reset_p.k2):
+        v_reset = v0
+    else:
+        v_reset = brentq_start(set_p, reset_p, v0)
+    initial_state(reset_p, v_reset)
+    return RefCell((v0, v_reset), (set_p, reset_p))
 
 
 def reference_cells(n, nominal, sigma, seed):
-    return [reference_cell(nominal, f) for f in mismatch_factors(n, sigma, seed)]
+    return [reference_cell(*node_params(nominal, f)) for f in mismatch_factors(n, sigma, seed)]
 
 
 def same_bits(array, cells):
     """Columns of array equal the per-cell reference, bit for bit."""
-    v = np.array([[c.set_node.v_fg, c.reset_node.v_fg] for c in cells])
-    k1 = np.array([[c.set_params.k1, c.reset_params.k1] for c in cells])
-    k2 = np.array([[c.set_params.k2, c.reset_params.k2] for c in cells])
+    v = np.array([c.v for c in cells])
+    k1 = np.array([[p.k1 for p in c.params] for c in cells])
+    k2 = np.array([[p.k2 for p in c.params] for c in cells])
     assert array.v.tobytes() == v.tobytes()
     assert array.k1.tobytes() == k1.tobytes()
     assert array.k2.tobytes() == k2.tobytes()
@@ -78,22 +140,44 @@ def test_advance_and_batch_pulse_match_cell_path(n, sigma, seed, dt, width, data
     assert advance(array, 0.0) == array
 
     array = advance(array, dt)
-    cells = [decay(c, dt) for c in cells]
+    cells = [c.decay(dt) for c in cells]
     same_bits(array, cells)
 
     batch = data.draw(batches(n))
     by_row = {i: (polarity, Pulse(amp, width)) for i, polarity, amp in batch}
-    expected = []
-    for i, c in enumerate(cells):
-        if i not in by_row:
-            expected.append(decay(c, width))
-            continue
-        polarity, pulse = by_row[i]
-        expected.append((set_pulse if polarity == 1 else reset_pulse)(c, pulse))
+    expected = [c.pulse(*by_row[i]) if i in by_row else c.decay(width)
+                for i, c in enumerate(cells)]
     pulsed = batch_pulse(array, [(i, pol, Pulse(amp, width)) for i, pol, amp in batch],
                          duration=width)
     same_bits(pulsed, expected)
     assert pulsed.global_clock == array.global_clock + width
+
+
+@given(sigma=sigmas, seed=seeds, dt=durations, width=durations,
+       polarity=st.sampled_from([1, -1]), amp=st.floats(0.0, 20.0),
+       dv=st.floats(-0.5, 0.5), noise=st.floats(0.0, 1e-2), read_seed=seeds)
+@settings(max_examples=60, deadline=None)
+def test_single_cell_api_matches_reference(sigma, seed, dt, width, polarity, amp, dv,
+                                           noise, read_seed):
+    set_p, reset_p = node_params(default_params(), mismatch_factors(1, sigma, seed)[0])
+    ref = reference_cell(set_p, reset_p)
+    cell = synchronize(set_p, reset_p, V0)
+    same_bits(cell, [ref])
+    assert len(cell) == 1
+
+    ref, cell = ref.decay(dt), decay(cell, dt)
+    same_bits(cell, [ref])
+    assert read_weight(cell) == WeightReading(ref.weight(), ref.t)
+    noisy = read_weight(cell, noise, np.random.default_rng(read_seed))
+    assert noisy.weight == ref.weight(noise, np.random.default_rng(read_seed))
+
+    pulse = Pulse(amp, width)
+    expected = ref.pulse(polarity, pulse)
+    same_bits((set_pulse if polarity == 1 else reset_pulse)(cell, pulse), [expected])
+    same_bits(pulse_cell(cell, pulse, polarity), [expected])
+
+    bumped = common_mode_step(cell, dv)
+    same_bits(bumped, [replace(ref, v=(ref.v[0] + dv, ref.v[1] + dv))])
 
 
 @given(n=sizes, sigma=sigmas, seed=seeds, dt=durations, noise=st.floats(0.0, 1e-2),
@@ -102,12 +186,12 @@ def test_advance_and_batch_pulse_match_cell_path(n, sigma, seed, dt, width, data
 def test_batch_read_matches_read_weight(n, sigma, seed, dt, noise, read_seed):
     array, cells = build_both(n, sigma, seed)
     array = advance(array, dt)
-    cells = [decay(c, dt) for c in cells]
+    cells = [c.decay(dt) for c in cells]
     rng = np.random.default_rng(read_seed)
-    expected = [read_weight(c, noise, rng) for c in cells]
+    expected = [c.weight(noise, rng) for c in cells]
     got = batch_read(array, noise, np.random.default_rng(read_seed))
-    assert [r.weight for r in got] == [float(r.weight) for r in expected]
-    assert [r.timestamp for r in got] == [r.timestamp for r in expected]
+    assert [r.weight for r in got] == expected
+    assert [r.timestamp for r in got] == [c.t for c in cells]
 
 
 @given(n=sizes, sigma=sigmas, seed=seeds, dt=durations, data=st.data())
@@ -117,15 +201,21 @@ def test_parking_matches_per_cell_split(n, sigma, seed, dt, data):
     theta = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
     parked = _write_params_to_array(array, theta)
     expected = []
-    for c, w in zip(cells, theta):
-        mid = 0.5 * (c.set_node.v_fg + c.reset_node.v_fg)
+    for c, w in zip(cells, theta.tolist()):
+        mid = 0.5 * (c.v[0] + c.v[1])
         half = 0.5 * w / c.weight_scale
-        expected.append(replace(c, set_node=replace(c.set_node, v_fg=mid - half),
-                                reset_node=replace(c.reset_node, v_fg=mid + half)))
+        expected.append(replace(c, v=(mid - half, mid + half)))
     same_bits(parked, expected)
     aged = advance(parked, dt)
-    expected = [decay(c, dt) for c in expected]
-    assert _read_params_from_array(aged).tolist() == [read_weight(c).weight for c in expected]
+    expected = [c.decay(dt) for c in expected]
+    assert _read_params_from_array(aged).tolist() == [c.weight() for c in expected]
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except (InitializationError, DomainError) as exc:
+        return type(exc)
 
 
 @given(seed=seeds, sigma=st.floats(0.05, 0.5))
@@ -135,8 +225,16 @@ def test_failed_cells_match_synchronize(seed, sigma):
     failed = []
     for i, f in enumerate(mismatch_factors(8, sigma, seed)):
         try:
-            reference_cell(nominal, f)
-        except (InitializationError, DomainError):
+            params = node_params(nominal, f)
+        except DomainError:  # a factor drove k1 or k2 non-positive
+            failed.append(i)
+            continue
+        want = outcome(reference_cell, *params)
+        got = outcome(synchronize, *params, V0)
+        if isinstance(want, RefCell):
+            same_bits(got, [want])
+        else:
+            assert got is want
             failed.append(i)
     if not failed:
         build_array(8, nominal, V0, MismatchSpec(relative_sigma=sigma, seed=seed))

@@ -81,11 +81,11 @@ class TestShippedCalibration:
 
     def test_fresh_cell_state(self):
         cell = default_cell()
-        assert cell.set_node.v_fg == 7.5
-        assert cell.t == 0.0
+        assert cell.v[0, 0] == 7.5
+        assert cell.global_clock == 0.0
         aged = cell_at_age(default_params(), 100.0)
-        assert aged.t == 100.0
-        assert aged.set_node.v_fg < 7.5
+        assert aged.global_clock == 100.0
+        assert aged.v[0, 0] < 7.5
 
     def test_energy_per_update_grows(self):
         params = default_params()
@@ -154,7 +154,8 @@ class TestEvaluationSolvesEachAgeOnce:
         solve = calibrate.precompensated_amplitude
 
         def counting(cell, *args, **kwargs):
-            solved.append((cell, args, tuple(sorted(kwargs.items()))))
+            solved.append((cell.v.tobytes(), cell.global_clock, args,
+                           tuple(sorted(kwargs.items()))))
             return solve(cell, *args, **kwargs)
 
         monkeypatch.setattr(calibrate, "precompensated_amplitude", counting)

@@ -2,14 +2,15 @@
 schedules, the linearized update, and amplitude precompensation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fndam.array import MismatchSpec
 from fndam.calibrate import REGIME_AGES_S, cell_at_age, default_cell, default_params
 from fndam.cell import (
-    DamCell,
     DecaySchedule,
     common_mode_step,
     decay,
@@ -23,7 +24,7 @@ from fndam.cell import (
     synchronize,
 )
 from fndam.errors import ArgumentError, DomainError, InitializationError, SaturationError, StepSizeError
-from fndam.node import FnParams, Pulse, initial_state, voltage_at
+from fndam.node import FnParams, Pulse, voltage_at
 
 
 def small_params(**overrides):
@@ -38,27 +39,25 @@ def log_rate(params, v):
 
 def cell_with_weight(params, w_set, weight_mv):
     """Two-node cell at explicit voltages: weight = 1000 * (v_reset - v_set)."""
-    set_node = initial_state(params, w_set)
-    reset_node = initial_state(params, w_set + weight_mv / 1000.0)
-    return DamCell(set_node, reset_node, params, params, weight_scale=1000.0)
+    return replace(synchronize(params, params, w_set), v=[[w_set, w_set + weight_mv / 1000.0]])
 
 
 class TestSynchronize:
     def test_identical_params_start_balanced(self):
         params = default_params()
         cell = synchronize(params, params, 7.5)
-        assert cell.set_node.v_fg == 7.5
-        assert cell.reset_node.v_fg == 7.5
+        assert cell.v[0, 0] == 7.5
+        assert cell.v[0, 1] == 7.5
         assert read_weight(cell).weight == 0.0
-        assert cell.t == 0.0
+        assert cell.global_clock == 0.0
 
     @pytest.mark.parametrize("eps", [1e-4, -1e-4, 1e-3])
     def test_mismatched_k2_rates_match(self, eps):
         set_p = default_params()
         reset_p = default_params(k2=set_p.k2 * (1.0 + eps))
         cell = synchronize(set_p, reset_p, 7.5)
-        r_set = log_rate(set_p, cell.set_node.v_fg)
-        r_reset = log_rate(reset_p, cell.reset_node.v_fg)
+        r_set = log_rate(set_p, cell.v[0, 0])
+        r_reset = log_rate(reset_p, cell.v[0, 1])
         assert abs(r_reset - r_set) < 1e-10
 
     def test_mismatched_k2_offset_first_order(self):
@@ -71,7 +70,7 @@ class TestSynchronize:
         cell = synchronize(set_p, reset_p, v0)
         ratio = set_p.k2 / v0
         predicted = v0 * eps * (1.0 + ratio) / (2.0 + ratio)
-        np.testing.assert_allclose(cell.reset_node.v_fg - v0, predicted, rtol=1e-2)
+        np.testing.assert_allclose(cell.v[0, 1] - v0, predicted, rtol=1e-2)
 
     def test_mismatched_k1_offset_first_order(self):
         # k1 -> k1*(1+eps) balances at v_reset = v0 * (1 - eps/(2+R)): a much
@@ -83,9 +82,9 @@ class TestSynchronize:
         cell = synchronize(set_p, reset_p, v0)
         ratio = set_p.k2 / v0
         predicted = -v0 * eps / (2.0 + ratio)
-        np.testing.assert_allclose(cell.reset_node.v_fg - v0, predicted, rtol=1e-2)
-        assert abs(cell.reset_node.v_fg - v0) < abs(
-            synchronize(set_p, default_params(k2=set_p.k2 * (1.0 + eps)), v0).reset_node.v_fg - v0
+        np.testing.assert_allclose(cell.v[0, 1] - v0, predicted, rtol=1e-2)
+        assert abs(cell.v[0, 1] - v0) < abs(
+            synchronize(set_p, default_params(k2=set_p.k2 * (1.0 + eps)), v0).v[0, 1] - v0
         )
 
     def test_unmatchable_mismatch_rejected(self):
@@ -93,6 +92,40 @@ class TestSynchronize:
         reset_p = default_params(k2=set_p.k2 * 2.0)
         with pytest.raises(InitializationError):
             synchronize(set_p, reset_p, 7.5)
+
+    def test_cell_is_a_one_cell_array(self):
+        set_p = default_params()
+        reset_p = default_params(k1=set_p.k1 * 1.001)
+        cell = synchronize(set_p, reset_p, 7.5, weight_scale=500.0)
+        assert len(cell) == 1
+        assert cell.nominal_params == set_p
+        assert cell.mismatch == MismatchSpec(relative_sigma=0.0)
+        assert cell.v0 == 7.5
+        assert cell.k1.tolist() == [[set_p.k1, reset_p.k1]]
+        assert cell.log_k1.tolist() == [[set_p.log_k1, reset_p.log_k1]]
+        assert cell.k2.tolist() == [[set_p.k2, reset_p.k2]]
+        assert cell.weight_scale.tolist() == [500.0]
+        assert not cell.v.flags.writeable
+
+    def test_failed_rate_match_names_cell_zero(self):
+        set_p = default_params()
+        with pytest.raises(InitializationError) as info:
+            synchronize(set_p, default_params(k2=set_p.k2 * 2.0), 7.5)
+        assert info.value.indices == (0,)
+
+    def test_both_nodes_are_validated(self):
+        p = small_params()
+        with pytest.raises(DomainError, match="v0 must satisfy"):
+            synchronize(p, p, 300.0)  # v0 = k2 on the SET node
+        with pytest.raises(DomainError, match="exceeds float64 range"):
+            synchronize(small_params(k2=3000.0), small_params(k2=3000.0), 1.0)
+
+    def test_nodes_must_share_capacitances(self):
+        p = default_params()
+        with pytest.raises(ArgumentError, match="share c_total and c_couple"):
+            synchronize(p, default_params(c_total=2e-12), 7.5)
+        with pytest.raises(ArgumentError, match="share c_total and c_couple"):
+            synchronize(p, default_params(c_couple=2e-13), 7.5)
 
 
 class TestReadWeight:
@@ -143,9 +176,9 @@ class TestPulseSymmetry:
     def test_clock_advances_by_pulse_duration(self):
         cell = default_cell()
         pulse = Pulse(amplitude=0.2, duration=0.25)
-        assert set_pulse(cell, pulse).t == 0.25
-        assert reset_pulse(cell, pulse).t == 0.25
-        assert decay(cell, 3.0).t == 3.0
+        assert set_pulse(cell, pulse).global_clock == 0.25
+        assert reset_pulse(cell, pulse).global_clock == 0.25
+        assert decay(cell, 3.0).global_clock == 3.0
 
 
 class TestCommonMode:
@@ -153,7 +186,7 @@ class TestCommonMode:
         cell = default_cell()
         bumped = common_mode_step(cell, 0.1)
         assert read_weight(bumped).weight == 0.0
-        assert bumped.t == cell.t
+        assert bumped.global_clock == cell.global_clock
 
     @given(dv=st.floats(-0.5, 0.5), w_mv=st.floats(-5.0, 5.0))
     @settings(max_examples=50, deadline=None)

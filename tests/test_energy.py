@@ -2,12 +2,13 @@
 retention search, and the pulse ledger."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fndam.calibrate import default_cell, default_params
-from fndam.cell import DamCell, decay, read_weight
+from fndam.cell import decay, read_weight, synchronize
 from fndam.energy import (
     TEN_YEARS_S,
     EnergyLedger,
@@ -23,7 +24,6 @@ from fndam.energy import (
     write_energy_trajectory,
 )
 from fndam.errors import DomainError
-from fndam.node import initial_state
 
 # (7.6/7.5)^2 * exp(k2/7.5 - k2/7.6) at k2 = 2887.78128, computed
 # independently with decimal at 60 digits
@@ -31,9 +31,7 @@ ORACLE_PROG_RATIO = 162.84085934700062
 
 
 def cell_with_weight(params, w_set, weight_mv):
-    set_node = initial_state(params, w_set)
-    reset_node = initial_state(params, w_set + weight_mv / 1000.0)
-    return DamCell(set_node, reset_node, params, params, weight_scale=1000.0)
+    return replace(synchronize(params, params, w_set), v=[[w_set, w_set + weight_mv / 1000.0]])
 
 
 class TestWriteEnergy:

@@ -42,7 +42,7 @@ class TestClosedForm:
         p = default_params()
         s = initial_state(p, DEFAULT_V0)
         assert s.v_fg == DEFAULT_V0
-        assert s.k0 == math.exp(p.k2 / DEFAULT_V0)
+        assert k0_from_initial(p, DEFAULT_V0) == math.exp(p.k2 / DEFAULT_V0)
 
     def test_decimal_oracle_anchor(self):
         p = small_params()
@@ -68,7 +68,7 @@ class TestClosedForm:
         p = default_params()
         s0 = initial_state(p, DEFAULT_V0)
         for t in (0.0, 1.0, 40.0, 86400.0, 1e6):
-            v_direct = voltage_at(p, s0.k0, t)
+            v_direct = voltage_at(p, k0_from_initial(p, DEFAULT_V0), t)
             v_evolved = evolve(s0, p, t).v_fg
             np.testing.assert_allclose(v_evolved, v_direct, rtol=1e-14)
 
@@ -251,9 +251,7 @@ class TestValidation:
 
     def test_state_validates_fields(self):
         with pytest.raises(DomainError):
-            NodeState(v_fg=-1.0, k0=10.0)
-        with pytest.raises(DomainError):
-            NodeState(v_fg=7.5, k0=0.5)
+            NodeState(v_fg=-1.0)
 
     def test_pulse_validates_fields(self):
         with pytest.raises(DomainError):

@@ -128,22 +128,20 @@ def test_same_amplitude_as_bisection(mismatch, age, polarity, target, duration, 
 @given(mismatches, ages, polarities, st.floats(0.0, 32.0), durations)
 def test_closed_form_pulse_is_pulse_cell(mismatch, age, polarity, amp, duration):
     cell = aged_cell(mismatch, age)
-    pulsed, idle = (
-        (cell.set_node, cell.reset_node) if polarity == 1 else (cell.reset_node, cell.set_node)
-    )
-    pulsed_params, idle_params = (
-        (cell.set_params, cell.reset_params) if polarity == 1
-        else (cell.reset_params, cell.set_params)
-    )
+    nominal = default_params()
+    params = [replace(nominal, k2=nominal.k2 * m) for m in mismatch]  # SET, RESET
+    v = cell.v[0].tolist()
+    pulsed, idle = (0, 1) if polarity == 1 else (1, 0)
+    pulsed_params, idle_params = params[pulsed], params[idle]
     step = pulsed_params.coupling_ratio * amp
     log_dt = math.log(duration)
-    v_pulsed = float(released(pulsed.v_fg, step, pulsed_params.log_k1, pulsed_params.k2, log_dt))
-    v_idle = float(decayed(idle.v_fg, idle_params.log_k1, idle_params.k2, log_dt))
+    v_pulsed = float(released(v[pulsed], step, pulsed_params.log_k1, pulsed_params.k2, log_dt))
+    v_idle = float(decayed(v[idle], idle_params.log_k1, idle_params.k2, log_dt))
     # the gate lifted by the step, decayed as a node on its own, released
-    lifted = evolve(NodeState(pulsed.v_fg + step, pulsed.k0), pulsed_params, duration)
+    lifted = evolve(NodeState(v[pulsed] + step), pulsed_params, duration)
     assert v_pulsed == lifted.v_fg - step
 
     diff = v_idle - v_pulsed if polarity == 1 else v_pulsed - v_idle
     after = pulse_cell(cell, Pulse(amplitude=amp, duration=duration), polarity)
-    assert read_weight(after).weight == cell.weight_scale * diff
+    assert read_weight(after).weight == cell.weight_scale.tolist()[0] * diff
 

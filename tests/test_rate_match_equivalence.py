@@ -1,13 +1,14 @@
 """The vectorized rate match against scipy's brentq, cell by cell.
 
-``cell.rate_matched_voltages`` replays the steps of scipy's ``brentq``
+``array.rate_matched_voltages`` replays the steps of scipy's ``brentq``
 on numpy columns.  The oracle here is a plain ``scipy.optimize.brentq``
-call per cell on ``cell._log_rate``, with the bracket, tolerances and
+call per cell on ``array._log_rate``, with the bracket, tolerances and
 residual limit the rate match has always used.  Roots must agree bit
 for bit (``==``) and failing cells by index.  Every failure path (no
 sign change, a NaN residual, a residual above 1e-10, the iteration
 limit) is reported as an InitializationError carrying exactly the
-failing indices, in ascending order.
+failing indices, in ascending order; a one-cell ``synchronize`` reports
+index 0.
 """
 
 import math
@@ -17,11 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from fndam import cell
-from fndam.array import MismatchSpec, build_array
+from fndam import array
+from fndam.array import MismatchSpec, _log_rate, build_array, rate_matched_voltages
 from fndam.calibrate import default_params
-from fndam.cell import _log_rate, rate_matched_voltage, rate_matched_voltages
-from fndam.errors import InitializationError
+from fndam.cell import synchronize
+from fndam.errors import DomainError, InitializationError
 from fndam.node import FnParams
 
 MAX_EXP_ARG = math.log(np.finfo(float).max)
@@ -67,6 +68,13 @@ def assert_same_roots(got, want):
     assert all(g == w for g, w in zip(got, want) if not math.isnan(w))
 
 
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except (InitializationError, DomainError) as exc:
+        return exc
+
+
 def oracle_array(n, nominal, v0, spec):
     """(RESET voltages, failing indices) of build_array, one brentq per cell."""
     v_reset, failed = [], []
@@ -99,14 +107,19 @@ def test_solver_matches_brentq(n, sigma, distribution, v0, seed):
             for a, b, c, d in zip(log_k1[:, 0].tolist(), k2[:, 0].tolist(),
                                   log_k1[:, 1].tolist(), k2[:, 1].tolist())]
     assert_same_roots(got, want)
-    for i in range(min(n, 3)):  # the single-cell call is the same solver
-        args = (log_k1[i, 0], k2[i, 0], log_k1[i, 1], k2[i, 1], v0)
-        if math.isnan(want[i]):
-            with pytest.raises(InitializationError) as info:
-                rate_matched_voltage(*args)
-            assert info.value.indices == (0,)
+    for i in range(min(n, 3)):  # a one-cell synchronize runs the same solver
+        set_p, reset_p = (FnParams(k1=p.k1 * a, k2=p.k2 * b) for a, b in f[i].tolist())
+        if (set_p.k1, set_p.k2) == (reset_p.k1, reset_p.k2):
+            continue  # identical nodes start at v0 without a solve
+        got = outcome(synchronize, set_p, reset_p, v0)
+        if not (v0 < set_p.k2 and set_p.k2 / v0 <= MAX_EXP_ARG):
+            assert isinstance(got, DomainError)
+        elif math.isnan(want[i]):
+            assert isinstance(got, InitializationError) and got.indices == (0,)
+        elif not (want[i] < reset_p.k2 and reset_p.k2 / want[i] <= MAX_EXP_ARG):
+            assert isinstance(got, DomainError)
         else:
-            assert rate_matched_voltage(*args) == want[i]
+            assert got.v[0, 1] == want[i]
 
 
 @given(n=sizes, sigma=sigmas, distribution=distributions, v0=v0s, seed=seeds)
@@ -131,16 +144,15 @@ class TestFailurePaths:
             optimize.brentq(lambda v: _log_rate(*args[2:4], v) - _log_rate(*args[:2], 7.5),
                             3.75, 11.25, xtol=1e-14, rtol=1e-15, maxiter=200)
         with pytest.raises(InitializationError) as info:
-            rate_matched_voltage(*args)
+            synchronize(p, default_params(k2=2.0 * p.k2), 7.5)
         assert info.value.indices == (0,)
 
     def test_nan_residual(self):
+        # no FnParams has a NaN log_k1, so this one goes to the solver directly
         p = default_params()
         args = (math.nan, p.k2, p.log_k1, 1.01 * p.k2, 7.5)
         assert math.isnan(brentq_match(*args))
-        with pytest.raises(InitializationError) as info:
-            rate_matched_voltage(*args)
-        assert info.value.indices == (0,)
+        assert np.isnan(rate_matched_voltages(*([x] for x in args[:4]), 7.5)).all()
 
     def test_residual_above_limit(self):
         # at v0 = 1 uV the absolute xtol of 1e-14 V stops brentq where the
@@ -152,7 +164,7 @@ class TestFailurePaths:
                                0.5 * v0, 1.5 * v0, xtol=1e-14, rtol=1e-15, maxiter=200)
         assert abs(_log_rate(*args[2:4], root) - target) > 1e-10
         with pytest.raises(InitializationError) as info:
-            rate_matched_voltage(*args)
+            synchronize(FnParams(k1=1.0, k2=k2), FnParams(k1=1.01, k2=1.02 * k2), v0)
         assert info.value.indices == (0,)
 
     def test_iteration_limit(self, monkeypatch):
@@ -161,9 +173,9 @@ class TestFailurePaths:
         with pytest.raises(RuntimeError, match="converge"):
             optimize.brentq(lambda v: _log_rate(*args[2:4], v) - _log_rate(*args[:2], 7.5),
                             3.75, 11.25, xtol=1e-14, rtol=1e-15, maxiter=3)
-        monkeypatch.setattr(cell, "_MATCH_MAXITER", 3)
+        monkeypatch.setattr(array, "_MATCH_MAXITER", 3)
         with pytest.raises(InitializationError) as info:
-            rate_matched_voltage(*args)
+            synchronize(p, default_params(k1=p.k1 * math.exp(0.01), k2=1.001 * p.k2), 7.5)
         assert info.value.indices == (0,)
         assert np.isnan(rate_matched_voltages(*([x, x] for x in args[:4]), 7.5)).all()
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fndam.array import MismatchSpec, build_array
+from fndam.array import DamArray, MismatchSpec, build_array
 from fndam.calibrate import default_params
 from fndam.errors import ArgumentError, DomainError
 from fndam.trainer import (
@@ -33,6 +33,12 @@ from fndam.trainer import (
 
 def two_cell_array():
     return build_array(2, default_params(), 7.5)
+
+
+def first_cell(array):
+    """Cell 0 of array as a one-cell DamArray: the columns of row 0."""
+    columns = (getattr(array, c)[:1] for c in ("v", "k1", "log_k1", "k2", "weight_scale"))
+    return DamArray(*columns, array.nominal_params, array.mismatch, array.v0, array.global_clock)
 
 
 class TestDecisionFunction:
@@ -79,7 +85,7 @@ class TestGradientToPulses:
         return TrainerConfig(**kw)
 
     def test_rounds_to_nearest_unit_step(self):
-        cell = two_cell_array().cells[0]
+        cell = first_cell(two_cell_array())
         cfg = self.config()  # unit 0.05 mV
         cmd = gradient_to_pulses(0.12, cfg, cell)  # 2.4 units
         assert cmd.n_pulses == 2
@@ -87,25 +93,25 @@ class TestGradientToPulses:
         assert not cmd.clipped
 
     def test_one_unit_is_one_pulse(self):
-        cell = two_cell_array().cells[0]
+        cell = first_cell(two_cell_array())
         cmd = gradient_to_pulses(0.05, self.config(), cell)
         assert cmd.n_pulses == 1
         assert cmd.amplitude_v > 0.0
 
     def test_sub_half_unit_is_dropped(self):
-        cell = two_cell_array().cells[0]
+        cell = first_cell(two_cell_array())
         cmd = gradient_to_pulses(0.02, self.config(), cell)  # 0.4 units
         assert cmd.n_pulses == 0
         assert cmd.amplitude_v == 0.0
 
     def test_negative_update_selects_reset(self):
-        cell = two_cell_array().cells[0]
+        cell = first_cell(two_cell_array())
         cmd = gradient_to_pulses(-0.25, self.config(), cell)
         assert cmd.polarity == -1
         assert cmd.n_pulses == 5
 
     def test_oversized_update_is_clipped(self):
-        cell = two_cell_array().cells[0]
+        cell = first_cell(two_cell_array())
         cfg = self.config(max_pulses_per_update=10)
         cmd = gradient_to_pulses(5.0, cfg, cell)  # 100 units
         assert cmd.clipped
@@ -358,9 +364,8 @@ class TestParameterParking:
     def test_parking_preserves_node_mean(self):
         array = build_array(1, default_params(), 7.5)
         parked = _write_params_to_array(array, np.array([3.0]))
-        cell = parked.cells[0]
         np.testing.assert_allclose(
-            0.5 * (cell.set_node.v_fg + cell.reset_node.v_fg), 7.5, rtol=1e-15
+            0.5 * (parked.v[0, 0] + parked.v[0, 1]), 7.5, rtol=1e-15
         )
 
     def test_oversized_weight_rejected(self):
