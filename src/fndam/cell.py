@@ -16,8 +16,8 @@ A cell is a one-cell ``DamArray``: its SET and RESET voltages are
 ``cell.global_clock``.  ``decay``, ``set_pulse``, ``reset_pulse`` and
 ``read_weight`` are the array operations on that one cell.  The
 solvers (``precompensated_amplitude`` and the schedules) read a cell's
-columns once and run on plain floats, where one evaluation costs far
-less than a numpy call.
+columns once and run on plain floats, because each one-cell array
+operation pays several numpy calls.
 """
 
 from __future__ import annotations
