@@ -123,7 +123,8 @@ class DamArray:
     operation takes a logarithm per cell.  Every cell reads
     ``global_clock`` as its own clock and takes c_total and c_couple
     from ``nominal_params``.  A column given as a writable array is
-    copied, so no caller can change an array after the fact.
+    copied, so no caller can change an array after the fact.  A node
+    voltage that is not positive and finite raises DomainError.
     """
 
     v: np.ndarray  # (N, 2) floating-gate voltages, V
@@ -148,6 +149,13 @@ class DamArray:
             raise ArgumentError(
                 "columns must be (N, 2) with an (N,) weight_scale, N >= 1; got "
                 + ", ".join(f"{c} {getattr(self, c).shape}" for c in _COLUMNS)
+            )
+        bad = ~((self.v > 0) & (self.v < math.inf))
+        if bad.any():
+            i, node = np.argwhere(bad)[0].tolist()
+            raise DomainError(
+                f"cell {i} {('SET', 'RESET')[node]} node voltage must be positive and "
+                f"finite, got {self.v[i, node].item()!r}"
             )
 
     def __len__(self) -> int:
@@ -185,8 +193,8 @@ class DamArray:
         """
         diff = self.v[:, 1] - self.v[:, 0]
         if noise_sigma:
-            if noise_sigma < 0:
-                raise DomainError(f"noise_sigma must be >= 0, got {noise_sigma!r}")
+            if not 0 < noise_sigma < math.inf:
+                raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
             rng = rng if rng is not None else np.random.default_rng()
             diff = diff + noise_sigma * rng.standard_normal(len(diff))
         return self.weight_scale * diff

@@ -17,7 +17,9 @@ A cell is a one-cell ``DamArray``: its SET and RESET voltages are
 ``read_weight`` are the array operations on that one cell.  The
 solvers (``precompensated_amplitude`` and the schedules) read a cell's
 columns once and run on plain floats, because each one-cell array
-operation pays several numpy calls.
+operation pays several numpy calls.  ``precompensated_amplitude`` is a
+plain bisection whose every midpoint is one closed-form pulse evaluated
+on ``node.decayed_float``, the float twin of ``node.decayed``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .array import (_MATCH_MAXITER, _MATCH_RESIDUAL, WEIGHT_SCALE, DamArray, MismatchSpec,
                     WeightReading, advance, batch_pulse, rate_matched_voltages)
 from .errors import ArgumentError, DomainError, InitializationError, SaturationError, StepSizeError
-from .node import FnParams, Pulse, decayed, k0_from_initial, released
+from .node import FnParams, Pulse, decayed_float, k0_from_initial
 
 _NO_MISMATCH = MismatchSpec(relative_sigma=0.0)
 
@@ -216,14 +218,11 @@ def precompensated_amplitude(
 
     The amplitude is the one a bisection over [0, amp_max] returns: the
     first midpoint whose net change lies within tol_mv of the target,
-    the bracket narrowing until it spans 1e-12 * amp_max.  One pulse has
-    a closed-form response (``node.released`` on the pulsed node,
-    ``node.decayed`` on the idle one) that rises with the amplitude, so
-    the two band edges, net change = target -/+ tol_mv, are found first
-    by safeguarded Newton steps on its analytic slope.  The bisection is
-    then replayed in float arithmetic against the edges; the response is
-    evaluated, to the bit, only at midpoints too close to an edge to
-    place with certainty.  The result equals the full bisection's.
+    the bracket narrowing until it spans 1e-12 * amp_max.  Each midpoint
+    is one pulse in closed form: ``node.decayed_float`` on the pulsed
+    node lifted by the coupled step, less the step, against
+    ``node.decayed_float`` on the idle node, read as ``read_weight``
+    reads.  These are the bits a pulsed and read cell gives.
 
     Raises SaturationError when the target is unreachable at amp_max or
     overshot by the smallest amplitude, and ArgumentError when it is
@@ -252,11 +251,12 @@ def precompensated_amplitude(
     w0 = ws * (v_reset - v_set)  # read_weight(cell).weight
     r = cell.nominal_params.coupling_ratio
     log_dt = math.log(duration)
-    idle = float(decayed(idle_v, idle_log_k1, idle_k2, log_dt))
+    idle = decayed_float(idle_v, idle_log_k1, idle_k2, log_dt)
 
     def net(amp):
         """Net weight change of one pulse at amp, as read after the pulse."""
-        v_after = float(released(v, r * amp, log_k1, k2, log_dt))
+        step = r * amp
+        v_after = decayed_float(v + step, log_k1, k2, log_dt) - step
         if v_after <= 0:
             raise DomainError(f"pulse release drives gate to {v_after:.6g} V <= 0")
         diff = idle - v_after if polarity == 1 else v_after - idle
@@ -268,28 +268,16 @@ def precompensated_amplitude(
             f"target {target_dw!r} mV unreachable: amp_max={amp_max!r} V "
             f"yields {hi_change:.6g} mV"
         )
-
-    below, above, band = _band_edges(
-        v, r, log_k1 + log_dt, k2, idle, ws, w0, sign, amp_max, hi_change,
-        target_dw, tol_mv,
-    )
     lo, hi = 0.0, amp_max
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid <= below:
-            lo = mid
-        elif mid >= above:
-            hi = mid
-        elif band[0] <= mid <= band[1]:
+        change = net(mid)
+        if abs(change - target_dw) <= tol_mv:
             return mid
+        if change < target_dw:
+            lo = mid
         else:
-            change = net(mid)
-            if abs(change - target_dw) <= tol_mv:
-                return mid
-            if change < target_dw:
-                lo = mid
-            else:
-                hi = mid
+            hi = mid
         if hi - lo <= 1e-12 * amp_max:
             break
     if net(0.0) > target_dw + tol_mv:
@@ -301,104 +289,3 @@ def precompensated_amplitude(
         f"near {target_dw!r} mV one {hi - lo:.3g} V step of its amplitude grid "
         f"moves the weight by {net(hi) - net(lo):.3g} mV"
     )
-
-
-def _band_edges(v, r, log_rate, k2, idle, ws, w0, sign, amp_max, hi_change,
-                target_dw, tol_mv):
-    """Amplitudes the bisection replay can place without evaluating a pulse.
-
-    Returns (below, above, (first, last)): every amplitude <= below
-    changes the weight by less than target_dw - tol_mv, every one >=
-    above by more than target_dw + tol_mv, and every one in [first,
-    last] lands in the band.  Each claim is checked on ``model`` with a
-    margin covering the rounding of both the model and the bit-exact
-    response, so it holds for the response the bisection reads; a claim
-    that cannot be checked is dropped (-inf, inf or an empty band) and
-    the replay falls back to evaluating the pulse.
-    """
-    if not ws > 0:  # the response only rises with amplitude for ws > 0
-        return -math.inf, math.inf, (math.inf, -math.inf)
-
-    def excess(amp):
-        """Extra decay x - decayed(x) of the gate lifted to x, and its slope.
-
-        With a = k2/x the decayed gate is k2/ell, ell = logaddexp(a,
-        log_rate), so the excess is x * (ell - a) / ell, free of the
-        cancellation in x - k2/ell.  Its slope in amp is
-        r * (1 - (k2/ell)**2 / x**2 / (1 + exp(log_rate - a))).
-        """
-        x = v + r * amp
-        a = k2 / x
-        if a >= log_rate:
-            e = math.exp(log_rate - a)
-            rise = math.log1p(e)
-            ell, sigma = a + rise, 1.0 / (1.0 + e)
-        else:
-            e = math.exp(a - log_rate)
-            ell = log_rate + math.log1p(e)
-            rise, sigma = ell - a, e / (1.0 + e)
-        return x * rise / ell, r * (1.0 - (k2 / ell / x) ** 2 * sigma)
-
-    # The pulsed gate ends at v - excess, so the net change is the
-    # unpulsed drift plus ws times the excess the pulse adds.
-    base = excess(0.0)[0]
-    diff = idle - (v - base) if sign > 0 else (v - base) - idle
-    at_zero = sign * (ws * diff - w0)
-
-    def model(amp):
-        return at_zero + ws * (excess(amp)[0] - base)
-
-    # bound on |computed - exact| net change, for the model and for the
-    # response alike, with room for the rounding of target -/+ tol_mv
-    err = 64 * 2.0**-52 * (ws * (v + r * amp_max + idle) + abs(w0) + target_dw + tol_mv)
-    margin = 4 * err
-    res = 1e-12 * amp_max
-
-    def crossing(y, amp):
-        """(below, above, root) around the amplitude where the net change is y.
-
-        Newton steps on log(excess), which is concave and nearly linear
-        in the amplitude, from amp below the crossing; a step that leaves
-        the bracket [lo, hi] bisects it instead.
-        """
-        if at_zero > y + margin:
-            return -math.inf, 0.0, 0.0
-        if hi_change < y - margin:
-            return amp_max, math.inf, amp_max
-        goal = base + (y - at_zero) / ws
-        lo, hi, slope = 0.0, amp_max, 0.0
-        if goal > 0:
-            log_goal = math.log(goal)
-            for _ in range(200):
-                d, slope = excess(amp)
-                if d < goal:
-                    lo = amp
-                elif d > goal:
-                    hi = amp
-                else:
-                    break
-                nx = amp - (math.log(d) - log_goal) * d / slope if d > 0 and slope > 0 else lo
-                if not lo < nx < hi:
-                    nx = 0.5 * (lo + hi)
-                done = abs(nx - amp) <= res or hi - lo <= res
-                amp = nx
-                if done:
-                    break
-        guard = max(4 * res, 4 * margin / (ws * slope)) if slope > 0 else amp_max
-        return certain(y, amp, -guard), certain(y, amp, guard), amp
-
-    def certain(y, root, guard):
-        """root + guard, widened until the model is margin past y there."""
-        side = 1.0 if guard > 0 else -1.0
-        for _ in range(4):
-            amp = root + guard
-            if amp >= amp_max if side > 0 else amp <= 0.0:
-                return amp  # no midpoint lies beyond it
-            if side * (model(amp) - y) > margin:
-                return amp
-            guard *= 16
-        return side * math.inf
-
-    below, first, root = crossing(target_dw - tol_mv, 0.0)
-    last, above, _ = crossing(target_dw + tol_mv, root)
-    return below, above, (first, last)

@@ -38,8 +38,8 @@ class NoiseModel:
     sigma_coeff: float = 1.4e-6  # V / sqrt(s)
 
     def __post_init__(self):
-        if self.sigma0 < 0 or self.sigma_coeff < 0:
-            raise DomainError("noise model coefficients must be >= 0")
+        if not (0 <= self.sigma0 < math.inf and 0 <= self.sigma_coeff < math.inf):
+            raise DomainError("noise model coefficients must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ float range.  A node's state is its gate voltage alone; k0 is the
 initial condition of an undisturbed trajectory (``voltage_at``) and is
 not stored.  ``decayed`` and ``released`` are elementwise, so the cell
 arrays of ``fndam.array`` evolve every node by these same expressions.
+``decayed_float`` is ``decayed`` on one Python float, bit for bit; the
+precompensation solve in ``fndam.cell`` evaluates its midpoints on it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import ArgumentError, DomainError
 # exp() overflows float64 beyond this; k2/v must stay below it wherever a
 # bare exp(k2/v) is materialized (k0_from_initial).
 _MAX_EXP_ARG = math.log(np.finfo(float).max)  # ~709.78
+_LOG2 = math.log(2.0)  # numpy's NPY_LOGE2, the logaddexp of two equal arguments
 
 
 def _require_finite_positive(name, value):
@@ -181,13 +184,31 @@ def decayed(v, log_k1, k2, log_dt):
     return np.minimum(k2 / np.logaddexp(k2 / v, log_k1 + log_dt), v)
 
 
+def decayed_float(v, log_k1, k2, log_dt):
+    """``decayed`` on one Python float, to the same bits.
+
+    The log-sum-exp performs numpy's ``npy_logaddexp`` float operations
+    in numpy's order, through ``math`` instead of numpy's scalar ufunc
+    dispatch (about a quarter of the cost).  Its domain is finite v > 0;
+    where numpy would return inf, ``math`` may raise instead.
+    """
+    x, y = k2 / v, log_k1 + log_dt
+    tmp = x - y
+    if x == y:
+        ell = x + _LOG2
+    elif tmp > 0:
+        ell = x + math.log1p(math.exp(-tmp))
+    else:
+        ell = y + math.log1p(math.exp(tmp))
+    return min(k2 / ell, v)
+
+
 def released(v, step, log_k1, k2, log_dt):
     """Gate voltage after one pulse: lifted by step, decayed, released.
 
     The gate tunnels at v + step for exp(log_dt) seconds and the coupled
     step is then taken off again.  Elementwise like ``decayed``:
-    ``apply_pulse``, ``array.batch_pulse`` and the precompensation solve
-    in ``cell`` all call this one expression.
+    ``apply_pulse`` and ``array.batch_pulse`` call this one expression.
     """
     return decayed(v + step, log_k1, k2, log_dt) - step
 

@@ -117,6 +117,32 @@ class TestBuildArray:
         assert len(exc_info.value.indices) >= 1
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_bad_voltage_rejected_by_replace(self, value):
+        cell = synchronize(default_params(), default_params(), 7.5)
+        with pytest.raises(DomainError) as exc_info:
+            replace(cell, v=[[7.5, value]])
+        assert str(exc_info.value) == (
+            f"cell 0 RESET node voltage must be positive and finite, got {value!r}")
+
+    def test_bad_voltage_rejected_by_public_constructor(self):
+        array = small_array(3)
+        v = array.v.copy()
+        v[2, 0] = math.nan
+        with pytest.raises(DomainError, match="^cell 2 SET node voltage must be positive"):
+            DamArray(v, array.k1, array.log_k1, array.k2, array.weight_scale,
+                     array.nominal_params, array.mismatch, array.v0)
+
+    def test_first_bad_node_is_named(self):
+        array = small_array(3)
+        v = array.v.copy()
+        v[1, 1] = -2.0
+        v[2, 0] = math.inf
+        with pytest.raises(DomainError, match="^cell 1 RESET node .* got -2.0$"):
+            replace(array, v=v)
+
+
 class TestMismatchSpec:
     @pytest.mark.parametrize("kwargs", [
         dict(relative_sigma=-1e-3),

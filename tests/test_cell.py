@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fndam.array import MismatchSpec
+from fndam.array import DamArray, MismatchSpec, batch_read
 from fndam.calibrate import REGIME_AGES_S, cell_at_age, default_cell, default_params
 from fndam.cell import (
     DecaySchedule,
@@ -145,6 +145,13 @@ class TestReadWeight:
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
             read_weight(default_cell(), noise_sigma=-1e-6)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        cell = default_cell()
+        for read in (read_weight, batch_read, DamArray.weights):
+            with pytest.raises(DomainError, match="noise_sigma must be finite and >= 0"):
+                read(cell, noise_sigma=sigma, rng=np.random.default_rng(0))
 
 
 class TestPulseSymmetry:

@@ -143,6 +143,12 @@ class TestNoiseFloor:
         with pytest.raises(DomainError):
             NoiseModel(sigma_coeff=-1e-9)
 
+    @pytest.mark.parametrize("field", ["sigma0", "sigma_coeff"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_coefficients_rejected(self, field, value):
+        with pytest.raises(DomainError, match="must be finite and >= 0"):
+            NoiseModel(**{field: value})
+
 
 class TestRetentionTime:
     def test_weight_below_floor_retains_nothing(self):

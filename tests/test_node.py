@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from fndam.calibrate import DEFAULT_K1, DEFAULT_K2, DEFAULT_V0, default_params
@@ -15,6 +15,8 @@ from fndam.node import (
     NodeState,
     Pulse,
     apply_pulse,
+    decayed,
+    decayed_float,
     evolve,
     initial_state,
     k0_from_initial,
@@ -148,6 +150,50 @@ class TestSemigroup:
         drop_fresh = fresh.v_fg - evolve(fresh, p, dt).v_fg
         drop_aged = aged.v_fg - evolve(aged, p, dt).v_fg
         assert drop_aged <= drop_fresh + 4 * math.ulp(v0)
+
+
+# the solver's domain: finite v > 0, with log_k1 + log_dt from -50 to 800
+twin_v = st.floats(min_value=1e-3, max_value=1e3)
+twin_k2 = st.floats(min_value=1e-2, max_value=1e4)
+twin_log_k1 = st.floats(min_value=-20.0, max_value=700.0)
+twin_log_dt = st.floats(min_value=-30.0, max_value=100.0)
+
+
+class TestFloatTwin:
+    """``decayed_float`` gives ``decayed``'s bits on one Python float."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(v=twin_v, log_k1=twin_log_k1, k2=twin_k2, log_dt=twin_log_dt)
+    @example(v=7.5, log_k1=30.0, k2=300.0, log_dt=10.0)  # tie: k2/v == log_k1 + log_dt
+    @example(v=0.5, log_k1=383.0, k2=350.0, log_dt=-2.0)  # k2/v = 700
+    @example(v=0.5, log_k1=700.0, k2=349.9, log_dt=100.0)  # k2/v just below 700
+    @example(v=5.0, log_k1=-20.0, k2=10.0, log_dt=-30.0)  # log_k1 + log_dt = -50
+    @example(v=5.0, log_k1=700.0, k2=10.0, log_dt=100.0)  # log_k1 + log_dt = 800
+    @example(v=3.7913281238739938, log_k1=0.0, k2=300.0, log_dt=0.0)  # min clamp acts
+    def test_scalar_matches_decayed(self, v, log_k1, k2, log_dt):
+        got = decayed_float(v, log_k1, k2, log_dt)
+        assert type(got) is float
+        assert got == float(decayed(v, log_k1, k2, log_dt))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(twin_v, twin_log_k1, twin_k2, twin_log_dt),
+                    min_size=1, max_size=20))
+    def test_array_elements_match_decayed(self, rows):
+        v, log_k1, k2, log_dt = (np.array(c) for c in zip(*rows))
+        expected = decayed(v, log_k1, k2, log_dt).tolist()
+        assert [decayed_float(*row) for row in rows] == expected
+
+    def test_tie_takes_the_log2_branch(self):
+        v, log_k1, k2, log_dt = 7.5, 30.0, 300.0, 10.0
+        assert k2 / v == log_k1 + log_dt
+        assert decayed_float(v, log_k1, k2, log_dt) == k2 / (k2 / v + math.log(2.0))
+
+    def test_sub_resolution_decay_is_clamped(self):
+        # k2/(k2/v) rounds one ulp above v, and the decay of exp(-79) is
+        # far below resolution: the gate must not rise
+        v, k2 = 3.7913281238739938, 300.0
+        assert k2 / (k2 / v) > v
+        assert decayed_float(v, 0.0, k2, 0.0) == v
 
 
 class TestTunnelingCurrent:
