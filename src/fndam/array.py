@@ -9,14 +9,17 @@ saved state so an array is reproducible from its document alone.
 
 Rate matching solves, for every cell whose nodes differ, the RESET
 voltage at which that node tunnels as fast as the SET node does at v0.
-``rate_matched_voltages`` runs the steps of scipy's ``brentq`` on numpy
-columns, all such cells at once, with the same bracket, tolerances and
-float operations in the same order, and logarithms from ``math.log``
-per element; each cell leaves the active set when it converges.  Every
-root has the bits one ``brentq`` call per cell would give.  A cell with
-no sign change over its bracket, a NaN residual, no convergence in 200
-steps or a residual above 1e-10 fails, and ``build_array`` reports all
-failing cells in one InitializationError.
+The reference solver is ``_brentq``, scipy's ``brentq`` replayed on
+Python floats operation for operation, so its roots are scipy's to the
+bit without importing scipy.  ``_rate_matched_voltage`` runs it for one
+cell (``cell.synchronize``), and ``calibrate`` for its age search.
+``rate_matched_voltages`` is its column twin: the same bracket,
+tolerances and steps on numpy columns, all cells at once, with
+logarithms from ``math.log`` per element; each cell leaves the active
+set when it converges, and every root has the float replay's bits.  A
+cell with no sign change over its bracket, a NaN residual, no
+convergence in 200 steps or a residual above 1e-10 fails, and
+``build_array`` reports all failing cells in one InitializationError.
 
 The array holds its state as read-only float64 columns, one entry (or
 one SET/RESET pair) per cell, and every operation is one elementwise
@@ -48,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -221,20 +225,111 @@ def _log_rate(log_k1: float, k2: float, v: float) -> float:
 
 _MATCH_XTOL, _MATCH_RTOL, _MATCH_MAXITER = 1e-14, 1e-15, 200
 _MATCH_RESIDUAL = 1e-10  # largest log-rate difference accepted at the root
+_BRENT_RTOL = 4 * sys.float_info.epsilon  # scipy's default, and smallest, brentq rtol
+
+
+def _brentq(f, xa, xb, xtol, rtol=_BRENT_RTOL, maxiter=100):
+    """Root of f on [xa, xb] by the steps of scipy's ``brentq``, on floats.
+
+    Replays scipy's C routine (``optimize/Zeros/brentq.c``) on Python
+    floats: the same float operations in the same order, including the
+    interpolate/extrapolate/bisect choice and the minimum ``delta``
+    step, so the root has the bits ``scipy.optimize.brentq(f, xa, xb,
+    xtol=xtol, rtol=rtol, maxiter=maxiter)`` returns; rtol and maxiter
+    default to scipy's defaults.  Returns ``(root, f(root), None)``.
+    Where brentq raises (a NaN residual, no sign change over the
+    bracket, maxiter steps without convergence) it returns
+    ``(nan, nan, why)`` instead; f is not called after a NaN.
+    """
+
+    def failed(why):
+        return math.nan, math.nan, why
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    if math.isnan(fpre):
+        return failed(f"residual at {xpre!r} is NaN")
+    fcur = f(xcur)
+    if math.isnan(fcur):
+        return failed(f"residual at {xcur!r} is NaN")
+    if fpre == 0:
+        return xpre, fpre, None
+    if fcur == 0:
+        return xcur, fcur, None
+    if (fpre < 0) == (fcur < 0):
+        return failed(f"no sign change over [{xa!r}, {xb!r}]")
+    for _ in range(maxiter):
+        # where xpre and xcur straddle the root, xpre becomes the far end xblk
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        # the end with the smaller residual becomes xcur
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, fcur, None
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.nan  # C's quotient is then inf or NaN: a bisection
+            limit = 3 * abs(sbis) - delta
+            if abs(spre) < limit:
+                limit = abs(spre)
+            if 2 * abs(stry) < limit:  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        # a step no longer than delta is taken as delta, toward xblk
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            return failed(f"residual at {xcur!r} is NaN")
+    return failed(f"no convergence in {maxiter} steps")
+
+
+def _rate_matched_voltage(set_log_k1: float, set_k2: float, reset_log_k1: float,
+                          reset_k2: float, v0: float) -> float:
+    """One cell's RESET-node voltage whose |dV/dt| equals the SET node's at v0.
+
+    ``_brentq`` on ``_log_rate`` over [0.5*v0, min(1.5*v0, 0.999*reset_k2)]
+    (xtol 1e-14, rtol 1e-15, ``_MATCH_MAXITER`` iterations, read at call
+    time).  NaN when the solve fails or the residual at the root exceeds
+    1e-10; ``rate_matched_voltages`` is the same solve over columns.
+    """
+    target = _log_rate(set_log_k1, set_k2, v0)
+    root, residual, _ = _brentq(lambda v: _log_rate(reset_log_k1, reset_k2, v) - target,
+                                0.5 * v0, min(1.5 * v0, 0.999 * reset_k2),
+                                _MATCH_XTOL, _MATCH_RTOL, _MATCH_MAXITER)
+    return root if abs(residual) <= _MATCH_RESIDUAL else math.nan
 
 
 def rate_matched_voltages(set_log_k1, set_k2, reset_log_k1, reset_k2, v0: float) -> np.ndarray:
     """Per cell, the RESET-node voltage whose |dV/dt| equals the SET node's at v0.
 
-    Arguments are (N,) columns.  Each cell's log-rate difference is
-    solved on [0.5*v0, min(1.5*v0, 0.999*reset_k2)] by the steps of
-    scipy's ``brentq`` (its C routine, ``optimize/Zeros/brentq.c``;
-    xtol 1e-14, rtol 1e-15, 200 iterations), run on numpy columns for
-    all cells at once: the same float operations in the same order,
-    including the interpolate/extrapolate/bisect choice and the minimum
-    ``delta`` step, so every root has brentq's bits.  The residual takes
-    its logarithms with ``math.log`` (``log_each``), as ``_log_rate``
-    does.  A cell leaves the active set once it converges.
+    Arguments are (N,) columns.  The column twin of
+    ``_rate_matched_voltage``: the steps of ``_brentq`` (scipy's
+    ``brentq``; xtol 1e-14, rtol 1e-15, 200 iterations) on each cell's
+    log-rate difference over [0.5*v0, min(1.5*v0, 0.999*reset_k2)], run
+    on numpy columns for all cells at once with the same float
+    operations in the same order, so every root has the float replay's
+    bits.  The residual takes its logarithms with ``math.log``
+    (``log_each``), as ``_log_rate`` does.  A cell leaves the active set
+    once it converges.
 
     A cell fails, and reads NaN, when the bracket shows no sign change,
     a residual is NaN, 200 iterations pass, or the residual at the root

@@ -27,9 +27,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from scipy import optimize
-
-from .array import DamArray
+from .array import DamArray, _brentq
 from .cell import decay, precompensated_amplitude, read_weight, set_pulse, synchronize
 from .errors import DomainError
 from .node import FnParams, Pulse, k0_from_initial
@@ -165,13 +163,20 @@ def age_for_retention(params: FnParams, fraction: float,
 
     Retention rises monotonically with age (the device stiffens as the
     gate discharges), so the crossing is bracketed by doubling and then
-    bisected.
+    solved by Brent's method.
     """
     return _age_for(lambda age: weight_retention(params, age, window_s), fraction)
 
 
 def _age_for(retention, fraction: float) -> float:
-    """age_for_retention over retention(age), a window retention by age."""
+    """age_for_retention over retention(age), a window retention by age.
+
+    The root is the one ``scipy.optimize.brentq(shortfall, lo, hi,
+    xtol=1e-6)`` returns on the doubled bracket, bit for bit: it comes
+    from ``array._brentq``, the float replay of scipy's routine, at
+    scipy's default rtol (4 eps) and maxiter (100).  A NaN retention or
+    a search that does not converge raises DomainError.
+    """
     if not 0 < fraction < 1:
         raise DomainError(f"fraction must lie in (0, 1), got {fraction!r}")
 
@@ -187,7 +192,11 @@ def _age_for(retention, fraction: float) -> float:
             raise DomainError(
                 f"retention never reaches {fraction} within 1e12 s"
             )
-    return optimize.brentq(shortfall, lo, hi, xtol=1e-6)
+    age, _, why = _brentq(shortfall, lo, hi, xtol=1e-6)
+    if why:
+        raise DomainError(f"age search for retention {fraction!r} on [{lo!r}, {hi!r}] s "
+                          f"failed: {why}")
+    return age
 
 
 def energy_per_update(params: FnParams, t_s: float,
@@ -253,6 +262,8 @@ def fit_device_parameters(targets: CalibrationTargets | None = None,
     amplitudes and the energy (band = factor rel_band), additive
     deviation over retention_band for the fresh retention fraction.
     """
+    from scipy import optimize  # only the fit needs scipy, so no import loads it
+
     t = targets or CalibrationTargets()
     log2 = math.log(2.0)
 

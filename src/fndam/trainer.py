@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .array import DamArray, _with_voltages, advance, batch_pulse
 from .cell import decay, precompensated_amplitude, synchronize
@@ -231,6 +230,8 @@ def best_margin(dataset: Sequence[LabeledPoint]) -> float:
     fixes the x2 coefficient to +1, so this is stricter than general
     linear separability.
     """
+    from scipy import optimize  # only the perceptron's margin needs scipy, so no import loads it
+
     labels = {p.y for p in dataset}
     if labels != {-1, 1}:
         raise ArgumentError("dataset must contain both classes")
