@@ -9,17 +9,16 @@ saved state so an array is reproducible from its document alone.
 
 Rate matching solves, for every cell whose nodes differ, the RESET
 voltage at which that node tunnels as fast as the SET node does at v0.
-The reference solver is ``_brentq``, scipy's ``brentq`` replayed on
-Python floats operation for operation, so its roots are scipy's to the
-bit without importing scipy.  ``_rate_matched_voltage`` runs it for one
-cell (``cell.synchronize``), and ``calibrate`` for its age search.
-``rate_matched_voltages`` is its column twin: the same bracket,
-tolerances and steps on numpy columns, all cells at once, with
-logarithms from ``math.log`` per element; each cell leaves the active
-set when it converges, and every root has the float replay's bits.  A
-cell with no sign change over its bracket, a NaN residual, no
-convergence in 200 steps or a residual above 1e-10 fails, and
-``build_array`` reports all failing cells in one InitializationError.
+``rate_matched_voltages`` runs the steps of scipy's ``brentq`` on numpy
+columns, all such cells at once, with the same bracket, tolerances and
+float operations in the same order, and logarithms from ``math.log``
+per element; each cell leaves the active set when it converges.  It is
+the column twin of ``_brentq``, the same steps on Python floats (the
+reference, and what ``calibrate`` runs for its age search), so every
+root has the bits one ``brentq`` call per cell would give, without
+importing scipy.  A cell with no sign change over its bracket, a NaN
+residual, no convergence in 200 steps or a residual above 1e-10 fails,
+and ``build_array`` reports all failing cells in one InitializationError.
 
 The array holds its state as read-only float64 columns, one entry (or
 one SET/RESET pair) per cell, and every operation is one elementwise
@@ -236,14 +235,14 @@ def _brentq(f, xa, xb, xtol, rtol=_BRENT_RTOL, maxiter=100):
     interpolate/extrapolate/bisect choice and the minimum ``delta``
     step, so the root has the bits ``scipy.optimize.brentq(f, xa, xb,
     xtol=xtol, rtol=rtol, maxiter=maxiter)`` returns; rtol and maxiter
-    default to scipy's defaults.  Returns ``(root, f(root), None)``.
-    Where brentq raises (a NaN residual, no sign change over the
-    bracket, maxiter steps without convergence) it returns
-    ``(nan, nan, why)`` instead; f is not called after a NaN.
+    default to scipy's defaults.  Returns ``(root, None)``.  Where
+    brentq raises (a NaN residual, no sign change over the bracket,
+    maxiter steps without convergence) it returns ``(nan, why)``
+    instead; f is not called after a NaN.
     """
 
     def failed(why):
-        return math.nan, math.nan, why
+        return math.nan, why
 
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
@@ -254,9 +253,9 @@ def _brentq(f, xa, xb, xtol, rtol=_BRENT_RTOL, maxiter=100):
     if math.isnan(fcur):
         return failed(f"residual at {xcur!r} is NaN")
     if fpre == 0:
-        return xpre, fpre, None
+        return xpre, None
     if fcur == 0:
-        return xcur, fcur, None
+        return xcur, None
     if (fpre < 0) == (fcur < 0):
         return failed(f"no sign change over [{xa!r}, {xb!r}]")
     for _ in range(maxiter):
@@ -272,7 +271,7 @@ def _brentq(f, xa, xb, xtol, rtol=_BRENT_RTOL, maxiter=100):
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
-            return xcur, fcur, None
+            return xcur, None
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
@@ -302,32 +301,15 @@ def _brentq(f, xa, xb, xtol, rtol=_BRENT_RTOL, maxiter=100):
     return failed(f"no convergence in {maxiter} steps")
 
 
-def _rate_matched_voltage(set_log_k1: float, set_k2: float, reset_log_k1: float,
-                          reset_k2: float, v0: float) -> float:
-    """One cell's RESET-node voltage whose |dV/dt| equals the SET node's at v0.
-
-    ``_brentq`` on ``_log_rate`` over [0.5*v0, min(1.5*v0, 0.999*reset_k2)]
-    (xtol 1e-14, rtol 1e-15, ``_MATCH_MAXITER`` iterations, read at call
-    time).  NaN when the solve fails or the residual at the root exceeds
-    1e-10; ``rate_matched_voltages`` is the same solve over columns.
-    """
-    target = _log_rate(set_log_k1, set_k2, v0)
-    root, residual, _ = _brentq(lambda v: _log_rate(reset_log_k1, reset_k2, v) - target,
-                                0.5 * v0, min(1.5 * v0, 0.999 * reset_k2),
-                                _MATCH_XTOL, _MATCH_RTOL, _MATCH_MAXITER)
-    return root if abs(residual) <= _MATCH_RESIDUAL else math.nan
-
-
 def rate_matched_voltages(set_log_k1, set_k2, reset_log_k1, reset_k2, v0: float) -> np.ndarray:
     """Per cell, the RESET-node voltage whose |dV/dt| equals the SET node's at v0.
 
-    Arguments are (N,) columns.  The column twin of
-    ``_rate_matched_voltage``: the steps of ``_brentq`` (scipy's
-    ``brentq``; xtol 1e-14, rtol 1e-15, 200 iterations) on each cell's
-    log-rate difference over [0.5*v0, min(1.5*v0, 0.999*reset_k2)], run
-    on numpy columns for all cells at once with the same float
-    operations in the same order, so every root has the float replay's
-    bits.  The residual takes its logarithms with ``math.log``
+    Arguments are (N,) columns.  The column twin of ``_brentq``: its
+    steps (scipy's ``brentq``; xtol 1e-14, rtol 1e-15, 200 iterations)
+    on each cell's log-rate difference over [0.5*v0, min(1.5*v0,
+    0.999*reset_k2)], run on numpy columns for all cells at once with
+    the same float operations in the same order, so every root has the
+    float replay's bits, which are scipy's.  The residual takes its logarithms with ``math.log``
     (``log_each``), as ``_log_rate`` does.  A cell leaves the active set
     once it converges.
 

@@ -192,7 +192,7 @@ def _age_for(retention, fraction: float) -> float:
             raise DomainError(
                 f"retention never reaches {fraction} within 1e12 s"
             )
-    age, _, why = _brentq(shortfall, lo, hi, xtol=1e-6)
+    age, why = _brentq(shortfall, lo, hi, xtol=1e-6)
     if why:
         raise DomainError(f"age search for retention {fraction!r} on [{lo!r}, {hi!r}] s "
                           f"failed: {why}")

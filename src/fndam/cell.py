@@ -29,9 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import array
-from .array import (_MATCH_RESIDUAL, WEIGHT_SCALE, DamArray, MismatchSpec, WeightReading,
-                    _rate_matched_voltage, advance, batch_pulse)
+from .array import (_MATCH_MAXITER, _MATCH_RESIDUAL, WEIGHT_SCALE, DamArray, MismatchSpec,
+                    WeightReading, advance, batch_pulse, rate_matched_voltages)
 from .errors import ArgumentError, DomainError, InitializationError, SaturationError, StepSizeError
 from .node import FnParams, Pulse, decayed_float, k0_from_initial
 
@@ -45,9 +44,7 @@ def synchronize(
 
     With identical parameters both nodes start at exactly v0.  With
     mismatched parameters the RESET node voltage is solved by
-    ``array._rate_matched_voltage``, the float replay of scipy's
-    ``brentq`` whose column twin ``build_array`` runs, so a cell gets
-    the bits it gets in an array; InitializationError when it fails.
+    ``array.rate_matched_voltages``; InitializationError when it fails.
     The nodes must share c_total and c_couple.
     """
     if (set_params.c_total, set_params.c_couple) != (reset_params.c_total,
@@ -60,12 +57,13 @@ def synchronize(
     k0_from_initial(set_params, v0)
     v_reset = v0  # identical nodes: the RESET node is the SET node, checked above
     if (reset_params.k1, reset_params.k2) != (set_params.k1, set_params.k2):
-        v_reset = _rate_matched_voltage(set_params.log_k1, set_params.k2,
-                                        reset_params.log_k1, reset_params.k2, v0)
+        v_reset = rate_matched_voltages(
+            [set_params.log_k1], [set_params.k2], [reset_params.log_k1], [reset_params.k2], v0
+        ).item()
         if math.isnan(v_reset):
             raise InitializationError(
                 f"could not rate-match reset node near v0={v0!r}: no root of the rate "
-                f"difference within {_MATCH_RESIDUAL:g} in {array._MATCH_MAXITER} Brent steps",
+                f"difference within {_MATCH_RESIDUAL:g} in {_MATCH_MAXITER} Brent steps",
                 indices=(0,),
             )
         k0_from_initial(reset_params, v_reset)

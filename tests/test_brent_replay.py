@@ -1,27 +1,21 @@
 """The float replay of scipy's brentq against scipy itself.
 
 ``array._brentq`` replays the steps of scipy's C ``brentq`` on Python
-floats.  It serves the calibration age search (``calibrate._age_for``)
-and the one-cell rate match (``cell.synchronize``), so neither imports
-scipy.  The oracle here is ``scipy.optimize.brentq`` on the same
+floats, so the calibration age search (``calibrate._age_for``) does not
+import scipy.  The oracle here is ``scipy.optimize.brentq`` on the same
 function and bracket; roots are compared with ``==`` and failures by
-kind.  The one-cell rate match is also held to its column twin,
-``array.rate_matched_voltages`` at N = 1.
+kind.
 """
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import optimize
 
-from fndam import array
-from fndam.array import _BRENT_RTOL, _brentq, _rate_matched_voltage, rate_matched_voltages
+from fndam.array import _BRENT_RTOL, _brentq
 from fndam.calibrate import _age_for, _memoized_by_age, default_params
-from fndam.cell import synchronize
-from fndam.errors import DomainError, FndamError, InitializationError
-from fndam.node import FnParams, programmable
+from fndam.errors import DomainError, FndamError
 
 
 def scipy_root(f, lo, hi, **kw):
@@ -107,17 +101,17 @@ def test_replay_matches_brentq_on_odd_powers(root, power, lo, hi, xtol, rtol_fac
 
     rtol = _BRENT_RTOL * rtol_factor
     want = scipy_root(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=maxiter)
-    got, residual, why = _brentq(f, lo, hi, xtol, rtol, maxiter)
+    got, why = _brentq(f, lo, hi, xtol, rtol, maxiter)
     if want is RuntimeError:
         assert math.isnan(got) and "no convergence" in why
     else:
-        assert (got, residual, why) == (want, f(want), None)
+        assert (got, why) == (want, None)
 
 
 def test_replay_reports_no_sign_change_and_nan():
     assert scipy_root(lambda x: x * x + 1.0, -1.0, 1.0) is ValueError
-    root, residual, why = _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, _BRENT_RTOL, 100)
-    assert math.isnan(root) and math.isnan(residual) and "no sign change" in why
+    root, why = _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, _BRENT_RTOL, 100)
+    assert math.isnan(root) and "no sign change" in why
     values = []
 
     def nan_inside(x):
@@ -126,81 +120,9 @@ def test_replay_reports_no_sign_change_and_nan():
 
     assert scipy_root(nan_inside, 0.0, 2.0) is ValueError
     values.clear()
-    root, _, why = _brentq(nan_inside, 0.0, 2.0, 1e-12, _BRENT_RTOL, 100)
+    root, why = _brentq(nan_inside, 0.0, 2.0, 1e-12, _BRENT_RTOL, 100)
     assert math.isnan(root) and "NaN" in why
     assert [math.isnan(v) for v in values] == [False] * (len(values) - 1) + [True]
-
-
-def one_cell_params(factors, p):
-    (a, b), (c, d) = factors
-    return FnParams(k1=p.k1 * a, k2=p.k2 * b), FnParams(k1=p.k1 * c, k2=p.k2 * d)
-
-
-@given(sigma=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1),
-       distribution=st.sampled_from(["gaussian", "uniform"]), v0=st.floats(4.5, 10.0))
-@settings(max_examples=200, deadline=None)
-def test_one_cell_synchronize_matches_column_replay(sigma, seed, distribution, v0):
-    spec = array.MismatchSpec(relative_sigma=sigma, seed=seed, distribution=distribution)
-    p = default_params()
-    factors = np.maximum(array._draw_factors(1, spec)[0], 1e-3).tolist()
-    set_p, reset_p = one_cell_params(factors, p)
-    assume((set_p.k1, set_p.k2) != (reset_p.k1, reset_p.k2))
-    want = rate_matched_voltages([set_p.log_k1], [set_p.k2], [reset_p.log_k1], [reset_p.k2],
-                                 v0).item()
-    got = _rate_matched_voltage(set_p.log_k1, set_p.k2, reset_p.log_k1, reset_p.k2, v0)
-    assert got == want or (math.isnan(got) and math.isnan(want))
-    try:
-        cell = synchronize(set_p, reset_p, v0)
-    except InitializationError as exc:
-        assert math.isnan(want) and exc.indices == (0,)
-    except DomainError:
-        assert math.isnan(want) or not (programmable(set_p.k2, v0)
-                                         and programmable(reset_p.k2, want))
-    else:
-        assert cell.v[0, 1] == want
-
-
-def test_two_thousand_cells_match_the_column_replay():
-    p = default_params()
-    n, v0 = 2000, 7.5
-    factors = array._draw_factors(n, array.MismatchSpec(relative_sigma=0.05, seed=7))
-    log_k1 = np.array([[math.log(p.k1 * x) for x in row] for row in factors[:, :, 0].tolist()])
-    k2 = p.k2 * factors[:, :, 1]
-    want = rate_matched_voltages(log_k1[:, 0], k2[:, 0], log_k1[:, 1], k2[:, 1], v0).tolist()
-    got = [_rate_matched_voltage(a, b, c, d, v0)
-           for a, b, c, d in zip(log_k1[:, 0].tolist(), k2[:, 0].tolist(),
-                                 log_k1[:, 1].tolist(), k2[:, 1].tolist())]
-    assert not any(math.isnan(w) for w in want)
-    assert got == want
-
-
-@given(maxiter=st.integers(0, 12), log_k1_shift=st.floats(-0.05, 0.05),
-       k2_factor=st.floats(0.99, 1.01))
-@settings(max_examples=60, deadline=None)
-def test_iteration_limit_is_read_at_call_time(maxiter, log_k1_shift, k2_factor):
-    p = default_params()
-    reset_p = default_params(k1=p.k1 * math.exp(log_k1_shift), k2=p.k2 * k2_factor)
-    assume((reset_p.k1, reset_p.k2) != (p.k1, p.k2))
-    target = array._log_rate(p.log_k1, p.k2, 7.5)
-
-    def imbalance(v):
-        return array._log_rate(reset_p.log_k1, reset_p.k2, v) - target
-
-    want = scipy_root(imbalance, 3.75, min(11.25, 0.999 * reset_p.k2), xtol=1e-14,
-                      rtol=1e-15, maxiter=maxiter)
-    if not isinstance(want, float) or not abs(imbalance(want)) <= 1e-10:
-        want = math.nan
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(array, "_MATCH_MAXITER", maxiter)
-        got = _rate_matched_voltage(p.log_k1, p.k2, reset_p.log_k1, reset_p.k2, 7.5)
-        column = rate_matched_voltages([p.log_k1], [p.k2], [reset_p.log_k1], [reset_p.k2],
-                                       7.5).item()
-        cell = outcome(synchronize, p, reset_p, 7.5)
-    if math.isnan(want):
-        assert math.isnan(got) and math.isnan(column)
-        assert cell[0] is InitializationError and f"in {maxiter} Brent steps" in cell[1]
-    else:
-        assert got == column == want == cell.v[0, 1]
 
 
 class TestAgeSearchErrors:
