@@ -58,6 +58,7 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError, InitializationError, StateFormatError
 from .node import FnParams, NodeState, Pulse, decayed, log_each, programmable, released
+from .tables import csv_table
 
 WEIGHT_SCALE = 1000.0  # mV per volt of node difference
 STATE_FORMAT = "fndam-array-state"
@@ -127,7 +128,8 @@ class DamArray:
     ``global_clock`` as its own clock and takes c_total and c_couple
     from ``nominal_params``.  A column given as a writable array is
     copied, so no caller can change an array after the fact.  A node
-    voltage that is not positive and finite raises DomainError.
+    voltage, k1 or k2, or a weight_scale, that is not positive and
+    finite raises DomainError naming the cell and, for a node, the node.
     """
 
     v: np.ndarray  # (N, 2) floating-gate voltages, V
@@ -153,13 +155,14 @@ class DamArray:
                 "columns must be (N, 2) with an (N,) weight_scale, N >= 1; got "
                 + ", ".join(f"{c} {getattr(self, c).shape}" for c in _COLUMNS)
             )
-        bad = ~((self.v > 0) & (self.v < math.inf))
-        if bad.any():
-            i, node = np.argwhere(bad)[0].tolist()
-            raise DomainError(
-                f"cell {i} {('SET', 'RESET')[node]} node voltage must be positive and "
-                f"finite, got {self.v[i, node].item()!r}"
-            )
+        for name in ("v", "k1", "k2", "weight_scale"):
+            col = getattr(self, name)
+            bad = ~((col > 0) & (col < math.inf))
+            if bad.any():
+                at = tuple(np.argwhere(bad)[0].tolist())
+                node = f" {('SET', 'RESET')[at[1]]} node" if len(at) == 2 else ""
+                raise DomainError(f"cell {at[0]}{node} {'voltage' if name == 'v' else name} "
+                                  f"must be positive and finite, got {col[at].item()!r}")
 
     def __len__(self) -> int:
         return self.weight_scale.shape[0]
@@ -503,9 +506,9 @@ def batch_pulse(
 
 def weights_csv(array: DamArray) -> str:
     """Per-cell weight dump: index, weight in mV, cell clock."""
-    t = repr(array.global_clock)
-    rows = (f"{i},{w!r},{t}" for i, w in enumerate(array.weights().tolist()))
-    return "\n".join(["index,weight_mV,t_s", *rows]) + "\n"
+    t = array.global_clock
+    return csv_table(["index", "weight_mV", "t_s"],
+                     ((i, w, t) for i, w in enumerate(array.weights().tolist())))
 
 
 def _canonical(doc: dict) -> str:

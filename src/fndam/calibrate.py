@@ -13,12 +13,13 @@ ratio:
   gate 10 mV above its decay trajectory grows from 5 fJ at t = 0 to
   ~2.5 pJ after 12 days.
 
-``DEFAULT_K1`` / ``DEFAULT_K2`` are the frozen least-squares solution;
-``fit_device_parameters`` re-runs the fit (also exposed as the
-``fndam calibrate`` subcommand).  The fit is two-dimensional: k1 spans
-~160 decades over plausible k2, so it is parameterized as
-(u, k2) with k1 = u * exp(k2 / v0), making u the dimensionless initial
-decay speed and decoupling the two axes.
+``DEFAULT_K1`` / ``DEFAULT_K2`` are the frozen least-squares solution
+for the default capacitances of ``FnParams`` and the input capacitor
+``energy.DEFAULT_C_IN``; ``fit_device_parameters`` re-runs the fit
+(also exposed as the ``fndam calibrate`` subcommand).  The fit is
+two-dimensional: k1 spans ~160 decades over plausible k2, so it is
+parameterized as (u, k2) with k1 = u * exp(k2 / v0), making u the
+dimensionless initial decay speed and decoupling the two axes.
 """
 
 from __future__ import annotations
@@ -31,12 +32,9 @@ from .array import DamArray, _brentq
 from .cell import decay, precompensated_amplitude, read_weight, set_pulse, synchronize
 from .errors import DomainError
 from .node import FnParams, Pulse, k0_from_initial
-from .energy import setpoint_write
+from .energy import DEFAULT_C_IN, setpoint_write
 
 DEFAULT_V0 = 7.5  # V, fresh floating-gate voltage
-DEFAULT_C_TOTAL = 1e-12  # F
-DEFAULT_C_COUPLE = 1e-13  # F, so the coupling ratio is 0.1
-DEFAULT_C_IN = 1e-12  # F, input capacitor charged by each write
 
 # Frozen output of fit_device_parameters() with the default targets.
 DEFAULT_K1 = 1.2425503666119493e+166  # 1/s
@@ -113,10 +111,7 @@ class CalibrationResult:
 
 def default_params(**overrides) -> FnParams:
     """FnParams carrying the shipped calibration (fields overridable)."""
-    base = dict(k1=DEFAULT_K1, k2=DEFAULT_K2,
-                c_total=DEFAULT_C_TOTAL, c_couple=DEFAULT_C_COUPLE)
-    base.update(overrides)
-    return FnParams(**base)
+    return FnParams(**(dict(k1=DEFAULT_K1, k2=DEFAULT_K2) | overrides))
 
 
 def cell_at_age(params: FnParams, age_s: float, v0: float = DEFAULT_V0) -> DamArray:
@@ -200,7 +195,7 @@ def _age_for(retention, fraction: float) -> float:
 
 
 def energy_per_update(params: FnParams, t_s: float,
-                      offset_v: float = 0.01,
+                      offset_v: float = CalibrationTargets.energy_offset_v,
                       c_in: float = DEFAULT_C_IN,
                       v0: float = DEFAULT_V0) -> float:
     """Energy of a write lifting the gate offset_v above its trajectory."""
@@ -269,8 +264,7 @@ def fit_device_parameters(targets: CalibrationTargets | None = None,
 
     def residuals(x):
         u, k2 = math.exp(x[0]), math.exp(x[1])
-        p = FnParams(k1=u * math.exp(k2 / v0), k2=k2,
-                     c_total=DEFAULT_C_TOTAL, c_couple=DEFAULT_C_COUPLE)
+        p = FnParams(k1=u * math.exp(k2 / v0), k2=k2)
         m = evaluate_calibration(p, t)
         return [
             math.log(m["amp_fresh_v"] / t.amp_fresh_v) / log2,
@@ -284,8 +278,7 @@ def fit_device_parameters(targets: CalibrationTargets | None = None,
     sol = optimize.least_squares(residuals, x0, diff_step=1e-4,
                                  xtol=1e-12, ftol=1e-12, gtol=1e-12)
     u, k2 = math.exp(sol.x[0]), math.exp(sol.x[1])
-    params = FnParams(k1=u * math.exp(k2 / v0), k2=k2,
-                      c_total=DEFAULT_C_TOTAL, c_couple=DEFAULT_C_COUPLE)
+    params = FnParams(k1=u * math.exp(k2 / v0), k2=k2)
     return CalibrationResult(
         params=params,
         cost=float(sol.cost),

@@ -20,6 +20,8 @@ columns once and run on plain floats, because each one-cell array
 operation pays several numpy calls.  ``precompensated_amplitude`` is a
 plain bisection whose every midpoint is one closed-form pulse evaluated
 on ``node.decayed_float``, the float twin of ``node.decayed``.
+``decay_factor`` and ``DecaySchedule`` evaluate one elementwise
+alpha*eta_n expression, on one step or on all of them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .array import (_MATCH_MAXITER, _MATCH_RESIDUAL, WEIGHT_SCALE, DamArray, MismatchSpec,
                     WeightReading, advance, batch_pulse, rate_matched_voltages)
 from .errors import ArgumentError, DomainError, InitializationError, SaturationError, StepSizeError
-from .node import FnParams, Pulse, decayed_float, k0_from_initial
+from .node import FnParams, Pulse, _require_finite_positive, decayed_float, k0_from_initial
 
 _NO_MISMATCH = MismatchSpec(relative_sigma=0.0)
 
@@ -45,8 +47,10 @@ def synchronize(
     With identical parameters both nodes start at exactly v0.  With
     mismatched parameters the RESET node voltage is solved by
     ``array.rate_matched_voltages``; InitializationError when it fails.
-    The nodes must share c_total and c_couple.
+    The nodes must share c_total and c_couple, and weight_scale must be
+    positive and finite.
     """
+    _require_finite_positive("weight_scale", weight_scale)
     if (set_params.c_total, set_params.c_couple) != (reset_params.c_total,
                                                      reset_params.c_couple):
         raise ArgumentError(
@@ -152,6 +156,14 @@ def discrete_update(
     return (1.0 - factor) * w_mv + weight_scale * params.coupling_ratio * dv_train
 
 
+def _alpha_eta(log_k1, k0, n, dt):
+    """alpha*eta_n, elementwise over the step index n (see decay_factor)."""
+    # at n*dt = 0, log gives -inf and logaddexp(-inf, log k0) is log k0 exactly
+    with np.errstate(divide="ignore"):
+        log_eff = np.logaddexp(log_k1 + np.log(n * dt), math.log(k0))
+    return np.exp(log_k1 - log_eff) * (2.0 / log_eff + 1.0) * dt
+
+
 def decay_factor(params: FnParams, k0: float, n: int, dt: float) -> float:
     """Per-step weight decay factor at step n of an undisturbed schedule.
 
@@ -166,11 +178,7 @@ def decay_factor(params: FnParams, k0: float, n: int, dt: float) -> float:
         raise DomainError(f"k0 must be finite and > 1, got {k0!r}")
     if not (math.isfinite(dt) and dt >= 0):
         raise DomainError(f"dt must be >= 0, got {dt!r}")
-    if n == 0 or dt == 0.0:
-        log_eff = math.log(k0)
-    else:
-        log_eff = float(np.logaddexp(params.log_k1 + math.log(n * dt), math.log(k0)))
-    return math.exp(params.log_k1 - log_eff) * (2.0 / log_eff + 1.0) * dt
+    return float(_alpha_eta(params.log_k1, k0, n, dt))
 
 
 @dataclass(frozen=True)
@@ -182,6 +190,7 @@ class DecaySchedule:
 
     @classmethod
     def from_params(cls, params: FnParams, k0: float, dt_step: float, n_steps: int):
+        """The factors ``decay_factor`` gives at steps 0..n_steps-1."""
         if n_steps <= 0:
             raise DomainError(f"n_steps must be positive, got {n_steps!r}")
         if not (math.isfinite(dt_step) and dt_step > 0):
@@ -189,13 +198,7 @@ class DecaySchedule:
         if not (math.isfinite(k0) and k0 > 1.0):
             raise DomainError(f"k0 must be finite and > 1, got {k0!r}")
         n = np.arange(n_steps, dtype=float)
-        log_eff = np.full(n_steps, math.log(k0))
-        if n_steps > 1:
-            log_eff[1:] = np.logaddexp(
-                params.log_k1 + np.log(n[1:] * dt_step), math.log(k0)
-            )
-        seq = np.exp(params.log_k1 - log_eff) * (2.0 / log_eff + 1.0) * dt_step
-        return cls(alpha_eta=seq, dt_step=dt_step)
+        return cls(alpha_eta=_alpha_eta(params.log_k1, k0, n, dt_step), dt_step=dt_step)
 
     def __len__(self):
         return len(self.alpha_eta)

@@ -24,18 +24,16 @@ from typing import Any, Mapping, get_type_hints
 from .array import MismatchSpec
 from .calibrate import (
     CAL_STEP_MV,
-    DEFAULT_C_COUPLE,
-    DEFAULT_C_IN,
-    DEFAULT_C_TOTAL,
     DEFAULT_K1,
     DEFAULT_K2,
     DEFAULT_V0,
     RETENTION_WINDOW_S,
+    CalibrationTargets,
 )
-from .energy import NoiseModel
+from .energy import DEFAULT_C_IN, DEFAULT_N_SAMPLES, NoiseModel
 from .errors import ConfigError
 from .node import FnParams
-from .trainer import NetworkConfig, TrainerConfig
+from .trainer import DATASET_MARGIN, DATASET_POINTS, NetworkConfig, TrainerConfig
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"  # the package version: fndam.__version__ and pyproject.toml read it here
@@ -130,8 +128,8 @@ class DeviceConfig:
 
     k1: float = _positive(DEFAULT_K1)
     k2: float = _positive(DEFAULT_K2)
-    c_total: float = _positive(DEFAULT_C_TOTAL)
-    c_couple: float = _positive(DEFAULT_C_COUPLE)
+    c_total: float = _positive(FnParams.c_total)
+    c_couple: float = _positive(FnParams.c_couple)
     c_in: float = _positive(DEFAULT_C_IN)
     v0: float = _positive(DEFAULT_V0)
 
@@ -155,10 +153,10 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class PerceptronSettings:
-    """Linear-classifier run: 50 separable points on two differential cells."""
+    """Linear-classifier run: separable points on two differential cells."""
 
-    n_points: int = _bounded(50, minimum=2)
-    margin: float = _positive(0.25)
+    n_points: int = _bounded(DATASET_POINTS, minimum=2)
+    margin: float = _positive(DATASET_MARGIN)
     dataset_seed: int = _bounded(0, minimum=0)
     epochs: int = _bounded(TrainerConfig.epochs, minimum=1)
     learning_rate: float = _positive(TrainerConfig.learning_rate)
@@ -199,9 +197,9 @@ class ExperimentSettings:
     """Run block: seed, horizons, and the sweep grids experiments iterate over."""
 
     seed: int = _bounded(0, minimum=0, maximum=2**64 - 1)
-    horizon_s: float = _positive(12 * 86400.0)
-    n_samples: int = _bounded(200, minimum=2)
-    offset_v: float = _positive(0.01)
+    horizon_s: float = _positive(CalibrationTargets.energy_horizon_s)
+    n_samples: int = _bounded(DEFAULT_N_SAMPLES, minimum=2)
+    offset_v: float = _positive(CalibrationTargets.energy_offset_v)
     window_s: float = _positive(RETENTION_WINDOW_S)
     step_mv: float = _positive(CAL_STEP_MV)
     amplitude_grid_v: tuple[float, ...] = _positive(

@@ -6,13 +6,12 @@ reaching a fixed target voltage requires a growing input amplitude
 V_in = (V_target - V_fg) / coupling_ratio, so the per-update energy of
 maintaining a setpoint rises over the device's life.  Retention is
 limited by the thermal accumulation floor of the readout, modeled as
-sigma_T(t) = sigma0 + sigma_coeff * sqrt(t).
+sigma_T(t) = sigma0 + sigma_coeff * sqrt(t).  ``DEFAULT_C_IN`` is the
+input capacitance every module defaults to.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -20,9 +19,12 @@ from .array import DamArray
 from .cell import decay, read_weight
 from .errors import DomainError
 from .node import FnParams, voltage_at
+from .tables import csv_table, record_row
 
 ELECTRON_CHARGE = 1.602e-19  # coulomb
 TEN_YEARS_S = 10 * 365.25 * 86400.0  # default retention search horizon
+DEFAULT_C_IN = 1e-12  # F, input capacitor charged by each write
+DEFAULT_N_SAMPLES = 200  # points of a write-energy trajectory
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class EnergyLedger:
     insertion order, so they match an external re-summation exactly.
     """
 
-    def __init__(self, c_in: float = 1e-12):
+    def __init__(self, c_in: float = DEFAULT_C_IN):
         if not (math.isfinite(c_in) and c_in > 0):
             raise DomainError(f"c_in must be positive, got {c_in!r}")
         self.c_in = c_in
@@ -85,8 +87,8 @@ class EnergyLedger:
     def record(
         self, cell_id: str, t_s: float, amplitude_v: float, duration_s: float, n_pulses: int = 1
     ) -> LedgerEntry:
-        if n_pulses < 0:
-            raise DomainError(f"n_pulses must be >= 0, got {n_pulses!r}")
+        if not (n_pulses >= 0 and math.isfinite(n_pulses) and n_pulses == int(n_pulses)):
+            raise DomainError(f"n_pulses must be a whole number >= 0, got {n_pulses!r}")
         entry = LedgerEntry(
             cell_id=str(cell_id),
             t_s=float(t_s),
@@ -112,15 +114,8 @@ class EnergyLedger:
         return totals
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["cell_id", "t_s", "amplitude_V", "duration_s", "n_pulses", "energy_J"])
-        for e in self._entries:
-            writer.writerow(
-                [e.cell_id, repr(e.t_s), repr(e.amplitude_v), repr(e.duration_s),
-                 e.n_pulses, repr(e.energy_j)]
-            )
-        return buf.getvalue()
+        header = ["cell_id", "t_s", "amplitude_V", "duration_s", "n_pulses", "energy_J"]
+        return csv_table(header, map(record_row, self._entries))
 
 
 def write_energy(c_in: float, v_in: float) -> float:
@@ -179,8 +174,8 @@ def write_energy_trajectory(
     k0: float,
     v_target_offset: float,
     horizon_s: float,
-    n_samples: int = 200,
-    c_in: float = 1e-12,
+    n_samples: int = DEFAULT_N_SAMPLES,
+    c_in: float = DEFAULT_C_IN,
 ) -> list[tuple[float, float]]:
     """Per-update write energy over the device's life for a fixed setpoint.
 

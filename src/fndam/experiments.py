@@ -44,6 +44,7 @@ from .config import (
 from .energy import retention_time, setpoint_write, trajectory_times
 from .errors import ConfigError
 from .node import Pulse, k0_from_initial
+from .tables import _csv_line, csv_table  # noqa: F401  (_csv_line is re-exported)
 from .trainer import (
     MlpSpec,
     NetworkConfig,
@@ -76,24 +77,6 @@ _MISMATCH_PULSES = 5
 _TRACE_POINTS = 81
 
 
-def _format_field(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(float(value))  # canonical shortest round-trip form
-    return str(value)
-
-
-def _csv_line(fields) -> str:
-    out = []
-    for raw in fields:
-        text = _format_field(raw)
-        if any(ch in text for ch in (",", '"', "\n", "\r")):
-            text = '"' + text.replace('"', '""') + '"'
-        out.append(text)
-    return ",".join(out)
-
-
 class _OutputWriter:
     """Collects written paths so a failed run can clean up after itself."""
 
@@ -120,9 +103,7 @@ class _OutputWriter:
         self.paths.append(path)
 
     def csv(self, name: str, header: list[str], rows, extra: dict | None = None) -> None:
-        lines = [_csv_line(header)]
-        lines.extend(_csv_line(row) for row in rows)
-        self.text(name, "\n".join(lines) + "\n", extra)
+        self.text(name, csv_table(header, rows), extra)
 
     def text(self, name: str, content: str, extra: dict | None = None) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)

@@ -23,6 +23,7 @@ not stored.  ``decayed`` and ``released`` are elementwise, so the cell
 arrays of ``fndam.array`` evolve every node by these same expressions.
 ``decayed_float`` is ``decayed`` on one Python float, bit for bit; the
 precompensation solve in ``fndam.cell`` evaluates its midpoints on it.
+It and ``voltage_at`` share one float log-sum-exp, ``_logaddexp``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class FnParams:
     k1: float  # 1/s
     k2: float  # V
     c_total: float = 1e-12  # F
-    c_couple: float = 1e-13  # F
+    c_couple: float = 1e-13  # F, so the default coupling ratio is 0.1
 
     def __post_init__(self):
         _require_finite_positive("k1", self.k1)
@@ -152,7 +153,7 @@ def voltage_at(params: FnParams, k0: float, t: float) -> float:
         log_arg = math.log(k0)
     else:
         # log(k1*t + k0), evaluated without forming k1*t + k0
-        log_arg = float(np.logaddexp(params.log_k1 + math.log(t), math.log(k0)))
+        log_arg = _logaddexp(params.log_k1 + math.log(t), math.log(k0))
     if log_arg <= 0.0:
         raise DomainError("log(k1*t + k0) must be positive")
     return params.k2 / log_arg
@@ -184,23 +185,28 @@ def decayed(v, log_k1, k2, log_dt):
     return np.minimum(k2 / np.logaddexp(k2 / v, log_k1 + log_dt), v)
 
 
+def _logaddexp(x: float, y: float) -> float:
+    """``np.logaddexp`` on two Python floats, to the same bits.
+
+    Performs numpy's ``npy_logaddexp`` float operations in numpy's
+    order, through ``math`` instead of numpy's scalar ufunc dispatch
+    (about a quarter of the cost).
+    """
+    if x == y:
+        return x + _LOG2
+    tmp = x - y
+    if tmp > 0:
+        return x + math.log1p(math.exp(-tmp))
+    return y + math.log1p(math.exp(tmp))
+
+
 def decayed_float(v, log_k1, k2, log_dt):
     """``decayed`` on one Python float, to the same bits.
 
-    The log-sum-exp performs numpy's ``npy_logaddexp`` float operations
-    in numpy's order, through ``math`` instead of numpy's scalar ufunc
-    dispatch (about a quarter of the cost).  Its domain is finite v > 0;
+    The log-sum-exp is ``_logaddexp``.  Its domain is finite v > 0;
     where numpy would return inf, ``math`` may raise instead.
     """
-    x, y = k2 / v, log_k1 + log_dt
-    tmp = x - y
-    if x == y:
-        ell = x + _LOG2
-    elif tmp > 0:
-        ell = x + math.log1p(math.exp(-tmp))
-    else:
-        ell = y + math.log1p(math.exp(tmp))
-    return min(k2 / ell, v)
+    return min(k2 / _logaddexp(k2 / v, log_k1 + log_dt), v)
 
 
 def released(v, step, log_k1, k2, log_dt):

@@ -24,11 +24,14 @@ import numpy as np
 
 from .array import DamArray, _with_voltages, advance, batch_pulse
 from .cell import decay, precompensated_amplitude, synchronize
-from .energy import EnergyLedger
+from .energy import DEFAULT_C_IN, EnergyLedger
 from .errors import ArgumentError, DomainError
 from .node import Pulse
+from .tables import csv_table, record_row
 
 _AMP_TOL_MV = 1e-4  # precompensation tolerance for issued amplitudes
+DATASET_POINTS = 50  # default size and margin of make_separable_dataset
+DATASET_MARGIN = 0.25
 
 
 @dataclass(frozen=True)
@@ -60,13 +63,12 @@ class TrainerConfig:
     sample_interval_s: float = 2.0
     epochs: int = 5
     max_pulses_per_update: int = 1000
-    amp_max_v: float = 32.0
-    c_in: float = 1e-12
+    c_in: float = DEFAULT_C_IN
     seed: int = 0
 
     def __post_init__(self):
         for name in ("unit_step_mv", "pulse_frequency_hz", "pulse_duration_s",
-                     "sample_interval_s", "amp_max_v", "c_in"):
+                     "sample_interval_s", "c_in"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be positive, got {value!r}")
@@ -134,11 +136,7 @@ def gradient_to_pulses(update_mv: float, config: TrainerConfig, cell: DamArray) 
     if clipped:
         n_pulses = config.max_pulses_per_update
     amplitude = precompensated_amplitude(
-        cell,
-        config.unit_step_mv,
-        config.pulse_duration_s,
-        amp_max=config.amp_max_v,
-        tol_mv=_AMP_TOL_MV,
+        cell, config.unit_step_mv, config.pulse_duration_s, tol_mv=_AMP_TOL_MV
     )
     return PulseCommand(
         polarity=1 if update_mv > 0 else -1,
@@ -199,27 +197,13 @@ class TrainingTrace:
         return out
 
     def step_csv(self) -> str:
-        lines = [
-            "step,epoch,point_index,t_s,w0_mV,w1_mV,loss,g0,g1,"
-            "n_pulses0,n_pulses1,amplitude0_V,amplitude1_V,energy_J,clipped"
-        ]
-        for r in self.steps:
-            lines.append(
-                f"{r.step},{r.epoch},{r.point_index},{r.t_s!r},{r.w0_mv!r},"
-                f"{r.w1_mv!r},{r.loss!r},{r.g0!r},{r.g1!r},{r.n_pulses0},"
-                f"{r.n_pulses1},{r.amplitude0_v!r},{r.amplitude1_v!r},"
-                f"{r.energy_j!r},{int(r.clipped)}"
-            )
-        return "\n".join(lines) + "\n"
+        header = ("step,epoch,point_index,t_s,w0_mV,w1_mV,loss,g0,g1,"
+                  "n_pulses0,n_pulses1,amplitude0_V,amplitude1_V,energy_J,clipped")
+        return csv_table(header.split(","), map(record_row, self.steps))
 
     def epoch_csv(self) -> str:
-        lines = ["epoch,accuracy,mean_abs_update_mV,energy_J,n_updates"]
-        for e in self.epochs:
-            lines.append(
-                f"{e.epoch},{e.accuracy!r},{e.mean_abs_update_mv!r},"
-                f"{e.energy_j!r},{e.n_updates}"
-            )
-        return "\n".join(lines) + "\n"
+        header = "epoch,accuracy,mean_abs_update_mV,energy_J,n_updates"
+        return csv_table(header.split(","), map(record_row, self.epochs))
 
 
 def best_margin(dataset: Sequence[LabeledPoint]) -> float:
@@ -251,7 +235,7 @@ def best_margin(dataset: Sequence[LabeledPoint]) -> float:
 
 
 def make_separable_dataset(
-    n: int = 50, margin: float = 0.25, seed: int = 0
+    n: int = DATASET_POINTS, margin: float = DATASET_MARGIN, seed: int = 0
 ) -> tuple[LabeledPoint, ...]:
     """n class-balanced points in [-1, 1]^2 with a guaranteed margin.
 
@@ -346,14 +330,14 @@ def train_perceptron(
                     array = advance(array, period - config.pulse_duration_s)
                 for j, c in enumerate(commands):
                     if c.n_pulses > 0:
-                        trace.ledger.record(
+                        entry = trace.ledger.record(
                             cell_id=j,
                             t_s=t_sample,
                             amplitude_v=c.amplitude_v,
                             duration_s=config.pulse_duration_s,
                             n_pulses=c.n_pulses,
                         )
-                        step_energy += trace.ledger.entries[-1].energy_j
+                        step_energy += entry.energy_j
                 reference = decay(reference, longest * period)
                 remainder = config.sample_interval_s - longest * period
             else:
@@ -433,7 +417,6 @@ class NetworkConfig:
     epochs: int = 10
     batch_size: int = 10
     decay_interval_s: float = 2.0  # array decay charged per iteration
-    decay_only_final_epoch: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -565,9 +548,9 @@ def train_network_with_dam_decay(
     SGDM step, the array decays for decay_interval_s, and the weights
     are read back — decay and (if the array is mismatched) per-cell
     drift come from the device physics.  With ``array=None`` the loop
-    is standard SGDM.  The final epoch skips gradient updates when
-    decay_only_final_epoch is set: device-backed weights keep decaying,
-    software-only weights stay frozen.
+    is standard SGDM.  The final epoch skips gradient updates:
+    device-backed weights keep decaying, software-only weights stay
+    frozen.
     """
     x_train, y_train = train_set
     x_test, y_test = test_set
@@ -581,7 +564,7 @@ def train_network_with_dam_decay(
     velocity = np.zeros_like(theta)
     trace = NetworkTrace()
     for epoch in range(config.epochs):
-        decay_only = config.decay_only_final_epoch and epoch == config.epochs - 1
+        decay_only = epoch == config.epochs - 1
         order = rng.permutation(len(x_train))
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]

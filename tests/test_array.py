@@ -142,6 +142,28 @@ class TestConstruction:
         with pytest.raises(DomainError, match="^cell 1 RESET node .* got -2.0$"):
             replace(array, v=v)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("column", ["k1", "k2"])
+    def test_bad_node_constant_rejected(self, column, value):
+        array = small_array(3)
+        col = getattr(array, column).copy()
+        col[2, 1] = value
+        with pytest.raises(DomainError) as exc_info:
+            replace(array, **{column: col})
+        assert str(exc_info.value) == (
+            f"cell 2 RESET node {column} must be positive and finite, got {value!r}")
+
+    @pytest.mark.parametrize("value", [0.0, -1000.0, math.nan, math.inf])
+    def test_bad_weight_scale_rejected_by_public_constructor(self, value):
+        array = small_array(3)
+        ws = array.weight_scale.copy()
+        ws[1] = value
+        with pytest.raises(DomainError) as exc_info:
+            DamArray(array.v, array.k1, array.log_k1, array.k2, ws,
+                     array.nominal_params, array.mismatch, array.v0)
+        assert str(exc_info.value) == (
+            f"cell 1 weight_scale must be positive and finite, got {value!r}")
+
 
 class TestMismatchSpec:
     @pytest.mark.parametrize("kwargs", [

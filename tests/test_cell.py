@@ -3,6 +3,7 @@ schedules, the linearized update, and amplitude precompensation."""
 
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fndam.cell import (
     synchronize,
 )
 from fndam.errors import ArgumentError, DomainError, InitializationError, SaturationError, StepSizeError
-from fndam.node import FnParams, Pulse, voltage_at
+from fndam.node import FnParams, Pulse, k0_from_initial, voltage_at
 
 
 def small_params(**overrides):
@@ -119,6 +120,14 @@ class TestSynchronize:
             synchronize(p, p, 300.0)  # v0 = k2 on the SET node
         with pytest.raises(DomainError, match="exceeds float64 range"):
             synchronize(small_params(k2=3000.0), small_params(k2=3000.0), 1.0)
+
+    @pytest.mark.parametrize("weight_scale", [0.0, -1000.0, math.nan, math.inf])
+    def test_weight_scale_must_be_positive_and_finite(self, weight_scale):
+        p = default_params()
+        with pytest.raises(DomainError, match="weight_scale must be positive and finite"):
+            synchronize(p, p, 7.5, weight_scale=weight_scale)
+        with pytest.raises(DomainError, match="weight_scale must be positive and finite"):
+            synchronize(p, default_params(k1=p.k1 * 1.001), 7.5, weight_scale=weight_scale)
 
     def test_nodes_must_share_capacitances(self):
         p = default_params()
@@ -355,6 +364,68 @@ class TestDecaySchedule:
         with pytest.raises(DomainError):
             DecaySchedule.from_params(**args)
 
+
+class TestRobbinsMonro:
+    """The decay schedule is a Robbins-Monro step size: the sum of
+    alpha*eta_n grows like log n and the sum of its squares converges.
+
+    With default params, v0 = 7.5 V and dt = 1 s, alpha*eta_n equals
+    g_n / (n + c) with c = k0/(k1*dt) and g_n = 1 + 2/log(k1*n*dt + k0),
+    which falls slowly from 1 + 2/log(k0).  The expected sums come from
+    decimal arithmetic, not from the schedule: the first HEAD terms
+    exactly, every later range [a, b) bounded below by g_(b-1) times the
+    integral of 1/(x + c) over [a, b] and above by g_a times its
+    integral over [a - 1, b - 1], and likewise for 1/(x + c)^2.
+    """
+
+    N = 10**6
+    HEAD = 1000
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        params = default_params()
+        k0 = k0_from_initial(params, 7.5)
+        seq = DecaySchedule.from_params(params, k0, 1.0, self.N).alpha_eta
+        k1, k0d = Decimal(params.k1), Decimal(k0)  # decimal's 28 digits throughout
+
+        def g(n):
+            return 1 + 2 / (k1 * n + k0d).ln()
+
+        return params, k0, seq, g, k0d / k1
+
+    def test_terms_match_decimal(self, case):
+        params, k0, seq, g, c = case
+        # exp(log k1 - log(k1*n*dt + k0)) cancels two logs near 385, so a
+        # term carries a few hundred ulp of relative error
+        for n in (0, 1, 10, 1_000, self.N - 1):
+            exact = float(g(n) / (n + c))
+            assert seq[n] == pytest.approx(exact, rel=2e-13, abs=0)
+            assert decay_factor(params, k0, n, 1.0) == pytest.approx(exact, rel=2e-13, abs=0)
+
+    def test_sum_grows_by_about_ln10_per_decade(self, case):
+        _, _, seq, g, c = case
+        for a in (10**2, 10**3, 10**4, 10**5):
+            b = 10 * a
+            lower = float(g(b - 1) * ((b + c) / (a + c)).ln())
+            upper = float(g(a) * ((b - 1 + c) / (a - 1 + c)).ln())
+            grown = math.fsum(seq[a:b])
+            assert lower * (1 - 1e-13) <= grown <= upper * (1 + 1e-13)
+            if a >= 10**3:  # past the offset c, each decade adds (1 + 2/log) * ln 10
+                assert abs(grown - math.log(10)) < 0.015
+        head = sum(g(n) / (n + c) for n in range(self.HEAD))
+        assert math.fsum(seq[:self.HEAD]) == pytest.approx(float(head), rel=1e-13, abs=0)
+
+    def test_sum_of_squares_converges(self, case):
+        _, _, seq, g, c = case
+        a, b = self.HEAD, self.N
+        head = sum((g(n) / (n + c)) ** 2 for n in range(a))
+        lower = float(head + g(b - 1) ** 2 * (1 / (a + c) - 1 / (b + c)))
+        upper = float(head + g(a) ** 2 * (1 / (a - 1 + c) - 1 / (b - 1 + c)))
+        total = math.fsum(seq**2)
+        assert lower * (1 - 1e-13) <= total <= upper * (1 + 1e-13)
+        assert total == pytest.approx(0.0786, abs=1e-4)
+        # every term beyond N adds less than the whole tail bound
+        assert float(g(b) ** 2 / (b - 1 + c)) < 2e-6
 
 class TestPrecompensatedAmplitude:
     def test_zero_target_needs_no_pulse(self):

@@ -281,6 +281,18 @@ class TestEnergyLedger:
         assert int(fields[4]) == 2
         assert float(fields[5]) == 2 * write_energy(1e-12, 0.25)
 
+    @pytest.mark.parametrize("n_pulses", [2.5, -1, math.nan, math.inf])
+    def test_pulse_count_must_be_a_whole_number(self, n_pulses):
+        ledger = EnergyLedger()
+        with pytest.raises(DomainError, match="n_pulses must be a whole number >= 0"):
+            ledger.record("c0", 0.0, 1.0, 1e-3, n_pulses=n_pulses)
+        assert ledger.entries == ()
+
+    def test_whole_float_count_books_its_integer(self):
+        entry = EnergyLedger().record("c0", 0.0, 0.5, 1e-3, n_pulses=3.0)
+        assert entry.n_pulses == 3 and type(entry.n_pulses) is int
+        assert entry.energy_j == 3 * write_energy(1e-12, 0.5)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             EnergyLedger(c_in=0.0)
