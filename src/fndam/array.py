@@ -31,7 +31,11 @@ their input.
 
 State documents are JSON trees carrying a format tag, a schema version
 and a SHA-256 checksum over the canonical serialization (sorted keys,
-compact separators, everything but the checksum).  Schema version 2,
+compact separators, everything but the checksum).  ``state_to_json``
+writes that serialization with the checksum spliced in front, so
+``state_from_json`` verifies such text by hashing the characters the
+checksum covers; any other text, and every ``load_state`` document, is
+verified by serializing the parsed document again.  Schema version 2,
 the one written, stores one list per column under ``columns``:
 ``set_v_fg``, ``reset_v_fg``, ``set_k1``, ``reset_k1``, ``set_k2``,
 ``reset_k2`` and ``weight_scale``.  Floats are serialized at full
@@ -52,7 +56,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,8 +117,9 @@ class MismatchSpec:
             )
 
 
-@dataclass(frozen=True)
-class WeightReading:
+class WeightReading(NamedTuple):
+    """One cell's weight and the clock it was read at; a plain tuple."""
+
     weight: float  # mV
     timestamp: float  # s, array clock at the moment of the read
 
@@ -445,8 +451,8 @@ def _evolved(array: DamArray, v: np.ndarray, dt: float) -> DamArray:
 
 def batch_read(array: DamArray, noise_sigma: float = 0.0, rng=None) -> tuple[WeightReading, ...]:
     """One reading per cell (see ``DamArray.weights``), stamped with the clock."""
-    t = array.global_clock
-    return tuple(WeightReading(w, t) for w in array.weights(noise_sigma, rng).tolist())
+    ws = array.weights(noise_sigma, rng).tolist()
+    return tuple(map(WeightReading._make, zip(ws, repeat(array.global_clock))))
 
 
 def advance(array: DamArray, dt: float) -> DamArray:
@@ -521,6 +527,11 @@ def _checksum(doc: dict) -> str:
     return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
 
 
+# state_to_json's text opens with '{"checksum":"', 64 hex digits and '",'
+_SIGNED_OPENING = '{"checksum":"'
+_SIGNED_HEAD = len(_SIGNED_OPENING) + 64 + 2
+
+
 def _unsigned_document(array: DamArray) -> dict:
     p = array.nominal_params
     columns = {}
@@ -558,7 +569,7 @@ def state_to_json(array: DamArray) -> str:
     """
     canonical = _canonical(_unsigned_document(array))
     checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return '{"checksum":"' + checksum + '",' + canonical[1:] + "\n"
+    return _SIGNED_OPENING + checksum + '",' + canonical[1:] + "\n"
 
 
 def _need(doc, key, path, kind=None):
@@ -714,6 +725,11 @@ def load_state(doc: dict) -> DamArray:
 
     Reads schema versions 1 and 2 (see the module docstring).
     """
+    return _load(doc, _checksum)
+
+
+def _load(doc, checksum) -> DamArray:
+    """load_state, with ``checksum(doc)`` giving the hash the stored one must equal."""
     if not isinstance(doc, dict):
         raise StateFormatError(f"state document must be a mapping, got {type(doc).__name__}")
     fmt = _need(doc, "format", "", str)
@@ -723,7 +739,7 @@ def load_state(doc: dict) -> DamArray:
     if version not in (1, STATE_VERSION):
         raise StateFormatError(f"unsupported schema version at version: {version!r}")
     stored = _need(doc, "checksum", "", str)
-    actual = _checksum(doc)
+    actual = checksum(doc)
     if stored != actual:
         raise StateFormatError(
             f"checksum mismatch at checksum: stored {stored[:12]}..., computed {actual[:12]}..."
@@ -761,9 +777,40 @@ def load_state(doc: dict) -> DamArray:
     )
 
 
+def _text_checksum(text) -> str | None:
+    """The checksum text opens with, if it is the SHA-256 of the text it covers.
+
+    That is ``"{"`` and everything after the checksum, less one trailing
+    newline, as ``state_to_json`` writes it; None for any other text.
+    """
+    if not (isinstance(text, str) and text.startswith(_SIGNED_OPENING)
+            and text[_SIGNED_HEAD - 2:_SIGNED_HEAD] == '",'):
+        return None
+    stored = text[len(_SIGNED_OPENING):_SIGNED_HEAD - 2]
+    covered = "{" + text[_SIGNED_HEAD:-1 if text.endswith("\n") else None]
+    # a lone surrogate, which no written text holds, hashes instead of raising
+    actual = hashlib.sha256(covered.encode("utf-8", "surrogatepass")).hexdigest()
+    return stored if actual == stored else None
+
+
 def state_from_json(text: str) -> DamArray:
+    """Parse and load_state one state document.
+
+    Text laid out as ``state_to_json`` writes it, the checksum first, is
+    verified by hashing the text the checksum covers (``"{"`` and
+    everything after the checksum, less one trailing newline) instead of
+    serializing the parsed document again; every other check runs as in
+    load_state, in the same order.  So such text loads when its checksum
+    is the hash of that text even if the text is not the canonical
+    serialization, which load_state would reject.  Any other input
+    (bytes, reformatted JSON, a checksum that does not match, version 1
+    files, which were written indented) goes to load_state unchanged.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFormatError(f"not valid JSON: {exc}") from None
+    verified = _text_checksum(text)
+    if verified is not None and isinstance(doc, dict) and doc.get("checksum") == verified:
+        return _load(doc, lambda _: verified)
     return load_state(doc)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .array import DamArray
 from .cell import decay, read_weight
 from .errors import DomainError
-from .node import FnParams, voltage_at
+from .node import FnParams, _pulse_count, voltage_at
 from .tables import csv_table, record_row
 
 ELECTRON_CHARGE = 1.602e-19  # coulomb
@@ -87,14 +87,13 @@ class EnergyLedger:
     def record(
         self, cell_id: str, t_s: float, amplitude_v: float, duration_s: float, n_pulses: int = 1
     ) -> LedgerEntry:
-        if not (n_pulses >= 0 and math.isfinite(n_pulses) and n_pulses == int(n_pulses)):
-            raise DomainError(f"n_pulses must be a whole number >= 0, got {n_pulses!r}")
+        n_pulses = _pulse_count(n_pulses)
         entry = LedgerEntry(
             cell_id=str(cell_id),
             t_s=float(t_s),
             amplitude_v=float(amplitude_v),
             duration_s=float(duration_s),
-            n_pulses=int(n_pulses),
+            n_pulses=n_pulses,
             energy_j=n_pulses * write_energy(self.c_in, amplitude_v),
         )
         self._entries.append(entry)

@@ -46,6 +46,13 @@ def _require_finite_positive(name, value):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _pulse_count(n_pulses) -> int:
+    """n_pulses as an int; DomainError unless it is a whole number >= 0."""
+    if not (n_pulses >= 0 and math.isfinite(n_pulses) and n_pulses == int(n_pulses)):
+        raise DomainError(f"n_pulses must be a whole number >= 0, got {n_pulses!r}")
+    return int(n_pulses)
+
+
 @dataclass(frozen=True)
 class FnParams:
     """Constants of one tunneling node.
@@ -274,8 +281,7 @@ def pulse_train(
     segment completes the last period, so total elapsed time is exactly
     n_pulses / frequency.
     """
-    if n_pulses < 0 or int(n_pulses) != n_pulses:
-        raise ArgumentError(f"n_pulses must be a non-negative integer, got {n_pulses!r}")
+    n_pulses = _pulse_count(n_pulses)
     _require_finite_positive("frequency", frequency)
     period = 1.0 / frequency
     if pulse.duration > period:
@@ -284,7 +290,7 @@ def pulse_train(
             f"{period!r} s period at {frequency!r} Hz"
         )
     idle = period - pulse.duration
-    for _ in range(int(n_pulses)):
+    for _ in range(n_pulses):
         state = apply_pulse(state, params, pulse, polarity)
         if idle > 0:
             state = evolve(state, params, idle)

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fndam
 from fndam.array import (
     RNG_ALGORITHM,
     STATE_FORMAT,
     STATE_VERSION,
     DamArray,
     MismatchSpec,
+    WeightReading,
     advance,
     batch_pulse,
     batch_read,
@@ -236,6 +238,23 @@ class TestBatchOperations:
         b = [r.weight for r in batch_read(array, 1e-4, np.random.default_rng(3))]
         assert a == b
         assert len(set(a)) == len(a)  # independent draws per cell
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-4])
+    def test_batch_read_is_read_weight_per_row(self, noise):
+        array = advance(small_array(6, sigma=1e-3, seed=8), 12.5)
+        readings = batch_read(array, noise, np.random.default_rng(5))
+        rng = np.random.default_rng(5)  # one draw per row, in row order
+        assert len(readings) == len(array)
+        for i, reading in enumerate(readings):
+            assert reading == read_weight(row(array, i), noise, rng)
+            assert isinstance(reading, WeightReading)
+
+    def test_reading_is_immutable_and_exported(self):
+        reading = batch_read(small_array(2))[0]
+        with pytest.raises(AttributeError):
+            reading.weight = 0.0
+        assert fndam.WeightReading is WeightReading
+        assert reading == (reading.weight, reading.timestamp)
 
 
 class TestWeightsCsv:

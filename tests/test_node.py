@@ -256,6 +256,20 @@ class TestPulses:
         with pytest.raises(ArgumentError):
             pulse_train(s, p, Pulse(amplitude=0.1, duration=0.002), 3, 1000.0)
 
+    @pytest.mark.parametrize("n_pulses", [-1, 1.5, math.nan, math.inf])
+    def test_pulse_train_count_must_be_a_whole_number(self, n_pulses):
+        p = default_params()
+        s = initial_state(p, DEFAULT_V0)
+        with pytest.raises(DomainError, match="n_pulses must be a whole number >= 0"):
+            pulse_train(s, p, Pulse(amplitude=0.1, duration=0.0005), n_pulses, 1000.0)
+
+    def test_pulse_train_takes_a_whole_float_count(self):
+        p = default_params()
+        s = initial_state(p, DEFAULT_V0)
+        pulse = Pulse(amplitude=0.8, duration=0.0005)
+        assert (pulse_train(s, p, pulse, 3.0, 1000.0)
+                == pulse_train(s, p, pulse, 3, 1000.0))
+
     def test_bad_polarity_rejected(self):
         p = default_params()
         s = initial_state(p, DEFAULT_V0)
