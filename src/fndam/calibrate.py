@@ -27,11 +27,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .array import DamArray, _brentq
 from .cell import decay, precompensated_amplitude, read_weight, set_pulse, synchronize
 from .errors import DomainError
-from .node import FnParams, Pulse, k0_from_initial
+from .node import _MAX_EXP_ARG, FnParams, Pulse, k0_from_initial
 from .energy import DEFAULT_C_IN, setpoint_write
 
 DEFAULT_V0 = 7.5  # V, fresh floating-gate voltage
@@ -256,32 +259,190 @@ def fit_device_parameters(targets: CalibrationTargets | None = None,
     corresponds to one tolerance band: log2 ratios for the three
     amplitudes and the energy (band = factor rel_band), additive
     deviation over retention_band for the fresh retention fraction.
+    A v0 at which the fit's starting k1 = u*exp(k2/v0) overflows is
+    rejected before the fit starts (DomainError).
     """
-    from scipy import optimize  # only the fit needs scipy, so no import loads it
-
     t = targets or CalibrationTargets()
-    log2 = math.log(2.0)
-
-    def residuals(x):
-        u, k2 = math.exp(x[0]), math.exp(x[1])
-        p = FnParams(k1=u * math.exp(k2 / v0), k2=k2)
-        m = evaluate_calibration(p, t)
-        return [
-            math.log(m["amp_fresh_v"] / t.amp_fresh_v) / log2,
-            (m["retention_fresh"] - t.retention_fresh) / t.retention_band,
-            math.log(m["amp_mid_v"] / t.amp_mid_v) / log2,
-            math.log(m["amp_late_v"] / t.amp_late_v) / log2,
-            math.log(m["energy_at_horizon_j"] / t.energy_at_horizon_j) / log2,
-        ]
-
     x0 = [math.log(initial_u), math.log(initial_k2)]
-    sol = optimize.least_squares(residuals, x0, diff_step=1e-4,
-                                 xtol=1e-12, ftol=1e-12, gtol=1e-12)
-    u, k2 = math.exp(sol.x[0]), math.exp(sol.x[1])
-    params = FnParams(k1=u * math.exp(k2 / v0), k2=k2)
+    _fit_params(x0, v0)  # reject a v0 the fit cannot start from
+    fit = _least_squares(lambda x: _fit_residuals(x, t, v0), x0, diff_step=1e-4, tol=1e-12)
+    params = _fit_params(fit.x, v0)
     return CalibrationResult(
         params=params,
-        cost=float(sol.cost),
-        residuals=tuple(float(r) for r in sol.fun),
+        cost=float(fit.cost),
+        residuals=tuple(float(r) for r in fit.fun),
         metrics=evaluate_calibration(params, t),
     )
+
+
+def _fit_residuals(x, t: CalibrationTargets, v0: float) -> list[float]:
+    """The fit's five residuals at x = (log u, log k2)."""
+    m = evaluate_calibration(_fit_params(x, v0), t)
+    log2 = math.log(2.0)
+    return [
+        math.log(m["amp_fresh_v"] / t.amp_fresh_v) / log2,
+        (m["retention_fresh"] - t.retention_fresh) / t.retention_band,
+        math.log(m["amp_mid_v"] / t.amp_mid_v) / log2,
+        math.log(m["amp_late_v"] / t.amp_late_v) / log2,
+        math.log(m["energy_at_horizon_j"] / t.energy_at_horizon_j) / log2,
+    ]
+
+
+def _fit_params(x, v0: float) -> FnParams:
+    """FnParams at the fit's point x = (log u, log k2), k1 = u*exp(k2/v0)."""
+    u, k2 = math.exp(x[0]), math.exp(x[1])
+    if k2 / v0 > _MAX_EXP_ARG:
+        raise DomainError(
+            f"v0 = {v0!r} V: k1 = u*exp(k2/v0) exceeds float64 range at k2 = {k2:.6g} V "
+            f"(k2/v0 = {k2 / v0:.1f}); the fit cannot represent this device"
+        )
+    return FnParams(k1=u * math.exp(k2 / v0), k2=k2)
+
+
+class _LeastSquaresFit(NamedTuple):
+    x: np.ndarray
+    cost: float
+    fun: np.ndarray
+    status: int
+    nfev: int
+
+
+_EPS = np.finfo(float).eps
+
+
+def _least_squares(fun, x0, diff_step: float, tol: float,
+                   max_nfev: int | None = None) -> _LeastSquaresFit:
+    """``scipy.optimize.least_squares(fun, x0, diff_step=diff_step,
+    xtol=tol, ftol=tol, gtol=tol, max_nfev=max_nfev)``, replayed in numpy.
+
+    Only the path those arguments take: method 'trf' with no bounds
+    (``trf_no_bounds``), a forward-difference Jacobian with relative
+    step diff_step, x_scale 1, the linear loss and the exact
+    trust-region solver (one SVD per Jacobian).  The float operations
+    are scipy's in scipy's order and on arrays of scipy's memory
+    layout, so x, cost, fun, status and nfev carry its bits.  status
+    is scipy's: 0 max_nfev reached, 1 gtol, 2 ftol, 3 xtol, 4 ftol and
+    xtol.  A non-finite residual at a trial point shrinks the trust
+    region to a quarter of the step; one at x0, or a non-finite
+    Jacobian that the solver must factor, raises DomainError where
+    scipy raises ValueError.
+    """
+    norm = np.linalg.norm
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    f = np.atleast_1d(fun(x.copy()))
+    if not np.all(np.isfinite(f)):
+        raise DomainError("least squares: residuals are not finite at the starting point")
+    J = _forward_jacobian(fun, x, f, diff_step)
+    m, n = J.shape
+    max_nfev = max_nfev if max_nfev is not None else 100 * n
+    nfev = 1
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    delta = norm(x)
+    if delta == 0:
+        delta = 1.0
+    alpha = 0.0  # Levenberg-Marquardt parameter
+    status = None
+    while True:
+        if norm(g, ord=np.inf) < tol:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            break
+        if not np.all(np.isfinite(J)):
+            raise DomainError(f"least squares: the Jacobian at x = {x.tolist()} is not finite")
+        u, s, vt = np.linalg.svd(J, full_matrices=False)
+        # scipy.linalg.svd returns Fortran-ordered factors; the products
+        # below round differently on C-ordered ones
+        u, v = np.asfortranarray(u), np.asfortranarray(vt).T
+        uf = u.T.dot(f)
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < max_nfev:
+            step, alpha = _trust_region_step(n, m, uf, s, v, delta, alpha)
+            js = J.dot(step)
+            predicted_reduction = -(0.5 * np.dot(js, js) + np.dot(step, g))
+            x_new = x + step
+            f_new = np.atleast_1d(fun(x_new.copy()))
+            nfev += 1
+            step_norm = norm(step)
+            if not np.all(np.isfinite(f_new)):
+                delta = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            # update_tr_radius
+            if predicted_reduction > 0:
+                ratio = actual_reduction / predicted_reduction
+            elif predicted_reduction == actual_reduction == 0:
+                ratio = 1
+            else:
+                ratio = 0
+            delta_new = delta
+            if ratio < 0.25:
+                delta_new = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * delta:
+                delta_new = delta * 2.0
+            # check_termination
+            ftol_met = actual_reduction < tol * cost and ratio > 0.25
+            xtol_met = step_norm < tol * (tol + norm(x))
+            if ftol_met or xtol_met:
+                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+                break
+            alpha *= delta / delta_new
+            delta = delta_new
+        if actual_reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = _forward_jacobian(fun, x, f, diff_step)
+            g = J.T.dot(f)
+    return _LeastSquaresFit(x, cost, f, 0 if status is None else status, nfev)
+
+
+def _forward_jacobian(fun, x, f, rel_step: float) -> np.ndarray:
+    """scipy's 2-point ``approx_derivative`` without bounds, Fortran-ordered as scipy's."""
+    sign = (x >= 0).astype(float) * 2 - 1
+    h = rel_step * sign * np.abs(x)
+    h = np.where((x + h) - x == 0, _EPS**0.5 * sign * np.maximum(1.0, np.abs(x)), h)
+    jt = np.empty((x.size, f.size))
+    for i in range(x.size):
+        xi = x.copy()
+        xi[i] = x[i] + h[i]
+        jt[i] = (np.atleast_1d(fun(xi)) - f) / ((x[i] + h[i]) - x[i])
+    return jt.T
+
+
+def _trust_region_step(n, m, uf, s, v, delta, alpha):
+    """scipy's ``solve_lsq_trust_region`` from a previous alpha: (step, alpha)."""
+    norm = np.linalg.norm
+
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = norm(suf / denom)
+        return p_norm - delta, -np.sum(suf ** 2 / denom**3) / p_norm
+
+    suf = s * uf
+    full_rank = m >= n and s[-1] > _EPS * m * s[0]
+    if full_rank:
+        p = -v.dot(uf / s)
+        if norm(p) <= delta:
+            return p, 0.0
+    alpha_upper = norm(suf) / delta
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    else:
+        alpha_lower = 0.0
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + delta) * ratio / delta
+        if np.abs(phi) < 0.01 * delta:
+            break
+    p = -v.dot(suf / (s**2 + alpha))
+    p *= delta / norm(p)
+    return p, alpha

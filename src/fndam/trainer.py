@@ -207,31 +207,67 @@ class TrainingTrace:
 
 
 def best_margin(dataset: Sequence[LabeledPoint]) -> float:
-    """Largest m with y*(x2 + w1*x1 + w0) >= m for some (w0, w1).
+    """Largest m with y*(x2 + w1*x1 + w0) >= m for some (w0, w1), correctly rounded.
 
-    Linear program over (w0, w1, m).  Positive m means the dataset is
-    separable by the perceptron's decision family; note the family
-    fixes the x2 coefficient to +1, so this is stricter than general
-    linear separability.
+    For a fixed w1 the best w0 centres the band between the classes, so
+    the margin is F(w1) = (min over positive points of x2 + w1*x1, minus
+    the max over negative points of the same) / 2: a concave
+    piecewise-linear function whose maximum sits where two lines of one
+    class cross.  numpy ranks every such crossing by F in floats; the
+    crossings are then tried in that order in exact rational arithmetic
+    (each coordinate is an integer over one common power of two), and
+    the first one where F's one-sided slopes bracket zero is the
+    maximizer.  Positive m means the dataset is separable by the
+    perceptron's decision family; note the family fixes the x2
+    coefficient to +1, so this is stricter than general linear
+    separability.
     """
-    from scipy import optimize  # only the perceptron's margin needs scipy, so no import loads it
-
     labels = {p.y for p in dataset}
     if labels != {-1, 1}:
         raise ArgumentError("dataset must contain both classes")
-    # maximize m  s.t.  -y*w0 - y*x1*w1 + m <= y*x2
-    a_ub = [[-p.y, -p.y * p.x[0], 1.0] for p in dataset]
-    b_ub = [p.y * p.x[1] for p in dataset]
-    res = optimize.linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(None, None), (None, None), (None, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise ArgumentError(f"margin LP failed: {res.message}")
-    return float(res.x[2])
+    scale = max(v.as_integer_ratio()[1] for p in dataset for v in p.x)
+    exact = {y: [tuple(n * (scale // d) for n, d in map(float.as_integer_ratio, p.x))
+                 for p in dataset if p.y == y] for y in (1, -1)}
+    pos, neg = exact[1], exact[-1]
+    # F's slope is (min positive x1 - max negative x1) / 2 for large w1
+    # and (max positive x1 - min negative x1) / 2 for very negative w1
+    x1_pos, x1_neg = [x1 for x1, _ in pos], [x1 for x1, _ in neg]
+    if min(x1_pos) > max(x1_neg) or max(x1_pos) < min(x1_neg):
+        raise ArgumentError("margin is unbounded: no x1 slope separates the classes")
+
+    def margin_at(a: int, b: int) -> float | None:
+        """F at w1 = a/b (b > 0) if w1 maximizes F, else None."""
+        lines_pos = [x2 * b + x1 * a for x1, x2 in pos]
+        lines_neg = [x2 * b + x1 * a for x1, x2 in neg]
+        lo, hi = min(lines_pos), max(lines_neg)
+        slopes_pos = [x1 for x1, v in zip(x1_pos, lines_pos) if v == lo]
+        slopes_neg = [x1 for x1, v in zip(x1_neg, lines_neg) if v == hi]
+        if min(slopes_pos) <= max(slopes_neg) and max(slopes_pos) >= min(slopes_neg):
+            return (lo - hi) / (2 * b * scale)  # int division rounds correctly
+        return None
+
+    pairs, crossings = [], []
+    floats = {y: np.array([p.x for p in dataset if p.y == y]) for y in (1, -1)}
+    for y, x in floats.items():
+        i, j = np.triu_indices(len(x), 1)
+        keep = x[i, 0] != x[j, 0]
+        i, j = i[keep], j[keep]
+        pairs += [(exact[y][p], exact[y][q]) for p, q in zip(i.tolist(), j.tolist())]
+        with np.errstate(all="ignore"):
+            crossings.append((x[j, 1] - x[i, 1]) / (x[i, 0] - x[j, 0]))
+    with np.errstate(all="ignore"):
+        w1 = np.concatenate(crossings)[:, None]
+        gap = (np.max(floats[-1][:, 1] + w1 * floats[-1][:, 0], axis=1)
+               - np.min(floats[1][:, 1] + w1 * floats[1][:, 0], axis=1))
+    for k in np.argsort(gap, kind="stable").tolist():
+        (x1_i, x2_i), (x1_j, x2_j) = pairs[k]
+        sign = 1 if x1_i > x1_j else -1
+        found = margin_at(sign * (x2_j - x2_i), sign * (x1_i - x1_j))
+        if found is not None:
+            return found
+    # no two lines of a class cross: each class shares one x1, and a
+    # bounded F is flat, so any w1 maximizes it
+    return margin_at(0, 1)
 
 
 def make_separable_dataset(

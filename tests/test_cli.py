@@ -187,3 +187,18 @@ class TestFailurePaths:
         assert stdout == ""
         assert json.loads(stderr)["error"] == "SaturationError"
         assert not list(out.rglob("*.csv"))
+
+    @pytest.mark.parametrize("v0", [2.0, 3.0, 3.5])
+    def test_calibrate_rejects_a_v0_the_fit_cannot_start_from(self, v0, tmp_path, capsys):
+        # k1 = u*exp(k2/v0) overflows at the fit's start, k2 = 2500 V
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"device": {"v0": v0}}))
+        out = tmp_path / "o"
+        code, stdout, stderr = run_cli(capsys, "calibrate", "--config", str(cfg),
+                                       "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        record = json.loads(stderr)
+        assert record["error"] == "DomainError"
+        assert f"v0 = {v0!r} V" in record["message"]
+        assert not out.exists() or not list(out.rglob("*"))

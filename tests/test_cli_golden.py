@@ -2,7 +2,9 @@
 the reference outputs under bench/refs/cli, byte for byte.
 
 The references were recorded by bench/record_refs.py: files that do not
-depend on the seed live in ``common``, the rest in ``seed-<n>``.
+depend on the seed live in ``common``, the rest in ``seed-<n>``.  The
+array state files that ``train`` writes have their own references under
+tests/data/golden/seed-<n>, recorded with ``fndam train --seed <n>``.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import pytest
 from fndam.cli import main
 
 REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli"
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 COMMANDS = (
     ["calibrate"],
     ["characterize"],
@@ -42,3 +45,14 @@ def test_outputs_equal_the_references(seed, tmp_path):
     expected = reference_files(seed)
     assert sorted(written) == sorted(expected)
     assert [name for name in sorted(expected) if written[name] != expected[name]] == []
+
+
+@pytest.mark.parametrize("seed", (0, 2104))
+def test_train_state_files_equal_the_golden_bytes(seed, tmp_path):
+    for argv in COMMANDS[4:]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--seed", str(seed), "--out", str(tmp_path)]) == 0
+    written = {p.name: p.read_bytes() for p in tmp_path.glob("*_state.json")}
+    expected = {p.name: p.read_bytes() for p in (GOLDEN / f"seed-{seed}").iterdir()}
+    assert sorted(expected) == ["network_state.json", "perceptron_state.json"]
+    assert written == expected

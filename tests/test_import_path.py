@@ -1,11 +1,11 @@
-"""Only ``calibrate`` and the perceptron load scipy.
+"""No fndam path loads scipy.
 
-scipy costs more start-up time than the rest of the package together,
-so ``fndam`` imports it inside the two functions that call it:
-``calibrate.fit_device_parameters`` (``least_squares``) and
-``trainer.best_margin`` (``linprog``).  A fresh interpreter runs every
-other path here and checks after each step that no ``scipy`` module
-has been loaded, then runs ``best_margin``, which must load it.
+The least-squares fit behind ``calibrate`` is a numpy replay of
+scipy's ``least_squares`` and the perceptron's margin is solved exactly,
+so scipy is a test oracle only.  A fresh interpreter runs every CLI
+command and the array, state and synchronize paths, and checks after
+each step that no ``scipy`` module has been loaded.  A second
+interpreter blocks ``import scipy`` outright and runs all six commands.
 """
 
 import json
@@ -16,11 +16,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+COMMANDS = (["calibrate"], ["characterize"], ["energy-report"], ["retention-report"],
+            ["train", "--experiment", "perceptron"], ["train", "--experiment", "network"])
+
 SCRIPT = """\
 import contextlib, io, json, sys
 
 def scipy_loaded():
-    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+    return sorted(name for name, module in list(sys.modules.items())
+                  if module is not None and (name == "scipy" or name.startswith("scipy.")))
 
 steps = {}
 import fndam, fndam.cli
@@ -28,8 +32,7 @@ fndam.load_config({})
 steps["import fndam, fndam.cli; load_config({})"] = scipy_loaded()
 
 out = sys.argv[1]
-for argv in (["characterize"], ["energy-report"], ["retention-report"],
-             ["train", "--experiment", "network"]):
+for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()):
         status = fndam.cli.main(argv + ["--out", out])
     steps[" ".join(argv)] = scipy_loaded() if status == 0 else f"exit status {status}"
@@ -56,13 +59,27 @@ print(json.dumps(steps))
 """
 
 
-def test_no_scipy_outside_calibrate_and_the_perceptron(tmp_path):
+def run_script(script, *args):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path / "out")], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    steps = json.loads(proc.stdout.splitlines()[-1])
-    # the perceptron's margin LP does load scipy, so the check can see it
-    assert "scipy.optimize" in steps.pop("best_margin")
-    assert len(steps) == 7
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_no_step_loads_scipy(tmp_path):
+    steps = run_script(SCRIPT, str(tmp_path / "out"), json.dumps(COMMANDS))
+    assert len(steps) == 10
     assert {step: loaded for step, loaded in steps.items() if loaded} == {}
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    blocked = 'import sys\nsys.modules["scipy"] = None\n' + SCRIPT
+    steps = run_script(blocked, str(tmp_path / "out"), json.dumps(COMMANDS))
+    assert {step: loaded for step, loaded in steps.items() if loaded} == {}
+    # the block holds: importing scipy in that interpreter fails
+    probe = run_script(
+        'import sys, json\nsys.modules["scipy"] = None\n'
+        'try:\n    import scipy.optimize\n    print(json.dumps("loaded"))\n'
+        'except ImportError:\n    print(json.dumps("blocked"))\n')
+    assert probe == "blocked"
