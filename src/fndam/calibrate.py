@@ -265,7 +265,7 @@ def fit_device_parameters(targets: CalibrationTargets | None = None,
     t = targets or CalibrationTargets()
     x0 = [math.log(initial_u), math.log(initial_k2)]
     _fit_params(x0, v0)  # reject a v0 the fit cannot start from
-    fit = _least_squares(lambda x: _fit_residuals(x, t, v0), x0, diff_step=1e-4, tol=1e-12)
+    fit = _least_squares(lambda x: _fit_residuals(x, t, v0), x0)
     params = _fit_params(fit.x, v0)
     return CalibrationResult(
         params=params,
@@ -308,20 +308,22 @@ class _LeastSquaresFit(NamedTuple):
 
 
 _EPS = np.finfo(float).eps
+_DIFF_STEP = 1e-4  # relative step of the fit's forward-difference Jacobian
+_TOL = 1e-12  # the fit's xtol, ftol and gtol
 
 
-def _least_squares(fun, x0, diff_step: float, tol: float,
-                   max_nfev: int | None = None) -> _LeastSquaresFit:
-    """``scipy.optimize.least_squares(fun, x0, diff_step=diff_step,
-    xtol=tol, ftol=tol, gtol=tol, max_nfev=max_nfev)``, replayed in numpy.
+def _least_squares(fun, x0) -> _LeastSquaresFit:
+    """``scipy.optimize.least_squares(fun, x0, diff_step=_DIFF_STEP,
+    xtol=_TOL, ftol=_TOL, gtol=_TOL)``, replayed in numpy.
 
     Only the path those arguments take: method 'trf' with no bounds
     (``trf_no_bounds``), a forward-difference Jacobian with relative
-    step diff_step, x_scale 1, the linear loss and the exact
-    trust-region solver (one SVD per Jacobian).  The float operations
-    are scipy's in scipy's order and on arrays of scipy's memory
-    layout, so x, cost, fun, status and nfev carry its bits.  status
-    is scipy's: 0 max_nfev reached, 1 gtol, 2 ftol, 3 xtol, 4 ftol and
+    step _DIFF_STEP, x_scale 1, the linear loss, the exact trust-region
+    solver (one SVD per Jacobian) and the default limit of 100 * n
+    evaluations for n = len(x0).  The float operations are scipy's in
+    scipy's order and on arrays of scipy's memory layout, so x, cost,
+    fun, status and nfev carry its bits.  status is scipy's: 0
+    evaluation limit reached, 1 gtol, 2 ftol, 3 xtol, 4 ftol and
     xtol.  A non-finite residual at a trial point shrinks the trust
     region to a quarter of the step; one at x0, or a non-finite
     Jacobian that the solver must factor, raises DomainError where
@@ -332,9 +334,9 @@ def _least_squares(fun, x0, diff_step: float, tol: float,
     f = np.atleast_1d(fun(x.copy()))
     if not np.all(np.isfinite(f)):
         raise DomainError("least squares: residuals are not finite at the starting point")
-    J = _forward_jacobian(fun, x, f, diff_step)
+    J = _forward_jacobian(fun, x, f)
     m, n = J.shape
-    max_nfev = max_nfev if max_nfev is not None else 100 * n
+    max_nfev = 100 * n
     nfev = 1
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
@@ -344,7 +346,7 @@ def _least_squares(fun, x0, diff_step: float, tol: float,
     alpha = 0.0  # Levenberg-Marquardt parameter
     status = None
     while True:
-        if norm(g, ord=np.inf) < tol:
+        if norm(g, ord=np.inf) < _TOL:
             status = 1
         if status is not None or nfev == max_nfev:
             break
@@ -382,8 +384,8 @@ def _least_squares(fun, x0, diff_step: float, tol: float,
             elif ratio > 0.75 and step_norm > 0.95 * delta:
                 delta_new = delta * 2.0
             # check_termination
-            ftol_met = actual_reduction < tol * cost and ratio > 0.25
-            xtol_met = step_norm < tol * (tol + norm(x))
+            ftol_met = actual_reduction < _TOL * cost and ratio > 0.25
+            xtol_met = step_norm < _TOL * (_TOL + norm(x))
             if ftol_met or xtol_met:
                 status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
                 break
@@ -391,15 +393,15 @@ def _least_squares(fun, x0, diff_step: float, tol: float,
             delta = delta_new
         if actual_reduction > 0:
             x, f, cost = x_new, f_new, cost_new
-            J = _forward_jacobian(fun, x, f, diff_step)
+            J = _forward_jacobian(fun, x, f)
             g = J.T.dot(f)
     return _LeastSquaresFit(x, cost, f, 0 if status is None else status, nfev)
 
 
-def _forward_jacobian(fun, x, f, rel_step: float) -> np.ndarray:
+def _forward_jacobian(fun, x, f) -> np.ndarray:
     """scipy's 2-point ``approx_derivative`` without bounds, Fortran-ordered as scipy's."""
     sign = (x >= 0).astype(float) * 2 - 1
-    h = rel_step * sign * np.abs(x)
+    h = _DIFF_STEP * sign * np.abs(x)
     h = np.where((x + h) - x == 0, _EPS**0.5 * sign * np.maximum(1.0, np.abs(x)), h)
     jt = np.empty((x.size, f.size))
     for i in range(x.size):

@@ -212,12 +212,17 @@ def best_margin(dataset: Sequence[LabeledPoint]) -> float:
     For a fixed w1 the best w0 centres the band between the classes, so
     the margin is F(w1) = (min over positive points of x2 + w1*x1, minus
     the max over negative points of the same) / 2: a concave
-    piecewise-linear function whose maximum sits where two lines of one
-    class cross.  numpy ranks every such crossing by F in floats; the
-    crossings are then tried in that order in exact rational arithmetic
-    (each coordinate is an integer over one common power of two), and
-    the first one where F's one-sided slopes bracket zero is the
-    maximizer.  Positive m means the dataset is separable by the
+    piecewise-linear function.  Any positive line minus any negative
+    line bounds 2F from above, so F's maximum lies at or below the
+    crossing of a rising bound and a falling one.  The search starts
+    from bounds with F's slopes as w1 -> -inf and +inf and evaluates F
+    at their crossing in exact integer arithmetic (each coordinate is an
+    integer over one common power of two).  If F's one-sided slopes
+    there bracket zero, the crossing is the maximizer; otherwise the
+    piece of F leaving it replaces the rising or the falling bound.
+    Each step retires a slope of F, so there are at most about
+    len(dataset) steps of O(len(dataset)) work each, and memory stays
+    O(len(dataset)).  Positive m means the dataset is separable by the
     perceptron's decision family; note the family fixes the x2
     coefficient to +1, so this is stricter than general linear
     separability.
@@ -225,49 +230,38 @@ def best_margin(dataset: Sequence[LabeledPoint]) -> float:
     labels = {p.y for p in dataset}
     if labels != {-1, 1}:
         raise ArgumentError("dataset must contain both classes")
-    scale = max(v.as_integer_ratio()[1] for p in dataset for v in p.x)
-    exact = {y: [tuple(n * (scale // d) for n, d in map(float.as_integer_ratio, p.x))
-                 for p in dataset if p.y == y] for y in (1, -1)}
+    ratios = [[float(v).as_integer_ratio() for v in p.x] for p in dataset]
+    scale = max(d for r in ratios for _, d in r)
+    exact = {y: [tuple(n * (scale // d) for n, d in r) for p, r in zip(dataset, ratios)
+                 if p.y == y] for y in (1, -1)}
     pos, neg = exact[1], exact[-1]
     # F's slope is (min positive x1 - max negative x1) / 2 for large w1
     # and (max positive x1 - min negative x1) / 2 for very negative w1
-    x1_pos, x1_neg = [x1 for x1, _ in pos], [x1 for x1, _ in neg]
-    if min(x1_pos) > max(x1_neg) or max(x1_pos) < min(x1_neg):
+    if min(pos)[0] > max(neg)[0] or max(pos)[0] < min(neg)[0]:
         raise ArgumentError("margin is unbounded: no x1 slope separates the classes")
 
-    def margin_at(a: int, b: int) -> float | None:
-        """F at w1 = a/b (b > 0) if w1 maximizes F, else None."""
+    def bound(p: tuple[int, int], n: tuple[int, int]) -> tuple[int, int]:
+        """Positive line p minus negative line n, each (x1, x2): (slope, intercept)."""
+        return p[0] - n[0], p[1] - n[1]
+
+    # F's slopes at -inf and +inf, so >= 0 and <= 0
+    rising = bound(max(pos), min(neg))
+    falling = bound(min(pos), max(neg))
+    while True:
+        # the crossing w1 = a/b, b > 0; two flat bounds mean F is constant
+        (s_r, c_r), (s_f, c_f) = rising, falling
+        a, b = (c_f - c_r, s_r - s_f) if s_r != s_f else (0, 1)
         lines_pos = [x2 * b + x1 * a for x1, x2 in pos]
         lines_neg = [x2 * b + x1 * a for x1, x2 in neg]
         lo, hi = min(lines_pos), max(lines_neg)
-        slopes_pos = [x1 for x1, v in zip(x1_pos, lines_pos) if v == lo]
-        slopes_neg = [x1 for x1, v in zip(x1_neg, lines_neg) if v == hi]
-        if min(slopes_pos) <= max(slopes_neg) and max(slopes_pos) >= min(slopes_neg):
+        active_pos = [l for l, v in zip(pos, lines_pos) if v == lo]
+        active_neg = [l for l, v in zip(neg, lines_neg) if v == hi]
+        if min(active_pos)[0] > max(active_neg)[0]:  # F rises right of a/b
+            rising = bound(min(active_pos), max(active_neg))
+        elif max(active_pos)[0] < min(active_neg)[0]:  # F falls left of a/b
+            falling = bound(max(active_pos), min(active_neg))
+        else:
             return (lo - hi) / (2 * b * scale)  # int division rounds correctly
-        return None
-
-    pairs, crossings = [], []
-    floats = {y: np.array([p.x for p in dataset if p.y == y]) for y in (1, -1)}
-    for y, x in floats.items():
-        i, j = np.triu_indices(len(x), 1)
-        keep = x[i, 0] != x[j, 0]
-        i, j = i[keep], j[keep]
-        pairs += [(exact[y][p], exact[y][q]) for p, q in zip(i.tolist(), j.tolist())]
-        with np.errstate(all="ignore"):
-            crossings.append((x[j, 1] - x[i, 1]) / (x[i, 0] - x[j, 0]))
-    with np.errstate(all="ignore"):
-        w1 = np.concatenate(crossings)[:, None]
-        gap = (np.max(floats[-1][:, 1] + w1 * floats[-1][:, 0], axis=1)
-               - np.min(floats[1][:, 1] + w1 * floats[1][:, 0], axis=1))
-    for k in np.argsort(gap, kind="stable").tolist():
-        (x1_i, x2_i), (x1_j, x2_j) = pairs[k]
-        sign = 1 if x1_i > x1_j else -1
-        found = margin_at(sign * (x2_j - x2_i), sign * (x1_i - x1_j))
-        if found is not None:
-            return found
-    # no two lines of a class cross: each class shares one x1, and a
-    # bounded F is flat, so any w1 maximizes it
-    return margin_at(0, 1)
 
 
 def make_separable_dataset(

@@ -7,7 +7,7 @@ not import scipy.  The oracle is ``least_squares`` on the same
 residuals; x, cost, fun, status and nfev are compared with ``==``.
 Calibration fits start from random points; cheap synthetic residuals
 reach the paths the default fit does not: rejected steps, non-finite
-residuals at a trial point and the max_nfev limit.
+residuals at a trial point and the limit of 100 * n evaluations.
 """
 
 import math
@@ -33,12 +33,13 @@ def outcome(solve):
     return r.x.tolist(), float(r.cost), r.fun.tolist(), int(r.status), int(r.nfev)
 
 
-def both(fun, x0, diff_step, tol, max_nfev=None):
+def both(fun, x0):
     """The replay's outcome and scipy's; numpy's floating-point warnings are not compared."""
+    tol = calibrate._TOL
     with np.errstate(all="ignore"):
-        replay = outcome(lambda: _least_squares(fun, x0, diff_step, tol, max_nfev))
+        replay = outcome(lambda: _least_squares(fun, x0))
         scipy = outcome(lambda: optimize.least_squares(
-            fun, x0, diff_step=diff_step, xtol=tol, ftol=tol, gtol=tol, max_nfev=max_nfev))
+            fun, x0, diff_step=calibrate._DIFF_STEP, xtol=tol, ftol=tol, gtol=tol))
     return replay, scipy
 
 
@@ -47,8 +48,7 @@ def both(fun, x0, diff_step, tol, max_nfev=None):
 @settings(max_examples=6, deadline=None)
 def test_calibration_fit_matches_least_squares(u0, k2):
     targets = CalibrationTargets()
-    replay, scipy = both(lambda x: _fit_residuals(x, targets, 7.5),
-                         [math.log(u0), math.log(k2)], 1e-4, 1e-12)
+    replay, scipy = both(lambda x: _fit_residuals(x, targets, 7.5), [math.log(u0), math.log(k2)])
     assert replay == scipy
 
 
@@ -66,34 +66,55 @@ problems = dict(
     a=st.floats(1.0, 100.0), wall=st.floats(1.2, 6.0), m=st.integers(2, 5),
     fill=st.sampled_from([math.inf, math.nan]),
     x0=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-    diff_step=st.sampled_from([1e-4, 1e-7]), tol=st.sampled_from([1e-12, 1e-8]),
-    max_nfev=st.none() | st.integers(1, 60),
 )
 # one problem per path the default fit does not take
-REJECTS = dict(a=100.0, wall=10.0, m=2, fill=math.inf, x0=(-1.2, 1.0), diff_step=1e-4,
-               tol=1e-12, max_nfev=None)
+REJECTS = dict(a=100.0, wall=10.0, m=2, fill=math.inf, x0=(-1.2, 1.0))
 WALL = dict(REJECTS, wall=3.9163743580730666, fill=math.nan,
             x0=(-2.724076915976906, -1.9509867726142582))
-LIMIT = dict(REJECTS, max_nfev=7)
 ZERO_START = dict(REJECTS, m=4, x0=(0.0, 0.0))
 
 
 @given(**problems)
 @example(**REJECTS)
 @example(**WALL)
-@example(**LIMIT)
 @example(**ZERO_START)
 @settings(max_examples=150, deadline=None)
-def test_synthetic_residuals_match_least_squares(a, wall, m, fill, x0, diff_step, tol,
-                                                 max_nfev):
+def test_synthetic_residuals_match_least_squares(a, wall, m, fill, x0):
     assume(math.hypot(*x0) < wall)
-    fun = valley(a, wall, m, fill)
-    replay, scipy = both(fun, list(x0), diff_step, tol, max_nfev)
+    replay, scipy = both(valley(a, wall, m, fill), list(x0))
     assert replay == scipy
 
 
-def path_counts(monkeypatch, problem):
-    """Trial steps of the replay on a problem: (rejected finite, non-finite), and the fit."""
+def runaway(wall, fill):
+    """One residual 1e45*exp(-x) whose minimum lies at x = +inf; `fill` beyond x = wall.
+
+    From x = 2 each Gauss-Newton step of about +1 is accepted, and the
+    gradient stays above gtol until x is about 117, so without a wall
+    only the limit of 100 evaluations stops the fit.  A wall below
+    that is met with shrinking steps, and the limit often falls on a
+    non-finite trial.
+    """
+    def fun(x):
+        return np.array([fill if x[0] > wall else 1e45 * math.exp(-x[0])])
+    return fun
+
+
+NO_WALL = dict(wall=math.inf, fill=math.inf)
+LIMIT_AT_WALL = dict(wall=95.12169747803817, fill=math.inf)
+
+
+@given(wall=st.floats(80.0, 110.0), fill=st.sampled_from([math.inf, math.nan]))
+@example(**NO_WALL)
+@example(**LIMIT_AT_WALL)
+@settings(max_examples=60, deadline=None)
+def test_evaluation_limit_matches_least_squares(wall, fill):
+    replay, scipy = both(runaway(wall, fill), [2.0])
+    assert replay == scipy
+
+
+def path_counts(monkeypatch, fun, x0):
+    """The replay on a problem: rejected finite and non-finite trial steps, the fit, and
+    whether each evaluation outside the Jacobian was finite."""
     jacobian = calibrate._forward_jacobian
     state = {"in_jacobian": False, "jacobians": 0}
     evaluations = []
@@ -107,7 +128,6 @@ def path_counts(monkeypatch, problem):
             state["in_jacobian"] = False
 
     monkeypatch.setattr(calibrate, "_forward_jacobian", spy)
-    fun = valley(problem["a"], problem["wall"], problem["m"], problem["fill"])
 
     def counted(x):
         f = fun(x)
@@ -115,38 +135,35 @@ def path_counts(monkeypatch, problem):
             evaluations.append(bool(np.all(np.isfinite(f))))
         return f
 
-    fit = _least_squares(counted, list(problem["x0"]), problem["diff_step"], problem["tol"],
-                         problem["max_nfev"])
+    fit = _least_squares(counted, list(x0))
     trials = evaluations[1:]  # the first evaluation is x0
     accepted = state["jacobians"] - 1
     non_finite = trials.count(False)
-    return len(trials) - accepted - non_finite, non_finite, fit
+    return len(trials) - accepted - non_finite, non_finite, fit, evaluations
+
+
+def valley_counts(monkeypatch, problem):
+    fun = valley(problem["a"], problem["wall"], problem["m"], problem["fill"])
+    return path_counts(monkeypatch, fun, problem["x0"])
 
 
 def test_examples_reach_each_path(monkeypatch):
-    rejected, _, fit = path_counts(monkeypatch, REJECTS)
+    rejected, _, fit, _ = valley_counts(monkeypatch, REJECTS)
     assert rejected > 0 and fit.status > 0
-    _, non_finite, _ = path_counts(monkeypatch, WALL)
+    _, non_finite, _, _ = valley_counts(monkeypatch, WALL)
     assert non_finite > 0
-    _, _, fit = path_counts(monkeypatch, LIMIT)
-    assert (fit.status, fit.nfev) == (0, 7)
-
-
-def test_default_evaluation_limit():
-    # the minimum lies at x0 = +inf: every Gauss-Newton step of +1 is
-    # accepted and no tolerance is met before 100 * n evaluations
-    def fun(x):
-        return np.array([1e100 * math.exp(-x[0]), x[1] - 1.0])
-
-    replay, scipy = both(fun, [0.0, 0.0], 1e-4, 1e-12)
-    assert replay == scipy
-    assert replay[3:] == (0, 200)
+    # every trial step accepted until the limit stops the outer loop
+    rejected, non_finite, fit, _ = path_counts(monkeypatch, runaway(**NO_WALL), [2.0])
+    assert (rejected, non_finite, fit.status, fit.nfev) == (0, 0, 0, 100)
+    # the limit stops the inner loop on a non-finite trial
+    _, _, fit, evaluations = path_counts(monkeypatch, runaway(**LIMIT_AT_WALL), [2.0])
+    assert (fit.status, fit.nfev, evaluations[-1]) == (0, 100, False)
 
 
 def test_non_finite_start_raises_domain_error():
     fun = valley(10.0, 1.0, 3, math.inf)
     with pytest.raises(DomainError, match="starting point"):
-        _least_squares(fun, [2.0, 0.0], 1e-4, 1e-12)
+        _least_squares(fun, [2.0, 0.0])
     with pytest.raises(ValueError, match="not finite in the initial point"), \
             np.errstate(all="ignore"):
         optimize.least_squares(fun, [2.0, 0.0], diff_step=1e-4)

@@ -13,6 +13,7 @@ it is held to 1e-12.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -85,6 +86,7 @@ points = st.builds(LabeledPoint, st.tuples(grid, grid), st.sampled_from([-1, 1])
 
 
 @given(st.lists(points, min_size=2, max_size=20))
+@example([LabeledPoint((1, 1), 1), LabeledPoint((-1, 1), 1), LabeledPoint((0, -1), -1)])  # ints
 @settings(max_examples=200, deadline=None)
 def test_degenerate_datasets(dataset):
     if {p.y for p in dataset} != {-1, 1}:
@@ -94,9 +96,9 @@ def test_degenerate_datasets(dataset):
     check(dataset)
 
 
-# one coordinate a few ulps either side of a common value: the float
-# ranking of the crossings is often wrong there, and only the exact
-# slope test at each candidate finds the maximizer
+# one coordinate a few ulps either side of a common value: float
+# arithmetic often misorders the crossings there, and only the exact
+# slope test finds the maximizer
 @st.composite
 def clustered(draw):
     axis, base, n = draw(st.integers(0, 1)), draw(st.floats(-1.0, 1.0)), draw(st.integers(2, 10))
@@ -109,7 +111,7 @@ def clustered(draw):
     return dataset
 
 
-# the float ranking puts a crossing first that is not the maximizer
+# ranked by F in floats, the first crossing is not the maximizer
 MISRANKED = [LabeledPoint(x, y) for x, y in [
     ((0.24042690403075562, -0.14954275030184863), 1),
     ((0.9901930104706482, -0.14954275030184913), 1),
@@ -133,3 +135,25 @@ def test_near_degenerate_datasets(dataset):
 def test_shipped_dataset_margin_is_highs_float():
     dataset = make_separable_dataset()
     assert best_margin(dataset) == linprog_margin(dataset) == 0.2759624767974136
+
+
+def parabola(n):
+    """n points on two parabolas: every line is on its class's envelope."""
+    ts = [k / (n // 2 - 1) * 2 - 1 for k in range(n // 2)]
+    return ([LabeledPoint((t, t * t + 0.5), 1) for t in ts]
+            + [LabeledPoint((t, -t * t - 0.5), -1) for t in ts])
+
+
+@pytest.mark.parametrize("dataset", [make_separable_dataset(400, 0.1, 3), parabola(400)],
+                         ids=["separable", "parabola"])
+def test_memory_grows_linearly(dataset):
+    # 400 points have 39 800 same-class crossings; a table of F at every
+    # crossing, one column per point, takes 125 MiB at its peak
+    tracemalloc.start()
+    try:
+        value = best_margin(dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert math.isclose(value, linprog_margin(dataset), rel_tol=0.0, abs_tol=1e-12)
