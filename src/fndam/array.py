@@ -62,7 +62,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DomainError, InitializationError, StateFormatError
-from .node import FnParams, NodeState, Pulse, decayed, log_each, programmable, released
+from .node import FnParams, NodeState, Pulse, _require_dt, decayed, log_each, programmable, released
 from .tables import csv_table
 
 WEIGHT_SCALE = 1000.0  # mV per volt of node difference
@@ -443,10 +443,13 @@ def _evolved(array: DamArray, v: np.ndarray, dt: float) -> DamArray:
     """
     if not np.minimum.reduce(v, axis=None) > 0:
         i, node = np.argwhere(~(v > 0))[0].tolist()
-        raise DomainError(
-            f"cell {i} {('SET', 'RESET')[node]} node driven to {v[i, node]:.6g} V <= 0"
-        )
+        raise _driven(i, node, v[i, node])
     return _with_voltages(array, v, array.global_clock + dt)
+
+
+def _driven(i: int, node: int, v: float) -> DomainError:
+    """The error for node 0 (SET) or 1 (RESET) of cell i driven to v <= 0."""
+    return DomainError(f"cell {i} {('SET', 'RESET')[node]} node driven to {v:.6g} V <= 0")
 
 
 def batch_read(array: DamArray, noise_sigma: float = 0.0, rng=None) -> tuple[WeightReading, ...]:
@@ -457,8 +460,7 @@ def batch_read(array: DamArray, noise_sigma: float = 0.0, rng=None) -> tuple[Wei
 
 def advance(array: DamArray, dt: float) -> DamArray:
     """Evolve every cell by dt; the global clock moves uniformly."""
-    if not (math.isfinite(dt) and dt >= 0):
-        raise DomainError(f"dt must be >= 0, got {dt!r}")
+    _require_dt(dt)
     if dt == 0.0:
         return _evolved(array, array.v, dt)
     return _evolved(array, decayed(array.v, array.log_k1, array.k2, math.log(dt)), dt)

@@ -20,6 +20,8 @@ for the default capacitances of ``FnParams`` and the input capacitor
 two-dimensional: k1 spans ~160 decades over plausible k2, so it is
 parameterized as (u, k2) with k1 = u * exp(k2 / v0), making u the
 dimensionless initial decay speed and decoupling the two axes.
+The characterization builds no cell: it runs on the float nodes of
+``fndam.cell``, to the bits and errors of the one-cell array.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array import DamArray, _brentq
-from .cell import decay, precompensated_amplitude, read_weight, set_pulse, synchronize
-from .errors import DomainError
-from .node import _MAX_EXP_ARG, FnParams, Pulse, k0_from_initial
+from .array import WEIGHT_SCALE, DamArray, _brentq
+from .cell import _evolved_nodes, _float_weight, _solve_amplitude, decay, synchronize
+from .errors import DomainError, SaturationError
+from .node import _MAX_EXP_ARG, FnParams, k0_from_initial
 from .energy import DEFAULT_C_IN, setpoint_write
 
 DEFAULT_V0 = 7.5  # V, fresh floating-gate voltage
@@ -131,28 +133,35 @@ def step_amplitude(params: FnParams, age_s: float,
                    target_mv: float = CAL_STEP_MV,
                    duration_s: float = CAL_PULSE_DURATION_S) -> float:
     """Pulse amplitude that programs target_mv on a cell of the given age."""
-    return _amplitude(cell_at_age(params, age_s), target_mv, duration_s)
+    return _amplitude(params, _aged_nodes(params, age_s), target_mv, duration_s)
 
 
-def _amplitude(cell: DamArray, target_mv: float = CAL_STEP_MV,
+def _aged_nodes(params: FnParams, age_s: float):
+    """The float nodes (``cell._float_nodes``) of ``cell_at_age(params, age_s)``."""
+    k0_from_initial(params, DEFAULT_V0)  # synchronize's check
+    nodes = ((DEFAULT_V0, params.log_k1, params.k2),) * 2
+    return _evolved_nodes(nodes, age_s) if age_s > 0 else nodes
+
+
+def _amplitude(params: FnParams, nodes, target_mv: float = CAL_STEP_MV,
                duration_s: float = CAL_PULSE_DURATION_S) -> float:
-    """step_amplitude on the aged cell itself."""
-    return precompensated_amplitude(cell, target_mv, duration_s, tol_mv=_AMP_TOL_MV)
+    """step_amplitude on the aged cell's float nodes."""
+    return _solve_amplitude(nodes, WEIGHT_SCALE, params.coupling_ratio, target_mv, duration_s,
+                            tol_mv=_AMP_TOL_MV)
 
 
 def weight_retention(params: FnParams, age_s: float,
                      window_s: float = RETENTION_WINDOW_S) -> float:
     """Fraction of a freshly programmed 1 mV weight left after window_s."""
-    cell = cell_at_age(params, age_s)
-    return _retained(cell, _amplitude(cell), window_s)
+    nodes = _aged_nodes(params, age_s)
+    return _retention(params, nodes, _amplitude(params, nodes), window_s)
 
 
-def _retained(cell: DamArray, amp: float, window_s: float) -> float:
-    """weight_retention on the aged cell, given its amplitude _amplitude(cell)."""
-    pulsed = set_pulse(cell, Pulse(amp, CAL_PULSE_DURATION_S))
-    w_start = read_weight(pulsed).weight
-    w_end = read_weight(decay(pulsed, window_s)).weight
-    return w_end / w_start
+def _retention(params: FnParams, nodes, amp: float, window_s: float) -> float:
+    """weight_retention on the aged cell's float nodes, given their amplitude."""
+    pulsed = _evolved_nodes(nodes, CAL_PULSE_DURATION_S, (amp * params.coupling_ratio, 0.0))
+    return (_float_weight(_evolved_nodes(pulsed, window_s), WEIGHT_SCALE)
+            / _float_weight(pulsed, WEIGHT_SCALE))
 
 
 def age_for_retention(params: FnParams, fraction: float,
@@ -231,20 +240,20 @@ def _memoized_by_age(params: FnParams):
     Both age searches start from the fresh cell and double their bracket
     over the same ages, and the root each returns is an age it has
     already solved, so without the memo evaluate_calibration repeats
-    solves it has made.  Each age's cell is built once and serves both.
+    solves it has made.  Each age's nodes are computed once for both.
     """
 
     @functools.cache
     def aged(age_s):
-        return cell_at_age(params, age_s)
+        return _aged_nodes(params, age_s)
 
     @functools.cache
     def amplitude(age_s):
-        return _amplitude(aged(age_s))
+        return _amplitude(params, aged(age_s))
 
     @functools.cache
     def retention(age_s):
-        return _retained(aged(age_s), amplitude(age_s), RETENTION_WINDOW_S)
+        return _retention(params, aged(age_s), amplitude(age_s), RETENTION_WINDOW_S)
 
     return amplitude, retention
 
@@ -259,8 +268,9 @@ def fit_device_parameters(targets: CalibrationTargets | None = None,
     corresponds to one tolerance band: log2 ratios for the three
     amplitudes and the energy (band = factor rel_band), additive
     deviation over retention_band for the fresh retention fraction.
-    A v0 at which the fit's starting k1 = u*exp(k2/v0) overflows is
-    rejected before the fit starts (DomainError).
+    The targets are characterized at DEFAULT_V0 (7.5 V) whatever v0 is:
+    v0 only parameterizes k1 = u*exp(k2/v0).  A v0 at which the fit's
+    starting k1 overflows is rejected before the fit starts (DomainError).
     """
     t = targets or CalibrationTargets()
     x0 = [math.log(initial_u), math.log(initial_k2)]
@@ -324,10 +334,10 @@ def _least_squares(fun, x0) -> _LeastSquaresFit:
     scipy's order and on arrays of scipy's memory layout, so x, cost,
     fun, status and nfev carry its bits.  status is scipy's: 0
     evaluation limit reached, 1 gtol, 2 ftol, 3 xtol, 4 ftol and
-    xtol.  A non-finite residual at a trial point shrinks the trust
-    region to a quarter of the step; one at x0, or a non-finite
-    Jacobian that the solver must factor, raises DomainError where
-    scipy raises ValueError.
+    xtol.  A non-finite residual at a trial point, or a DomainError or
+    SaturationError there, shrinks the trust region to a quarter of the
+    step; one at x0, or a non-finite Jacobian that the solver must
+    factor, raises DomainError where scipy raises ValueError.
     """
     norm = np.linalg.norm
     x = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -363,7 +373,10 @@ def _least_squares(fun, x0) -> _LeastSquaresFit:
             js = J.dot(step)
             predicted_reduction = -(0.5 * np.dot(js, js) + np.dot(step, g))
             x_new = x + step
-            f_new = np.atleast_1d(fun(x_new.copy()))
+            try:
+                f_new = np.atleast_1d(fun(x_new.copy()))
+            except (DomainError, SaturationError):  # no device at x_new
+                f_new = np.array([math.nan])
             nfev += 1
             step_norm = norm(step)
             if not np.all(np.isfinite(f_new)):

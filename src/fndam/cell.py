@@ -14,12 +14,12 @@ with weight_scale = 1000 by default.
 A cell is a one-cell ``DamArray``: its SET and RESET voltages are
 ``cell.v[0, 0]`` and ``cell.v[0, 1]`` and its clock is
 ``cell.global_clock``.  ``decay``, ``set_pulse``, ``reset_pulse`` and
-``read_weight`` are the array operations on that one cell.  The
-solvers (``precompensated_amplitude`` and the schedules) read a cell's
-columns once and run on plain floats, because each one-cell array
-operation pays several numpy calls.  ``precompensated_amplitude`` is a
-plain bisection whose every midpoint is one closed-form pulse evaluated
-on ``node.decayed_float``, the float twin of ``node.decayed``.
+``read_weight`` are the array operations on that one cell.  Solvers
+and loops over one cell read its columns once and run on floats, as
+each one-cell array operation pays several numpy calls:
+``_evolved_nodes`` and ``_float_weight`` are ``batch_pulse``, ``decay``
+and ``read_weight`` on ``node.decayed_float``, to the same bits and
+errors.  ``precompensated_amplitude`` is a bisection on such pulses.
 ``decay_factor`` and ``DecaySchedule`` evaluate one elementwise
 alpha*eta_n expression, on one step or on all of them.
 """
@@ -32,9 +32,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .array import (_MATCH_MAXITER, _MATCH_RESIDUAL, WEIGHT_SCALE, DamArray, MismatchSpec,
-                    WeightReading, advance, batch_pulse, rate_matched_voltages)
+                    WeightReading, _driven, advance, batch_pulse, rate_matched_voltages)
 from .errors import ArgumentError, DomainError, InitializationError, SaturationError, StepSizeError
-from .node import FnParams, Pulse, _require_finite_positive, decayed_float, k0_from_initial
+from .node import (FnParams, Pulse, _require_dt, _require_finite_positive, decayed_float,
+                   k0_from_initial, released)
 
 _NO_MISMATCH = MismatchSpec(relative_sigma=0.0)
 
@@ -141,8 +142,7 @@ def discrete_update(
     """
     if not (math.isfinite(w_set) and w_set > 0):
         raise DomainError(f"w_set must be positive, got {w_set!r}")
-    if not (math.isfinite(dt) and dt >= 0):
-        raise DomainError(f"dt must be >= 0, got {dt!r}")
+    _require_dt(dt)
     factor = (
         math.exp(params.log_k1 - params.k2 / w_set)
         * (2.0 * w_set + params.k2)
@@ -176,8 +176,7 @@ def decay_factor(params: FnParams, k0: float, n: int, dt: float) -> float:
         raise DomainError(f"n must be >= 0, got {n!r}")
     if not (math.isfinite(k0) and k0 > 1.0):
         raise DomainError(f"k0 must be finite and > 1, got {k0!r}")
-    if not (math.isfinite(dt) and dt >= 0):
-        raise DomainError(f"dt must be >= 0, got {dt!r}")
+    _require_dt(dt)
     return float(_alpha_eta(params.log_k1, k0, n, dt))
 
 
@@ -204,6 +203,31 @@ class DecaySchedule:
         return len(self.alpha_eta)
 
 
+def _float_nodes(cell: DamArray):
+    """A one-cell array's ((v, log_k1, k2) SET, same RESET) nodes and weight_scale."""
+    ws, = cell.weight_scale.tolist()
+    return tuple(zip(*cell.v.tolist(), *cell.log_k1.tolist(), *cell.k2.tolist())), ws
+
+
+def _float_weight(nodes, ws: float) -> float:
+    """``read_weight(cell).weight`` of a cell's float nodes."""
+    return ws * (nodes[1][0] - nodes[0][0])
+
+
+def _evolved_nodes(nodes, dt: float, steps=(0.0, 0.0)):
+    """``batch_pulse`` by per-node steps, ``decay`` at zero steps, on a cell's float nodes."""
+    _require_dt(dt)
+    if dt == 0.0:
+        return nodes
+    log_dt = math.log(dt)
+    nodes = tuple((released(v, step, log_k1, k2, log_dt, decayed_float), log_k1, k2)
+                  for (v, log_k1, k2), step in zip(nodes, steps))
+    for node, (v, _, _) in enumerate(nodes):
+        if not v > 0:
+            raise _driven(0, node, v)
+    return nodes
+
+
 def precompensated_amplitude(
     cell: DamArray,
     target_dw: float,
@@ -222,15 +246,21 @@ def precompensated_amplitude(
     The amplitude is the one a bisection over [0, amp_max] returns: the
     first midpoint whose net change lies within tol_mv of the target,
     the bracket narrowing until it spans 1e-12 * amp_max.  Each midpoint
-    is one pulse in closed form: ``node.decayed_float`` on the pulsed
-    node lifted by the coupled step, less the step, against
-    ``node.decayed_float`` on the idle node, read as ``read_weight``
-    reads.  These are the bits a pulsed and read cell gives.
+    is one pulse in closed form: ``node.released`` on floats for the
+    pulsed node against ``node.decayed_float`` on the idle node, read as
+    ``read_weight`` reads.  These are the bits a pulsed and read cell
+    gives.
 
     Raises SaturationError when the target is unreachable at amp_max or
     overshot by the smallest amplitude, and ArgumentError when it is
     reachable but tol_mv is finer than the amplitude grid resolves.
     """
+    return _solve_amplitude(*_float_nodes(cell), cell.nominal_params.coupling_ratio,
+                            target_dw, duration, polarity, amp_max, tol_mv)
+
+
+def _solve_amplitude(nodes, ws, r, target_dw, duration, polarity=1, amp_max=32.0, tol_mv=1e-3):
+    """precompensated_amplitude on ``_float_nodes``, weight_scale ws and coupling ratio r."""
     if not target_dw >= 0:
         raise DomainError(f"target_dw is a magnitude, got {target_dw!r}")
     if target_dw == 0.0:
@@ -240,26 +270,21 @@ def precompensated_amplitude(
     if not tol_mv >= 0:
         raise DomainError(f"tol_mv must be >= 0, got {tol_mv!r}")
     Pulse(amplitude=amp_max, duration=duration)  # every trial pulse is valid
-    (v_set, v_reset), = cell.v.tolist()
-    set_side, reset_side = zip((v_set, v_reset), *cell.log_k1.tolist(), *cell.k2.tolist())
     if polarity == 1:
-        (v, log_k1, k2), (idle_v, idle_log_k1, idle_k2) = set_side, reset_side
+        (v, log_k1, k2), (idle_v, idle_log_k1, idle_k2) = nodes
     elif polarity == -1:
-        (v, log_k1, k2), (idle_v, idle_log_k1, idle_k2) = reset_side, set_side
+        (idle_v, idle_log_k1, idle_k2), (v, log_k1, k2) = nodes
     else:
         raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
 
     sign = 1.0 if polarity == 1 else -1.0
-    ws, = cell.weight_scale.tolist()
-    w0 = ws * (v_reset - v_set)  # read_weight(cell).weight
-    r = cell.nominal_params.coupling_ratio
+    w0 = _float_weight(nodes, ws)
     log_dt = math.log(duration)
     idle = decayed_float(idle_v, idle_log_k1, idle_k2, log_dt)
 
     def net(amp):
         """Net weight change of one pulse at amp, as read after the pulse."""
-        step = r * amp
-        v_after = decayed_float(v + step, log_k1, k2, log_dt) - step
+        v_after = released(v, r * amp, log_k1, k2, log_dt, decayed_float)
         if v_after <= 0:
             raise DomainError(f"pulse release drives gate to {v_after:.6g} V <= 0")
         diff = idle - v_after if polarity == 1 else v_after - idle

@@ -6,8 +6,8 @@ reaching a fixed target voltage requires a growing input amplitude
 V_in = (V_target - V_fg) / coupling_ratio, so the per-update energy of
 maintaining a setpoint rises over the device's life.  Retention is
 limited by the thermal accumulation floor of the readout, modeled as
-sigma_T(t) = sigma0 + sigma_coeff * sqrt(t).  ``DEFAULT_C_IN`` is the
-input capacitance every module defaults to.
+sigma_T(t) = sigma0 + sigma_coeff * sqrt(t); ``retention_time`` runs on
+the cell's float nodes.  ``DEFAULT_C_IN`` is every module's default c_in.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .array import DamArray
-from .cell import decay, read_weight
+from .cell import _evolved_nodes, _float_nodes, _float_weight
 from .errors import DomainError
 from .node import FnParams, _pulse_count, voltage_at
 from .tables import csv_table, record_row
@@ -212,10 +212,10 @@ def retention_time(
     if not (math.isfinite(horizon_s) and horizon_s > 0):
         raise DomainError(f"horizon_s must be positive, got {horizon_s!r}")
 
-    ws, = cell.weight_scale.tolist()
+    nodes, ws = _float_nodes(cell)
 
     def margin(t):
-        w_v = abs(read_weight(decay(cell, t)).weight) / ws
+        w_v = abs(_float_weight(_evolved_nodes(nodes, t), ws)) / ws
         return w_v - noise_floor(model, t)
 
     if margin(0.0) <= 0:

@@ -27,6 +27,9 @@ from .calibrate import (
     fit_device_parameters,
 )
 from .cell import (
+    _evolved_nodes,
+    _float_nodes,
+    _float_weight,
     common_mode_step,
     decay,
     precompensated_amplitude,
@@ -144,10 +147,11 @@ def _fresh_cell(cfg: ExperimentConfig, age_s: float = 0.0):
 def _weight_trace(cell, window_s: float, n_points: int):
     """(t, weight) samples of undisturbed decay from the cell's state."""
     t_step = window_s / (n_points - 1)
-    samples = [(0.0, read_weight(cell).weight)]
+    nodes, ws = _float_nodes(cell)
+    samples = [(0.0, _float_weight(nodes, ws))]
     for i in range(1, n_points):
-        cell = decay(cell, t_step)
-        samples.append((i * t_step, read_weight(cell).weight))
+        nodes = _evolved_nodes(nodes, t_step)
+        samples.append((i * t_step, _float_weight(nodes, ws)))
     return samples
 
 

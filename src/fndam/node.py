@@ -22,7 +22,7 @@ initial condition of an undisturbed trajectory (``voltage_at``) and is
 not stored.  ``decayed`` and ``released`` are elementwise, so the cell
 arrays of ``fndam.array`` evolve every node by these same expressions.
 ``decayed_float`` is ``decayed`` on one Python float, bit for bit; the
-precompensation solve in ``fndam.cell`` evaluates its midpoints on it.
+one-cell solvers and loops of ``fndam.cell`` and its callers run on it.
 It and ``voltage_at`` share one float log-sum-exp, ``_logaddexp``.
 """
 
@@ -44,6 +44,11 @@ _LOG2 = math.log(2.0)  # numpy's NPY_LOGE2, the logaddexp of two equal arguments
 def _require_finite_positive(name, value):
     if not (math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_dt(dt):
+    if not (math.isfinite(dt) and dt >= 0):
+        raise DomainError(f"dt must be >= 0, got {dt!r}")
 
 
 def _pulse_count(n_pulses) -> int:
@@ -213,17 +218,19 @@ def decayed_float(v, log_k1, k2, log_dt):
     The log-sum-exp is ``_logaddexp``.  Its domain is finite v > 0;
     where numpy would return inf, ``math`` may raise instead.
     """
-    return min(k2 / _logaddexp(k2 / v, log_k1 + log_dt), v)
+    decayed_v = k2 / _logaddexp(k2 / v, log_k1 + log_dt)
+    return v if v < decayed_v else decayed_v  # min(decayed_v, v) without its call
 
 
-def released(v, step, log_k1, k2, log_dt):
+def released(v, step, log_k1, k2, log_dt, decay=decayed):
     """Gate voltage after one pulse: lifted by step, decayed, released.
 
     The gate tunnels at v + step for exp(log_dt) seconds and the coupled
-    step is then taken off again.  Elementwise like ``decayed``:
-    ``apply_pulse`` and ``array.batch_pulse`` call this one expression.
+    step is then taken off again.  Elementwise like ``decayed``, or on
+    Python floats to the same bits with ``decay=decayed_float``: every
+    pulse, on an array, a node or a cell's floats, is this expression.
     """
-    return decayed(v + step, log_k1, k2, log_dt) - step
+    return decay(v + step, log_k1, k2, log_dt) - step
 
 
 def evolve(state: NodeState, params: FnParams, dt: float) -> NodeState:
@@ -233,8 +240,7 @@ def evolve(state: NodeState, params: FnParams, dt: float) -> NodeState:
     evolve(dt1) then evolve(dt2) equals evolve(dt1+dt2) to rounding.
     dt = 0 returns the state unchanged, bit for bit.
     """
-    if not (math.isfinite(dt) and dt >= 0):
-        raise DomainError(f"dt must be >= 0, got {dt!r}")
+    _require_dt(dt)
     if dt == 0.0:
         return state
     new_v = decayed(state.v_fg, params.log_k1, params.k2, math.log(dt))

@@ -104,6 +104,22 @@ class TestSuccessPaths:
         assert code == 0
         assert stdout.splitlines()
 
+    @pytest.mark.parametrize("v0, k2", [(7.0, 2942.68), (8.0, 2930.35), (10.0, 2860.82)])
+    def test_calibrate_fits_across_v0(self, v0, k2, tmp_path, capsys):
+        # the fit's path crosses points with no device (k1 overflows, a
+        # pulse drives a node negative, k2/7.5 exceeds float range); they
+        # shrink its trust region instead of failing the run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"device": {"v0": v0}}))
+        out = tmp_path / "o"
+        code, _, stderr = run_cli(capsys, "calibrate", "--config", str(cfg), "--out", str(out))
+        assert (code, stderr) == (0, "")
+        device = json.loads((out / "fitted_device.json").read_text())["device"]
+        assert device["v0"] == v0
+        assert device["k2"] == pytest.approx(k2, rel=1e-5)
+        meta = json.loads((out / "fitted_device.json.meta.json").read_text())
+        assert meta["within_tolerance"] is True
+
 
 class TestFailurePaths:
     def test_unknown_config_key_exits_2_with_json_record(self, tmp_path, capsys):
