@@ -26,7 +26,6 @@ from .node import (
     evolve,
     initial_state,
     k0_from_initial,
-    pulse_train,
     tunneling_current,
     voltage_at,
 )
@@ -37,7 +36,6 @@ from .cell import (
     decay_factor,
     discrete_update,
     precompensated_amplitude,
-    pulse_cell,
     read_weight,
     reset_pulse,
     set_pulse,
@@ -51,7 +49,6 @@ from .energy import (
     RetentionResult,
     min_read_power,
     noise_floor,
-    programming_ratio,
     read_noise,
     retention_time,
     v_train_required,
@@ -66,7 +63,6 @@ from .calibrate import (
     DEFAULT_V0,
     REGIME_AGES_S,
     cell_at_age,
-    default_cell,
     default_params,
     evaluate_calibration,
     fit_device_parameters,
@@ -82,10 +78,8 @@ from .array import (
     batch_read,
     build_array,
     load_state,
-    save_state,
     state_from_json,
     state_to_json,
-    weights_csv,
 )
 from .trainer import (
     LabeledPoint,

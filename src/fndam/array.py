@@ -36,17 +36,16 @@ writes that serialization with the checksum spliced in front, so
 ``state_from_json`` verifies such text by hashing the characters the
 checksum covers; any other text, and every ``load_state`` document, is
 verified by serializing the parsed document again.  Schema version 2,
-the one written, stores one list per column under ``columns``:
-``set_v_fg``, ``reset_v_fg``, ``set_k1``, ``reset_k1``, ``set_k2``,
-``reset_k2`` and ``weight_scale``.  Floats are serialized at full
-precision, so load(save(a)) is lossless.  Version 1 documents, one
-object per cell under ``cells``, still load.  Either version is
-rejected with a ``StateFormatError`` naming the JSON path when it
-cannot describe the array: clocks must be finite, non-negative and
-shared by all cells, 0 < v_fg < k2 on every node, weight_scale > 0, and
-every cell must share the capacitances of ``nominal_params``.  Charge
-quantization is not modeled: a document whose ``quantize_charge`` is
-true is rejected, one that carries it as false still loads.
+the one written and the only one read, stores one list per column under
+``columns``: ``set_v_fg``, ``reset_v_fg``, ``set_k1``, ``reset_k1``,
+``set_k2``, ``reset_k2`` and ``weight_scale``.  Floats are serialized
+at full precision, so ``state_from_json(state_to_json(a)) == a``.  A
+document is rejected with a ``StateFormatError`` naming the JSON path
+when it cannot describe the array: the clock must be finite and
+non-negative, k1, k2 and weight_scale positive and finite, and
+0 < v_fg < k2 on every node.  Charge quantization is not modeled: a
+document whose ``quantize_charge`` is true is rejected, one that
+carries it as false still loads.
 """
 
 from __future__ import annotations
@@ -62,8 +61,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DomainError, InitializationError, StateFormatError
-from .node import FnParams, NodeState, Pulse, _require_dt, decayed, log_each, programmable, released
-from .tables import csv_table
+from .node import FnParams, Pulse, _require_dt, decayed, log_each, programmable, released
 
 WEIGHT_SCALE = 1000.0  # mV per volt of node difference
 STATE_FORMAT = "fndam-array-state"
@@ -83,11 +81,6 @@ _DOC_COLUMNS = {
     "set_k2": ("k2", 0),
     "reset_k2": ("k2", 1),
     "weight_scale": ("weight_scale", None),
-}
-# the same fields inside one cell of a schema v1 document
-_V1_PATHS = {"weight_scale": "weight_scale"} | {
-    f"{side}_{field}": f"{side}_{'node' if field == 'v_fg' else 'params'}.{field}"
-    for side in ("set", "reset") for field in ("v_fg", "k1", "k2")
 }
 
 
@@ -403,9 +396,11 @@ def build_array(
     if n < 1:
         raise ArgumentError(f"array size must be >= 1, got {n!r}")
     spec = mismatch if mismatch is not None else MismatchSpec(relative_sigma=0.0)
-    factors = _draw_factors(n, spec)
-    k1 = nominal.k1 * factors[:, :, 0]
-    k2 = nominal.k2 * factors[:, :, 1]
+    # a huge sigma overflows to inf here, which the check below rejects
+    with np.errstate(over="ignore"):
+        factors = _draw_factors(n, spec)
+        k1 = nominal.k1 * factors[:, :, 0]
+        k2 = nominal.k2 * factors[:, :, 1]
     ok = np.all(np.isfinite(k1) & (k1 > 0) & np.isfinite(k2) & (k2 > 0), axis=1)
     if math.isfinite(v0) and v0 > 0:
         ok &= programmable(k2[:, 0], v0)
@@ -512,13 +507,6 @@ def batch_pulse(
                                     math.log(duration)), duration)
 
 
-def weights_csv(array: DamArray) -> str:
-    """Per-cell weight dump: index, weight in mV, cell clock."""
-    t = array.global_clock
-    return csv_table(["index", "weight_mV", "t_s"],
-                     ((i, w, t) for i, w in enumerate(array.weights().tolist())))
-
-
 def _canonical(doc: dict) -> str:
     """Sorted keys, compact separators, everything but the checksum."""
     payload = {k: v for k, v in doc.items() if k != "checksum"}
@@ -557,17 +545,11 @@ def _unsigned_document(array: DamArray) -> dict:
     }
 
 
-def save_state(array: DamArray) -> dict:
-    """Versioned, checksummed document; round-trips through load_state."""
-    doc = _unsigned_document(array)
-    doc["checksum"] = _checksum(doc)
-    return doc
-
-
 def state_to_json(array: DamArray) -> str:
-    """save_state(array) as one line of canonical JSON, serialized once.
+    """The versioned, checksummed state document as one line of canonical JSON.
 
-    "checksum" sorts first, so it is spliced in front of the string it covers.
+    "checksum" sorts first, so it is spliced in front of the string it
+    covers.  ``state_from_json`` reads it back losslessly.
     """
     canonical = _canonical(_unsigned_document(array))
     checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -615,54 +597,6 @@ def _params_from(doc, path) -> FnParams:
         raise StateFormatError(f"invalid parameters at {path}: {exc}") from None
 
 
-def _v_fg_from(doc, path) -> float:
-    """A v1 node's voltage; its k0 is checked but not kept."""
-    v_fg, k0 = _float_at(doc, "v_fg", path), _float_at(doc, "k0", path)
-    try:
-        NodeState(v_fg)
-        if not (math.isfinite(k0) and k0 >= 1.0):
-            raise DomainError(f"k0 must be finite and >= 1, got {k0!r}")
-    except DomainError as exc:
-        raise StateFormatError(f"invalid node state at {path}: {exc}") from None
-    return v_fg
-
-
-def _v1_columns(doc, nominal: FnParams, clock: float) -> dict[str, np.ndarray]:
-    """Schema v1: one object per cell, each with its own params and clock."""
-    cells_doc = _need(doc, "cells", "", list)
-    if not cells_doc:
-        raise StateFormatError("empty cell list at cells")
-    shared = {"c_total": nominal.c_total, "c_couple": nominal.c_couple}
-    columns = {key: [] for key in _DOC_COLUMNS}
-    for i, cd in enumerate(cells_doc):
-        path = f"cells[{i}]"
-        if not isinstance(cd, dict):
-            raise StateFormatError(f"wrong type at {path}: expected mapping")
-        for side in ("set", "reset"):
-            v_fg = _v_fg_from(_need(cd, f"{side}_node", path, dict), f"{path}.{side}_node")
-            params = _params_from(
-                _need(cd, f"{side}_params", path, dict), f"{path}.{side}_params"
-            )
-            for field, want in shared.items():
-                if getattr(params, field) != want:
-                    raise StateFormatError(
-                        f"{path}.{side}_params.{field} = {getattr(params, field)!r} "
-                        f"differs from nominal_params.{field} = {want!r}"
-                    )
-            columns[f"{side}_v_fg"].append(v_fg)
-            columns[f"{side}_k1"].append(params.k1)
-            columns[f"{side}_k2"].append(params.k2)
-        columns["weight_scale"].append(_float_at(cd, "weight_scale", path))
-        t = _float_at(cd, "t", path)
-        if not (math.isfinite(t) and t >= 0):
-            raise StateFormatError(f"invalid clock at {path}.t: {t!r}")
-        if t != clock:
-            raise StateFormatError(
-                f"cell clock at {path}.t = {t!r} differs from global_clock = {clock!r}"
-            )
-    return {key: np.array(col) for key, col in columns.items()}
-
-
 def _v2_columns(doc) -> dict[str, np.ndarray]:
     """Schema v2: one list of numbers per column, all of one length."""
     cols = _need(doc, "columns", "", dict)
@@ -689,16 +623,13 @@ def _v2_columns(doc) -> dict[str, np.ndarray]:
     return out
 
 
-def _columns_from(cols: dict[str, np.ndarray], v0: float, where) -> dict[str, np.ndarray]:
-    """DamArray columns from document columns, checking that they describe cells.
-
-    ``where(key, i)`` names the JSON path of entry i of column key.
-    """
+def _columns_from(cols: dict[str, np.ndarray], v0: float) -> dict[str, np.ndarray]:
+    """DamArray columns from document columns, checking that they describe cells."""
 
     def reject(key, bad, what):
         i = int(np.argmax(bad))
         value = float(cols[key][i])
-        raise StateFormatError(f"invalid value at {where(key, i)}: {value!r}, {what}")
+        raise StateFormatError(f"invalid value at columns.{key}[{i}]: {value!r}, {what}")
 
     for key in ("set_k1", "reset_k1", "set_k2", "reset_k2", "weight_scale"):
         bad = ~(np.isfinite(cols[key]) & (cols[key] > 0))
@@ -723,9 +654,10 @@ def _columns_from(cols: dict[str, np.ndarray], v0: float, where) -> dict[str, np
 
 
 def load_state(doc: dict) -> DamArray:
-    """Rebuild an array from a save_state document, verifying integrity.
+    """Rebuild an array from a parsed state document, verifying integrity.
 
-    Reads schema versions 1 and 2 (see the module docstring).
+    The document is ``json.loads`` of ``state_to_json`` text; see the
+    module docstring for the schema and the checks.
     """
     return _load(doc, _checksum)
 
@@ -738,7 +670,7 @@ def _load(doc, checksum) -> DamArray:
     if fmt != STATE_FORMAT:
         raise StateFormatError(f"unrecognized format tag at format: {fmt!r}")
     version = _need(doc, "version", "", int)
-    if version not in (1, STATE_VERSION):
+    if version != STATE_VERSION:
         raise StateFormatError(f"unsupported schema version at version: {version!r}")
     stored = _need(doc, "checksum", "", str)
     actual = checksum(doc)
@@ -769,11 +701,7 @@ def _load(doc, checksum) -> DamArray:
     if not (math.isfinite(clock) and clock >= 0):
         raise StateFormatError(f"invalid clock at global_clock: {clock!r}")
 
-    if version == 1:
-        raw = _v1_columns(doc, nominal, clock)
-        columns = _columns_from(raw, v0, lambda key, i: f"cells[{i}].{_V1_PATHS[key]}")
-    else:
-        columns = _columns_from(_v2_columns(doc), v0, lambda key, i: f"columns.{key}[{i}]")
+    columns = _columns_from(_v2_columns(doc), v0)
     return DamArray(
         nominal_params=nominal, mismatch=mismatch, v0=v0, global_clock=clock, **columns
     )
@@ -805,8 +733,8 @@ def state_from_json(text: str) -> DamArray:
     load_state, in the same order.  So such text loads when its checksum
     is the hash of that text even if the text is not the canonical
     serialization, which load_state would reject.  Any other input
-    (bytes, reformatted JSON, a checksum that does not match, version 1
-    files, which were written indented) goes to load_state unchanged.
+    (bytes, reformatted JSON, a checksum that does not match) goes to
+    load_state unchanged.
     """
     try:
         doc = json.loads(text)

@@ -125,10 +125,6 @@ def cell_at_age(params: FnParams, age_s: float, v0: float = DEFAULT_V0) -> DamAr
     return decay(cell, age_s) if age_s > 0 else cell
 
 
-def default_cell(age_s: float = 0.0) -> DamArray:
-    return cell_at_age(default_params(), age_s)
-
-
 def step_amplitude(params: FnParams, age_s: float,
                    target_mv: float = CAL_STEP_MV,
                    duration_s: float = CAL_PULSE_DURATION_S) -> float:

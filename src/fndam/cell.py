@@ -104,11 +104,6 @@ def reset_pulse(cell: DamArray, pulse: Pulse) -> DamArray:
     return batch_pulse(cell, [(0, -1, pulse)])
 
 
-def pulse_cell(cell: DamArray, pulse: Pulse, polarity: int) -> DamArray:
-    """Dispatch on polarity: +1 -> set_pulse, -1 -> reset_pulse."""
-    return batch_pulse(cell, [(0, polarity, pulse)])
-
-
 def common_mode_step(cell: DamArray, dv: float) -> DamArray:
     """Identical instantaneous voltage perturbation on both nodes.
 

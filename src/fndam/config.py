@@ -275,18 +275,15 @@ def load_config(data: Mapping[str, Any] | None = None) -> ExperimentConfig:
     return _load(ExperimentConfig, data if data is not None else {}, "")
 
 
-def config_from_json(text: str) -> ExperimentConfig:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return load_config(data)
-
-
 def read_config_file(path: str) -> ExperimentConfig:
+    """load_config of a JSON file; ConfigError if it cannot be read or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    return config_from_json(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    return load_config(data)

@@ -106,12 +106,6 @@ class EnergyLedger:
     def total_energy(self) -> float:
         return sum(e.energy_j for e in self._entries)
 
-    def per_cell_totals(self) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for e in self._entries:
-            totals[e.cell_id] = totals.get(e.cell_id, 0.0) + e.energy_j
-        return totals
-
     def to_csv(self) -> str:
         header = ["cell_id", "t_s", "amplitude_V", "duration_s", "n_pulses", "energy_J"]
         return csv_table(header, map(record_row, self._entries))
@@ -264,19 +258,3 @@ def min_read_power(model: ReadModel, noise_target: float, bandwidth: float) -> f
         model.kappa * noise_target**2
     )
 
-
-def programming_ratio(params: FnParams, v_target: float, v_fg: float) -> float:
-    """Tunneling-rate speedup of holding the gate at v_target vs v_fg.
-
-        (v_target / v_fg)^2 * exp(k2/v_fg - k2/v_target)
-
-    Equals the ratio of tunneling currents at the two voltages; a large
-    value means programming is fast relative to the idle decay that
-    erodes the stored weight.
-    """
-    if not (math.isfinite(v_target) and v_target > 0):
-        raise DomainError(f"v_target must be positive, got {v_target!r}")
-    if not (math.isfinite(v_fg) and v_fg > 0):
-        raise DomainError(f"v_fg must be positive, got {v_fg!r}")
-    ratio = v_target / v_fg
-    return ratio * ratio * math.exp(params.k2 / v_fg - params.k2 / v_target)

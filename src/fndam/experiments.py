@@ -12,6 +12,7 @@ fails partway, the files it already wrote are removed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import replace
@@ -47,7 +48,7 @@ from .config import (
 from .energy import retention_time, setpoint_write, trajectory_times
 from .errors import ConfigError
 from .node import Pulse, k0_from_initial
-from .tables import _csv_line, csv_table  # noqa: F401  (_csv_line is re-exported)
+from .tables import csv_table
 from .trainer import (
     MlpSpec,
     NetworkConfig,
@@ -131,15 +132,6 @@ def _run(cfg: ExperimentConfig, command: str, steps) -> list[str]:
     return [str(p) for p in writer.paths]
 
 
-def _regime_ages(cfg: ExperimentConfig) -> tuple[float, ...]:
-    """Ages at which the 40 s window retains the three regime fractions."""
-    par = cfg.device.fn_params()
-    return (0.0,) + tuple(
-        age_for_retention(par, frac, cfg.experiment.window_s)
-        for frac in REGIME_RETENTION[1:]
-    )
-
-
 def _fresh_cell(cfg: ExperimentConfig, age_s: float = 0.0):
     return cell_at_age(cfg.device.fn_params(), age_s, cfg.device.v0)
 
@@ -155,10 +147,12 @@ def _weight_trace(cell, window_s: float, n_points: int):
     return samples
 
 
-def _char_regimes(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
+def _char_regimes(cfg: ExperimentConfig, writer: _OutputWriter, age_at) -> None:
     exp = cfg.experiment
     rows = []
-    for regime, age in enumerate(_regime_ages(cfg), start=1):
+    # the first regime is a fresh cell; the window retains the other fractions
+    ages = (0.0,) + tuple(map(age_at, REGIME_RETENTION[1:]))
+    for regime, age in enumerate(ages, start=1):
         cell = _fresh_cell(cfg, age)
         amp = precompensated_amplitude(cell, exp.step_mv, CAL_PULSE_DURATION_S)
         pulsed = set_pulse(cell, Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S))
@@ -240,10 +234,9 @@ def _char_pulse_count(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
     )
 
 
-def _char_common_mode(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
+def _char_common_mode(cfg: ExperimentConfig, writer: _OutputWriter, age_at) -> None:
     exp = cfg.experiment
-    par = cfg.device.fn_params()
-    age = age_for_retention(par, REGIME_RETENTION[1], exp.window_s)
+    age = age_at(REGIME_RETENTION[1])
     cell = _fresh_cell(cfg, age)
     amp = precompensated_amplitude(cell, _COMMON_MODE_WEIGHT_MV,
                                    CAL_PULSE_DURATION_S)
@@ -292,29 +285,38 @@ def _char_mismatch(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
     )
 
 
-_CHARACTERIZE_STEPS = {
-    "regimes": _char_regimes,
-    "bidirectional": _char_bidirectional,
-    "pulse_split": _char_pulse_split,
-    "amplitude_sweep": _char_amplitude_sweep,
-    "pulse_count": _char_pulse_count,
-    "common_mode": _char_common_mode,
-    "mismatch": _char_mismatch,
-}
+def _characterize_steps(cfg: ExperimentConfig) -> dict:
+    """The characterization steps by name, for one run.
+
+    regimes and common_mode share one age search per retention fraction.
+    """
+    par = cfg.device.fn_params()
+    age_at = functools.cache(
+        lambda fraction: age_for_retention(par, fraction, cfg.experiment.window_s))
+    return {
+        "regimes": functools.partial(_char_regimes, age_at=age_at),
+        "bidirectional": _char_bidirectional,
+        "pulse_split": _char_pulse_split,
+        "amplitude_sweep": _char_amplitude_sweep,
+        "pulse_count": _char_pulse_count,
+        "common_mode": functools.partial(_char_common_mode, age_at=age_at),
+        "mismatch": _char_mismatch,
+    }
 
 
 def run_characterize(cfg: ExperimentConfig, experiment: str | None = None) -> list[str]:
     """Device characterization CSVs; `experiment` picks one, default all."""
     if experiment is None or experiment == "all":
         names = CHARACTERIZE_EXPERIMENTS
-    elif experiment in _CHARACTERIZE_STEPS:
+    elif experiment in CHARACTERIZE_EXPERIMENTS:
         names = (experiment,)
     else:
         raise ConfigError(
             f"experiment: unknown characterization {experiment!r}; "
             f"expected one of {', '.join(CHARACTERIZE_EXPERIMENTS)}"
         )
-    return _run(cfg, "characterize", [_CHARACTERIZE_STEPS[n] for n in names])
+    steps = _characterize_steps(cfg)
+    return _run(cfg, "characterize", [steps[n] for n in names])
 
 
 def _energy_report(cfg: ExperimentConfig, writer: _OutputWriter) -> None:

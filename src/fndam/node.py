@@ -272,32 +272,3 @@ def apply_pulse(
         raise DomainError(f"pulse release drives gate to {v_down:.6g} V <= 0")
     return NodeState(v_down)
 
-
-def pulse_train(
-    state: NodeState,
-    params: FnParams,
-    pulse: Pulse,
-    n_pulses: int,
-    frequency: float,
-    polarity: int = 1,
-) -> NodeState:
-    """n_pulses identical pulses with starts spaced 1/frequency apart.
-
-    Each period is one pulse followed by idle decay; the final idle
-    segment completes the last period, so total elapsed time is exactly
-    n_pulses / frequency.
-    """
-    n_pulses = _pulse_count(n_pulses)
-    _require_finite_positive("frequency", frequency)
-    period = 1.0 / frequency
-    if pulse.duration > period:
-        raise ArgumentError(
-            f"pulses overlap: duration {pulse.duration!r} s exceeds the "
-            f"{period!r} s period at {frequency!r} Hz"
-        )
-    idle = period - pulse.duration
-    for _ in range(n_pulses):
-        state = apply_pulse(state, params, pulse, polarity)
-        if idle > 0:
-            state = evolve(state, params, idle)
-    return state

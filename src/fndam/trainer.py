@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +32,13 @@ from .tables import csv_table, record_row
 _AMP_TOL_MV = 1e-4  # precompensation tolerance for issued amplitudes
 DATASET_POINTS = 50  # default size and margin of make_separable_dataset
 DATASET_MARGIN = 0.25
+# the perceptron's pulse timing: a pulse must fit its period, and the longest
+# train, MAX_PULSES_PER_UPDATE periods, must fit one sample interval
+PULSE_FREQUENCY_HZ = 1000.0
+PULSE_DURATION_S = 0.0005
+SAMPLE_INTERVAL_S = 2.0
+MAX_PULSES_PER_UPDATE = 1000
+DECAY_INTERVAL_S = 2.0  # array decay charged per network iteration
 
 
 @dataclass(frozen=True)
@@ -50,49 +57,24 @@ class LabeledPoint:
 class TrainerConfig:
     """Knobs of the pulse-programmed perceptron loop.
 
-    learning_rate may be a constant or a callable of the global step
-    index; the device's own decay already supplies the shrinking-step
-    behavior, so a constant is the usual choice.  unit_step_mv is the
-    weight change one pulse is precompensated to produce.
+    learning_rate is constant: the device's own decay already supplies
+    the shrinking-step behavior.  unit_step_mv is the weight change one
+    pulse is precompensated to produce.
     """
 
-    learning_rate: float | Callable[[int], float] = 0.4
+    learning_rate: float = 0.4
     unit_step_mv: float = 0.05
-    pulse_frequency_hz: float = 1000.0
-    pulse_duration_s: float = 0.0005  # 50% duty at the default frequency
-    sample_interval_s: float = 2.0
     epochs: int = 5
-    max_pulses_per_update: int = 1000
     c_in: float = DEFAULT_C_IN
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("unit_step_mv", "pulse_frequency_hz", "pulse_duration_s",
-                     "sample_interval_s", "c_in"):
+        for name in ("learning_rate", "unit_step_mv", "c_in"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be positive, got {value!r}")
-        if self.epochs < 1 or self.max_pulses_per_update < 1:
-            raise DomainError("epochs and max_pulses_per_update must be >= 1")
-        if self.pulse_duration_s * self.pulse_frequency_hz > 1.0:
-            raise DomainError(
-                f"pulse duration {self.pulse_duration_s!r} s does not fit the "
-                f"{self.pulse_frequency_hz!r} Hz period"
-            )
-        if self.max_pulses_per_update / self.pulse_frequency_hz > self.sample_interval_s:
-            raise DomainError(
-                "the longest pulse train must fit one sample interval; lower "
-                "max_pulses_per_update or raise sample_interval_s"
-            )
-        if not callable(self.learning_rate) and not (
-            math.isfinite(self.learning_rate) and self.learning_rate > 0
-        ):
-            raise DomainError(f"learning_rate must be positive, got {self.learning_rate!r}")
-
-    def rate_at(self, step: int) -> float:
-        if callable(self.learning_rate):
-            return float(self.learning_rate(step))
-        return float(self.learning_rate)
+        if self.epochs < 1:
+            raise DomainError("epochs must be >= 1")
 
 
 def decision_fn(x: Sequence[float], w: Sequence[float]) -> float:
@@ -126,17 +108,17 @@ def gradient_to_pulses(update_mv: float, config: TrainerConfig, cell: DamArray) 
     picks SET (+) or RESET (-); its magnitude is rounded to the nearest
     whole number of unit steps; the amplitude is solved on `cell` so
     one pulse at the cell's current age moves the weight by one unit
-    step.  Counts beyond max_pulses_per_update are clipped and flagged.
+    step.  Counts beyond MAX_PULSES_PER_UPDATE are clipped and flagged.
     """
     n_exact = abs(update_mv) / config.unit_step_mv
     n_pulses = int(round(n_exact))
     if n_pulses == 0:
         return PulseCommand(polarity=1, n_pulses=0, amplitude_v=0.0)
-    clipped = n_pulses > config.max_pulses_per_update
+    clipped = n_pulses > MAX_PULSES_PER_UPDATE
     if clipped:
-        n_pulses = config.max_pulses_per_update
+        n_pulses = MAX_PULSES_PER_UPDATE
     amplitude = precompensated_amplitude(
-        cell, config.unit_step_mv, config.pulse_duration_s, tol_mv=_AMP_TOL_MV
+        cell, config.unit_step_mv, PULSE_DURATION_S, tol_mv=_AMP_TOL_MV
     )
     return PulseCommand(
         polarity=1 if update_mv > 0 else -1,
@@ -330,7 +312,7 @@ def train_perceptron(
         reference = decay(reference, array.global_clock)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    period = 1.0 / config.pulse_frequency_hz
+    period = 1.0 / PULSE_FREQUENCY_HZ
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
@@ -345,33 +327,33 @@ def train_perceptron(
             commands = (PulseCommand(1, 0, 0.0), PulseCommand(1, 0, 0.0))
             step_energy = 0.0
             if grad != (0.0, 0.0):
-                rate = config.rate_at(step)
                 commands = tuple(
-                    gradient_to_pulses(-rate * g, config, reference) for g in grad
+                    gradient_to_pulses(-config.learning_rate * g, config, reference)
+                    for g in grad
                 )
                 longest = max(c.n_pulses for c in commands)
                 for k in range(longest):
                     targets = [
-                        (j, c.polarity, Pulse(c.amplitude_v, config.pulse_duration_s))
+                        (j, c.polarity, Pulse(c.amplitude_v, PULSE_DURATION_S))
                         for j, c in enumerate(commands)
                         if k < c.n_pulses
                     ]
                     array = batch_pulse(array, targets)
-                    array = advance(array, period - config.pulse_duration_s)
+                    array = advance(array, period - PULSE_DURATION_S)
                 for j, c in enumerate(commands):
                     if c.n_pulses > 0:
                         entry = trace.ledger.record(
                             cell_id=j,
                             t_s=t_sample,
                             amplitude_v=c.amplitude_v,
-                            duration_s=config.pulse_duration_s,
+                            duration_s=PULSE_DURATION_S,
                             n_pulses=c.n_pulses,
                         )
                         step_energy += entry.energy_j
                 reference = decay(reference, longest * period)
-                remainder = config.sample_interval_s - longest * period
+                remainder = SAMPLE_INTERVAL_S - longest * period
             else:
-                remainder = config.sample_interval_s
+                remainder = SAMPLE_INTERVAL_S
             array = advance(array, remainder)
             reference = decay(reference, remainder)
 
@@ -446,16 +428,13 @@ class NetworkConfig:
     momentum: float = 0.9
     epochs: int = 10
     batch_size: int = 10
-    decay_interval_s: float = 2.0  # array decay charged per iteration
     seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.momentum < 1:
             raise DomainError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        for name in ("learning_rate", "decay_interval_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be positive, got {value!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DomainError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise DomainError("epochs and batch_size must be >= 1")
 
@@ -546,10 +525,6 @@ def _write_params_to_array(array: DamArray, theta: np.ndarray) -> DamArray:
     return _with_voltages(array, np.stack((mid - half, mid + half), axis=1), array.global_clock)
 
 
-def _read_params_from_array(array: DamArray) -> np.ndarray:
-    return array.weights()
-
-
 @dataclass(frozen=True)
 class NetworkEpoch:
     epoch: int
@@ -575,12 +550,13 @@ def train_network_with_dam_decay(
     """SGDM training with optional device-backed decay between iterations.
 
     With an array, every parameter is written onto a cell after each
-    SGDM step, the array decays for decay_interval_s, and the weights
+    SGDM step, the array decays for DECAY_INTERVAL_S, and the weights
     are read back — decay and (if the array is mismatched) per-cell
     drift come from the device physics.  With ``array=None`` the loop
     is standard SGDM.  The final epoch skips gradient updates:
     device-backed weights keep decaying, software-only weights stay
-    frozen.
+    frozen.  A float overflow or invalid value, the sign of a
+    learning_rate too large to converge, raises DomainError.
     """
     x_train, y_train = train_set
     x_test, y_test = test_set
@@ -593,27 +569,33 @@ def train_network_with_dam_decay(
     theta = _init_mlp(spec, rng)
     velocity = np.zeros_like(theta)
     trace = NetworkTrace()
-    for epoch in range(config.epochs):
-        decay_only = epoch == config.epochs - 1
-        order = rng.permutation(len(x_train))
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            if not decay_only:
-                grad = _mlp_grad(spec, theta, x_train[batch], y_train[batch])
-                velocity = config.momentum * velocity - config.learning_rate * grad
-                theta = theta + velocity
-            if array is not None:
-                array = _write_params_to_array(array, theta)
-                array = advance(array, config.decay_interval_s)
-                theta = _read_params_from_array(array)
-        trace.epochs.append(
-            NetworkEpoch(
-                epoch=epoch,
-                test_accuracy=mlp_accuracy(spec, theta, x_test, y_test),
-                mean_abs_weight=float(np.mean(np.abs(theta))),
-                decay_only=decay_only,
-            )
-        )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(config.epochs):
+                decay_only = epoch == config.epochs - 1
+                order = rng.permutation(len(x_train))
+                for start in range(0, len(order), config.batch_size):
+                    batch = order[start : start + config.batch_size]
+                    if not decay_only:
+                        grad = _mlp_grad(spec, theta, x_train[batch], y_train[batch])
+                        velocity = config.momentum * velocity - config.learning_rate * grad
+                        theta = theta + velocity
+                    if array is not None:
+                        array = _write_params_to_array(array, theta)
+                        array = advance(array, DECAY_INTERVAL_S)
+                        theta = array.weights()
+                trace.epochs.append(
+                    NetworkEpoch(
+                        epoch=epoch,
+                        test_accuracy=mlp_accuracy(spec, theta, x_test, y_test),
+                        mean_abs_weight=float(np.mean(np.abs(theta))),
+                        decay_only=decay_only,
+                    )
+                )
+    except FloatingPointError as exc:
+        raise DomainError(
+            f"network training diverged at learning_rate {config.learning_rate!r}: {exc}"
+        ) from None
     trace.final_accuracy = trace.epochs[-1].test_accuracy
     trace.theta = theta
     return trace, array

@@ -4,7 +4,6 @@ versioned state round-trip."""
 import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +22,8 @@ from fndam.array import (
     batch_read,
     build_array,
     load_state,
-    save_state,
     state_from_json,
     state_to_json,
-    weights_csv,
 )
 from fndam.calibrate import default_params
 from fndam.cell import decay, read_weight, set_pulse, synchronize
@@ -34,15 +31,9 @@ from fndam.errors import ArgumentError, DomainError, InitializationError, StateF
 from fndam.node import Pulse
 
 
-V1_FIXTURE = Path(__file__).parent / "data" / "state_v1.json"
-# batch_read of the fixture's array, taken by the code that wrote it
-V1_WEIGHTS_MV = [-13.684085787649458, 3.4975811764743625, 12.887827169284272]
-V1_CLOCK_S = 105.5
-
-
-def v1_doc():
-    """Schema v1 document: 3 mismatched cells after pulses and decay."""
-    return json.loads(V1_FIXTURE.read_text())
+def state_doc(array):
+    """The state document of array, as a reader of its JSON text gets it."""
+    return json.loads(state_to_json(array))
 
 
 def small_array(n=4, sigma=0.0, seed=0, **spec_kwargs):
@@ -257,23 +248,11 @@ class TestBatchOperations:
         assert reading == (reading.weight, reading.timestamp)
 
 
-class TestWeightsCsv:
-    def test_layout(self):
-        array = advance(small_array(2), 1.0)
-        lines = weights_csv(array).splitlines()
-        assert lines[0] == "index,weight_mV,t_s"
-        assert len(lines) == 3
-        idx, w, t = lines[1].split(",")
-        assert idx == "0"
-        assert float(t) == 1.0
-        assert float(w) == read_weight(row(array, 0)).weight
-
-
 class TestStatePersistence:
     def test_round_trip_is_lossless(self):
         array = small_array(100, sigma=1e-3, seed=12)
         array = advance(array, 3.25)
-        restored = load_state(save_state(array))
+        restored = load_state(state_doc(array))
         assert restored == array
 
     def test_json_round_trip_is_lossless(self):
@@ -281,7 +260,7 @@ class TestStatePersistence:
         assert state_from_json(state_to_json(array)) == array
 
     def test_document_identity_fields(self):
-        doc = save_state(small_array(2, sigma=1e-3, seed=7))
+        doc = state_doc(small_array(2, sigma=1e-3, seed=7))
         assert doc["format"] == STATE_FORMAT
         assert doc["version"] == STATE_VERSION
         assert doc["rng"] == {"algorithm": RNG_ALGORITHM, "seed": 7}
@@ -290,76 +269,73 @@ class TestStatePersistence:
              "weight_scale"])
         assert all(len(col) == 2 for col in doc["columns"].values())
 
-    def test_tampered_document_rejected(self):
-        doc = v1_doc()
-        doc["cells"][0]["set_node"]["v_fg"] = 7.4
-        with pytest.raises(StateFormatError, match="checksum"):
-            load_state(doc)
-
     def test_tampered_v2_document_rejected(self):
-        doc = save_state(small_array(2))
+        doc = state_doc(small_array(2))
         doc["columns"]["set_v_fg"][0] = 7.4
         with pytest.raises(StateFormatError, match="checksum"):
             load_state(doc)
 
     def test_unknown_format_rejected(self):
-        doc = save_state(small_array(2))
+        doc = state_doc(small_array(2))
         doc["format"] = "other-tool-state"
         with pytest.raises(StateFormatError, match="format"):
             load_state(doc)
 
     def test_future_version_rejected(self):
-        doc = save_state(small_array(2))
-        doc["version"] = STATE_VERSION + 1
-        doc["checksum"] = ""
-        with pytest.raises(StateFormatError, match="version"):
-            load_state(doc)
+        # version 1, one object per cell, is no longer read either
+        for version in (1, STATE_VERSION + 1):
+            doc = state_doc(small_array(2))
+            doc["version"] = version
+            doc["checksum"] = ""
+            with pytest.raises(StateFormatError,
+                               match=f"^unsupported schema version at version: {version}$"):
+                load_state(doc)
 
     def test_unknown_generator_rejected(self):
-        doc = save_state(small_array(2))
+        doc = state_doc(small_array(2))
         doc["rng"]["algorithm"] = "numpy.random.MT19937"
         doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match="rng.algorithm"):
             load_state(doc)
 
     def test_missing_field_is_located(self):
-        doc = v1_doc()
-        del doc["cells"][1]["reset_node"]
+        doc = state_doc(small_array(2))
+        del doc["mismatch"]["seed"]
         doc["checksum"] = _rechecksum(doc)
-        with pytest.raises(StateFormatError, match=r"cells\[1\]"):
+        with pytest.raises(StateFormatError, match=r"^missing field at mismatch\.seed$"):
             load_state(doc)
 
     def test_missing_v2_column_is_located(self):
-        doc = save_state(small_array(2))
+        doc = state_doc(small_array(2))
         del doc["columns"]["reset_v_fg"]
         doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match=r"columns\.reset_v_fg"):
             load_state(doc)
 
     def test_short_v2_column_is_located(self):
-        doc = save_state(small_array(2))
+        doc = state_doc(small_array(2))
         doc["columns"]["set_k2"].pop()
         doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match=r"columns\.set_k2"):
             load_state(doc)
 
     def test_wrong_scalar_type_is_located(self):
-        doc = v1_doc()
-        doc["cells"][0]["t"] = "zero"
+        doc = state_doc(small_array(2))
+        doc["global_clock"] = "zero"
         doc["checksum"] = _rechecksum(doc)
-        with pytest.raises(StateFormatError, match=r"cells\[0\].t"):
+        with pytest.raises(StateFormatError, match="^wrong type at global_clock: "):
             load_state(doc)
 
     @pytest.mark.parametrize("value", ["zero", True, None, [1.0]])
     def test_wrong_v2_entry_type_is_located(self, value):
-        doc = save_state(small_array(2))
+        doc = state_doc(small_array(2))
         doc["columns"]["weight_scale"][1] = value
         doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match=r"columns\.weight_scale\[1\]"):
             load_state(doc)
 
     def test_bool_is_not_a_number(self):
-        doc = save_state(small_array(2))
+        doc = state_doc(small_array(2))
         doc["v0"] = True
         doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match="v0"):
@@ -374,14 +350,15 @@ class TestStatePersistence:
             load_state([1, 2, 3])
 
     def test_empty_cell_list_rejected(self):
-        doc = v1_doc()
-        doc["cells"] = []
+        # one empty column among full ones
+        doc = state_doc(small_array(2))
+        doc["columns"]["reset_k1"] = []
         doc["checksum"] = _rechecksum(doc)
-        with pytest.raises(StateFormatError, match="empty"):
+        with pytest.raises(StateFormatError, match=r"^empty cell list at columns\.reset_k1$"):
             load_state(doc)
 
     def test_empty_v2_columns_rejected(self):
-        doc = save_state(small_array(1))
+        doc = state_doc(small_array(1))
         doc["columns"] = {key: [] for key in doc["columns"]}
         doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match="empty"):
@@ -396,14 +373,14 @@ class TestStatePersistence:
     def test_json_parses_to_the_saved_document(self):
         array = advance(small_array(5, sigma=1e-3, seed=9), 2.5)
         text = state_to_json(array)
-        assert json.loads(text) == save_state(array)
+        doc = json.loads(text)
+        assert doc["checksum"] == _rechecksum(doc)
         # the compact canonical form, checksum first
-        assert text == json.dumps(save_state(array), sort_keys=True,
-                                  separators=(",", ":")) + "\n"
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def test_quantize_charge_false_still_loads(self):
         array = small_array(2, sigma=1e-3, seed=3)
-        doc = save_state(array)
+        doc = state_doc(array)
         assert "quantize_charge" not in doc["nominal_params"]
         doc["nominal_params"]["quantize_charge"] = False
         doc["checksum"] = _rechecksum(doc)
@@ -413,47 +390,13 @@ class TestStatePersistence:
     @settings(max_examples=25, deadline=None)
     def test_round_trip_any_seed_and_age(self, seed, dt):
         array = advance(small_array(3, sigma=1e-3, seed=seed), dt)
-        assert load_state(save_state(array)) == array
+        assert load_state(state_doc(array)) == array
 
 
 def _rechecksum(doc):
     from fndam.array import _checksum
 
     return _checksum(doc)
-
-
-class TestVersion1Documents:
-    def test_loads_to_the_same_weights_and_clock(self):
-        array = load_state(v1_doc())
-        assert [r.weight for r in batch_read(array)] == V1_WEIGHTS_MV
-        assert array.global_clock == V1_CLOCK_S
-        assert all(r.timestamp == V1_CLOCK_S for r in batch_read(array))
-
-    def test_columns_hold_the_document_values(self):
-        doc = v1_doc()
-        array = load_state(doc)
-        for i, cd in enumerate(doc["cells"]):
-            assert array.v[i].tolist() == [cd["set_node"]["v_fg"], cd["reset_node"]["v_fg"]]
-            assert array.k1[i].tolist() == [cd["set_params"]["k1"], cd["reset_params"]["k1"]]
-            assert array.k2[i].tolist() == [cd["set_params"]["k2"], cd["reset_params"]["k2"]]
-            assert array.weight_scale[i] == cd["weight_scale"]
-
-    def test_node_k0_below_one_is_rejected(self):
-        # v1 nodes carry k0; it is checked on load though nothing keeps it
-        doc = _edit(v1_doc(), _set(("cells", 1, "reset_node", "k0"), 0.5))
-        with pytest.raises(StateFormatError, match=(
-                r"^invalid node state at cells\[1\]\.reset_node: "
-                r"k0 must be finite and >= 1, got 0\.5$")):
-            load_state(doc)
-
-    def test_resaves_as_version_2(self):
-        array = load_state(v1_doc())
-        doc = save_state(array)
-        assert doc["version"] == STATE_VERSION == 2
-        assert "cells" not in doc
-        restored = state_from_json(state_to_json(array))
-        assert restored == array
-        assert [r.weight for r in batch_read(restored)] == V1_WEIGHTS_MV
 
 
 def _edit(doc, change):
@@ -476,29 +419,6 @@ class TestPhysicalInvariantsOnLoad:
     """Checksummed documents that cannot describe an array are rejected."""
 
     @pytest.mark.parametrize("path, value, where", [
-        (("cells", 0, "t"), -5.0, r"cells\[0\]\.t"),
-        (("cells", 1, "t"), 1.0, r"cells\[1\]\.t"),  # differs from global_clock
-        (("cells", 2, "t"), math.nan, r"cells\[2\]\.t"),
-        (("cells", 0, "weight_scale"), 0.0, r"cells\[0\]\.weight_scale"),
-        (("cells", 1, "weight_scale"), -1000.0, r"cells\[1\]\.weight_scale"),
-        (("cells", 1, "weight_scale"), math.inf, r"cells\[1\]\.weight_scale"),
-        (("global_clock",), math.nan, "global_clock"),
-        (("global_clock",), -5.0, "global_clock"),
-        (("cells", 0, "set_node", "v_fg"), 0.0, r"cells\[0\]\.set_node"),
-        (("cells", 2, "reset_node", "v_fg"), 5000.0, r"cells\[2\]\.reset_node\.v_fg"),
-        (("cells", 2, "reset_params", "c_total"), 2e-12,
-         r"cells\[2\]\.reset_params\.c_total"),
-        (("cells", 0, "set_params", "c_couple"), 2e-13, r"cells\[0\]\.set_params\.c_couple"),
-        (("cells", 1, "set_params", "quantize_charge"), True,
-         r"cells\[1\]\.set_params\.quantize_charge"),
-        (("v0",), -7.5, "v0"),
-    ])
-    def test_version_1(self, path, value, where):
-        doc = _edit(v1_doc(), _set(path, value))
-        with pytest.raises(StateFormatError, match=where):
-            load_state(doc)
-
-    @pytest.mark.parametrize("path, value, where", [
         (("columns", "weight_scale", 1), 0.0, r"columns\.weight_scale\[1\]"),
         (("columns", "weight_scale", 0), math.nan, r"columns\.weight_scale\[0\]"),
         (("global_clock",), math.nan, "global_clock"),
@@ -514,7 +434,7 @@ class TestPhysicalInvariantsOnLoad:
         (("nominal_params", "quantize_charge"), True, r"nominal_params\.quantize_charge"),
     ])
     def test_version_2(self, path, value, where):
-        doc = _edit(save_state(small_array(2, sigma=1e-3, seed=3)), _set(path, value))
+        doc = _edit(state_doc(small_array(2, sigma=1e-3, seed=3)), _set(path, value))
         with pytest.raises(StateFormatError, match=where):
             load_state(doc)
 
@@ -528,12 +448,12 @@ class TestColumns:
 
     def test_operations_leave_their_input_unchanged(self):
         array = small_array(4, sigma=1e-3, seed=2)
-        before = save_state(array)
+        before = state_doc(array)
         pulse = Pulse(amplitude=0.2, duration=0.5)
         advance(array, 3.0)
         batch_pulse(array, [(0, 1, pulse), (3, -1, pulse)])
         batch_read(array, 1e-3, np.random.default_rng(0))
-        assert save_state(array) == before
+        assert state_doc(array) == before
 
     def test_writable_inputs_are_copied(self):
         array = small_array(2)

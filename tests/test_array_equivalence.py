@@ -21,11 +21,11 @@ from scipy import optimize
 from fndam.array import (MismatchSpec, WeightReading, _log_rate, advance, batch_pulse,
                          batch_read, build_array)
 from fndam.calibrate import default_params
-from fndam.cell import (common_mode_step, decay, pulse_cell, read_weight, reset_pulse,
+from fndam.cell import (common_mode_step, decay, read_weight, reset_pulse,
                         set_pulse, synchronize)
 from fndam.errors import DomainError, InitializationError
 from fndam.node import NodeState, Pulse, apply_pulse, evolve, initial_state
-from fndam.trainer import _read_params_from_array, _write_params_to_array
+from fndam.trainer import _write_params_to_array
 
 V0 = 7.5
 
@@ -174,7 +174,7 @@ def test_single_cell_api_matches_reference(sigma, seed, dt, width, polarity, amp
     pulse = Pulse(amp, width)
     expected = ref.pulse(polarity, pulse)
     same_bits((set_pulse if polarity == 1 else reset_pulse)(cell, pulse), [expected])
-    same_bits(pulse_cell(cell, pulse, polarity), [expected])
+    same_bits(batch_pulse(cell, [(0, polarity, pulse)]), [expected])
 
     bumped = common_mode_step(cell, dv)
     same_bits(bumped, [replace(ref, v=(ref.v[0] + dv, ref.v[1] + dv))])
@@ -208,7 +208,7 @@ def test_parking_matches_per_cell_split(n, sigma, seed, dt, data):
     same_bits(parked, expected)
     aged = advance(parked, dt)
     expected = [c.decay(dt) for c in expected]
-    assert _read_params_from_array(aged).tolist() == [c.weight() for c in expected]
+    assert aged.weights().tolist() == [c.weight() for c in expected]
 
 
 def outcome(build, *args):

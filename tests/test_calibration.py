@@ -17,7 +17,6 @@ from fndam.calibrate import (
     CalibrationTargets,
     age_for_retention,
     cell_at_age,
-    default_cell,
     default_params,
     energy_per_update,
     evaluate_calibration,
@@ -80,7 +79,7 @@ class TestShippedCalibration:
         assert amps[0] < amps[1] < amps[2]
 
     def test_fresh_cell_state(self):
-        cell = default_cell()
+        cell = cell_at_age(default_params(), 0.0)
         assert cell.v[0, 0] == 7.5
         assert cell.global_clock == 0.0
         aged = cell_at_age(default_params(), 100.0)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fndam.array import DamArray, MismatchSpec, batch_read
-from fndam.calibrate import REGIME_AGES_S, cell_at_age, default_cell, default_params
+from fndam.array import DamArray, MismatchSpec, batch_pulse, batch_read
+from fndam.calibrate import REGIME_AGES_S, cell_at_age, default_params
 from fndam.cell import (
     DecaySchedule,
     common_mode_step,
@@ -18,7 +18,6 @@ from fndam.cell import (
     decay_factor,
     discrete_update,
     precompensated_amplitude,
-    pulse_cell,
     read_weight,
     reset_pulse,
     set_pulse,
@@ -139,13 +138,13 @@ class TestSynchronize:
 
 class TestReadWeight:
     def test_timestamp_tracks_cell_clock(self):
-        cell = default_cell()
+        cell = cell_at_age(default_params(), 0.0)
         assert read_weight(cell).timestamp == 0.0
         aged = decay(cell, 12.5)
         assert read_weight(aged).timestamp == 12.5
 
     def test_noise_is_seeded(self):
-        cell = default_cell()
+        cell = cell_at_age(default_params(), 0.0)
         a = read_weight(cell, noise_sigma=1e-4, rng=np.random.default_rng(7)).weight
         b = read_weight(cell, noise_sigma=1e-4, rng=np.random.default_rng(7)).weight
         assert a == b
@@ -153,11 +152,11 @@ class TestReadWeight:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
-            read_weight(default_cell(), noise_sigma=-1e-6)
+            read_weight(cell_at_age(default_params(), 0.0), noise_sigma=-1e-6)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
     def test_non_finite_sigma_rejected(self, sigma):
-        cell = default_cell()
+        cell = cell_at_age(default_params(), 0.0)
         for read in (read_weight, batch_read, DamArray.weights):
             with pytest.raises(DomainError, match="noise_sigma must be finite and >= 0"):
                 read(cell, noise_sigma=sigma, rng=np.random.default_rng(0))
@@ -165,7 +164,7 @@ class TestReadWeight:
 
 class TestPulseSymmetry:
     def test_set_and_reset_are_mirror_images_when_balanced(self):
-        cell = default_cell()
+        cell = cell_at_age(default_params(), 0.0)
         pulse = Pulse(amplitude=0.17, duration=0.5)
         dw_set = read_weight(set_pulse(cell, pulse)).weight
         dw_reset = read_weight(reset_pulse(cell, pulse)).weight
@@ -175,22 +174,22 @@ class TestPulseSymmetry:
 
     def test_set_then_reset_cancels(self):
         # same amplitude back-to-back: residual well under 1% of the step
-        cell = default_cell()
+        cell = cell_at_age(default_params(), 0.0)
         pulse = Pulse(amplitude=0.17473983764648438, duration=0.5)
         step = read_weight(set_pulse(cell, pulse)).weight
         after = reset_pulse(set_pulse(cell, pulse), pulse)
         assert abs(read_weight(after).weight) < 0.01 * step
 
     def test_polarity_dispatch(self):
-        cell = default_cell()
+        cell = cell_at_age(default_params(), 0.0)
         pulse = Pulse(amplitude=0.2, duration=0.1)
-        assert pulse_cell(cell, pulse, 1) == set_pulse(cell, pulse)
-        assert pulse_cell(cell, pulse, -1) == reset_pulse(cell, pulse)
+        assert batch_pulse(cell, [(0, 1, pulse)]) == set_pulse(cell, pulse)
+        assert batch_pulse(cell, [(0, -1, pulse)]) == reset_pulse(cell, pulse)
         with pytest.raises(ArgumentError):
-            pulse_cell(cell, pulse, 0)
+            batch_pulse(cell, [(0, 0, pulse)])
 
     def test_clock_advances_by_pulse_duration(self):
-        cell = default_cell()
+        cell = cell_at_age(default_params(), 0.0)
         pulse = Pulse(amplitude=0.2, duration=0.25)
         assert set_pulse(cell, pulse).global_clock == 0.25
         assert reset_pulse(cell, pulse).global_clock == 0.25
@@ -199,7 +198,7 @@ class TestPulseSymmetry:
 
 class TestCommonMode:
     def test_balanced_cell_is_exactly_immune(self):
-        cell = default_cell()
+        cell = cell_at_age(default_params(), 0.0)
         bumped = common_mode_step(cell, 0.1)
         assert read_weight(bumped).weight == 0.0
         assert bumped.global_clock == cell.global_clock
@@ -214,9 +213,9 @@ class TestCommonMode:
 
     def test_non_positive_voltage_rejected(self):
         with pytest.raises(DomainError):
-            common_mode_step(default_cell(), -7.5)
+            common_mode_step(cell_at_age(default_params(), 0.0), -7.5)
         with pytest.raises(DomainError):
-            common_mode_step(default_cell(), math.inf)
+            common_mode_step(cell_at_age(default_params(), 0.0), math.inf)
 
 
 class TestDecay:
@@ -429,10 +428,10 @@ class TestRobbinsMonro:
 
 class TestPrecompensatedAmplitude:
     def test_zero_target_needs_no_pulse(self):
-        assert precompensated_amplitude(default_cell(), 0.0, 0.5) == 0.0
+        assert precompensated_amplitude(cell_at_age(default_params(), 0.0), 0.0, 0.5) == 0.0
 
     def test_achieves_target_within_tolerance(self):
-        cell = default_cell()
+        cell = cell_at_age(default_params(), 0.0)
         amp = precompensated_amplitude(cell, 1.0, 0.5)
         dw = read_weight(set_pulse(cell, Pulse(amplitude=amp, duration=0.5))).weight
         assert abs(dw - 1.0) <= 1e-3 + 1e-9
@@ -440,7 +439,7 @@ class TestPrecompensatedAmplitude:
     def test_reset_polarity_lowers_weight(self):
         cell = cell_with_weight(default_params(), 7.5, 5.0)
         amp = precompensated_amplitude(cell, 2.0, 0.5, polarity=-1)
-        after = pulse_cell(cell, Pulse(amplitude=amp, duration=0.5), -1)
+        after = batch_pulse(cell, [(0, -1, Pulse(amplitude=amp, duration=0.5))])
         np.testing.assert_allclose(
             read_weight(after).weight - read_weight(cell).weight, -2.0, atol=2e-3
         )
@@ -459,17 +458,17 @@ class TestPrecompensatedAmplitude:
 
     def test_unreachable_target_raises(self):
         with pytest.raises(SaturationError):
-            precompensated_amplitude(default_cell(), 500.0, 1e-3, amp_max=1.0)
+            precompensated_amplitude(cell_at_age(default_params(), 0.0), 500.0, 1e-3, amp_max=1.0)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
-            precompensated_amplitude(default_cell(), -1.0, 0.5)
+            precompensated_amplitude(cell_at_age(default_params(), 0.0), -1.0, 0.5)
         with pytest.raises(DomainError):
-            precompensated_amplitude(default_cell(), 1.0, 0.5, amp_max=0.0)
+            precompensated_amplitude(cell_at_age(default_params(), 0.0), 1.0, 0.5, amp_max=0.0)
 
     def test_unreachable_target_keeps_its_message(self):
         with pytest.raises(SaturationError) as exc_info:
-            precompensated_amplitude(default_cell(), 500.0, 1e-3, amp_max=1.0)
+            precompensated_amplitude(cell_at_age(default_params(), 0.0), 500.0, 1e-3, amp_max=1.0)
         assert str(exc_info.value).startswith(
             "target 500.0 mV unreachable: amp_max=1.0 V yields ")
 
@@ -488,7 +487,7 @@ class TestPrecompensatedAmplitude:
                 r"^tol_mv=1e-12 mV is below the resolution of the amplitude solve: "
                 r"near 1\.0 mV one 2\.91e-11 V step of its amplitude grid moves "
                 r"the weight by \S+ mV$")):
-            precompensated_amplitude(default_cell(500.0), 1.0, 0.5, tol_mv=1e-12)
+            precompensated_amplitude(cell_at_age(default_params(), 500.0), 1.0, 0.5, tol_mv=1e-12)
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(target_dw=math.nan), "target_dw is a magnitude, got nan"),
@@ -498,25 +497,26 @@ class TestPrecompensatedAmplitude:
         (dict(amp_max=math.inf), "pulse amplitude must be >= 0, got inf"),
     ])
     def test_invalid_arguments_are_domain_errors(self, kwargs, message):
-        args = dict(cell=default_cell(), target_dw=1.0, duration=0.5)
+        args = dict(cell=cell_at_age(default_params(), 0.0), target_dw=1.0, duration=0.5)
         args.update(kwargs)
         with pytest.raises(DomainError) as exc_info:
             precompensated_amplitude(**args)
         assert str(exc_info.value) == message
 
     def test_infinite_tolerance_takes_the_first_midpoint(self):
-        assert precompensated_amplitude(default_cell(), 1.0, 0.5, tol_mv=math.inf) == 16.0
+        cell = cell_at_age(default_params(), 0.0)
+        assert precompensated_amplitude(cell, 1.0, 0.5, tol_mv=math.inf) == 16.0
 
     def test_bad_polarity_is_an_argument_error(self):
         with pytest.raises(ArgumentError, match="polarity must be"):
-            precompensated_amplitude(default_cell(), 1.0, 0.5, polarity=0)
+            precompensated_amplitude(cell_at_age(default_params(), 0.0), 1.0, 0.5, polarity=0)
 
 
 class TestShortPulseLinearity:
     def test_small_steps_accumulate_linearly(self):
         # 0.1 mV steps from 1 ms pulses at 500 Hz: k pulses land within 5%
         # of k times one step for k <= 10
-        cell = default_cell()
+        cell = cell_at_age(default_params(), 0.0)
         amp = precompensated_amplitude(cell, 0.1, 1e-3)
         pulse = Pulse(amplitude=amp, duration=1e-3)
         step = read_weight(set_pulse(cell, pulse)).weight

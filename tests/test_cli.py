@@ -204,6 +204,27 @@ class TestFailurePaths:
         assert json.loads(stderr)["error"] == "SaturationError"
         assert not list(out.rglob("*.csv"))
 
+    @pytest.mark.parametrize("network, error, words", [
+        ({"learning_rate": 1e6}, "DomainError", "diverged at learning_rate 1000000.0"),
+        ({"mismatch_sigma": 1e300}, "InitializationError", "failed to initialize"),
+        ({"mismatch_sigma": 1.7e308}, "InitializationError", "failed to initialize"),
+    ])
+    def test_network_overflow_fails_typed_without_warnings(self, network, error, words,
+                                                           tmp_path, capsys):
+        # numpy warnings are errors under pytest, so a warning fails this test
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"train": {"network": network}}}))
+        out = tmp_path / "o"
+        code, stdout, stderr = run_cli(capsys, "train", "--experiment", "network",
+                                       "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.count("\n") == 1
+        record = json.loads(stderr)
+        assert record["error"] == error
+        assert words in record["message"]
+        assert not out.exists() or not list(out.rglob("*"))
+
     @pytest.mark.parametrize("v0", [2.0, 3.0, 3.5])
     def test_calibrate_rejects_a_v0_the_fit_cannot_start_from(self, v0, tmp_path, capsys):
         # k1 = u*exp(k2/v0) overflows at the fit's start, k2 = 2500 V

@@ -1,13 +1,14 @@
 """Strict config schema: defaults, unknown-key rejection with key paths,
 type discipline, and the reproducibility hash."""
 
+import json
+
 import pytest
 
 from fndam.config import (
     CHARACTERIZE_EXPERIMENTS,
     TRAIN_KINDS,
     ExperimentConfig,
-    config_from_json,
     load_config,
     read_config_file,
 )
@@ -161,13 +162,18 @@ class TestGoldenMessages:
 
 
 class TestJsonEntryPoints:
-    def test_round_trip_through_text(self):
-        cfg = config_from_json('{"experiment": {"seed": 9}}')
-        assert cfg.experiment.seed == 9
+    def test_round_trip_through_text(self, tmp_path):
+        # the resolved document is itself a complete config file
+        cfg = load_config({"experiment": {"seed": 9, "age_grid_s": [0.0, 5.0]}})
+        path = tmp_path / "resolved.json"
+        path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        assert read_config_file(str(path)) == cfg
 
-    def test_invalid_json_is_a_config_error(self):
+    def test_invalid_json_is_a_config_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("{oops", encoding="utf-8")
         with pytest.raises(ConfigError, match="JSON"):
-            config_from_json("{oops")
+            read_config_file(str(path))
 
     def test_missing_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

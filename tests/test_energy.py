@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fndam.calibrate import default_cell, default_params
+from fndam.calibrate import cell_at_age, default_params
 from fndam.cell import decay, read_weight, synchronize
 from fndam.energy import (
     TEN_YEARS_S,
@@ -16,7 +16,6 @@ from fndam.energy import (
     ReadModel,
     min_read_power,
     noise_floor,
-    programming_ratio,
     read_noise,
     retention_time,
     v_train_required,
@@ -24,10 +23,6 @@ from fndam.energy import (
     write_energy_trajectory,
 )
 from fndam.errors import DomainError
-
-# (7.6/7.5)^2 * exp(k2/7.5 - k2/7.6) at k2 = 2887.78128, computed
-# independently with decimal at 60 digits
-ORACLE_PROG_RATIO = 162.84085934700062
 
 
 def cell_with_weight(params, w_set, weight_mv):
@@ -158,7 +153,7 @@ class TestRetentionTime:
         assert not result.saturated
 
     def test_zero_weight_retains_nothing(self):
-        result = retention_time(default_cell(), NoiseModel())
+        result = retention_time(cell_at_age(default_params(), 0.0), NoiseModel())
         assert result.seconds == 0.0
 
     def test_crossing_is_bracketed(self):
@@ -191,7 +186,7 @@ class TestRetentionTime:
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(DomainError):
-            retention_time(default_cell(), NoiseModel(), horizon_s=0.0)
+            retention_time(cell_at_age(default_params(), 0.0), NoiseModel(), horizon_s=0.0)
 
 
 class TestReadoutTrade:
@@ -222,32 +217,6 @@ class TestReadoutTrade:
             min_read_power(ReadModel(), target, bw)
 
 
-class TestProgrammingRatio:
-    def test_identity_at_equal_voltages(self):
-        assert programming_ratio(default_params(), 7.5, 7.5) == 1.0
-
-    def test_hundred_millivolt_lift(self):
-        np.testing.assert_allclose(
-            programming_ratio(default_params(), 7.6, 7.5), ORACLE_PROG_RATIO, rtol=1e-12
-        )
-
-    def test_multiplicative_in_voltage_steps(self):
-        params = default_params()
-        full = programming_ratio(params, 7.7, 7.5)
-        split = programming_ratio(params, 7.7, 7.6) * programming_ratio(params, 7.6, 7.5)
-        np.testing.assert_allclose(full, split, rtol=1e-12)
-
-    def test_above_unity_iff_target_higher(self):
-        params = default_params()
-        assert programming_ratio(params, 7.6, 7.5) > 1.0
-        assert programming_ratio(params, 7.4, 7.5) < 1.0
-
-    @pytest.mark.parametrize("vt,vf", [(0.0, 7.5), (7.5, -1.0), (math.inf, 7.5)])
-    def test_validation(self, vt, vf):
-        with pytest.raises(DomainError):
-            programming_ratio(default_params(), vt, vf)
-
-
 class TestEnergyLedger:
     def test_entry_energy(self):
         ledger = EnergyLedger(c_in=1e-12)
@@ -261,10 +230,6 @@ class TestEnergyLedger:
             ledger.record(f"c{i % 5}", float(i), float(rng.uniform(0.05, 2.0)),
                           1e-3, n_pulses=int(rng.integers(1, 6)))
         assert ledger.total_energy() == sum(e.energy_j for e in ledger.entries)
-        by_cell = {}
-        for e in ledger.entries:
-            by_cell[e.cell_id] = by_cell.get(e.cell_id, 0.0) + e.energy_j
-        assert ledger.per_cell_totals() == by_cell
 
     def test_zero_pulse_entry_costs_nothing(self):
         ledger = EnergyLedger()

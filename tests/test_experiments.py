@@ -8,15 +8,17 @@ from pathlib import Path
 
 import pytest
 
+import fndam.experiments
+from fndam.calibrate import REGIME_RETENTION
 from fndam.config import load_config
 from fndam.errors import ConfigError
 from fndam.experiments import (
-    _csv_line,
     run_characterize,
     run_energy_report,
     run_retention_report,
     run_train,
 )
+from fndam.tables import _csv_line
 
 
 def cfg_at(tmp_path, **overrides):
@@ -160,6 +162,22 @@ class TestCharacterizeSelection:
     def test_unknown_name_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown characterization"):
             run_characterize(cfg_at(tmp_path), "impedance")
+
+    def test_each_retention_age_is_solved_once_per_run(self, tmp_path, monkeypatch):
+        solved = []
+        solve = fndam.experiments.age_for_retention
+
+        def counted(params, fraction, window_s):
+            solved.append(fraction)
+            return solve(params, fraction, window_s)
+
+        monkeypatch.setattr(fndam.experiments, "age_for_retention", counted)
+        # a second full run solves again: nothing is kept between runs
+        for out, experiment in (("a", None), ("b", None), ("c", "common_mode")):
+            solved.clear()
+            run_characterize(cfg_at(tmp_path / out), experiment)
+            expected = REGIME_RETENTION[1:] if experiment is None else REGIME_RETENTION[1:2]
+            assert tuple(solved) == expected
 
 
 class TestEnergyReport:

@@ -20,7 +20,6 @@ from fndam.node import (
     evolve,
     initial_state,
     k0_from_initial,
-    pulse_train,
     tunneling_current,
     voltage_at,
 )
@@ -238,37 +237,6 @@ class TestPulses:
         s = initial_state(p, DEFAULT_V0)
         pulsed = apply_pulse(s, p, Pulse(amplitude=0.0, duration=2.0))
         np.testing.assert_allclose(pulsed.v_fg, evolve(s, p, 2.0).v_fg, rtol=1e-15)
-
-    def test_pulse_train_equals_manual_loop(self):
-        p = default_params()
-        s = initial_state(p, DEFAULT_V0)
-        pulse = Pulse(amplitude=0.8, duration=0.0005)
-        trained = pulse_train(s, p, pulse, n_pulses=7, frequency=1000.0)
-        manual = s
-        for _ in range(7):
-            manual = apply_pulse(manual, p, pulse)
-            manual = evolve(manual, p, 0.001 - 0.0005)
-        assert trained.v_fg == manual.v_fg
-
-    def test_pulse_train_rejects_overlap(self):
-        p = default_params()
-        s = initial_state(p, DEFAULT_V0)
-        with pytest.raises(ArgumentError):
-            pulse_train(s, p, Pulse(amplitude=0.1, duration=0.002), 3, 1000.0)
-
-    @pytest.mark.parametrize("n_pulses", [-1, 1.5, math.nan, math.inf])
-    def test_pulse_train_count_must_be_a_whole_number(self, n_pulses):
-        p = default_params()
-        s = initial_state(p, DEFAULT_V0)
-        with pytest.raises(DomainError, match="n_pulses must be a whole number >= 0"):
-            pulse_train(s, p, Pulse(amplitude=0.1, duration=0.0005), n_pulses, 1000.0)
-
-    def test_pulse_train_takes_a_whole_float_count(self):
-        p = default_params()
-        s = initial_state(p, DEFAULT_V0)
-        pulse = Pulse(amplitude=0.8, duration=0.0005)
-        assert (pulse_train(s, p, pulse, 3.0, 1000.0)
-                == pulse_train(s, p, pulse, 3, 1000.0))
 
     def test_bad_polarity_rejected(self):
         p = default_params()

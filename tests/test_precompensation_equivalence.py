@@ -2,7 +2,7 @@
 
 ``bisection_amplitude`` below is the earlier ``precompensated_amplitude``
 copied unchanged: up to 200 midpoints, each a full two-node
-``pulse_cell`` + ``read_weight``.  The solver must return the same float
+``batch_pulse`` + ``read_weight``.  The solver must return the same float
 for every sampled cell and target, and raise the same error with the
 same message.  The one intended difference: a reachable target whose
 tolerance is finer than the amplitude grid now raises ArgumentError
@@ -14,11 +14,11 @@ from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
 
+from fndam.array import batch_pulse
 from fndam.calibrate import default_params
 from fndam.cell import (
     decay,
     precompensated_amplitude,
-    pulse_cell,
     read_weight,
     synchronize,
 )
@@ -47,7 +47,7 @@ def bisection_amplitude(
     sign = 1.0 if polarity == 1 else -1.0
 
     def net_change(amp):
-        pulsed = pulse_cell(cell, Pulse(amplitude=amp, duration=duration), polarity)
+        pulsed = batch_pulse(cell, [(0, polarity, Pulse(amplitude=amp, duration=duration))])
         return sign * (read_weight(pulsed).weight - w0)
 
     hi_change = net_change(amp_max)
@@ -142,6 +142,6 @@ def test_closed_form_pulse_is_pulse_cell(mismatch, age, polarity, amp, duration)
     assert v_pulsed == lifted.v_fg - step
 
     diff = v_idle - v_pulsed if polarity == 1 else v_pulsed - v_idle
-    after = pulse_cell(cell, Pulse(amplitude=amp, duration=duration), polarity)
+    after = batch_pulse(cell, [(0, polarity, Pulse(amplitude=amp, duration=duration))])
     assert read_weight(after).weight == cell.weight_scale.tolist()[0] * diff
 

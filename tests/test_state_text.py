@@ -10,7 +10,6 @@ import contextlib
 import hashlib
 import io
 import json
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,7 +22,6 @@ from fndam.calibrate import DEFAULT_V0, default_params
 from fndam.cli import main
 from fndam.errors import FndamError, StateFormatError
 
-V1_FIXTURE = Path(__file__).parent / "data" / "state_v1.json"
 MUTATIONS = ("none", "flip_payload", "flip_checksum", "indent", "key_order", "no_newline",
              "crlf", "bytes", "repeat_checksum_same", "repeat_checksum_other",
              "repeat_checksum_last")
@@ -182,7 +180,6 @@ def test_written_files_take_the_fast_path(tmp_path, monkeypatch):
     lambda text: json.dumps(json.loads(text), indent=1),
     lambda text: text.encode(),
     lambda text: text[:-1] + "\r\n",
-    lambda text: V1_FIXTURE.read_text(),
 ])
 def test_other_text_is_checked_by_re_serializing(reformat, monkeypatch):
     text = reformat(state_to_json(aged_array(3, 1e-3, 2, 1.0)))

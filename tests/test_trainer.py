@@ -10,12 +10,15 @@ from fndam.array import DamArray, MismatchSpec, build_array
 from fndam.calibrate import default_params
 from fndam.errors import ArgumentError, DomainError
 from fndam.trainer import (
+    MAX_PULSES_PER_UPDATE,
+    PULSE_DURATION_S,
+    PULSE_FREQUENCY_HZ,
+    SAMPLE_INTERVAL_S,
     LabeledPoint,
     MlpSpec,
     NetworkConfig,
     TrainerConfig,
     _mlp_grad,
-    _read_params_from_array,
     _write_params_to_array,
     best_margin,
     decision_fn,
@@ -112,34 +115,28 @@ class TestGradientToPulses:
 
     def test_oversized_update_is_clipped(self):
         cell = first_cell(two_cell_array())
-        cfg = self.config(max_pulses_per_update=10)
-        cmd = gradient_to_pulses(5.0, cfg, cell)  # 100 units
+        cmd = gradient_to_pulses(100.0, self.config(), cell)  # 2000 units
         assert cmd.clipped
-        assert cmd.n_pulses == 10
+        assert cmd.n_pulses == MAX_PULSES_PER_UPDATE
 
 
 class TestTrainerConfig:
     def test_defaults_are_consistent(self):
-        cfg = TrainerConfig()
-        assert cfg.rate_at(0) == 0.4
-        assert cfg.rate_at(999) == 0.4
-
-    def test_schedule_callable(self):
-        cfg = TrainerConfig(learning_rate=lambda step: 1.0 / (1 + step))
-        assert cfg.rate_at(0) == 1.0
-        assert cfg.rate_at(3) == 0.25
+        assert TrainerConfig().learning_rate == 0.4
+        # a 0.5 ms pulse fits the 1 kHz period
+        assert PULSE_DURATION_S * PULSE_FREQUENCY_HZ <= 1.0
+        # the longest pulse train, 1000 pulses, fits the 2 s sample interval
+        assert MAX_PULSES_PER_UPDATE / PULSE_FREQUENCY_HZ <= SAMPLE_INTERVAL_S
 
     @pytest.mark.parametrize("kwargs", [
         dict(unit_step_mv=0.0),
-        dict(pulse_duration_s=-1e-3),
+        dict(c_in=0.0),
         dict(epochs=0),
-        dict(max_pulses_per_update=0),
+        dict(c_in=math.inf),
         dict(learning_rate=0.0),
         dict(learning_rate=-0.1),
-        # 2 ms pulses do not fit a 1 kHz train
-        dict(pulse_duration_s=2e-3),
-        # 1000 pulses at 100 Hz overrun the 2 s sample interval
-        dict(pulse_frequency_hz=100.0),
+        dict(learning_rate=math.nan),
+        dict(learning_rate=math.inf),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -240,10 +237,10 @@ class TestTrainPerceptron:
 
     def test_clock_accounting(self):
         (trace, array), dataset, config = self.run_small()
-        expected = config.epochs * len(dataset) * config.sample_interval_s
+        expected = config.epochs * len(dataset) * SAMPLE_INTERVAL_S
         np.testing.assert_allclose(array.global_clock, expected, rtol=1e-9)
         for i, rec in enumerate(trace.steps):
-            np.testing.assert_allclose(rec.t_s, i * config.sample_interval_s, rtol=1e-9)
+            np.testing.assert_allclose(rec.t_s, i * SAMPLE_INTERVAL_S, rtol=1e-9)
 
     def test_final_weights_match_array_state(self):
         (trace, array), _, _ = self.run_small()
@@ -359,7 +356,7 @@ class TestParameterParking:
         array = build_array(spec.n_params, default_params(), 7.5)
         theta = np.linspace(-2.0, 2.0, spec.n_params)
         parked = _write_params_to_array(array, theta)
-        np.testing.assert_allclose(_read_params_from_array(parked), theta, atol=1e-9)
+        np.testing.assert_allclose(parked.weights(), theta, atol=1e-9)
 
     def test_parking_preserves_node_mean(self):
         array = build_array(1, default_params(), 7.5)
@@ -457,7 +454,7 @@ class TestNetworkTraining:
         dict(learning_rate=0.0),
         dict(epochs=0),
         dict(batch_size=0),
-        dict(decay_interval_s=0.0),
+        dict(learning_rate=math.nan),
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(DomainError):
