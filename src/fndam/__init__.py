@@ -57,7 +57,6 @@ from .energy import (
 )
 from .calibrate import (
     CalibrationResult,
-    CalibrationTargets,
     DEFAULT_K1,
     DEFAULT_K2,
     DEFAULT_V0,

@@ -2,8 +2,8 @@
 
 An array is a clock-synchronous collection of cells built from one
 nominal parameter set.  Fabrication spread is modeled by perturbing k1
-and k2 of every node independently (four draws per cell) with a seeded
-generator, then rate-matching each cell so it starts at zero weight.
+and k2 of every node independently (four gaussian draws per cell) with
+a seeded generator, then rate-matching each cell so it starts at zero weight.
 The draw stream is PCG64; the algorithm name and seed are stored in
 saved state so an array is reproducible from its document alone.
 
@@ -45,7 +45,8 @@ when it cannot describe the array: the clock must be finite and
 non-negative, k1, k2 and weight_scale positive and finite, and
 0 < v_fg < k2 on every node.  Charge quantization is not modeled: a
 document whose ``quantize_charge`` is true is rejected, one that
-carries it as false still loads.
+carries it as false still loads.  The mismatch draw is gaussian, and a
+document that names another ``mismatch.distribution`` is rejected.
 """
 
 from __future__ import annotations
@@ -67,8 +68,7 @@ WEIGHT_SCALE = 1000.0  # mV per volt of node difference
 STATE_FORMAT = "fndam-array-state"
 STATE_VERSION = 2
 RNG_ALGORITHM = "numpy.random.PCG64"
-
-_DISTRIBUTIONS = ("gaussian", "uniform")
+MISMATCH_DISTRIBUTION = "gaussian"  # the one draw; state documents name it
 
 # per-cell columns of a DamArray; all but weight_scale are (N, 2) SET/RESET
 _COLUMNS = ("v", "k1", "log_k1", "k2", "weight_scale")
@@ -89,13 +89,11 @@ class MismatchSpec:
     """Per-node relative spread of k1 and k2.
 
     ``relative_sigma`` is the standard deviation of the multiplicative
-    perturbation; ``uniform`` draws span +-sqrt(3)*sigma so both
-    distributions have the same variance.
+    gaussian perturbation.
     """
 
     relative_sigma: float = 0.001
     seed: int = 0
-    distribution: str = "gaussian"
 
     def __post_init__(self):
         if not (math.isfinite(self.relative_sigma) and self.relative_sigma >= 0):
@@ -104,10 +102,6 @@ class MismatchSpec:
             )
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
-        if self.distribution not in _DISTRIBUTIONS:
-            raise DomainError(
-                f"distribution must be one of {_DISTRIBUTIONS}, got {self.distribution!r}"
-            )
 
 
 class WeightReading(NamedTuple):
@@ -190,29 +184,15 @@ class DamArray:
             and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
         )
 
-    def weights(self, noise_sigma: float = 0.0, rng=None) -> np.ndarray:
-        """Per-cell weight in mV: weight_scale * (RESET - SET voltage).
-
-        With noise_sigma > 0 (volts of node difference) one
-        standard-normal draw per cell, in cell order, comes from rng.
-        """
-        diff = self.v[:, 1] - self.v[:, 0]
-        if noise_sigma:
-            if not 0 < noise_sigma < math.inf:
-                raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
-            rng = rng if rng is not None else np.random.default_rng()
-            diff = diff + noise_sigma * rng.standard_normal(len(diff))
-        return self.weight_scale * diff
+    def weights(self) -> np.ndarray:
+        """Per-cell weight in mV: weight_scale * (RESET - SET voltage)."""
+        return self.weight_scale * (self.v[:, 1] - self.v[:, 0])
 
 
 def _draw_factors(n: int, spec: MismatchSpec) -> np.ndarray:
     """(n, 2 nodes, 2 params) multiplicative factors, reproducible by seed."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    if spec.distribution == "gaussian":
-        z = rng.standard_normal((n, 2, 2))
-    else:
-        z = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(n, 2, 2))
-    return 1.0 + spec.relative_sigma * z
+    return 1.0 + spec.relative_sigma * rng.standard_normal((n, 2, 2))
 
 
 def _log_rate(log_k1: float, k2: float, v: float) -> float:
@@ -447,9 +427,9 @@ def _driven(i: int, node: int, v: float) -> DomainError:
     return DomainError(f"cell {i} {('SET', 'RESET')[node]} node driven to {v:.6g} V <= 0")
 
 
-def batch_read(array: DamArray, noise_sigma: float = 0.0, rng=None) -> tuple[WeightReading, ...]:
+def batch_read(array: DamArray) -> tuple[WeightReading, ...]:
     """One reading per cell (see ``DamArray.weights``), stamped with the clock."""
-    ws = array.weights(noise_sigma, rng).tolist()
+    ws = array.weights().tolist()
     return tuple(map(WeightReading._make, zip(ws, repeat(array.global_clock))))
 
 
@@ -461,23 +441,16 @@ def advance(array: DamArray, dt: float) -> DamArray:
     return _evolved(array, decayed(array.v, array.log_k1, array.k2, math.log(dt)), dt)
 
 
-def batch_pulse(
-    array: DamArray,
-    targets: Sequence[tuple[int, int, Pulse]],
-    duration: float | None = None,
-) -> DamArray:
+def batch_pulse(array: DamArray, targets: Sequence[tuple[int, int, Pulse]]) -> DamArray:
     """Pulse targeted cells; everything else idles for the same window.
 
     A target is (cell index, polarity, pulse): polarity +1 pulses the
     SET node, -1 the RESET node.  All pulses in one batch must share a
     duration (the wall-clock window applied to the whole array).  At
-    most one pulse per cell per call.  With an empty target list,
-    ``duration`` must be given and the call is plain decay.
+    most one pulse per cell per call, and at least one per batch.
     """
     if not targets:
-        if duration is None:
-            raise ArgumentError("empty batch needs an explicit duration")
-        return advance(array, duration)
+        raise ArgumentError("empty batch: give at least one target")
 
     # node.apply_pulse on the pulsed nodes: the gate is lifted by the
     # coupled step, tunnels for the window and is released.  Idle nodes
@@ -486,6 +459,7 @@ def batch_pulse(
     ratio = array.nominal_params.coupling_ratio
     step = np.zeros((n, 2))
     seen = set()
+    duration = None
     for idx, polarity, pulse in targets:
         if not isinstance(idx, (int, np.integer)) or not 0 <= idx < n:
             raise ArgumentError(f"cell index {idx!r} out of range for {n} cells")
@@ -535,7 +509,7 @@ def _unsigned_document(array: DamArray) -> dict:
         "mismatch": {
             "relative_sigma": array.mismatch.relative_sigma,
             "seed": array.mismatch.seed,
-            "distribution": array.mismatch.distribution,
+            "distribution": MISMATCH_DISTRIBUTION,
         },
         "nominal_params": {"k1": p.k1, "k2": p.k2, "c_total": p.c_total,
                            "c_couple": p.c_couple},
@@ -684,14 +658,15 @@ def _load(doc, checksum) -> DamArray:
         raise StateFormatError(f"unknown generator at rng.algorithm: {algorithm!r}")
 
     mm = _need(doc, "mismatch", "", dict)
+    sigma = _float_at(mm, "relative_sigma", "mismatch")
+    seed = _need(mm, "seed", "mismatch", int)
+    distribution = _need(mm, "distribution", "mismatch", str)
     try:
-        mismatch = MismatchSpec(
-            relative_sigma=_float_at(mm, "relative_sigma", "mismatch"),
-            seed=_need(mm, "seed", "mismatch", int),
-            distribution=_need(mm, "distribution", "mismatch", str),
-        )
+        mismatch = MismatchSpec(relative_sigma=sigma, seed=seed)
     except DomainError as exc:
         raise StateFormatError(f"invalid field at mismatch: {exc}") from None
+    if distribution != MISMATCH_DISTRIBUTION:
+        raise StateFormatError(f"unsupported value at mismatch.distribution: {distribution!r}")
 
     nominal = _params_from(_need(doc, "nominal_params", "", dict), "nominal_params")
     v0 = _float_at(doc, "v0", "")

@@ -41,7 +41,7 @@ from .energy import DEFAULT_C_IN, setpoint_write
 
 DEFAULT_V0 = 7.5  # V, fresh floating-gate voltage
 
-# Frozen output of fit_device_parameters() with the default targets.
+# Frozen output of fit_device_parameters().
 DEFAULT_K1 = 1.2425503666119493e+166  # 1/s
 DEFAULT_K2 = 2887.78128  # V
 
@@ -58,38 +58,20 @@ RETENTION_WINDOW_S = 40.0
 REGIME_RETENTION = (0.30, 0.70, 0.95)
 REGIME_AGES_S = (0.0, 77.66116299505659, 730.4733270073168)
 
+# The fit targets besides the fresh retention REGIME_RETENTION[0]: the
+# amplitude of the 1 mV step in each regime, and the energy of a write
+# ENERGY_OFFSET_V above the trajectory after ENERGY_HORIZON_S.  Each
+# must land within a factor REL_BAND of its target, the fresh retention
+# within RETENTION_BAND of its own.
+FACTOR_TARGETS = {"amp_fresh_v": 0.1, "amp_mid_v": 0.5, "amp_late_v": 1.0,
+                  "energy_at_horizon_j": 2.5e-12}
+ENERGY_HORIZON_S = 12 * 86400.0
+ENERGY_OFFSET_V = 0.01
+REL_BAND = 2.0
+RETENTION_BAND = 0.10
+
 _AMP_TOL_MV = 1e-6  # precompensation tolerance used for calibration
-
-
-@dataclass(frozen=True)
-class CalibrationTargets:
-    """The five fit targets and their acceptance half-bands.
-
-    Amplitude and energy targets carry multiplicative bands (value must
-    land within ``rel_band`` times / divided-by the target); the fresh
-    retention fraction carries an additive band.
-    """
-
-    amp_fresh_v: float = 0.1
-    retention_fresh: float = 0.30
-    amp_mid_v: float = 0.5
-    amp_late_v: float = 1.0
-    energy_at_horizon_j: float = 2.5e-12
-    energy_horizon_s: float = 12 * 86400.0
-    energy_offset_v: float = 0.01
-    rel_band: float = 2.0
-    retention_band: float = 0.10
-
-    def __post_init__(self):
-        for name in ("amp_fresh_v", "amp_mid_v", "amp_late_v",
-                     "energy_at_horizon_j", "energy_horizon_s",
-                     "energy_offset_v", "retention_band"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
-        if not 0 < self.retention_fresh < 1:
-            raise DomainError("retention_fresh must lie in (0, 1)")
-        if self.rel_band <= 1:
-            raise DomainError("rel_band must exceed 1")
+_FIT_START = (0.06, 2500.0)  # the fit's starting (u, k2)
 
 
 @dataclass(frozen=True)
@@ -99,19 +81,11 @@ class CalibrationResult:
     residuals: tuple[float, ...]
     metrics: dict = field(compare=False)
 
-    def within_tolerance(self, targets: CalibrationTargets) -> bool:
+    def within_tolerance(self) -> bool:
         m = self.metrics
-        b = targets.rel_band
-        checks = [
-            targets.amp_fresh_v / b <= m["amp_fresh_v"] <= targets.amp_fresh_v * b,
-            abs(m["retention_fresh"] - targets.retention_fresh) <= targets.retention_band,
-            targets.amp_mid_v / b <= m["amp_mid_v"] <= targets.amp_mid_v * b,
-            targets.amp_late_v / b <= m["amp_late_v"] <= targets.amp_late_v * b,
-            targets.energy_at_horizon_j / b
-            <= m["energy_at_horizon_j"]
-            <= targets.energy_at_horizon_j * b,
-        ]
-        return all(checks)
+        return (abs(m["retention_fresh"] - REGIME_RETENTION[0]) <= RETENTION_BAND
+                and all(t / REL_BAND <= m[k] <= t * REL_BAND
+                        for k, t in FACTOR_TARGETS.items()))
 
 
 def default_params(**overrides) -> FnParams:
@@ -125,11 +99,9 @@ def cell_at_age(params: FnParams, age_s: float, v0: float = DEFAULT_V0) -> DamAr
     return decay(cell, age_s) if age_s > 0 else cell
 
 
-def step_amplitude(params: FnParams, age_s: float,
-                   target_mv: float = CAL_STEP_MV,
-                   duration_s: float = CAL_PULSE_DURATION_S) -> float:
-    """Pulse amplitude that programs target_mv on a cell of the given age."""
-    return _amplitude(params, _aged_nodes(params, age_s), target_mv, duration_s)
+def step_amplitude(params: FnParams, age_s: float) -> float:
+    """Pulse amplitude that programs CAL_STEP_MV on a cell of the given age."""
+    return _amplitude(params, _aged_nodes(params, age_s))
 
 
 def _aged_nodes(params: FnParams, age_s: float):
@@ -139,11 +111,10 @@ def _aged_nodes(params: FnParams, age_s: float):
     return _evolved_nodes(nodes, age_s) if age_s > 0 else nodes
 
 
-def _amplitude(params: FnParams, nodes, target_mv: float = CAL_STEP_MV,
-               duration_s: float = CAL_PULSE_DURATION_S) -> float:
+def _amplitude(params: FnParams, nodes) -> float:
     """step_amplitude on the aged cell's float nodes."""
-    return _solve_amplitude(nodes, WEIGHT_SCALE, params.coupling_ratio, target_mv, duration_s,
-                            tol_mv=_AMP_TOL_MV)
+    return _solve_amplitude(nodes, WEIGHT_SCALE, params.coupling_ratio, CAL_STEP_MV,
+                            CAL_PULSE_DURATION_S, _AMP_TOL_MV)
 
 
 def weight_retention(params: FnParams, age_s: float,
@@ -202,21 +173,17 @@ def _age_for(retention, fraction: float) -> float:
     return age
 
 
-def energy_per_update(params: FnParams, t_s: float,
-                      offset_v: float = CalibrationTargets.energy_offset_v,
-                      c_in: float = DEFAULT_C_IN,
-                      v0: float = DEFAULT_V0) -> float:
-    """Energy of a write lifting the gate offset_v above its trajectory."""
-    return setpoint_write(params, k0_from_initial(params, v0), v0 + offset_v, t_s, c_in)[2]
+def energy_per_update(params: FnParams, t_s: float) -> float:
+    """Energy of a write lifting a DEFAULT_V0 gate ENERGY_OFFSET_V above its trajectory."""
+    return setpoint_write(params, k0_from_initial(params, DEFAULT_V0),
+                          DEFAULT_V0 + ENERGY_OFFSET_V, t_s, DEFAULT_C_IN)[2]
 
 
-def evaluate_calibration(params: FnParams,
-                         targets: CalibrationTargets | None = None) -> dict:
+def evaluate_calibration(params: FnParams) -> dict:
     """All five characterization metrics for a parameter set."""
-    t = targets or CalibrationTargets()
     amplitude, retention = _memoized_by_age(params)
-    age_mid = _age_for(retention, 0.70)
-    age_late = _age_for(retention, 0.95)
+    age_mid = _age_for(retention, REGIME_RETENTION[1])
+    age_late = _age_for(retention, REGIME_RETENTION[2])
     return {
         "amp_fresh_v": amplitude(0.0),
         "retention_fresh": retention(0.0),
@@ -224,9 +191,7 @@ def evaluate_calibration(params: FnParams,
         "age_late_s": age_late,
         "amp_mid_v": amplitude(age_mid),
         "amp_late_v": amplitude(age_late),
-        "energy_at_horizon_j": energy_per_update(
-            params, t.energy_horizon_s, t.energy_offset_v
-        ),
+        "energy_at_horizon_j": energy_per_update(params, ENERGY_HORIZON_S),
     }
 
 
@@ -254,43 +219,42 @@ def _memoized_by_age(params: FnParams):
     return amplitude, retention
 
 
-def fit_device_parameters(targets: CalibrationTargets | None = None,
-                          initial_u: float = 0.06,
-                          initial_k2: float = 2500.0,
-                          v0: float = DEFAULT_V0) -> CalibrationResult:
+def fit_device_parameters(v0: float = DEFAULT_V0) -> CalibrationResult:
     """Least-squares fit of (k1, k2) to the characterization targets.
 
-    Residuals are dimensionless deviations scaled so that one unit
-    corresponds to one tolerance band: log2 ratios for the three
-    amplitudes and the energy (band = factor rel_band), additive
-    deviation over retention_band for the fresh retention fraction.
+    Residuals are dimensionless deviations: log2 ratios for the three
+    amplitudes and the energy (one unit per factor REL_BAND), additive
+    deviation over RETENTION_BAND for the fresh retention fraction.
+    The fit starts from u = 0.06, k2 = 2500 V.
     The targets are characterized at DEFAULT_V0 (7.5 V) whatever v0 is:
     v0 only parameterizes k1 = u*exp(k2/v0).  A v0 at which the fit's
     starting k1 overflows is rejected before the fit starts (DomainError).
     """
-    t = targets or CalibrationTargets()
-    x0 = [math.log(initial_u), math.log(initial_k2)]
+    x0 = [math.log(u) for u in _FIT_START]
     _fit_params(x0, v0)  # reject a v0 the fit cannot start from
-    fit = _least_squares(lambda x: _fit_residuals(x, t, v0), x0)
+    fit = _least_squares(lambda x: _fit_residuals(x, v0), x0)
     params = _fit_params(fit.x, v0)
     return CalibrationResult(
         params=params,
         cost=float(fit.cost),
         residuals=tuple(float(r) for r in fit.fun),
-        metrics=evaluate_calibration(params, t),
+        metrics=evaluate_calibration(params),
     )
 
 
-def _fit_residuals(x, t: CalibrationTargets, v0: float) -> list[float]:
+def _fit_residuals(x, v0: float) -> list[float]:
     """The fit's five residuals at x = (log u, log k2)."""
-    m = evaluate_calibration(_fit_params(x, v0), t)
-    log2 = math.log(2.0)
+    m = evaluate_calibration(_fit_params(x, v0))
+
+    def factor(key):
+        return math.log(m[key] / FACTOR_TARGETS[key]) / math.log(REL_BAND)
+
     return [
-        math.log(m["amp_fresh_v"] / t.amp_fresh_v) / log2,
-        (m["retention_fresh"] - t.retention_fresh) / t.retention_band,
-        math.log(m["amp_mid_v"] / t.amp_mid_v) / log2,
-        math.log(m["amp_late_v"] / t.amp_late_v) / log2,
-        math.log(m["energy_at_horizon_j"] / t.energy_at_horizon_j) / log2,
+        factor("amp_fresh_v"),
+        (m["retention_fresh"] - REGIME_RETENTION[0]) / RETENTION_BAND,
+        factor("amp_mid_v"),
+        factor("amp_late_v"),
+        factor("energy_at_horizon_j"),
     ]
 
 

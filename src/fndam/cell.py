@@ -34,24 +34,20 @@ import numpy as np
 from .array import (_MATCH_MAXITER, _MATCH_RESIDUAL, WEIGHT_SCALE, DamArray, MismatchSpec,
                     WeightReading, _driven, advance, batch_pulse, rate_matched_voltages)
 from .errors import ArgumentError, DomainError, InitializationError, SaturationError, StepSizeError
-from .node import (FnParams, Pulse, _require_dt, _require_finite_positive, decayed_float,
-                   k0_from_initial, released)
+from .node import FnParams, Pulse, _require_dt, decayed_float, k0_from_initial, released
 
 _NO_MISMATCH = MismatchSpec(relative_sigma=0.0)
+_AMP_MAX_V = 32.0  # the largest amplitude a precompensation solve tries
 
 
-def synchronize(
-    set_params: FnParams, reset_params: FnParams, v0: float, weight_scale: float = WEIGHT_SCALE
-) -> DamArray:
+def synchronize(set_params: FnParams, reset_params: FnParams, v0: float) -> DamArray:
     """Build a cell whose nodes tunnel at identical rates at t = 0.
 
     With identical parameters both nodes start at exactly v0.  With
     mismatched parameters the RESET node voltage is solved by
     ``array.rate_matched_voltages``; InitializationError when it fails.
-    The nodes must share c_total and c_couple, and weight_scale must be
-    positive and finite.
+    The nodes must share c_total and c_couple.
     """
-    _require_finite_positive("weight_scale", weight_scale)
     if (set_params.c_total, set_params.c_couple) != (reset_params.c_total,
                                                      reset_params.c_couple):
         raise ArgumentError(
@@ -73,20 +69,16 @@ def synchronize(
             )
         k0_from_initial(reset_params, v_reset)
     columns = np.array([v0, v_reset, set_params.k1, reset_params.k1, set_params.log_k1,
-                        reset_params.log_k1, set_params.k2, reset_params.k2, weight_scale],
+                        reset_params.log_k1, set_params.k2, reset_params.k2, WEIGHT_SCALE],
                        dtype=np.float64)
     columns.flags.writeable = False  # and so are its views, the cell's columns
     v, k1, log_k1, k2 = columns[:8].reshape(4, 1, 2)
     return DamArray._of(v, k1, log_k1, k2, columns[8:], set_params, _NO_MISMATCH, v0, 0.0)
 
 
-def read_weight(cell: DamArray, noise_sigma: float = 0.0, rng=None) -> WeightReading:
-    """Differential weight in mV, optionally with Gaussian read noise.
-
-    noise_sigma is in volts of node difference (the same unit as the
-    readout chain sees); default 0 keeps reads deterministic.
-    """
-    return WeightReading(*cell.weights(noise_sigma, rng).tolist(), cell.global_clock)
+def read_weight(cell: DamArray) -> WeightReading:
+    """Differential weight in mV and the clock it was read at."""
+    return WeightReading(*cell.weights().tolist(), cell.global_clock)
 
 
 def decay(cell: DamArray, dt: float) -> DamArray:
@@ -118,18 +110,10 @@ def common_mode_step(cell: DamArray, dv: float) -> DamArray:
     return replace(cell, v=v)
 
 
-def discrete_update(
-    w_mv: float,
-    w_set: float,
-    params: FnParams,
-    dt: float,
-    dv_train: float = 0.0,
-    weight_scale: float = WEIGHT_SCALE,
-) -> float:
-    """One linearized weight step: decay about the SET-node voltage plus input.
+def discrete_update(w_mv: float, w_set: float, params: FnParams, dt: float) -> float:
+    """One linearized step of undisturbed decay about the SET-node voltage.
 
         w' = (1 - (k1/k2) * (2*W_S + k2) * exp(-k2/W_S) * dt) * w
-             + weight_scale * coupling_ratio * dv_train
 
     Valid for small weights and steps; the two-node simulation is the
     reference it linearizes (they agree within 1% for |w| <= 5 mV and
@@ -148,7 +132,7 @@ def discrete_update(
         raise StepSizeError(
             f"decay factor {factor:.3g} >= 1 at dt={dt!r}; reduce the step"
         )
-    return (1.0 - factor) * w_mv + weight_scale * params.coupling_ratio * dv_train
+    return (1.0 - factor) * w_mv
 
 
 def _alpha_eta(log_k1, k0, n, dt):
@@ -224,55 +208,40 @@ def _evolved_nodes(nodes, dt: float, steps=(0.0, 0.0)):
 
 
 def precompensated_amplitude(
-    cell: DamArray,
-    target_dw: float,
-    duration: float,
-    polarity: int = 1,
-    amp_max: float = 32.0,
-    tol_mv: float = 1e-3,
+    cell: DamArray, target_dw: float, duration: float, tol_mv: float = 1e-3
 ) -> float:
-    """Pulse amplitude that produces a net weight change of target_dw mV.
+    """SET-pulse amplitude that raises the weight by target_dw mV.
 
     The answer compensates for the cell's current depth into its decay
     trajectory (an older cell needs a larger amplitude for the same
-    step).  target_dw is a magnitude; polarity picks the direction.
-    Returns 0.0 for a zero target.
+    step).  target_dw is a magnitude.  Returns 0.0 for a zero target.
 
-    The amplitude is the one a bisection over [0, amp_max] returns: the
+    The amplitude is the one a bisection over [0, 32 V] returns: the
     first midpoint whose net change lies within tol_mv of the target,
-    the bracket narrowing until it spans 1e-12 * amp_max.  Each midpoint
+    the bracket narrowing until it spans 1e-12 * 32 V.  Each midpoint
     is one pulse in closed form: ``node.released`` on floats for the
-    pulsed node against ``node.decayed_float`` on the idle node, read as
-    ``read_weight`` reads.  These are the bits a pulsed and read cell
-    gives.
+    SET node against ``node.decayed_float`` on the idle RESET node,
+    read as ``read_weight`` reads.  These are the bits a pulsed and read
+    cell gives.
 
-    Raises SaturationError when the target is unreachable at amp_max or
+    Raises SaturationError when the target is unreachable at 32 V or
     overshot by the smallest amplitude, and ArgumentError when it is
     reachable but tol_mv is finer than the amplitude grid resolves.
     """
     return _solve_amplitude(*_float_nodes(cell), cell.nominal_params.coupling_ratio,
-                            target_dw, duration, polarity, amp_max, tol_mv)
+                            target_dw, duration, tol_mv)
 
 
-def _solve_amplitude(nodes, ws, r, target_dw, duration, polarity=1, amp_max=32.0, tol_mv=1e-3):
+def _solve_amplitude(nodes, ws, r, target_dw, duration, tol_mv):
     """precompensated_amplitude on ``_float_nodes``, weight_scale ws and coupling ratio r."""
     if not target_dw >= 0:
         raise DomainError(f"target_dw is a magnitude, got {target_dw!r}")
     if target_dw == 0.0:
         return 0.0
-    if amp_max <= 0:
-        raise DomainError(f"amp_max must be positive, got {amp_max!r}")
     if not tol_mv >= 0:
         raise DomainError(f"tol_mv must be >= 0, got {tol_mv!r}")
-    Pulse(amplitude=amp_max, duration=duration)  # every trial pulse is valid
-    if polarity == 1:
-        (v, log_k1, k2), (idle_v, idle_log_k1, idle_k2) = nodes
-    elif polarity == -1:
-        (idle_v, idle_log_k1, idle_k2), (v, log_k1, k2) = nodes
-    else:
-        raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
-
-    sign = 1.0 if polarity == 1 else -1.0
+    Pulse(amplitude=_AMP_MAX_V, duration=duration)  # every trial pulse is valid
+    (v, log_k1, k2), (idle_v, idle_log_k1, idle_k2) = nodes
     w0 = _float_weight(nodes, ws)
     log_dt = math.log(duration)
     idle = decayed_float(idle_v, idle_log_k1, idle_k2, log_dt)
@@ -282,16 +251,15 @@ def _solve_amplitude(nodes, ws, r, target_dw, duration, polarity=1, amp_max=32.0
         v_after = released(v, r * amp, log_k1, k2, log_dt, decayed_float)
         if v_after <= 0:
             raise DomainError(f"pulse release drives gate to {v_after:.6g} V <= 0")
-        diff = idle - v_after if polarity == 1 else v_after - idle
-        return sign * (ws * diff - w0)
+        return ws * (idle - v_after) - w0
 
-    hi_change = net(amp_max)
+    hi_change = net(_AMP_MAX_V)
     if hi_change < target_dw - tol_mv:
         raise SaturationError(
-            f"target {target_dw!r} mV unreachable: amp_max={amp_max!r} V "
+            f"target {target_dw!r} mV unreachable: amp_max={_AMP_MAX_V!r} V "
             f"yields {hi_change:.6g} mV"
         )
-    lo, hi = 0.0, amp_max
+    lo, hi = 0.0, _AMP_MAX_V
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         change = net(mid)
@@ -301,7 +269,7 @@ def _solve_amplitude(nodes, ws, r, target_dw, duration, polarity=1, amp_max=32.0
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12 * amp_max:
+        if hi - lo <= 1e-12 * _AMP_MAX_V:
             break
     if net(0.0) > target_dw + tol_mv:
         raise SaturationError(

@@ -8,7 +8,7 @@ schema); --seed and --out override the file's experiment.seed and
 output_dir.  On success the written paths are printed one per line and
 the exit status is 0; on failure a one-line JSON error record goes to
 stderr and the status is nonzero (2 for configuration problems, 1 for
-runtime failures).
+runtime failures, running out of memory included).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(_error_record(exc), file=sys.stderr)
         return 2
-    except (FndamError, OSError) as exc:
+    except (FndamError, OSError, MemoryError) as exc:
         print(_error_record(exc), file=sys.stderr)
         return 1
     for path in paths:

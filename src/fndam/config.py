@@ -27,8 +27,9 @@ from .calibrate import (
     DEFAULT_K1,
     DEFAULT_K2,
     DEFAULT_V0,
+    ENERGY_HORIZON_S,
+    ENERGY_OFFSET_V,
     RETENTION_WINDOW_S,
-    CalibrationTargets,
 )
 from .energy import DEFAULT_C_IN, DEFAULT_N_SAMPLES, NoiseModel
 from .errors import ConfigError
@@ -197,9 +198,9 @@ class ExperimentSettings:
     """Run block: seed, horizons, and the sweep grids experiments iterate over."""
 
     seed: int = _bounded(0, minimum=0, maximum=2**64 - 1)
-    horizon_s: float = _positive(CalibrationTargets.energy_horizon_s)
+    horizon_s: float = _positive(ENERGY_HORIZON_S)
     n_samples: int = _bounded(DEFAULT_N_SAMPLES, minimum=2)
-    offset_v: float = _positive(CalibrationTargets.energy_offset_v)
+    offset_v: float = _positive(ENERGY_OFFSET_V)
     window_s: float = _positive(RETENTION_WINDOW_S)
     step_mv: float = _positive(CAL_STEP_MV)
     amplitude_grid_v: tuple[float, ...] = _positive(

@@ -22,7 +22,7 @@ from .node import FnParams, _pulse_count, voltage_at
 from .tables import csv_table, record_row
 
 ELECTRON_CHARGE = 1.602e-19  # coulomb
-TEN_YEARS_S = 10 * 365.25 * 86400.0  # default retention search horizon
+TEN_YEARS_S = 10 * 365.25 * 86400.0  # retention search horizon
 DEFAULT_C_IN = 1e-12  # F, input capacitor charged by each write
 DEFAULT_N_SAMPLES = 200  # points of a write-energy trajectory
 
@@ -168,7 +168,6 @@ def write_energy_trajectory(
     v_target_offset: float,
     horizon_s: float,
     n_samples: int = DEFAULT_N_SAMPLES,
-    c_in: float = DEFAULT_C_IN,
 ) -> list[tuple[float, float]]:
     """Per-update write energy over the device's life for a fixed setpoint.
 
@@ -176,13 +175,14 @@ def write_energy_trajectory(
     v_target_offset; as the gate decays away from it the required
     amplitude (v_target - v_fg(t)) / coupling_ratio and hence the energy
     grow monotonically.  Samples start at t = 0 (energy
-    (1/2) c_in (offset/coupling_ratio)^2) and end exactly at horizon_s.
+    (1/2) DEFAULT_C_IN (offset/coupling_ratio)^2) and end exactly at
+    horizon_s.
     """
     times = trajectory_times(horizon_s, n_samples)
     if v_target_offset <= 0:
         raise DomainError(f"v_target_offset must be positive, got {v_target_offset!r}")
     v_target = voltage_at(params, k0, 0.0) + v_target_offset
-    return [(t, setpoint_write(params, k0, v_target, t, c_in)[2]) for t in times]
+    return [(t, setpoint_write(params, k0, v_target, t, DEFAULT_C_IN)[2]) for t in times]
 
 
 def noise_floor(model: NoiseModel, t: float) -> float:
@@ -192,20 +192,16 @@ def noise_floor(model: NoiseModel, t: float) -> float:
     return model.sigma0 + model.sigma_coeff * math.sqrt(t)
 
 
-def retention_time(
-    cell: DamArray, model: NoiseModel, horizon_s: float = TEN_YEARS_S
-) -> RetentionResult:
+def retention_time(cell: DamArray, model: NoiseModel) -> RetentionResult:
     """Time until the cell's decaying weight sinks into the noise floor.
 
     Simulates the full two-node decay from the cell's current state and
     finds the first crossing |w(t)| = noise_floor(t) by bracketed
     bisection, to 1 s or 0.1% of the answer, whichever is larger.
-    Returns the horizon with saturated=True when the weight outlives it.
+    Returns TEN_YEARS_S with saturated=True when the weight outlives it.
     A weight already at or below the floor returns 0 s.
     """
-    if not (math.isfinite(horizon_s) and horizon_s > 0):
-        raise DomainError(f"horizon_s must be positive, got {horizon_s!r}")
-
+    horizon_s = TEN_YEARS_S
     nodes, ws = _float_nodes(cell)
 
     def margin(t):

@@ -22,7 +22,6 @@ from .array import MismatchSpec, advance, batch_pulse, build_array, state_to_jso
 from .calibrate import (
     CAL_PULSE_DURATION_S,
     REGIME_RETENTION,
-    CalibrationTargets,
     age_for_retention,
     cell_at_age,
     fit_device_parameters,
@@ -46,7 +45,7 @@ from .config import (
     ExperimentConfig,
 )
 from .energy import retention_time, setpoint_write, trajectory_times
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .node import Pulse, k0_from_initial
 from .tables import csv_table
 from .trainer import (
@@ -206,6 +205,9 @@ def _char_amplitude_sweep(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
         cell = _fresh_cell(cfg, _SWEEP_AGE_S)
         pulsed = set_pulse(cell, Pulse(amplitude=amp, duration=_SWEEP_DURATION_S))
         dw = read_weight(pulsed).weight
+        if not dw > 0:
+            raise DomainError(f"amplitude {amp!r} V moves the weight by {dw!r} mV, "
+                              "which has no logarithm")
         rows.append([amp, _SWEEP_DURATION_S, dw, math.log(dw)])
     writer.csv(
         "amplitude_sweep.csv",
@@ -480,8 +482,7 @@ def _calibrate(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
     writer.text("fitted_device.json",
                 json.dumps(fitted, indent=2, sort_keys=True) + "\n",
                 extra={"cost": result.cost,
-                       "within_tolerance": result.within_tolerance(
-                           CalibrationTargets())})
+                       "within_tolerance": result.within_tolerance()})
     rows = [[name, value] for name, value in sorted(result.metrics.items())]
     rows.append(["fit_cost", result.cost])
     writer.csv("calibration_metrics.csv", ["metric", "value"], rows)

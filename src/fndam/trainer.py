@@ -39,6 +39,9 @@ PULSE_DURATION_S = 0.0005
 SAMPLE_INTERVAL_S = 2.0
 MAX_PULSES_PER_UPDATE = 1000
 DECAY_INTERVAL_S = 2.0  # array decay charged per network iteration
+# the network's three gaussian classes: their centers and common spread
+BLOB_CENTERS = ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.6))
+BLOB_SPREAD = 0.55
 
 
 @dataclass(frozen=True)
@@ -439,19 +442,14 @@ class NetworkConfig:
             raise DomainError("epochs and batch_size must be >= 1")
 
 
-def make_blob_dataset(
-    n_per_class: int,
-    centers: Sequence[tuple[float, float]] = ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.6)),
-    spread: float = 0.55,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian class blobs: returns (X, labels) with labels 0..K-1."""
+def make_blob_dataset(n_per_class: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian class blobs around BLOB_CENTERS: returns (X, labels), labels 0..2."""
     if n_per_class < 1:
         raise ArgumentError("n_per_class must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     xs, ys = [], []
-    for label, center in enumerate(centers):
-        xs.append(np.asarray(center) + spread * rng.standard_normal((n_per_class, 2)))
+    for label, center in enumerate(BLOB_CENTERS):
+        xs.append(np.asarray(center) + BLOB_SPREAD * rng.standard_normal((n_per_class, 2)))
         ys.append(np.full(n_per_class, label, dtype=int))
     return np.concatenate(xs), np.concatenate(ys)
 

@@ -11,10 +11,14 @@ from fndam.calibrate import (
     CAL_STEP_MV,
     DEFAULT_K1,
     DEFAULT_K2,
+    ENERGY_HORIZON_S,
+    ENERGY_OFFSET_V,
+    FACTOR_TARGETS,
     REGIME_AGES_S,
     REGIME_RETENTION,
+    RETENTION_BAND,
     RETENTION_WINDOW_S,
-    CalibrationTargets,
+    CalibrationResult,
     age_for_retention,
     cell_at_age,
     default_params,
@@ -47,15 +51,12 @@ class TestShippedCalibration:
             np.testing.assert_allclose(metrics[key], frozen, rtol=1e-9, err_msg=key)
 
     def test_metrics_sit_inside_the_target_bands(self):
-        targets = CalibrationTargets()
         m = FROZEN_METRICS
-        assert targets.amp_fresh_v / 2 <= m["amp_fresh_v"] <= targets.amp_fresh_v * 2
-        assert abs(m["retention_fresh"] - targets.retention_fresh) <= targets.retention_band
-        assert targets.amp_mid_v / 2 <= m["amp_mid_v"] <= targets.amp_mid_v * 2
-        assert targets.amp_late_v / 2 <= m["amp_late_v"] <= targets.amp_late_v * 2
-        assert (targets.energy_at_horizon_j / 2
-                <= m["energy_at_horizon_j"]
-                <= targets.energy_at_horizon_j * 2)
+        assert FACTOR_TARGETS == {"amp_fresh_v": 0.1, "amp_mid_v": 0.5, "amp_late_v": 1.0,
+                                  "energy_at_horizon_j": 2.5e-12}
+        for key, target in FACTOR_TARGETS.items():
+            assert target / 2 <= m[key] <= target * 2, key
+        assert abs(m["retention_fresh"] - REGIME_RETENTION[0]) <= RETENTION_BAND == 0.10
 
     def test_regime_ages_match_retention_crossings(self):
         params = default_params()
@@ -96,6 +97,9 @@ class TestShippedCalibration:
         assert CAL_STEP_MV == 1.0
         assert CAL_PULSE_DURATION_S == 0.5
         assert RETENTION_WINDOW_S == 40.0
+        assert REGIME_RETENTION == (0.30, 0.70, 0.95)
+        assert ENERGY_HORIZON_S == 12 * 86400.0
+        assert ENERGY_OFFSET_V == 0.01
 
 
 class TestAgeForRetention:
@@ -110,17 +114,19 @@ class TestAgeForRetention:
 
 
 class TestTargetValidation:
+    """The targets are constants; what they validate is a fit's metrics."""
+
     @pytest.mark.parametrize("kwargs", [
         dict(amp_fresh_v=0.0),
-        dict(retention_fresh=0.0),
-        dict(retention_fresh=1.0),
+        dict(retention_fresh=0.15),
+        dict(retention_fresh=0.45),
         dict(energy_at_horizon_j=-1e-12),
-        dict(rel_band=1.0),
-        dict(retention_band=0.0),
+        dict(amp_mid_v=0.24),
+        dict(amp_late_v=2.1),
     ])
     def test_bad_targets_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            CalibrationTargets(**kwargs)
+        metrics = dict(FROZEN_METRICS, **kwargs)
+        assert not CalibrationResult(default_params(), 0.0, (), metrics).within_tolerance()
 
 
 class TestFit:
@@ -131,7 +137,7 @@ class TestFit:
         np.testing.assert_allclose(
             math.log(result.params.k1), math.log(DEFAULT_K1), rtol=1e-3
         )
-        assert result.within_tolerance(CalibrationTargets())
+        assert result.within_tolerance()
         assert len(result.residuals) == 5
         assert result.cost < 1.0
 
@@ -142,7 +148,7 @@ class TestFit:
             params=result.params, cost=result.cost,
             residuals=result.residuals, metrics=bad,
         )
-        assert not degraded.within_tolerance(CalibrationTargets())
+        assert not degraded.within_tolerance()
 
 
 class TestEvaluationSolvesEachAgeOnce:

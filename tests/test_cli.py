@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fndam import experiments
 from fndam.cli import main
 from fndam.config import SCHEMA_VERSION, TOOL_VERSION, load_config
 
@@ -224,6 +225,22 @@ class TestFailurePaths:
         assert record["error"] == error
         assert words in record["message"]
         assert not out.exists() or not list(out.rglob("*"))
+
+    def test_out_of_memory_keeps_the_json_record(self, monkeypatch, tmp_path, capsys):
+        # sizes are not capped, so a large enough run exhausts memory; it
+        # fails as a runtime error after its first outputs were written
+        def exhausted(array):
+            raise MemoryError
+
+        monkeypatch.setattr(experiments, "state_to_json", exhausted)
+        out = tmp_path / "o"
+        code, stdout, stderr = run_cli(capsys, "train", "--experiment", "perceptron",
+                                       "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.count("\n") == 1
+        assert json.loads(stderr) == {"error": "MemoryError", "message": ""}
+        assert not list(out.rglob("*"))
 
     @pytest.mark.parametrize("v0", [2.0, 3.0, 3.5])
     def test_calibrate_rejects_a_v0_the_fit_cannot_start_from(self, v0, tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from fndam.calibrate import cell_at_age, default_params
 from fndam.cell import decay, read_weight, synchronize
 from fndam.energy import (
+    DEFAULT_C_IN,
     TEN_YEARS_S,
     EnergyLedger,
     NoiseModel,
@@ -18,6 +19,7 @@ from fndam.energy import (
     noise_floor,
     read_noise,
     retention_time,
+    setpoint_write,
     v_train_required,
     write_energy,
     write_energy_trajectory,
@@ -98,11 +100,14 @@ class TestWriteEnergyTrajectory:
         assert all(b >= a for a, b in zip(energies, energies[1:]))
 
     def test_energy_scales_with_input_capacitor(self):
+        # the trajectory charges DEFAULT_C_IN; the same setpoint on twice
+        # the capacitor costs twice the energy
         params = default_params()
         k0 = math.exp(params.k2 / 7.5)
-        small = write_energy_trajectory(params, k0, 0.01, 1e4, n_samples=10, c_in=1e-12)
-        large = write_energy_trajectory(params, k0, 0.01, 1e4, n_samples=10, c_in=2e-12)
-        for (_, e1), (_, e2) in zip(small, large):
+        small = write_energy_trajectory(params, k0, 0.01, 1e4, n_samples=10)
+        for t, e1 in small:
+            assert e1 == setpoint_write(params, k0, 7.5 + 0.01, t, DEFAULT_C_IN)[2]
+            e2 = setpoint_write(params, k0, 7.5 + 0.01, t, 2 * DEFAULT_C_IN)[2]
             np.testing.assert_allclose(e2, 2.0 * e1, rtol=1e-12)
 
     @pytest.mark.parametrize("kwargs", [
@@ -176,17 +181,14 @@ class TestRetentionTime:
         assert r2.seconds > r1.seconds
 
     def test_short_horizon_saturates(self):
+        # with no noise floor the weight outlives the ten-year horizon
         cell = cell_with_weight(default_params(), 7.5, 1.0)
-        result = retention_time(cell, NoiseModel(), horizon_s=10.0)
+        result = retention_time(cell, NoiseModel(sigma0=0.0, sigma_coeff=0.0))
         assert result.saturated
-        assert result.seconds == 10.0
+        assert result.seconds == TEN_YEARS_S
 
     def test_default_horizon_is_ten_years(self):
         assert TEN_YEARS_S == 10 * 365.25 * 86400.0
-
-    def test_bad_horizon_rejected(self):
-        with pytest.raises(DomainError):
-            retention_time(cell_at_age(default_params(), 0.0), NoiseModel(), horizon_s=0.0)
 
 
 class TestReadoutTrade:

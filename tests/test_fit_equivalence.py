@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import optimize
 
 from fndam import calibrate
-from fndam.calibrate import CalibrationTargets, _fit_residuals, _least_squares
+from fndam.calibrate import _fit_residuals, _least_squares
 from fndam.errors import DomainError, FndamError
 
 
@@ -47,8 +47,7 @@ def both(fun, x0):
 @example(u0=0.06, k2=2500.0)  # the default fit
 @settings(max_examples=6, deadline=None)
 def test_calibration_fit_matches_least_squares(u0, k2):
-    targets = CalibrationTargets()
-    replay, scipy = both(lambda x: _fit_residuals(x, targets, 7.5), [math.log(u0), math.log(k2)])
+    replay, scipy = both(lambda x: _fit_residuals(x, 7.5), [math.log(u0), math.log(k2)])
     assert replay == scipy
 
 

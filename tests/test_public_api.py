@@ -1,14 +1,22 @@
-"""Every name the package re-exports has a use outside the unit tests.
+"""Every name the package re-exports has a use outside the unit tests,
+and so does every defaulted parameter of its functions and methods.
 
-A use is a name or attribute in the package's own modules, the demos or
-the benchmark (whose string constants count too, so the names the
-tracer wraps are uses), in the acceptance checks, or a word of the
-README.  Docstrings do not count: describing a name does not use it.
+A use of a name is a name or attribute in the package's own modules, the
+demos or the benchmark (whose string constants count too, so the names
+the tracer wraps are uses), in the acceptance checks, or a word of the
+README.  Docstrings do not count: describing a name does not use it.  A
+use of a defaulted parameter is a call in those files, or in the README
+Quick start, that passes it; a value no caller passes belongs in a
+constant.
 """
 
 import ast
+import dataclasses
+import inspect
 import re
 from pathlib import Path
+
+import fndam
 
 ROOT = Path(__file__).resolve().parents[1]
 INIT = ROOT / "src" / "fndam" / "__init__.py"
@@ -43,15 +51,95 @@ def names_used_in(path: Path) -> set[str]:
     return used
 
 
-def names_used_outside_unit_tests() -> set[str]:
+def files_outside_unit_tests() -> list[Path]:
+    """The package's own modules, the demos, the benchmark and the acceptance checks."""
     files = [p for p in (ROOT / "src").rglob("*.py") if p != INIT]
-    files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").rglob("*.py"),
-              ROOT / "tests" / "test_acceptance.py"]
+    return files + [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").rglob("*.py"),
+                    ROOT / "tests" / "test_acceptance.py"]
+
+
+def names_used_outside_unit_tests() -> set[str]:
     used = set(WORD.findall((ROOT / "README.md").read_text(encoding="utf-8")))
-    for path in files:
+    for path in files_outside_unit_tests():
         used |= names_used_in(path)
     return used
 
 
 def test_every_export_is_used_outside_the_unit_tests():
     assert sorted(exported_names() - names_used_outside_unit_tests()) == []
+
+
+# Defaulted parameters that no call outside the unit tests sets, each with
+# the reason it stays settable.
+UNSET_ALLOWED = {
+    "apply_pulse.polarity": "the scalar reference that tests/test_array_equivalence.py "
+                            "holds RESET pulses against",
+}
+
+
+def quick_start_tree() -> ast.Module:
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    return ast.parse(re.search(r"```python\n(.*?)```", section, re.S).group(1))
+
+
+def calls_outside_unit_tests() -> dict[str, list[ast.Call]]:
+    """The calls in files_outside_unit_tests and the README Quick start, by
+    the name they call."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in files_outside_unit_tests()]
+    trees.append(quick_start_tree())
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def exported_signatures():
+    """(called name, qualified name, parameters) of each re-exported function,
+    public method and hand-written __init__, a method's receiver dropped."""
+    for export in sorted(exported_names()):
+        obj = getattr(fndam, export, None)  # TOOL_VERSION is re-exported as __version__
+        if inspect.isfunction(obj):
+            yield export, export, list(inspect.signature(obj).parameters.values())
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if attr == "__init__" and not dataclasses.is_dataclass(obj):
+                    called = export
+                elif attr.startswith("_"):
+                    continue
+                else:
+                    called = attr
+                func = getattr(member, "__func__", member)  # classmethod, staticmethod
+                if inspect.isfunction(func):
+                    params = list(inspect.signature(func).parameters.values())
+                    if not isinstance(member, staticmethod):
+                        params = params[1:]
+                    yield called, f"{export}.{attr}", params
+
+
+def defaulted_parameters_no_caller_sets() -> list[str]:
+    """A parameter is set by a call that passes it by keyword or by position."""
+    calls = calls_outside_unit_tests()
+    unset = []
+    for called, qualname, params in exported_signatures():
+        sites = calls.get(called, [])
+        for i, param in enumerate(params):
+            if param.default is param.empty:
+                continue
+            by_position = param.kind != param.KEYWORD_ONLY and any(
+                sum(not isinstance(a, ast.Starred) for a in c.args) > i for c in sites)
+            by_keyword = any(k.arg == param.name for c in sites for k in c.keywords)
+            if not (by_position or by_keyword):
+                unset.append(f"{qualname}.{param.name}")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_outside_the_unit_tests():
+    unset = defaulted_parameters_no_caller_sets()
+    new = [name for name in unset if name not in UNSET_ALLOWED]
+    assert not new, f"{len(new)} defaulted parameters no caller sets: {', '.join(new)}"
+    stale = sorted(set(UNSET_ALLOWED) - set(unset))
+    assert not stale, f"allowed but set or gone: {', '.join(stale)}"
