@@ -15,8 +15,9 @@ ratio:
 
 ``DEFAULT_K1`` / ``DEFAULT_K2`` are the frozen least-squares solution
 for the default capacitances of ``FnParams`` and the input capacitor
-``energy.DEFAULT_C_IN``; ``fit_device_parameters`` re-runs the fit
-(also exposed as the ``fndam calibrate`` subcommand).  The fit is
+``energy.DEFAULT_C_IN``; ``fit_device_parameters`` re-runs the fit for
+a given input capacitor (also exposed as the ``fndam calibrate``
+subcommand, at the configured ``device.c_in``).  The fit is
 two-dimensional: k1 spans ~160 decades over plausible k2, so it is
 parameterized as (u, k2) with k1 = u * exp(k2 / v0), making u the
 dimensionless initial decay speed and decoupling the two axes.
@@ -173,14 +174,16 @@ def _age_for(retention, fraction: float) -> float:
     return age
 
 
-def energy_per_update(params: FnParams, t_s: float) -> float:
-    """Energy of a write lifting a DEFAULT_V0 gate ENERGY_OFFSET_V above its trajectory."""
+def energy_per_update(params: FnParams, t_s: float, c_in: float) -> float:
+    """Energy of a write through c_in lifting a DEFAULT_V0 gate ENERGY_OFFSET_V
+    above its trajectory."""
     return setpoint_write(params, k0_from_initial(params, DEFAULT_V0),
-                          DEFAULT_V0 + ENERGY_OFFSET_V, t_s, DEFAULT_C_IN)[2]
+                          DEFAULT_V0 + ENERGY_OFFSET_V, t_s, c_in)[2]
 
 
-def evaluate_calibration(params: FnParams) -> dict:
-    """All five characterization metrics for a parameter set."""
+def evaluate_calibration(params: FnParams, c_in: float = DEFAULT_C_IN) -> dict:
+    """All five characterization metrics for a parameter set, the energy
+    written through the input capacitor c_in."""
     amplitude, retention = _memoized_by_age(params)
     age_mid = _age_for(retention, REGIME_RETENTION[1])
     age_late = _age_for(retention, REGIME_RETENTION[2])
@@ -191,7 +194,7 @@ def evaluate_calibration(params: FnParams) -> dict:
         "age_late_s": age_late,
         "amp_mid_v": amplitude(age_mid),
         "amp_late_v": amplitude(age_late),
-        "energy_at_horizon_j": energy_per_update(params, ENERGY_HORIZON_S),
+        "energy_at_horizon_j": energy_per_update(params, ENERGY_HORIZON_S, c_in),
     }
 
 
@@ -219,7 +222,7 @@ def _memoized_by_age(params: FnParams):
     return amplitude, retention
 
 
-def fit_device_parameters(v0: float = DEFAULT_V0) -> CalibrationResult:
+def fit_device_parameters(v0: float = DEFAULT_V0, c_in: float = DEFAULT_C_IN) -> CalibrationResult:
     """Least-squares fit of (k1, k2) to the characterization targets.
 
     Residuals are dimensionless deviations: log2 ratios for the three
@@ -229,22 +232,23 @@ def fit_device_parameters(v0: float = DEFAULT_V0) -> CalibrationResult:
     The targets are characterized at DEFAULT_V0 (7.5 V) whatever v0 is:
     v0 only parameterizes k1 = u*exp(k2/v0).  A v0 at which the fit's
     starting k1 overflows is rejected before the fit starts (DomainError).
+    The energy target is met for writes through the input capacitor c_in.
     """
     x0 = [math.log(u) for u in _FIT_START]
     _fit_params(x0, v0)  # reject a v0 the fit cannot start from
-    fit = _least_squares(lambda x: _fit_residuals(x, v0), x0)
+    fit = _least_squares(lambda x: _fit_residuals(x, v0, c_in), x0)
     params = _fit_params(fit.x, v0)
     return CalibrationResult(
         params=params,
         cost=float(fit.cost),
         residuals=tuple(float(r) for r in fit.fun),
-        metrics=evaluate_calibration(params),
+        metrics=evaluate_calibration(params, c_in=c_in),
     )
 
 
-def _fit_residuals(x, v0: float) -> list[float]:
+def _fit_residuals(x, v0: float, c_in: float) -> list[float]:
     """The fit's five residuals at x = (log u, log k2)."""
-    m = evaluate_calibration(_fit_params(x, v0))
+    m = evaluate_calibration(_fit_params(x, v0), c_in=c_in)
 
     def factor(key):
         return math.log(m[key] / FACTOR_TARGETS[key]) / math.log(REL_BAND)

@@ -193,17 +193,27 @@ def _float_weight(nodes, ws: float) -> float:
     return ws * (nodes[1][0] - nodes[0][0])
 
 
-def _evolved_nodes(nodes, dt: float, steps=(0.0, 0.0)):
-    """``batch_pulse`` by per-node steps, ``decay`` at zero steps, on a cell's float nodes."""
+def _evolved_nodes(nodes, dt: float, steps=None):
+    """``batch_pulse`` by per-node steps, ``advance`` without them, on float nodes.
+
+    nodes are the (v, log_k1, k2) of the SET and RESET nodes of one or
+    more cells in row-major order, as ``_float_nodes`` gives one cell's.
+    An idle node's zero step leaves its decay bit-identical to no step.
+    The first node left non-positive raises ``array._driven``.
+    """
     _require_dt(dt)
     if dt == 0.0:
         return nodes
     log_dt = math.log(dt)
-    nodes = tuple((released(v, step, log_k1, k2, log_dt, decayed_float), log_k1, k2)
-                  for (v, log_k1, k2), step in zip(nodes, steps))
-    for node, (v, _, _) in enumerate(nodes):
+    if steps is None:
+        nodes = tuple([(decayed_float(v, log_k1, k2, log_dt), log_k1, k2)
+                       for v, log_k1, k2 in nodes])
+    else:
+        nodes = tuple([(released(v, step, log_k1, k2, log_dt, decayed_float), log_k1, k2)
+                       for (v, log_k1, k2), step in zip(nodes, steps)])
+    for i, (v, _, _) in enumerate(nodes):
         if not v > 0:
-            raise _driven(0, node, v)
+            raise _driven(*divmod(i, 2), v)
     return nodes
 
 

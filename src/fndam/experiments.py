@@ -468,7 +468,7 @@ def run_train(cfg: ExperimentConfig, experiment: str | None = None) -> list[str]
 
 
 def _calibrate(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
-    result = fit_device_parameters(v0=cfg.device.v0)
+    result = fit_device_parameters(v0=cfg.device.v0, c_in=cfg.device.c_in)
     fitted = {
         "device": {
             "k1": result.params.k1,

@@ -5,7 +5,10 @@ The perceptron keeps its two weights on two cells of a DamArray.  Each
 training point costs one sample interval of wall-clock time; a violated
 margin turns into a gradient, the gradient into a polarity, a pulse
 count and a precompensated amplitude, and the pulses into array
-operations whose energy lands in an EnergyLedger.
+operations whose energy lands in an EnergyLedger.  The loop runs those
+operations on the cells' float nodes (``cell._evolved_nodes``), to the
+bits and errors of ``batch_pulse`` and ``advance``, and builds the
+trained array once at the end.
 
 The network trainer runs ordinary SGD-with-momentum in software but
 parks every parameter on a DAM cell between iterations, so weights
@@ -16,17 +19,17 @@ and the loop is plain SGDM, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .array import DamArray, _with_voltages, advance, batch_pulse
-from .cell import decay, precompensated_amplitude, synchronize
+from .array import DamArray, _with_voltages, advance
+from .cell import _evolved_nodes, _float_nodes, _float_weight, _solve_amplitude, synchronize
 from .energy import DEFAULT_C_IN, EnergyLedger
 from .errors import ArgumentError, DomainError
-from .node import Pulse
 from .tables import csv_table, record_row
 
 _AMP_TOL_MV = 1e-4  # precompensation tolerance for issued amplitudes
@@ -104,14 +107,17 @@ class PulseCommand:
     clipped: bool = False
 
 
-def gradient_to_pulses(update_mv: float, config: TrainerConfig, cell: DamArray) -> PulseCommand:
-    """Quantize a desired weight change into pulses on the given cell.
+def gradient_to_pulses(
+    update_mv: float, config: TrainerConfig, amplitude: Callable[[], float]
+) -> PulseCommand:
+    """Quantize a desired weight change into pulses.
 
     update_mv is the signed post-learning-rate weight change.  Its sign
     picks SET (+) or RESET (-); its magnitude is rounded to the nearest
-    whole number of unit steps; the amplitude is solved on `cell` so
-    one pulse at the cell's current age moves the weight by one unit
-    step.  Counts beyond MAX_PULSES_PER_UPDATE are clipped and flagged.
+    whole number of unit steps.  `amplitude()` gives the pulse amplitude
+    that moves the weight by one unit step at the cell's current age; it
+    is called only when there are pulses to issue.  Counts beyond
+    MAX_PULSES_PER_UPDATE are clipped and flagged.
     """
     n_exact = abs(update_mv) / config.unit_step_mv
     n_pulses = int(round(n_exact))
@@ -120,13 +126,10 @@ def gradient_to_pulses(update_mv: float, config: TrainerConfig, cell: DamArray) 
     clipped = n_pulses > MAX_PULSES_PER_UPDATE
     if clipped:
         n_pulses = MAX_PULSES_PER_UPDATE
-    amplitude = precompensated_amplitude(
-        cell, config.unit_step_mv, PULSE_DURATION_S, tol_mv=_AMP_TOL_MV
-    )
     return PulseCommand(
         polarity=1 if update_mv > 0 else -1,
         n_pulses=n_pulses,
-        amplitude_v=amplitude,
+        amplitude_v=amplitude(),
         clipped=clipped,
     )
 
@@ -310,12 +313,23 @@ def train_perceptron(
         )
 
     trace = TrainingTrace(ledger=EnergyLedger(c_in=config.c_in), margin=margin)
-    reference = synchronize(array.nominal_params, array.nominal_params, array.v0)
+    # the pristine reference cell and the array, as float nodes
+    reference, ref_ws = _float_nodes(
+        synchronize(array.nominal_params, array.nominal_params, array.v0))
     if array.global_clock > 0:
-        reference = decay(reference, array.global_clock)
+        reference = _evolved_nodes(reference, array.global_clock)
+    nodes = tuple(zip(array.v.ravel().tolist(), array.log_k1.ravel().tolist(),
+                      array.k2.ravel().tolist()))
+    ws = array.weight_scale.tolist()
+    clock = array.global_clock
+    ratio = array.nominal_params.coupling_ratio
+
+    def weights():
+        return tuple(_float_weight(nodes[2 * i:2 * i + 2], w) for i, w in enumerate(ws))
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     period = 1.0 / PULSE_FREQUENCY_HZ
+    idle = period - PULSE_DURATION_S
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
@@ -323,26 +337,34 @@ def train_perceptron(
         abs_updates: list[float] = []
         for point_index in order:
             point = dataset[int(point_index)]
-            t_sample = array.global_clock
-            w = tuple(array.weights().tolist())
+            t_sample = clock
+            w = weights()
             loss = hinge_loss(point.x, point.y, w)
             grad = hinge_gradient(point.x, point.y, w)
             commands = (PulseCommand(1, 0, 0.0), PulseCommand(1, 0, 0.0))
             step_energy = 0.0
             if grad != (0.0, 0.0):
+                # one solve serves both commands: it depends on the reference alone
+                amplitude = functools.cache(functools.partial(
+                    _solve_amplitude, reference, ref_ws, ratio, config.unit_step_mv,
+                    PULSE_DURATION_S, _AMP_TOL_MV))
                 commands = tuple(
-                    gradient_to_pulses(-config.learning_rate * g, config, reference)
+                    gradient_to_pulses(-config.learning_rate * g, config, amplitude)
                     for g in grad
                 )
-                longest = max(c.n_pulses for c in commands)
+                # per node in row-major order: its pulse step and pulse count
+                pulse_steps, counts = [0.0] * 4, [0] * 4
+                for j, c in enumerate(commands):
+                    node = 2 * j + (c.polarity == -1)
+                    pulse_steps[node] = c.amplitude_v * ratio
+                    counts[node] = c.n_pulses
+                longest = max(counts)
                 for k in range(longest):
-                    targets = [
-                        (j, c.polarity, Pulse(c.amplitude_v, PULSE_DURATION_S))
-                        for j, c in enumerate(commands)
-                        if k < c.n_pulses
-                    ]
-                    array = batch_pulse(array, targets)
-                    array = advance(array, period - PULSE_DURATION_S)
+                    nodes = _evolved_nodes(nodes, PULSE_DURATION_S, [
+                        s if k < n else 0.0 for s, n in zip(pulse_steps, counts)])
+                    clock += PULSE_DURATION_S
+                    nodes = _evolved_nodes(nodes, idle)
+                    clock += idle
                 for j, c in enumerate(commands):
                     if c.n_pulses > 0:
                         entry = trace.ledger.record(
@@ -353,14 +375,15 @@ def train_perceptron(
                             n_pulses=c.n_pulses,
                         )
                         step_energy += entry.energy_j
-                reference = decay(reference, longest * period)
+                reference = _evolved_nodes(reference, longest * period)
                 remainder = SAMPLE_INTERVAL_S - longest * period
             else:
                 remainder = SAMPLE_INTERVAL_S
-            array = advance(array, remainder)
-            reference = decay(reference, remainder)
+            nodes = _evolved_nodes(nodes, remainder)
+            clock += remainder
+            reference = _evolved_nodes(reference, remainder)
 
-            new_w = tuple(array.weights().tolist())
+            new_w = weights()
             if grad != (0.0, 0.0):
                 abs_updates.append(abs(new_w[0] - w[0]) + abs(new_w[1] - w[1]))
             trace.steps.append(
@@ -384,7 +407,7 @@ def train_perceptron(
             )
             step += 1
 
-        w_now = tuple(array.weights().tolist())
+        w_now = weights()
         epoch_entries = trace.ledger.entries[epoch_energy_start:]
         trace.epochs.append(
             EpochSummary(
@@ -398,8 +421,9 @@ def train_perceptron(
             )
         )
 
-    trace.final_weights_mv = tuple(array.weights().tolist())
-    return trace, array
+    trace.final_weights_mv = weights()
+    voltages = np.array([v for v, _, _ in nodes]).reshape(2, 2)
+    return trace, _with_voltages(array, voltages, clock)
 
 
 # --- network arm: software SGDM with device-backed weight decay ---

@@ -1,0 +1,59 @@
+"""The summary of tools/ab_pairs.py, on made-up paired runs."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+ab_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_pairs)
+
+LOWER = {"name": "pass_norm", "better": "lower", "bound": 0.2}
+HIGHER = {"name": "ops", "better": "higher", "bound": 0.1}
+
+
+def runs(name, values):
+    return [{name: v} for v in values]
+
+
+def test_statistics_wins_and_gain():
+    parent = runs("pass_norm", [100.0, 102.0, 98.0, 101.0, 99.0])
+    change = runs("pass_norm", [80.0, 82.0, 81.0, 101.0, 79.0])  # pair 4 ties
+    s = ab_pairs.summarize(parent, change, [LOWER])["pass_norm"]
+    assert s["parent"] == {"median": 100.0, "q1": 99.0, "q3": 101.0}
+    assert s["change"] == {"median": 81.0, "q1": 80.0, "q3": 82.0}
+    assert s["ratio"] == 0.81
+    assert (s["wins"], s["pairs"]) == (4, 5)
+    assert not s["gain"]  # 4 of 5 is below nine tenths
+    assert s["within_bound"]
+
+
+def test_gain_needs_the_medians_apart_by_more_than_the_parent_iqr():
+    parent = runs("pass_norm", [90.0, 100.0, 110.0, 95.0, 105.0])  # IQR 10
+    for change_values, gain in (([89.0, 99.0, 109.0, 94.0, 104.0], False),
+                                ([80.0, 85.0, 88.0, 84.0, 89.0], True)):
+        s = ab_pairs.summarize(parent, runs("pass_norm", change_values), [LOWER])
+        assert s["pass_norm"]["wins"] == 5
+        assert s["pass_norm"]["gain"] is gain
+
+
+def test_higher_is_better_and_the_bound():
+    parent = runs("ops", [10.0, 10.0, 10.0])
+    s = ab_pairs.summarize(parent, runs("ops", [8.5, 8.9, 9.5]), [HIGHER])["ops"]
+    assert s["wins"] == 0 and not s["gain"]
+    assert not s["within_bound"]  # 11 % lower against a 10 % bound
+    s = ab_pairs.summarize(parent, runs("ops", [9.2, 11.0, 12.0]), [HIGHER])["ops"]
+    assert s["wins"] == 2 and s["within_bound"]
+
+
+def test_one_pair_and_mismatched_sides():
+    s = ab_pairs.summarize(runs("pass_norm", [5.0]), runs("pass_norm", [4.0]), [LOWER])
+    assert s["pass_norm"]["parent"] == {"median": 5.0, "q1": 5.0, "q3": 5.0}
+    assert s["pass_norm"]["gain"]
+    nan = ab_pairs.summarize(runs("pass_norm", [math.nan]), runs("pass_norm", [4.0]), [LOWER])
+    assert nan["pass_norm"]["wins"] == 0
+    with pytest.raises(ValueError):
+        ab_pairs.summarize(runs("pass_norm", [1.0, 2.0]), runs("pass_norm", [1.0]), [LOWER])

@@ -28,6 +28,7 @@ from fndam.calibrate import (
     step_amplitude,
     weight_retention,
 )
+from fndam.energy import DEFAULT_C_IN
 from fndam.errors import DomainError
 
 # evaluate_calibration(default_params()) — frozen so that any drift in
@@ -89,7 +90,7 @@ class TestShippedCalibration:
 
     def test_energy_per_update_grows(self):
         params = default_params()
-        e = [energy_per_update(params, t) for t in (0.0, 1e4, 1e5, 12 * 86400.0)]
+        e = [energy_per_update(params, t, DEFAULT_C_IN) for t in (0.0, 1e4, 1e5, 12 * 86400.0)]
         assert all(b > a for a, b in zip(e, e[1:]))
         np.testing.assert_allclose(e[0], 5e-15, rtol=1e-12)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from fndam import experiments
+from fndam.calibrate import ENERGY_HORIZON_S, FACTOR_TARGETS, REL_BAND
 from fndam.cli import main
 from fndam.config import SCHEMA_VERSION, TOOL_VERSION, load_config
 
@@ -120,6 +121,26 @@ class TestSuccessPaths:
         assert device["k2"] == pytest.approx(k2, rel=1e-5)
         meta = json.loads((out / "fitted_device.json.meta.json").read_text())
         assert meta["within_tolerance"] is True
+
+    @pytest.mark.parametrize("c_in", [2e-12, 5e-13])
+    def test_calibrate_fits_the_energy_at_the_configured_c_in(self, c_in, tmp_path, capsys):
+        # the fitted device, written through the c_in it is written with,
+        # must spend the energy calibrate reports, near the 2.5 pJ target
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"device": {"c_in": c_in}}))
+        cal, report = tmp_path / "cal", tmp_path / "report"
+        assert run_cli(capsys, "calibrate", "--config", str(cfg), "--out", str(cal))[0] == 0
+        assert json.loads((cal / "fitted_device.json").read_text())["device"]["c_in"] == c_in
+        metrics = dict(line.split(",") for line in
+                       (cal / "calibration_metrics.csv").read_text().splitlines()[1:])
+        assert run_cli(capsys, "energy-report", "--config", str(cal / "fitted_device.json"),
+                       "--out", str(report))[0] == 0
+        last = (report / "energy_trajectory.csv").read_text().splitlines()[-1]
+        t_s, *_, energy_j = last.split(",")
+        assert float(t_s) == ENERGY_HORIZON_S
+        assert energy_j == metrics["energy_at_horizon_j"]
+        target = FACTOR_TARGETS["energy_at_horizon_j"]
+        assert target / REL_BAND <= float(energy_j) <= target * REL_BAND
 
 
 class TestFailurePaths:

@@ -19,6 +19,7 @@ from scipy import optimize
 
 from fndam import calibrate
 from fndam.calibrate import _fit_residuals, _least_squares
+from fndam.energy import DEFAULT_C_IN
 from fndam.errors import DomainError, FndamError
 
 
@@ -47,7 +48,7 @@ def both(fun, x0):
 @example(u0=0.06, k2=2500.0)  # the default fit
 @settings(max_examples=6, deadline=None)
 def test_calibration_fit_matches_least_squares(u0, k2):
-    replay, scipy = both(lambda x: _fit_residuals(x, 7.5), [math.log(u0), math.log(k2)])
+    replay, scipy = both(lambda x: _fit_residuals(x, 7.5, DEFAULT_C_IN), [math.log(u0), math.log(k2)])
     assert replay == scipy
 
 

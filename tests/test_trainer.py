@@ -8,6 +8,7 @@ import pytest
 
 from fndam.array import DamArray, MismatchSpec, build_array
 from fndam.calibrate import default_params
+from fndam.cell import precompensated_amplitude
 from fndam.errors import ArgumentError, DomainError
 from fndam.trainer import (
     MAX_PULSES_PER_UPDATE,
@@ -87,35 +88,38 @@ class TestGradientToPulses:
     def config(self, **kw):
         return TrainerConfig(**kw)
 
+    def amplitude(self):
+        """The unit-step amplitude of a fresh cell."""
+        return precompensated_amplitude(first_cell(two_cell_array()),
+                                        TrainerConfig().unit_step_mv, PULSE_DURATION_S)
+
     def test_rounds_to_nearest_unit_step(self):
-        cell = first_cell(two_cell_array())
         cfg = self.config()  # unit 0.05 mV
-        cmd = gradient_to_pulses(0.12, cfg, cell)  # 2.4 units
+        cmd = gradient_to_pulses(0.12, cfg, self.amplitude)  # 2.4 units
         assert cmd.n_pulses == 2
         assert cmd.polarity == 1
         assert not cmd.clipped
 
     def test_one_unit_is_one_pulse(self):
-        cell = first_cell(two_cell_array())
-        cmd = gradient_to_pulses(0.05, self.config(), cell)
+        cmd = gradient_to_pulses(0.05, self.config(), self.amplitude)
         assert cmd.n_pulses == 1
-        assert cmd.amplitude_v > 0.0
+        assert cmd.amplitude_v == self.amplitude() > 0.0
 
     def test_sub_half_unit_is_dropped(self):
-        cell = first_cell(two_cell_array())
-        cmd = gradient_to_pulses(0.02, self.config(), cell)  # 0.4 units
+        def unused():
+            raise AssertionError("no pulses, so no amplitude solve")
+
+        cmd = gradient_to_pulses(0.02, self.config(), unused)  # 0.4 units
         assert cmd.n_pulses == 0
         assert cmd.amplitude_v == 0.0
 
     def test_negative_update_selects_reset(self):
-        cell = first_cell(two_cell_array())
-        cmd = gradient_to_pulses(-0.25, self.config(), cell)
+        cmd = gradient_to_pulses(-0.25, self.config(), self.amplitude)
         assert cmd.polarity == -1
         assert cmd.n_pulses == 5
 
     def test_oversized_update_is_clipped(self):
-        cell = first_cell(two_cell_array())
-        cmd = gradient_to_pulses(100.0, self.config(), cell)  # 2000 units
+        cmd = gradient_to_pulses(100.0, self.config(), self.amplitude)  # 2000 units
         assert cmd.clipped
         assert cmd.n_pulses == MAX_PULSES_PER_UPDATE
 
@@ -291,6 +295,33 @@ class TestTrainPerceptron:
     def test_empty_dataset_refused(self):
         with pytest.raises(ArgumentError):
             train_perceptron((), two_cell_array(), TrainerConfig())
+
+
+class TestOneSolvePerStep:
+    """The amplitude depends on the reference cell alone, so a step that
+    issues pulses solves it once, for both commands."""
+
+    def test_default_run_solves_once_per_pulsing_step(self, tmp_path, monkeypatch):
+        import csv
+
+        from fndam import cli, trainer
+
+        solve, calls = trainer._solve_amplitude, []
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(trainer, "_solve_amplitude", counting)
+        argv = ["train", "--experiment", "perceptron", "--seed", "0", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        with open(tmp_path / "perceptron_steps.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        pulsing = [r for r in rows if int(r["n_pulses0"]) + int(r["n_pulses1"]) > 0]
+        assert len(calls) == len(pulsing) == 190
+        both = [r for r in pulsing if int(r["n_pulses0"]) and int(r["n_pulses1"])]
+        assert both
+        assert all(r["amplitude0_V"] == r["amplitude1_V"] for r in both)
 
 
 class TestBlobDataset:

@@ -1,0 +1,163 @@
+"""Alternating benchmark pairs: a git ref (the parent) against this checkout (the change).
+
+    python3 tools/ab_pairs.py REF --workload W [--pairs 10] [--seconds 25] [--seed 0]
+
+REF is exported with ``git archive`` into a temporary directory, and
+the checkout's files (tracked and untracked, ignored files left out)
+are copied into another, so both sides run from new directories: run
+from the checkout itself, identical code has read several percent more
+``array-scale`` ``peak_rss_mb`` than from an export.  Both trees
+compile their ``src`` first (``python -m compileall -q src``), so
+neither side's ``setup_s`` pays for writing bytecode the other already
+has.  Each pair runs ``bench/run.py --workload W --seed S --seconds T
+--trace 0`` once in each tree, the side that runs first alternating
+from pair to pair, and reads the last line of its output.
+
+For each metric ``BENCHMARK.json`` gates, the summary gives each side's
+median and quartiles, the ratio of the medians (change / parent), the
+pairs the change won (ties count for neither side), whether that is a
+gain (won at least nine tenths of the pairs, and the medians differ by
+more than the parent's interquartile range) and whether the change's
+median stays within the metric's bound.  The last line of output is the
+summary as one JSON object.  The exit status is 1 if any run reports
+``correct: false`` or a failed operation, or gives no result.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GAIN_SHARE = 0.9  # share of pairs the change must win to claim a gain
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3), inclusive method; one value is all three."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(parent: list[dict], change: list[dict], gated: list[dict]) -> dict:
+    """Per gated metric, the two sides' statistics over paired runs.
+
+    parent[i] and change[i] are the metric values of pair i; each entry
+    of gated is a BENCHMARK.json end-to-end metric (name, better, bound).
+    """
+    if not parent or len(parent) != len(change):
+        raise ValueError(f"need equally many runs per side, got {len(parent)} and {len(change)}")
+    out = {}
+    for metric in gated:
+        name, lower = metric["name"], metric["better"] == "lower"
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        p_q, c_q = quartiles(p), quartiles(c)
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        worse = (c_q[1] - p_q[1]) if lower else (p_q[1] - c_q[1])
+        out[name] = {
+            "parent": {"median": p_q[1], "q1": p_q[0], "q3": p_q[2]},
+            "change": {"median": c_q[1], "q1": c_q[0], "q3": c_q[2]},
+            "ratio": c_q[1] / p_q[1] if p_q[1] else float("nan"),
+            "wins": wins,
+            "pairs": len(p),
+            "gain": wins >= GAIN_SHARE * len(p) and -worse > p_q[2] - p_q[0],
+            "within_bound": worse <= metric["bound"] * abs(p_q[1]),
+        }
+    return out
+
+
+def export(ref: str, dest: Path) -> None:
+    """The committed tree of ref, written into dest."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def copy_checkout(dest: Path) -> None:
+    """This checkout's tracked and untracked files, ignored ones left out, copied into dest."""
+    names = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], capture_output=True, check=True).stdout
+    for name in filter(None, names.split(b"\0")):
+        source = ROOT / os.fsdecode(name)
+        if source.is_file():  # a tracked file deleted from the checkout is skipped
+            target = dest / os.fsdecode(name)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
+def bench(tree: Path, args) -> dict:
+    """The last output line of one bench run in tree, as a dict (None if it gave none)."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
+         "--seconds", str(args.seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    try:
+        return json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(proc.stderr)
+        return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ref", help="the parent: a commit, branch or tag of this repository")
+    parser.add_argument("--workload", required=True, choices=("device", "train", "array-scale"))
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("--pairs must be >= 1 and --seconds positive")
+    gated = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    runs = {"parent": [], "change": []}
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export(args.ref, trees["parent"])
+        copy_checkout(trees["change"])
+        for tree in trees.values():
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree,
+                           check=True)
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = bench(trees[side], args)
+                if result is None or not result["correct"] or result["failed"] > 0:
+                    ok = False
+                    print(f"pair {i + 1}: {side} run failed: {result}", file=sys.stderr)
+                values = {m["name"]: (result or {}).get("metrics", {}).get(m["name"], {})
+                          .get("value", float("nan")) for m in gated}
+                runs[side].append(values)
+            print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " + ", ".join(
+                f"{m['name']} {runs['parent'][-1][m['name']]:.6g} -> "
+                f"{runs['change'][-1][m['name']]:.6g}" for m in gated), flush=True)
+
+    summary = summarize(runs["parent"], runs["change"], gated)
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
+          f"parent {args.ref} -> change (this checkout); median [q1, q3]")
+    for name, s in summary.items():
+        p, c = s["parent"], s["change"]
+        print(f"  {name:<12} {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] -> "
+              f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  ratio {s['ratio']:.4f}  "
+              f"change won {s['wins']}/{s['pairs']}  gain {'yes' if s['gain'] else 'no'}  "
+              f"within bound {'yes' if s['within_bound'] else 'no'}")
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "ref": args.ref,
+                      "correct": ok, "runs": runs, "summary": summary}))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
