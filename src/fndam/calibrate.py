@@ -181,7 +181,7 @@ def energy_per_update(params: FnParams, t_s: float, c_in: float) -> float:
                           DEFAULT_V0 + ENERGY_OFFSET_V, t_s, c_in)[2]
 
 
-def evaluate_calibration(params: FnParams, c_in: float = DEFAULT_C_IN) -> dict:
+def evaluate_calibration(params: FnParams, c_in: float) -> dict:
     """All five characterization metrics for a parameter set, the energy
     written through the input capacitor c_in."""
     amplitude, retention = _memoized_by_age(params)

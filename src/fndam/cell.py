@@ -38,6 +38,7 @@ from .node import FnParams, Pulse, _require_dt, decayed_float, k0_from_initial, 
 
 _NO_MISMATCH = MismatchSpec(relative_sigma=0.0)
 _AMP_MAX_V = 32.0  # the largest amplitude a precompensation solve tries
+_AMP_TOL_MV = 1e-3  # precompensated_amplitude's tolerance on the weight step
 
 
 def synchronize(set_params: FnParams, reset_params: FnParams, v0: float) -> DamArray:
@@ -217,9 +218,7 @@ def _evolved_nodes(nodes, dt: float, steps=None):
     return nodes
 
 
-def precompensated_amplitude(
-    cell: DamArray, target_dw: float, duration: float, tol_mv: float = 1e-3
-) -> float:
+def precompensated_amplitude(cell: DamArray, target_dw: float, duration: float) -> float:
     """SET-pulse amplitude that raises the weight by target_dw mV.
 
     The answer compensates for the cell's current depth into its decay
@@ -227,7 +226,7 @@ def precompensated_amplitude(
     step).  target_dw is a magnitude.  Returns 0.0 for a zero target.
 
     The amplitude is the one a bisection over [0, 32 V] returns: the
-    first midpoint whose net change lies within tol_mv of the target,
+    first midpoint whose net change lies within 1e-3 mV of the target,
     the bracket narrowing until it spans 1e-12 * 32 V.  Each midpoint
     is one pulse in closed form: ``node.released`` on floats for the
     SET node against ``node.decayed_float`` on the idle RESET node,
@@ -236,14 +235,19 @@ def precompensated_amplitude(
 
     Raises SaturationError when the target is unreachable at 32 V or
     overshot by the smallest amplitude, and ArgumentError when it is
-    reachable but tol_mv is finer than the amplitude grid resolves.
+    reachable but the amplitude grid cannot resolve 1e-3 mV near it.
     """
     return _solve_amplitude(*_float_nodes(cell), cell.nominal_params.coupling_ratio,
-                            target_dw, duration, tol_mv)
+                            target_dw, duration, _AMP_TOL_MV)
 
 
 def _solve_amplitude(nodes, ws, r, target_dw, duration, tol_mv):
-    """precompensated_amplitude on ``_float_nodes``, weight_scale ws and coupling ratio r."""
+    """precompensated_amplitude on ``_float_nodes``, weight_scale ws and
+    coupling ratio r, within tol_mv of the target.
+
+    Raises ArgumentError when the target is reachable but tol_mv is
+    finer than the amplitude grid resolves.
+    """
     if not target_dw >= 0:
         raise DomainError(f"target_dw is a magnitude, got {target_dw!r}")
     if target_dw == 0.0:

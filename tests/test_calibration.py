@@ -46,7 +46,7 @@ FROZEN_METRICS = {
 
 class TestShippedCalibration:
     def test_metrics_are_frozen(self):
-        metrics = evaluate_calibration(default_params())
+        metrics = evaluate_calibration(default_params(), DEFAULT_C_IN)
         assert set(metrics) == set(FROZEN_METRICS)
         for key, frozen in FROZEN_METRICS.items():
             np.testing.assert_allclose(metrics[key], frozen, rtol=1e-9, err_msg=key)
@@ -164,13 +164,13 @@ class TestEvaluationSolvesEachAgeOnce:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(calibrate, "_solve_amplitude", counting)
-        evaluate_calibration(default_params())
+        evaluate_calibration(default_params(), DEFAULT_C_IN)
         assert solved
         assert len(set(solved)) == len(solved)
 
     def test_metrics_equal_the_public_solvers(self):
         params = default_params()
-        m = evaluate_calibration(params)
+        m = evaluate_calibration(params, DEFAULT_C_IN)
         assert m["age_mid_s"] == age_for_retention(params, 0.70)
         assert m["age_late_s"] == age_for_retention(params, 0.95)
         assert m["amp_fresh_v"] == step_amplitude(params, 0.0)

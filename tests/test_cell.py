@@ -13,6 +13,8 @@ from fndam.array import MismatchSpec, batch_pulse
 from fndam.calibrate import REGIME_AGES_S, cell_at_age, default_params
 from fndam.cell import (
     DecaySchedule,
+    _float_nodes,
+    _solve_amplitude,
     common_mode_step,
     decay,
     decay_factor,
@@ -399,6 +401,12 @@ class TestRobbinsMonro:
         # every term beyond N adds less than the whole tail bound
         assert float(g(b) ** 2 / (b - 1 + c)) < 2e-6
 
+def amplitude_within(cell, target_dw, duration, tol_mv):
+    """precompensated_amplitude at tolerance tol_mv instead of 1e-3 mV."""
+    return _solve_amplitude(*_float_nodes(cell), cell.nominal_params.coupling_ratio,
+                            target_dw, duration, tol_mv)
+
+
 class TestPrecompensatedAmplitude:
     def test_zero_target_needs_no_pulse(self):
         assert precompensated_amplitude(cell_at_age(default_params(), 0.0), 0.0, 0.5) == 0.0
@@ -449,7 +457,7 @@ class TestPrecompensatedAmplitude:
         cell = cell_with_weight(default_params(), 7.5, -5.0)
         with pytest.raises(SaturationError, match=(
                 r"^bisection failed to reach 0\.01 mV within tolerance 0\.0001 mV$")):
-            precompensated_amplitude(cell, 0.01, 0.5, tol_mv=1e-4)
+            amplitude_within(cell, 0.01, 0.5, 1e-4)
 
     def test_tolerance_below_resolution_is_an_argument_error(self):
         # 32 V moves a 500 s old cell far past 1 mV, but one step of the
@@ -458,7 +466,7 @@ class TestPrecompensatedAmplitude:
                 r"^tol_mv=1e-12 mV is below the resolution of the amplitude solve: "
                 r"near 1\.0 mV one 2\.91e-11 V step of its amplitude grid moves "
                 r"the weight by \S+ mV$")):
-            precompensated_amplitude(cell_at_age(default_params(), 500.0), 1.0, 0.5, tol_mv=1e-12)
+            amplitude_within(cell_at_age(default_params(), 500.0), 1.0, 0.5, 1e-12)
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(target_dw=math.nan), "target_dw is a magnitude, got nan"),
@@ -468,15 +476,16 @@ class TestPrecompensatedAmplitude:
         (dict(duration=math.inf), "pulse duration must be positive and finite, got inf"),
     ])
     def test_invalid_arguments_are_domain_errors(self, kwargs, message):
-        args = dict(cell=cell_at_age(default_params(), 0.0), target_dw=1.0, duration=0.5)
+        args = dict(cell=cell_at_age(default_params(), 0.0), target_dw=1.0, duration=0.5,
+                    tol_mv=1e-3)
         args.update(kwargs)
         with pytest.raises(DomainError) as exc_info:
-            precompensated_amplitude(**args)
+            amplitude_within(**args)
         assert str(exc_info.value) == message
 
     def test_infinite_tolerance_takes_the_first_midpoint(self):
         cell = cell_at_age(default_params(), 0.0)
-        assert precompensated_amplitude(cell, 1.0, 0.5, tol_mv=math.inf) == 16.0
+        assert amplitude_within(cell, 1.0, 0.5, math.inf) == 16.0
 
 
 

@@ -5,7 +5,7 @@ The calibration characterization (``step_amplitude``,
 ``evaluate_calibration``), ``energy.retention_time`` and the
 characterization decay traces run on a cell's columns read once as
 floats.  The references below are the array operations they replace,
-kept here unchanged: ``cell_at_age`` -> ``precompensated_amplitude`` ->
+kept here: ``cell_at_age`` -> the amplitude solve at calibration's tolerance ->
 ``set_pulse`` -> ``read_weight`` -> ``decay`` -> ``read_weight``, and
 the ``decay``/``read_weight`` loops of ``retention_time`` and
 ``_weight_trace``.  Every sampled case must give the same floats, or
@@ -34,8 +34,8 @@ from fndam.cell import (
     _evolved_nodes,
     _float_nodes,
     _float_weight,
+    _solve_amplitude,
     decay,
-    precompensated_amplitude,
     read_weight,
     set_pulse,
     synchronize,
@@ -66,14 +66,19 @@ def params_at(log_k1_shift, k2_factor):
     return default_params(k1=p.k1 * math.exp(log_k1_shift), k2=p.k2 * k2_factor)
 
 
+def amplitude_within(cell, target_dw):
+    """precompensated_amplitude at calibration's tolerance."""
+    return _solve_amplitude(*_float_nodes(cell), cell.nominal_params.coupling_ratio,
+                            target_dw, CAL_PULSE_DURATION_S, _AMP_TOL_MV)
+
+
 def ref_step_amplitude(params, age_s):
-    return precompensated_amplitude(cell_at_age(params, age_s), CAL_STEP_MV,
-                                    CAL_PULSE_DURATION_S, tol_mv=_AMP_TOL_MV)
+    return amplitude_within(cell_at_age(params, age_s), CAL_STEP_MV)
 
 
 def ref_weight_retention(params, age_s, window_s):
     cell = cell_at_age(params, age_s)
-    amp = precompensated_amplitude(cell, 1.0, CAL_PULSE_DURATION_S, tol_mv=_AMP_TOL_MV)
+    amp = amplitude_within(cell, 1.0)
     pulsed = set_pulse(cell, Pulse(amp, CAL_PULSE_DURATION_S))
     w_start = read_weight(pulsed).weight
     w_end = read_weight(decay(pulsed, window_s)).weight

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from fndam import trainer
 from fndam.array import DamArray, MismatchSpec, advance, batch_pulse, build_array
 from fndam.calibrate import default_params
-from fndam.cell import decay, precompensated_amplitude, synchronize
+from fndam.cell import _float_nodes, _solve_amplitude, decay, synchronize
 from fndam.energy import EnergyLedger
 from fndam.errors import FndamError
 from fndam.node import Pulse
@@ -49,9 +49,8 @@ def reference_command(update_mv, config, cell):
     clipped = n_pulses > trainer.MAX_PULSES_PER_UPDATE
     if clipped:
         n_pulses = trainer.MAX_PULSES_PER_UPDATE
-    amplitude = precompensated_amplitude(
-        cell, config.unit_step_mv, PULSE_DURATION_S, tol_mv=trainer._AMP_TOL_MV
-    )
+    amplitude = _solve_amplitude(*_float_nodes(cell), cell.nominal_params.coupling_ratio,
+                                 config.unit_step_mv, PULSE_DURATION_S, trainer._AMP_TOL_MV)
     return PulseCommand(polarity=1 if update_mv > 0 else -1, n_pulses=n_pulses,
                         amplitude_v=amplitude, clipped=clipped)
 

@@ -18,8 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 from fndam.array import batch_pulse
 from fndam.calibrate import default_params
 from fndam.cell import (
+    _float_nodes,
+    _solve_amplitude,
     decay,
-    precompensated_amplitude,
     read_weight,
     synchronize,
 )
@@ -110,7 +111,8 @@ tolerances = log_uniform(1e-12, 1e-2)
 def test_same_amplitude_as_bisection(mismatch, age, target, duration, tol):
     cell = aged_cell(mismatch, age)
     expected = outcome(bisection_amplitude, cell, target, duration, 1, 32.0, tol)
-    got = outcome(precompensated_amplitude, cell, target, duration, tol)
+    got = outcome(_solve_amplitude, *_float_nodes(cell), cell.nominal_params.coupling_ratio,
+                  target, duration, tol)
     if isinstance(expected, float):
         assert isinstance(got, float) and got == expected
     elif got != expected:

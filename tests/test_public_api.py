@@ -74,10 +74,6 @@ def test_every_export_is_used_outside_the_unit_tests():
 UNSET_ALLOWED = {
     "apply_pulse.polarity": "the scalar reference that tests/test_array_equivalence.py "
                             "holds RESET pulses against",
-    "precompensated_amplitude.tol_mv": "the tolerance that tests/test_cell.py and "
-                                       "tests/test_precompensation_equivalence.py hold "
-                                       "the solve to; calibrate and the trainer call "
-                                       "cell._solve_amplitude with their own",
 }
 
 
