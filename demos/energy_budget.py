@@ -36,7 +36,7 @@ print(f"\nreadout noise floor: {noise_floor(model, 0.0) * 1e6:.0f} uV fresh, "
 
 print("\nhow long stays a 1 mV weight above the noise floor?")
 for v_start, label in ((7.5, "fresh pair"), (7.2, "rested pair")):
-    cell = replace(synchronize(par, par, v_start), v=[[v_start, v_start + 0.001]])
+    cell = replace(synchronize(par, v_start), v=[[v_start, v_start + 0.001]])
     r = retention_time(cell, model)
     print(f"  {label} ({v_start} V): {r.seconds:.3g} s")
 

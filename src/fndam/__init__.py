@@ -20,11 +20,9 @@ from .errors import (
 )
 from .node import (
     FnParams,
-    NodeState,
     Pulse,
     apply_pulse,
     evolve,
-    initial_state,
     k0_from_initial,
     tunneling_current,
     voltage_at,

@@ -370,8 +370,9 @@ def build_array(
 ) -> DamArray:
     """n freshly synchronized cells with seeded per-node k1/k2 mismatch.
 
-    Each cell gets exactly what ``cell.synchronize`` would give it; the
-    cells that cannot be synchronized are reported together.
+    A cell whose nodes are identical starts at v0 on both, as
+    ``cell.synchronize`` gives it; the others are rate-matched at v0.
+    The cells that cannot be synchronized are reported together.
     """
     if n < 1:
         raise ArgumentError(f"array size must be >= 1, got {n!r}")

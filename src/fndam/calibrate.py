@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .array import WEIGHT_SCALE, DamArray, _brentq
-from .cell import _evolved_nodes, _float_weight, _solve_amplitude, decay, synchronize
+from .cell import _aged_nodes, _evolved_nodes, _float_weight, _solve_amplitude, decay, synchronize
 from .errors import DomainError, SaturationError
 from .node import _MAX_EXP_ARG, FnParams, k0_from_initial
 from .energy import DEFAULT_C_IN, setpoint_write
@@ -96,20 +96,13 @@ def default_params(**overrides) -> FnParams:
 
 def cell_at_age(params: FnParams, age_s: float, v0: float = DEFAULT_V0) -> DamArray:
     """Synchronized cell that has decayed undisturbed for age_s seconds."""
-    cell = synchronize(params, params, v0)
+    cell = synchronize(params, v0)
     return decay(cell, age_s) if age_s > 0 else cell
 
 
 def step_amplitude(params: FnParams, age_s: float) -> float:
     """Pulse amplitude that programs CAL_STEP_MV on a cell of the given age."""
-    return _amplitude(params, _aged_nodes(params, age_s))
-
-
-def _aged_nodes(params: FnParams, age_s: float):
-    """The float nodes (``cell._float_nodes``) of ``cell_at_age(params, age_s)``."""
-    k0_from_initial(params, DEFAULT_V0)  # synchronize's check
-    nodes = ((DEFAULT_V0, params.log_k1, params.k2),) * 2
-    return _evolved_nodes(nodes, age_s) if age_s > 0 else nodes
+    return _amplitude(params, _aged_nodes(params, DEFAULT_V0, age_s))
 
 
 def _amplitude(params: FnParams, nodes) -> float:
@@ -121,7 +114,7 @@ def _amplitude(params: FnParams, nodes) -> float:
 def weight_retention(params: FnParams, age_s: float,
                      window_s: float = RETENTION_WINDOW_S) -> float:
     """Fraction of a freshly programmed 1 mV weight left after window_s."""
-    nodes = _aged_nodes(params, age_s)
+    nodes = _aged_nodes(params, DEFAULT_V0, age_s)
     return _retention(params, nodes, _amplitude(params, nodes), window_s)
 
 
@@ -209,7 +202,7 @@ def _memoized_by_age(params: FnParams):
 
     @functools.cache
     def aged(age_s):
-        return _aged_nodes(params, age_s)
+        return _aged_nodes(params, DEFAULT_V0, age_s)
 
     @functools.cache
     def amplitude(age_s):
@@ -251,7 +244,11 @@ def _fit_residuals(x, v0: float, c_in: float) -> list[float]:
     m = evaluate_calibration(_fit_params(x, v0), c_in=c_in)
 
     def factor(key):
-        return math.log(m[key] / FACTOR_TARGETS[key]) / math.log(REL_BAND)
+        ratio = m[key] / FACTOR_TARGETS[key]
+        if ratio <= 0:  # an energy that underflows, at a tiny c_in
+            raise DomainError(f"{key} = {m[key]!r} at c_in = {c_in!r} F is too small "
+                              f"to compare with its target {FACTOR_TARGETS[key]!r}")
+        return math.log(ratio) / math.log(REL_BAND)
 
     return [
         factor("amp_fresh_v"),

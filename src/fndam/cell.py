@@ -31,9 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array import (_MATCH_MAXITER, _MATCH_RESIDUAL, WEIGHT_SCALE, DamArray, MismatchSpec,
-                    WeightReading, _driven, advance, batch_pulse, rate_matched_voltages)
-from .errors import ArgumentError, DomainError, InitializationError, SaturationError, StepSizeError
+from .array import (WEIGHT_SCALE, DamArray, MismatchSpec, WeightReading, _driven, advance,
+                    batch_pulse)
+from .errors import ArgumentError, DomainError, SaturationError, StepSizeError
 from .node import FnParams, Pulse, _require_dt, decayed_float, k0_from_initial, released
 
 _NO_MISMATCH = MismatchSpec(relative_sigma=0.0)
@@ -41,40 +41,17 @@ _AMP_MAX_V = 32.0  # the largest amplitude a precompensation solve tries
 _AMP_TOL_MV = 1e-3  # precompensated_amplitude's tolerance on the weight step
 
 
-def synchronize(set_params: FnParams, reset_params: FnParams, v0: float) -> DamArray:
-    """Build a cell whose nodes tunnel at identical rates at t = 0.
+def synchronize(params: FnParams, v0: float) -> DamArray:
+    """A fresh cell: two nodes of params at v0, tunneling at identical rates.
 
-    With identical parameters both nodes start at exactly v0.  With
-    mismatched parameters the RESET node voltage is solved by
-    ``array.rate_matched_voltages``; InitializationError when it fails.
-    The nodes must share c_total and c_couple.
+    Cells with mismatched nodes come from ``array.build_array``.
     """
-    if (set_params.c_total, set_params.c_couple) != (reset_params.c_total,
-                                                     reset_params.c_couple):
-        raise ArgumentError(
-            "SET and RESET nodes must share c_total and c_couple, got "
-            f"{set_params.c_total!r}/{set_params.c_couple!r} and "
-            f"{reset_params.c_total!r}/{reset_params.c_couple!r}"
-        )
-    k0_from_initial(set_params, v0)
-    v_reset = v0  # identical nodes: the RESET node is the SET node, checked above
-    if (reset_params.k1, reset_params.k2) != (set_params.k1, set_params.k2):
-        v_reset = rate_matched_voltages(
-            [set_params.log_k1], [set_params.k2], [reset_params.log_k1], [reset_params.k2], v0
-        ).item()
-        if math.isnan(v_reset):
-            raise InitializationError(
-                f"could not rate-match reset node near v0={v0!r}: no root of the rate "
-                f"difference within {_MATCH_RESIDUAL:g} in {_MATCH_MAXITER} Brent steps",
-                indices=(0,),
-            )
-        k0_from_initial(reset_params, v_reset)
-    columns = np.array([v0, v_reset, set_params.k1, reset_params.k1, set_params.log_k1,
-                        reset_params.log_k1, set_params.k2, reset_params.k2, WEIGHT_SCALE],
-                       dtype=np.float64)
+    k0_from_initial(params, v0)
+    columns = np.array([v0, v0, params.k1, params.k1, params.log_k1, params.log_k1,
+                        params.k2, params.k2, WEIGHT_SCALE], dtype=np.float64)
     columns.flags.writeable = False  # and so are its views, the cell's columns
     v, k1, log_k1, k2 = columns[:8].reshape(4, 1, 2)
-    return DamArray._of(v, k1, log_k1, k2, columns[8:], set_params, _NO_MISMATCH, v0, 0.0)
+    return DamArray._of(v, k1, log_k1, k2, columns[8:], params, _NO_MISMATCH, v0, 0.0)
 
 
 def read_weight(cell: DamArray) -> WeightReading:
@@ -187,6 +164,14 @@ def _float_nodes(cell: DamArray):
     """A one-cell array's ((v, log_k1, k2) SET, same RESET) nodes and weight_scale."""
     ws, = cell.weight_scale.tolist()
     return tuple(zip(*cell.v.tolist(), *cell.log_k1.tolist(), *cell.k2.tolist())), ws
+
+
+def _aged_nodes(params: FnParams, v0: float, age_s: float):
+    """The float nodes (``_float_nodes``) of ``synchronize(params, v0)`` after
+    ``decay`` by age_s seconds; an age_s that is not positive leaves them fresh."""
+    k0_from_initial(params, v0)
+    nodes = ((v0, params.log_k1, params.k2),) * 2
+    return _evolved_nodes(nodes, age_s) if age_s > 0 else nodes
 
 
 def _float_weight(nodes, ws: float) -> float:

@@ -154,10 +154,12 @@ def trajectory_times(horizon_s: float, n_samples: int) -> list[float]:
     if not (math.isfinite(horizon_s) and horizon_s > 0):
         raise DomainError(f"horizon_s must be positive, got {horizon_s!r}")
     t_first = min(1.0, horizon_s / n_samples)
-    ratio = (horizon_s / t_first) ** (1.0 / (n_samples - 2)) if n_samples > 2 else 1.0
-    times = [0.0]
-    for i in range(n_samples - 1):
-        times.append(min(t_first * ratio**i, horizon_s))
+    try:
+        ratio = (horizon_s / t_first) ** (1.0 / (n_samples - 2)) if n_samples > 2 else 1.0
+        times = [0.0] + [min(t_first * ratio**i, horizon_s) for i in range(n_samples - 1)]
+    except (ZeroDivisionError, OverflowError):  # t_first underflows, or ratio**i overflows
+        raise DomainError(f"horizon_s = {horizon_s!r} s has no geometric grid of "
+                          f"{n_samples} samples in float range") from None
     times[-1] = horizon_s
     return times
 

@@ -6,8 +6,10 @@ files (RFC-4180 quoting, UTF-8, LF line endings, floats serialized with
 repr so values round-trip exactly) plus a ``<name>.meta.json`` sidecar
 per output carrying the config hash, schema version, tool version, and
 seed.  Nothing depends on wall-clock time or machine identity, so a
-rerun with the same config produces byte-identical files.  If a runner
-fails partway, the files it already wrote are removed.
+rerun with the same config produces byte-identical files.  A runner
+writes into a staging directory beside the output directory and moves
+its files into place only once every step has succeeded, so a run that
+fails or is killed leaves the output directory as it was.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -81,17 +86,17 @@ _TRACE_POINTS = 81
 
 
 class _OutputWriter:
-    """Collects written paths so a failed run can clean up after itself."""
+    """Writes a run's files into a staging directory, names in write order."""
 
-    def __init__(self, cfg: ExperimentConfig, command: str):
+    def __init__(self, cfg: ExperimentConfig, command: str, staging: Path):
         self.cfg = cfg
         self.command = command
-        self.out_dir = Path(cfg.output_dir)
-        self.paths: list[Path] = []
+        self.staging = staging
+        self.names: list[str] = []
 
-    def _meta(self, target: Path, extra: dict | None = None) -> None:
+    def _meta(self, name: str, extra: dict | None = None) -> None:
         meta = {
-            "file": target.name,
+            "file": name,
             "command": self.command,
             "config_hash": self.cfg.config_hash(),
             "schema_version": SCHEMA_VERSION,
@@ -100,35 +105,40 @@ class _OutputWriter:
         }
         if extra:
             meta.update(extra)
-        path = Path(str(target) + ".meta.json")
-        path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        self.paths.append(path)
+        self._write(name + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     def csv(self, name: str, header: list[str], rows, extra: dict | None = None) -> None:
         self.text(name, csv_table(header, rows), extra)
 
     def text(self, name: str, content: str, extra: dict | None = None) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        target = self.out_dir / name
-        target.write_text(content, encoding="utf-8", newline="")
-        self.paths.append(target)
-        self._meta(target, extra)
+        self._write(name, content)
+        self._meta(name, extra)
 
-    def discard_all(self) -> None:
-        for path in self.paths:
-            path.unlink(missing_ok=True)
+    def _write(self, name: str, content: str) -> None:
+        (self.staging / name).write_text(content, encoding="utf-8", newline="")
+        self.names.append(name)
 
 
 def _run(cfg: ExperimentConfig, command: str, steps) -> list[str]:
-    writer = _OutputWriter(cfg, command)
+    """Run the steps into a staging directory beside output_dir, then move
+    every file into output_dir; a run that fails or is killed leaves
+    output_dir as it was."""
+    out_dir = Path(cfg.output_dir)
+    beside = out_dir.resolve()  # on the file system output_dir lives on
+    beside.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{beside.name}.", dir=beside.parent))
+    writer = _OutputWriter(cfg, command, staging)
     try:
         for step in steps:
             step(cfg, writer)
+        out_dir.mkdir(exist_ok=True)
+        for name in writer.names:
+            os.replace(staging / name, out_dir / name)
     except BaseException:
-        writer.discard_all()
+        shutil.rmtree(staging, ignore_errors=True)
         raise
-    return [str(p) for p in writer.paths]
+    staging.rmdir()
+    return [str(out_dir / name) for name in writer.names]
 
 
 def _fresh_cell(cfg: ExperimentConfig, age_s: float = 0.0):

@@ -17,7 +17,7 @@ current.  ``k1`` (1/s) and ``k2`` (V) are fitted device constants; see
 All state transitions are computed in log space: the closed form above
 composes exactly under ``log(exp(a) + k1*dt)`` and evaluating that as a
 log-sum-exp keeps full precision even when ``exp(k2/v)`` is far outside
-float range.  A node's state is its gate voltage alone; k0 is the
+float range.  A node's state is its gate voltage, a plain float; k0 is the
 initial condition of an undisturbed trajectory (``voltage_at``) and is
 not stored.  ``decayed`` and ``released`` are elementwise, so the cell
 arrays of ``fndam.array`` evolve every node by these same expressions.
@@ -95,16 +95,6 @@ class FnParams:
 
 
 @dataclass(frozen=True)
-class NodeState:
-    """Instantaneous state of a node: its floating-gate voltage."""
-
-    v_fg: float  # V
-
-    def __post_init__(self):
-        _require_finite_positive("v_fg", self.v_fg)
-
-
-@dataclass(frozen=True)
 class Pulse:
     """Rectangular input pulse: unipolar amplitude (V) and duration (s)."""
 
@@ -135,7 +125,8 @@ def programmable(k2, v0):
     True where a node with barrier k2 can be programmed to v0 > 0:
     v0 < k2 and exp(k2/v0) within float64 range.
     """
-    return (v0 < k2) & (k2 / v0 <= _MAX_EXP_ARG)
+    with np.errstate(over="ignore"):  # an infinite k2/v0 fails the comparison
+        return (v0 < k2) & (k2 / v0 <= _MAX_EXP_ARG)
 
 
 def log_each(a) -> np.ndarray:
@@ -147,12 +138,6 @@ def log_each(a) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     return np.array(list(map(math.log, a.ravel().tolist()))).reshape(a.shape)
-
-
-def initial_state(params: FnParams, v0: float) -> NodeState:
-    """Node freshly programmed to v0 (t = 0); v0 must admit a k0."""
-    k0_from_initial(params, v0)
-    return NodeState(v_fg=v0)
 
 
 def voltage_at(params: FnParams, k0: float, t: float) -> float:
@@ -233,24 +218,22 @@ def released(v, step, log_k1, k2, log_dt, decay=decayed):
     return decay(v + step, log_k1, k2, log_dt) - step
 
 
-def evolve(state: NodeState, params: FnParams, dt: float) -> NodeState:
-    """Advance a node by dt seconds of undisturbed tunneling decay.
+def evolve(v_fg: float, params: FnParams, dt: float) -> float:
+    """Gate voltage v_fg after dt seconds of undisturbed tunneling decay.
 
     Uses the closed form (see ``decayed``).  Exact semigroup:
     evolve(dt1) then evolve(dt2) equals evolve(dt1+dt2) to rounding.
-    dt = 0 returns the state unchanged, bit for bit.
+    dt = 0 returns v_fg unchanged, bit for bit.
     """
+    _require_finite_positive("v_fg", v_fg)
     _require_dt(dt)
     if dt == 0.0:
-        return state
-    new_v = decayed(state.v_fg, params.log_k1, params.k2, math.log(dt))
-    return NodeState(float(new_v))
+        return v_fg
+    return float(decayed(v_fg, params.log_k1, params.k2, math.log(dt)))
 
 
-def apply_pulse(
-    state: NodeState, params: FnParams, pulse: Pulse, polarity: int = 1
-) -> NodeState:
-    """One rectangular input pulse coupled onto the gate.
+def apply_pulse(v_fg: float, params: FnParams, pulse: Pulse, polarity: int = 1) -> float:
+    """Gate voltage v_fg after one rectangular input pulse coupled onto the gate.
 
     The gate is displaced by polarity * coupling_ratio * amplitude,
     tunnels at the displaced voltage for the pulse duration, and is
@@ -258,17 +241,16 @@ def apply_pulse(
     suppressed (polarity -1) tunneling while the pulse was high: for a
     positive pulse the node ends *below* an unpulsed reference.
     """
+    _require_finite_positive("v_fg", v_fg)
     if polarity not in (1, -1):
         raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
     step = polarity * params.coupling_ratio * pulse.amplitude
-    v_up = state.v_fg + step
+    v_up = v_fg + step
     if v_up <= 0:
         raise DomainError(
             f"pulse drives gate to {v_up:.6g} V <= 0 (amplitude {pulse.amplitude!r})"
         )
-    v_down = float(released(state.v_fg, step, params.log_k1, params.k2,
-                            math.log(pulse.duration)))
+    v_down = float(released(v_fg, step, params.log_k1, params.k2, math.log(pulse.duration)))
     if v_down <= 0:
         raise DomainError(f"pulse release drives gate to {v_down:.6g} V <= 0")
-    return NodeState(v_down)
-
+    return v_down

@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .array import DamArray, _with_voltages, advance
-from .cell import _evolved_nodes, _float_nodes, _float_weight, _solve_amplitude, synchronize
+from .array import WEIGHT_SCALE, DamArray, _with_voltages, advance
+from .cell import _aged_nodes, _evolved_nodes, _float_weight, _solve_amplitude
 from .energy import DEFAULT_C_IN, EnergyLedger
 from .errors import ArgumentError, DomainError
 from .tables import csv_table, record_row
@@ -120,12 +120,12 @@ def gradient_to_pulses(
     MAX_PULSES_PER_UPDATE are clipped and flagged.
     """
     n_exact = abs(update_mv) / config.unit_step_mv
-    n_pulses = int(round(n_exact))
+    # round(n_exact) exceeds the cap exactly when n_exact does by more than
+    # half a step; deciding on the float first never rounds an infinite count
+    clipped = n_exact > MAX_PULSES_PER_UPDATE + 0.5
+    n_pulses = MAX_PULSES_PER_UPDATE if clipped else int(round(n_exact))
     if n_pulses == 0:
         return PulseCommand(polarity=1, n_pulses=0, amplitude_v=0.0)
-    clipped = n_pulses > MAX_PULSES_PER_UPDATE
-    if clipped:
-        n_pulses = MAX_PULSES_PER_UPDATE
     return PulseCommand(
         polarity=1 if update_mv > 0 else -1,
         n_pulses=n_pulses,
@@ -314,10 +314,7 @@ def train_perceptron(
 
     trace = TrainingTrace(ledger=EnergyLedger(c_in=config.c_in), margin=margin)
     # the pristine reference cell and the array, as float nodes
-    reference, ref_ws = _float_nodes(
-        synchronize(array.nominal_params, array.nominal_params, array.v0))
-    if array.global_clock > 0:
-        reference = _evolved_nodes(reference, array.global_clock)
+    reference = _aged_nodes(array.nominal_params, array.v0, array.global_clock)
     nodes = tuple(zip(array.v.ravel().tolist(), array.log_k1.ravel().tolist(),
                       array.k2.ravel().tolist()))
     ws = array.weight_scale.tolist()
@@ -346,7 +343,7 @@ def train_perceptron(
             if grad != (0.0, 0.0):
                 # one solve serves both commands: it depends on the reference alone
                 amplitude = functools.cache(functools.partial(
-                    _solve_amplitude, reference, ref_ws, ratio, config.unit_step_mv,
+                    _solve_amplitude, reference, WEIGHT_SCALE, ratio, config.unit_step_mv,
                     PULSE_DURATION_S, _AMP_TOL_MV))
                 commands = tuple(
                     gradient_to_pulses(-config.learning_rate * g, config, amplitude)

@@ -49,7 +49,7 @@ from fndam.experiments import (
     run_retention_report,
     run_train,
 )
-from fndam.node import Pulse, evolve, initial_state, k0_from_initial
+from fndam.node import Pulse, evolve, k0_from_initial
 from fndam.trainer import (
     MlpSpec,
     NetworkConfig,
@@ -133,9 +133,8 @@ def test_04_closed_form_matches_ode_integration():
         assert sol.success
         return sol.y[0, -1]
 
-    s0 = initial_state(par, 7.5)
-    rel_40 = abs(evolve(s0, par, 40.0).v_fg - v_ode(40.0)) / v_ode(40.0)
-    rel_1e6 = abs(evolve(s0, par, 1e6).v_fg - v_ode(1e6)) / v_ode(1e6)
+    rel_40 = abs(evolve(7.5, par, 40.0) - v_ode(40.0)) / v_ode(40.0)
+    rel_1e6 = abs(evolve(7.5, par, 1e6) - v_ode(1e6)) / v_ode(1e6)
     assert rel_40 < 1e-8
     assert rel_1e6 < 1e-6
     _gate("closed form vs ODE integration", t0, 60.0,
@@ -155,7 +154,7 @@ def test_05_linearized_update_tracks_two_node_simulation():
         w_mv = float(rng.uniform(0.1, 5.0) * rng.choice([-1.0, 1.0]))
         w_set = float(rng.uniform(6.0, 7.5))
         dt = float(rng.uniform(0.0, 1.0))
-        cell = replace(synchronize(par, par, w_set), v=[[w_set, w_set + w_mv / 1000.0]])
+        cell = replace(synchronize(par, w_set), v=[[w_set, w_set + w_mv / 1000.0]])
         w_sim = read_weight(decay(cell, dt)).weight
         w_lin = discrete_update(w_mv, w_set, par, dt)
         worst = max(worst, abs(w_lin - w_sim) / abs(w_sim))
@@ -296,7 +295,7 @@ def test_12_retention_time_ordering_and_noise_floor():
     seconds = []
     for age in REGIME_AGES_S:
         v = cell_at_age(par, age).v[0, 0]
-        cell = replace(synchronize(par, par, v), v=[[v, v + 0.001]])
+        cell = replace(synchronize(par, v), v=[[v, v + 0.001]])
         result = retention_time(cell, model)
         assert not result.saturated
         seconds.append(result.seconds)

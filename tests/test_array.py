@@ -22,6 +22,7 @@ from fndam.array import (
     batch_read,
     build_array,
     load_state,
+    rate_matched_voltages,
     state_from_json,
     state_to_json,
 )
@@ -98,11 +99,18 @@ class TestBuildArray:
             )
         assert len(exc_info.value.indices) >= 1
 
+    def test_subnormal_v0_fails_without_a_warning(self):
+        # k2/v0 overflows to inf, which the k0 range check rejects; a
+        # RuntimeWarning fails this test (filterwarnings in pyproject.toml)
+        with pytest.raises(InitializationError) as exc_info:
+            build_array(2, default_params(), 5e-324)
+        assert exc_info.value.indices == (0, 1)
+
 
 class TestConstruction:
     @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf, -math.inf])
     def test_bad_voltage_rejected_by_replace(self, value):
-        cell = synchronize(default_params(), default_params(), 7.5)
+        cell = synchronize(default_params(), 7.5)
         with pytest.raises(DomainError) as exc_info:
             replace(cell, v=[[7.5, value]])
         assert str(exc_info.value) == (
@@ -466,9 +474,13 @@ class TestColumns:
     def test_cells_view_matches_columns(self):
         array = advance(small_array(3, sigma=1e-3, seed=8), 2.0)
         nominal = array.nominal_params
+        v_reset = rate_matched_voltages(array.log_k1[:, 0], array.k2[:, 0],
+                                        array.log_k1[:, 1], array.k2[:, 1], 7.5).tolist()
         for i, (k1, k2) in enumerate(zip(array.k1.tolist(), array.k2.tolist())):
-            nodes = (replace(nominal, k1=a, k2=b) for a, b in zip(k1, k2))
-            cell = decay(synchronize(*nodes, 7.5), 2.0)
+            set_p, reset_p = (replace(nominal, k1=a, k2=b) for a, b in zip(k1, k2))
+            cell = replace(synchronize(set_p, 7.5), v=[[7.5, v_reset[i]]],
+                           k1=[k1], log_k1=[[set_p.log_k1, reset_p.log_k1]], k2=[k2])
+            cell = decay(cell, 2.0)
             assert cell.v[0].tolist() == array.v[i].tolist()
             assert cell.k1[0].tolist() == array.k1[i].tolist()
             assert cell.global_clock == array.global_clock

@@ -7,8 +7,8 @@ here from the documented PCG64 mismatch draw.  A mismatched cell's
 RESET start voltage is a plain ``scipy.optimize.brentq`` call on
 ``array._log_rate``, with the rate match's bracket, tolerances,
 iteration limit and 1e-10 residual limit.  Nothing in the reference goes
-through ``build_array``, ``synchronize`` or a column operation, and
-floats compare with ``==``.
+through ``build_array``, ``rate_matched_voltages`` or a column
+operation, and floats compare with ``==``.
 """
 
 from dataclasses import dataclass, replace
@@ -21,10 +21,9 @@ from scipy import optimize
 from fndam.array import (MismatchSpec, WeightReading, _log_rate, advance, batch_pulse,
                          batch_read, build_array)
 from fndam.calibrate import default_params
-from fndam.cell import (common_mode_step, decay, read_weight, reset_pulse,
-                        set_pulse, synchronize)
+from fndam.cell import common_mode_step, decay, read_weight, reset_pulse, set_pulse
 from fndam.errors import DomainError, InitializationError
-from fndam.node import NodeState, Pulse, apply_pulse, evolve, initial_state
+from fndam.node import Pulse, apply_pulse, evolve, k0_from_initial
 from fndam.trainer import _write_params_to_array
 
 V0 = 7.5
@@ -45,14 +44,13 @@ class RefCell:
     weight_scale: float = 1000.0
 
     def decay(self, dt):
-        v = tuple(evolve(NodeState(x), p, dt).v_fg for x, p in zip(self.v, self.params))
+        v = tuple(evolve(x, p, dt) for x, p in zip(self.v, self.params))
         return replace(self, v=v, t=self.t + dt)
 
     def pulse(self, polarity, pulse):
         hit = 0 if polarity == 1 else 1
         v = tuple(
-            apply_pulse(NodeState(x), p, pulse).v_fg if node == hit
-            else evolve(NodeState(x), p, pulse.duration).v_fg
+            apply_pulse(x, p, pulse) if node == hit else evolve(x, p, pulse.duration)
             for node, (x, p) in enumerate(zip(self.v, self.params))
         )
         return replace(self, v=v, t=self.t + pulse.duration)
@@ -90,13 +88,13 @@ def brentq_start(set_p, reset_p, v0):
 
 
 def reference_cell(set_p, reset_p, v0=V0):
-    """A freshly synchronized cell; raises where synchronize must."""
-    initial_state(set_p, v0)
+    """A freshly synchronized cell; raises where build_array must."""
+    k0_from_initial(set_p, v0)
     if (set_p.k1, set_p.k2) == (reset_p.k1, reset_p.k2):
         v_reset = v0
     else:
         v_reset = brentq_start(set_p, reset_p, v0)
-    initial_state(reset_p, v_reset)
+    k0_from_initial(reset_p, v_reset)
     return RefCell((v0, v_reset), (set_p, reset_p))
 
 
@@ -154,10 +152,7 @@ def test_advance_and_batch_pulse_match_cell_path(n, sigma, seed, dt, width, data
        dv=st.floats(-0.5, 0.5))
 @settings(max_examples=60, deadline=None)
 def test_single_cell_api_matches_reference(sigma, seed, dt, width, polarity, amp, dv):
-    set_p, reset_p = node_params(default_params(), mismatch_factors(1, sigma, seed)[0])
-    ref = reference_cell(set_p, reset_p)
-    cell = synchronize(set_p, reset_p, V0)
-    same_bits(cell, [ref])
+    cell, (ref,) = build_both(1, sigma, seed)
     assert len(cell) == 1
 
     ref, cell = ref.decay(dt), decay(cell, dt)
@@ -202,34 +197,20 @@ def test_parking_matches_per_cell_split(n, sigma, seed, dt, data):
     assert aged.weights().tolist() == [c.weight() for c in expected]
 
 
-def outcome(build, *args):
-    try:
-        return build(*args)
-    except (InitializationError, DomainError) as exc:
-        return type(exc)
-
-
 @given(seed=seeds, sigma=st.floats(0.05, 0.5))
 @settings(max_examples=20, deadline=None)
 def test_failed_cells_match_synchronize(seed, sigma):
     nominal = default_params()
-    failed = []
+    cells, failed = [], []
     for i, f in enumerate(mismatch_factors(8, sigma, seed)):
         try:
-            params = node_params(nominal, f)
-        except DomainError:  # a factor drove k1 or k2 non-positive
+            cells.append(reference_cell(*node_params(nominal, f)))
+        except (InitializationError, DomainError):  # no root, or k1 or k2 not positive
             failed.append(i)
-            continue
-        want = outcome(reference_cell, *params)
-        got = outcome(synchronize, *params, V0)
-        if isinstance(want, RefCell):
-            same_bits(got, [want])
-        else:
-            assert got is want
-            failed.append(i)
+    spec = MismatchSpec(relative_sigma=sigma, seed=seed)
     if not failed:
-        build_array(8, nominal, V0, MismatchSpec(relative_sigma=sigma, seed=seed))
+        same_bits(build_array(8, nominal, V0, spec), cells)
         return
     with pytest.raises(InitializationError) as info:
-        build_array(8, nominal, V0, MismatchSpec(relative_sigma=sigma, seed=seed))
+        build_array(8, nominal, V0, spec)
     assert list(info.value.indices) == failed

@@ -151,6 +151,12 @@ class TestFit:
         )
         assert not degraded.within_tolerance()
 
+    def test_energy_that_underflows_is_a_domain_error(self):
+        # at the smallest subnormal c_in the energy target reads 0.0, which
+        # the fit's log residual cannot take
+        with pytest.raises(DomainError, match="energy_at_horizon_j = 0.0 at c_in = 5e-324 F"):
+            fit_device_parameters(c_in=5e-324)
+
 
 class TestEvaluationSolvesEachAgeOnce:
     def test_no_precompensation_solve_repeats(self, monkeypatch):

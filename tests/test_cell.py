@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fndam.array import MismatchSpec, batch_pulse
-from fndam.calibrate import REGIME_AGES_S, cell_at_age, default_params
+from fndam.array import MismatchSpec, batch_pulse, build_array, rate_matched_voltages
+from fndam.calibrate import DEFAULT_K1, REGIME_AGES_S, cell_at_age, default_params
 from fndam.cell import (
     DecaySchedule,
     _float_nodes,
@@ -25,7 +25,7 @@ from fndam.cell import (
     set_pulse,
     synchronize,
 )
-from fndam.errors import ArgumentError, DomainError, InitializationError, SaturationError, StepSizeError
+from fndam.errors import ArgumentError, DomainError, SaturationError, StepSizeError
 from fndam.node import FnParams, Pulse, k0_from_initial, voltage_at
 
 
@@ -39,15 +39,21 @@ def log_rate(params, v):
     return params.log_k1 - math.log(params.k2) + 2.0 * math.log(v) - params.k2 / v
 
 
+def rate_matched(set_p, reset_p, v0):
+    """The RESET voltage at which reset_p tunnels as fast as set_p at v0; NaN if none."""
+    return rate_matched_voltages([set_p.log_k1], [set_p.k2], [reset_p.log_k1], [reset_p.k2],
+                                 v0).item()
+
+
 def cell_with_weight(params, w_set, weight_mv):
     """Two-node cell at explicit voltages: weight = 1000 * (v_reset - v_set)."""
-    return replace(synchronize(params, params, w_set), v=[[w_set, w_set + weight_mv / 1000.0]])
+    return replace(synchronize(params, w_set), v=[[w_set, w_set + weight_mv / 1000.0]])
 
 
 class TestSynchronize:
     def test_identical_params_start_balanced(self):
         params = default_params()
-        cell = synchronize(params, params, 7.5)
+        cell = synchronize(params, 7.5)
         assert cell.v[0, 0] == 7.5
         assert cell.v[0, 1] == 7.5
         assert read_weight(cell).weight == 0.0
@@ -57,9 +63,8 @@ class TestSynchronize:
     def test_mismatched_k2_rates_match(self, eps):
         set_p = default_params()
         reset_p = default_params(k2=set_p.k2 * (1.0 + eps))
-        cell = synchronize(set_p, reset_p, 7.5)
-        r_set = log_rate(set_p, cell.v[0, 0])
-        r_reset = log_rate(reset_p, cell.v[0, 1])
+        r_set = log_rate(set_p, 7.5)
+        r_reset = log_rate(reset_p, rate_matched(set_p, reset_p, 7.5))
         assert abs(r_reset - r_set) < 1e-10
 
     def test_mismatched_k2_offset_first_order(self):
@@ -69,10 +74,9 @@ class TestSynchronize:
         v0 = 7.5
         set_p = default_params()
         reset_p = default_params(k2=set_p.k2 * (1.0 + eps))
-        cell = synchronize(set_p, reset_p, v0)
         ratio = set_p.k2 / v0
         predicted = v0 * eps * (1.0 + ratio) / (2.0 + ratio)
-        np.testing.assert_allclose(cell.v[0, 1] - v0, predicted, rtol=1e-2)
+        np.testing.assert_allclose(rate_matched(set_p, reset_p, v0) - v0, predicted, rtol=1e-2)
 
     def test_mismatched_k1_offset_first_order(self):
         # k1 -> k1*(1+eps) balances at v_reset = v0 * (1 - eps/(2+R)): a much
@@ -81,60 +85,46 @@ class TestSynchronize:
         v0 = 7.5
         set_p = default_params()
         reset_p = default_params(k1=set_p.k1 * (1.0 + eps))
-        cell = synchronize(set_p, reset_p, v0)
+        v_reset = rate_matched(set_p, reset_p, v0)
         ratio = set_p.k2 / v0
         predicted = -v0 * eps / (2.0 + ratio)
-        np.testing.assert_allclose(cell.v[0, 1] - v0, predicted, rtol=1e-2)
-        assert abs(cell.v[0, 1] - v0) < abs(
-            synchronize(set_p, default_params(k2=set_p.k2 * (1.0 + eps)), v0).v[0, 1] - v0
+        np.testing.assert_allclose(v_reset - v0, predicted, rtol=1e-2)
+        assert abs(v_reset - v0) < abs(
+            rate_matched(set_p, default_params(k2=set_p.k2 * (1.0 + eps)), v0) - v0
         )
 
     def test_unmatchable_mismatch_rejected(self):
         set_p = default_params()
         reset_p = default_params(k2=set_p.k2 * 2.0)
-        with pytest.raises(InitializationError):
-            synchronize(set_p, reset_p, 7.5)
+        assert math.isnan(rate_matched(set_p, reset_p, 7.5))
 
     def test_cell_is_a_one_cell_array(self):
-        set_p = default_params()
-        reset_p = default_params(k1=set_p.k1 * 1.001)
-        cell = synchronize(set_p, reset_p, 7.5)
+        p = default_params(k1=DEFAULT_K1 * 1.001)
+        cell = synchronize(p, 7.5)
         assert len(cell) == 1
-        assert cell.nominal_params == set_p
+        assert cell.nominal_params == p
         assert cell.mismatch == MismatchSpec(relative_sigma=0.0)
         assert cell.v0 == 7.5
-        assert cell.k1.tolist() == [[set_p.k1, reset_p.k1]]
-        assert cell.log_k1.tolist() == [[set_p.log_k1, reset_p.log_k1]]
-        assert cell.k2.tolist() == [[set_p.k2, reset_p.k2]]
+        assert cell.k1.tolist() == [[p.k1, p.k1]]
+        assert cell.log_k1.tolist() == [[p.log_k1, p.log_k1]]
+        assert cell.k2.tolist() == [[p.k2, p.k2]]
         assert cell.weight_scale.tolist() == [1000.0]
         assert not cell.v.flags.writeable
-
-    def test_failed_rate_match_names_cell_zero(self):
-        set_p = default_params()
-        with pytest.raises(InitializationError) as info:
-            synchronize(set_p, default_params(k2=set_p.k2 * 2.0), 7.5)
-        assert info.value.indices == (0,)
+        assert cell == build_array(1, p, 7.5)
 
     def test_both_nodes_are_validated(self):
         p = small_params()
         with pytest.raises(DomainError, match="v0 must satisfy"):
-            synchronize(p, p, 300.0)  # v0 = k2 on the SET node
+            synchronize(p, 300.0)  # v0 = k2
         with pytest.raises(DomainError, match="exceeds float64 range"):
-            synchronize(small_params(k2=3000.0), small_params(k2=3000.0), 1.0)
+            synchronize(small_params(k2=3000.0), 1.0)
 
     @pytest.mark.parametrize("weight_scale", [0.0, -1000.0, math.nan, math.inf])
     def test_weight_scale_must_be_positive_and_finite(self, weight_scale):
         p = default_params()
-        for cell in (synchronize(p, p, 7.5), synchronize(p, default_params(k1=p.k1 * 1.001), 7.5)):
+        for cell in (synchronize(p, 7.5), build_array(1, p, 7.5, MismatchSpec(1e-3, seed=1))):
             with pytest.raises(DomainError, match="weight_scale must be positive and finite"):
                 replace(cell, weight_scale=[weight_scale])
-
-    def test_nodes_must_share_capacitances(self):
-        p = default_params()
-        with pytest.raises(ArgumentError, match="share c_total and c_couple"):
-            synchronize(p, default_params(c_total=2e-12), 7.5)
-        with pytest.raises(ArgumentError, match="share c_total and c_couple"):
-            synchronize(p, default_params(c_couple=2e-13), 7.5)
 
 
 class TestReadWeight:
@@ -209,7 +199,7 @@ class TestDecay:
     @settings(max_examples=60, deadline=None)
     def test_zero_weight_is_a_fixed_point(self, dt, v0):
         params = default_params()
-        cell = synchronize(params, params, v0)
+        cell = synchronize(params, v0)
         assert read_weight(decay(cell, dt)).weight == 0.0
 
     def test_weight_magnitude_shrinks(self):

@@ -2,6 +2,10 @@
 output trees, sidecar metadata, and rerun determinism."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,8 @@ from fndam import experiments
 from fndam.calibrate import ENERGY_HORIZON_S, FACTOR_TARGETS, REL_BAND
 from fndam.cli import main
 from fndam.config import SCHEMA_VERSION, TOOL_VERSION, load_config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +231,51 @@ class TestFailurePaths:
         assert stdout == ""
         assert json.loads(stderr)["error"] == "SaturationError"
         assert not list(out.rglob("*.csv"))
+
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, capsys):
+        # a good run's files, and one no run writes, survive a failed rerun
+        out = tmp_path / "o"
+        assert run_cli(capsys, "characterize", "--out", str(out))[0] == 0
+        (out / "notes.txt").write_text("kept\n")
+        before = tree_bytes(out)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"amplitude_grid_v": [1e-300]}}))
+        code, stdout, stderr = run_cli(capsys, "characterize", "--config", str(cfg),
+                                       "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(stderr)["error"] == "DomainError"
+        assert tree_bytes(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "o"]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_killed_run_leaves_out_as_it_was(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(capsys, "energy-report", "--out", str(out))[0] == 0
+        before = tree_bytes(out)
+        # a run that stages a file over a good one, then blocks on its stdin
+        script = (
+            "import sys\n"
+            "from fndam import experiments\n"
+            "from fndam.config import load_config\n"
+            "def first(cfg, writer):\n"
+            "    writer.text('energy_trajectory.csv', 'staged\\n')\n"
+            "def blocked(cfg, writer):\n"
+            "    print('staged', flush=True)\n"
+            "    sys.stdin.read()\n"
+            "experiments._run(load_config({}).with_output_dir(sys.argv[1]), 'energy-report',\n"
+            "                 [first, blocked])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        with subprocess.Popen([sys.executable, "-c", script, str(out)], env=env,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as proc:
+            assert proc.stdout.readline() == "staged\n"
+            staged = [p for p in tmp_path.iterdir() if p != out]
+            assert [sorted(q.name for q in p.iterdir()) for p in staged] == [
+                ["energy_trajectory.csv", "energy_trajectory.csv.meta.json"]]
+            proc.kill()
+            assert proc.wait(timeout=60) == -signal.SIGKILL
+        assert tree_bytes(out) == before
 
     @pytest.mark.parametrize("network, error, words", [
         ({"learning_rate": 1e6}, "DomainError", "diverged at learning_rate 1000000.0"),

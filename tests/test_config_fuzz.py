@@ -1,8 +1,9 @@
 """Every config leaf at edge values keeps the CLI's failure contract.
 
 Each leaf of the config schema is set, alone, to an edge value: 0, -1,
-+-inf, NaN, 1e+-300 and 1.5, and small integers for the integer leaves
-(a list leaf holds the value as its one entry).  The commands that read
++-inf, NaN, 1e+-300, the largest float, the smallest subnormal and 1.5,
+and small integers for the integer leaves (a list leaf holds the value
+as its one entry).  The commands that read
 the leaf then run in process with RuntimeWarnings raised as errors.  A
 run ends in exit 0 with nothing on stderr, in exit 2 with a one-line
 ConfigError record naming a config path, or in exit 1 with a one-line
@@ -19,6 +20,7 @@ import io
 import json
 import math
 import re
+import sys
 import typing
 import warnings
 
@@ -34,7 +36,7 @@ BASE = {"experiment": {"train": {
     "perceptron": {"n_points": 10, "epochs": 1},
     "network": {"n_train_per_class": 10, "n_test_per_class": 10, "epochs": 2},
 }}}
-EDGES = (0, -1, math.inf, -math.inf, math.nan, 1e300, 1e-300, 1.5)
+EDGES = (0, -1, math.inf, -math.inf, math.nan, 1e300, 1e-300, sys.float_info.max, 5e-324, 1.5)
 SMALL_INTS = (1, 2, 3)
 
 CHARACTERIZE = ("characterize", "--experiment")

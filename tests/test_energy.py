@@ -2,6 +2,7 @@
 retention search, and the pulse ledger."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from fndam.errors import DomainError
 
 
 def cell_with_weight(params, w_set, weight_mv):
-    return replace(synchronize(params, params, w_set), v=[[w_set, w_set + weight_mv / 1000.0]])
+    return replace(synchronize(params, w_set), v=[[w_set, w_set + weight_mv / 1000.0]])
 
 
 class TestWriteEnergy:
@@ -116,6 +117,8 @@ class TestWriteEnergyTrajectory:
         dict(horizon_s=math.inf),
         dict(v_target_offset=0.0),
         dict(v_target_offset=-0.01),
+        dict(horizon_s=5e-324),  # the first sample time underflows to 0
+        dict(horizon_s=sys.float_info.max),  # the last sample time overflows
     ])
     def test_validation(self, kwargs):
         params = default_params()

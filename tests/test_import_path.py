@@ -3,7 +3,7 @@
 The least-squares fit behind ``calibrate`` is a numpy replay of
 scipy's ``least_squares`` and the perceptron's margin is solved exactly,
 so scipy is a test oracle only.  A fresh interpreter runs every CLI
-command and the array, state and synchronize paths, and checks after
+command and the array, state and cell paths, and checks after
 each step that no ``scipy`` module has been loaded.  A second
 interpreter blocks ``import scipy`` outright and runs all six commands.
 """
@@ -48,9 +48,9 @@ arr = batch_pulse(advance(arr, 10.0), [(i, 1 - 2 * (i % 2), Pulse(0.5, 0.5)) for
 assert state_from_json(state_to_json(arr)) == arr
 steps["build_array, advance, batch_pulse, JSON round trip"] = scipy_loaded()
 
-cell = fndam.synchronize(p, default_params(k1=p.k1 * 1.01, k2=p.k2 * 1.001), 7.5)
-assert cell.v[0, 1] != 7.5
-steps["mismatched synchronize"] = scipy_loaded()
+cell = build_array(1, p, 7.5, MismatchSpec(relative_sigma=0.01, seed=5))
+assert cell.v[0, 1] != 7.5 and fndam.synchronize(p, 7.5).v[0, 1] == 7.5
+steps["mismatched one-cell build_array, synchronize"] = scipy_loaded()
 
 from fndam.trainer import best_margin, make_separable_dataset
 best_margin(make_separable_dataset(8))

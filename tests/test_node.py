@@ -2,6 +2,7 @@
 property, pulse mechanics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,13 +13,11 @@ from fndam.calibrate import DEFAULT_K1, DEFAULT_K2, DEFAULT_V0, default_params
 from fndam.errors import ArgumentError, DomainError
 from fndam.node import (
     FnParams,
-    NodeState,
     Pulse,
     apply_pulse,
     decayed,
     decayed_float,
     evolve,
-    initial_state,
     k0_from_initial,
     tunneling_current,
     voltage_at,
@@ -41,42 +40,40 @@ def small_params(**overrides):
 class TestClosedForm:
     def test_initial_state_round_trips_v0(self):
         p = default_params()
-        s = initial_state(p, DEFAULT_V0)
-        assert s.v_fg == DEFAULT_V0
         assert k0_from_initial(p, DEFAULT_V0) == math.exp(p.k2 / DEFAULT_V0)
+        assert voltage_at(p, k0_from_initial(p, DEFAULT_V0), 0.0) == DEFAULT_V0
 
     def test_decimal_oracle_anchor(self):
         p = small_params()
-        s = evolve(initial_state(p, 7.5), p, 86400.0)
-        assert abs(s.v_fg - ORACLE_ANCHOR) <= 2 * math.ulp(ORACLE_ANCHOR)
+        v = evolve(7.5, p, 86400.0)
+        assert abs(v - ORACLE_ANCHOR) <= 2 * math.ulp(ORACLE_ANCHOR)
 
     def test_decimal_oracle_shipped_calibration(self):
         p = default_params()
-        s40 = evolve(initial_state(p, 7.5), p, 40.0)
-        s1e6 = evolve(initial_state(p, 7.5), p, 1e6)
-        assert abs(s40.v_fg - ORACLE_V40_DEFAULT) <= 2 * math.ulp(ORACLE_V40_DEFAULT)
-        assert abs(s1e6.v_fg - ORACLE_V1E6_DEFAULT) <= 2 * math.ulp(ORACLE_V1E6_DEFAULT)
+        v40 = evolve(7.5, p, 40.0)
+        v1e6 = evolve(7.5, p, 1e6)
+        assert abs(v40 - ORACLE_V40_DEFAULT) <= 2 * math.ulp(ORACLE_V40_DEFAULT)
+        assert abs(v1e6 - ORACLE_V1E6_DEFAULT) <= 2 * math.ulp(ORACLE_V1E6_DEFAULT)
 
     def test_sub_ulp_decay_rounds_away(self):
         # k1*t = 86.4 against k0 = e^40 ~ 2.4e17 shifts the log argument
         # by ~4e-16, far below the ulp of 40; the closed form returns the
         # starting voltage bit-for-bit instead of accumulating noise.
         p = small_params(k1=1e-3)
-        s = evolve(initial_state(p, 7.5), p, 86400.0)
-        assert s.v_fg == 7.5
+        assert evolve(7.5, p, 86400.0) == 7.5
 
     def test_voltage_at_matches_evolve(self):
         p = default_params()
-        s0 = initial_state(p, DEFAULT_V0)
         for t in (0.0, 1.0, 40.0, 86400.0, 1e6):
             v_direct = voltage_at(p, k0_from_initial(p, DEFAULT_V0), t)
-            v_evolved = evolve(s0, p, t).v_fg
+            v_evolved = evolve(DEFAULT_V0, p, t)
             np.testing.assert_allclose(v_evolved, v_direct, rtol=1e-14)
 
     def test_zero_dt_is_identity(self):
         p = default_params()
-        s = initial_state(p, DEFAULT_V0)
-        assert evolve(s, p, 0.0) is s
+        v = math.nextafter(DEFAULT_V0, 0.0)
+        assert evolve(v, p, 0.0) == v
+        assert type(evolve(v, p, 0.0)) is type(evolve(v, p, 1.0)) is float
 
 
 class TestOdeOracle:
@@ -99,13 +96,13 @@ class TestOdeOracle:
     def test_forty_seconds(self):
         p = default_params()
         v_ode = self._integrate(p, DEFAULT_V0, 40.0)
-        v_closed = evolve(initial_state(p, DEFAULT_V0), p, 40.0).v_fg
+        v_closed = evolve(DEFAULT_V0, p, 40.0)
         np.testing.assert_allclose(v_closed, v_ode, rtol=1e-8)
 
     def test_million_seconds(self):
         p = default_params()
         v_ode = self._integrate(p, DEFAULT_V0, 1e6)
-        v_closed = evolve(initial_state(p, DEFAULT_V0), p, 1e6).v_fg
+        v_closed = evolve(DEFAULT_V0, p, 1e6)
         np.testing.assert_allclose(v_closed, v_ode, rtol=1e-6)
 
 
@@ -118,10 +115,9 @@ class TestSemigroup:
     )
     def test_split_evolution_composes(self, dt1, dt2, v0):
         p = default_params()
-        s0 = initial_state(p, v0)
-        one_shot = evolve(s0, p, dt1 + dt2)
-        two_step = evolve(evolve(s0, p, dt1), p, dt2)
-        np.testing.assert_allclose(two_step.v_fg, one_shot.v_fg, rtol=1e-12)
+        one_shot = evolve(v0, p, dt1 + dt2)
+        two_step = evolve(evolve(v0, p, dt1), p, dt2)
+        np.testing.assert_allclose(two_step, one_shot, rtol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -130,8 +126,7 @@ class TestSemigroup:
     )
     def test_voltage_never_increases(self, dt, v0):
         p = default_params()
-        s0 = initial_state(p, v0)
-        assert evolve(s0, p, dt).v_fg <= s0.v_fg
+        assert evolve(v0, p, dt) <= v0
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -144,10 +139,9 @@ class TestSemigroup:
         # of v_fg, where the ordering can invert by one rounding step, so
         # the comparison gets a few ulps of slack.
         p = default_params()
-        fresh = initial_state(p, v0)
-        aged = evolve(fresh, p, 1e5)
-        drop_fresh = fresh.v_fg - evolve(fresh, p, dt).v_fg
-        drop_aged = aged.v_fg - evolve(aged, p, dt).v_fg
+        aged = evolve(v0, p, 1e5)
+        drop_fresh = v0 - evolve(v0, p, dt)
+        drop_aged = aged - evolve(aged, p, dt)
         assert drop_aged <= drop_fresh + 4 * math.ulp(v0)
 
 
@@ -198,12 +192,11 @@ class TestFloatTwin:
 class TestTunnelingCurrent:
     def test_matches_finite_difference(self):
         p = default_params()
-        s = initial_state(p, DEFAULT_V0)
         h = 1e-4
-        v_minus = evolve(s, p, 1.0 - h).v_fg
-        v_plus = evolve(s, p, 1.0 + h).v_fg
+        v_minus = evolve(DEFAULT_V0, p, 1.0 - h)
+        v_plus = evolve(DEFAULT_V0, p, 1.0 + h)
         dv_dt = (v_plus - v_minus) / (2 * h)
-        i_model = tunneling_current(p, evolve(s, p, 1.0).v_fg)
+        i_model = tunneling_current(p, evolve(DEFAULT_V0, p, 1.0))
         np.testing.assert_allclose(i_model, -p.c_total * dv_dt, rtol=1e-6)
 
     def test_positive_and_increasing_in_voltage(self):
@@ -220,29 +213,25 @@ class TestTunnelingCurrent:
 class TestPulses:
     def test_positive_pulse_accelerates_discharge(self):
         p = default_params()
-        s = initial_state(p, DEFAULT_V0)
-        pulsed = apply_pulse(s, p, Pulse(amplitude=1.0, duration=0.5))
-        idle = evolve(s, p, 0.5)
-        assert pulsed.v_fg < idle.v_fg
+        pulsed = apply_pulse(DEFAULT_V0, p, Pulse(amplitude=1.0, duration=0.5))
+        idle = evolve(DEFAULT_V0, p, 0.5)
+        assert pulsed < idle
 
     def test_negative_polarity_suppresses_discharge(self):
         p = default_params()
-        s = initial_state(p, DEFAULT_V0)
-        held = apply_pulse(s, p, Pulse(amplitude=1.0, duration=0.5), polarity=-1)
-        idle = evolve(s, p, 0.5)
-        assert idle.v_fg <= held.v_fg < s.v_fg
+        held = apply_pulse(DEFAULT_V0, p, Pulse(amplitude=1.0, duration=0.5), polarity=-1)
+        idle = evolve(DEFAULT_V0, p, 0.5)
+        assert idle <= held < DEFAULT_V0
 
     def test_zero_amplitude_pulse_is_idle_decay(self):
         p = default_params()
-        s = initial_state(p, DEFAULT_V0)
-        pulsed = apply_pulse(s, p, Pulse(amplitude=0.0, duration=2.0))
-        np.testing.assert_allclose(pulsed.v_fg, evolve(s, p, 2.0).v_fg, rtol=1e-15)
+        pulsed = apply_pulse(DEFAULT_V0, p, Pulse(amplitude=0.0, duration=2.0))
+        np.testing.assert_allclose(pulsed, evolve(DEFAULT_V0, p, 2.0), rtol=1e-15)
 
     def test_bad_polarity_rejected(self):
         p = default_params()
-        s = initial_state(p, DEFAULT_V0)
         with pytest.raises(ArgumentError):
-            apply_pulse(s, p, Pulse(amplitude=0.1, duration=0.1), polarity=0)
+            apply_pulse(DEFAULT_V0, p, Pulse(amplitude=0.1, duration=0.1), polarity=0)
 
 
 class TestValidation:
@@ -270,7 +259,7 @@ class TestValidation:
     def test_negative_dt_rejected(self):
         p = small_params()
         with pytest.raises(DomainError):
-            evolve(initial_state(p, 7.5), p, -1.0)
+            evolve(7.5, p, -1.0)
 
     def test_negative_time_rejected(self):
         p = small_params()
@@ -278,8 +267,15 @@ class TestValidation:
             voltage_at(p, k0_from_initial(p, 7.5), -0.1)
 
     def test_state_validates_fields(self):
-        with pytest.raises(DomainError):
-            NodeState(v_fg=-1.0)
+        # a node's state is its gate voltage: positive and finite
+        p = small_params()
+        for v_fg in (-1.0, 0.0, math.nan, math.inf):
+            message = re.escape(f"v_fg must be positive and finite, got {v_fg!r}")
+            for dt in (1.0, 0.0):
+                with pytest.raises(DomainError, match=message):
+                    evolve(v_fg, p, dt)
+            with pytest.raises(DomainError, match=message):
+                apply_pulse(v_fg, p, Pulse(amplitude=0.1, duration=0.1))
 
     def test_pulse_validates_fields(self):
         with pytest.raises(DomainError):

@@ -59,7 +59,7 @@ def reference_train(dataset, array, config):
     """train_perceptron on batch_pulse, advance and decay."""
     margin = best_margin(dataset)
     trace = TrainingTrace(ledger=EnergyLedger(c_in=config.c_in), margin=margin)
-    reference = synchronize(array.nominal_params, array.nominal_params, array.v0)
+    reference = synchronize(array.nominal_params, array.v0)
     if array.global_clock > 0:
         reference = decay(reference, array.global_clock)
 

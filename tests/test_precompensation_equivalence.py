@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
 
-from fndam.array import batch_pulse
+from fndam.array import batch_pulse, rate_matched_voltages
 from fndam.calibrate import default_params
 from fndam.cell import (
     _float_nodes,
@@ -25,7 +25,7 @@ from fndam.cell import (
     synchronize,
 )
 from fndam.errors import ArgumentError, DomainError, SaturationError
-from fndam.node import NodeState, Pulse, decayed, evolve, released
+from fndam.node import Pulse, decayed, evolve, released
 
 V0 = 7.5
 
@@ -80,7 +80,11 @@ def aged_cell(mismatch, age):
     nominal = default_params()
     set_params = replace(nominal, k2=nominal.k2 * mismatch[0])
     reset_params = replace(nominal, k2=nominal.k2 * mismatch[1])
-    cell = synchronize(set_params, reset_params, V0)
+    cell = synchronize(set_params, V0)
+    if reset_params != set_params:  # the RESET node rate-matched at V0
+        v_reset, = rate_matched_voltages([set_params.log_k1], [set_params.k2],
+                                         [reset_params.log_k1], [reset_params.k2], V0).tolist()
+        cell = replace(cell, v=[[V0, v_reset]], k2=[[set_params.k2, reset_params.k2]])
     return decay(cell, age) if age > 0 else cell
 
 
@@ -139,8 +143,8 @@ def test_closed_form_pulse_is_pulse_cell(mismatch, age, polarity, amp, duration)
     v_pulsed = float(released(v[pulsed], step, pulsed_params.log_k1, pulsed_params.k2, log_dt))
     v_idle = float(decayed(v[idle], idle_params.log_k1, idle_params.k2, log_dt))
     # the gate lifted by the step, decayed as a node on its own, released
-    lifted = evolve(NodeState(v[pulsed] + step), pulsed_params, duration)
-    assert v_pulsed == lifted.v_fg - step
+    lifted = evolve(v[pulsed] + step, pulsed_params, duration)
+    assert v_pulsed == lifted - step
 
     diff = v_idle - v_pulsed if polarity == 1 else v_pulsed - v_idle
     after = batch_pulse(cell, [(0, polarity, Pulse(amplitude=amp, duration=duration))])

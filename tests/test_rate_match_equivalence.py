@@ -6,9 +6,9 @@ call per cell on ``array._log_rate``, with the bracket, tolerances and
 residual limit the rate match has always used.  Roots must agree bit
 for bit (``==``) and failing cells by index.  Every failure path (no
 sign change, a NaN residual, a residual above 1e-10, the iteration
-limit) is reported as an InitializationError carrying exactly the
-failing indices, in ascending order; a one-cell ``synchronize`` reports
-index 0.
+limit) reads NaN from the solver and is reported by ``build_array`` as
+an InitializationError carrying exactly the failing indices, in
+ascending order.
 """
 
 import math
@@ -21,8 +21,7 @@ from scipy import optimize
 from fndam import array
 from fndam.array import MismatchSpec, _log_rate, build_array, rate_matched_voltages
 from fndam.calibrate import default_params
-from fndam.cell import synchronize
-from fndam.errors import DomainError, InitializationError
+from fndam.errors import InitializationError
 from fndam.node import FnParams
 
 MAX_EXP_ARG = math.log(np.finfo(float).max)
@@ -63,13 +62,6 @@ def assert_same_roots(got, want):
     assert all(g == w for g, w in zip(got, want) if not math.isnan(w))
 
 
-def outcome(build, *args):
-    try:
-        return build(*args)
-    except (InitializationError, DomainError) as exc:
-        return exc
-
-
 def oracle_array(n, nominal, v0, spec):
     """(RESET voltages, failing indices) of build_array, one brentq per cell."""
     v_reset, failed = [], []
@@ -102,19 +94,6 @@ def test_solver_matches_brentq(n, sigma, v0, seed):
             for a, b, c, d in zip(log_k1[:, 0].tolist(), k2[:, 0].tolist(),
                                   log_k1[:, 1].tolist(), k2[:, 1].tolist())]
     assert_same_roots(got, want)
-    for i in range(min(n, 3)):  # a one-cell synchronize runs the same solver
-        set_p, reset_p = (FnParams(k1=p.k1 * a, k2=p.k2 * b) for a, b in f[i].tolist())
-        if (set_p.k1, set_p.k2) == (reset_p.k1, reset_p.k2):
-            continue  # identical nodes start at v0 without a solve
-        got = outcome(synchronize, set_p, reset_p, v0)
-        if not (v0 < set_p.k2 and set_p.k2 / v0 <= MAX_EXP_ARG):
-            assert isinstance(got, DomainError)
-        elif math.isnan(want[i]):
-            assert isinstance(got, InitializationError) and got.indices == (0,)
-        elif not (want[i] < reset_p.k2 and reset_p.k2 / want[i] <= MAX_EXP_ARG):
-            assert isinstance(got, DomainError)
-        else:
-            assert got.v[0, 1] == want[i]
 
 
 @given(n=sizes, sigma=sigmas, v0=v0s, seed=seeds)
@@ -138,9 +117,7 @@ class TestFailurePaths:
         with pytest.raises(ValueError, match="different signs"):
             optimize.brentq(lambda v: _log_rate(*args[2:4], v) - _log_rate(*args[:2], 7.5),
                             3.75, 11.25, xtol=1e-14, rtol=1e-15, maxiter=200)
-        with pytest.raises(InitializationError) as info:
-            synchronize(p, default_params(k2=2.0 * p.k2), 7.5)
-        assert info.value.indices == (0,)
+        assert np.isnan(rate_matched_voltages(*([x] for x in args[:4]), 7.5)).all()
 
     def test_nan_residual(self):
         # no FnParams has a NaN log_k1, so this one goes to the solver directly
@@ -158,9 +135,7 @@ class TestFailurePaths:
         root = optimize.brentq(lambda v: _log_rate(*args[2:4], v) - target,
                                0.5 * v0, 1.5 * v0, xtol=1e-14, rtol=1e-15, maxiter=200)
         assert abs(_log_rate(*args[2:4], root) - target) > 1e-10
-        with pytest.raises(InitializationError) as info:
-            synchronize(FnParams(k1=1.0, k2=k2), FnParams(k1=1.01, k2=1.02 * k2), v0)
-        assert info.value.indices == (0,)
+        assert np.isnan(rate_matched_voltages(*([x] for x in args[:4]), v0)).all()
 
     def test_iteration_limit(self, monkeypatch):
         p = default_params()
@@ -169,9 +144,6 @@ class TestFailurePaths:
             optimize.brentq(lambda v: _log_rate(*args[2:4], v) - _log_rate(*args[:2], 7.5),
                             3.75, 11.25, xtol=1e-14, rtol=1e-15, maxiter=3)
         monkeypatch.setattr(array, "_MATCH_MAXITER", 3)
-        with pytest.raises(InitializationError) as info:
-            synchronize(p, default_params(k1=p.k1 * math.exp(0.01), k2=1.001 * p.k2), 7.5)
-        assert info.value.indices == (0,)
         assert np.isnan(rate_matched_voltages(*([x, x] for x in args[:4]), 7.5)).all()
 
     @pytest.mark.parametrize("nominal, v0, sigma, seed", [

@@ -123,6 +123,18 @@ class TestGradientToPulses:
         assert cmd.clipped
         assert cmd.n_pulses == MAX_PULSES_PER_UPDATE
 
+    @pytest.mark.parametrize("units, n_pulses, clipped", [
+        (1000.5, 1000, False),  # rounds half to even, onto the cap
+        (math.nextafter(1000.5, math.inf), 1000, True),  # would round to 1001
+        (math.inf, 1000, True),  # an overflowed update has no rounded count
+    ])
+    def test_clipping_is_decided_before_rounding(self, units, n_pulses, clipped):
+        assert MAX_PULSES_PER_UPDATE == 1000
+        cfg = self.config(unit_step_mv=1.0)
+        for sign in (1, -1):
+            cmd = gradient_to_pulses(sign * units, cfg, lambda: 0.5)
+            assert (cmd.polarity, cmd.n_pulses, cmd.clipped) == (sign, n_pulses, clipped)
+
 
 class TestTrainerConfig:
     def test_defaults_are_consistent(self):
