@@ -13,7 +13,7 @@ two decades of read power.
 from dataclasses import replace
 
 from fndam.calibrate import default_params
-from fndam.energy import (NoiseModel, ReadModel, min_read_power, noise_floor,
+from fndam.energy import (NoiseModel, min_read_power, noise_floor,
                           read_noise, retention_time, write_energy,
                           write_energy_trajectory)
 from fndam.cell import synchronize
@@ -40,9 +40,8 @@ for v_start, label in ((7.5, "fresh pair"), (7.2, "rested pair")):
     r = retention_time(cell, model)
     print(f"  {label} ({v_start} V): {r.seconds:.3g} s")
 
-read = ReadModel()
 for sigma in (1e-4, 1e-5, 1e-6):
-    p = min_read_power(read, sigma, 1e3)
-    back = read_noise(read, p, 1e3)
+    p = min_read_power(sigma, 1e3)
+    back = read_noise(p, 1e3)
     print(f"read at sigma = {sigma * 1e6:7.1f} uV over 1 kHz: "
           f"P = {p:.3e} W (round trip {back * 1e6:.1f} uV)")

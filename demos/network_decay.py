@@ -18,20 +18,19 @@ from fndam.calibrate import default_params
 from fndam.trainer import (MlpSpec, NetworkConfig, make_blob_dataset,
                            train_network_with_dam_decay)
 
-spec = MlpSpec()
 train_set = make_blob_dataset(100, seed=11)
 test_set = make_blob_dataset(200, seed=12)
 cfg = NetworkConfig(seed=0)
 par = default_params()
 
-print(f"classifier: {spec.n_inputs}-{spec.n_hidden}-{spec.n_classes} "
-      f"({spec.n_params} parameters), {len(train_set[1])} train / "
+print(f"classifier: {MlpSpec.n_inputs}-{MlpSpec.n_hidden}-{MlpSpec.n_classes} "
+      f"({MlpSpec.n_params} parameters), {len(train_set[1])} train / "
       f"{len(test_set[1])} test points\n")
 
 for arm, sigma in (("standard", None), ("dam", 0.0), ("mismatch", 0.001)):
     arr = None if sigma is None else build_array(
-        spec.n_params, par, 7.5, MismatchSpec(relative_sigma=sigma, seed=0))
-    trace, _ = train_network_with_dam_decay(spec, train_set, test_set, arr, cfg)
+        MlpSpec.n_params, par, 7.5, MismatchSpec(relative_sigma=sigma, seed=0))
+    trace, _ = train_network_with_dam_decay(train_set, test_set, arr, cfg)
     marks = " ".join(f"{ep.test_accuracy:.3f}{'*' if ep.decay_only else ''}"
                      for ep in trace.epochs)
     print(f"{arm:>9}: {marks}  -> final {trace.final_accuracy:.4f}")

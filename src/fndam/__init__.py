@@ -43,7 +43,6 @@ from .energy import (
     EnergyLedger,
     LedgerEntry,
     NoiseModel,
-    ReadModel,
     RetentionResult,
     min_read_power,
     noise_floor,

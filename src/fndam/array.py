@@ -38,14 +38,15 @@ checksum covers; any other text, and every ``load_state`` document, is
 verified by serializing the parsed document again.  Schema version 2,
 the one written and the only one read, stores one list per column under
 ``columns``: ``set_v_fg``, ``reset_v_fg``, ``set_k1``, ``reset_k1``,
-``set_k2``, ``reset_k2`` and ``weight_scale``.  Floats are serialized
-at full precision, so ``state_from_json(state_to_json(a)) == a``.  A
-document is rejected with a ``StateFormatError`` naming the JSON path
-when it cannot describe the array: the clock must be finite and
-non-negative, k1, k2 and weight_scale positive and finite, and
-0 < v_fg < k2 on every node.  Charge quantization is not modeled: a
-document whose ``quantize_charge`` is true is rejected, one that
-carries it as false still loads.  The mismatch draw is gaussian, and a
+``set_k2``, ``reset_k2`` and ``weight_scale``, the last N copies of
+``WEIGHT_SCALE``.  Floats are serialized at full precision, so
+``state_from_json(state_to_json(a)) == a``.  A document is rejected
+with a ``StateFormatError`` naming the JSON path when it cannot
+describe the array: the clock must be finite and non-negative, k1 and
+k2 positive and finite, 0 < v_fg < k2 on every node, and every
+weight_scale entry ``WEIGHT_SCALE``.  Charge quantization is not
+modeled: a document whose ``quantize_charge`` is true is rejected, one
+that carries it as false still loads.  The mismatch draw is gaussian, and a
 document that names another ``mismatch.distribution`` is rejected.
 """
 
@@ -70,9 +71,10 @@ STATE_VERSION = 2
 RNG_ALGORITHM = "numpy.random.PCG64"
 MISMATCH_DISTRIBUTION = "gaussian"  # the one draw; state documents name it
 
-# per-cell columns of a DamArray; all but weight_scale are (N, 2) SET/RESET
-_COLUMNS = ("v", "k1", "log_k1", "k2", "weight_scale")
-# schema v2 column -> (DamArray column, node); log_k1 is recomputed on load
+# the (N, 2) SET/RESET columns of a DamArray
+_COLUMNS = ("v", "k1", "log_k1", "k2")
+# schema v2 node column -> (DamArray column, node); log_k1 is recomputed on
+# load, and the document's weight_scale column holds WEIGHT_SCALE per cell
 _DOC_COLUMNS = {
     "set_v_fg": ("v", 0),
     "reset_v_fg": ("v", 1),
@@ -80,7 +82,6 @@ _DOC_COLUMNS = {
     "reset_k1": ("k1", 1),
     "set_k2": ("k2", 0),
     "reset_k2": ("k2", 1),
-    "weight_scale": ("weight_scale", None),
 }
 
 
@@ -104,6 +105,9 @@ class MismatchSpec:
             raise DomainError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
 
 
+NO_MISMATCH = MismatchSpec(relative_sigma=0.0)  # identical nodes in every cell
+
+
 class WeightReading(NamedTuple):
     """One cell's weight and the clock it was read at; a plain tuple."""
 
@@ -121,15 +125,14 @@ class DamArray:
     ``global_clock`` as its own clock and takes c_total and c_couple
     from ``nominal_params``.  A column given as a writable array is
     copied, so no caller can change an array after the fact.  A node
-    voltage, k1 or k2, or a weight_scale, that is not positive and
-    finite raises DomainError naming the cell and, for a node, the node.
+    voltage, k1 or k2 that is not positive and finite raises DomainError
+    naming the cell and the node.
     """
 
     v: np.ndarray  # (N, 2) floating-gate voltages, V
     k1: np.ndarray  # (N, 2) 1/s
     log_k1: np.ndarray  # (N, 2)
     k2: np.ndarray  # (N, 2) V
-    weight_scale: np.ndarray  # (N,) mV per volt of node difference
     nominal_params: FnParams
     mismatch: MismatchSpec
     v0: float
@@ -142,27 +145,26 @@ class DamArray:
                 col = col.copy()
                 col.flags.writeable = False
             object.__setattr__(self, name, col)
-        n = self.weight_scale.shape[0] if self.weight_scale.ndim == 1 else 0
-        if n < 1 or any(getattr(self, c).shape != (n, 2) for c in _COLUMNS[:-1]):
+        n = self.v.shape[0] if self.v.ndim == 2 else 0
+        if n < 1 or any(getattr(self, c).shape != (n, 2) for c in _COLUMNS):
             raise ArgumentError(
-                "columns must be (N, 2) with an (N,) weight_scale, N >= 1; got "
+                "columns must be (N, 2), N >= 1; got "
                 + ", ".join(f"{c} {getattr(self, c).shape}" for c in _COLUMNS)
             )
-        for name in ("v", "k1", "k2", "weight_scale"):
+        for name in ("v", "k1", "k2"):
             col = getattr(self, name)
             bad = ~((col > 0) & (col < math.inf))
             if bad.any():
-                at = tuple(np.argwhere(bad)[0].tolist())
-                node = f" {('SET', 'RESET')[at[1]]} node" if len(at) == 2 else ""
-                raise DomainError(f"cell {at[0]}{node} {'voltage' if name == 'v' else name} "
-                                  f"must be positive and finite, got {col[at].item()!r}")
+                i, node = np.argwhere(bad)[0].tolist()
+                raise DomainError(f"cell {i} {('SET', 'RESET')[node]} node "
+                                  f"{'voltage' if name == 'v' else name} "
+                                  f"must be positive and finite, got {col[i, node].item()!r}")
 
     def __len__(self) -> int:
-        return self.weight_scale.shape[0]
+        return self.v.shape[0]
 
     @classmethod
-    def _of(cls, v, k1, log_k1, k2, weight_scale, nominal_params, mismatch, v0,
-            global_clock) -> DamArray:
+    def _of(cls, v, k1, log_k1, k2, nominal_params, mismatch, v0, global_clock) -> DamArray:
         """An array over columns an operation has just computed.
 
         Skips ``__post_init__``: the columns must already be read-only
@@ -170,9 +172,8 @@ class DamArray:
         writable view of them.
         """
         array = object.__new__(cls)
-        array.__dict__.update(v=v, k1=k1, log_k1=log_k1, k2=k2, weight_scale=weight_scale,
-                              nominal_params=nominal_params, mismatch=mismatch, v0=v0,
-                              global_clock=global_clock)
+        array.__dict__.update(v=v, k1=k1, log_k1=log_k1, k2=k2, nominal_params=nominal_params,
+                              mismatch=mismatch, v0=v0, global_clock=global_clock)
         return array
 
     def __eq__(self, other):
@@ -185,8 +186,8 @@ class DamArray:
         )
 
     def weights(self) -> np.ndarray:
-        """Per-cell weight in mV: weight_scale * (RESET - SET voltage)."""
-        return self.weight_scale * (self.v[:, 1] - self.v[:, 0])
+        """Per-cell weight in mV: WEIGHT_SCALE * (RESET - SET voltage)."""
+        return WEIGHT_SCALE * (self.v[:, 1] - self.v[:, 0])
 
 
 def _draw_factors(n: int, spec: MismatchSpec) -> np.ndarray:
@@ -376,7 +377,7 @@ def build_array(
     """
     if n < 1:
         raise ArgumentError(f"array size must be >= 1, got {n!r}")
-    spec = mismatch if mismatch is not None else MismatchSpec(relative_sigma=0.0)
+    spec = mismatch if mismatch is not None else NO_MISMATCH
     # a huge sigma overflows to inf here, which the check below rejects
     with np.errstate(over="ignore"):
         factors = _draw_factors(n, spec)
@@ -401,14 +402,14 @@ def build_array(
         raise InitializationError(
             f"{len(bad)} cell(s) failed to initialize", indices=tuple(bad.tolist())
         )
-    return DamArray(v, k1, log_k1, k2, np.full(n, WEIGHT_SCALE), nominal, spec, v0)
+    return DamArray(v, k1, log_k1, k2, nominal, spec, v0)
 
 
 def _with_voltages(array: DamArray, v: np.ndarray, clock: float) -> DamArray:
     """array with the (N, 2) node voltages v just computed, at clock."""
     v.flags.writeable = False
-    return DamArray._of(v, array.k1, array.log_k1, array.k2, array.weight_scale,
-                        array.nominal_params, array.mismatch, array.v0, clock)
+    return DamArray._of(v, array.k1, array.log_k1, array.k2, array.nominal_params,
+                        array.mismatch, array.v0, clock)
 
 
 def _evolved(array: DamArray, v: np.ndarray, dt: float) -> DamArray:
@@ -499,10 +500,9 @@ _SIGNED_HEAD = len(_SIGNED_OPENING) + 64 + 2
 
 def _unsigned_document(array: DamArray) -> dict:
     p = array.nominal_params
-    columns = {}
-    for key, (name, node) in _DOC_COLUMNS.items():
-        col = getattr(array, name)
-        columns[key] = (col if node is None else col[:, node]).tolist()
+    columns = {key: getattr(array, name)[:, node].tolist()
+               for key, (name, node) in _DOC_COLUMNS.items()}
+    columns["weight_scale"] = [WEIGHT_SCALE] * len(array)
     return {
         "format": STATE_FORMAT,
         "version": STATE_VERSION,
@@ -577,7 +577,7 @@ def _v2_columns(doc) -> dict[str, np.ndarray]:
     cols = _need(doc, "columns", "", dict)
     out = {}
     n = None
-    for key in _DOC_COLUMNS:
+    for key in (*_DOC_COLUMNS, "weight_scale"):
         path = f"columns.{key}"
         values = _need(cols, key, "columns", list)
         if not values:
@@ -606,10 +606,13 @@ def _columns_from(cols: dict[str, np.ndarray], v0: float) -> dict[str, np.ndarra
         value = float(cols[key][i])
         raise StateFormatError(f"invalid value at columns.{key}[{i}]: {value!r}, {what}")
 
-    for key in ("set_k1", "reset_k1", "set_k2", "reset_k2", "weight_scale"):
+    for key in ("set_k1", "reset_k1", "set_k2", "reset_k2"):
         bad = ~(np.isfinite(cols[key]) & (cols[key] > 0))
         if bad.any():
             reject(key, bad, "must be positive and finite")
+    bad = cols["weight_scale"] != WEIGHT_SCALE
+    if bad.any():
+        reject("weight_scale", bad, f"must be {WEIGHT_SCALE!r}")
     for side in ("set", "reset"):
         v, k2 = cols[f"{side}_v_fg"], cols[f"{side}_k2"]
         bad = ~((v > 0) & (v < k2))
@@ -620,10 +623,8 @@ def _columns_from(cols: dict[str, np.ndarray], v0: float) -> dict[str, np.ndarra
             raise StateFormatError(f"invalid value at v0: {v0!r}, no {side} node starts there")
 
     out = {name: np.empty((len(cols["weight_scale"]), 2)) for name in ("v", "k1", "k2")}
-    out["weight_scale"] = cols["weight_scale"]
     for key, (name, node) in _DOC_COLUMNS.items():
-        if node is not None:
-            out[name][:, node] = cols[key]
+        out[name][:, node] = cols[key]
     out["log_k1"] = log_each(out["k1"])
     return out
 

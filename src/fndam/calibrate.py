@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array import WEIGHT_SCALE, DamArray, _brentq
+from .array import DamArray, _brentq
 from .cell import _aged_nodes, _evolved_nodes, _float_weight, _solve_amplitude, decay, synchronize
 from .errors import DomainError, SaturationError
 from .node import _MAX_EXP_ARG, FnParams, k0_from_initial
@@ -107,8 +107,8 @@ def step_amplitude(params: FnParams, age_s: float) -> float:
 
 def _amplitude(params: FnParams, nodes) -> float:
     """step_amplitude on the aged cell's float nodes."""
-    return _solve_amplitude(nodes, WEIGHT_SCALE, params.coupling_ratio, CAL_STEP_MV,
-                            CAL_PULSE_DURATION_S, _AMP_TOL_MV)
+    return _solve_amplitude(nodes, params.coupling_ratio, CAL_STEP_MV, CAL_PULSE_DURATION_S,
+                            _AMP_TOL_MV)
 
 
 def weight_retention(params: FnParams, age_s: float,
@@ -121,8 +121,7 @@ def weight_retention(params: FnParams, age_s: float,
 def _retention(params: FnParams, nodes, amp: float, window_s: float) -> float:
     """weight_retention on the aged cell's float nodes, given their amplitude."""
     pulsed = _evolved_nodes(nodes, CAL_PULSE_DURATION_S, (amp * params.coupling_ratio, 0.0))
-    return (_float_weight(_evolved_nodes(pulsed, window_s), WEIGHT_SCALE)
-            / _float_weight(pulsed, WEIGHT_SCALE))
+    return _float_weight(_evolved_nodes(pulsed, window_s)) / _float_weight(pulsed)
 
 
 def age_for_retention(params: FnParams, fraction: float,

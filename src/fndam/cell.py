@@ -8,8 +8,8 @@ difference is first-order immune to common-mode disturbance and decays
 toward zero on its own timescale — that decay is the memory's built-in
 "forgetting" and doubles as a learning-rate schedule.
 
-Weights are reported in millivolts: weight = weight_scale * (W_R - W_S)
-with weight_scale = 1000 by default.
+Weights are reported in millivolts: weight = WEIGHT_SCALE * (W_R - W_S),
+with WEIGHT_SCALE = 1000 mV per volt.
 
 A cell is a one-cell ``DamArray``: its SET and RESET voltages are
 ``cell.v[0, 0]`` and ``cell.v[0, 1]`` and its clock is
@@ -31,12 +31,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array import (WEIGHT_SCALE, DamArray, MismatchSpec, WeightReading, _driven, advance,
+from .array import (NO_MISMATCH, WEIGHT_SCALE, DamArray, WeightReading, _driven, advance,
                     batch_pulse)
 from .errors import ArgumentError, DomainError, SaturationError, StepSizeError
 from .node import FnParams, Pulse, _require_dt, decayed_float, k0_from_initial, released
 
-_NO_MISMATCH = MismatchSpec(relative_sigma=0.0)
 _AMP_MAX_V = 32.0  # the largest amplitude a precompensation solve tries
 _AMP_TOL_MV = 1e-3  # precompensated_amplitude's tolerance on the weight step
 
@@ -48,10 +47,10 @@ def synchronize(params: FnParams, v0: float) -> DamArray:
     """
     k0_from_initial(params, v0)
     columns = np.array([v0, v0, params.k1, params.k1, params.log_k1, params.log_k1,
-                        params.k2, params.k2, WEIGHT_SCALE], dtype=np.float64)
+                        params.k2, params.k2], dtype=np.float64)
     columns.flags.writeable = False  # and so are its views, the cell's columns
-    v, k1, log_k1, k2 = columns[:8].reshape(4, 1, 2)
-    return DamArray._of(v, k1, log_k1, k2, columns[8:], params, _NO_MISMATCH, v0, 0.0)
+    v, k1, log_k1, k2 = columns.reshape(4, 1, 2)
+    return DamArray._of(v, k1, log_k1, k2, params, NO_MISMATCH, v0, 0.0)
 
 
 def read_weight(cell: DamArray) -> WeightReading:
@@ -142,7 +141,6 @@ class DecaySchedule:
     """Precomputed alpha*eta_n sequence for an undisturbed cell."""
 
     alpha_eta: np.ndarray  # factor at steps 0..n-1
-    dt_step: float  # s per step
 
     @classmethod
     def from_params(cls, params: FnParams, k0: float, dt_step: float, n_steps: int):
@@ -154,16 +152,16 @@ class DecaySchedule:
         if not (math.isfinite(k0) and k0 > 1.0):
             raise DomainError(f"k0 must be finite and > 1, got {k0!r}")
         n = np.arange(n_steps, dtype=float)
-        return cls(alpha_eta=_alpha_eta(params.log_k1, k0, n, dt_step), dt_step=dt_step)
+        return cls(alpha_eta=_alpha_eta(params.log_k1, k0, n, dt_step))
 
     def __len__(self):
         return len(self.alpha_eta)
 
 
-def _float_nodes(cell: DamArray):
-    """A one-cell array's ((v, log_k1, k2) SET, same RESET) nodes and weight_scale."""
-    ws, = cell.weight_scale.tolist()
-    return tuple(zip(*cell.v.tolist(), *cell.log_k1.tolist(), *cell.k2.tolist())), ws
+def _float_nodes(array: DamArray):
+    """An array's (v, log_k1, k2) nodes as floats, SET then RESET per cell, row-major."""
+    return tuple(zip(array.v.ravel().tolist(), array.log_k1.ravel().tolist(),
+                     array.k2.ravel().tolist()))
 
 
 def _aged_nodes(params: FnParams, v0: float, age_s: float):
@@ -174,9 +172,9 @@ def _aged_nodes(params: FnParams, v0: float, age_s: float):
     return _evolved_nodes(nodes, age_s) if age_s > 0 else nodes
 
 
-def _float_weight(nodes, ws: float) -> float:
+def _float_weight(nodes) -> float:
     """``read_weight(cell).weight`` of a cell's float nodes."""
-    return ws * (nodes[1][0] - nodes[0][0])
+    return WEIGHT_SCALE * (nodes[1][0] - nodes[0][0])
 
 
 def _evolved_nodes(nodes, dt: float, steps=None):
@@ -222,13 +220,13 @@ def precompensated_amplitude(cell: DamArray, target_dw: float, duration: float) 
     overshot by the smallest amplitude, and ArgumentError when it is
     reachable but the amplitude grid cannot resolve 1e-3 mV near it.
     """
-    return _solve_amplitude(*_float_nodes(cell), cell.nominal_params.coupling_ratio,
+    return _solve_amplitude(_float_nodes(cell), cell.nominal_params.coupling_ratio,
                             target_dw, duration, _AMP_TOL_MV)
 
 
-def _solve_amplitude(nodes, ws, r, target_dw, duration, tol_mv):
-    """precompensated_amplitude on ``_float_nodes``, weight_scale ws and
-    coupling ratio r, within tol_mv of the target.
+def _solve_amplitude(nodes, r, target_dw, duration, tol_mv):
+    """precompensated_amplitude on ``_float_nodes`` and coupling ratio r,
+    within tol_mv of the target.
 
     Raises ArgumentError when the target is reachable but tol_mv is
     finer than the amplitude grid resolves.
@@ -241,7 +239,7 @@ def _solve_amplitude(nodes, ws, r, target_dw, duration, tol_mv):
         raise DomainError(f"tol_mv must be >= 0, got {tol_mv!r}")
     Pulse(amplitude=_AMP_MAX_V, duration=duration)  # every trial pulse is valid
     (v, log_k1, k2), (idle_v, idle_log_k1, idle_k2) = nodes
-    w0 = _float_weight(nodes, ws)
+    w0 = _float_weight(nodes)
     log_dt = math.log(duration)
     idle = decayed_float(idle_v, idle_log_k1, idle_k2, log_dt)
 
@@ -250,7 +248,7 @@ def _solve_amplitude(nodes, ws, r, target_dw, duration, tol_mv):
         v_after = released(v, r * amp, log_k1, k2, log_dt, decayed_float)
         if v_after <= 0:
             raise DomainError(f"pulse release drives gate to {v_after:.6g} V <= 0")
-        return ws * (idle - v_after) - w0
+        return WEIGHT_SCALE * (idle - v_after) - w0
 
     hi_change = net(_AMP_MAX_V)
     if hi_change < target_dw - tol_mv:

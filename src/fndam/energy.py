@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .array import DamArray
+from .array import WEIGHT_SCALE, DamArray
 from .cell import _evolved_nodes, _float_nodes, _float_weight
 from .errors import DomainError
 from .node import FnParams, _pulse_count, voltage_at
@@ -25,6 +25,10 @@ ELECTRON_CHARGE = 1.602e-19  # coulomb
 TEN_YEARS_S = 10 * 365.25 * 86400.0  # retention search horizon
 DEFAULT_C_IN = 1e-12  # F, input capacitor charged by each write
 DEFAULT_N_SAMPLES = 200  # points of a write-energy trajectory
+# the readout front end's operating point
+THERMAL_VOLTAGE_V = 0.026
+GATE_EFFICIENCY = 0.7  # subthreshold kappa
+SUPPLY_V = 5.0
 
 
 @dataclass(frozen=True)
@@ -42,16 +46,6 @@ class NoiseModel:
     def __post_init__(self):
         if not (0 <= self.sigma0 < math.inf and 0 <= self.sigma_coeff < math.inf):
             raise DomainError("noise model coefficients must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class ReadModel:
-    """Readout front-end operating point for noise/power trades."""
-
-    u_t: float = 0.026  # thermal voltage, V
-    kappa: float = 0.7  # subthreshold gate efficiency
-    v_dd: float = 5.0  # supply, V
-    q: float = ELECTRON_CHARGE  # C
 
 
 @dataclass(frozen=True)
@@ -204,10 +198,10 @@ def retention_time(cell: DamArray, model: NoiseModel) -> RetentionResult:
     A weight already at or below the floor returns 0 s.
     """
     horizon_s = TEN_YEARS_S
-    nodes, ws = _float_nodes(cell)
+    nodes = _float_nodes(cell)
 
     def margin(t):
-        w_v = abs(_float_weight(_evolved_nodes(nodes, t), ws)) / ws
+        w_v = abs(_float_weight(_evolved_nodes(nodes, t))) / WEIGHT_SCALE
         return w_v - noise_floor(model, t)
 
     if margin(0.0) <= 0:
@@ -232,7 +226,7 @@ def retention_time(cell: DamArray, model: NoiseModel) -> RetentionResult:
     return RetentionResult(seconds=hi, saturated=False)
 
 
-def read_noise(model: ReadModel, p_read: float, bandwidth: float) -> float:
+def read_noise(p_read: float, bandwidth: float) -> float:
     """rms readout voltage noise at read power p_read over the given bandwidth.
 
         V_n = sqrt(4 * U_T^2 * q * V_DD * bandwidth / (kappa * P_read))
@@ -241,18 +235,16 @@ def read_noise(model: ReadModel, p_read: float, bandwidth: float) -> float:
         raise DomainError(f"p_read must be positive, got {p_read!r}")
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise DomainError(f"bandwidth must be positive, got {bandwidth!r}")
-    return math.sqrt(
-        4.0 * model.u_t**2 * model.q * model.v_dd * bandwidth / (model.kappa * p_read)
-    )
+    return math.sqrt(4.0 * THERMAL_VOLTAGE_V**2 * ELECTRON_CHARGE * SUPPLY_V * bandwidth
+                     / (GATE_EFFICIENCY * p_read))
 
 
-def min_read_power(model: ReadModel, noise_target: float, bandwidth: float) -> float:
+def min_read_power(noise_target: float, bandwidth: float) -> float:
     """Smallest read power whose rms noise stays at or below noise_target."""
     if not (math.isfinite(noise_target) and noise_target > 0):
         raise DomainError(f"noise_target must be positive, got {noise_target!r}")
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise DomainError(f"bandwidth must be positive, got {bandwidth!r}")
-    return 4.0 * model.u_t**2 * model.q * model.v_dd * bandwidth / (
-        model.kappa * noise_target**2
-    )
+    return (4.0 * THERMAL_VOLTAGE_V**2 * ELECTRON_CHARGE * SUPPLY_V * bandwidth
+            / (GATE_EFFICIENCY * noise_target**2))
 

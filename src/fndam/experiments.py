@@ -7,9 +7,10 @@ repr so values round-trip exactly) plus a ``<name>.meta.json`` sidecar
 per output carrying the config hash, schema version, tool version, and
 seed.  Nothing depends on wall-clock time or machine identity, so a
 rerun with the same config produces byte-identical files.  A runner
-writes into a staging directory beside the output directory and moves
-its files into place only once every step has succeeded, so a run that
-fails or is killed leaves the output directory as it was.
+keeps its files in memory until every step has succeeded, writes each
+under a temporary name in the output directory and then renames them
+into place, so a run that fails before the renames, or is killed
+before the writes, leaves the output directory as it was.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import functools
 import json
 import math
 import os
-import shutil
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -86,13 +85,12 @@ _TRACE_POINTS = 81
 
 
 class _OutputWriter:
-    """Writes a run's files into a staging directory, names in write order."""
+    """Collects a run's files as (name, text), in write order."""
 
-    def __init__(self, cfg: ExperimentConfig, command: str, staging: Path):
+    def __init__(self, cfg: ExperimentConfig, command: str):
         self.cfg = cfg
         self.command = command
-        self.staging = staging
-        self.names: list[str] = []
+        self.files: list[tuple[str, str]] = []
 
     def _meta(self, name: str, extra: dict | None = None) -> None:
         meta = {
@@ -115,30 +113,29 @@ class _OutputWriter:
         self._meta(name, extra)
 
     def _write(self, name: str, content: str) -> None:
-        (self.staging / name).write_text(content, encoding="utf-8", newline="")
-        self.names.append(name)
+        self.files.append((name, content))
 
 
 def _run(cfg: ExperimentConfig, command: str, steps) -> list[str]:
-    """Run the steps into a staging directory beside output_dir, then move
-    every file into output_dir; a run that fails or is killed leaves
-    output_dir as it was."""
+    """Run the steps, write every file into output_dir under a temporary
+    name, then rename each into place; a run that fails before the
+    renames, or is killed during the steps, leaves output_dir as it was."""
+    writer = _OutputWriter(cfg, command)
+    for step in steps:
+        step(cfg, writer)
     out_dir = Path(cfg.output_dir)
-    beside = out_dir.resolve()  # on the file system output_dir lives on
-    beside.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{beside.name}.", dir=beside.parent))
-    writer = _OutputWriter(cfg, command, staging)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    parts = [out_dir / f".{name}.part" for name, _ in writer.files]
     try:
-        for step in steps:
-            step(cfg, writer)
-        out_dir.mkdir(exist_ok=True)
-        for name in writer.names:
-            os.replace(staging / name, out_dir / name)
+        for part, (_, content) in zip(parts, writer.files):
+            part.write_text(content, encoding="utf-8", newline="")
     except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
+        for part in parts:
+            part.unlink(missing_ok=True)
         raise
-    staging.rmdir()
-    return [str(out_dir / name) for name in writer.names]
+    for part, (name, _) in zip(parts, writer.files):
+        os.replace(part, out_dir / name)
+    return [str(out_dir / name) for name, _ in writer.files]
 
 
 def _fresh_cell(cfg: ExperimentConfig, age_s: float = 0.0):
@@ -148,11 +145,11 @@ def _fresh_cell(cfg: ExperimentConfig, age_s: float = 0.0):
 def _weight_trace(cell, window_s: float, n_points: int):
     """(t, weight) samples of undisturbed decay from the cell's state."""
     t_step = window_s / (n_points - 1)
-    nodes, ws = _float_nodes(cell)
-    samples = [(0.0, _float_weight(nodes, ws))]
+    nodes = _float_nodes(cell)
+    samples = [(0.0, _float_weight(nodes))]
     for i in range(1, n_points):
         nodes = _evolved_nodes(nodes, t_step)
-        samples.append((i * t_step, _float_weight(nodes, ws)))
+        samples.append((i * t_step, _float_weight(nodes)))
     return samples
 
 
@@ -425,7 +422,6 @@ def _train_perceptron(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
 
 def _train_network(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
     st = cfg.experiment.train.network
-    spec = MlpSpec()
     train_set = make_blob_dataset(st.n_train_per_class, seed=st.train_data_seed)
     test_set = make_blob_dataset(st.n_test_per_class, seed=st.test_data_seed)
     ncfg = NetworkConfig(
@@ -440,7 +436,7 @@ def _train_network(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
     def make_arm(sigma):
         if sigma is None:
             return None
-        arr = build_array(spec.n_params, par, cfg.device.v0,
+        arr = build_array(MlpSpec.n_params, par, cfg.device.v0,
                           MismatchSpec(relative_sigma=sigma, seed=st.mismatch_seed))
         return advance(arr, st.pre_age_s) if st.pre_age_s > 0 else arr
 
@@ -449,7 +445,7 @@ def _train_network(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
     for arm, sigma in (("standard", None), ("dam", 0.0),
                        ("mismatch", st.mismatch_sigma)):
         trace, arr = train_network_with_dam_decay(
-            spec, train_set, test_set, make_arm(sigma), ncfg)
+            train_set, test_set, make_arm(sigma), ncfg)
         if arm == "dam":
             dam_array = arr
         for ep in trace.epochs:

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .array import WEIGHT_SCALE, DamArray, _with_voltages, advance
-from .cell import _aged_nodes, _evolved_nodes, _float_weight, _solve_amplitude
+from .cell import _aged_nodes, _evolved_nodes, _float_nodes, _float_weight, _solve_amplitude
 from .energy import DEFAULT_C_IN, EnergyLedger
 from .errors import ArgumentError, DomainError
 from .tables import csv_table, record_row
@@ -162,13 +162,16 @@ class EpochSummary:
     n_updates: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingTrace:
-    steps: list[StepRecord] = field(default_factory=list)
-    epochs: list[EpochSummary] = field(default_factory=list)
-    ledger: EnergyLedger = field(default_factory=EnergyLedger)
-    final_weights_mv: tuple[float, float] = (0.0, 0.0)
-    margin: float = 0.0  # best achievable margin of the dataset under f
+    steps: list[StepRecord]
+    epochs: list[EpochSummary]
+    ledger: EnergyLedger
+    margin: float  # best achievable margin of the dataset under f
+
+    @property
+    def final_weights_mv(self) -> tuple[float, float]:
+        return self.steps[-1].w0_mv, self.steps[-1].w1_mv
 
     @property
     def total_energy_j(self) -> float:
@@ -312,25 +315,24 @@ def train_perceptron(
             f"dataset is not separable by f = x2 + w1*x1 + w0 (best margin {margin:.3g})"
         )
 
-    trace = TrainingTrace(ledger=EnergyLedger(c_in=config.c_in), margin=margin)
+    steps: list[StepRecord] = []
+    epochs: list[EpochSummary] = []
+    ledger = EnergyLedger(c_in=config.c_in)
     # the pristine reference cell and the array, as float nodes
     reference = _aged_nodes(array.nominal_params, array.v0, array.global_clock)
-    nodes = tuple(zip(array.v.ravel().tolist(), array.log_k1.ravel().tolist(),
-                      array.k2.ravel().tolist()))
-    ws = array.weight_scale.tolist()
+    nodes = _float_nodes(array)
     clock = array.global_clock
     ratio = array.nominal_params.coupling_ratio
 
     def weights():
-        return tuple(_float_weight(nodes[2 * i:2 * i + 2], w) for i, w in enumerate(ws))
+        return _float_weight(nodes[:2]), _float_weight(nodes[2:])
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     period = 1.0 / PULSE_FREQUENCY_HZ
     idle = period - PULSE_DURATION_S
-    step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
-        epoch_energy_start = len(trace.ledger.entries)
+        epoch_energy_start = len(ledger.entries)
         abs_updates: list[float] = []
         for point_index in order:
             point = dataset[int(point_index)]
@@ -343,8 +345,8 @@ def train_perceptron(
             if grad != (0.0, 0.0):
                 # one solve serves both commands: it depends on the reference alone
                 amplitude = functools.cache(functools.partial(
-                    _solve_amplitude, reference, WEIGHT_SCALE, ratio, config.unit_step_mv,
-                    PULSE_DURATION_S, _AMP_TOL_MV))
+                    _solve_amplitude, reference, ratio, config.unit_step_mv, PULSE_DURATION_S,
+                    _AMP_TOL_MV))
                 commands = tuple(
                     gradient_to_pulses(-config.learning_rate * g, config, amplitude)
                     for g in grad
@@ -364,7 +366,7 @@ def train_perceptron(
                     clock += idle
                 for j, c in enumerate(commands):
                     if c.n_pulses > 0:
-                        entry = trace.ledger.record(
+                        entry = ledger.record(
                             cell_id=j,
                             t_s=t_sample,
                             amplitude_v=c.amplitude_v,
@@ -383,9 +385,9 @@ def train_perceptron(
             new_w = weights()
             if grad != (0.0, 0.0):
                 abs_updates.append(abs(new_w[0] - w[0]) + abs(new_w[1] - w[1]))
-            trace.steps.append(
+            steps.append(
                 StepRecord(
-                    step=step,
+                    step=len(steps),
                     epoch=epoch,
                     point_index=int(point_index),
                     t_s=t_sample,
@@ -402,14 +404,12 @@ def train_perceptron(
                     clipped=commands[0].clipped or commands[1].clipped,
                 )
             )
-            step += 1
 
-        w_now = weights()
-        epoch_entries = trace.ledger.entries[epoch_energy_start:]
-        trace.epochs.append(
+        epoch_entries = ledger.entries[epoch_energy_start:]
+        epochs.append(
             EpochSummary(
                 epoch=epoch,
-                accuracy=_accuracy(dataset, w_now),
+                accuracy=_accuracy(dataset, weights()),
                 mean_abs_update_mv=(
                     float(np.mean(abs_updates)) if abs_updates else 0.0
                 ),
@@ -418,32 +418,20 @@ def train_perceptron(
             )
         )
 
-    trace.final_weights_mv = weights()
     voltages = np.array([v for v, _, _ in nodes]).reshape(2, 2)
-    return trace, _with_voltages(array, voltages, clock)
+    return TrainingTrace(steps, epochs, ledger, margin), _with_voltages(array, voltages, clock)
 
 
 # --- network arm: software SGDM with device-backed weight decay ---
 
 
-@dataclass(frozen=True)
 class MlpSpec:
-    n_inputs: int = 2
-    n_hidden: int = 16
-    n_classes: int = 3
+    """The network arm's classifier: 2 inputs, 16 ReLU hidden units, 3 classes."""
 
-    def __post_init__(self):
-        if min(self.n_inputs, self.n_hidden, self.n_classes) < 1:
-            raise DomainError("all layer sizes must be >= 1")
-
-    @property
-    def n_params(self) -> int:
-        return (
-            self.n_inputs * self.n_hidden
-            + self.n_hidden
-            + self.n_hidden * self.n_classes
-            + self.n_classes
-        )
+    n_inputs = 2
+    n_hidden = 16
+    n_classes = 3
+    n_params = n_inputs * n_hidden + n_hidden + n_hidden * n_classes + n_classes
 
 
 @dataclass(frozen=True)
@@ -475,16 +463,15 @@ def make_blob_dataset(n_per_class: int, seed: int = 0) -> tuple[np.ndarray, np.n
     return np.concatenate(xs), np.concatenate(ys)
 
 
-def _init_mlp(spec: MlpSpec, rng: np.random.Generator) -> np.ndarray:
-    w1 = rng.standard_normal((spec.n_inputs, spec.n_hidden)) * math.sqrt(2.0 / spec.n_inputs)
-    w2 = rng.standard_normal((spec.n_hidden, spec.n_classes)) * math.sqrt(2.0 / spec.n_hidden)
-    return np.concatenate(
-        [w1.ravel(), np.zeros(spec.n_hidden), w2.ravel(), np.zeros(spec.n_classes)]
-    )
+def _init_mlp(rng: np.random.Generator) -> np.ndarray:
+    i, h, c = MlpSpec.n_inputs, MlpSpec.n_hidden, MlpSpec.n_classes
+    w1 = rng.standard_normal((i, h)) * math.sqrt(2.0 / i)
+    w2 = rng.standard_normal((h, c)) * math.sqrt(2.0 / h)
+    return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(c)])
 
 
-def _unpack(spec: MlpSpec, theta: np.ndarray):
-    i, h, c = spec.n_inputs, spec.n_hidden, spec.n_classes
+def _unpack(theta: np.ndarray):
+    i, h, c = MlpSpec.n_inputs, MlpSpec.n_hidden, MlpSpec.n_classes
     a = 0
     w1 = theta[a : a + i * h].reshape(i, h); a += i * h
     b1 = theta[a : a + h]; a += h
@@ -493,19 +480,19 @@ def _unpack(spec: MlpSpec, theta: np.ndarray):
     return w1, b1, w2, b2
 
 
-def mlp_logits(spec: MlpSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    w1, b1, w2, b2 = _unpack(spec, theta)
+def mlp_logits(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    w1, b1, w2, b2 = _unpack(theta)
     hidden = np.maximum(x @ w1 + b1, 0.0)
     return hidden @ w2 + b2
 
 
-def mlp_accuracy(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(np.argmax(mlp_logits(spec, theta, x), axis=1) == y))
+def mlp_accuracy(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean(np.argmax(mlp_logits(theta, x), axis=1) == y))
 
 
-def _mlp_grad(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _mlp_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean softmax cross-entropy gradient over the batch."""
-    w1, b1, w2, b2 = _unpack(spec, theta)
+    w1, b1, w2, b2 = _unpack(theta)
     pre = x @ w1 + b1
     hidden = np.maximum(pre, 0.0)
     logits = hidden @ w2 + b2
@@ -534,7 +521,7 @@ def _write_params_to_array(array: DamArray, theta: np.ndarray) -> DamArray:
     if theta.shape != (len(array),):
         raise ArgumentError(f"need one value per cell: {theta.shape} for {len(array)} cells")
     mid = 0.5 * (array.v[:, 0] + array.v[:, 1])
-    half = 0.5 * theta / array.weight_scale
+    half = 0.5 * theta / WEIGHT_SCALE
     too_large = ~(mid - np.abs(half) > 0)  # NaN included
     if too_large.any():
         i = int(np.argmax(too_large))
@@ -552,15 +539,17 @@ class NetworkEpoch:
     decay_only: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkTrace:
-    epochs: list[NetworkEpoch] = field(default_factory=list)
-    final_accuracy: float = 0.0
-    theta: np.ndarray | None = None
+    epochs: list[NetworkEpoch]
+    theta: np.ndarray
+
+    @property
+    def final_accuracy(self) -> float:
+        return self.epochs[-1].test_accuracy
 
 
 def train_network_with_dam_decay(
-    spec: MlpSpec,
     train_set: tuple[np.ndarray, np.ndarray],
     test_set: tuple[np.ndarray, np.ndarray],
     array: DamArray | None,
@@ -579,15 +568,14 @@ def train_network_with_dam_decay(
     """
     x_train, y_train = train_set
     x_test, y_test = test_set
-    if array is not None and len(array) != spec.n_params:
+    if array is not None and len(array) != MlpSpec.n_params:
         raise ArgumentError(
-            f"need one cell per parameter: {spec.n_params} params, "
-            f"{len(array)} cells"
+            f"need one cell per parameter: {MlpSpec.n_params} params, {len(array)} cells"
         )
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    theta = _init_mlp(spec, rng)
+    theta = _init_mlp(rng)
     velocity = np.zeros_like(theta)
-    trace = NetworkTrace()
+    epochs: list[NetworkEpoch] = []
     try:
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(config.epochs):
@@ -596,17 +584,17 @@ def train_network_with_dam_decay(
                 for start in range(0, len(order), config.batch_size):
                     batch = order[start : start + config.batch_size]
                     if not decay_only:
-                        grad = _mlp_grad(spec, theta, x_train[batch], y_train[batch])
+                        grad = _mlp_grad(theta, x_train[batch], y_train[batch])
                         velocity = config.momentum * velocity - config.learning_rate * grad
                         theta = theta + velocity
                     if array is not None:
                         array = _write_params_to_array(array, theta)
                         array = advance(array, DECAY_INTERVAL_S)
                         theta = array.weights()
-                trace.epochs.append(
+                epochs.append(
                     NetworkEpoch(
                         epoch=epoch,
-                        test_accuracy=mlp_accuracy(spec, theta, x_test, y_test),
+                        test_accuracy=mlp_accuracy(theta, x_test, y_test),
                         mean_abs_weight=float(np.mean(np.abs(theta))),
                         decay_only=decay_only,
                     )
@@ -615,6 +603,4 @@ def train_network_with_dam_decay(
         raise DomainError(
             f"network training diverged at learning_rate {config.learning_rate!r}: {exc}"
         ) from None
-    trace.final_accuracy = trace.epochs[-1].test_accuracy
-    trace.theta = theta
-    return trace, array
+    return NetworkTrace(epochs, theta), array

@@ -44,7 +44,7 @@ def small_array(n=4, sigma=0.0, seed=0):
 
 def row(array, i):
     """Cell i of array as a one-cell DamArray: the columns of row i."""
-    columns = (getattr(array, c)[i:i + 1] for c in ("v", "k1", "log_k1", "k2", "weight_scale"))
+    columns = (getattr(array, c)[i:i + 1] for c in ("v", "k1", "log_k1", "k2"))
     return DamArray(*columns, array.nominal_params, array.mismatch, array.v0, array.global_clock)
 
 
@@ -121,8 +121,8 @@ class TestConstruction:
         v = array.v.copy()
         v[2, 0] = math.nan
         with pytest.raises(DomainError, match="^cell 2 SET node voltage must be positive"):
-            DamArray(v, array.k1, array.log_k1, array.k2, array.weight_scale,
-                     array.nominal_params, array.mismatch, array.v0)
+            DamArray(v, array.k1, array.log_k1, array.k2, array.nominal_params, array.mismatch,
+                     array.v0)
 
     def test_first_bad_node_is_named(self):
         array = small_array(3)
@@ -142,17 +142,6 @@ class TestConstruction:
             replace(array, **{column: col})
         assert str(exc_info.value) == (
             f"cell 2 RESET node {column} must be positive and finite, got {value!r}")
-
-    @pytest.mark.parametrize("value", [0.0, -1000.0, math.nan, math.inf])
-    def test_bad_weight_scale_rejected_by_public_constructor(self, value):
-        array = small_array(3)
-        ws = array.weight_scale.copy()
-        ws[1] = value
-        with pytest.raises(DomainError) as exc_info:
-            DamArray(array.v, array.k1, array.log_k1, array.k2, ws,
-                     array.nominal_params, array.mismatch, array.v0)
-        assert str(exc_info.value) == (
-            f"cell 1 weight_scale must be positive and finite, got {value!r}")
 
 
 class TestMismatchSpec:
@@ -426,6 +415,7 @@ class TestPhysicalInvariantsOnLoad:
         (("columns", "set_k1", 0), 10**400, r"columns\.set_k1"),
         (("v0",), 0.0, "v0"),
         (("nominal_params", "quantize_charge"), True, r"nominal_params\.quantize_charge"),
+        (("columns", "weight_scale", 1), 500.0, r"columns\.weight_scale\[1\]"),
     ])
     def test_version_2(self, path, value, where):
         doc = _edit(state_doc(small_array(2, sigma=1e-3, seed=3)), _set(path, value))
@@ -436,7 +426,7 @@ class TestPhysicalInvariantsOnLoad:
 class TestColumns:
     def test_columns_are_read_only(self):
         array = small_array(3)
-        for col in (array.v, array.k1, array.log_k1, array.k2, array.weight_scale):
+        for col in (array.v, array.k1, array.log_k1, array.k2):
             with pytest.raises(ValueError):
                 col[0] = 1.0
 
@@ -452,8 +442,8 @@ class TestColumns:
     def test_writable_inputs_are_copied(self):
         array = small_array(2)
         v = np.array(array.v)
-        built = DamArray(v, array.k1, array.log_k1, array.k2, array.weight_scale,
-                         array.nominal_params, array.mismatch, array.v0)
+        built = DamArray(v, array.k1, array.log_k1, array.k2, array.nominal_params,
+                         array.mismatch, array.v0)
         v[0, 0] = 1.0
         assert built == array
         assert v.flags.writeable
@@ -461,8 +451,8 @@ class TestColumns:
     def test_shape_mismatch_rejected(self):
         array = small_array(2)
         with pytest.raises(ArgumentError):
-            DamArray(array.v[:1], array.k1, array.log_k1, array.k2, array.weight_scale,
-                     array.nominal_params, array.mismatch, array.v0)
+            DamArray(array.v[:1], array.k1, array.log_k1, array.k2, array.nominal_params,
+                     array.mismatch, array.v0)
 
     def test_equality_compares_every_column(self):
         array = small_array(2)

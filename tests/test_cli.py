@@ -248,12 +248,34 @@ class TestFailurePaths:
         assert tree_bytes(out) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "o"]
 
+    def test_failed_write_leaves_out_as_it_was(self, monkeypatch, tmp_path, capsys):
+        # the second file fails to write, as on a full disk: the first one,
+        # already written under its temporary name, is removed again
+        out = tmp_path / "o"
+        assert run_cli(capsys, "energy-report", "--out", str(out))[0] == 0
+        before = tree_bytes(out)
+        write_text, writes = Path.write_text, []
+
+        def full_disk(path, *args, **kwargs):
+            writes.append(path.name)
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        code, stdout, stderr = run_cli(capsys, "energy-report", "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(stderr)["error"] == "OSError"
+        assert writes == [".energy_trajectory.csv.part", ".energy_trajectory.csv.meta.json.part"]
+        assert tree_bytes(out) == before
+
     @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
     def test_killed_run_leaves_out_as_it_was(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run_cli(capsys, "energy-report", "--out", str(out))[0] == 0
         before = tree_bytes(out)
-        # a run that stages a file over a good one, then blocks on its stdin
+        # a run that writes a file over a good one, then blocks on its stdin
         script = (
             "import sys\n"
             "from fndam import experiments\n"
@@ -270,12 +292,10 @@ class TestFailurePaths:
         with subprocess.Popen([sys.executable, "-c", script, str(out)], env=env,
                               stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as proc:
             assert proc.stdout.readline() == "staged\n"
-            staged = [p for p in tmp_path.iterdir() if p != out]
-            assert [sorted(q.name for q in p.iterdir()) for p in staged] == [
-                ["energy_trajectory.csv", "energy_trajectory.csv.meta.json"]]
             proc.kill()
             assert proc.wait(timeout=60) == -signal.SIGKILL
         assert tree_bytes(out) == before
+        assert [p for p in tmp_path.iterdir() if p != out] == []
 
     @pytest.mark.parametrize("network, error, words", [
         ({"learning_rate": 1e6}, "DomainError", "diverged at learning_rate 1000000.0"),

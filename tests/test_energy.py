@@ -15,7 +15,6 @@ from fndam.energy import (
     TEN_YEARS_S,
     EnergyLedger,
     NoiseModel,
-    ReadModel,
     min_read_power,
     noise_floor,
     read_noise,
@@ -196,30 +195,26 @@ class TestRetentionTime:
 
 class TestReadoutTrade:
     def test_noise_power_round_trip(self):
-        model = ReadModel()
         for target in (1e-4, 1e-3, 5e-3):
-            p = min_read_power(model, target, bandwidth=1e3)
-            np.testing.assert_allclose(read_noise(model, p, 1e3), target, rtol=1e-12)
+            p = min_read_power(target, bandwidth=1e3)
+            np.testing.assert_allclose(read_noise(p, 1e3), target, rtol=1e-12)
 
     def test_more_power_means_less_noise(self):
-        model = ReadModel()
-        assert read_noise(model, 1e-6, 1e3) < read_noise(model, 1e-9, 1e3)
+        assert read_noise(1e-6, 1e3) < read_noise(1e-9, 1e3)
 
     def test_quadrupling_power_halves_noise(self):
-        model = ReadModel()
-        np.testing.assert_allclose(
-            read_noise(model, 4e-9, 1e3), 0.5 * read_noise(model, 1e-9, 1e3), rtol=1e-12
-        )
+        np.testing.assert_allclose(read_noise(4e-9, 1e3), 0.5 * read_noise(1e-9, 1e3),
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("p,bw", [(0.0, 1e3), (-1e-9, 1e3), (1e-9, 0.0)])
     def test_read_noise_validation(self, p, bw):
         with pytest.raises(DomainError):
-            read_noise(ReadModel(), p, bw)
+            read_noise(p, bw)
 
     @pytest.mark.parametrize("target,bw", [(0.0, 1e3), (1e-4, -1.0), (math.nan, 1e3)])
     def test_min_power_validation(self, target, bw):
         with pytest.raises(DomainError):
-            min_read_power(ReadModel(), target, bw)
+            min_read_power(target, bw)
 
 
 class TestEnergyLedger:

@@ -18,7 +18,7 @@ from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fndam.array import rate_matched_voltages
+from fndam.array import WEIGHT_SCALE, rate_matched_voltages
 from fndam.calibrate import (
     CAL_PULSE_DURATION_S,
     CAL_STEP_MV,
@@ -70,7 +70,7 @@ def params_at(log_k1_shift, k2_factor):
 
 def amplitude_within(cell, target_dw):
     """precompensated_amplitude at calibration's tolerance."""
-    return _solve_amplitude(*_float_nodes(cell), cell.nominal_params.coupling_ratio,
+    return _solve_amplitude(_float_nodes(cell), cell.nominal_params.coupling_ratio,
                             target_dw, CAL_PULSE_DURATION_S, _AMP_TOL_MV)
 
 
@@ -92,12 +92,11 @@ def ref_retention_time(cell, model, trials):
 
     Appends each trial time to trials.
     """
-    ws, = cell.weight_scale.tolist()
     horizon_s = TEN_YEARS_S
 
     def margin(t):
         trials.append(t)
-        w_v = abs(read_weight(decay(cell, t)).weight) / ws
+        w_v = abs(read_weight(decay(cell, t)).weight) / WEIGHT_SCALE
         return w_v - noise_floor(model, t)
 
     if margin(0.0) <= 0:
@@ -218,10 +217,10 @@ def mismatched_cells(draw):
 @settings(max_examples=150, deadline=None)
 def test_float_decay_and_read_match_the_cell(cell, times):
     # the margin of retention_time: the weight after t seconds from the cell's state
-    nodes, ws = _float_nodes(cell)
+    nodes = _float_nodes(cell)
     for t in times:
         want = outcome(lambda: read_weight(decay(cell, t)).weight)
-        assert outcome(lambda: _float_weight(_evolved_nodes(nodes, t), ws)) == want
+        assert outcome(lambda: _float_weight(_evolved_nodes(nodes, t))) == want
 
 
 @given(cell=mismatched_cells(), sigma0=st.floats(0.0, 5e-3),

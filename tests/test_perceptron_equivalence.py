@@ -49,7 +49,7 @@ def reference_command(update_mv, config, cell):
     clipped = n_pulses > trainer.MAX_PULSES_PER_UPDATE
     if clipped:
         n_pulses = trainer.MAX_PULSES_PER_UPDATE
-    amplitude = _solve_amplitude(*_float_nodes(cell), cell.nominal_params.coupling_ratio,
+    amplitude = _solve_amplitude(_float_nodes(cell), cell.nominal_params.coupling_ratio,
                                  config.unit_step_mv, PULSE_DURATION_S, trainer._AMP_TOL_MV)
     return PulseCommand(polarity=1 if update_mv > 0 else -1, n_pulses=n_pulses,
                         amplitude_v=amplitude, clipped=clipped)
@@ -58,17 +58,16 @@ def reference_command(update_mv, config, cell):
 def reference_train(dataset, array, config):
     """train_perceptron on batch_pulse, advance and decay."""
     margin = best_margin(dataset)
-    trace = TrainingTrace(ledger=EnergyLedger(c_in=config.c_in), margin=margin)
+    steps, epochs, ledger = [], [], EnergyLedger(c_in=config.c_in)
     reference = synchronize(array.nominal_params, array.v0)
     if array.global_clock > 0:
         reference = decay(reference, array.global_clock)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     period = 1.0 / PULSE_FREQUENCY_HZ
-    step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
-        epoch_energy_start = len(trace.ledger.entries)
+        epoch_energy_start = len(ledger.entries)
         abs_updates = []
         for point_index in order:
             point = dataset[int(point_index)]
@@ -94,7 +93,7 @@ def reference_train(dataset, array, config):
                     array = advance(array, period - PULSE_DURATION_S)
                 for j, c in enumerate(commands):
                     if c.n_pulses > 0:
-                        entry = trace.ledger.record(
+                        entry = ledger.record(
                             cell_id=j, t_s=t_sample, amplitude_v=c.amplitude_v,
                             duration_s=PULSE_DURATION_S, n_pulses=c.n_pulses,
                         )
@@ -109,18 +108,17 @@ def reference_train(dataset, array, config):
             new_w = tuple(array.weights().tolist())
             if grad != (0.0, 0.0):
                 abs_updates.append(abs(new_w[0] - w[0]) + abs(new_w[1] - w[1]))
-            trace.steps.append(StepRecord(
-                step=step, epoch=epoch, point_index=int(point_index), t_s=t_sample,
+            steps.append(StepRecord(
+                step=len(steps), epoch=epoch, point_index=int(point_index), t_s=t_sample,
                 w0_mv=new_w[0], w1_mv=new_w[1], loss=loss, g0=grad[0], g1=grad[1],
                 n_pulses0=commands[0].n_pulses, n_pulses1=commands[1].n_pulses,
                 amplitude0_v=commands[0].amplitude_v, amplitude1_v=commands[1].amplitude_v,
                 energy_j=step_energy, clipped=commands[0].clipped or commands[1].clipped,
             ))
-            step += 1
 
         w_now = tuple(array.weights().tolist())
-        epoch_entries = trace.ledger.entries[epoch_energy_start:]
-        trace.epochs.append(EpochSummary(
+        epoch_entries = ledger.entries[epoch_energy_start:]
+        epochs.append(EpochSummary(
             epoch=epoch,
             accuracy=_accuracy(dataset, w_now),
             mean_abs_update_mv=float(np.mean(abs_updates)) if abs_updates else 0.0,
@@ -128,8 +126,7 @@ def reference_train(dataset, array, config):
             n_updates=len(abs_updates),
         ))
 
-    trace.final_weights_mv = tuple(array.weights().tolist())
-    return trace, array
+    return TrainingTrace(steps, epochs, ledger, margin), array
 
 
 def outcome(train, dataset, array, config):
@@ -141,7 +138,7 @@ def outcome(train, dataset, array, config):
         trace, out = train(dataset, array, config)
     except (FndamError, ArithmeticError, ValueError) as exc:
         return repr((type(exc).__name__, str(exc)))
-    columns = [getattr(out, c).tolist() for c in ("v", "k1", "log_k1", "k2", "weight_scale")]
+    columns = [getattr(out, c).tolist() for c in ("v", "k1", "log_k1", "k2")]
     return repr((trace.steps, trace.epochs, trace.ledger.entries, trace.final_weights_mv,
                  trace.margin, columns, out.global_clock, out.nominal_params, out.mismatch,
                  out.v0))
@@ -181,8 +178,8 @@ def test_pulse_driving_a_node_non_positive_raises_the_same_error():
     """Nodes that tunnel far faster than the nominal device release below 0 V."""
     nominal = default_params()
     fast = np.full((2, 2), 1e300)
-    array = DamArray(np.full((2, 2), V0), fast, np.log(fast), np.full((2, 2), 1.0),
-                     np.full(2, 1000.0), nominal, MismatchSpec(relative_sigma=0.0), V0)
+    array = DamArray(np.full((2, 2), V0), fast, np.log(fast), np.full((2, 2), 1.0), nominal,
+                     MismatchSpec(relative_sigma=0.0), V0)
     dataset = make_separable_dataset(6, seed=1)
     got = outcome(train_perceptron, dataset, array, TrainerConfig())
     assert got == outcome(reference_train, dataset, array, TrainerConfig())

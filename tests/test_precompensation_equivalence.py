@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
 
-from fndam.array import batch_pulse, rate_matched_voltages
+from fndam.array import WEIGHT_SCALE, batch_pulse, rate_matched_voltages
 from fndam.calibrate import default_params
 from fndam.cell import (
     _float_nodes,
@@ -115,7 +115,7 @@ tolerances = log_uniform(1e-12, 1e-2)
 def test_same_amplitude_as_bisection(mismatch, age, target, duration, tol):
     cell = aged_cell(mismatch, age)
     expected = outcome(bisection_amplitude, cell, target, duration, 1, 32.0, tol)
-    got = outcome(_solve_amplitude, *_float_nodes(cell), cell.nominal_params.coupling_ratio,
+    got = outcome(_solve_amplitude, _float_nodes(cell), cell.nominal_params.coupling_ratio,
                   target, duration, tol)
     if isinstance(expected, float):
         assert isinstance(got, float) and got == expected
@@ -148,5 +148,5 @@ def test_closed_form_pulse_is_pulse_cell(mismatch, age, polarity, amp, duration)
 
     diff = v_idle - v_pulsed if polarity == 1 else v_pulsed - v_idle
     after = batch_pulse(cell, [(0, polarity, Pulse(amplitude=amp, duration=duration))])
-    assert read_weight(after).weight == cell.weight_scale.tolist()[0] * diff
+    assert read_weight(after).weight == WEIGHT_SCALE * diff
 

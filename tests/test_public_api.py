@@ -1,5 +1,6 @@
 """Every name the package re-exports has a use outside the unit tests,
-and so does every defaulted parameter of its functions and methods.
+and so does every defaulted parameter of its functions and methods and
+every defaulted field of its dataclasses.
 
 A use of a name is a name or attribute in the package's own modules, the
 demos or the benchmark (whose string constants count too, so the names
@@ -7,11 +8,12 @@ the tracer wraps are uses), in the acceptance checks, or a word of the
 README.  Docstrings do not count: describing a name does not use it.  A
 use of a defaulted parameter is a call in those files, or in the README
 Quick start, that passes it; a value no caller passes belongs in a
-constant.
+constant.  A dataclass field is a parameter of the class's generated
+``__init__``, so a field with a default or a ``default_factory`` needs a
+call of the class that passes it.
 """
 
 import ast
-import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -71,9 +73,14 @@ def test_every_export_is_used_outside_the_unit_tests():
 
 # Defaulted parameters that no call outside the unit tests sets, each with
 # the reason it stays settable.
+_BUILT_FROM_JSON = "config._load builds it from a JSON document through cls(**given)"
 UNSET_ALLOWED = {
     "apply_pulse.polarity": "the scalar reference that tests/test_array_equivalence.py "
                             "holds RESET pulses against",
+    "ExperimentConfig.__init__.device": _BUILT_FROM_JSON,
+    "ExperimentConfig.__init__.noise": _BUILT_FROM_JSON,
+    "ExperimentConfig.__init__.experiment": _BUILT_FROM_JSON,
+    "ExperimentConfig.__init__.output_dir": _BUILT_FROM_JSON,
 }
 
 
@@ -99,14 +106,15 @@ def calls_outside_unit_tests() -> dict[str, list[ast.Call]]:
 
 def exported_signatures():
     """(called name, qualified name, parameters) of each re-exported function,
-    public method and hand-written __init__, a method's receiver dropped."""
+    public method and __init__, hand-written or a dataclass's, a method's
+    receiver dropped."""
     for export in sorted(exported_names()):
         obj = getattr(fndam, export, None)  # TOOL_VERSION is re-exported as __version__
         if inspect.isfunction(obj):
             yield export, export, list(inspect.signature(obj).parameters.values())
         elif inspect.isclass(obj):
             for attr, member in vars(obj).items():
-                if attr == "__init__" and not dataclasses.is_dataclass(obj):
+                if attr == "__init__":
                     called = export
                 elif attr.startswith("_"):
                     continue

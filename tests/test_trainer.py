@@ -41,7 +41,7 @@ def two_cell_array():
 
 def first_cell(array):
     """Cell 0 of array as a one-cell DamArray: the columns of row 0."""
-    columns = (getattr(array, c)[:1] for c in ("v", "k1", "log_k1", "k2", "weight_scale"))
+    columns = (getattr(array, c)[:1] for c in ("v", "k1", "log_k1", "k2"))
     return DamArray(*columns, array.nominal_params, array.mismatch, array.v0, array.global_clock)
 
 
@@ -357,36 +357,34 @@ class TestBlobDataset:
 class TestMlpMachinery:
     def test_parameter_count(self):
         assert MlpSpec().n_params == 2 * 16 + 16 + 16 * 3 + 3
-        assert MlpSpec(2, 8, 3).n_params == 51
 
     def test_layer_size_validation(self):
-        with pytest.raises(DomainError):
+        # the classifier is the one 2-16-3 network: no size can be set
+        with pytest.raises(TypeError):
             MlpSpec(n_hidden=0)
 
     def test_logit_shape_and_accuracy_bounds(self):
-        spec = MlpSpec(2, 4, 3)
-        theta = np.zeros(spec.n_params)
+        theta = np.zeros(MlpSpec.n_params)
         x = np.zeros((7, 2))
-        assert mlp_logits(spec, theta, x).shape == (7, 3)
-        acc = mlp_accuracy(spec, theta, x, np.zeros(7, dtype=int))
+        assert mlp_logits(theta, x).shape == (7, 3)
+        acc = mlp_accuracy(theta, x, np.zeros(7, dtype=int))
         assert acc == 1.0  # all-zero logits break ties toward class 0
 
     def test_gradient_matches_finite_differences(self):
-        spec = MlpSpec(2, 3, 2)
         rng = np.random.default_rng(5)
-        theta = rng.standard_normal(spec.n_params) * 0.5
+        theta = rng.standard_normal(MlpSpec.n_params) * 0.5
         x = rng.standard_normal((6, 2))
-        y = rng.integers(0, 2, size=6)
+        y = rng.integers(0, 3, size=6)
 
         def loss(t):
-            logits = mlp_logits(spec, t, x)
+            logits = mlp_logits(t, x)
             logits = logits - logits.max(axis=1, keepdims=True)
             log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
             return -float(np.mean(log_probs[np.arange(len(y)), y]))
 
-        grad = _mlp_grad(spec, theta, x, y)
+        grad = _mlp_grad(theta, x, y)
         h = 1e-6
-        for i in range(0, spec.n_params, 3):
+        for i in range(0, MlpSpec.n_params, 3):
             e = np.zeros_like(theta)
             e[i] = h
             numeric = (loss(theta + e) - loss(theta - e)) / (2 * h)
@@ -395,9 +393,8 @@ class TestMlpMachinery:
 
 class TestParameterParking:
     def test_round_trip_preserves_values(self):
-        spec = MlpSpec(2, 3, 2)
-        array = build_array(spec.n_params, default_params(), 7.5)
-        theta = np.linspace(-2.0, 2.0, spec.n_params)
+        array = build_array(MlpSpec.n_params, default_params(), 7.5)
+        theta = np.linspace(-2.0, 2.0, MlpSpec.n_params)
         parked = _write_params_to_array(array, theta)
         np.testing.assert_allclose(parked.weights(), theta, atol=1e-9)
 
@@ -416,24 +413,19 @@ class TestParameterParking:
 
 class TestNetworkTraining:
     def small_problem(self):
-        spec = MlpSpec(2, 8, 3)
-        train = make_blob_dataset(30, seed=11)
-        test = make_blob_dataset(60, seed=12)
-        return spec, train, test
+        return make_blob_dataset(30, seed=11), make_blob_dataset(60, seed=12)
 
     def test_no_array_is_plain_sgdm(self):
         # with array=None the loop must be bit-identical to textbook SGDM
-        spec, train, test = self.small_problem()
+        train, test = self.small_problem()
         config = NetworkConfig(epochs=3, seed=0)
-        trace, returned = train_network_with_dam_decay(spec, train, test, None, config)
+        trace, returned = train_network_with_dam_decay(train, test, None, config)
         assert returned is None
 
         rng = np.random.Generator(np.random.PCG64(config.seed))
-        w1 = rng.standard_normal((spec.n_inputs, spec.n_hidden)) * math.sqrt(2.0 / spec.n_inputs)
-        w2 = rng.standard_normal((spec.n_hidden, spec.n_classes)) * math.sqrt(2.0 / spec.n_hidden)
-        theta = np.concatenate(
-            [w1.ravel(), np.zeros(spec.n_hidden), w2.ravel(), np.zeros(spec.n_classes)]
-        )
+        w1 = rng.standard_normal((2, 16)) * math.sqrt(2.0 / 2)
+        w2 = rng.standard_normal((16, 3)) * math.sqrt(2.0 / 16)
+        theta = np.concatenate([w1.ravel(), np.zeros(16), w2.ravel(), np.zeros(3)])
         velocity = np.zeros_like(theta)
         x_train, y_train = train
         for epoch in range(config.epochs):
@@ -443,53 +435,53 @@ class TestNetworkTraining:
                 if decay_only:
                     continue
                 batch = order[start : start + config.batch_size]
-                grad = _mlp_grad(spec, theta, x_train[batch], y_train[batch])
+                grad = _mlp_grad(theta, x_train[batch], y_train[batch])
                 velocity = config.momentum * velocity - config.learning_rate * grad
                 theta = theta + velocity
         assert np.array_equal(trace.theta, theta)
 
     def test_decay_only_epoch_freezes_software_weights(self):
-        spec, train, test = self.small_problem()
+        train, test = self.small_problem()
         config = NetworkConfig(epochs=2, seed=0)
-        trace, _ = train_network_with_dam_decay(spec, train, test, None, config)
+        trace, _ = train_network_with_dam_decay(train, test, None, config)
         assert trace.epochs[1].decay_only
         assert not trace.epochs[0].decay_only
         assert trace.epochs[1].test_accuracy == trace.epochs[0].test_accuracy
         assert trace.epochs[1].mean_abs_weight == trace.epochs[0].mean_abs_weight
 
     def test_device_weights_keep_decaying_in_final_epoch(self):
-        spec, train, test = self.small_problem()
+        train, test = self.small_problem()
         config = NetworkConfig(epochs=2, seed=0)
-        array = build_array(spec.n_params, default_params(), 7.5)
-        trace, returned = train_network_with_dam_decay(spec, train, test, array, config)
+        array = build_array(MlpSpec.n_params, default_params(), 7.5)
+        trace, returned = train_network_with_dam_decay(train, test, array, config)
         assert returned is not None
         assert trace.epochs[1].mean_abs_weight < trace.epochs[0].mean_abs_weight
 
     def test_device_arm_still_learns(self):
-        spec, train, test = self.small_problem()
+        train, test = self.small_problem()
         config = NetworkConfig(epochs=4, seed=0)
-        array = build_array(spec.n_params, default_params(), 7.5)
-        trace, _ = train_network_with_dam_decay(spec, train, test, array, config)
+        array = build_array(MlpSpec.n_params, default_params(), 7.5)
+        trace, _ = train_network_with_dam_decay(train, test, array, config)
         assert trace.final_accuracy >= 0.8
         assert trace.final_accuracy == trace.epochs[-1].test_accuracy
 
     def test_mismatched_array_changes_the_trajectory(self):
-        spec, train, test = self.small_problem()
+        train, test = self.small_problem()
         config = NetworkConfig(epochs=2, seed=0)
-        clean = build_array(spec.n_params, default_params(), 7.5)
+        clean = build_array(MlpSpec.n_params, default_params(), 7.5)
         noisy = build_array(
-            spec.n_params, default_params(), 7.5,
+            MlpSpec.n_params, default_params(), 7.5,
             mismatch=MismatchSpec(relative_sigma=0.001, seed=0),
         )
-        trace_clean, _ = train_network_with_dam_decay(spec, train, test, clean, config)
-        trace_noisy, _ = train_network_with_dam_decay(spec, train, test, noisy, config)
+        trace_clean, _ = train_network_with_dam_decay(train, test, clean, config)
+        trace_noisy, _ = train_network_with_dam_decay(train, test, noisy, config)
         assert not np.array_equal(trace_clean.theta, trace_noisy.theta)
 
     def test_cell_count_enforced(self):
-        spec, train, test = self.small_problem()
-        array = build_array(spec.n_params - 1, default_params(), 7.5)
+        train, test = self.small_problem()
+        array = build_array(MlpSpec.n_params - 1, default_params(), 7.5)
         with pytest.raises(ArgumentError):
-            train_network_with_dam_decay(spec, train, test, array, NetworkConfig())
+            train_network_with_dam_decay(train, test, array, NetworkConfig())
 
     @pytest.mark.parametrize("kwargs", [
         dict(momentum=1.0),
