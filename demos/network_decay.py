@@ -27,10 +27,13 @@ print(f"classifier: {MlpSpec.n_inputs}-{MlpSpec.n_hidden}-{MlpSpec.n_classes} "
       f"({MlpSpec.n_params} parameters), {len(train_set[1])} train / "
       f"{len(test_set[1])} test points\n")
 
-for arm, sigma in (("standard", None), ("dam", 0.0), ("mismatch", 0.001)):
-    arr = None if sigma is None else build_array(
-        MlpSpec.n_params, par, 7.5, MismatchSpec(relative_sigma=sigma, seed=0))
-    trace, _ = train_network_with_dam_decay(train_set, test_set, arr, cfg)
+# one call trains all three arms in lockstep: the same start and minibatches
+arms = (("standard", None), ("dam", 0.0), ("mismatch", 0.001))
+arrays = [None if sigma is None else build_array(
+    MlpSpec.n_params, par, 7.5, MismatchSpec(relative_sigma=sigma, seed=0))
+    for _, sigma in arms]
+runs = train_network_with_dam_decay(train_set, test_set, arrays, cfg)
+for (arm, _), (trace, _) in zip(arms, runs):
     marks = " ".join(f"{ep.test_accuracy:.3f}{'*' if ep.decay_only else ''}"
                      for ep in trace.epochs)
     print(f"{arm:>9}: {marks}  -> final {trace.final_accuracy:.4f}")

@@ -413,15 +413,16 @@ def _with_voltages(array: DamArray, v: np.ndarray, clock: float) -> DamArray:
 
 
 def _evolved(array: DamArray, v: np.ndarray, dt: float) -> DamArray:
-    """array with node voltages v, dt seconds later.
-
-    Raises DomainError when a node is not positive; the minimum is NaN
-    if any node is.
-    """
-    if not np.minimum.reduce(v, axis=None) > 0:
-        i, node = np.argwhere(~(v > 0))[0].tolist()
-        raise _driven(i, node, v[i, node])
+    """array with node voltages v, dt seconds later; every node must be positive."""
+    _require_positive(v)
     return _with_voltages(array, v, array.global_clock + dt)
+
+
+def _require_positive(v: np.ndarray) -> None:
+    """Raise DomainError for the first node of v (..., N, 2) not positive (or NaN)."""
+    if not np.minimum.reduce(v, axis=None) > 0:
+        where = tuple(np.argwhere(~(v > 0))[0].tolist())
+        raise _driven(*where[-2:], v[where])
 
 
 def _driven(i: int, node: int, v: float) -> DomainError:

@@ -49,7 +49,7 @@ from .config import (
     ExperimentConfig,
 )
 from .energy import retention_time, setpoint_write, trajectory_times
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, FndamError
 from .node import Pulse, k0_from_initial
 from .tables import csv_table
 from .trainer import (
@@ -440,14 +440,16 @@ def _train_network(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
                           MismatchSpec(relative_sigma=sigma, seed=st.mismatch_seed))
         return advance(arr, st.pre_age_s) if st.pre_age_s > 0 else arr
 
+    arms = []
+    for sigma in (None, 0.0, st.mismatch_sigma):
+        try:
+            arms.append(make_arm(sigma))
+        except FndamError:  # the arms before it fail first, as one at a time
+            train_network_with_dam_decay(train_set, test_set, arms, ncfg)
+            raise
+    runs = train_network_with_dam_decay(train_set, test_set, arms, ncfg)
     epoch_rows, summary_rows = [], []
-    dam_array = None
-    for arm, sigma in (("standard", None), ("dam", 0.0),
-                       ("mismatch", st.mismatch_sigma)):
-        trace, arr = train_network_with_dam_decay(
-            train_set, test_set, make_arm(sigma), ncfg)
-        if arm == "dam":
-            dam_array = arr
+    for arm, (trace, _) in zip(("standard", "dam", "mismatch"), runs):
         for ep in trace.epochs:
             epoch_rows.append([arm, ep.epoch, ep.test_accuracy,
                                ep.mean_abs_weight, ep.decay_only])
@@ -458,7 +460,7 @@ def _train_network(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
         epoch_rows,
     )
     writer.csv("network_summary.csv", ["arm", "final_accuracy"], summary_rows)
-    writer.text("network_state.json", state_to_json(dam_array))
+    writer.text("network_state.json", state_to_json(runs[1][1]))
 
 
 def run_train(cfg: ExperimentConfig, experiment: str | None = None) -> list[str]:

@@ -13,8 +13,9 @@ trained array once at the end.
 The network trainer runs ordinary SGD-with-momentum in software but
 parks every parameter on a DAM cell between iterations, so weights
 shrink by the device's own resynchronization instead of an explicit
-regularization term.  With ``array=None`` the parking step is skipped
-and the loop is plain SGDM, bit for bit.
+regularization term.  Its arms share their start and minibatches and
+train in lockstep on stacked columns, to the bits of one arm at a time;
+an arm without an array is plain SGDM.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .array import WEIGHT_SCALE, DamArray, _with_voltages, advance
+from .array import WEIGHT_SCALE, DamArray, _require_positive, _with_voltages
 from .cell import _aged_nodes, _evolved_nodes, _float_nodes, _float_weight, _solve_amplitude
 from .energy import DEFAULT_C_IN, EnergyLedger
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, FndamError
+from .node import decayed
 from .tables import csv_table, record_row
 
 _AMP_TOL_MV = 1e-4  # precompensation tolerance for issued amplitudes
@@ -42,6 +44,8 @@ PULSE_DURATION_S = 0.0005
 SAMPLE_INTERVAL_S = 2.0
 MAX_PULSES_PER_UPDATE = 1000
 DECAY_INTERVAL_S = 2.0  # array decay charged per network iteration
+_LOG_DECAY_DT = math.log(DECAY_INTERVAL_S)
+_SPLIT = np.array([-1.0, 1.0])  # a parked weight's half, signed per node
 # the network's three gaussian classes: their centers and common spread
 BLOB_CENTERS = ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.6))
 BLOB_SPREAD = 0.55
@@ -472,11 +476,12 @@ def _init_mlp(rng: np.random.Generator) -> np.ndarray:
 
 def _unpack(theta: np.ndarray):
     i, h, c = MlpSpec.n_inputs, MlpSpec.n_hidden, MlpSpec.n_classes
+    lead = theta.shape[:-1]
     a = 0
-    w1 = theta[a : a + i * h].reshape(i, h); a += i * h
-    b1 = theta[a : a + h]; a += h
-    w2 = theta[a : a + h * c].reshape(h, c); a += h * c
-    b2 = theta[a : a + c]
+    w1 = theta[..., a : a + i * h].reshape(lead + (i, h)); a += i * h
+    b1 = theta[..., a : a + h]; a += h
+    w2 = theta[..., a : a + h * c].reshape(lead + (h, c)); a += h * c
+    b2 = theta[..., a : a + c]
     return w1, b1, w2, b2
 
 
@@ -490,45 +495,46 @@ def mlp_accuracy(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.argmax(mlp_logits(theta, x), axis=1) == y))
 
 
-def _mlp_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean softmax cross-entropy gradient over the batch."""
+def _mlp_grads(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean softmax cross-entropy gradients over the batch, one per row of theta (K, n_params).
+
+    Products run per row with the one-row shapes and transposes; all else
+    is elementwise or within a row, so each row gets its one-row bits.
+    """
     w1, b1, w2, b2 = _unpack(theta)
-    pre = x @ w1 + b1
+    pre = x @ w1 + b1[:, None]
     hidden = np.maximum(pre, 0.0)
-    logits = hidden @ w2 + b2
-    logits = logits - logits.max(axis=1, keepdims=True)
+    logits = hidden @ w2 + b2[:, None]
+    logits = logits - logits.max(axis=2, keepdims=True)
     expl = np.exp(logits)
-    probs = expl / expl.sum(axis=1, keepdims=True)
-    delta = probs
-    delta[np.arange(len(y)), y] -= 1.0
+    delta = expl / expl.sum(axis=2, keepdims=True)
+    delta[:, np.arange(len(y)), y] -= 1.0
     delta /= len(y)
-    g_w2 = hidden.T @ delta
-    g_b2 = delta.sum(axis=0)
-    back = (delta @ w2.T) * (pre > 0)
+    g_w2 = hidden.transpose(0, 2, 1) @ delta
+    g_b2 = delta.sum(axis=1)
+    back = (delta @ w2.transpose(0, 2, 1)) * (pre > 0)
     g_w1 = x.T @ back
-    g_b1 = back.sum(axis=0)
-    return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+    g_b1 = back.sum(axis=1)
+    k = len(theta)
+    return np.concatenate([g_w1.reshape(k, -1), g_b1, g_w2.reshape(k, -1), g_b2], axis=1)
 
 
-def _write_params_to_array(array: DamArray, theta: np.ndarray) -> DamArray:
-    """Park each parameter on its cell as a mean-preserving node split.
+def _parked(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Node voltages v (..., N, 2) with the weights theta (..., N) parked on them.
 
-    The split is centered on the cell's current node mean, so writing
+    Each split is centered on the cell's current node mean, so parking
     preserves the device's position along its decay trajectory and only
     the differential (the weight) is overwritten.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (len(array),):
-        raise ArgumentError(f"need one value per cell: {theta.shape} for {len(array)} cells")
-    mid = 0.5 * (array.v[:, 0] + array.v[:, 1])
+    mid = 0.5 * (v[..., 0] + v[..., 1])
     half = 0.5 * theta / WEIGHT_SCALE
     too_large = ~(mid - np.abs(half) > 0)  # NaN included
     if too_large.any():
-        i = int(np.argmax(too_large))
+        i = int(np.argmax(too_large))  # the first such cell in row-major order
         raise DomainError(
-            f"weight {float(theta[i])!r} too large to park on a {float(mid[i])!r} V cell"
+            f"weight {float(theta.flat[i])!r} too large to park on a {float(mid.flat[i])!r} V cell"
         )
-    return _with_voltages(array, np.stack((mid - half, mid + half), axis=1), array.global_clock)
+    return mid[..., None] + half[..., None] * _SPLIT  # mid + (-half) is mid - half
 
 
 @dataclass(frozen=True)
@@ -552,31 +558,41 @@ class NetworkTrace:
 def train_network_with_dam_decay(
     train_set: tuple[np.ndarray, np.ndarray],
     test_set: tuple[np.ndarray, np.ndarray],
-    array: DamArray | None,
+    arrays: Sequence[DamArray | None],
     config: NetworkConfig,
-) -> tuple[NetworkTrace, DamArray | None]:
-    """SGDM training with optional device-backed decay between iterations.
+) -> list[tuple[NetworkTrace, DamArray | None]]:
+    """SGDM training of one arm per entry of arrays; an array adds device-backed decay.
 
-    With an array, every parameter is written onto a cell after each
-    SGDM step, the array decays for DECAY_INTERVAL_S, and the weights
-    are read back — decay and (if the array is mismatched) per-cell
-    drift come from the device physics.  With ``array=None`` the loop
-    is standard SGDM.  The final epoch skips gradient updates:
-    device-backed weights keep decaying, software-only weights stay
-    frozen.  A float overflow or invalid value, the sign of a
-    learning_rate too large to converge, raises DomainError.
+    The arms start from the same parameters and see the same minibatches,
+    so they train in lockstep: one gradient pass and one device step per
+    iteration serve them all.  A device arm parks every parameter on a
+    cell after each SGDM step, decays the cells for DECAY_INTERVAL_S and
+    reads the weights back, so decay and any mismatch drift come from the
+    device physics.  The final epoch skips gradient updates.  A float
+    overflow or invalid value, the sign of a learning_rate too large to
+    converge, raises DomainError.  Returns one (trace, array) per arm; a
+    failure raises the error of the first arm that fails, in arm order.
     """
+    if not arrays:
+        return []
     x_train, y_train = train_set
     x_test, y_test = test_set
-    if array is not None and len(array) != MlpSpec.n_params:
-        raise ArgumentError(
-            f"need one cell per parameter: {MlpSpec.n_params} params, {len(array)} cells"
-        )
+    device = [k for k, array in enumerate(arrays) if array is not None]
+    device_arrays = [arrays[k] for k in device]
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    theta = _init_mlp(rng)
+    theta = np.tile(_init_mlp(rng), (len(arrays), 1))
     velocity = np.zeros_like(theta)
-    epochs: list[NetworkEpoch] = []
+    epochs: list[list[NetworkEpoch]] = [[] for _ in arrays]
     try:
+        for array in device_arrays:
+            if len(array) != MlpSpec.n_params:
+                raise ArgumentError(
+                    f"need one cell per parameter: {MlpSpec.n_params} params, {len(array)} cells"
+                )
+        # the device arms' columns, stacked (D, n_params, 2) for the whole run
+        v, log_k1, k2 = (np.array([getattr(a, c) for a in device_arrays])
+                         for c in ("v", "log_k1", "k2"))
+        clocks = np.array([a.global_clock for a in device_arrays], dtype=np.float64)
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(config.epochs):
                 decay_only = epoch == config.epochs - 1
@@ -584,23 +600,32 @@ def train_network_with_dam_decay(
                 for start in range(0, len(order), config.batch_size):
                     batch = order[start : start + config.batch_size]
                     if not decay_only:
-                        grad = _mlp_grad(theta, x_train[batch], y_train[batch])
+                        grad = _mlp_grads(theta, x_train[batch], y_train[batch])
                         velocity = config.momentum * velocity - config.learning_rate * grad
                         theta = theta + velocity
-                    if array is not None:
-                        array = _write_params_to_array(array, theta)
-                        array = advance(array, DECAY_INTERVAL_S)
-                        theta = array.weights()
-                epochs.append(
-                    NetworkEpoch(
+                    if device:
+                        v = decayed(_parked(v, theta[device]), log_k1, k2, _LOG_DECAY_DT)
+                        _require_positive(v)
+                        clocks += DECAY_INTERVAL_S
+                        theta[device] = WEIGHT_SCALE * (v[..., 1] - v[..., 0])
+                for row, trace in zip(theta, epochs):
+                    trace.append(NetworkEpoch(
                         epoch=epoch,
-                        test_accuracy=mlp_accuracy(theta, x_test, y_test),
-                        mean_abs_weight=float(np.mean(np.abs(theta))),
+                        test_accuracy=mlp_accuracy(row, x_test, y_test),
+                        mean_abs_weight=float(np.mean(np.abs(row))),
                         decay_only=decay_only,
-                    )
-                )
-    except FloatingPointError as exc:
-        raise DomainError(
-            f"network training diverged at learning_rate {config.learning_rate!r}: {exc}"
-        ) from None
-    return NetworkTrace(epochs, theta), array
+                    ))
+    except (FloatingPointError, FndamError) as exc:
+        if len(arrays) < 2:
+            raise exc if isinstance(exc, FndamError) else DomainError(
+                f"network training diverged at learning_rate {config.learning_rate!r}: {exc}"
+            ) from None
+    else:
+        trained = [None] * len(arrays)
+        for d, k in enumerate(device):
+            trained[k] = _with_voltages(arrays[k], v[d].copy(), float(clocks[d]))
+        return [(NetworkTrace(t, row.copy()), a) for t, row, a in zip(epochs, theta, trained)]
+    # lockstep can meet a later arm's error first: one arm at a time, the
+    # first arm that fails raises
+    return [run for array in arrays
+            for run in train_network_with_dam_decay(train_set, test_set, [array], config)]

@@ -276,7 +276,7 @@ def test_11_network_decay_arm_ordering():
         arr = None if sigma is None else build_array(
             spec.n_params, par, 7.5,
             MismatchSpec(relative_sigma=sigma, seed=0))
-        trace, _ = train_network_with_dam_decay(train_set, test_set, arr, ncfg)
+        trace, _ = train_network_with_dam_decay(train_set, test_set, [arr], ncfg)[0]
         final[arm] = trace.final_accuracy
 
     assert abs(final["standard"] - final["dam"]) <= 0.02

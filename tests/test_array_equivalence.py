@@ -18,13 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from fndam.array import (MismatchSpec, WeightReading, _log_rate, advance, batch_pulse,
-                         batch_read, build_array)
+from fndam.array import (MismatchSpec, WeightReading, _log_rate, _with_voltages, advance,
+                         batch_pulse, batch_read, build_array)
 from fndam.calibrate import default_params
 from fndam.cell import common_mode_step, decay, read_weight, reset_pulse, set_pulse
 from fndam.errors import DomainError, InitializationError
 from fndam.node import Pulse, apply_pulse, evolve, k0_from_initial
-from fndam.trainer import _write_params_to_array
+from fndam.trainer import _parked
 
 V0 = 7.5
 
@@ -185,7 +185,7 @@ def test_batch_read_matches_read_weight(n, sigma, seed, dt):
 def test_parking_matches_per_cell_split(n, sigma, seed, dt, data):
     array, cells = build_both(n, sigma, seed)
     theta = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
-    parked = _write_params_to_array(array, theta)
+    parked = _with_voltages(array, _parked(array.v, theta), array.global_clock)
     expected = []
     for c, w in zip(cells, theta.tolist()):
         mid = 0.5 * (c.v[0] + c.v[1])

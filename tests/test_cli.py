@@ -318,6 +318,29 @@ class TestFailurePaths:
         assert words in record["message"]
         assert not out.exists() or not list(out.rglob("*"))
 
+    @pytest.mark.parametrize("network, record", [
+        # the standard arm diverges before the mismatch arm's cells fail to initialize
+        ({"learning_rate": 1e6, "mismatch_sigma": 1e308},
+         '{"error": "DomainError", "message": "network training diverged at learning_rate '
+         '1000000.0: overflow encountered in matmul"}'),
+        # the dam arm fails to park a weight before the mismatch arm is built
+        ({"learning_rate": 5.0, "mismatch_sigma": 0.3},
+         '{"error": "DomainError", "message": "weight -10531.67371206704 too large to park '
+         'on a 3.806859232147121 V cell"}'),
+    ])
+    def test_network_reports_the_first_failing_arm(self, network, record, tmp_path, capsys):
+        # the arms train together but fail as if they ran one after another
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"train": {"network": network}}}))
+        code, stdout, stderr = run_cli(capsys, "train", "--experiment", "network",
+                                       "--config", str(cfg), "--out", str(out))
+        assert (code, stdout, stderr) == (1, "", record + "\n")
+        assert tree_bytes(out) == {"notes.txt": b"kept\n"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "o"]
+
     def test_out_of_memory_keeps_the_json_record(self, monkeypatch, tmp_path, capsys):
         # sizes are not capped, so a large enough run exhausts memory; it
         # fails as a runtime error after its first outputs were written

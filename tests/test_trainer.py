@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fndam.array import DamArray, MismatchSpec, build_array
+from fndam.array import WEIGHT_SCALE, DamArray, MismatchSpec, build_array
 from fndam.calibrate import default_params
 from fndam.cell import precompensated_amplitude
 from fndam.errors import ArgumentError, DomainError
@@ -19,8 +19,8 @@ from fndam.trainer import (
     MlpSpec,
     NetworkConfig,
     TrainerConfig,
-    _mlp_grad,
-    _write_params_to_array,
+    _mlp_grads,
+    _parked,
     best_margin,
     decision_fn,
     gradient_to_pulses,
@@ -382,7 +382,7 @@ class TestMlpMachinery:
             log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
             return -float(np.mean(log_probs[np.arange(len(y)), y]))
 
-        grad = _mlp_grad(theta, x, y)
+        grad = _mlp_grads(theta[None], x, y)[0]
         h = 1e-6
         for i in range(0, MlpSpec.n_params, 3):
             e = np.zeros_like(theta)
@@ -395,20 +395,18 @@ class TestParameterParking:
     def test_round_trip_preserves_values(self):
         array = build_array(MlpSpec.n_params, default_params(), 7.5)
         theta = np.linspace(-2.0, 2.0, MlpSpec.n_params)
-        parked = _write_params_to_array(array, theta)
-        np.testing.assert_allclose(parked.weights(), theta, atol=1e-9)
+        parked = _parked(array.v, theta)
+        np.testing.assert_allclose(WEIGHT_SCALE * (parked[:, 1] - parked[:, 0]), theta, atol=1e-9)
 
     def test_parking_preserves_node_mean(self):
         array = build_array(1, default_params(), 7.5)
-        parked = _write_params_to_array(array, np.array([3.0]))
-        np.testing.assert_allclose(
-            0.5 * (parked.v[0, 0] + parked.v[0, 1]), 7.5, rtol=1e-15
-        )
+        parked = _parked(array.v, np.array([3.0]))
+        np.testing.assert_allclose(0.5 * (parked[0, 0] + parked[0, 1]), 7.5, rtol=1e-15)
 
     def test_oversized_weight_rejected(self):
         array = build_array(1, default_params(), 7.5)
         with pytest.raises(DomainError):
-            _write_params_to_array(array, np.array([20000.0]))
+            _parked(array.v, np.array([20000.0]))
 
 
 class TestNetworkTraining:
@@ -419,7 +417,7 @@ class TestNetworkTraining:
         # with array=None the loop must be bit-identical to textbook SGDM
         train, test = self.small_problem()
         config = NetworkConfig(epochs=3, seed=0)
-        trace, returned = train_network_with_dam_decay(train, test, None, config)
+        trace, returned = train_network_with_dam_decay(train, test, [None], config)[0]
         assert returned is None
 
         rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -435,7 +433,7 @@ class TestNetworkTraining:
                 if decay_only:
                     continue
                 batch = order[start : start + config.batch_size]
-                grad = _mlp_grad(theta, x_train[batch], y_train[batch])
+                grad = _mlp_grads(theta[None], x_train[batch], y_train[batch])[0]
                 velocity = config.momentum * velocity - config.learning_rate * grad
                 theta = theta + velocity
         assert np.array_equal(trace.theta, theta)
@@ -443,7 +441,7 @@ class TestNetworkTraining:
     def test_decay_only_epoch_freezes_software_weights(self):
         train, test = self.small_problem()
         config = NetworkConfig(epochs=2, seed=0)
-        trace, _ = train_network_with_dam_decay(train, test, None, config)
+        trace, _ = train_network_with_dam_decay(train, test, [None], config)[0]
         assert trace.epochs[1].decay_only
         assert not trace.epochs[0].decay_only
         assert trace.epochs[1].test_accuracy == trace.epochs[0].test_accuracy
@@ -453,7 +451,7 @@ class TestNetworkTraining:
         train, test = self.small_problem()
         config = NetworkConfig(epochs=2, seed=0)
         array = build_array(MlpSpec.n_params, default_params(), 7.5)
-        trace, returned = train_network_with_dam_decay(train, test, array, config)
+        trace, returned = train_network_with_dam_decay(train, test, [array], config)[0]
         assert returned is not None
         assert trace.epochs[1].mean_abs_weight < trace.epochs[0].mean_abs_weight
 
@@ -461,7 +459,7 @@ class TestNetworkTraining:
         train, test = self.small_problem()
         config = NetworkConfig(epochs=4, seed=0)
         array = build_array(MlpSpec.n_params, default_params(), 7.5)
-        trace, _ = train_network_with_dam_decay(train, test, array, config)
+        trace, _ = train_network_with_dam_decay(train, test, [array], config)[0]
         assert trace.final_accuracy >= 0.8
         assert trace.final_accuracy == trace.epochs[-1].test_accuracy
 
@@ -473,15 +471,15 @@ class TestNetworkTraining:
             MlpSpec.n_params, default_params(), 7.5,
             mismatch=MismatchSpec(relative_sigma=0.001, seed=0),
         )
-        trace_clean, _ = train_network_with_dam_decay(train, test, clean, config)
-        trace_noisy, _ = train_network_with_dam_decay(train, test, noisy, config)
+        trace_clean, _ = train_network_with_dam_decay(train, test, [clean], config)[0]
+        trace_noisy, _ = train_network_with_dam_decay(train, test, [noisy], config)[0]
         assert not np.array_equal(trace_clean.theta, trace_noisy.theta)
 
     def test_cell_count_enforced(self):
         train, test = self.small_problem()
         array = build_array(MlpSpec.n_params - 1, default_params(), 7.5)
         with pytest.raises(ArgumentError):
-            train_network_with_dam_decay(train, test, array, NetworkConfig())
+            train_network_with_dam_decay(train, test, [array], NetworkConfig())
 
     @pytest.mark.parametrize("kwargs", [
         dict(momentum=1.0),
