@@ -228,19 +228,29 @@ def fit_device_parameters(v0: float = DEFAULT_V0, c_in: float = DEFAULT_C_IN) ->
     """
     x0 = [math.log(u) for u in _FIT_START]
     _fit_params(x0, v0)  # reject a v0 the fit cannot start from
-    fit = _least_squares(lambda x: _fit_residuals(x, v0, c_in), x0)
-    params = _fit_params(fit.x, v0)
+
+    # each point's metrics by x, so the fitted point, which the fit has
+    # evaluated, is not evaluated again
+    @functools.cache
+    def metrics(x):
+        return evaluate_calibration(_fit_params(x, v0), c_in=c_in)
+
+    fit = _least_squares(lambda x: _residuals(metrics(tuple(x)), c_in), x0)
     return CalibrationResult(
-        params=params,
+        params=_fit_params(fit.x, v0),
         cost=float(fit.cost),
         residuals=tuple(float(r) for r in fit.fun),
-        metrics=evaluate_calibration(params, c_in=c_in),
+        metrics=metrics(tuple(fit.x)),
     )
 
 
 def _fit_residuals(x, v0: float, c_in: float) -> list[float]:
     """The fit's five residuals at x = (log u, log k2)."""
-    m = evaluate_calibration(_fit_params(x, v0), c_in=c_in)
+    return _residuals(evaluate_calibration(_fit_params(x, v0), c_in=c_in), c_in)
+
+
+def _residuals(m: dict, c_in: float) -> list[float]:
+    """The fit's five residuals of the metrics m that evaluate_calibration gives."""
 
     def factor(key):
         ratio = m[key] / FACTOR_TARGETS[key]

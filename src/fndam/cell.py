@@ -195,10 +195,15 @@ def _evolved_nodes(nodes, dt: float, steps=None):
     else:
         nodes = tuple([(released(v, step, log_k1, k2, log_dt, decayed_float), log_k1, k2)
                        for (v, log_k1, k2), step in zip(nodes, steps)])
+    _require_driven(nodes)
+    return nodes
+
+
+def _require_driven(nodes) -> None:
+    """``array._driven`` for the first float node (``_float_nodes``) not positive."""
     for i, (v, _, _) in enumerate(nodes):
         if not v > 0:
             raise _driven(*divmod(i, 2), v)
-    return nodes
 
 
 def precompensated_amplitude(cell: DamArray, target_dw: float, duration: float) -> float:

@@ -88,18 +88,19 @@ class _OutputWriter:
     """Collects a run's files as (name, text), in write order."""
 
     def __init__(self, cfg: ExperimentConfig, command: str):
-        self.cfg = cfg
         self.command = command
+        self.config_hash = cfg.config_hash()  # one hash serves every sidecar
+        self.seed = cfg.experiment.seed
         self.files: list[tuple[str, str]] = []
 
     def _meta(self, name: str, extra: dict | None = None) -> None:
         meta = {
             "file": name,
             "command": self.command,
-            "config_hash": self.cfg.config_hash(),
+            "config_hash": self.config_hash,
             "schema_version": SCHEMA_VERSION,
             "tool_version": TOOL_VERSION,
-            "seed": self.cfg.experiment.seed,
+            "seed": self.seed,
         }
         if extra:
             meta.update(extra)

@@ -7,6 +7,8 @@ round-trip exactly, bools as 0/1, everything else with str.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 
 
 def _format_field(value) -> str:
@@ -20,8 +22,13 @@ def _format_field(value) -> str:
     return text
 
 
+# _format_field of the exact types most fields have, without its checks;
+# subclasses, numpy scalars, str and None take _format_field itself
+_EXACT = {float: float.__repr__, int: int.__repr__, bool: ("0", "1").__getitem__}
+
+
 def _csv_line(fields) -> str:
-    return ",".join(map(_format_field, fields))
+    return ",".join([_EXACT.get(type(value), _format_field)(value) for value in fields])
 
 
 def csv_table(header, rows) -> str:
@@ -31,6 +38,15 @@ def csv_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _values_getter(cls):
+    """A callable giving a cls record's values in field order, as a tuple."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    if len(names) > 1:
+        return operator.attrgetter(*names)
+    return lambda record: tuple(getattr(record, name) for name in names)
+
+
 def record_row(record) -> tuple:
     """A dataclass record's values in field order: astuple without its deep copy."""
-    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+    return _values_getter(type(record))(record)

@@ -6,16 +6,18 @@ training point costs one sample interval of wall-clock time; a violated
 margin turns into a gradient, the gradient into a polarity, a pulse
 count and a precompensated amplitude, and the pulses into array
 operations whose energy lands in an EnergyLedger.  The loop runs those
-operations on the cells' float nodes (``cell._evolved_nodes``), to the
-bits and errors of ``batch_pulse`` and ``advance``, and builds the
-trained array once at the end.
+operations on the cells' float nodes (``cell._evolved_nodes``, and
+``_pulse_period`` for a pulse and its idle rest), to the bits and errors
+of ``batch_pulse`` and ``advance``, and builds the trained array once at
+the end.
 
 The network trainer runs ordinary SGD-with-momentum in software but
 parks every parameter on a DAM cell between iterations, so weights
 shrink by the device's own resynchronization instead of an explicit
 regularization term.  Its arms share their start and minibatches and
 train in lockstep on stacked columns, to the bits of one arm at a time;
-an arm without an array is plain SGDM.
+an arm without an array is plain SGDM.  Its parameters, velocity and
+gradient are updated in place, through views taken once per run.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .array import WEIGHT_SCALE, DamArray, _require_positive, _with_voltages
-from .cell import _aged_nodes, _evolved_nodes, _float_nodes, _float_weight, _solve_amplitude
+from .cell import (_aged_nodes, _evolved_nodes, _float_nodes, _float_weight, _require_driven,
+                   _solve_amplitude)
 from .energy import DEFAULT_C_IN, EnergyLedger
 from .errors import ArgumentError, DomainError, FndamError
-from .node import decayed
+from .node import decayed, decayed_float, released
 from .tables import csv_table, record_row
 
 _AMP_TOL_MV = 1e-4  # precompensation tolerance for issued amplitudes
@@ -297,6 +300,20 @@ def _accuracy(dataset: Sequence[LabeledPoint], w: Sequence[float]) -> float:
     return hits / len(dataset)
 
 
+def _pulse_period(nodes, steps, log_on: float, log_off: float):
+    """One pulse period on float nodes: ``_evolved_nodes`` by the per-node
+    steps for the pulse, then without them for the idle rest, given the
+    logarithms of both durations.  Same bits and errors, each phase
+    raising ``array._driven`` for its first node left non-positive.
+    """
+    nodes = [(released(v, step, log_k1, k2, log_on, decayed_float), log_k1, k2)
+             for (v, log_k1, k2), step in zip(nodes, steps)]
+    _require_driven(nodes)
+    nodes = [(decayed_float(v, log_k1, k2, log_off), log_k1, k2) for v, log_k1, k2 in nodes]
+    _require_driven(nodes)
+    return nodes
+
+
 def train_perceptron(
     dataset: Sequence[LabeledPoint], array: DamArray, config: TrainerConfig
 ) -> tuple[TrainingTrace, DamArray]:
@@ -308,6 +325,12 @@ def train_perceptron(
     lockstep with the array, so amplitudes depend on device age, not on
     the momentary weight values.  Refuses datasets that the decision
     family cannot separate.
+
+    Each pulse period is one ``_pulse_period`` call.  The logarithms of
+    the pulse and idle durations are taken once per run, and the
+    per-node steps once per segment of a pulse train: a node pulses
+    while the period index is below its count, so the steps change only
+    at the distinct counts.
     """
     if len(array) != 2:
         raise ArgumentError(f"perceptron needs a 2-cell array, got {len(array)}")
@@ -334,6 +357,7 @@ def train_perceptron(
     rng = np.random.Generator(np.random.PCG64(config.seed))
     period = 1.0 / PULSE_FREQUENCY_HZ
     idle = period - PULSE_DURATION_S
+    log_on, log_off = math.log(PULSE_DURATION_S), math.log(idle)
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
         epoch_energy_start = len(ledger.entries)
@@ -362,12 +386,15 @@ def train_perceptron(
                     pulse_steps[node] = c.amplitude_v * ratio
                     counts[node] = c.n_pulses
                 longest = max(counts)
-                for k in range(longest):
-                    nodes = _evolved_nodes(nodes, PULSE_DURATION_S, [
-                        s if k < n else 0.0 for s, n in zip(pulse_steps, counts)])
-                    clock += PULSE_DURATION_S
-                    nodes = _evolved_nodes(nodes, idle)
-                    clock += idle
+                # one segment of periods ends at each distinct count
+                start = 0
+                for end in sorted(set(counts) - {0}):
+                    segment = [s if n >= end else 0.0 for s, n in zip(pulse_steps, counts)]
+                    for _ in range(end - start):
+                        nodes = _pulse_period(nodes, segment, log_on, log_off)
+                        clock += PULSE_DURATION_S
+                        clock += idle
+                    start = end
                 for j, c in enumerate(commands):
                     if c.n_pulses > 0:
                         entry = ledger.record(
@@ -496,27 +523,39 @@ def mlp_accuracy(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _mlp_grads(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean softmax cross-entropy gradients over the batch, one per row of theta (K, n_params).
+    """Mean softmax cross-entropy gradients over the batch of labels y, one per
+    row of theta (K, n_params)."""
+    grad = np.empty_like(theta)
+    _mlp_grads_into(_unpack(grad), _unpack(theta), x, np.eye(MlpSpec.n_classes)[y])
+    return grad
+
+
+def _mlp_grads_into(grad, params, x: np.ndarray, target: np.ndarray) -> None:
+    """``_mlp_grads`` into the ``_unpack`` views grad, from the views params of
+    theta and the batch's one-hot targets (B, n_classes).
 
     Products run per row with the one-row shapes and transposes; all else
     is elementwise or within a row, so each row gets its one-row bits.
+    Subtracting a one-hot row subtracts 1.0 at the label and 0.0, which
+    changes no bit, elsewhere.  Of the calls here, only the five products
+    and the exponential give bits that can depend on the CPU.
     """
-    w1, b1, w2, b2 = _unpack(theta)
+    w1, b1, w2, b2 = params
+    g_w1, g_b1, g_w2, g_b2 = grad
     pre = x @ w1 + b1[:, None]
     hidden = np.maximum(pre, 0.0)
     logits = hidden @ w2 + b2[:, None]
-    logits = logits - logits.max(axis=2, keepdims=True)
-    expl = np.exp(logits)
-    delta = expl / expl.sum(axis=2, keepdims=True)
-    delta[:, np.arange(len(y)), y] -= 1.0
-    delta /= len(y)
-    g_w2 = hidden.transpose(0, 2, 1) @ delta
-    g_b2 = delta.sum(axis=1)
-    back = (delta @ w2.transpose(0, 2, 1)) * (pre > 0)
-    g_w1 = x.T @ back
-    g_b1 = back.sum(axis=1)
-    k = len(theta)
-    return np.concatenate([g_w1.reshape(k, -1), g_b1, g_w2.reshape(k, -1), g_b2], axis=1)
+    logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
+    delta = np.exp(logits)
+    delta /= np.add.reduce(delta, axis=2, keepdims=True)
+    delta -= target
+    delta /= len(target)
+    np.matmul(hidden.transpose(0, 2, 1), delta, out=g_w2)
+    np.add.reduce(delta, axis=1, out=g_b2)
+    back = delta @ w2.transpose(0, 2, 1)
+    back *= pre > 0
+    np.matmul(x.T, back, out=g_w1)
+    np.add.reduce(back, axis=1, out=g_b1)
 
 
 def _parked(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -572,6 +611,15 @@ def train_network_with_dam_decay(
     overflow or invalid value, the sign of a learning_rate too large to
     converge, raises DomainError.  Returns one (trace, array) per arm; a
     failure raises the error of the first arm that fails, in arm order.
+
+    Around its products the loop keeps its state in place: the
+    parameters, the velocity and one gradient buffer are (K, n_params)
+    arrays updated in place (``velocity *= momentum``, ``grad *= learning_rate``,
+    ``velocity -= grad``, ``theta += velocity``: the float operations of
+    ``theta + (momentum * velocity - learning_rate * grad)``),
+    ``_unpack``'s views of theta and of the buffer are taken once per
+    run, and each epoch gathers its shuffled inputs and one-hot targets
+    once, so a minibatch is a slice.  The rows returned are copies.
     """
     if not arrays:
         return []
@@ -579,9 +627,15 @@ def train_network_with_dam_decay(
     x_test, y_test = test_set
     device = [k for k, array in enumerate(arrays) if array is not None]
     device_arrays = [arrays[k] for k in device]
+    # adjacent device rows are a slice of theta, read and written without a copy
+    rows = device
+    if device and device[-1] - device[0] == len(device) - 1:
+        rows = slice(device[0], device[-1] + 1)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     theta = np.tile(_init_mlp(rng), (len(arrays), 1))
     velocity = np.zeros_like(theta)
+    grad = np.empty_like(theta)
+    params, grads = _unpack(theta), _unpack(grad)
     epochs: list[list[NetworkEpoch]] = [[] for _ in arrays]
     try:
         for array in device_arrays:
@@ -593,21 +647,26 @@ def train_network_with_dam_decay(
         v, log_k1, k2 = (np.array([getattr(a, c) for a in device_arrays])
                          for c in ("v", "log_k1", "k2"))
         clocks = np.array([a.global_clock for a in device_arrays], dtype=np.float64)
+        one_hot = np.eye(MlpSpec.n_classes)[y_train]
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(config.epochs):
                 decay_only = epoch == config.epochs - 1
+                # the epoch's minibatches, gathered once: each batch is a slice
                 order = rng.permutation(len(x_train))
+                xs, targets = x_train[order], one_hot[order]
                 for start in range(0, len(order), config.batch_size):
-                    batch = order[start : start + config.batch_size]
                     if not decay_only:
-                        grad = _mlp_grads(theta, x_train[batch], y_train[batch])
-                        velocity = config.momentum * velocity - config.learning_rate * grad
-                        theta = theta + velocity
+                        stop = start + config.batch_size
+                        _mlp_grads_into(grads, params, xs[start:stop], targets[start:stop])
+                        velocity *= config.momentum
+                        grad *= config.learning_rate
+                        velocity -= grad
+                        theta += velocity
                     if device:
-                        v = decayed(_parked(v, theta[device]), log_k1, k2, _LOG_DECAY_DT)
+                        v = decayed(_parked(v, theta[rows]), log_k1, k2, _LOG_DECAY_DT)
                         _require_positive(v)
                         clocks += DECAY_INTERVAL_S
-                        theta[device] = WEIGHT_SCALE * (v[..., 1] - v[..., 0])
+                        theta[rows] = WEIGHT_SCALE * (v[..., 1] - v[..., 0])
                 for row, trace in zip(theta, epochs):
                     trace.append(NetworkEpoch(
                         epoch=epoch,

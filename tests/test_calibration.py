@@ -2,6 +2,7 @@
 bands, and reproducibility of the fit itself."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +29,12 @@ from fndam.calibrate import (
     step_amplitude,
     weight_retention,
 )
+from fndam.config import load_config
 from fndam.energy import DEFAULT_C_IN
 from fndam.errors import DomainError
+from fndam.experiments import run_calibrate
+
+COMMON_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli" / "common"
 
 # evaluate_calibration(default_params()) — frozen so that any drift in
 # the physics or the solvers shows up as a diff against these numbers
@@ -150,6 +155,25 @@ class TestFit:
             residuals=result.residuals, metrics=bad,
         )
         assert not degraded.within_tolerance()
+
+    def test_each_point_is_evaluated_once(self, monkeypatch, tmp_path):
+        """The fitted point's metrics are the fit's own evaluation, and the
+        files a calibrate writes keep their reference bytes."""
+        import fndam.calibrate as calibrate
+
+        points = []
+        evaluate = calibrate.evaluate_calibration
+
+        def counting(params, c_in):
+            points.append((params.k1, params.k2, c_in))
+            return evaluate(params, c_in)
+
+        monkeypatch.setattr(calibrate, "evaluate_calibration", counting)
+        run_calibrate(load_config({"output_dir": str(tmp_path)}))
+        assert points
+        assert len(points) == len(set(points))
+        for name in ("fitted_device.json", "calibration_metrics.csv"):
+            assert (tmp_path / name).read_bytes() == (COMMON_REFS / name).read_bytes()
 
     def test_energy_that_underflows_is_a_domain_error(self):
         # at the smallest subnormal c_in the energy target reads 0.0, which

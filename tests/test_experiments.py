@@ -2,11 +2,14 @@
 characterization, and the writer's formatting rules."""
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import fndam.experiments
 from fndam.calibrate import REGIME_RETENTION
@@ -18,7 +21,7 @@ from fndam.experiments import (
     run_retention_report,
     run_train,
 )
-from fndam.tables import _csv_line
+from fndam.tables import _csv_line, _format_field, record_row
 
 
 def cfg_at(tmp_path, **overrides):
@@ -49,6 +52,37 @@ class TestCsvFormatting:
         assert _csv_line(["a,b"]) == '"a,b"'
         assert _csv_line(['say "hi"']) == '"say ""hi"""'
         assert _csv_line(["line\nbreak"]) == '"line\nbreak"'
+
+    @given(st.lists(
+        st.floats(allow_subnormal=True)
+        | st.integers() | st.booleans()
+        | st.floats().map(np.float64)
+        | st.integers(-2**63, 2**63 - 1).map(np.int64)
+        | st.booleans().map(np.bool_)
+        | st.text(st.sampled_from('a,"\n\r ')) | st.none()
+    ))
+    @example([-0.0, 0.0, math.nan, -math.inf, math.inf, 5e-324, 2.2250738585072014e-308])
+    @example([0, -1, 2**80, True, False])
+    @example([np.float64(-0.0), np.float64("nan"), np.int64(-7), np.bool_(True), np.bool_(False)])
+    @example(['a,b', 'say "hi"', "line\nbreak", "cr\r", ""])
+    def test_exact_type_dispatch_formats_as_format_field(self, fields):
+        assert _csv_line(fields) == ",".join(map(_format_field, fields))
+
+    def test_record_row_gives_the_field_values_in_order(self):
+        @dataclasses.dataclass
+        class One:
+            a: object
+
+        @dataclasses.dataclass
+        class Three:
+            b: object
+            a: object
+            c: object = None
+
+        value = [1.0]
+        assert record_row(One(value)) == (value,)
+        assert record_row(One(value))[0] is value  # no copy, unlike astuple
+        assert record_row(Three(2, "x")) == (2, "x", None)
 
 
 class TestRegimes:
