@@ -19,7 +19,9 @@ and loops over one cell read its columns once and run on floats, as
 each one-cell array operation pays several numpy calls:
 ``_evolved_nodes`` and ``_float_weight`` are ``batch_pulse``, ``decay``
 and ``read_weight`` on ``node.decayed_float``, to the same bits and
-errors.  ``precompensated_amplitude`` is a bisection on such pulses.
+errors.  A pulsed node is ``decayed_float(v + step, ...) - step``, the
+float form of ``node.released``, so each node evaluation is one call.
+``precompensated_amplitude`` is a bisection on such pulses.
 ``decay_factor`` and ``DecaySchedule`` evaluate one elementwise
 alpha*eta_n expression, on one step or on all of them.
 """
@@ -34,7 +36,8 @@ import numpy as np
 from .array import (NO_MISMATCH, WEIGHT_SCALE, DamArray, WeightReading, _driven, advance,
                     batch_pulse)
 from .errors import ArgumentError, DomainError, SaturationError, StepSizeError
-from .node import FnParams, Pulse, _require_dt, decayed_float, k0_from_initial, released
+from .node import (FnParams, Pulse, _require_dt, _require_finite_positive, decayed_float,
+                   k0_from_initial)
 
 _AMP_MAX_V = 32.0  # the largest amplitude a precompensation solve tries
 _AMP_TOL_MV = 1e-3  # precompensated_amplitude's tolerance on the weight step
@@ -193,7 +196,7 @@ def _evolved_nodes(nodes, dt: float, steps=None):
         nodes = tuple([(decayed_float(v, log_k1, k2, log_dt), log_k1, k2)
                        for v, log_k1, k2 in nodes])
     else:
-        nodes = tuple([(released(v, step, log_k1, k2, log_dt, decayed_float), log_k1, k2)
+        nodes = tuple([(decayed_float(v + step, log_k1, k2, log_dt) - step, log_k1, k2)
                        for (v, log_k1, k2), step in zip(nodes, steps)])
     _require_driven(nodes)
     return nodes
@@ -233,6 +236,9 @@ def _solve_amplitude(nodes, r, target_dw, duration, tol_mv):
     """precompensated_amplitude on ``_float_nodes`` and coupling ratio r,
     within tol_mv of the target.
 
+    The duration gets ``Pulse``'s check, so every trial pulse is valid.
+    The loop writes ``net`` out: one ``decayed_float`` call per midpoint.
+
     Raises ArgumentError when the target is reachable but tol_mv is
     finer than the amplitude grid resolves.
     """
@@ -242,7 +248,7 @@ def _solve_amplitude(nodes, r, target_dw, duration, tol_mv):
         return 0.0
     if not tol_mv >= 0:
         raise DomainError(f"tol_mv must be >= 0, got {tol_mv!r}")
-    Pulse(amplitude=_AMP_MAX_V, duration=duration)  # every trial pulse is valid
+    _require_finite_positive("pulse duration", duration)
     (v, log_k1, k2), (idle_v, idle_log_k1, idle_k2) = nodes
     w0 = _float_weight(nodes)
     log_dt = math.log(duration)
@@ -250,7 +256,8 @@ def _solve_amplitude(nodes, r, target_dw, duration, tol_mv):
 
     def net(amp):
         """Net weight change of one pulse at amp, as read after the pulse."""
-        v_after = released(v, r * amp, log_k1, k2, log_dt, decayed_float)
+        step = r * amp
+        v_after = decayed_float(v + step, log_k1, k2, log_dt) - step
         if v_after <= 0:
             raise DomainError(f"pulse release drives gate to {v_after:.6g} V <= 0")
         return WEIGHT_SCALE * (idle - v_after) - w0
@@ -264,7 +271,11 @@ def _solve_amplitude(nodes, r, target_dw, duration, tol_mv):
     lo, hi = 0.0, _AMP_MAX_V
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        change = net(mid)
+        step = r * mid
+        v_after = decayed_float(v + step, log_k1, k2, log_dt) - step
+        if v_after <= 0:
+            raise DomainError(f"pulse release drives gate to {v_after:.6g} V <= 0")
+        change = WEIGHT_SCALE * (idle - v_after) - w0
         if abs(change - target_dw) <= tol_mv:
             return mid
         if change < target_dw:

@@ -21,9 +21,11 @@ float range.  A node's state is its gate voltage, a plain float; k0 is the
 initial condition of an undisturbed trajectory (``voltage_at``) and is
 not stored.  ``decayed`` and ``released`` are elementwise, so the cell
 arrays of ``fndam.array`` evolve every node by these same expressions.
-``decayed_float`` is ``decayed`` on one Python float, bit for bit; the
-one-cell solvers and loops of ``fndam.cell`` and its callers run on it.
-It and ``voltage_at`` share one float log-sum-exp, ``_logaddexp``.
+``decayed_float`` is ``decayed`` on one Python float, bit for bit, with
+the float log-sum-exp in its own body: the one-cell solvers and loops of
+``fndam.cell`` and its callers run on it, one call per node evaluation,
+and write a pulse as ``decayed_float(v + step, ...) - step``, the float
+form of ``released``.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def voltage_at(params: FnParams, k0: float, t: float) -> float:
         log_arg = math.log(k0)
     else:
         # log(k1*t + k0), evaluated without forming k1*t + k0
-        log_arg = _logaddexp(params.log_k1 + math.log(t), math.log(k0))
+        log_arg = float(np.logaddexp(params.log_k1 + math.log(t), math.log(k0)))
     if log_arg <= 0.0:
         raise DomainError("log(k1*t + k0) must be positive")
     return params.k2 / log_arg
@@ -182,40 +184,37 @@ def decayed(v, log_k1, k2, log_dt):
     return np.minimum(k2 / np.logaddexp(k2 / v, log_k1 + log_dt), v)
 
 
-def _logaddexp(x: float, y: float) -> float:
-    """``np.logaddexp`` on two Python floats, to the same bits.
-
-    Performs numpy's ``npy_logaddexp`` float operations in numpy's
-    order, through ``math`` instead of numpy's scalar ufunc dispatch
-    (about a quarter of the cost).
-    """
-    if x == y:
-        return x + _LOG2
-    tmp = x - y
-    if tmp > 0:
-        return x + math.log1p(math.exp(-tmp))
-    return y + math.log1p(math.exp(tmp))
-
-
 def decayed_float(v, log_k1, k2, log_dt):
     """``decayed`` on one Python float, to the same bits.
 
-    The log-sum-exp is ``_logaddexp``.  Its domain is finite v > 0;
-    where numpy would return inf, ``math`` may raise instead.
+    The log-sum-exp is numpy's ``npy_logaddexp``: its float operations
+    in its order, through ``math`` instead of numpy's scalar ufunc
+    dispatch, written out here so that one node evaluation is one call.
+    Its domain is finite v > 0; where numpy would return inf, ``math``
+    may raise instead.
     """
-    decayed_v = k2 / _logaddexp(k2 / v, log_k1 + log_dt)
+    x, y = k2 / v, log_k1 + log_dt
+    if x == y:
+        log_arg = x + _LOG2
+    else:
+        tmp = x - y
+        if tmp > 0:
+            log_arg = x + math.log1p(math.exp(-tmp))
+        else:
+            log_arg = y + math.log1p(math.exp(tmp))
+    decayed_v = k2 / log_arg
     return v if v < decayed_v else decayed_v  # min(decayed_v, v) without its call
 
 
-def released(v, step, log_k1, k2, log_dt, decay=decayed):
+def released(v, step, log_k1, k2, log_dt):
     """Gate voltage after one pulse: lifted by step, decayed, released.
 
     The gate tunnels at v + step for exp(log_dt) seconds and the coupled
-    step is then taken off again.  Elementwise like ``decayed``, or on
-    Python floats to the same bits with ``decay=decayed_float``: every
-    pulse, on an array, a node or a cell's floats, is this expression.
+    step is then taken off again.  Elementwise like ``decayed``: every
+    pulse on an array or a node is this expression, and the float loops
+    write it on ``decayed_float`` to the same bits.
     """
-    return decay(v + step, log_k1, k2, log_dt) - step
+    return decayed(v + step, log_k1, k2, log_dt) - step
 
 
 def evolve(v_fg: float, params: FnParams, dt: float) -> float:

@@ -22,7 +22,6 @@ gradient are updated in place, through views taken once per run.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,7 +33,7 @@ from .cell import (_aged_nodes, _evolved_nodes, _float_nodes, _float_weight, _re
                    _solve_amplitude)
 from .energy import DEFAULT_C_IN, EnergyLedger
 from .errors import ArgumentError, DomainError, FndamError
-from .node import decayed, decayed_float, released
+from .node import decayed, decayed_float
 from .tables import csv_table, record_row
 
 _AMP_TOL_MV = 1e-4  # precompensation tolerance for issued amplitudes
@@ -305,8 +304,10 @@ def _pulse_period(nodes, steps, log_on: float, log_off: float):
     steps for the pulse, then without them for the idle rest, given the
     logarithms of both durations.  Same bits and errors, each phase
     raising ``array._driven`` for its first node left non-positive.
+    Each node evaluation is one ``decayed_float`` call: the pulse is
+    ``decayed_float(v + step, ...) - step``, ``node.released`` on floats.
     """
-    nodes = [(released(v, step, log_k1, k2, log_on, decayed_float), log_k1, k2)
+    nodes = [(decayed_float(v + step, log_k1, k2, log_on) - step, log_k1, k2)
              for (v, log_k1, k2), step in zip(nodes, steps)]
     _require_driven(nodes)
     nodes = [(decayed_float(v, log_k1, k2, log_off), log_k1, k2) for v, log_k1, k2 in nodes]
@@ -371,10 +372,15 @@ def train_perceptron(
             commands = (PulseCommand(1, 0, 0.0), PulseCommand(1, 0, 0.0))
             step_energy = 0.0
             if grad != (0.0, 0.0):
-                # one solve serves both commands: it depends on the reference alone
-                amplitude = functools.cache(functools.partial(
-                    _solve_amplitude, reference, ratio, config.unit_step_mv, PULSE_DURATION_S,
-                    _AMP_TOL_MV))
+                solved = []
+
+                def amplitude():
+                    # one solve serves both commands: it depends on the reference alone
+                    if not solved:
+                        solved.append(_solve_amplitude(reference, ratio, config.unit_step_mv,
+                                                       PULSE_DURATION_S, _AMP_TOL_MV))
+                    return solved[0]
+
                 commands = tuple(
                     gradient_to_pulses(-config.learning_rate * g, config, amplitude)
                     for g in grad
@@ -567,13 +573,14 @@ def _parked(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """
     mid = 0.5 * (v[..., 0] + v[..., 1])
     half = 0.5 * theta / WEIGHT_SCALE
-    too_large = ~(mid - np.abs(half) > 0)  # NaN included
-    if too_large.any():
-        i = int(np.argmax(too_large))  # the first such cell in row-major order
+    parked = mid[..., None] + half[..., None] * _SPLIT  # mid + (-half) is mid - half
+    if not np.minimum.reduce(parked, axis=None) > 0:  # NaN included
+        # the first such cell in row-major order
+        i = int(np.argmax(~(np.minimum.reduce(parked, axis=-1) > 0)))
         raise DomainError(
             f"weight {float(theta.flat[i])!r} too large to park on a {float(mid.flat[i])!r} V cell"
         )
-    return mid[..., None] + half[..., None] * _SPLIT  # mid + (-half) is mid - half
+    return parked
 
 
 @dataclass(frozen=True)

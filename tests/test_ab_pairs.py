@@ -1,6 +1,7 @@
 """The summary of tools/ab_pairs.py, on made-up paired runs."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -57,3 +58,37 @@ def test_one_pair_and_mismatched_sides():
     assert nan["pass_norm"]["wins"] == 0
     with pytest.raises(ValueError):
         ab_pairs.summarize(runs("pass_norm", [1.0, 2.0]), runs("pass_norm", [1.0]), [LOWER])
+
+
+def test_ungated_metrics_have_no_bound():
+    ungated = {"name": "calibrate_s", "better": "lower"}
+    s = ab_pairs.summarize(runs("calibrate_s", [0.04, 0.05, 0.06]),
+                           runs("calibrate_s", [0.03, 0.04, 0.05]), [ungated])["calibrate_s"]
+    assert (s["wins"], s["pairs"]) == (3, 3)
+    assert "within_bound" not in s
+    missing = ab_pairs.summarize([{}], runs("calibrate_s", [0.03]), [ungated])["calibrate_s"]
+    assert math.isnan(missing["parent"]["median"]) and missing["wins"] == 0
+
+
+def test_the_record_line_gives_the_ungated_per_command_metrics():
+    record = {"record": {"end_to_end": {
+        "pass_norm": {"value": 250.0, "n": 40},
+        "calibrate_s": {"value": 0.036, "n": 40, "norm": 145.0},
+        "retention_report_s": {"value": 0.0077, "n": 40},
+        "error_rate": {"value": 0.0, "n": 160},
+    }}}
+    result = {"correct": True, "attempted": 160, "failed": 0,
+              "metrics": {"pass_norm": {"value": 250.0, "unit": "ref"}}}
+    stdout = "end-to-end (untraced):\n" + json.dumps(record) + "\n" + json.dumps(result) + "\n"
+    got_result, got_record = ab_pairs.read_output(stdout)
+    assert got_result == result
+    assert ab_pairs.run_values(got_result, got_record, [LOWER]) == {
+        "pass_norm": 250.0, "calibrate_s": 0.036, "retention_report_s": 0.0077}
+    assert set(ab_pairs.UNGATED) == {
+        "calibrate_s", "characterize_s", "energy_report_s", "retention_report_s",
+        "train_perceptron_s", "train_network_s", "array_cell_ops_per_s"}
+    assert ab_pairs.UNGATED["array_cell_ops_per_s"] == "higher"
+    # no record line, or no output at all
+    assert ab_pairs.read_output(json.dumps(result)) == (result, None)
+    assert ab_pairs.read_output("") == (None, None)
+    assert math.isnan(ab_pairs.run_values(None, None, [LOWER])["pass_norm"])

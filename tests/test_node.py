@@ -189,6 +189,55 @@ class TestFloatTwin:
         assert decayed_float(v, 0.0, k2, 0.0) == v
 
 
+def logaddexp_via_math(x, y):
+    """The float log-sum-exp ``voltage_at`` ran on before it called
+    ``np.logaddexp``: numpy's ``npy_logaddexp`` operations in numpy's
+    order, through ``math``."""
+    if x == y:
+        return x + math.log(2.0)
+    tmp = x - y
+    if tmp > 0:
+        return x + math.log1p(math.exp(-tmp))
+    return y + math.log1p(math.exp(tmp))
+
+
+def reference_voltage_at(params, k0, t):
+    """``voltage_at`` on ``logaddexp_via_math``, for a valid k0 and t."""
+    if t == 0.0:
+        log_arg = math.log(k0)
+    else:
+        log_arg = logaddexp_via_math(params.log_k1 + math.log(t), math.log(k0))
+    if log_arg <= 0.0:
+        raise DomainError("log(k1*t + k0) must be positive")
+    return params.k2 / log_arg
+
+
+def value_or_error(fn, *args):
+    """repr of fn's value (it tells every float apart), or (type, message) of its error."""
+    try:
+        return repr(fn(*args))
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+class TestVoltageAtLogSumExp:
+    """``voltage_at``'s ``np.logaddexp`` gives the bits of the float log-sum-exp it replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(k1=st.floats(-50.0, 690.0).map(math.exp), k2=twin_k2,
+           k0=st.floats(0.0, 709.0).map(math.exp),
+           t=st.one_of(st.just(0.0), st.floats(-50.0, 700.0).map(math.exp)))
+    @example(k1=1.0, k2=300.0, k0=5.0, t=5.0)  # tie: log k1 + log t == log k0
+    @example(k1=1e3, k2=300.0, k0=math.exp(40.0), t=1.0)  # log k1 + log t < log k0
+    @example(k1=1e300, k2=300.0, k0=2.0, t=1e300)  # log k1 + log t > log k0, about 1381
+    @example(k1=1e3, k2=300.0, k0=math.exp(700.0), t=0.0)  # t = 0 takes log k0 alone
+    @example(k1=1e3, k2=300.0, k0=1.0, t=0.0)  # log k0 = 0: no positive log-argument
+    def test_matches_the_math_log_sum_exp(self, k1, k2, k0, t):
+        params = FnParams(k1=k1, k2=k2)
+        got = value_or_error(voltage_at, params, k0, t)
+        assert got == value_or_error(reference_voltage_at, params, k0, t)
+
+
 class TestTunnelingCurrent:
     def test_matches_finite_difference(self):
         p = default_params()

@@ -6,8 +6,10 @@ copied unchanged: up to 200 midpoints, each a full two-node
 for every sampled cell and target, and raise the same error with the
 same message.  The one intended difference: a reachable target whose
 tolerance is finer than the amplitude grid now raises ArgumentError
-where the bisection gave up with SaturationError.  The solver is the
-bisection's SET pulse (polarity +1) at its 32 V amp_max.
+where the bisection gave up with SaturationError.  A pulse that drives
+the SET node non-positive raises DomainError on both sides, naming the
+same voltage in the solver's own words.  The solver is the bisection's
+SET pulse (polarity +1) at its 32 V amp_max.
 """
 
 import math
@@ -91,7 +93,7 @@ def aged_cell(mismatch, age):
 def outcome(solve, *args):
     try:
         return solve(*args)
-    except (ArgumentError, SaturationError) as exc:
+    except (ArgumentError, DomainError, SaturationError) as exc:
         return type(exc), str(exc)
 
 
@@ -112,6 +114,11 @@ tolerances = log_uniform(1e-12, 1e-2)
 @example((1.0, 1.0), 0.0, 1.0, 0.5, 1e-6)  # calibration: fresh cell
 @example((1.0, 1.0), 500.0, 1.0, 0.5, 1e-12)  # tol below resolution
 @example((1.0, 1.0), 1e7, 5e3, 1e-3, 1e-3)  # unreachable at amp_max
+@example((1.0, 1.0), 0.0, 1.0, 1e230, 1e-3)  # the 32 V pulse drives the SET node below 0 V
+@example((1.0, 1.0), 0.0, 1.0, math.nan, 1e-3)  # invalid durations
+@example((1.0, 1.0), 0.0, 1.0, 0.0, 1e-3)
+@example((1.0, 1.0), 0.0, 1.0, math.inf, 1e-3)
+@example((1.0, 1.0), 0.0, 0.0, math.nan, 1e-3)  # a zero target needs no pulse: 0.0
 def test_same_amplitude_as_bisection(mismatch, age, target, duration, tol):
     cell = aged_cell(mismatch, age)
     expected = outcome(bisection_amplitude, cell, target, duration, 1, 32.0, tol)
@@ -119,6 +126,9 @@ def test_same_amplitude_as_bisection(mismatch, age, target, duration, tol):
                   target, duration, tol)
     if isinstance(expected, float):
         assert isinstance(got, float) and got == expected
+    elif got != expected and expected[0] is DomainError:
+        assert got == (DomainError, expected[1].replace(
+            "cell 0 SET node driven to", "pulse release drives gate to"))
     elif got != expected:
         # the bisection gave up on a target it could reach: the tolerance
         # is finer than its amplitude grid

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fndam.array import WEIGHT_SCALE, DamArray, MismatchSpec, build_array
 from fndam.calibrate import default_params
@@ -407,6 +408,36 @@ class TestParameterParking:
         array = build_array(1, default_params(), 7.5)
         with pytest.raises(DomainError):
             _parked(array.v, np.array([20000.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4), st.data())
+    @example(2, 3, None)  # None: a NaN weight after an oversized one, in the second arm
+    def test_same_parking_and_first_failing_cell_as_the_per_cell_test(self, arms, cells, data):
+        # the reference tests each cell's smaller node, mid - |half|, before parking
+        if data is None:
+            v = np.full((arms, cells, 2), 3.5)
+            theta = np.zeros((arms, cells))
+            theta[1, 1:] = [-20000.0, math.nan]
+        else:
+            v = np.array(data.draw(st.lists(st.floats(1e-3, 20.0), min_size=arms * cells * 2,
+                                            max_size=arms * cells * 2))).reshape(arms, cells, 2)
+            weights = st.one_of(st.floats(-3e4, 3e4), st.sampled_from([math.nan, math.inf,
+                                                                         -math.inf, -0.0]))
+            theta = np.array(data.draw(st.lists(weights, min_size=arms * cells,
+                                                max_size=arms * cells))).reshape(arms, cells)
+        mid = 0.5 * (v[..., 0] + v[..., 1])
+        half = 0.5 * theta / WEIGHT_SCALE
+        too_large = ~(mid - np.abs(half) > 0)
+        if too_large.any():
+            i = int(np.argmax(too_large))
+            message = (f"weight {float(theta.flat[i])!r} too large to park on a "
+                       f"{float(mid.flat[i])!r} V cell")
+            with pytest.raises(DomainError) as exc_info:
+                _parked(v, theta)
+            assert str(exc_info.value) == message
+        else:
+            expected = mid[..., None] + half[..., None] * np.array([-1.0, 1.0])
+            assert _parked(v, theta).tobytes() == expected.tobytes()
 
 
 class TestNetworkTraining:

@@ -11,15 +11,20 @@ compile their ``src`` first (``python -m compileall -q src``), so
 neither side's ``setup_s`` pays for writing bytecode the other already
 has.  Each pair runs ``bench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each tree, the side that runs first alternating
-from pair to pair, and reads the last line of its output.
+from pair to pair, and reads the last two lines of its output: the
+result and the ``{"record": ...}`` line before it.
 
 For each metric ``BENCHMARK.json`` gates, the summary gives each side's
 median and quartiles, the ratio of the medians (change / parent), the
 pairs the change won (ties count for neither side), whether that is a
 gain (won at least nine tenths of the pairs, and the medians differ by
 more than the parent's interquartile range) and whether the change's
-median stays within the metric's bound.  The last line of output is the
-summary as one JSON object.  The exit status is 1 if any run reports
+median stays within the metric's bound.  The per-command metrics of the
+record line that ``BENCHMARK.json`` does not gate (``calibrate_s`` to
+``train_network_s``, and ``array_cell_ops_per_s`` on ``array-scale``)
+get the same statistics without a bound, marked as ungated, so a gain
+can be traced to the command it sits in.  The last line of output is
+the summary as one JSON object.  The exit status is 1 if any run reports
 ``correct: false`` or a failed operation, or gives no result.
 """
 
@@ -28,6 +33,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import shutil
 import statistics
@@ -39,6 +45,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GAIN_SHARE = 0.9  # share of pairs the change must win to claim a gain
+# the record line's per-command metrics, which no bound gates: name -> better
+UNGATED = {name: "lower" for name in (
+    "calibrate_s", "characterize_s", "energy_report_s", "retention_report_s",
+    "train_perceptron_s", "train_network_s")}
+UNGATED["array_cell_ops_per_s"] = "higher"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -54,14 +65,16 @@ def summarize(parent: list[dict], change: list[dict], gated: list[dict]) -> dict
 
     parent[i] and change[i] are the metric values of pair i; each entry
     of gated is a BENCHMARK.json end-to-end metric (name, better, bound).
+    A metric without a bound (an ungated one) gets no ``within_bound``,
+    and a run without the metric counts as NaN.
     """
     if not parent or len(parent) != len(change):
         raise ValueError(f"need equally many runs per side, got {len(parent)} and {len(change)}")
     out = {}
     for metric in gated:
         name, lower = metric["name"], metric["better"] == "lower"
-        p = [run[name] for run in parent]
-        c = [run[name] for run in change]
+        p = [run.get(name, math.nan) for run in parent]
+        c = [run.get(name, math.nan) for run in change]
         p_q, c_q = quartiles(p), quartiles(c)
         wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
         worse = (c_q[1] - p_q[1]) if lower else (p_q[1] - c_q[1])
@@ -72,9 +85,20 @@ def summarize(parent: list[dict], change: list[dict], gated: list[dict]) -> dict
             "wins": wins,
             "pairs": len(p),
             "gain": wins >= GAIN_SHARE * len(p) and -worse > p_q[2] - p_q[0],
-            "within_bound": worse <= metric["bound"] * abs(p_q[1]),
         }
+        if "bound" in metric:
+            out[name]["within_bound"] = worse <= metric["bound"] * abs(p_q[1])
     return out
+
+
+def run_values(result: dict | None, record: dict | None, gated: list[dict]) -> dict:
+    """One run's gated metrics from its result line and its ungated
+    per-command ones from its record line; a gated metric it lacks is NaN."""
+    values = {m["name"]: (result or {}).get("metrics", {}).get(m["name"], {})
+              .get("value", math.nan) for m in gated}
+    reported = (record or {}).get("end_to_end", {})
+    values.update({name: reported[name]["value"] for name in UNGATED if name in reported})
+    return values
 
 
 def export(ref: str, dest: Path) -> None:
@@ -97,17 +121,30 @@ def copy_checkout(dest: Path) -> None:
             shutil.copy2(source, target)
 
 
-def bench(tree: Path, args) -> dict:
-    """The last output line of one bench run in tree, as a dict (None if it gave none)."""
+def read_output(stdout: str) -> tuple[dict | None, dict | None]:
+    """A bench run's result (its last line) and record (the line before), None where missing."""
+    lines = stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return None, None
+    try:
+        record = json.loads(lines[-2])["record"]
+    except (IndexError, json.JSONDecodeError, KeyError, TypeError):
+        record = None
+    return result, record
+
+
+def bench(tree: Path, args) -> tuple[dict | None, dict | None]:
+    """The result and record of one bench run in tree (see ``read_output``)."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
          "--seconds", str(args.seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
-    try:
-        return json.loads(proc.stdout.splitlines()[-1])
-    except (IndexError, json.JSONDecodeError):
+    result, record = read_output(proc.stdout)
+    if result is None:
         sys.stderr.write(proc.stderr)
-        return None
+    return result, record
 
 
 def main(argv=None) -> int:
@@ -134,28 +171,31 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = bench(trees[side], args)
+                result, record = bench(trees[side], args)
                 if result is None or not result["correct"] or result["failed"] > 0:
                     ok = False
                     print(f"pair {i + 1}: {side} run failed: {result}", file=sys.stderr)
-                values = {m["name"]: (result or {}).get("metrics", {}).get(m["name"], {})
-                          .get("value", float("nan")) for m in gated}
-                runs[side].append(values)
+                runs[side].append(run_values(result, record, gated))
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " + ", ".join(
                 f"{m['name']} {runs['parent'][-1][m['name']]:.6g} -> "
                 f"{runs['change'][-1][m['name']]:.6g}" for m in gated), flush=True)
 
     summary = summarize(runs["parent"], runs["change"], gated)
+    ungated = summarize(runs["parent"], runs["change"], [
+        {"name": name, "better": better} for name, better in UNGATED.items()
+        if any(name in run for side in runs.values() for run in side)])
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
           f"parent {args.ref} -> change (this checkout); median [q1, q3]")
-    for name, s in summary.items():
+    for name, s in {**summary, **ungated}.items():
         p, c = s["parent"], s["change"]
-        print(f"  {name:<12} {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] -> "
+        bound = ("ungated" if "within_bound" not in s else
+                 f"within bound {'yes' if s['within_bound'] else 'no'}")
+        print(f"  {name:<20} {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] -> "
               f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  ratio {s['ratio']:.4f}  "
               f"change won {s['wins']}/{s['pairs']}  gain {'yes' if s['gain'] else 'no'}  "
-              f"within bound {'yes' if s['within_bound'] else 'no'}")
+              f"{bound}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "ref": args.ref,
-                      "correct": ok, "runs": runs, "summary": summary}))
+                      "correct": ok, "runs": runs, "summary": summary, "ungated": ungated}))
     return 0 if ok else 1
 
 
