@@ -28,10 +28,10 @@ from .node import (
     voltage_at,
 )
 from .cell import (
-    DecaySchedule,
     common_mode_step,
     decay,
     decay_factor,
+    decay_schedule,
     discrete_update,
     precompensated_amplitude,
     read_weight,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -75,12 +74,10 @@ _AMP_TOL_MV = 1e-6  # precompensation tolerance used for calibration
 _FIT_START = (0.06, 2500.0)  # the fit's starting (u, k2)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     params: FnParams
     cost: float
-    residuals: tuple[float, ...]
-    metrics: dict = field(compare=False)
+    metrics: dict
 
     def within_tolerance(self) -> bool:
         m = self.metrics
@@ -239,14 +236,8 @@ def fit_device_parameters(v0: float = DEFAULT_V0, c_in: float = DEFAULT_C_IN) ->
     return CalibrationResult(
         params=_fit_params(fit.x, v0),
         cost=float(fit.cost),
-        residuals=tuple(float(r) for r in fit.fun),
         metrics=metrics(tuple(fit.x)),
     )
-
-
-def _fit_residuals(x, v0: float, c_in: float) -> list[float]:
-    """The fit's five residuals at x = (log u, log k2)."""
-    return _residuals(evaluate_calibration(_fit_params(x, v0), c_in=c_in), c_in)
 
 
 def _residuals(m: dict, c_in: float) -> list[float]:

@@ -22,14 +22,14 @@ and ``read_weight`` on ``node.decayed_float``, to the same bits and
 errors.  A pulsed node is ``decayed_float(v + step, ...) - step``, the
 float form of ``node.released``, so each node evaluation is one call.
 ``precompensated_amplitude`` is a bisection on such pulses.
-``decay_factor`` and ``DecaySchedule`` evaluate one elementwise
+``decay_factor`` and ``decay_schedule`` evaluate one elementwise
 alpha*eta_n expression, on one step or on all of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -139,26 +139,16 @@ def decay_factor(params: FnParams, k0: float, n: int, dt: float) -> float:
     return float(_alpha_eta(params.log_k1, k0, n, dt))
 
 
-@dataclass(frozen=True)
-class DecaySchedule:
-    """Precomputed alpha*eta_n sequence for an undisturbed cell."""
-
-    alpha_eta: np.ndarray  # factor at steps 0..n-1
-
-    @classmethod
-    def from_params(cls, params: FnParams, k0: float, dt_step: float, n_steps: int):
-        """The factors ``decay_factor`` gives at steps 0..n_steps-1."""
-        if n_steps <= 0:
-            raise DomainError(f"n_steps must be positive, got {n_steps!r}")
-        if not (math.isfinite(dt_step) and dt_step > 0):
-            raise DomainError(f"dt_step must be positive, got {dt_step!r}")
-        if not (math.isfinite(k0) and k0 > 1.0):
-            raise DomainError(f"k0 must be finite and > 1, got {k0!r}")
-        n = np.arange(n_steps, dtype=float)
-        return cls(alpha_eta=_alpha_eta(params.log_k1, k0, n, dt_step))
-
-    def __len__(self):
-        return len(self.alpha_eta)
+def decay_schedule(params: FnParams, k0: float, dt_step: float, n_steps: int) -> np.ndarray:
+    """The alpha*eta_n factors ``decay_factor`` gives at steps 0..n_steps-1
+    of an undisturbed cell."""
+    if n_steps <= 0:
+        raise DomainError(f"n_steps must be positive, got {n_steps!r}")
+    if not (math.isfinite(dt_step) and dt_step > 0):
+        raise DomainError(f"dt_step must be positive, got {dt_step!r}")
+    if not (math.isfinite(k0) and k0 > 1.0):
+        raise DomainError(f"k0 must be finite and > 1, got {k0!r}")
+    return _alpha_eta(params.log_k1, k0, np.arange(n_steps, dtype=float), dt_step)
 
 
 def _float_nodes(array: DamArray):

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .array import WEIGHT_SCALE, DamArray
 from .cell import _evolved_nodes, _float_nodes, _float_weight
 from .errors import DomainError
 from .node import FnParams, _pulse_count, voltage_at
-from .tables import csv_table, record_row
+from .tables import csv_table
 
 ELECTRON_CHARGE = 1.602e-19  # coulomb
 TEN_YEARS_S = 10 * 365.25 * 86400.0  # retention search horizon
@@ -48,14 +49,12 @@ class NoiseModel:
             raise DomainError("noise model coefficients must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class RetentionResult:
+class RetentionResult(NamedTuple):
     seconds: float
     saturated: bool  # True when the weight outlives the search horizon
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     cell_id: str
     t_s: float
     amplitude_v: float
@@ -102,7 +101,7 @@ class EnergyLedger:
 
     def to_csv(self) -> str:
         header = ["cell_id", "t_s", "amplitude_V", "duration_s", "n_pulses", "energy_J"]
-        return csv_table(header, map(record_row, self._entries))
+        return csv_table(header, self._entries)
 
 
 def write_energy(c_in: float, v_in: float) -> float:
@@ -183,7 +182,7 @@ def write_energy_trajectory(
 
 def noise_floor(model: NoiseModel, t: float) -> float:
     """Thermal accumulation floor (V) after t seconds of storage."""
-    if t < 0:
+    if not (math.isfinite(t) and t >= 0):
         raise DomainError(f"t must be >= 0, got {t!r}")
     return model.sigma0 + model.sigma_coeff * math.sqrt(t)
 

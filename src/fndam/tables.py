@@ -6,10 +6,6 @@ round-trip exactly, bools as 0/1, everything else with str.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
-import operator
-
 
 def _format_field(value) -> str:
     if isinstance(value, bool):
@@ -36,17 +32,3 @@ def csv_table(header, rows) -> str:
     lines = [_csv_line(header)]
     lines.extend(_csv_line(row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-@functools.cache
-def _values_getter(cls):
-    """A callable giving a cls record's values in field order, as a tuple."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    if len(names) > 1:
-        return operator.attrgetter(*names)
-    return lambda record: tuple(getattr(record, name) for name in names)
-
-
-def record_row(record) -> tuple:
-    """A dataclass record's values in field order: astuple without its deep copy."""
-    return _values_getter(type(record))(record)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .cell import (_aged_nodes, _evolved_nodes, _float_nodes, _float_weight, _re
 from .energy import DEFAULT_C_IN, EnergyLedger
 from .errors import ArgumentError, DomainError, FndamError
 from .node import decayed, decayed_float
-from .tables import csv_table, record_row
+from .tables import csv_table
 
 _AMP_TOL_MV = 1e-4  # precompensation tolerance for issued amplitudes
 DATASET_POINTS = 50  # default size and margin of make_separable_dataset
@@ -51,6 +51,12 @@ _SPLIT = np.array([-1.0, 1.0])  # a parked weight's half, signed per node
 # the network's three gaussian classes: their centers and common spread
 BLOB_CENTERS = ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.6))
 BLOB_SPREAD = 0.55
+
+
+def _require_int(name: str, value) -> None:
+    """A count must be an int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,7 @@ class TrainerConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be positive, got {value!r}")
+        _require_int("epochs", self.epochs)
         if self.epochs < 1:
             raise DomainError("epochs must be >= 1")
 
@@ -105,8 +112,7 @@ def hinge_gradient(x: Sequence[float], y: int, w: Sequence[float]) -> tuple[floa
     return (-float(y), -float(y) * x[0])
 
 
-@dataclass(frozen=True)
-class PulseCommand:
+class PulseCommand(NamedTuple):
     polarity: int
     n_pulses: int
     amplitude_v: float
@@ -140,8 +146,7 @@ def gradient_to_pulses(
     )
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     step: int
     epoch: int
     point_index: int
@@ -159,8 +164,7 @@ class StepRecord:
     clipped: bool
 
 
-@dataclass(frozen=True)
-class EpochSummary:
+class EpochSummary(NamedTuple):
     epoch: int
     accuracy: float
     mean_abs_update_mv: float
@@ -168,8 +172,7 @@ class EpochSummary:
     n_updates: int
 
 
-@dataclass(frozen=True)
-class TrainingTrace:
+class TrainingTrace(NamedTuple):
     steps: list[StepRecord]
     epochs: list[EpochSummary]
     ledger: EnergyLedger
@@ -196,11 +199,11 @@ class TrainingTrace:
     def step_csv(self) -> str:
         header = ("step,epoch,point_index,t_s,w0_mV,w1_mV,loss,g0,g1,"
                   "n_pulses0,n_pulses1,amplitude0_V,amplitude1_V,energy_J,clipped")
-        return csv_table(header.split(","), map(record_row, self.steps))
+        return csv_table(header.split(","), self.steps)
 
     def epoch_csv(self) -> str:
         header = "epoch,accuracy,mean_abs_update_mV,energy_J,n_updates"
-        return csv_table(header.split(","), map(record_row, self.epochs))
+        return csv_table(header.split(","), self.epochs)
 
 
 def best_margin(dataset: Sequence[LabeledPoint]) -> float:
@@ -484,6 +487,8 @@ class NetworkConfig:
             raise DomainError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise DomainError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        _require_int("epochs", self.epochs)
+        _require_int("batch_size", self.batch_size)
         if self.epochs < 1 or self.batch_size < 1:
             raise DomainError("epochs and batch_size must be >= 1")
 
@@ -528,17 +533,10 @@ def mlp_accuracy(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.argmax(mlp_logits(theta, x), axis=1) == y))
 
 
-def _mlp_grads(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean softmax cross-entropy gradients over the batch of labels y, one per
-    row of theta (K, n_params)."""
-    grad = np.empty_like(theta)
-    _mlp_grads_into(_unpack(grad), _unpack(theta), x, np.eye(MlpSpec.n_classes)[y])
-    return grad
-
-
 def _mlp_grads_into(grad, params, x: np.ndarray, target: np.ndarray) -> None:
-    """``_mlp_grads`` into the ``_unpack`` views grad, from the views params of
-    theta and the batch's one-hot targets (B, n_classes).
+    """Mean softmax cross-entropy gradients over the batch, one per row of
+    theta (K, n_params), into the ``_unpack`` views grad, from the views
+    params of theta and the batch's one-hot targets (B, n_classes).
 
     Products run per row with the one-row shapes and transposes; all else
     is elementwise or within a row, so each row gets its one-row bits.
@@ -583,16 +581,14 @@ def _parked(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return parked
 
 
-@dataclass(frozen=True)
-class NetworkEpoch:
+class NetworkEpoch(NamedTuple):
     epoch: int
     test_accuracy: float
     mean_abs_weight: float
     decay_only: bool
 
 
-@dataclass(frozen=True)
-class NetworkTrace:
+class NetworkTrace(NamedTuple):
     epochs: list[NetworkEpoch]
     theta: np.ndarray
 

@@ -86,9 +86,29 @@ def test_the_record_line_gives_the_ungated_per_command_metrics():
         "pass_norm": 250.0, "calibrate_s": 0.036, "retention_report_s": 0.0077}
     assert set(ab_pairs.UNGATED) == {
         "calibrate_s", "characterize_s", "energy_report_s", "retention_report_s",
-        "train_perceptron_s", "train_network_s", "array_cell_ops_per_s"}
+        "train_perceptron_s", "train_network_s", "array_cell_ops_per_s", "fndam_import_s"}
     assert ab_pairs.UNGATED["array_cell_ops_per_s"] == "higher"
+    assert ab_pairs.UNGATED["fndam_import_s"] == "lower"
     # no record line, or no output at all
     assert ab_pairs.read_output(json.dumps(result)) == (result, None)
     assert ab_pairs.read_output("") == (None, None)
     assert math.isnan(ab_pairs.run_values(None, None, [LOWER])["pass_norm"])
+
+
+# stderr of `python -X importtime -c "import fndam.cli"`, cut down
+IMPORTTIME = """\
+import time: self [us] | cumulative | imported package
+import time:       120 |        120 |   _io
+import time:     61234 |     142011 | numpy
+import time:       310 |        310 |     fndam.errors
+import time:      1850 |       2160 |   fndam.node
+import time:       402 |     145600 | fndam
+import time:        95 |         95 |   fndamental
+import time:      2010 |       2010 |   fndam.cli
+"""
+
+
+def test_the_fndam_import_time_sums_the_fndam_self_times():
+    assert ab_pairs.fndam_import_seconds(IMPORTTIME) == (310 + 1850 + 402 + 2010) * 1e-6
+    assert ab_pairs.fndam_import_seconds("") == 0.0
+

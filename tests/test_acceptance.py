@@ -31,9 +31,9 @@ from fndam.calibrate import (
     cell_at_age,
 )
 from fndam.cell import (
-    DecaySchedule,
     common_mode_step,
     decay,
+    decay_schedule,
     discrete_update,
     precompensated_amplitude,
     read_weight,
@@ -169,7 +169,7 @@ def test_06_decay_schedule_monotone_with_logarithmic_bound():
     k0 = k0_from_initial(par, 7.5)
     dt = 1.0
     n_steps = 1_000_001
-    seq = DecaySchedule.from_params(par, k0, dt, n_steps).alpha_eta
+    seq = decay_schedule(par, k0, dt, n_steps)
     assert np.all(np.diff(seq) < 0.0)
     n = np.arange(1, n_steps, dtype=float)
     # Independent arithmetic path: k1*n*dt + k0 tops out near 1.2e172,

@@ -132,7 +132,7 @@ class TestTargetValidation:
     ])
     def test_bad_targets_rejected(self, kwargs):
         metrics = dict(FROZEN_METRICS, **kwargs)
-        assert not CalibrationResult(default_params(), 0.0, (), metrics).within_tolerance()
+        assert not CalibrationResult(default_params(), 0.0, metrics).within_tolerance()
 
 
 class TestFit:
@@ -144,15 +144,13 @@ class TestFit:
             math.log(result.params.k1), math.log(DEFAULT_K1), rtol=1e-3
         )
         assert result.within_tolerance()
-        assert len(result.residuals) == 5
         assert result.cost < 1.0
 
     def test_within_tolerance_rejects_bad_metrics(self):
         result = fit_device_parameters()
         bad = dict(result.metrics, amp_fresh_v=1.0)  # 10x the fresh target
         degraded = type(result)(
-            params=result.params, cost=result.cost,
-            residuals=result.residuals, metrics=bad,
+            params=result.params, cost=result.cost, metrics=bad,
         )
         assert not degraded.within_tolerance()
 

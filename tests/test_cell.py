@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from fndam.array import MismatchSpec, batch_pulse, build_array, rate_matched_voltages
 from fndam.calibrate import DEFAULT_K1, REGIME_AGES_S, cell_at_age, default_params
 from fndam.cell import (
-    DecaySchedule,
     _float_nodes,
     _solve_amplitude,
     common_mode_step,
     decay,
     decay_factor,
+    decay_schedule,
     discrete_update,
     precompensated_amplitude,
     read_weight,
@@ -301,9 +301,9 @@ class TestDecaySchedule:
     def test_agrees_with_scalar_factors(self):
         params = default_params()
         k0 = math.exp(params.k2 / 7.5)
-        sched = DecaySchedule.from_params(params, k0, dt_step=0.5, n_steps=64)
+        sched = decay_schedule(params, k0, dt_step=0.5, n_steps=64)
         scalar = [decay_factor(params, k0, n, 0.5) for n in range(64)]
-        np.testing.assert_allclose(sched.alpha_eta, scalar, rtol=1e-14)
+        np.testing.assert_allclose(sched, scalar, rtol=1e-14)
         assert len(sched) == 64
 
     @pytest.mark.parametrize("kwargs", [
@@ -317,7 +317,7 @@ class TestDecaySchedule:
         args = dict(params=small_params(), k0=math.exp(40.0), dt_step=1.0, n_steps=4)
         args.update(kwargs)
         with pytest.raises(DomainError):
-            DecaySchedule.from_params(**args)
+            decay_schedule(**args)
 
 
 class TestRobbinsMonro:
@@ -340,7 +340,7 @@ class TestRobbinsMonro:
     def case(self):
         params = default_params()
         k0 = k0_from_initial(params, 7.5)
-        seq = DecaySchedule.from_params(params, k0, 1.0, self.N).alpha_eta
+        seq = decay_schedule(params, k0, 1.0, self.N)
         k1, k0d = Decimal(params.k1), Decimal(k0)  # decimal's 28 digits throughout
 
         def g(n):

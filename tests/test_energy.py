@@ -139,6 +139,11 @@ class TestNoiseFloor:
         with pytest.raises(DomainError):
             noise_floor(NoiseModel(), -1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(DomainError, match="t must be >= 0"):
+            noise_floor(NoiseModel(), t)
+
     def test_negative_coefficients_rejected(self):
         with pytest.raises(DomainError):
             NoiseModel(sigma0=-1e-6)

@@ -2,7 +2,6 @@
 characterization, and the writer's formatting rules."""
 
 import csv
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -21,7 +20,7 @@ from fndam.experiments import (
     run_retention_report,
     run_train,
 )
-from fndam.tables import _csv_line, _format_field, record_row
+from fndam.tables import _csv_line, _format_field
 
 
 def cfg_at(tmp_path, **overrides):
@@ -67,22 +66,6 @@ class TestCsvFormatting:
     @example(['a,b', 'say "hi"', "line\nbreak", "cr\r", ""])
     def test_exact_type_dispatch_formats_as_format_field(self, fields):
         assert _csv_line(fields) == ",".join(map(_format_field, fields))
-
-    def test_record_row_gives_the_field_values_in_order(self):
-        @dataclasses.dataclass
-        class One:
-            a: object
-
-        @dataclasses.dataclass
-        class Three:
-            b: object
-            a: object
-            c: object = None
-
-        value = [1.0]
-        assert record_row(One(value)) == (value,)
-        assert record_row(One(value))[0] is value  # no copy, unlike astuple
-        assert record_row(Three(2, "x")) == (2, "x", None)
 
 
 class TestRegimes:

@@ -18,9 +18,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import optimize
 
 from fndam import calibrate
-from fndam.calibrate import _fit_residuals, _least_squares
+from fndam.calibrate import _fit_params, _least_squares, _residuals, evaluate_calibration
 from fndam.energy import DEFAULT_C_IN
 from fndam.errors import DomainError, FndamError
+
+
+def fit_residuals(x, v0, c_in):
+    """The fit's five residuals at x = (log u, log k2), as fit_device_parameters
+    computes them."""
+    return _residuals(evaluate_calibration(_fit_params(x, v0), c_in=c_in), c_in)
 
 
 def outcome(solve):
@@ -48,7 +54,7 @@ def both(fun, x0):
 @example(u0=0.06, k2=2500.0)  # the default fit
 @settings(max_examples=6, deadline=None)
 def test_calibration_fit_matches_least_squares(u0, k2):
-    replay, scipy = both(lambda x: _fit_residuals(x, 7.5, DEFAULT_C_IN), [math.log(u0), math.log(k2)])
+    replay, scipy = both(lambda x: fit_residuals(x, 7.5, DEFAULT_C_IN), [math.log(u0), math.log(k2)])
     assert replay == scipy
 
 

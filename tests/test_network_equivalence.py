@@ -24,7 +24,7 @@ from fndam.trainer import (
     NetworkEpoch,
     NetworkTrace,
     _init_mlp,
-    _mlp_grads,
+    _mlp_grads_into,
     _unpack,
     make_blob_dataset,
     mlp_accuracy,
@@ -33,6 +33,14 @@ from fndam.trainer import (
 
 V0 = 7.5
 SHORT = "short"  # an arm whose array has one cell too few
+
+
+def mlp_grads(theta, x, y):
+    """Mean softmax cross-entropy gradients over the batch of labels y, one per
+    row of theta (K, n_params), through the trainer's ``_mlp_grads_into``."""
+    grad = np.empty_like(theta)
+    _mlp_grads_into(_unpack(grad), _unpack(theta), x, np.eye(MlpSpec.n_classes)[y])
+    return grad
 
 
 def reference_grad(theta, x, y):
@@ -206,6 +214,6 @@ def test_batched_gradient_rows_match_the_one_row_gradient():
         theta = rng.standard_normal((k, MlpSpec.n_params)) * rng.uniform(0.1, 3.0, (k, 1))
         x = rng.standard_normal((b, 2))
         y = rng.integers(0, MlpSpec.n_classes, size=b)
-        got = _mlp_grads(theta, x, y)
+        got = mlp_grads(theta, x, y)
         for row, want in zip(got, theta):
             assert row.tobytes() == reference_grad(want, x, y).tobytes()

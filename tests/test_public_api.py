@@ -9,12 +9,20 @@ README.  Docstrings do not count: describing a name does not use it.  A
 use of a defaulted parameter is a call in those files, or in the README
 Quick start, that passes it; a value no caller passes belongs in a
 constant.  A dataclass field is a parameter of the class's generated
-``__init__``, so a field with a default or a ``default_factory`` needs a
-call of the class that passes it.
+``__init__``, and a named tuple's field one of its generated ``__new__``,
+so a field with a default or a ``default_factory`` needs a call of the
+class that passes it.
+
+A dataclass is kept where its generated ``__init__`` does work: it
+validates in ``__post_init__``, or ``fndam.config`` builds it from its
+fields.  A pure record is a named tuple.
 """
 
 import ast
+import dataclasses
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -106,15 +114,16 @@ def calls_outside_unit_tests() -> dict[str, list[ast.Call]]:
 
 def exported_signatures():
     """(called name, qualified name, parameters) of each re-exported function,
-    public method and __init__, hand-written or a dataclass's, a method's
-    receiver dropped."""
+    public method and constructor, a method's receiver dropped.  The
+    constructor is ``__init__``, hand-written or a dataclass's, or a named
+    tuple's ``__new__``, whose receiver is the class."""
     for export in sorted(exported_names()):
         obj = getattr(fndam, export, None)  # TOOL_VERSION is re-exported as __version__
         if inspect.isfunction(obj):
             yield export, export, list(inspect.signature(obj).parameters.values())
         elif inspect.isclass(obj):
             for attr, member in vars(obj).items():
-                if attr == "__init__":
+                if attr in ("__init__", "__new__"):
                     called = export
                 elif attr.startswith("_"):
                     continue
@@ -123,7 +132,7 @@ def exported_signatures():
                 func = getattr(member, "__func__", member)  # classmethod, staticmethod
                 if inspect.isfunction(func):
                     params = list(inspect.signature(func).parameters.values())
-                    if not isinstance(member, staticmethod):
+                    if attr == "__new__" or not isinstance(member, staticmethod):
                         params = params[1:]
                     yield called, f"{export}.{attr}", params
 
@@ -151,3 +160,19 @@ def test_every_defaulted_parameter_is_set_outside_the_unit_tests():
     assert not new, f"{len(new)} defaulted parameters no caller sets: {', '.join(new)}"
     stale = sorted(set(UNSET_ALLOWED) - set(unset))
     assert not stale, f"allowed but set or gone: {', '.join(stale)}"
+
+
+def package_classes():
+    """Every class defined in a module of the package, with its module's name."""
+    for info in pkgutil.iter_modules(fndam.__path__, "fndam."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and obj.__module__ == info.name:
+                yield info.name, obj
+
+
+def test_every_dataclass_validates_or_is_a_config_block():
+    records = sorted(cls.__qualname__ for module, cls in package_classes()
+                     if dataclasses.is_dataclass(cls) and module != "fndam.config"
+                     and "__post_init__" not in vars(cls))
+    assert not records, f"dataclasses that only hold values: {', '.join(records)}"

@@ -20,8 +20,9 @@ from fndam.trainer import (
     MlpSpec,
     NetworkConfig,
     TrainerConfig,
-    _mlp_grads,
+    _mlp_grads_into,
     _parked,
+    _unpack,
     best_margin,
     decision_fn,
     gradient_to_pulses,
@@ -38,6 +39,14 @@ from fndam.trainer import (
 
 def two_cell_array():
     return build_array(2, default_params(), 7.5)
+
+
+def mlp_grads(theta, x, y):
+    """Mean softmax cross-entropy gradients over the batch of labels y, one per
+    row of theta (K, n_params), through the trainer's ``_mlp_grads_into``."""
+    grad = np.empty_like(theta)
+    _mlp_grads_into(_unpack(grad), _unpack(theta), x, np.eye(MlpSpec.n_classes)[y])
+    return grad
 
 
 def first_cell(array):
@@ -154,6 +163,9 @@ class TestTrainerConfig:
         dict(learning_rate=-0.1),
         dict(learning_rate=math.nan),
         dict(learning_rate=math.inf),
+        dict(epochs=2.5),
+        dict(epochs=math.nan),
+        dict(epochs=True),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -383,7 +395,7 @@ class TestMlpMachinery:
             log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
             return -float(np.mean(log_probs[np.arange(len(y)), y]))
 
-        grad = _mlp_grads(theta[None], x, y)[0]
+        grad = mlp_grads(theta[None], x, y)[0]
         h = 1e-6
         for i in range(0, MlpSpec.n_params, 3):
             e = np.zeros_like(theta)
@@ -464,7 +476,7 @@ class TestNetworkTraining:
                 if decay_only:
                     continue
                 batch = order[start : start + config.batch_size]
-                grad = _mlp_grads(theta[None], x_train[batch], y_train[batch])[0]
+                grad = mlp_grads(theta[None], x_train[batch], y_train[batch])[0]
                 velocity = config.momentum * velocity - config.learning_rate * grad
                 theta = theta + velocity
         assert np.array_equal(trace.theta, theta)
@@ -519,6 +531,10 @@ class TestNetworkTraining:
         dict(epochs=0),
         dict(batch_size=0),
         dict(learning_rate=math.nan),
+        dict(batch_size=2.5),
+        dict(batch_size=math.inf),
+        dict(batch_size=True),
+        dict(epochs=2.5),
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(DomainError):

@@ -12,7 +12,11 @@ neither side's ``setup_s`` pays for writing bytecode the other already
 has.  Each pair runs ``bench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each tree, the side that runs first alternating
 from pair to pair, and reads the last two lines of its output: the
-result and the ``{"record": ...}`` line before it.
+result and the ``{"record": ...}`` line before it.  After each bench
+run, the same tree runs ``python -X importtime -c "import fndam.cli"``
+IMPORT_RUNS times with ``PYTHONPATH=<tree>/src``; the median of the
+summed self times of the ``fndam`` modules is the run's
+``fndam_import_s``, fndam's own import time without numpy's.
 
 For each metric ``BENCHMARK.json`` gates, the summary gives each side's
 median and quartiles, the ratio of the medians (change / parent), the
@@ -22,10 +26,11 @@ more than the parent's interquartile range) and whether the change's
 median stays within the metric's bound.  The per-command metrics of the
 record line that ``BENCHMARK.json`` does not gate (``calibrate_s`` to
 ``train_network_s``, and ``array_cell_ops_per_s`` on ``array-scale``)
-get the same statistics without a bound, marked as ungated, so a gain
-can be traced to the command it sits in.  The last line of output is
-the summary as one JSON object.  The exit status is 1 if any run reports
-``correct: false`` or a failed operation, or gives no result.
+and ``fndam_import_s`` get the same statistics without a bound, marked
+as ungated, so a gain can be traced to the command or the import it
+sits in.  The last line of output is the summary as one JSON object.
+The exit status is 1 if any run reports ``correct: false`` or a failed
+operation, or gives no result.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ UNGATED = {name: "lower" for name in (
     "calibrate_s", "characterize_s", "energy_report_s", "retention_report_s",
     "train_perceptron_s", "train_network_s")}
 UNGATED["array_cell_ops_per_s"] = "higher"
+UNGATED["fndam_import_s"] = "lower"
+IMPORT_RUNS = 5  # interpreters per fndam_import_s
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -99,6 +106,28 @@ def run_values(result: dict | None, record: dict | None, gated: list[dict]) -> d
     reported = (record or {}).get("end_to_end", {})
     values.update({name: reported[name]["value"] for name in UNGATED if name in reported})
     return values
+
+
+def fndam_import_seconds(stderr: str) -> float:
+    """The summed self times, in seconds, of the fndam modules in the
+    stderr of ``python -X importtime``."""
+    total_us = 0
+    for line in stderr.splitlines():
+        if line.startswith("import time:"):
+            self_us, _, name = line.removeprefix("import time:").split("|")
+            name = name.strip()
+            if name == "fndam" or name.startswith("fndam."):
+                total_us += int(self_us)
+    return total_us * 1e-6
+
+
+def import_time(tree: Path) -> float:
+    """fndam_import_s of tree: the median over IMPORT_RUNS fresh interpreters."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return statistics.median(fndam_import_seconds(subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import fndam.cli"],
+        cwd=tree, env=env, capture_output=True, text=True, check=True).stderr)
+        for _ in range(IMPORT_RUNS))
 
 
 def export(ref: str, dest: Path) -> None:
@@ -176,9 +205,10 @@ def main(argv=None) -> int:
                     ok = False
                     print(f"pair {i + 1}: {side} run failed: {result}", file=sys.stderr)
                 runs[side].append(run_values(result, record, gated))
+                runs[side][-1]["fndam_import_s"] = import_time(trees[side])
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " + ", ".join(
-                f"{m['name']} {runs['parent'][-1][m['name']]:.6g} -> "
-                f"{runs['change'][-1][m['name']]:.6g}" for m in gated), flush=True)
+                f"{name} {runs['parent'][-1][name]:.6g} -> {runs['change'][-1][name]:.6g}"
+                for name in [m["name"] for m in gated] + ["fndam_import_s"]), flush=True)
 
     summary = summarize(runs["parent"], runs["change"], gated)
     ungated = summarize(runs["parent"], runs["change"], [
