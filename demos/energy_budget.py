@@ -13,21 +13,19 @@ two decades of read power.
 from dataclasses import replace
 
 from fndam.calibrate import default_params
-from fndam.energy import (NoiseModel, min_read_power, noise_floor,
+from fndam.energy import (DEFAULT_C_IN, NoiseModel, min_read_power, noise_floor,
                           read_noise, retention_time, write_energy,
                           write_energy_trajectory)
 from fndam.cell import synchronize
-from fndam.node import k0_from_initial
 
 par = default_params()
-k0 = k0_from_initial(par, 7.5)
 
 print(f"one fresh 10 mV update  : {write_energy(1e-12, 0.1):.3e} J")
 print(f"same update, 0.5 V input: {write_energy(1e-12, 0.5):.3e} J")
 
 print("\nper-update energy along the first 12 days:")
 print("t [s]           E [J]")
-for t, e in write_energy_trajectory(par, k0, 0.01, 12 * 86400.0, n_samples=7):
+for t, _, _, e in write_energy_trajectory(par, 7.5, 0.01, 12 * 86400.0, 7, DEFAULT_C_IN):
     print(f"{t:<14.6g} {e:.3e}")
 
 model = NoiseModel()

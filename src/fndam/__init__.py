@@ -30,7 +30,6 @@ from .node import (
 from .cell import (
     common_mode_step,
     decay,
-    decay_factor,
     decay_schedule,
     discrete_update,
     precompensated_amplitude,
@@ -73,7 +72,6 @@ from .array import (
     batch_pulse,
     batch_read,
     build_array,
-    load_state,
     state_from_json,
     state_to_json,
 )

@@ -30,12 +30,13 @@ would get on its own.  A single cell is the one-cell array (see
 their input.
 
 State documents are JSON trees carrying a format tag, a schema version
-and a SHA-256 checksum over the canonical serialization (sorted keys,
-compact separators, everything but the checksum).  ``state_to_json``
-writes that serialization with the checksum spliced in front, so
-``state_from_json`` verifies such text by hashing the characters the
-checksum covers; any other text, and every ``load_state`` document, is
-verified by serializing the parsed document again.  Schema version 2,
+and a SHA-256 checksum.  ``state_to_json`` writes the canonical
+serialization of everything but the checksum (sorted keys, compact
+separators) with the checksum spliced in front, and the checksum is the
+hash of the text it covers: ``"{"`` and everything after the checksum,
+less one trailing newline.  ``state_from_json`` verifies that rule on
+the text itself, so reformatted or re-encoded text, or text whose
+checksum is not the first key, fails at ``checksum``.  Schema version 2,
 the one written and the only one read, stores one list per column under
 ``columns``: ``set_v_fg``, ``reset_v_fg``, ``set_k1``, ``reset_k1``,
 ``set_k2``, ``reset_k2`` and ``weight_scale``, the last N copies of
@@ -63,7 +64,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DomainError, InitializationError, StateFormatError
-from .node import FnParams, Pulse, _require_dt, decayed, log_each, programmable, released
+from .node import (FnParams, Pulse, _require_nonnegative, _require_seed, decayed, log_each,
+                   programmable, released)
 
 WEIGHT_SCALE = 1000.0  # mV per volt of node difference
 STATE_FORMAT = "fndam-array-state"
@@ -97,12 +99,8 @@ class MismatchSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.relative_sigma) and self.relative_sigma >= 0):
-            raise DomainError(
-                f"relative_sigma must be >= 0, got {self.relative_sigma!r}"
-            )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
+        _require_nonnegative("relative_sigma", self.relative_sigma)
+        _require_seed(self.seed)
 
 
 NO_MISMATCH = MismatchSpec(relative_sigma=0.0)  # identical nodes in every cell
@@ -196,15 +194,6 @@ def _draw_factors(n: int, spec: MismatchSpec) -> np.ndarray:
     return 1.0 + spec.relative_sigma * rng.standard_normal((n, 2, 2))
 
 
-def _log_rate(log_k1: float, k2: float, v: float) -> float:
-    """log of the tunneling rate magnitude |dV/dt| at voltage v.
-
-    The scalar form of the residual ``rate_matched_voltages`` evaluates
-    column-wise, operation for operation.
-    """
-    return log_k1 - math.log(k2) + 2.0 * math.log(v) - k2 / v
-
-
 _MATCH_XTOL, _MATCH_RTOL, _MATCH_MAXITER = 1e-14, 1e-15, 200
 _MATCH_RESIDUAL = 1e-10  # largest log-rate difference accepted at the root
 _BRENT_RTOL = 4 * sys.float_info.epsilon  # scipy's default, and smallest, brentq rtol
@@ -292,9 +281,10 @@ def rate_matched_voltages(set_log_k1, set_k2, reset_log_k1, reset_k2, v0: float)
     on each cell's log-rate difference over [0.5*v0, min(1.5*v0,
     0.999*reset_k2)], run on numpy columns for all cells at once with
     the same float operations in the same order, so every root has the
-    float replay's bits, which are scipy's.  The residual takes its logarithms with ``math.log``
-    (``log_each``), as ``_log_rate`` does.  A cell leaves the active set
-    once it converges.
+    float replay's bits, which are scipy's.  A node's log-rate at v is
+    log k1 - log k2 + 2 log v - k2/v, its logarithms taken with
+    ``math.log`` (``log_each``).  A cell leaves the active set once it
+    converges.
 
     A cell fails, and reads NaN, when the bracket shows no sign change,
     a residual is NaN, 200 iterations pass, or the residual at the root
@@ -305,7 +295,7 @@ def rate_matched_voltages(set_log_k1, set_k2, reset_log_k1, reset_k2, v0: float)
     offset = reset_log_k1 - log_each(reset_k2)
 
     def imbalance(rows, v):
-        """_log_rate of the RESET node at v minus target, for the given cells."""
+        """The RESET node's log-rate at v minus target, for the given cells."""
         return offset[rows] + 2.0 * log_each(v) - reset_k2[rows] / v - target[rows]
 
     n = target.shape[0]
@@ -384,10 +374,7 @@ def build_array(
         k1 = nominal.k1 * factors[:, :, 0]
         k2 = nominal.k2 * factors[:, :, 1]
     ok = np.all(np.isfinite(k1) & (k1 > 0) & np.isfinite(k2) & (k2 > 0), axis=1)
-    if math.isfinite(v0) and v0 > 0:
-        ok &= programmable(k2[:, 0], v0)
-    else:
-        ok[:] = False
+    ok &= programmable(k2[:, 0], v0)
     log_k1 = log_each(np.where(ok[:, None], k1, 1.0))
     v = np.full_like(k1, v0)
     # identical nodes start at v0 together; the others are solved at once
@@ -438,7 +425,7 @@ def batch_read(array: DamArray) -> tuple[WeightReading, ...]:
 
 def advance(array: DamArray, dt: float) -> DamArray:
     """Evolve every cell by dt; the global clock moves uniformly."""
-    _require_dt(dt)
+    _require_nonnegative("dt", dt)
     if dt == 0.0:
         return _evolved(array, array.v, dt)
     return _evolved(array, decayed(array.v, array.log_k1, array.k2, math.log(dt)), dt)
@@ -484,19 +471,8 @@ def batch_pulse(array: DamArray, targets: Sequence[tuple[int, int, Pulse]]) -> D
                                     math.log(duration)), duration)
 
 
-def _canonical(doc: dict) -> str:
-    """Sorted keys, compact separators, everything but the checksum."""
-    payload = {k: v for k, v in doc.items() if k != "checksum"}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _checksum(doc: dict) -> str:
-    return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
-
-
 # state_to_json's text opens with '{"checksum":"', 64 hex digits and '",'
 _SIGNED_OPENING = '{"checksum":"'
-_SIGNED_HEAD = len(_SIGNED_OPENING) + 64 + 2
 
 
 def _unsigned_document(array: DamArray) -> dict:
@@ -527,7 +503,7 @@ def state_to_json(array: DamArray) -> str:
     "checksum" sorts first, so it is spliced in front of the string it
     covers.  ``state_from_json`` reads it back losslessly.
     """
-    canonical = _canonical(_unsigned_document(array))
+    canonical = json.dumps(_unsigned_document(array), sort_keys=True, separators=(",", ":"))
     checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return _SIGNED_OPENING + checksum + '",' + canonical[1:] + "\n"
 
@@ -630,17 +606,18 @@ def _columns_from(cols: dict[str, np.ndarray], v0: float) -> dict[str, np.ndarra
     return out
 
 
-def load_state(doc: dict) -> DamArray:
-    """Rebuild an array from a parsed state document, verifying integrity.
+def state_from_json(text: str) -> DamArray:
+    """Rebuild an array from one state document, verifying integrity.
 
-    The document is ``json.loads`` of ``state_to_json`` text; see the
-    module docstring for the schema and the checks.
+    The text must open with its checksum, as ``state_to_json`` writes
+    it, and the checksum must be the SHA-256 of the text it covers:
+    ``"{"`` and everything after the checksum, less one trailing
+    newline.  See the module docstring for the schema and the checks.
     """
-    return _load(doc, _checksum)
-
-
-def _load(doc, checksum) -> DamArray:
-    """load_state, with ``checksum(doc)`` giving the hash the stored one must equal."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StateFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise StateFormatError(f"state document must be a mapping, got {type(doc).__name__}")
     fmt = _need(doc, "format", "", str)
@@ -649,8 +626,15 @@ def _load(doc, checksum) -> DamArray:
     version = _need(doc, "version", "", int)
     if version != STATE_VERSION:
         raise StateFormatError(f"unsupported schema version at version: {version!r}")
+    # json keeps the last "checksum" key, so the one in front must be that one
     stored = _need(doc, "checksum", "", str)
-    actual = checksum(doc)
+    opening = _SIGNED_OPENING + stored + '",'
+    if not (isinstance(text, str) and text.startswith(opening)):
+        raise StateFormatError("checksum mismatch at checksum: the text does not open with "
+                               "the stored checksum, as state_to_json writes it")
+    covered = "{" + text[len(opening):].removesuffix("\n")
+    # a lone surrogate, which no written text holds, hashes instead of raising
+    actual = hashlib.sha256(covered.encode("utf-8", "surrogatepass")).hexdigest()
     if stored != actual:
         raise StateFormatError(
             f"checksum mismatch at checksum: stored {stored[:12]}..., computed {actual[:12]}..."
@@ -683,42 +667,3 @@ def _load(doc, checksum) -> DamArray:
     return DamArray(
         nominal_params=nominal, mismatch=mismatch, v0=v0, global_clock=clock, **columns
     )
-
-
-def _text_checksum(text) -> str | None:
-    """The checksum text opens with, if it is the SHA-256 of the text it covers.
-
-    That is ``"{"`` and everything after the checksum, less one trailing
-    newline, as ``state_to_json`` writes it; None for any other text.
-    """
-    if not (isinstance(text, str) and text.startswith(_SIGNED_OPENING)
-            and text[_SIGNED_HEAD - 2:_SIGNED_HEAD] == '",'):
-        return None
-    stored = text[len(_SIGNED_OPENING):_SIGNED_HEAD - 2]
-    covered = "{" + text[_SIGNED_HEAD:-1 if text.endswith("\n") else None]
-    # a lone surrogate, which no written text holds, hashes instead of raising
-    actual = hashlib.sha256(covered.encode("utf-8", "surrogatepass")).hexdigest()
-    return stored if actual == stored else None
-
-
-def state_from_json(text: str) -> DamArray:
-    """Parse and load_state one state document.
-
-    Text laid out as ``state_to_json`` writes it, the checksum first, is
-    verified by hashing the text the checksum covers (``"{"`` and
-    everything after the checksum, less one trailing newline) instead of
-    serializing the parsed document again; every other check runs as in
-    load_state, in the same order.  So such text loads when its checksum
-    is the hash of that text even if the text is not the canonical
-    serialization, which load_state would reject.  Any other input
-    (bytes, reformatted JSON, a checksum that does not match) goes to
-    load_state unchanged.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StateFormatError(f"not valid JSON: {exc}") from None
-    verified = _text_checksum(text)
-    if verified is not None and isinstance(doc, dict) and doc.get("checksum") == verified:
-        return _load(doc, lambda _: verified)
-    return load_state(doc)

@@ -22,8 +22,8 @@ and ``read_weight`` on ``node.decayed_float``, to the same bits and
 errors.  A pulsed node is ``decayed_float(v + step, ...) - step``, the
 float form of ``node.released``, so each node evaluation is one call.
 ``precompensated_amplitude`` is a bisection on such pulses.
-``decay_factor`` and ``decay_schedule`` evaluate one elementwise
-alpha*eta_n expression, on one step or on all of them.
+``decay_schedule`` evaluates the alpha*eta_n factor of the paper's
+discrete-time model at every step of an undisturbed schedule.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 from .array import (NO_MISMATCH, WEIGHT_SCALE, DamArray, WeightReading, _driven, advance,
                     batch_pulse)
 from .errors import ArgumentError, DomainError, SaturationError, StepSizeError
-from .node import (FnParams, Pulse, _require_dt, _require_finite_positive, decayed_float,
-                   k0_from_initial)
+from .node import (FnParams, Pulse, _require_finite_positive, _require_int,
+                   _require_nonnegative, decayed_float, k0_from_initial)
 
 _AMP_MAX_V = 32.0  # the largest amplitude a precompensation solve tries
 _AMP_TOL_MV = 1e-3  # precompensated_amplitude's tolerance on the weight step
@@ -99,9 +99,8 @@ def discrete_update(w_mv: float, w_set: float, params: FnParams, dt: float) -> f
     reference it linearizes (they agree within 1% for |w| <= 5 mV and
     dt <= 1 s).  Raises StepSizeError when the decay term reaches 1.
     """
-    if not (math.isfinite(w_set) and w_set > 0):
-        raise DomainError(f"w_set must be positive, got {w_set!r}")
-    _require_dt(dt)
+    _require_finite_positive("w_set", w_set)
+    _require_nonnegative("dt", dt)
     factor = (
         math.exp(params.log_k1 - params.k2 / w_set)
         * (2.0 * w_set + params.k2)
@@ -115,40 +114,25 @@ def discrete_update(w_mv: float, w_set: float, params: FnParams, dt: float) -> f
     return (1.0 - factor) * w_mv
 
 
-def _alpha_eta(log_k1, k0, n, dt):
-    """alpha*eta_n, elementwise over the step index n (see decay_factor)."""
-    # at n*dt = 0, log gives -inf and logaddexp(-inf, log k0) is log k0 exactly
-    with np.errstate(divide="ignore"):
-        log_eff = np.logaddexp(log_k1 + np.log(n * dt), math.log(k0))
-    return np.exp(log_k1 - log_eff) * (2.0 / log_eff + 1.0) * dt
-
-
-def decay_factor(params: FnParams, k0: float, n: int, dt: float) -> float:
-    """Per-step weight decay factor at step n of an undisturbed schedule.
+def decay_schedule(params: FnParams, k0: float, dt_step: float, n_steps: int) -> np.ndarray:
+    """Per-step weight decay factors at steps n = 0..n_steps-1 of an undisturbed cell.
 
         alpha*eta_n = k1 * (2/log(k1*n*dt + k0) + 1) / (k1*n*dt + k0) * dt
 
     Decreases like 1/n, so the cumulative product behaves like a
     stochastic-approximation learning-rate schedule.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n!r}")
-    if not (math.isfinite(k0) and k0 > 1.0):
-        raise DomainError(f"k0 must be finite and > 1, got {k0!r}")
-    _require_dt(dt)
-    return float(_alpha_eta(params.log_k1, k0, n, dt))
-
-
-def decay_schedule(params: FnParams, k0: float, dt_step: float, n_steps: int) -> np.ndarray:
-    """The alpha*eta_n factors ``decay_factor`` gives at steps 0..n_steps-1
-    of an undisturbed cell."""
-    if n_steps <= 0:
+    _require_int("n_steps", n_steps)
+    if n_steps < 1:
         raise DomainError(f"n_steps must be positive, got {n_steps!r}")
-    if not (math.isfinite(dt_step) and dt_step > 0):
-        raise DomainError(f"dt_step must be positive, got {dt_step!r}")
+    _require_finite_positive("dt_step", dt_step)
     if not (math.isfinite(k0) and k0 > 1.0):
         raise DomainError(f"k0 must be finite and > 1, got {k0!r}")
-    return _alpha_eta(params.log_k1, k0, np.arange(n_steps, dtype=float), dt_step)
+    log_k1 = params.log_k1
+    # at n = 0, log gives -inf and logaddexp(-inf, log k0) is log k0 exactly
+    with np.errstate(divide="ignore"):
+        log_eff = np.logaddexp(log_k1 + np.log(np.arange(n_steps) * dt_step), math.log(k0))
+    return np.exp(log_k1 - log_eff) * (2.0 / log_eff + 1.0) * dt_step
 
 
 def _float_nodes(array: DamArray):
@@ -178,7 +162,7 @@ def _evolved_nodes(nodes, dt: float, steps=None):
     An idle node's zero step leaves its decay bit-identical to no step.
     The first node left non-positive raises ``array._driven``.
     """
-    _require_dt(dt)
+    _require_nonnegative("dt", dt)
     if dt == 0.0:
         return nodes
     log_dt = math.log(dt)

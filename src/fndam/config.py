@@ -34,7 +34,8 @@ from .calibrate import (
 from .energy import DEFAULT_C_IN, DEFAULT_N_SAMPLES, NoiseModel
 from .errors import ConfigError
 from .node import FnParams
-from .trainer import DATASET_MARGIN, DATASET_POINTS, NetworkConfig, TrainerConfig
+from .trainer import (DATASET_MARGIN, DATASET_POINTS, MAX_DATASET_MARGIN, NetworkConfig,
+                      TrainerConfig)
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"  # the package version: fndam.__version__ and pyproject.toml read it here
@@ -123,6 +124,11 @@ def _positive(default):
     return _bounded(default, minimum=0.0, strict_min=True)
 
 
+def _seed(default):
+    """A generator seed: a 64-bit unsigned int, as MismatchSpec takes it."""
+    return _bounded(default, minimum=0, maximum=2**64 - 1)
+
+
 @dataclass(frozen=True)
 class DeviceConfig:
     """Physics block: tunneling constants and capacitances."""
@@ -158,11 +164,15 @@ class PerceptronSettings:
 
     n_points: int = _bounded(DATASET_POINTS, minimum=2)
     margin: float = _positive(DATASET_MARGIN)
-    dataset_seed: int = _bounded(0, minimum=0)
+    dataset_seed: int = _seed(0)
     epochs: int = _bounded(TrainerConfig.epochs, minimum=1)
     learning_rate: float = _positive(TrainerConfig.learning_rate)
     unit_step_mv: float = _positive(TrainerConfig.unit_step_mv)
     pre_age_s: float = _bounded(0.0, minimum=0.0)
+
+    def _check(self, path: str) -> None:
+        if self.margin >= MAX_DATASET_MARGIN:
+            raise _fail(f"{path}.margin", f"must be < {MAX_DATASET_MARGIN}")
 
 
 @dataclass(frozen=True)
@@ -171,14 +181,14 @@ class NetworkSettings:
 
     n_train_per_class: int = _bounded(100, minimum=1)
     n_test_per_class: int = _bounded(200, minimum=1)
-    train_data_seed: int = _bounded(11, minimum=0)
-    test_data_seed: int = _bounded(12, minimum=0)
+    train_data_seed: int = _seed(11)
+    test_data_seed: int = _seed(12)
     epochs: int = _bounded(NetworkConfig.epochs, minimum=1)
     learning_rate: float = _positive(NetworkConfig.learning_rate)
     momentum: float = _bounded(NetworkConfig.momentum, minimum=0.0)
     batch_size: int = _bounded(NetworkConfig.batch_size, minimum=1)
     mismatch_sigma: float = _bounded(MismatchSpec.relative_sigma, minimum=0.0)
-    mismatch_seed: int = _bounded(0, minimum=0)
+    mismatch_seed: int = _seed(0)
     pre_age_s: float = _bounded(0.0, minimum=0.0)
 
     def _check(self, path: str) -> None:
@@ -197,7 +207,7 @@ class TrainSettings:
 class ExperimentSettings:
     """Run block: seed, horizons, and the sweep grids experiments iterate over."""
 
-    seed: int = _bounded(0, minimum=0, maximum=2**64 - 1)
+    seed: int = _seed(0)
     horizon_s: float = _positive(ENERGY_HORIZON_S)
     n_samples: int = _bounded(DEFAULT_N_SAMPLES, minimum=2)
     offset_v: float = _positive(ENERGY_OFFSET_V)

@@ -4,7 +4,9 @@ Programming a cell costs the energy of charging the input coupling
 capacitor: E = (1/2) * C_in * V_in^2 per pulse.  As the gate decays,
 reaching a fixed target voltage requires a growing input amplitude
 V_in = (V_target - V_fg) / coupling_ratio, so the per-update energy of
-maintaining a setpoint rises over the device's life.  Retention is
+maintaining a setpoint rises over the device's life;
+``write_energy_trajectory`` builds that rise, the ``energy-report``
+rows, through the c_in it is given.  Retention is
 limited by the thermal accumulation floor of the readout, modeled as
 sigma_T(t) = sigma0 + sigma_coeff * sqrt(t); ``retention_time`` runs on
 the cell's float nodes.  ``DEFAULT_C_IN`` is every module's default c_in.
@@ -19,7 +21,8 @@ from typing import NamedTuple
 from .array import WEIGHT_SCALE, DamArray
 from .cell import _evolved_nodes, _float_nodes, _float_weight
 from .errors import DomainError
-from .node import FnParams, _pulse_count, voltage_at
+from .node import (FnParams, _pulse_count, _require_finite_positive, _require_int,
+                   _require_nonnegative, k0_from_initial, voltage_at)
 from .tables import csv_table
 
 ELECTRON_CHARGE = 1.602e-19  # coulomb
@@ -45,8 +48,8 @@ class NoiseModel:
     sigma_coeff: float = 1.4e-6  # V / sqrt(s)
 
     def __post_init__(self):
-        if not (0 <= self.sigma0 < math.inf and 0 <= self.sigma_coeff < math.inf):
-            raise DomainError("noise model coefficients must be finite and >= 0")
+        _require_nonnegative("sigma0", self.sigma0)
+        _require_nonnegative("sigma_coeff", self.sigma_coeff)
 
 
 class RetentionResult(NamedTuple):
@@ -72,8 +75,7 @@ class EnergyLedger:
     """
 
     def __init__(self, c_in: float = DEFAULT_C_IN):
-        if not (math.isfinite(c_in) and c_in > 0):
-            raise DomainError(f"c_in must be positive, got {c_in!r}")
+        _require_finite_positive("c_in", c_in)
         self.c_in = c_in
         self._entries: list[LedgerEntry] = []
 
@@ -106,8 +108,7 @@ class EnergyLedger:
 
 def write_energy(c_in: float, v_in: float) -> float:
     """Energy to charge the input capacitor to v_in: (1/2) C V^2."""
-    if not (math.isfinite(c_in) and c_in > 0):
-        raise DomainError(f"c_in must be positive, got {c_in!r}")
+    _require_finite_positive("c_in", c_in)
     if not math.isfinite(v_in):
         raise DomainError(f"v_in must be finite, got {v_in!r}")
     return 0.5 * c_in * v_in * v_in
@@ -137,15 +138,25 @@ def setpoint_write(
     return v_fg, v_train, write_energy(c_in, v_train)
 
 
-def trajectory_times(horizon_s: float, n_samples: int) -> list[float]:
-    """n_samples times from t = 0 to exactly horizon_s, geometric after t = 0.
+def write_energy_trajectory(
+    params: FnParams, v0: float, offset_v: float, horizon_s: float, n_samples: int, c_in: float
+) -> list[tuple[float, float, float, float]]:
+    """Per-update write energy over the device's life for a fixed setpoint.
 
-    Early life is where the write-energy trajectory bends fastest.
+    Rows of (t, v_fg, v_train, energy), the ``setpoint_write`` of a gate
+    that started at v0 and is lifted to the fixed target v0 + offset_v
+    through c_in.  As the gate decays away from the target the required
+    amplitude (v_target - v_fg(t)) / coupling_ratio, and hence the
+    energy, grow monotonically.  The n_samples times run from t = 0 to
+    exactly horizon_s, geometric after t = 0: early life is where the
+    trajectory bends fastest.
     """
+    k0 = k0_from_initial(params, v0)
+    _require_int("n_samples", n_samples)
     if n_samples < 2:
         raise DomainError(f"n_samples must be >= 2, got {n_samples!r}")
-    if not (math.isfinite(horizon_s) and horizon_s > 0):
-        raise DomainError(f"horizon_s must be positive, got {horizon_s!r}")
+    _require_finite_positive("horizon_s", horizon_s)
+    _require_finite_positive("offset_v", offset_v)
     t_first = min(1.0, horizon_s / n_samples)
     try:
         ratio = (horizon_s / t_first) ** (1.0 / (n_samples - 2)) if n_samples > 2 else 1.0
@@ -154,36 +165,13 @@ def trajectory_times(horizon_s: float, n_samples: int) -> list[float]:
         raise DomainError(f"horizon_s = {horizon_s!r} s has no geometric grid of "
                           f"{n_samples} samples in float range") from None
     times[-1] = horizon_s
-    return times
-
-
-def write_energy_trajectory(
-    params: FnParams,
-    k0: float,
-    v_target_offset: float,
-    horizon_s: float,
-    n_samples: int = DEFAULT_N_SAMPLES,
-) -> list[tuple[float, float]]:
-    """Per-update write energy over the device's life for a fixed setpoint.
-
-    The target is pinned at the initial gate voltage plus
-    v_target_offset; as the gate decays away from it the required
-    amplitude (v_target - v_fg(t)) / coupling_ratio and hence the energy
-    grow monotonically.  Samples start at t = 0 (energy
-    (1/2) DEFAULT_C_IN (offset/coupling_ratio)^2) and end exactly at
-    horizon_s.
-    """
-    times = trajectory_times(horizon_s, n_samples)
-    if v_target_offset <= 0:
-        raise DomainError(f"v_target_offset must be positive, got {v_target_offset!r}")
-    v_target = voltage_at(params, k0, 0.0) + v_target_offset
-    return [(t, setpoint_write(params, k0, v_target, t, DEFAULT_C_IN)[2]) for t in times]
+    v_target = v0 + offset_v
+    return [(t, *setpoint_write(params, k0, v_target, t, c_in)) for t in times]
 
 
 def noise_floor(model: NoiseModel, t: float) -> float:
     """Thermal accumulation floor (V) after t seconds of storage."""
-    if not (math.isfinite(t) and t >= 0):
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    _require_nonnegative("t", t)
     return model.sigma0 + model.sigma_coeff * math.sqrt(t)
 
 
@@ -230,20 +218,16 @@ def read_noise(p_read: float, bandwidth: float) -> float:
 
         V_n = sqrt(4 * U_T^2 * q * V_DD * bandwidth / (kappa * P_read))
     """
-    if not (math.isfinite(p_read) and p_read > 0):
-        raise DomainError(f"p_read must be positive, got {p_read!r}")
-    if not (math.isfinite(bandwidth) and bandwidth > 0):
-        raise DomainError(f"bandwidth must be positive, got {bandwidth!r}")
+    _require_finite_positive("p_read", p_read)
+    _require_finite_positive("bandwidth", bandwidth)
     return math.sqrt(4.0 * THERMAL_VOLTAGE_V**2 * ELECTRON_CHARGE * SUPPLY_V * bandwidth
                      / (GATE_EFFICIENCY * p_read))
 
 
 def min_read_power(noise_target: float, bandwidth: float) -> float:
     """Smallest read power whose rms noise stays at or below noise_target."""
-    if not (math.isfinite(noise_target) and noise_target > 0):
-        raise DomainError(f"noise_target must be positive, got {noise_target!r}")
-    if not (math.isfinite(bandwidth) and bandwidth > 0):
-        raise DomainError(f"bandwidth must be positive, got {bandwidth!r}")
+    _require_finite_positive("noise_target", noise_target)
+    _require_finite_positive("bandwidth", bandwidth)
     return (4.0 * THERMAL_VOLTAGE_V**2 * ELECTRON_CHARGE * SUPPLY_V * bandwidth
             / (GATE_EFFICIENCY * noise_target**2))
 

@@ -48,9 +48,9 @@ from .config import (
     TRAIN_KINDS,
     ExperimentConfig,
 )
-from .energy import retention_time, setpoint_write, trajectory_times
+from .energy import retention_time, write_energy_trajectory
 from .errors import ConfigError, DomainError, FndamError
-from .node import Pulse, k0_from_initial
+from .node import Pulse
 from .tables import csv_table
 from .trainer import (
     MlpSpec,
@@ -330,12 +330,9 @@ def run_characterize(cfg: ExperimentConfig, experiment: str | None = None) -> li
 
 
 def _energy_report(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
-    par = cfg.device.fn_params()
     exp = cfg.experiment
-    k0 = k0_from_initial(par, cfg.device.v0)
-    v_target = cfg.device.v0 + exp.offset_v
-    rows = [[t, *setpoint_write(par, k0, v_target, t, cfg.device.c_in)]
-            for t in trajectory_times(exp.horizon_s, exp.n_samples)]
+    rows = write_energy_trajectory(cfg.device.fn_params(), cfg.device.v0, exp.offset_v,
+                                   exp.horizon_s, exp.n_samples, cfg.device.c_in)
     writer.csv(
         "energy_trajectory.csv",
         ["t_s", "v_fg_V", "v_train_V", "energy_J"],

@@ -43,14 +43,30 @@ _MAX_EXP_ARG = math.log(np.finfo(float).max)  # ~709.78
 _LOG2 = math.log(2.0)  # numpy's NPY_LOGE2, the logaddexp of two equal arguments
 
 
+# The range checks of the package's functions and classes; each raises
+# DomainError naming the input.  The state loader and the config loader
+# keep their own checks, which name the JSON or config path.
 def _require_finite_positive(name, value):
     if not (math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _require_dt(dt):
-    if not (math.isfinite(dt) and dt >= 0):
-        raise DomainError(f"dt must be >= 0, got {dt!r}")
+def _require_nonnegative(name, value):
+    """value must be finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise DomainError(f"{name} must be >= 0, got {value!r}")
+
+
+def _require_int(name, value):
+    """A count must be an int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_seed(seed):
+    """A generator seed is an int in [0, 2**64)."""
+    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be a 64-bit unsigned int, got {seed!r}")
 
 
 def _pulse_count(n_pulses) -> int:
@@ -104,8 +120,7 @@ class Pulse:
     duration: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise DomainError(f"pulse amplitude must be >= 0, got {self.amplitude!r}")
+        _require_nonnegative("pulse amplitude", self.amplitude)
         _require_finite_positive("pulse duration", self.duration)
 
 
@@ -124,11 +139,12 @@ def k0_from_initial(params: FnParams, v0: float) -> float:
 def programmable(k2, v0):
     """Elementwise form of the domain ``k0_from_initial`` accepts.
 
-    True where a node with barrier k2 can be programmed to v0 > 0:
-    v0 < k2 and exp(k2/v0) within float64 range.
+    True where a node with barrier k2 can be programmed to v0:
+    0 < v0 < k2 and exp(k2/v0) within float64 range.
     """
-    with np.errstate(over="ignore"):  # an infinite k2/v0 fails the comparison
-        return (v0 < k2) & (k2 / v0 <= _MAX_EXP_ARG)
+    # a zero or subnormal v0 makes k2/v0 infinite, which fails the comparison
+    with np.errstate(over="ignore", divide="ignore"):
+        return (0 < v0) & (v0 < k2) & (k2 / v0 <= _MAX_EXP_ARG)
 
 
 def log_each(a) -> np.ndarray:
@@ -144,8 +160,7 @@ def log_each(a) -> np.ndarray:
 
 def voltage_at(params: FnParams, k0: float, t: float) -> float:
     """Open-circuit gate voltage after t seconds of undisturbed decay."""
-    if not (math.isfinite(t) and t >= 0):
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    _require_nonnegative("t", t)
     if not (math.isfinite(k0) and k0 >= 1.0):
         raise DomainError(f"k0 must be finite and >= 1, got {k0!r}")
     if t == 0.0:
@@ -225,7 +240,7 @@ def evolve(v_fg: float, params: FnParams, dt: float) -> float:
     dt = 0 returns v_fg unchanged, bit for bit.
     """
     _require_finite_positive("v_fg", v_fg)
-    _require_dt(dt)
+    _require_nonnegative("dt", dt)
     if dt == 0.0:
         return v_fg
     return float(decayed(v_fg, params.log_k1, params.k2, math.log(dt)))

@@ -33,12 +33,13 @@ from .cell import (_aged_nodes, _evolved_nodes, _float_nodes, _float_weight, _re
                    _solve_amplitude)
 from .energy import DEFAULT_C_IN, EnergyLedger
 from .errors import ArgumentError, DomainError, FndamError
-from .node import decayed, decayed_float
+from .node import _require_finite_positive, _require_int, _require_seed, decayed, decayed_float
 from .tables import csv_table
 
 _AMP_TOL_MV = 1e-4  # precompensation tolerance for issued amplitudes
 DATASET_POINTS = 50  # default size and margin of make_separable_dataset
 DATASET_MARGIN = 0.25
+MAX_DATASET_MARGIN = 0.9  # a dataset's margin lies in (0, MAX_DATASET_MARGIN)
 # the perceptron's pulse timing: a pulse must fit its period, and the longest
 # train, MAX_PULSES_PER_UPDATE periods, must fit one sample interval
 PULSE_FREQUENCY_HZ = 1000.0
@@ -51,12 +52,6 @@ _SPLIT = np.array([-1.0, 1.0])  # a parked weight's half, signed per node
 # the network's three gaussian classes: their centers and common spread
 BLOB_CENTERS = ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.6))
 BLOB_SPREAD = 0.55
-
-
-def _require_int(name: str, value) -> None:
-    """A count must be an int; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,12 +83,11 @@ class TrainerConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "unit_step_mv", "c_in"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be positive, got {value!r}")
+            _require_finite_positive(name, getattr(self, name))
         _require_int("epochs", self.epochs)
         if self.epochs < 1:
             raise DomainError("epochs must be >= 1")
+        _require_seed(self.seed)
 
 
 def decision_fn(x: Sequence[float], w: Sequence[float]) -> float:
@@ -273,10 +267,12 @@ def make_separable_dataset(
     candidate points inside the margin band are rejected, so the result
     is separable by construction (and double-checked before returning).
     """
+    _require_int("n", n)
     if n < 2:
         raise ArgumentError(f"need at least 2 points, got {n!r}")
-    if not 0 < margin < 0.9:
-        raise ArgumentError(f"margin must lie in (0, 0.9), got {margin!r}")
+    if not 0 < margin < MAX_DATASET_MARGIN:
+        raise ArgumentError(f"margin must lie in (0, {MAX_DATASET_MARGIN}), got {margin!r}")
+    _require_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     g1 = rng.uniform(-0.8, 0.8)
     g0 = rng.uniform(-0.05, 0.05)
@@ -485,18 +481,20 @@ class NetworkConfig:
     def __post_init__(self):
         if not 0 <= self.momentum < 1:
             raise DomainError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise DomainError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        _require_finite_positive("learning_rate", self.learning_rate)
         _require_int("epochs", self.epochs)
         _require_int("batch_size", self.batch_size)
         if self.epochs < 1 or self.batch_size < 1:
             raise DomainError("epochs and batch_size must be >= 1")
+        _require_seed(self.seed)
 
 
 def make_blob_dataset(n_per_class: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian class blobs around BLOB_CENTERS: returns (X, labels), labels 0..2."""
+    _require_int("n_per_class", n_per_class)
     if n_per_class < 1:
         raise ArgumentError("n_per_class must be >= 1")
+    _require_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     xs, ys = [], []
     for label, center in enumerate(BLOB_CENTERS):

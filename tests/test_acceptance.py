@@ -41,7 +41,8 @@ from fndam.cell import (
     synchronize,
 )
 from fndam.config import load_config
-from fndam.energy import NoiseModel, noise_floor, retention_time, write_energy, write_energy_trajectory
+from fndam.energy import (DEFAULT_C_IN, NoiseModel, noise_floor, retention_time, write_energy,
+                          write_energy_trajectory)
 from fndam.experiments import (
     run_calibrate,
     run_characterize,
@@ -83,10 +84,8 @@ def test_01_write_energy_reference_values():
 
 def test_02_update_energy_growth_over_twelve_days():
     t0 = time.perf_counter()
-    par = default_params()
-    k0 = k0_from_initial(par, 7.5)
-    traj = write_energy_trajectory(par, k0, 0.01, TWELVE_DAYS_S, n_samples=200)
-    energies = [e for _, e in traj]
+    traj = write_energy_trajectory(default_params(), 7.5, 0.01, TWELVE_DAYS_S, 200, DEFAULT_C_IN)
+    energies = [e for _, _, _, e in traj]
     assert math.isclose(energies[0], 5e-15, rel_tol=1e-12, abs_tol=0.0)
     assert all(b > a for a, b in zip(energies, energies[1:]))
     assert 0.5 * 2.5e-12 <= energies[-1] <= 2.0 * 2.5e-12

@@ -1,6 +1,7 @@
 """Array construction with seeded mismatch, batch operations, and the
 versioned state round-trip."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -21,7 +22,6 @@ from fndam.array import (
     batch_pulse,
     batch_read,
     build_array,
-    load_state,
     rate_matched_voltages,
     state_from_json,
     state_to_json,
@@ -35,6 +35,20 @@ from fndam.node import Pulse
 def state_doc(array):
     """The state document of array, as a reader of its JSON text gets it."""
     return json.loads(state_to_json(array))
+
+
+def canonical(doc):
+    """doc as state_to_json lays its text out, keeping doc's checksum."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def signed(doc):
+    """The text state_to_json would write for doc: everything but the
+    checksum in canonical form, its SHA-256 spliced in front."""
+    payload = json.dumps({k: v for k, v in doc.items() if k != "checksum"},
+                         sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(payload.encode()).hexdigest()
+    return '{"checksum":"' + checksum + '",' + payload[1:] + "\n"
 
 
 def small_array(n=4, sigma=0.0, seed=0):
@@ -226,7 +240,7 @@ class TestStatePersistence:
     def test_round_trip_is_lossless(self):
         array = small_array(100, sigma=1e-3, seed=12)
         array = advance(array, 3.25)
-        restored = load_state(state_doc(array))
+        restored = state_from_json(signed(state_doc(array)))
         assert restored == array
 
     def test_json_round_trip_is_lossless(self):
@@ -247,13 +261,13 @@ class TestStatePersistence:
         doc = state_doc(small_array(2))
         doc["columns"]["set_v_fg"][0] = 7.4
         with pytest.raises(StateFormatError, match="checksum"):
-            load_state(doc)
+            state_from_json(canonical(doc))
 
     def test_unknown_format_rejected(self):
         doc = state_doc(small_array(2))
         doc["format"] = "other-tool-state"
         with pytest.raises(StateFormatError, match="format"):
-            load_state(doc)
+            state_from_json(canonical(doc))
 
     def test_future_version_rejected(self):
         # version 1, one object per cell, is no longer read either
@@ -263,66 +277,58 @@ class TestStatePersistence:
             doc["checksum"] = ""
             with pytest.raises(StateFormatError,
                                match=f"^unsupported schema version at version: {version}$"):
-                load_state(doc)
+                state_from_json(canonical(doc))
 
     def test_unknown_generator_rejected(self):
         doc = state_doc(small_array(2))
         doc["rng"]["algorithm"] = "numpy.random.MT19937"
-        doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match="rng.algorithm"):
-            load_state(doc)
+            state_from_json(signed(doc))
 
     def test_only_the_gaussian_draw_loads(self):
         doc = state_doc(small_array(2))
         assert doc["mismatch"]["distribution"] == "gaussian"
         doc["mismatch"]["distribution"] = "uniform"
-        doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match=(
                 r"^unsupported value at mismatch\.distribution: 'uniform'$")):
-            load_state(doc)
+            state_from_json(signed(doc))
 
     def test_missing_field_is_located(self):
         doc = state_doc(small_array(2))
         del doc["mismatch"]["seed"]
-        doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match=r"^missing field at mismatch\.seed$"):
-            load_state(doc)
+            state_from_json(signed(doc))
 
     def test_missing_v2_column_is_located(self):
         doc = state_doc(small_array(2))
         del doc["columns"]["reset_v_fg"]
-        doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match=r"columns\.reset_v_fg"):
-            load_state(doc)
+            state_from_json(signed(doc))
 
     def test_short_v2_column_is_located(self):
         doc = state_doc(small_array(2))
         doc["columns"]["set_k2"].pop()
-        doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match=r"columns\.set_k2"):
-            load_state(doc)
+            state_from_json(signed(doc))
 
     def test_wrong_scalar_type_is_located(self):
         doc = state_doc(small_array(2))
         doc["global_clock"] = "zero"
-        doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match="^wrong type at global_clock: "):
-            load_state(doc)
+            state_from_json(signed(doc))
 
     @pytest.mark.parametrize("value", ["zero", True, None, [1.0]])
     def test_wrong_v2_entry_type_is_located(self, value):
         doc = state_doc(small_array(2))
         doc["columns"]["weight_scale"][1] = value
-        doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match=r"columns\.weight_scale\[1\]"):
-            load_state(doc)
+            state_from_json(signed(doc))
 
     def test_bool_is_not_a_number(self):
         doc = state_doc(small_array(2))
         doc["v0"] = True
-        doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match="v0"):
-            load_state(doc)
+            state_from_json(signed(doc))
 
     def test_invalid_json_rejected(self):
         with pytest.raises(StateFormatError, match="JSON"):
@@ -330,22 +336,20 @@ class TestStatePersistence:
 
     def test_non_mapping_rejected(self):
         with pytest.raises(StateFormatError):
-            load_state([1, 2, 3])
+            state_from_json("[1, 2, 3]")
 
     def test_empty_cell_list_rejected(self):
         # one empty column among full ones
         doc = state_doc(small_array(2))
         doc["columns"]["reset_k1"] = []
-        doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match=r"^empty cell list at columns\.reset_k1$"):
-            load_state(doc)
+            state_from_json(signed(doc))
 
     def test_empty_v2_columns_rejected(self):
         doc = state_doc(small_array(1))
         doc["columns"] = {key: [] for key in doc["columns"]}
-        doc["checksum"] = _rechecksum(doc)
         with pytest.raises(StateFormatError, match="empty"):
-            load_state(doc)
+            state_from_json(signed(doc))
 
     def test_json_is_one_line_with_full_precision(self):
         array = advance(small_array(3, sigma=1e-3, seed=4), 1.0 / 3.0)
@@ -356,36 +360,27 @@ class TestStatePersistence:
     def test_json_parses_to_the_saved_document(self):
         array = advance(small_array(5, sigma=1e-3, seed=9), 2.5)
         text = state_to_json(array)
-        doc = json.loads(text)
-        assert doc["checksum"] == _rechecksum(doc)
         # the compact canonical form, checksum first
-        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert text == signed(json.loads(text)) == canonical(json.loads(text))
 
     def test_quantize_charge_false_still_loads(self):
         array = small_array(2, sigma=1e-3, seed=3)
         doc = state_doc(array)
         assert "quantize_charge" not in doc["nominal_params"]
         doc["nominal_params"]["quantize_charge"] = False
-        doc["checksum"] = _rechecksum(doc)
-        assert load_state(doc) == array
+        assert state_from_json(signed(doc)) == array
 
     @given(seed=st.integers(0, 2**32 - 1), dt=st.floats(0.0, 1e4))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_any_seed_and_age(self, seed, dt):
         array = advance(small_array(3, sigma=1e-3, seed=seed), dt)
-        assert load_state(state_doc(array)) == array
-
-
-def _rechecksum(doc):
-    from fndam.array import _checksum
-
-    return _checksum(doc)
+        assert state_from_json(signed(state_doc(array))) == array
 
 
 def _edit(doc, change):
+    """The signed text of doc after change."""
     change(doc)
-    doc["checksum"] = _rechecksum(doc)
-    return doc
+    return signed(doc)
 
 
 def _set(path, value):
@@ -418,9 +413,9 @@ class TestPhysicalInvariantsOnLoad:
         (("columns", "weight_scale", 1), 500.0, r"columns\.weight_scale\[1\]"),
     ])
     def test_version_2(self, path, value, where):
-        doc = _edit(state_doc(small_array(2, sigma=1e-3, seed=3)), _set(path, value))
+        text = _edit(state_doc(small_array(2, sigma=1e-3, seed=3)), _set(path, value))
         with pytest.raises(StateFormatError, match=where):
-            load_state(doc)
+            state_from_json(text)
 
 
 class TestColumns:

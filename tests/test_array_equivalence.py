@@ -4,11 +4,12 @@ Every array operation, and every function of ``fndam.cell`` (a cell is
 the one-cell array), must give the bits that ``node.evolve`` and
 ``node.apply_pulse`` give node by node.  The reference cells are built
 here from the documented PCG64 mismatch draw.  A mismatched cell's
-RESET start voltage is a plain ``scipy.optimize.brentq`` call on
-``array._log_rate``, with the rate match's bracket, tolerances,
-iteration limit and 1e-10 residual limit.  Nothing in the reference goes
-through ``build_array``, ``rate_matched_voltages`` or a column
-operation, and floats compare with ``==``.
+RESET start voltage is a plain ``scipy.optimize.brentq`` call on the
+``_log_rate`` of ``test_rate_match_equivalence``, with the rate match's
+bracket, tolerances, iteration limit and 1e-10 residual limit.
+Nothing in the reference goes through ``build_array``,
+``rate_matched_voltages`` or a column operation, and floats compare
+with ``==``.
 """
 
 from dataclasses import dataclass, replace
@@ -18,13 +19,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from fndam.array import (MismatchSpec, WeightReading, _log_rate, _with_voltages, advance,
-                         batch_pulse, batch_read, build_array)
+from fndam.array import (MismatchSpec, WeightReading, _with_voltages, advance, batch_pulse,
+                         batch_read, build_array)
 from fndam.calibrate import default_params
 from fndam.cell import common_mode_step, decay, read_weight, reset_pulse, set_pulse
 from fndam.errors import DomainError, InitializationError
 from fndam.node import Pulse, apply_pulse, evolve, k0_from_initial
 from fndam.trainer import _parked
+from test_rate_match_equivalence import _log_rate
 
 V0 = 7.5
 

@@ -16,7 +16,6 @@ from fndam.cell import (
     _solve_amplitude,
     common_mode_step,
     decay,
-    decay_factor,
     decay_schedule,
     discrete_update,
     precompensated_amplitude,
@@ -243,6 +242,20 @@ class TestDiscreteUpdate:
             discrete_update(**args)
 
 
+def decay_factor(params, k0, n, dt):
+    """alpha*eta_n, step n of the decay schedule."""
+    return float(decay_schedule(params, k0, dt, n + 1)[n])
+
+
+def alpha_eta(params, k0, n, dt):
+    """alpha*eta_n from its formula, on one float: a reference for decay_schedule."""
+    if n == 0:  # logaddexp(log 0, log k0) is log k0
+        log_eff = math.log(k0)
+    else:
+        log_eff = float(np.logaddexp(params.log_k1 + math.log(n * dt), math.log(k0)))
+    return math.exp(params.log_k1 - log_eff) * (2.0 / log_eff + 1.0) * dt
+
+
 class TestDecayFactor:
     def test_matches_linearization_along_trajectory(self):
         # at step n the factor equals the discrete_update decay term
@@ -265,7 +278,7 @@ class TestDecayFactor:
     def test_strictly_decreasing(self):
         params = default_params()
         k0 = math.exp(params.k2 / 7.5)
-        seq = [decay_factor(params, k0, n, 1.0) for n in range(200)]
+        seq = decay_schedule(params, k0, 1.0, 200).tolist()
         assert all(b < a for a, b in zip(seq, seq[1:]))
 
     @pytest.mark.parametrize("n", [1, 10, 1_000, 1_000_000])
@@ -279,22 +292,24 @@ class TestDecayFactor:
         assert n * decay_factor(params, k0, n, dt) <= bound * (1.0 + 1e-12)
 
     def test_zero_dt_and_zero_n(self):
+        # step 0 decays; a schedule of zero-length steps is not one
         params = small_params()
         k0 = math.exp(40.0)
         assert decay_factor(params, k0, 0, 1.0) > 0.0
-        assert decay_factor(params, k0, 5, 0.0) == 0.0
+        with pytest.raises(DomainError, match="^dt_step must be positive and finite, got 0.0$"):
+            decay_schedule(params, k0, 0.0, 5)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(n=-1),
+        dict(n_steps=-1),
         dict(k0=1.0),
         dict(k0=math.nan),
-        dict(dt=-0.5),
+        dict(dt_step=-0.5),
     ])
     def test_domain_validation(self, kwargs):
-        args = dict(params=small_params(), k0=math.exp(40.0), n=1, dt=1.0)
+        args = dict(params=small_params(), k0=math.exp(40.0), dt_step=1.0, n_steps=2)
         args.update(kwargs)
         with pytest.raises(DomainError):
-            decay_factor(**args)
+            decay_schedule(**args)
 
 
 class TestDecaySchedule:
@@ -302,7 +317,7 @@ class TestDecaySchedule:
         params = default_params()
         k0 = math.exp(params.k2 / 7.5)
         sched = decay_schedule(params, k0, dt_step=0.5, n_steps=64)
-        scalar = [decay_factor(params, k0, n, 0.5) for n in range(64)]
+        scalar = [alpha_eta(params, k0, n, 0.5) for n in range(64)]
         np.testing.assert_allclose(sched, scalar, rtol=1e-14)
         assert len(sched) == 64
 
@@ -312,6 +327,7 @@ class TestDecaySchedule:
         dict(dt_step=0.0),
         dict(dt_step=math.inf),
         dict(k0=0.5),
+        dict(n_steps=2.5),
     ])
     def test_validation(self, kwargs):
         args = dict(params=small_params(), k0=math.exp(40.0), dt_step=1.0, n_steps=4)
@@ -349,13 +365,12 @@ class TestRobbinsMonro:
         return params, k0, seq, g, k0d / k1
 
     def test_terms_match_decimal(self, case):
-        params, k0, seq, g, c = case
+        _, _, seq, g, c = case
         # exp(log k1 - log(k1*n*dt + k0)) cancels two logs near 385, so a
         # term carries a few hundred ulp of relative error
         for n in (0, 1, 10, 1_000, self.N - 1):
             exact = float(g(n) / (n + c))
             assert seq[n] == pytest.approx(exact, rel=2e-13, abs=0)
-            assert decay_factor(params, k0, n, 1.0) == pytest.approx(exact, rel=2e-13, abs=0)
 
     def test_sum_grows_by_about_ln10_per_decade(self, case):
         _, _, seq, g, c = case

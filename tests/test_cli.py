@@ -176,6 +176,23 @@ class TestFailurePaths:
         assert code == 2
         assert "cannot read" in json.loads(stderr)["message"]
 
+    @pytest.mark.parametrize("experiment, block, message", [
+        ("network", {"mismatch_seed": 2**64},
+         "experiment.train.network.mismatch_seed: must be <= 18446744073709551615"),
+        ("perceptron", {"margin": 0.95}, "experiment.train.perceptron.margin: must be < 0.9"),
+    ])
+    def test_train_settings_out_of_range_exit_2(self, tmp_path, capsys, experiment, block,
+                                                message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"experiment": {"train": {experiment: block}}}))
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--experiment", experiment, "--config", str(bad),
+            "--out", str(tmp_path / "o"),
+        )
+        assert (code, stdout) == (2, "")
+        assert json.loads(stderr) == {"error": "ConfigError", "message": message}
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             capsys, "energy-report", "--seed", "-1", "--out", str(tmp_path / "o")

@@ -150,6 +150,19 @@ GOLDEN_MESSAGES = [
      "experiment.bias_grid_v[1]: expected a number, got str"),
     ({"experiment": {"train": {"network": {"batch_size": 0, "momentum": -0.1}}}},
      "experiment.train.network.momentum: must be >= 0.0"),
+    # every seed is a 64-bit unsigned int, and a dataset margin lies in (0, 0.9)
+    ({"experiment": {"train": {"perceptron": {"dataset_seed": 2**64}}}},
+     "experiment.train.perceptron.dataset_seed: must be <= 18446744073709551615"),
+    ({"experiment": {"train": {"network": {"train_data_seed": 2**64}}}},
+     "experiment.train.network.train_data_seed: must be <= 18446744073709551615"),
+    ({"experiment": {"train": {"network": {"test_data_seed": 2**64}}}},
+     "experiment.train.network.test_data_seed: must be <= 18446744073709551615"),
+    ({"experiment": {"train": {"network": {"mismatch_seed": 2**64}}}},
+     "experiment.train.network.mismatch_seed: must be <= 18446744073709551615"),
+    ({"experiment": {"train": {"perceptron": {"margin": 0.95}}}},
+     "experiment.train.perceptron.margin: must be < 0.9"),
+    ({"experiment": {"train": {"perceptron": {"margin": 0.9}}}},
+     "experiment.train.perceptron.margin: must be < 0.9"),
 ]
 
 

@@ -12,6 +12,7 @@ from fndam.calibrate import cell_at_age, default_params
 from fndam.cell import decay, read_weight, synchronize
 from fndam.energy import (
     DEFAULT_C_IN,
+    DEFAULT_N_SAMPLES,
     TEN_YEARS_S,
     EnergyLedger,
     NoiseModel,
@@ -74,55 +75,53 @@ class TestWriteEnergyTrajectory:
         return 12 * 86400.0
 
     def test_starts_at_five_femtojoules(self):
-        params = default_params()
-        k0 = math.exp(params.k2 / 7.5)
-        traj = write_energy_trajectory(params, k0, 0.01, self.horizon())
-        t0, e0 = traj[0]
-        assert t0 == 0.0
+        traj = write_energy_trajectory(default_params(), 7.5, 0.01, self.horizon(),
+                                       DEFAULT_N_SAMPLES, DEFAULT_C_IN)
+        t0, v_fg, v_train, e0 = traj[0]
+        assert (t0, v_fg) == (0.0, 7.5)
         np.testing.assert_allclose(e0, 5e-15, rtol=1e-12)
 
     def test_twelve_day_endpoint_near_two_and_a_half_picojoules(self):
-        params = default_params()
-        k0 = math.exp(params.k2 / 7.5)
-        traj = write_energy_trajectory(params, k0, 0.01, self.horizon())
-        t_end, e_end = traj[-1]
+        traj = write_energy_trajectory(default_params(), 7.5, 0.01, self.horizon(),
+                                       DEFAULT_N_SAMPLES, DEFAULT_C_IN)
+        t_end, _, _, e_end = traj[-1]
         assert t_end == self.horizon()
         assert 2.5e-12 / 2.0 <= e_end <= 2.5e-12 * 2.0
 
     def test_energy_rises_monotonically(self):
-        params = default_params()
-        k0 = math.exp(params.k2 / 7.5)
-        traj = write_energy_trajectory(params, k0, 0.01, self.horizon(), n_samples=50)
+        traj = write_energy_trajectory(default_params(), 7.5, 0.01, self.horizon(), 50,
+                                       DEFAULT_C_IN)
         assert len(traj) == 50
-        times = [t for t, _ in traj]
-        energies = [e for _, e in traj]
+        times = [t for t, _, _, _ in traj]
+        energies = [e for _, _, _, e in traj]
         assert times == sorted(times)
         assert all(b >= a for a, b in zip(energies, energies[1:]))
 
     def test_energy_scales_with_input_capacitor(self):
-        # the trajectory charges DEFAULT_C_IN; the same setpoint on twice
-        # the capacitor costs twice the energy
+        # each row is the setpoint write through c_in to v0 + offset; the
+        # same setpoint on twice the capacitor costs twice the energy
         params = default_params()
         k0 = math.exp(params.k2 / 7.5)
-        small = write_energy_trajectory(params, k0, 0.01, 1e4, n_samples=10)
-        for t, e1 in small:
-            assert e1 == setpoint_write(params, k0, 7.5 + 0.01, t, DEFAULT_C_IN)[2]
-            e2 = setpoint_write(params, k0, 7.5 + 0.01, t, 2 * DEFAULT_C_IN)[2]
-            np.testing.assert_allclose(e2, 2.0 * e1, rtol=1e-12)
+        small = write_energy_trajectory(params, 7.5, 0.01, 1e4, 10, DEFAULT_C_IN)
+        double = write_energy_trajectory(params, 7.5, 0.01, 1e4, 10, 2 * DEFAULT_C_IN)
+        for (t, *write), (t2, *write2) in zip(small, double):
+            assert tuple(write) == setpoint_write(params, k0, 7.5 + 0.01, t, DEFAULT_C_IN)
+            assert t2 == t and write2[:2] == write[:2]
+            np.testing.assert_allclose(write2[2], 2.0 * write[2], rtol=1e-12)
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_samples=1),
         dict(horizon_s=0.0),
         dict(horizon_s=math.inf),
-        dict(v_target_offset=0.0),
-        dict(v_target_offset=-0.01),
+        dict(offset_v=0.0),
+        dict(offset_v=-0.01),
         dict(horizon_s=5e-324),  # the first sample time underflows to 0
         dict(horizon_s=sys.float_info.max),  # the last sample time overflows
+        dict(n_samples=2.5),
     ])
     def test_validation(self, kwargs):
-        params = default_params()
-        args = dict(params=params, k0=math.exp(params.k2 / 7.5),
-                    v_target_offset=0.01, horizon_s=1e4)
+        args = dict(params=default_params(), v0=7.5, offset_v=0.01, horizon_s=1e4,
+                    n_samples=10, c_in=DEFAULT_C_IN)
         args.update(kwargs)
         with pytest.raises(DomainError):
             write_energy_trajectory(**args)
@@ -153,7 +152,7 @@ class TestNoiseFloor:
     @pytest.mark.parametrize("field", ["sigma0", "sigma_coeff"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_coefficients_rejected(self, field, value):
-        with pytest.raises(DomainError, match="must be finite and >= 0"):
+        with pytest.raises(DomainError, match=f"^{field} must be >= 0, got {value!r}$"):
             NoiseModel(**{field: value})
 
 

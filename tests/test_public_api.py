@@ -4,14 +4,15 @@ every defaulted field of its dataclasses.
 
 A use of a name is a name or attribute in the package's own modules, the
 demos or the benchmark (whose string constants count too, so the names
-the tracer wraps are uses), in the acceptance checks, or a word of the
-README.  Docstrings do not count: describing a name does not use it.  A
-use of a defaulted parameter is a call in those files, or in the README
-Quick start, that passes it; a value no caller passes belongs in a
-constant.  A dataclass field is a parameter of the class's generated
-``__init__``, and a named tuple's field one of its generated ``__new__``,
-so a field with a default or a ``default_factory`` needs a call of the
-class that passes it.
+the tracer wraps are uses), in the acceptance checks, or a word inside
+a fenced code block of the README.  Docstrings and README prose do not
+count: describing a name does not use it.  A use of a defaulted
+parameter is a call in those files, or in the README Quick start, that
+passes it; a value no caller passes belongs in a constant.  A dataclass
+field is a parameter of the class's generated ``__init__``, and a named
+tuple's field one of its generated ``__new__``, so a field with a
+default or a ``default_factory`` needs a call of the class that passes
+it.
 
 A dataclass is kept where its generated ``__init__`` does work: it
 validates in ``__post_init__``, or ``fndam.config`` builds it from its
@@ -68,8 +69,15 @@ def files_outside_unit_tests() -> list[Path]:
                     ROOT / "tests" / "test_acceptance.py"]
 
 
+def readme_code_words() -> set[str]:
+    """Words inside the README's fenced code blocks."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M)
+    return {word for block in blocks for word in WORD.findall(block)}
+
+
 def names_used_outside_unit_tests() -> set[str]:
-    used = set(WORD.findall((ROOT / "README.md").read_text(encoding="utf-8")))
+    used = readme_code_words()
     for path in files_outside_unit_tests():
         used |= names_used_in(path)
     return used

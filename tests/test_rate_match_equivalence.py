@@ -2,7 +2,7 @@
 
 ``array.rate_matched_voltages`` replays the steps of scipy's ``brentq``
 on numpy columns.  The oracle here is a plain ``scipy.optimize.brentq``
-call per cell on ``array._log_rate``, with the bracket, tolerances and
+call per cell on ``_log_rate``, with the bracket, tolerances and
 residual limit the rate match has always used.  Roots must agree bit
 for bit (``==``) and failing cells by index.  Every failure path (no
 sign change, a NaN residual, a residual above 1e-10, the iteration
@@ -19,12 +19,21 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 from fndam import array
-from fndam.array import MismatchSpec, _log_rate, build_array, rate_matched_voltages
+from fndam.array import MismatchSpec, build_array, rate_matched_voltages
 from fndam.calibrate import default_params
 from fndam.errors import InitializationError
 from fndam.node import FnParams
 
 MAX_EXP_ARG = math.log(np.finfo(float).max)
+
+
+def _log_rate(log_k1: float, k2: float, v: float) -> float:
+    """log of the tunneling rate magnitude |dV/dt| at voltage v.
+
+    The scalar form of the residual ``rate_matched_voltages`` evaluates
+    column-wise, operation for operation.
+    """
+    return log_k1 - math.log(k2) + 2.0 * math.log(v) - k2 / v
 
 sizes = st.sampled_from([1, 2, 37, 1000])
 sigmas = st.floats(0.0, 0.5)

@@ -207,6 +207,8 @@ class TestMakeSeparableDataset:
             make_separable_dataset(1)
         with pytest.raises(ArgumentError):
             make_separable_dataset(10, margin=0.95)
+        with pytest.raises(DomainError, match="^n must be an integer, got 2.5$"):
+            make_separable_dataset(2.5)
 
 
 class TestLabeledPoint:
@@ -365,6 +367,22 @@ class TestBlobDataset:
     def test_validation(self):
         with pytest.raises(ArgumentError):
             make_blob_dataset(0)
+        with pytest.raises(DomainError, match="^n_per_class must be an integer, got 2.5$"):
+            make_blob_dataset(2.5)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2**64])
+@pytest.mark.parametrize("make", [
+    lambda seed: MismatchSpec(seed=seed),
+    lambda seed: TrainerConfig(seed=seed),
+    lambda seed: NetworkConfig(seed=seed),
+    lambda seed: make_separable_dataset(10, seed=seed),
+    lambda seed: make_blob_dataset(5, seed=seed),
+], ids=["MismatchSpec", "TrainerConfig", "NetworkConfig", "make_separable_dataset",
+        "make_blob_dataset"])
+def test_every_seed_is_a_64_bit_unsigned_int(make, seed):
+    with pytest.raises(DomainError, match=f"^seed must be a 64-bit unsigned int, got {seed!r}$"):
+        make(seed)
 
 
 class TestMlpMachinery:
