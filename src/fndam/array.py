@@ -283,8 +283,10 @@ def rate_matched_voltages(set_log_k1, set_k2, reset_log_k1, reset_k2, v0: float)
     the same float operations in the same order, so every root has the
     float replay's bits, which are scipy's.  A node's log-rate at v is
     log k1 - log k2 + 2 log v - k2/v, its logarithms taken with
-    ``math.log`` (``log_each``).  A cell leaves the active set once it
-    converges.
+    ``math.log`` (``log_each``); a bracket end that all cells share,
+    0.5*v0 below and 1.5*v0 above wherever 0.999*reset_k2 is not
+    smaller, takes one ``math.log``.  A cell leaves the active set once
+    it converges.
 
     A cell fails, and reads NaN, when the bracket shows no sign change,
     a residual is NaN, 200 iterations pass, or the residual at the root
@@ -294,15 +296,18 @@ def rate_matched_voltages(set_log_k1, set_k2, reset_log_k1, reset_k2, v0: float)
     target = set_log_k1 - log_each(set_k2) + 2.0 * math.log(v0) - set_k2 / v0
     offset = reset_log_k1 - log_each(reset_k2)
 
-    def imbalance(rows, v):
-        """The RESET node's log-rate at v minus target, for the given cells."""
-        return offset[rows] + 2.0 * log_each(v) - reset_k2[rows] / v - target[rows]
+    def imbalance(rows, v, log_v):
+        """The RESET node's log-rate at v (log_v = log v) minus target, for the given cells."""
+        return offset[rows] + 2.0 * log_v - reset_k2[rows] / v - target[rows]
 
     n = target.shape[0]
     out = np.full(n, np.nan)
     rows = np.arange(n)
     xpre, xcur = np.full(n, 0.5 * v0), np.minimum(1.5 * v0, 0.999 * reset_k2)
-    fpre, fcur = imbalance(rows, xpre), imbalance(rows, xcur)
+    log_cur = np.full(n, math.log(1.5 * v0))
+    cut = xcur != 1.5 * v0
+    log_cur[cut] = log_each(xcur[cut])
+    fpre, fcur = imbalance(rows, xpre, math.log(0.5 * v0)), imbalance(rows, xcur, log_cur)
     # brentq's checks before its first step: a NaN raises, a zero at an
     # end is the root, equal signs at both ends raise
     valid = ~(np.isnan(fpre) | np.isnan(fcur))
@@ -350,7 +355,8 @@ def rate_matched_voltages(set_log_k1, set_k2, reset_log_k1, reset_k2, v0: float)
         xpre, fpre, xcur = xcur, fcur, xcur + step
         # converged cells and NaN residuals leave the active set
         fcur = np.full(rows.size, np.nan)
-        fcur[~done] = imbalance(rows[~done], xcur[~done])
+        x = xcur[~done]
+        fcur[~done] = imbalance(rows[~done], x, log_each(x))
         keep = ~np.isnan(fcur)
         state = (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
     return out
@@ -418,9 +424,10 @@ def _driven(i: int, node: int, v: float) -> DomainError:
 
 
 def batch_read(array: DamArray) -> tuple[WeightReading, ...]:
-    """One reading per cell (see ``DamArray.weights``), stamped with the clock."""
+    """One reading per cell (see ``DamArray.weights``), stamped with the clock;
+    ``tuple.__new__`` makes each ``WeightReading`` in C, with no Python frame."""
     ws = array.weights().tolist()
-    return tuple(map(WeightReading._make, zip(ws, repeat(array.global_clock))))
+    return tuple(map(tuple.__new__, repeat(WeightReading), zip(ws, repeat(array.global_clock))))
 
 
 def advance(array: DamArray, dt: float) -> DamArray:
@@ -451,7 +458,7 @@ def batch_pulse(array: DamArray, targets: Sequence[tuple[int, int, Pulse]]) -> D
     seen = set()
     duration = None
     for idx, polarity, pulse in targets:
-        if not isinstance(idx, (int, np.integer)) or not 0 <= idx < n:
+        if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)) or not 0 <= idx < n:
             raise ArgumentError(f"cell index {idx!r} out of range for {n} cells")
         if idx in seen:
             raise ArgumentError(f"duplicate cell index {idx} in batch")
@@ -476,10 +483,8 @@ _SIGNED_OPENING = '{"checksum":"'
 
 
 def _unsigned_document(array: DamArray) -> dict:
+    """The state document without its checksum and columns."""
     p = array.nominal_params
-    columns = {key: getattr(array, name)[:, node].tolist()
-               for key, (name, node) in _DOC_COLUMNS.items()}
-    columns["weight_scale"] = [WEIGHT_SCALE] * len(array)
     return {
         "format": STATE_FORMAT,
         "version": STATE_VERSION,
@@ -493,7 +498,6 @@ def _unsigned_document(array: DamArray) -> dict:
                            "c_couple": p.c_couple},
         "v0": array.v0,
         "global_clock": array.global_clock,
-        "columns": columns,
     }
 
 
@@ -503,9 +507,20 @@ def state_to_json(array: DamArray) -> str:
     "checksum" sorts first, so it is spliced in front of the string it
     covers.  ``state_from_json`` reads it back losslessly.
     """
-    canonical = json.dumps(_unsigned_document(array), sort_keys=True, separators=(",", ":"))
-    checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return _SIGNED_OPENING + checksum + '",' + canonical[1:] + "\n"
+    # "columns" sorts first and "weight_scale" last in it.  Each column is
+    # encoded alone and the text is copied whole only by the final join, so a
+    # save's peak memory stays near two copies of the text.
+    parts = ['"columns":{']
+    for key, (name, node) in sorted(_DOC_COLUMNS.items()):
+        column = getattr(array, name)[:, node].tolist()
+        parts += [f'"{key}":', json.dumps(column, separators=(",", ":")), ","]
+    rest = json.dumps(_unsigned_document(array), sort_keys=True, separators=(",", ":"))
+    parts += ['"weight_scale":', json.dumps([WEIGHT_SCALE] * len(array), separators=(",", ":")),
+              "},", rest[1:]]
+    digest = hashlib.sha256(b"{")
+    for part in parts:
+        digest.update(part.encode("utf-8"))
+    return "".join([_SIGNED_OPENING, digest.hexdigest(), '",', *parts, "\n"])
 
 
 def _need(doc, key, path, kind=None):
@@ -513,10 +528,10 @@ def _need(doc, key, path, kind=None):
         raise StateFormatError(f"missing field at {path}.{key}" if path else f"missing field {key}")
     value = doc[key]
     where = f"{path}.{key}" if path else key
+    # bool is an int subclass; keep the two apart for typed fields
+    if kind not in (None, bool) and isinstance(value, bool):
+        raise StateFormatError(f"wrong type at {where}: expected {kind}, got bool")
     if kind is not None and not isinstance(value, kind):
-        # bool is an int subclass; keep the two apart for typed fields
-        if kind is not bool and isinstance(value, bool):
-            raise StateFormatError(f"wrong type at {where}: expected {kind}, got bool")
         raise StateFormatError(
             f"wrong type at {where}: expected {getattr(kind, '__name__', kind)}, "
             f"got {type(value).__name__}"

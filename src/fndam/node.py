@@ -64,8 +64,8 @@ def _require_int(name, value):
 
 
 def _require_seed(seed):
-    """A generator seed is an int in [0, 2**64)."""
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    """A generator seed is an int in [0, 2**64); a bool is not one."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise DomainError(f"seed must be a 64-bit unsigned int, got {seed!r}")
 
 

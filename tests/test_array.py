@@ -213,7 +213,7 @@ class TestBatchOperations:
                 (1, 1, Pulse(amplitude=0.2, duration=0.25)),
             ])
 
-    @pytest.mark.parametrize("idx", [-1, 3, 1.5])
+    @pytest.mark.parametrize("idx", [-1, 3, 1.5, True, False, np.True_])
     def test_index_validation(self, idx):
         pulse = Pulse(amplitude=0.2, duration=0.5)
         with pytest.raises(ArgumentError):

@@ -13,6 +13,7 @@ with ``==``.
 """
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -170,6 +171,10 @@ def test_single_cell_api_matches_reference(sigma, seed, dt, width, polarity, amp
     same_bits(bumped, [replace(ref, v=(ref.v[0] + dv, ref.v[1] + dv))])
 
 
+def bits(pairs):
+    return [(w.hex(), t.hex()) for w, t in pairs]
+
+
 @given(n=sizes, sigma=sigmas, seed=seeds, dt=durations)
 @settings(max_examples=40, deadline=None)
 def test_batch_read_matches_read_weight(n, sigma, seed, dt):
@@ -180,6 +185,9 @@ def test_batch_read_matches_read_weight(n, sigma, seed, dt):
     got = batch_read(array)
     assert [r.weight for r in got] == expected
     assert [r.timestamp for r in got] == [c.t for c in cells]
+    # exact WeightReading instances, bit for bit the weight column and the clock
+    assert type(got) is tuple and all(type(r) is WeightReading for r in got)
+    assert bits(got) == bits(zip(array.weights().tolist(), repeat(array.global_clock)))
 
 
 @given(n=sizes, sigma=sigmas, seed=seeds, dt=durations, data=st.data())

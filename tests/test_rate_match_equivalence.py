@@ -119,6 +119,26 @@ def test_build_array_matches_brentq(n, sigma, v0, seed):
         assert_same_roots(build_array(n, nominal, v0, spec).v[:, 1].tolist(), want)
 
 
+def test_upper_ends_shared_and_cut_per_cell():
+    # 0.999*reset_k2 < 1.5*v0 cuts the upper end for the first cells only;
+    # the others share 1.5*v0 and its one logarithm
+    v0, set_k2 = 7.5, 12.0
+    reset_k2 = np.array([10.5, 11.0, 11.2, 11.25, 11.4, 12.0, 13.0, 20.0])
+    target = _log_rate(1.0, set_k2, v0)
+    got, want = [], []
+    for root in (6.0, 8.0, 10.9):
+        # the RESET log_k1 that puts each cell's root at `root`
+        reset_log_k1 = [target - _log_rate(0.0, k2, root) for k2 in reset_k2.tolist()]
+        got += rate_matched_voltages(np.ones(reset_k2.size), np.full(reset_k2.size, set_k2),
+                                     reset_log_k1, reset_k2, v0).tolist()
+        want += [brentq_match(1.0, set_k2, a, k2, v0)
+                 for a, k2 in zip(reset_log_k1, reset_k2.tolist())]
+    cut = np.tile(0.999 * reset_k2 < 1.5 * v0, 3)
+    assert cut.any() and not cut.all()
+    assert not np.isnan(np.array(got)[cut]).all() and not np.isnan(np.array(got)[~cut]).all()
+    assert_same_roots(got, want)
+
+
 class TestFailurePaths:
     def test_no_sign_change(self):
         p = default_params()

@@ -113,6 +113,17 @@ def self_signed(payload_text):
     return '{"checksum":"' + checksum + '",' + payload_text[1:] + "\n"
 
 
+@given(n=st.integers(1, 50), sigma=st.floats(0.0, 1e-2), seed=st.integers(0, 2**32 - 1),
+       dt=st.floats(0.0, 1e6))
+@settings(max_examples=50, deadline=None)
+def test_the_text_is_the_canonical_dump_of_its_document(n, sigma, seed, dt):
+    # state_to_json encodes the columns one at a time; the reference is one json.dumps
+    text = state_to_json(aged_array(n, sigma, seed, dt))
+    doc = json.loads(text)
+    del doc["checksum"]
+    assert text == self_signed(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+
+
 def test_self_signed_non_canonical_text_loads():
     array = aged_array(4, 1e-3, 11, 3.5)
     doc = json.loads(state_to_json(array))
@@ -140,6 +151,11 @@ def test_fast_path_runs_every_other_check():
     with pytest.raises(StateFormatError, match="unknown generator at rng.algorithm"):
         state_from_json(self_signed(json.dumps(doc, sort_keys=True, separators=(",", ":"))))
     doc["rng"]["algorithm"] = fndam.array.RNG_ALGORITHM
+    doc["mismatch"]["seed"] = True  # bool is an int subclass, but not a seed
+    with pytest.raises(StateFormatError,
+                       match=r"^wrong type at mismatch\.seed: expected <class 'int'>, got bool$"):
+        state_from_json(self_signed(json.dumps(doc, sort_keys=True, separators=(",", ":"))))
+    doc["mismatch"]["seed"] = 3
     doc["columns"]["set_v_fg"][1] = -1.0
     with pytest.raises(StateFormatError, match=r"columns\.set_v_fg\[1\]"):
         state_from_json(self_signed(json.dumps(doc, sort_keys=True, separators=(",", ":"))))

@@ -371,7 +371,7 @@ class TestBlobDataset:
             make_blob_dataset(2.5)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, 2**64])
+@pytest.mark.parametrize("seed", [-1, 1.5, 2**64, True])
 @pytest.mark.parametrize("make", [
     lambda seed: MismatchSpec(seed=seed),
     lambda seed: TrainerConfig(seed=seed),
