@@ -470,7 +470,7 @@ def batch_pulse(array: DamArray, targets: Sequence[tuple[int, int, Pulse]]) -> D
                 f"batch pulses must share one duration; got {pulse.duration!r} "
                 f"after {duration!r}"
             )
-        if polarity not in (1, -1):
+        if isinstance(polarity, (bool, np.bool_)) or polarity not in (1, -1):
             raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
         step[idx, 0 if polarity == 1 else 1] = pulse.amplitude * ratio
 
@@ -546,7 +546,10 @@ def _float_at(doc, key, path):
         raise StateFormatError(
             f"wrong type at {where}: expected number, got {type(value).__name__}"
         )
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise StateFormatError(f"number out of float range at {where}") from None
 
 
 def _params_from(doc, path) -> FnParams:
@@ -631,7 +634,7 @@ def state_from_json(text: str) -> DamArray:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past str-to-int's limit
         raise StateFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise StateFormatError(f"state document must be a mapping, got {type(doc).__name__}")

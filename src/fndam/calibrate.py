@@ -22,7 +22,10 @@ two-dimensional: k1 spans ~160 decades over plausible k2, so it is
 parameterized as (u, k2) with k1 = u * exp(k2 / v0), making u the
 dimensionless initial decay speed and decoupling the two axes.
 The characterization builds no cell: it runs on the float nodes of
-``fndam.cell``, to the bits and errors of the one-cell array.
+``fndam.cell``, to the bits and errors of the one-cell array.  One
+memoized composition, aged nodes -> step amplitude -> window retention,
+serves ``step_amplitude``, ``weight_retention`` and
+``evaluate_calibration``.
 """
 
 from __future__ import annotations
@@ -99,26 +102,13 @@ def cell_at_age(params: FnParams, age_s: float, v0: float = DEFAULT_V0) -> DamAr
 
 def step_amplitude(params: FnParams, age_s: float) -> float:
     """Pulse amplitude that programs CAL_STEP_MV on a cell of the given age."""
-    return _amplitude(params, _aged_nodes(params, DEFAULT_V0, age_s))
-
-
-def _amplitude(params: FnParams, nodes) -> float:
-    """step_amplitude on the aged cell's float nodes."""
-    return _solve_amplitude(nodes, params.coupling_ratio, CAL_STEP_MV, CAL_PULSE_DURATION_S,
-                            _AMP_TOL_MV)
+    return _memoized_by_age(params)[0](age_s)
 
 
 def weight_retention(params: FnParams, age_s: float,
                      window_s: float = RETENTION_WINDOW_S) -> float:
     """Fraction of a freshly programmed 1 mV weight left after window_s."""
-    nodes = _aged_nodes(params, DEFAULT_V0, age_s)
-    return _retention(params, nodes, _amplitude(params, nodes), window_s)
-
-
-def _retention(params: FnParams, nodes, amp: float, window_s: float) -> float:
-    """weight_retention on the aged cell's float nodes, given their amplitude."""
-    pulsed = _evolved_nodes(nodes, CAL_PULSE_DURATION_S, (amp * params.coupling_ratio, 0.0))
-    return _float_weight(_evolved_nodes(pulsed, window_s)) / _float_weight(pulsed)
+    return _memoized_by_age(params, window_s)[1](age_s)
 
 
 def age_for_retention(params: FnParams, fraction: float,
@@ -187,26 +177,34 @@ def evaluate_calibration(params: FnParams, c_in: float) -> dict:
     }
 
 
-def _memoized_by_age(params: FnParams):
-    """step_amplitude and weight_retention of params, each age solved once.
+def _memoized_by_age(params: FnParams, window_s: float = RETENTION_WINDOW_S):
+    """step_amplitude and weight_retention (over window_s) of params, each
+    age solved once.
 
-    Both age searches start from the fresh cell and double their bracket
-    over the same ages, and the root each returns is an age it has
-    already solved, so without the memo evaluate_calibration repeats
-    solves it has made.  Each age's nodes are computed once for both.
+    The one composition of aged nodes, amplitude and retention.  Both age
+    searches of evaluate_calibration start from the fresh cell and double
+    their bracket over the same ages, and the root each returns is an age
+    it has already solved, so without the memo it would repeat solves it
+    has made.  Each age's nodes are computed once for both.  The memo is
+    plain dicts, so a one-off call of step_amplitude or weight_retention
+    pays no cache construction.
     """
+    aged, amplitudes, retentions = {}, {}, {}
 
-    @functools.cache
-    def aged(age_s):
-        return _aged_nodes(params, DEFAULT_V0, age_s)
-
-    @functools.cache
     def amplitude(age_s):
-        return _amplitude(params, aged(age_s))
+        if age_s not in amplitudes:
+            aged[age_s] = _aged_nodes(params, DEFAULT_V0, age_s)
+            amplitudes[age_s] = _solve_amplitude(aged[age_s], params.coupling_ratio,
+                                                 CAL_STEP_MV, CAL_PULSE_DURATION_S, _AMP_TOL_MV)
+        return amplitudes[age_s]
 
-    @functools.cache
     def retention(age_s):
-        return _retention(params, aged(age_s), amplitude(age_s), RETENTION_WINDOW_S)
+        if age_s not in retentions:
+            step = amplitude(age_s) * params.coupling_ratio
+            pulsed = _evolved_nodes(aged[age_s], CAL_PULSE_DURATION_S, (step, 0.0))
+            retentions[age_s] = (_float_weight(_evolved_nodes(pulsed, window_s))
+                                 / _float_weight(pulsed))
+        return retentions[age_s]
 
     return amplitude, retention
 

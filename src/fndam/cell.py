@@ -56,9 +56,16 @@ def synchronize(params: FnParams, v0: float) -> DamArray:
     return DamArray._of(v, k1, log_k1, k2, params, NO_MISMATCH, v0, 0.0)
 
 
+def _one_cell(cell: DamArray) -> DamArray:
+    """cell, if it is a one-cell array; ArgumentError naming its size if not."""
+    if len(cell) != 1:
+        raise ArgumentError(f"expected a one-cell array, got {len(cell)} cells")
+    return cell
+
+
 def read_weight(cell: DamArray) -> WeightReading:
     """Differential weight in mV and the clock it was read at."""
-    return WeightReading(*cell.weights().tolist(), cell.global_clock)
+    return WeightReading(*_one_cell(cell).weights().tolist(), cell.global_clock)
 
 
 def decay(cell: DamArray, dt: float) -> DamArray:
@@ -202,7 +209,7 @@ def precompensated_amplitude(cell: DamArray, target_dw: float, duration: float) 
     overshot by the smallest amplitude, and ArgumentError when it is
     reachable but the amplitude grid cannot resolve 1e-3 mV near it.
     """
-    return _solve_amplitude(_float_nodes(cell), cell.nominal_params.coupling_ratio,
+    return _solve_amplitude(_float_nodes(_one_cell(cell)), cell.nominal_params.coupling_ratio,
                             target_dw, duration, _AMP_TOL_MV)
 
 

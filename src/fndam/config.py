@@ -41,15 +41,6 @@ SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"  # the package version: fndam.__version__ and pyproject.toml read it here
 
 TRAIN_KINDS = ("perceptron", "network")
-CHARACTERIZE_EXPERIMENTS = (
-    "regimes",
-    "bidirectional",
-    "pulse_split",
-    "amplitude_sweep",
-    "pulse_count",
-    "common_mode",
-    "mismatch",
-)
 
 
 def _fail(path: str, message: str) -> ConfigError:
@@ -60,7 +51,10 @@ def _as_float(value: Any, path: str, *, minimum: float | None = None,
               strict_min: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {type(value).__name__}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an int literal beyond float range
+        raise _fail(path, "number out of float range") from None
     if out != out or out in (float("inf"), float("-inf")):
         raise _fail(path, "must be finite")
     if minimum is not None:
@@ -293,8 +287,11 @@ def read_config_file(path: str) -> ExperimentConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc.reason} at byte "
+                          f"{exc.start}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past str-to-int's limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return load_config(data)

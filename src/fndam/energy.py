@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .array import WEIGHT_SCALE, DamArray
-from .cell import _evolved_nodes, _float_nodes, _float_weight
+from .cell import _evolved_nodes, _float_nodes, _float_weight, _one_cell
 from .errors import DomainError
 from .node import (FnParams, _pulse_count, _require_finite_positive, _require_int,
                    _require_nonnegative, k0_from_initial, voltage_at)
-from .tables import csv_table
 
 ELECTRON_CHARGE = 1.602e-19  # coulomb
 TEN_YEARS_S = 10 * 365.25 * 86400.0  # retention search horizon
@@ -100,10 +99,6 @@ class EnergyLedger:
 
     def total_energy(self) -> float:
         return sum(e.energy_j for e in self._entries)
-
-    def to_csv(self) -> str:
-        header = ["cell_id", "t_s", "amplitude_V", "duration_s", "n_pulses", "energy_J"]
-        return csv_table(header, self._entries)
 
 
 def write_energy(c_in: float, v_in: float) -> float:
@@ -185,7 +180,7 @@ def retention_time(cell: DamArray, model: NoiseModel) -> RetentionResult:
     A weight already at or below the floor returns 0 s.
     """
     horizon_s = TEN_YEARS_S
-    nodes = _float_nodes(cell)
+    nodes = _float_nodes(_one_cell(cell))
 
     def margin(t):
         w_v = abs(_float_weight(_evolved_nodes(nodes, t))) / WEIGHT_SCALE

@@ -1,11 +1,14 @@
 """Deterministic experiment runner: device characterization and training
 sweeps written out as CSV datasets.
 
-Every runner takes a validated ExperimentConfig, writes one or more CSV
-files (RFC-4180 quoting, UTF-8, LF line endings, floats serialized with
-repr so values round-trip exactly) plus a ``<name>.meta.json`` sidecar
-per output carrying the config hash, schema version, tool version, and
-seed.  Nothing depends on wall-clock time or machine identity, so a
+Every runner takes a validated ExperimentConfig and hands each of its
+steps one ``write(name, content, extra=None)``, which keeps the file and
+its ``<name>.meta.json`` sidecar carrying the config hash, schema
+version, tool version, seed and any ``extra`` fields.  This module is the
+one owner of the output: every CSV the package writes is
+``csv_table(header, rows)`` here (RFC-4180 quoting, UTF-8, LF line
+endings, floats serialized with repr so values round-trip exactly, bools
+as 0/1).  Nothing depends on wall-clock time or machine identity, so a
 rerun with the same config produces byte-identical files.  A runner
 keeps its files in memory until every step has succeeded, writes each
 under a temporary name in the output directory and then renames them
@@ -41,17 +44,10 @@ from .cell import (
     set_pulse,
     reset_pulse,
 )
-from .config import (
-    CHARACTERIZE_EXPERIMENTS,
-    SCHEMA_VERSION,
-    TOOL_VERSION,
-    TRAIN_KINDS,
-    ExperimentConfig,
-)
+from .config import SCHEMA_VERSION, TOOL_VERSION, TRAIN_KINDS, ExperimentConfig
 from .energy import retention_time, write_energy_trajectory
 from .errors import ConfigError, DomainError, FndamError
 from .node import Pulse
-from .tables import csv_table
 from .trainer import (
     MlpSpec,
     NetworkConfig,
@@ -84,59 +80,63 @@ _MISMATCH_PULSES = 5
 _TRACE_POINTS = 81
 
 
-class _OutputWriter:
-    """Collects a run's files as (name, text), in write order."""
+def _format_field(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(float(value))  # canonical shortest round-trip form
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    def __init__(self, cfg: ExperimentConfig, command: str):
-        self.command = command
-        self.config_hash = cfg.config_hash()  # one hash serves every sidecar
-        self.seed = cfg.experiment.seed
-        self.files: list[tuple[str, str]] = []
 
-    def _meta(self, name: str, extra: dict | None = None) -> None:
-        meta = {
-            "file": name,
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": TOOL_VERSION,
-            "seed": self.seed,
-        }
-        if extra:
-            meta.update(extra)
-        self._write(name + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+# _format_field of the exact types most fields have, without its checks;
+# subclasses, numpy scalars, str and None take _format_field itself
+_EXACT = {float: float.__repr__, int: int.__repr__, bool: ("0", "1").__getitem__}
 
-    def csv(self, name: str, header: list[str], rows, extra: dict | None = None) -> None:
-        self.text(name, csv_table(header, rows), extra)
 
-    def text(self, name: str, content: str, extra: dict | None = None) -> None:
-        self._write(name, content)
-        self._meta(name, extra)
+def _csv_line(fields) -> str:
+    return ",".join([_EXACT.get(type(value), _format_field)(value) for value in fields])
 
-    def _write(self, name: str, content: str) -> None:
-        self.files.append((name, content))
+
+def csv_table(header, rows) -> str:
+    """The header line and one line per row, each ending in LF."""
+    lines = [_csv_line(header)]
+    lines.extend(_csv_line(row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _run(cfg: ExperimentConfig, command: str, steps) -> list[str]:
-    """Run the steps, write every file into output_dir under a temporary
-    name, then rename each into place; a run that fails before the
-    renames, or is killed during the steps, leaves output_dir as it was."""
-    writer = _OutputWriter(cfg, command)
+    """Run the steps, each as step(cfg, write), write every file into
+    output_dir under a temporary name, then rename each into place; a run
+    that fails before the renames, or is killed during the steps, leaves
+    output_dir as it was."""
+    stamp = {"command": command, "config_hash": cfg.config_hash(),
+             "schema_version": SCHEMA_VERSION, "tool_version": TOOL_VERSION,
+             "seed": cfg.experiment.seed}
+    files = []  # (name, text) in write order
+
+    def write(name: str, content: str, extra: dict | None = None) -> None:
+        meta = {"file": name, **stamp, **(extra or {})}
+        files.append((name, content))
+        files.append((name + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"))
+
     for step in steps:
-        step(cfg, writer)
+        step(cfg, write)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    parts = [out_dir / f".{name}.part" for name, _ in writer.files]
+    parts = [out_dir / f".{name}.part" for name, _ in files]
     try:
-        for part, (_, content) in zip(parts, writer.files):
+        for part, (_, content) in zip(parts, files):
             part.write_text(content, encoding="utf-8", newline="")
     except BaseException:
         for part in parts:
             part.unlink(missing_ok=True)
         raise
-    for part, (name, _) in zip(parts, writer.files):
+    for part, (name, _) in zip(parts, files):
         os.replace(part, out_dir / name)
-    return [str(out_dir / name) for name, _ in writer.files]
+    return [str(out_dir / name) for name, _ in files]
 
 
 def _fresh_cell(cfg: ExperimentConfig, age_s: float = 0.0):
@@ -154,7 +154,7 @@ def _weight_trace(cell, window_s: float, n_points: int):
     return samples
 
 
-def _char_regimes(cfg: ExperimentConfig, writer: _OutputWriter, age_at) -> None:
+def _char_regimes(cfg: ExperimentConfig, write, age_at) -> None:
     exp = cfg.experiment
     rows = []
     # the first regime is a fresh cell; the window retains the other fractions
@@ -166,14 +166,11 @@ def _char_regimes(cfg: ExperimentConfig, writer: _OutputWriter, age_at) -> None:
         w0 = read_weight(pulsed).weight
         for t, w in _weight_trace(pulsed, exp.window_s, _TRACE_POINTS):
             rows.append([regime, age, amp, t, w, w / w0])
-    writer.csv(
-        "regimes.csv",
-        ["regime", "age_s", "amplitude_V", "t_s", "weight_mV", "retention_fraction"],
-        rows,
-    )
+    header = ["regime", "age_s", "amplitude_V", "t_s", "weight_mV", "retention_fraction"]
+    write("regimes.csv", csv_table(header, rows))
 
 
-def _char_bidirectional(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
+def _char_bidirectional(cfg: ExperimentConfig, write) -> None:
     exp = cfg.experiment
     cell = _fresh_cell(cfg)
     amp = precompensated_amplitude(cell, exp.step_mv, CAL_PULSE_DURATION_S)
@@ -186,10 +183,10 @@ def _char_bidirectional(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
             cell = apply(cell, pulse)
             cell = decay(cell, CAL_PULSE_DURATION_S)
             rows.append([step, phase, cell.global_clock, read_weight(cell).weight])
-    writer.csv("bidirectional.csv", ["step", "phase", "t_s", "weight_mV"], rows)
+    write("bidirectional.csv", csv_table(["step", "phase", "t_s", "weight_mV"], rows))
 
 
-def _char_pulse_split(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
+def _char_pulse_split(cfg: ExperimentConfig, write) -> None:
     rows = []
     for n in _SPLIT_CASES:
         duration = _SPLIT_ON_TIME_S / n
@@ -200,14 +197,11 @@ def _char_pulse_split(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
                                          duration=duration))
             cell = decay(cell, period - duration)
         rows.append([n, duration, n / _SPLIT_WINDOW_S, read_weight(cell).weight])
-    writer.csv(
-        "pulse_splitting.csv",
-        ["n_pulses", "pulse_duration_s", "frequency_Hz", "net_dw_mV"],
-        rows,
-    )
+    header = ["n_pulses", "pulse_duration_s", "frequency_Hz", "net_dw_mV"]
+    write("pulse_splitting.csv", csv_table(header, rows))
 
 
-def _char_amplitude_sweep(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
+def _char_amplitude_sweep(cfg: ExperimentConfig, write) -> None:
     rows = []
     for amp in cfg.experiment.amplitude_grid_v:
         cell = _fresh_cell(cfg, _SWEEP_AGE_S)
@@ -217,15 +211,11 @@ def _char_amplitude_sweep(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
             raise DomainError(f"amplitude {amp!r} V moves the weight by {dw!r} mV, "
                               "which has no logarithm")
         rows.append([amp, _SWEEP_DURATION_S, dw, math.log(dw)])
-    writer.csv(
-        "amplitude_sweep.csv",
-        ["amplitude_V", "pulse_duration_s", "dw_mV", "ln_dw"],
-        rows,
-        extra={"age_s": _SWEEP_AGE_S},
-    )
+    header = ["amplitude_V", "pulse_duration_s", "dw_mV", "ln_dw"]
+    write("amplitude_sweep.csv", csv_table(header, rows), extra={"age_s": _SWEEP_AGE_S})
 
 
-def _char_pulse_count(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
+def _char_pulse_count(cfg: ExperimentConfig, write) -> None:
     cell = _fresh_cell(cfg)
     amp = precompensated_amplitude(cell, _COUNT_UNIT_MV, _COUNT_DURATION_S)
     pulse = Pulse(amplitude=amp, duration=_COUNT_DURATION_S)
@@ -236,15 +226,11 @@ def _char_pulse_count(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
         cell = decay(cell, period - _COUNT_DURATION_S)
         dw = read_weight(cell).weight
         rows.append([n, cell.global_clock, dw, dw / n])
-    writer.csv(
-        "pulse_count.csv",
-        ["n_pulses", "t_s", "net_dw_mV", "per_pulse_mV"],
-        rows,
-        extra={"amplitude_v": amp},
-    )
+    header = ["n_pulses", "t_s", "net_dw_mV", "per_pulse_mV"]
+    write("pulse_count.csv", csv_table(header, rows), extra={"amplitude_v": amp})
 
 
-def _char_common_mode(cfg: ExperimentConfig, writer: _OutputWriter, age_at) -> None:
+def _char_common_mode(cfg: ExperimentConfig, write, age_at) -> None:
     exp = cfg.experiment
     age = age_at(REGIME_RETENTION[1])
     cell = _fresh_cell(cfg, age)
@@ -259,15 +245,11 @@ def _char_common_mode(cfg: ExperimentConfig, writer: _OutputWriter, age_at) -> N
                        ("single_ended", lopsided)):
         for t, w in _weight_trace(start, exp.window_s, _TRACE_POINTS):
             rows.append([arm, t, w])
-    writer.csv(
-        "common_mode.csv",
-        ["arm", "t_s", "weight_mV"],
-        rows,
-        extra={"age_s": age, "step_v": _COMMON_MODE_STEP_V},
-    )
+    write("common_mode.csv", csv_table(["arm", "t_s", "weight_mV"], rows),
+          extra={"age_s": age, "step_v": _COMMON_MODE_STEP_V})
 
 
-def _char_mismatch(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
+def _char_mismatch(cfg: ExperimentConfig, write) -> None:
     exp = cfg.experiment
     par = cfg.device.fn_params()
     arr = build_array(_MISMATCH_CELLS, par, cfg.device.v0,
@@ -285,14 +267,9 @@ def _char_mismatch(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
         [i, k1[0], k2[0], k1[1], k2[1], initial[i], final[i]]
         for i, (k1, k2) in enumerate(zip(arr.k1.tolist(), arr.k2.tolist()))
     ]
-    writer.csv(
-        "mismatch.csv",
-        ["cell", "k1_set", "k2_set", "k1_reset", "k2_reset",
-         "w_initial_mV", "w_final_mV"],
-        rows,
-        extra={"relative_sigma": MismatchSpec().relative_sigma,
-               "n_pulses": _MISMATCH_PULSES},
-    )
+    header = ["cell", "k1_set", "k2_set", "k1_reset", "k2_reset", "w_initial_mV", "w_final_mV"]
+    write("mismatch.csv", csv_table(header, rows),
+          extra={"relative_sigma": MismatchSpec().relative_sigma, "n_pulses": _MISMATCH_PULSES})
 
 
 def _characterize_steps(cfg: ExperimentConfig) -> dict:
@@ -316,28 +293,20 @@ def _characterize_steps(cfg: ExperimentConfig) -> dict:
 
 def run_characterize(cfg: ExperimentConfig, experiment: str | None = None) -> list[str]:
     """Device characterization CSVs; `experiment` picks one, default all."""
-    if experiment is None or experiment == "all":
-        names = CHARACTERIZE_EXPERIMENTS
-    elif experiment in CHARACTERIZE_EXPERIMENTS:
-        names = (experiment,)
-    else:
-        raise ConfigError(
-            f"experiment: unknown characterization {experiment!r}; "
-            f"expected one of {', '.join(CHARACTERIZE_EXPERIMENTS)}"
-        )
     steps = _characterize_steps(cfg)
-    return _run(cfg, "characterize", [steps[n] for n in names])
+    if experiment is not None and experiment != "all":
+        if experiment not in steps:
+            raise ConfigError(f"experiment: unknown characterization {experiment!r}; "
+                              f"expected one of {', '.join(steps)}")
+        steps = {experiment: steps[experiment]}
+    return _run(cfg, "characterize", steps.values())
 
 
-def _energy_report(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
+def _energy_report(cfg: ExperimentConfig, write) -> None:
     exp = cfg.experiment
     rows = write_energy_trajectory(cfg.device.fn_params(), cfg.device.v0, exp.offset_v,
                                    exp.horizon_s, exp.n_samples, cfg.device.c_in)
-    writer.csv(
-        "energy_trajectory.csv",
-        ["t_s", "v_fg_V", "v_train_V", "energy_J"],
-        rows,
-    )
+    write("energy_trajectory.csv", csv_table(["t_s", "v_fg_V", "v_train_V", "energy_J"], rows))
 
 
 def run_energy_report(cfg: ExperimentConfig) -> list[str]:
@@ -354,7 +323,7 @@ def _retention_cell(cfg: ExperimentConfig, bias_v: float, age_s: float,
     return set_pulse(cell, Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S))
 
 
-def _retention_vs_bias(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
+def _retention_vs_bias(cfg: ExperimentConfig, write) -> None:
     model = cfg.noise.model()
     rows = []
     for bias in cfg.experiment.bias_grid_v:
@@ -362,14 +331,11 @@ def _retention_vs_bias(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
             cell = _retention_cell(cfg, bias, 0.0, step)
             result = retention_time(cell, model)
             rows.append([bias, step, result.seconds, result.saturated])
-    writer.csv(
-        "retention_vs_bias.csv",
-        ["bias_V", "step_mV", "retention_s", "saturated"],
-        rows,
-    )
+    header = ["bias_V", "step_mV", "retention_s", "saturated"]
+    write("retention_vs_bias.csv", csv_table(header, rows))
 
 
-def _retention_vs_age(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
+def _retention_vs_age(cfg: ExperimentConfig, write) -> None:
     model = cfg.noise.model()
     rows = []
     for age in cfg.experiment.age_grid_s:
@@ -377,11 +343,8 @@ def _retention_vs_age(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
             cell = _retention_cell(cfg, cfg.device.v0, age, step)
             result = retention_time(cell, model)
             rows.append([age, step, result.seconds, result.saturated])
-    writer.csv(
-        "retention_vs_age.csv",
-        ["age_s", "step_mV", "retention_s", "saturated"],
-        rows,
-    )
+    header = ["age_s", "step_mV", "retention_s", "saturated"]
+    write("retention_vs_age.csv", csv_table(header, rows))
 
 
 def run_retention_report(cfg: ExperimentConfig) -> list[str]:
@@ -389,7 +352,7 @@ def run_retention_report(cfg: ExperimentConfig) -> list[str]:
     return _run(cfg, "retention-report", [_retention_vs_bias, _retention_vs_age])
 
 
-def _train_perceptron(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
+def _train_perceptron(cfg: ExperimentConfig, write) -> None:
     st = cfg.experiment.train.perceptron
     dataset = make_separable_dataset(st.n_points, margin=st.margin,
                                      seed=st.dataset_seed)
@@ -405,20 +368,21 @@ def _train_perceptron(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
         seed=cfg.experiment.seed,
     )
     trace, arr = train_perceptron(dataset, arr, tcfg)
-    writer.text("perceptron_steps.csv", trace.step_csv())
-    writer.text("perceptron_epochs.csv", trace.epoch_csv())
-    writer.text("perceptron_ledger.csv", trace.ledger.to_csv())
-    writer.csv(
-        "perceptron_summary.csv",
-        ["final_w0_mV", "final_w1_mV", "dataset_margin", "final_accuracy",
-         "total_energy_J"],
-        [[trace.final_weights_mv[0], trace.final_weights_mv[1], trace.margin,
-          trace.epochs[-1].accuracy, trace.total_energy_j]],
-    )
-    writer.text("perceptron_state.json", state_to_json(arr))
+    header = ["step", "epoch", "point_index", "t_s", "w0_mV", "w1_mV", "loss", "g0", "g1",
+              "n_pulses0", "n_pulses1", "amplitude0_V", "amplitude1_V", "energy_J", "clipped"]
+    write("perceptron_steps.csv", csv_table(header, trace.steps))
+    header = ["epoch", "accuracy", "mean_abs_update_mV", "energy_J", "n_updates"]
+    write("perceptron_epochs.csv", csv_table(header, trace.epochs))
+    header = ["cell_id", "t_s", "amplitude_V", "duration_s", "n_pulses", "energy_J"]
+    write("perceptron_ledger.csv", csv_table(header, trace.ledger.entries))
+    header = ["final_w0_mV", "final_w1_mV", "dataset_margin", "final_accuracy", "total_energy_J"]
+    rows = [[*trace.final_weights_mv, trace.margin, trace.epochs[-1].accuracy,
+             trace.total_energy_j]]
+    write("perceptron_summary.csv", csv_table(header, rows))
+    write("perceptron_state.json", state_to_json(arr))
 
 
-def _train_network(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
+def _train_network(cfg: ExperimentConfig, write) -> None:
     st = cfg.experiment.train.network
     train_set = make_blob_dataset(st.n_train_per_class, seed=st.train_data_seed)
     test_set = make_blob_dataset(st.n_test_per_class, seed=st.test_data_seed)
@@ -452,13 +416,10 @@ def _train_network(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
             epoch_rows.append([arm, ep.epoch, ep.test_accuracy,
                                ep.mean_abs_weight, ep.decay_only])
         summary_rows.append([arm, trace.final_accuracy])
-    writer.csv(
-        "network_epochs.csv",
-        ["arm", "epoch", "test_accuracy", "mean_abs_weight", "decay_only"],
-        epoch_rows,
-    )
-    writer.csv("network_summary.csv", ["arm", "final_accuracy"], summary_rows)
-    writer.text("network_state.json", state_to_json(runs[1][1]))
+    header = ["arm", "epoch", "test_accuracy", "mean_abs_weight", "decay_only"]
+    write("network_epochs.csv", csv_table(header, epoch_rows))
+    write("network_summary.csv", csv_table(["arm", "final_accuracy"], summary_rows))
+    write("network_state.json", state_to_json(runs[1][1]))
 
 
 def run_train(cfg: ExperimentConfig, experiment: str | None = None) -> list[str]:
@@ -473,7 +434,7 @@ def run_train(cfg: ExperimentConfig, experiment: str | None = None) -> list[str]
     return _run(cfg, "train", [step])
 
 
-def _calibrate(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
+def _calibrate(cfg: ExperimentConfig, write) -> None:
     result = fit_device_parameters(v0=cfg.device.v0, c_in=cfg.device.c_in)
     fitted = {
         "device": {
@@ -485,13 +446,11 @@ def _calibrate(cfg: ExperimentConfig, writer: _OutputWriter) -> None:
             "v0": cfg.device.v0,
         }
     }
-    writer.text("fitted_device.json",
-                json.dumps(fitted, indent=2, sort_keys=True) + "\n",
-                extra={"cost": result.cost,
-                       "within_tolerance": result.within_tolerance()})
+    write("fitted_device.json", json.dumps(fitted, indent=2, sort_keys=True) + "\n",
+          extra={"cost": result.cost, "within_tolerance": result.within_tolerance()})
     rows = [[name, value] for name, value in sorted(result.metrics.items())]
     rows.append(["fit_cost", result.cost])
-    writer.csv("calibration_metrics.csv", ["metric", "value"], rows)
+    write("calibration_metrics.csv", csv_table(["metric", "value"], rows))
 
 
 def run_calibrate(cfg: ExperimentConfig) -> list[str]:

@@ -25,7 +25,11 @@ arrays of ``fndam.array`` evolve every node by these same expressions.
 the float log-sum-exp in its own body: the one-cell solvers and loops of
 ``fndam.cell`` and its callers run on it, one call per node evaluation,
 and write a pulse as ``decayed_float(v + step, ...) - step``, the float
-form of ``released``.
+form of ``released``.  ``evolve`` and ``apply_pulse`` are the scalar
+reference: ``tests/test_array_equivalence.py`` holds every array
+operation and every function of ``fndam.cell`` to their bits, node by
+node, and ``tests/test_node.py`` holds ``evolve`` to the ODE above
+through ``solve_ivp``.
 """
 
 from __future__ import annotations
@@ -256,7 +260,7 @@ def apply_pulse(v_fg: float, params: FnParams, pulse: Pulse, polarity: int = 1) 
     positive pulse the node ends *below* an unpulsed reference.
     """
     _require_finite_positive("v_fg", v_fg)
-    if polarity not in (1, -1):
+    if isinstance(polarity, (bool, np.bool_)) or polarity not in (1, -1):
         raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
     step = polarity * params.coupling_ratio * pulse.amplitude
     v_up = v_fg + step

@@ -34,7 +34,6 @@ from .cell import (_aged_nodes, _evolved_nodes, _float_nodes, _float_weight, _re
 from .energy import DEFAULT_C_IN, EnergyLedger
 from .errors import ArgumentError, DomainError, FndamError
 from .node import _require_finite_positive, _require_int, _require_seed, decayed, decayed_float
-from .tables import csv_table
 
 _AMP_TOL_MV = 1e-4  # precompensation tolerance for issued amplitudes
 DATASET_POINTS = 50  # default size and margin of make_separable_dataset
@@ -189,15 +188,6 @@ class TrainingTrace(NamedTuple):
             if rec.n_pulses1 > 0:
                 out.append(rec.amplitude1_v)
         return out
-
-    def step_csv(self) -> str:
-        header = ("step,epoch,point_index,t_s,w0_mV,w1_mV,loss,g0,g1,"
-                  "n_pulses0,n_pulses1,amplitude0_V,amplitude1_V,energy_J,clipped")
-        return csv_table(header.split(","), self.steps)
-
-    def epoch_csv(self) -> str:
-        header = "epoch,accuracy,mean_abs_update_mV,energy_J,n_updates"
-        return csv_table(header.split(","), self.epochs)
 
 
 def best_margin(dataset: Sequence[LabeledPoint]) -> float:

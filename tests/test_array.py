@@ -333,6 +333,9 @@ class TestStatePersistence:
     def test_invalid_json_rejected(self):
         with pytest.raises(StateFormatError, match="JSON"):
             state_from_json("{not json")
+        # an int literal longer than int() converts from text
+        with pytest.raises(StateFormatError, match="not valid JSON"):
+            state_from_json('{"v0":' + "1" * 5000 + "}")
 
     def test_non_mapping_rejected(self):
         with pytest.raises(StateFormatError):
@@ -411,6 +414,11 @@ class TestPhysicalInvariantsOnLoad:
         (("v0",), 0.0, "v0"),
         (("nominal_params", "quantize_charge"), True, r"nominal_params\.quantize_charge"),
         (("columns", "weight_scale", 1), 500.0, r"columns\.weight_scale\[1\]"),
+        (("v0",), 10**400, "^number out of float range at v0$"),
+        (("global_clock",), 10**400, "^number out of float range at global_clock$"),
+        (("nominal_params", "k1"), 10**400, r"^number out of float range at nominal_params\.k1$"),
+        (("mismatch", "relative_sigma"), 10**400,
+         r"^number out of float range at mismatch\.relative_sigma$"),
     ])
     def test_version_2(self, path, value, where):
         text = _edit(state_doc(small_array(2, sigma=1e-3, seed=3)), _set(path, value))

@@ -125,6 +125,10 @@ class TestReadWeight:
         aged = decay(cell, 12.5)
         assert read_weight(aged).timestamp == 12.5
 
+    def test_multi_cell_array_rejected(self):
+        with pytest.raises(ArgumentError, match="expected a one-cell array, got 2 cells"):
+            read_weight(build_array(2, default_params(), 7.5))
+
 
 class TestPulseSymmetry:
     def test_set_and_reset_are_mirror_images_when_balanced(self):
@@ -149,8 +153,9 @@ class TestPulseSymmetry:
         pulse = Pulse(amplitude=0.2, duration=0.1)
         assert batch_pulse(cell, [(0, 1, pulse)]) == set_pulse(cell, pulse)
         assert batch_pulse(cell, [(0, -1, pulse)]) == reset_pulse(cell, pulse)
-        with pytest.raises(ArgumentError):
-            batch_pulse(cell, [(0, 0, pulse)])
+        for polarity in (0, True, False, np.True_):  # True == 1, but a bool is no polarity
+            with pytest.raises(ArgumentError, match="polarity must be"):
+                batch_pulse(cell, [(0, polarity, pulse)])
 
     def test_clock_advances_by_pulse_duration(self):
         cell = cell_at_age(default_params(), 0.0)
@@ -440,6 +445,10 @@ class TestPrecompensatedAmplitude:
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             precompensated_amplitude(cell_at_age(default_params(), 0.0), -1.0, 0.5)
+
+    def test_multi_cell_array_rejected(self):
+        with pytest.raises(ArgumentError, match="expected a one-cell array, got 2 cells"):
+            precompensated_amplitude(build_array(2, default_params(), 7.5), 1.0, 0.5)
 
     def test_unreachable_target_keeps_its_message(self):
         with pytest.raises(SaturationError) as exc_info:

@@ -169,6 +169,36 @@ class TestFailurePaths:
         assert code == 2
         assert json.loads(stderr)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"device": {"v0": 1' + "0" * 400 + "}}", "device.v0: number out of float range"),
+        ('{"experiment": {"age_grid_s": [0, 1' + "0" * 400 + "]}}",
+         "experiment.age_grid_s[1]: number out of float range"),
+    ], ids=["scalar", "grid"])
+    def test_number_out_of_float_range_exits_2(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, stdout, stderr = run_cli(
+            capsys, "energy-report", "--config", str(bad), "--out", str(tmp_path / "o")
+        )
+        assert (code, stdout) == (2, "")
+        assert json.loads(stderr) == {"error": "ConfigError", "message": message}
+
+    @pytest.mark.parametrize("data, words", [
+        (b'{"output_dir": "\xff"}', "is not UTF-8: invalid start byte at byte 16"),
+        (b'{"device": {"v0": ' + b"1" * 5000 + b"}}", "config is not valid JSON"),
+    ], ids=["not-utf8", "int-past-str-limit"])
+    def test_unreadable_config_text_exits_2(self, data, words, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        code, stdout, stderr = run_cli(
+            capsys, "energy-report", "--config", str(bad), "--out", str(tmp_path / "o")
+        )
+        assert (code, stdout) == (2, "")
+        record = json.loads(stderr)
+        assert record["error"] == "ConfigError"
+        assert words in record["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             capsys, "calibrate", "--config", str(tmp_path / "absent.json")
@@ -297,9 +327,9 @@ class TestFailurePaths:
             "import sys\n"
             "from fndam import experiments\n"
             "from fndam.config import load_config\n"
-            "def first(cfg, writer):\n"
-            "    writer.text('energy_trajectory.csv', 'staged\\n')\n"
-            "def blocked(cfg, writer):\n"
+            "def first(cfg, write):\n"
+            "    write('energy_trajectory.csv', 'staged\\n')\n"
+            "def blocked(cfg, write):\n"
             "    print('staged', flush=True)\n"
             "    sys.stdin.read()\n"
             "experiments._run(load_config({}).with_output_dir(sys.argv[1]), 'energy-report',\n"

@@ -1,10 +1,12 @@
-"""Every CSV and fitted_device.json that the six CLI commands write equals
-the reference outputs under bench/refs/cli, byte for byte.
+"""Every file that the six CLI commands write equals its reference, byte
+for byte.
 
-The references were recorded by bench/record_refs.py: files that do not
-depend on the seed live in ``common``, the rest in ``seed-<n>``.  The
-array state files that ``train`` writes have their own references under
-tests/data/golden/seed-<n>, recorded with ``fndam train --seed <n>``.
+The CSVs and fitted_device.json are compared with bench/refs/cli,
+recorded by bench/record_refs.py: files that do not depend on the seed
+live in ``common``, the rest in ``seed-<n>``.  The array state files
+that ``train`` writes and every ``.meta.json`` sidecar have their own
+references under tests/data/golden/seed-<n>, recorded with the six
+commands at ``--seed <n>``.
 """
 
 import contextlib
@@ -41,8 +43,9 @@ def test_outputs_equal_the_references(seed, tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
         written.update((p.name, p.read_bytes()) for p in out.iterdir()
-                       if p.suffix == ".csv" or p.name == "fitted_device.json")
+                       if not p.name.endswith("_state.json"))
     expected = reference_files(seed)
+    expected.update((p.name, p.read_bytes()) for p in (GOLDEN / f"seed-{seed}").glob("*.meta.json"))
     assert sorted(written) == sorted(expected)
     assert [name for name in sorted(expected) if written[name] != expected[name]] == []
 
@@ -53,6 +56,6 @@ def test_train_state_files_equal_the_golden_bytes(seed, tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv + ["--seed", str(seed), "--out", str(tmp_path)]) == 0
     written = {p.name: p.read_bytes() for p in tmp_path.glob("*_state.json")}
-    expected = {p.name: p.read_bytes() for p in (GOLDEN / f"seed-{seed}").iterdir()}
+    expected = {p.name: p.read_bytes() for p in (GOLDEN / f"seed-{seed}").glob("*_state.json")}
     assert sorted(expected) == ["network_state.json", "perceptron_state.json"]
     assert written == expected

@@ -6,13 +6,13 @@ import json
 import pytest
 
 from fndam.config import (
-    CHARACTERIZE_EXPERIMENTS,
     TRAIN_KINDS,
     ExperimentConfig,
     load_config,
     read_config_file,
 )
 from fndam.errors import ConfigError
+from fndam.experiments import _characterize_steps
 
 
 class TestDefaults:
@@ -35,8 +35,9 @@ class TestDefaults:
 
     def test_known_experiment_names(self):
         assert TRAIN_KINDS == ("perceptron", "network")
-        assert "regimes" in CHARACTERIZE_EXPERIMENTS
-        assert "mismatch" in CHARACTERIZE_EXPERIMENTS
+        steps = _characterize_steps(load_config({}))  # the names --experiment takes
+        assert "regimes" in steps
+        assert "mismatch" in steps
 
 
 class TestOverrides:

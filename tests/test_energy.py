@@ -8,7 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fndam.array import build_array
 from fndam.calibrate import cell_at_age, default_params
+from fndam.config import load_config
 from fndam.cell import decay, read_weight, synchronize
 from fndam.energy import (
     DEFAULT_C_IN,
@@ -25,7 +27,8 @@ from fndam.energy import (
     write_energy,
     write_energy_trajectory,
 )
-from fndam.errors import DomainError
+from fndam.errors import ArgumentError, DomainError
+from fndam.experiments import run_train
 
 
 def cell_with_weight(params, w_set, weight_mv):
@@ -167,6 +170,11 @@ class TestRetentionTime:
         result = retention_time(cell_at_age(default_params(), 0.0), NoiseModel())
         assert result.seconds == 0.0
 
+    def test_multi_cell_array_rejected(self):
+        # cell 0 alone would retain nothing; the array is not one cell
+        with pytest.raises(ArgumentError, match="expected a one-cell array, got 2 cells"):
+            retention_time(build_array(2, default_params(), 7.5), NoiseModel())
+
     def test_crossing_is_bracketed(self):
         cell = cell_with_weight(default_params(), 7.5, 1.0)
         model = NoiseModel()
@@ -239,16 +247,18 @@ class TestEnergyLedger:
         ledger = EnergyLedger()
         assert ledger.record("c0", 0.0, 1.0, 1e-3, n_pulses=0).energy_j == 0.0
 
-    def test_csv_layout(self):
-        ledger = EnergyLedger(c_in=1e-12)
-        ledger.record("c0", 1.5, 0.25, 1e-3, n_pulses=2)
-        lines = ledger.to_csv().splitlines()
+    def test_csv_layout(self, tmp_path):
+        # the ledger's one table: perceptron_ledger.csv, one row per entry
+        cfg = load_config({"output_dir": str(tmp_path), "experiment": {
+            "train": {"perceptron": {"n_points": 6, "epochs": 1}}}})
+        run_train(cfg, "perceptron")
+        lines = (tmp_path / "perceptron_ledger.csv").read_text().splitlines()
         assert lines[0] == "cell_id,t_s,amplitude_V,duration_s,n_pulses,energy_J"
-        fields = lines[1].split(",")
-        assert fields[0] == "c0"
-        assert float(fields[1]) == 1.5
-        assert int(fields[4]) == 2
-        assert float(fields[5]) == 2 * write_energy(1e-12, 0.25)
+        assert len(lines) > 1
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert fields[0] in ("0", "1")
+            assert float(fields[5]) == int(fields[4]) * write_energy(1e-12, float(fields[2]))
 
     @pytest.mark.parametrize("n_pulses", [2.5, -1, math.nan, math.inf])
     def test_pulse_count_must_be_a_whole_number(self, n_pulses):

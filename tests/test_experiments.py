@@ -15,12 +15,13 @@ from fndam.calibrate import REGIME_RETENTION
 from fndam.config import load_config
 from fndam.errors import ConfigError
 from fndam.experiments import (
+    _csv_line,
+    _format_field,
     run_characterize,
     run_energy_report,
     run_retention_report,
     run_train,
 )
-from fndam.tables import _csv_line, _format_field
 
 
 def cfg_at(tmp_path, **overrides):

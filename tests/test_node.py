@@ -279,8 +279,9 @@ class TestPulses:
 
     def test_bad_polarity_rejected(self):
         p = default_params()
-        with pytest.raises(ArgumentError):
-            apply_pulse(DEFAULT_V0, p, Pulse(amplitude=0.1, duration=0.1), polarity=0)
+        for polarity in (0, True, False, np.True_):  # True == 1, but a bool is no polarity
+            with pytest.raises(ArgumentError, match="polarity must be"):
+                apply_pulse(DEFAULT_V0, p, Pulse(amplitude=0.1, duration=0.1), polarity=polarity)
 
 
 class TestValidation:

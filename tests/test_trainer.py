@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from fndam.array import WEIGHT_SCALE, DamArray, MismatchSpec, build_array
 from fndam.calibrate import default_params
 from fndam.cell import precompensated_amplitude
+from fndam.config import load_config
 from fndam.errors import ArgumentError, DomainError
+from fndam.experiments import run_train
 from fndam.trainer import (
     MAX_PULSES_PER_UPDATE,
     PULSE_DURATION_S,
@@ -280,14 +282,17 @@ class TestTrainPerceptron:
         readings = batch_read(array)
         assert trace.final_weights_mv == (readings[0].weight, readings[1].weight)
 
-    def test_csv_shapes(self):
-        (trace, _), dataset, config = self.run_small()
-        step_lines = trace.step_csv().splitlines()
+    def test_csv_shapes(self, tmp_path):
+        # the trace's two tables, as the train command writes them
+        cfg = load_config({"output_dir": str(tmp_path), "experiment": {"train": {"perceptron": {
+            "n_points": 12, "margin": 0.3, "dataset_seed": 3, "epochs": 3}}}})
+        run_train(cfg, "perceptron")
+        step_lines = (tmp_path / "perceptron_steps.csv").read_text().splitlines()
         assert step_lines[0].startswith("step,epoch,point_index,t_s,w0_mV,w1_mV,loss")
-        assert len(step_lines) == 1 + config.epochs * len(dataset)
-        epoch_lines = trace.epoch_csv().splitlines()
+        assert len(step_lines) == 1 + 3 * 12
+        epoch_lines = (tmp_path / "perceptron_epochs.csv").read_text().splitlines()
         assert epoch_lines[0] == "epoch,accuracy,mean_abs_update_mV,energy_J,n_updates"
-        assert len(epoch_lines) == 1 + config.epochs
+        assert len(epoch_lines) == 1 + 3
         assert float(step_lines[1].split(",")[3]) == 0.0
 
     def test_zero_pulse_fixed_point(self):
