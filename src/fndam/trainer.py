@@ -7,9 +7,9 @@ margin turns into a gradient, the gradient into a polarity, a pulse
 count and a precompensated amplitude, and the pulses into array
 operations whose energy lands in an EnergyLedger.  The loop runs those
 operations on the cells' float nodes (``cell._evolved_nodes``, and
-``_pulse_period`` for a pulse and its idle rest), to the bits and errors
-of ``batch_pulse`` and ``advance``, and builds the trained array once at
-the end.
+``_pulse_train`` for each segment of a pulse train, one call per
+segment), to the bits and errors of ``batch_pulse`` and ``advance``, and
+builds the trained array once at the end.
 
 The network trainer runs ordinary SGD-with-momentum in software but
 parks every parameter on a DAM cell between iterations, so weights
@@ -122,8 +122,11 @@ def gradient_to_pulses(
     whole number of unit steps.  `amplitude()` gives the pulse amplitude
     that moves the weight by one unit step at the cell's current age; it
     is called only when there are pulses to issue.  Counts beyond
-    MAX_PULSES_PER_UPDATE are clipped and flagged.
+    MAX_PULSES_PER_UPDATE are clipped and flagged; a NaN update raises
+    DomainError.
     """
+    if math.isnan(update_mv):
+        raise DomainError(f"update_mv must not be NaN, got {update_mv!r}")
     n_exact = abs(update_mv) / config.unit_step_mv
     # round(n_exact) exceeds the cap exactly when n_exact does by more than
     # half a step; deciding on the float first never rounds an infinite count
@@ -288,20 +291,35 @@ def _accuracy(dataset: Sequence[LabeledPoint], w: Sequence[float]) -> float:
     return hits / len(dataset)
 
 
-def _pulse_period(nodes, steps, log_on: float, log_off: float):
-    """One pulse period on float nodes: ``_evolved_nodes`` by the per-node
-    steps for the pulse, then without them for the idle rest, given the
-    logarithms of both durations.  Same bits and errors, each phase
-    raising ``array._driven`` for its first node left non-positive.
-    Each node evaluation is one ``decayed_float`` call: the pulse is
+def _pulse_train(nodes, steps, n, clock, log_on, log_off, on, off):
+    """n pulse periods on four float nodes: ``_evolved_nodes`` by the
+    per-node steps for the pulse, then without them for the idle rest,
+    given the logarithms of both durations; the clock moves by on, then
+    off, each period.  Same bits and errors, each phase raising
+    ``array._driven`` for its first node left non-positive.  The nodes
+    are local floats for the whole train, and each node evaluation is
+    one ``decayed_float`` call: the pulse is
     ``decayed_float(v + step, ...) - step``, ``node.released`` on floats.
+    Returns the nodes and the clock.
     """
-    nodes = [(decayed_float(v + step, log_k1, k2, log_on) - step, log_k1, k2)
-             for (v, log_k1, k2), step in zip(nodes, steps)]
-    _require_driven(nodes)
-    nodes = [(decayed_float(v, log_k1, k2, log_off), log_k1, k2) for v, log_k1, k2 in nodes]
-    _require_driven(nodes)
-    return nodes
+    (v0, a0, b0), (v1, a1, b1), (v2, a2, b2), (v3, a3, b3) = nodes
+    s0, s1, s2, s3 = steps
+    for _ in range(n):
+        v0 = decayed_float(v0 + s0, a0, b0, log_on) - s0
+        v1 = decayed_float(v1 + s1, a1, b1, log_on) - s1
+        v2 = decayed_float(v2 + s2, a2, b2, log_on) - s2
+        v3 = decayed_float(v3 + s3, a3, b3, log_on) - s3
+        if not (v0 > 0 and v1 > 0 and v2 > 0 and v3 > 0):
+            _require_driven([(v, 0.0, 0.0) for v in (v0, v1, v2, v3)])  # it reads v alone
+        v0 = decayed_float(v0, a0, b0, log_off)
+        v1 = decayed_float(v1, a1, b1, log_off)
+        v2 = decayed_float(v2, a2, b2, log_off)
+        v3 = decayed_float(v3, a3, b3, log_off)
+        if not (v0 > 0 and v1 > 0 and v2 > 0 and v3 > 0):
+            _require_driven([(v, 0.0, 0.0) for v in (v0, v1, v2, v3)])
+        clock += on
+        clock += off
+    return ((v0, a0, b0), (v1, a1, b1), (v2, a2, b2), (v3, a3, b3)), clock
 
 
 def train_perceptron(
@@ -316,11 +334,11 @@ def train_perceptron(
     the momentary weight values.  Refuses datasets that the decision
     family cannot separate.
 
-    Each pulse period is one ``_pulse_period`` call.  The logarithms of
-    the pulse and idle durations are taken once per run, and the
-    per-node steps once per segment of a pulse train: a node pulses
-    while the period index is below its count, so the steps change only
-    at the distinct counts.
+    Each segment of a pulse train is one ``_pulse_train`` call: a node
+    pulses while the period index is below its count, so the per-node
+    steps change only at the distinct counts, and are taken once per
+    segment.  The logarithms of the pulse and idle durations are taken
+    once per run.
     """
     if len(array) != 2:
         raise ArgumentError(f"perceptron needs a 2-cell array, got {len(array)}")
@@ -350,7 +368,7 @@ def train_perceptron(
     log_on, log_off = math.log(PULSE_DURATION_S), math.log(idle)
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
-        epoch_energy_start = len(ledger.entries)
+        epoch_entries = []  # as recorded: a copy of ledger.entries per epoch costs O(ledger)
         abs_updates: list[float] = []
         for point_index in order:
             point = dataset[int(point_index)]
@@ -385,10 +403,8 @@ def train_perceptron(
                 start = 0
                 for end in sorted(set(counts) - {0}):
                     segment = [s if n >= end else 0.0 for s, n in zip(pulse_steps, counts)]
-                    for _ in range(end - start):
-                        nodes = _pulse_period(nodes, segment, log_on, log_off)
-                        clock += PULSE_DURATION_S
-                        clock += idle
+                    nodes, clock = _pulse_train(nodes, segment, end - start, clock, log_on,
+                                                log_off, PULSE_DURATION_S, idle)
                     start = end
                 for j, c in enumerate(commands):
                     if c.n_pulses > 0:
@@ -399,6 +415,7 @@ def train_perceptron(
                             duration_s=PULSE_DURATION_S,
                             n_pulses=c.n_pulses,
                         )
+                        epoch_entries.append(entry)
                         step_energy += entry.energy_j
                 reference = _evolved_nodes(reference, longest * period)
                 remainder = SAMPLE_INTERVAL_S - longest * period
@@ -431,7 +448,6 @@ def train_perceptron(
                 )
             )
 
-        epoch_entries = ledger.entries[epoch_energy_start:]
         epochs.append(
             EpochSummary(
                 epoch=epoch,

@@ -11,6 +11,7 @@ from fndam.array import WEIGHT_SCALE, DamArray, MismatchSpec, build_array
 from fndam.calibrate import default_params
 from fndam.cell import precompensated_amplitude
 from fndam.config import load_config
+from fndam.energy import EnergyLedger
 from fndam.errors import ArgumentError, DomainError
 from fndam.experiments import run_train
 from fndam.trainer import (
@@ -147,6 +148,13 @@ class TestGradientToPulses:
             cmd = gradient_to_pulses(sign * units, cfg, lambda: 0.5)
             assert (cmd.polarity, cmd.n_pulses, cmd.clipped) == (sign, n_pulses, clipped)
 
+    def test_nan_update_is_a_domain_error(self):
+        def unused():
+            raise AssertionError("a NaN update has no pulses to solve for")
+
+        with pytest.raises(DomainError, match="update_mv"):
+            gradient_to_pulses(math.nan, self.config(), unused)
+
 
 class TestTrainerConfig:
     def test_defaults_are_consistent(self):
@@ -267,6 +275,19 @@ class TestTrainPerceptron:
         np.testing.assert_allclose(
             trace.total_energy_j, sum(e.energy_j for e in trace.epochs), rtol=1e-12
         )
+
+    def test_epoch_energy_never_rereads_the_ledger(self, monkeypatch):
+        # copying the ledger once per epoch would make a run quadratic in epochs
+        reads = []
+
+        def counting(ledger):
+            reads.append(ledger)
+            return tuple(ledger._entries)
+
+        monkeypatch.setattr(EnergyLedger, "entries", property(counting))
+        (trace, _), _, _ = self.run_small()
+        assert reads == []
+        assert sum(e.n_updates for e in trace.epochs) > 0
 
     def test_clock_accounting(self):
         (trace, array), dataset, config = self.run_small()
