@@ -371,6 +371,8 @@ def build_array(
     ``cell.synchronize`` gives it; the others are rate-matched at v0.
     The cells that cannot be synchronized are reported together.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ArgumentError(f"array size must be an integer, got {n!r}")
     if n < 1:
         raise ArgumentError(f"array size must be >= 1, got {n!r}")
     spec = mismatch if mismatch is not None else NO_MISMATCH

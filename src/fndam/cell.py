@@ -169,17 +169,18 @@ def _evolved_nodes(nodes, dt: float, steps=None):
     An idle node's zero step leaves its decay bit-identical to no step.
     The first node left non-positive raises ``array._driven``.
     """
-    _require_nonnegative("dt", dt)
-    if dt == 0.0:
+    if not 0.0 < dt < math.inf:  # dt and the nodes are checked off their fast paths
+        _require_nonnegative("dt", dt)
         return nodes
     log_dt = math.log(dt)
     if steps is None:
-        nodes = tuple([(decayed_float(v, log_k1, k2, log_dt), log_k1, k2)
-                       for v, log_k1, k2 in nodes])
+        nodes = tuple([(decayed_float(v, a, k, log_dt), a, k) for v, a, k in nodes])
     else:
-        nodes = tuple([(decayed_float(v + step, log_k1, k2, log_dt) - step, log_k1, k2)
-                       for (v, log_k1, k2), step in zip(nodes, steps)])
-    _require_driven(nodes)
+        nodes = tuple([(decayed_float(v + s, a, k, log_dt) - s, a, k)
+                       for (v, a, k), s in zip(nodes, steps)])
+    for v, _, _ in nodes:
+        if not v > 0:
+            _require_driven(nodes)
     return nodes
 
 

@@ -3,12 +3,13 @@
     fndam <command> [--config FILE] [--seed N] [--out DIR] [--experiment NAME]
 
 Commands: calibrate, characterize, energy-report, retention-report,
-train.  The config file is JSON (see config.load_config for the
-schema); --seed and --out override the file's experiment.seed and
-output_dir.  On success the written paths are printed one per line and
-the exit status is 0; on failure a one-line JSON error record goes to
-stderr and the status is nonzero (2 for configuration problems, 1 for
-runtime failures, running out of memory included).
+train.  The options may come before or after the command.  The config
+file is JSON (see config.load_config for the schema); --seed and --out
+override the file's experiment.seed and output_dir.  On success the
+written paths are printed one per line and the exit status is 0; on
+failure a one-line JSON error record goes to stderr and the status is
+nonzero (2 for configuration problems, 1 for runtime failures, running
+out of memory included).
 """
 
 from __future__ import annotations
@@ -36,25 +37,22 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fndam",
         description="Deterministic device-characterization and training "
                     "experiments for differential tunneling-node memory.",
+        epilog="commands:\n" + "\n".join(f"  {name:<18}{text}" for name, text in (
+            ("calibrate", "fit the tunneling constants and write a device block"),
+            ("characterize", "device response CSVs (regimes, pulses, mismatch)"),
+            ("energy-report", "per-update write energy over the device's life"),
+            ("retention-report", "retention time vs bias and vs age"),
+            ("train", "perceptron or network training on simulated cells"),
+        )),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("calibrate", "fit the tunneling constants and write a device block"),
-        ("characterize", "device response CSVs (regimes, pulses, mismatch)"),
-        ("energy-report", "per-update write energy over the device's life"),
-        ("retention-report", "retention time vs bias and vs age"),
-        ("train", "perceptron or network training on simulated cells"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", metavar="FILE",
-                         help="JSON config file (defaults apply when omitted)")
-        cmd.add_argument("--seed", type=int, metavar="N",
-                         help="override experiment.seed")
-        cmd.add_argument("--out", metavar="DIR",
-                         help="override output_dir")
-        cmd.add_argument("--experiment", metavar="NAME",
-                         help="sub-experiment (characterize) or training kind "
-                              "(train)")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", metavar="FILE",
+                        help="JSON config file (defaults apply when omitted)")
+    parser.add_argument("--seed", type=int, metavar="N", help="override experiment.seed")
+    parser.add_argument("--out", metavar="DIR", help="override output_dir")
+    parser.add_argument("--experiment", metavar="NAME",
+                        help="sub-experiment (characterize) or training kind (train)")
     return parser
 
 

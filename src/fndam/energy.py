@@ -220,9 +220,20 @@ def read_noise(p_read: float, bandwidth: float) -> float:
 
 
 def min_read_power(noise_target: float, bandwidth: float) -> float:
-    """Smallest read power whose rms noise stays at or below noise_target."""
+    """Smallest read power whose rms noise stays at or below noise_target.
+
+    Raises DomainError when that power, or noise_target squared, is not
+    a positive finite float.
+    """
     _require_finite_positive("noise_target", noise_target)
     _require_finite_positive("bandwidth", bandwidth)
-    return (4.0 * THERMAL_VOLTAGE_V**2 * ELECTRON_CHARGE * SUPPLY_V * bandwidth
-            / (GATE_EFFICIENCY * noise_target**2))
+    try:
+        power = (4.0 * THERMAL_VOLTAGE_V**2 * ELECTRON_CHARGE * SUPPLY_V * bandwidth
+                 / (GATE_EFFICIENCY * noise_target**2))
+    except (OverflowError, ZeroDivisionError):  # noise_target**2 left float range
+        power = 0.0
+    if 0.0 < power < math.inf:
+        return power
+    raise DomainError(f"noise_target {noise_target!r} V at bandwidth {bandwidth!r} Hz "
+                      "needs a read power out of float range")
 

@@ -105,6 +105,14 @@ class TestBuildArray:
         with pytest.raises(ArgumentError):
             build_array(0, default_params(), 7.5)
 
+    @pytest.mark.parametrize("n", [1.5, math.nan, True])
+    def test_size_must_be_an_integer(self, n):
+        with pytest.raises(ArgumentError, match="array size must be an integer"):
+            build_array(n, default_params(), 7.5)
+
+    def test_numpy_integer_size(self):
+        assert len(build_array(np.int64(3), default_params(), 7.5)) == 3
+
     def test_hopeless_mismatch_reports_indices(self):
         with pytest.raises(InitializationError) as exc_info:
             build_array(

@@ -2,6 +2,7 @@
 schedules, the linearized update, and amplitude precompensation."""
 
 import math
+import re
 from dataclasses import replace
 from decimal import Decimal
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from fndam.array import MismatchSpec, batch_pulse, build_array, rate_matched_voltages
 from fndam.calibrate import DEFAULT_K1, REGIME_AGES_S, cell_at_age, default_params
 from fndam.cell import (
+    _evolved_nodes,
     _float_nodes,
     _solve_amplitude,
     common_mode_step,
@@ -208,6 +210,30 @@ class TestDecay:
         cell = cell_with_weight(default_params(), 7.5, -5.0)
         w1 = read_weight(decay(cell, 10.0)).weight
         assert -5.0 < w1 < 0.0
+
+    @pytest.mark.parametrize("dt", [0.0, -0.0])
+    def test_float_evolve_by_zero_returns_the_nodes(self, dt):
+        nodes = _float_nodes(cell_with_weight(default_params(), 7.5, 5.0))
+        assert _evolved_nodes(nodes, dt) is nodes
+
+    @pytest.mark.parametrize("dt", [-5e-324, -1.0, math.nan, math.inf, -math.inf])
+    def test_float_evolve_rejects_dt_as_decay_does(self, dt):
+        cell = cell_with_weight(default_params(), 7.5, 5.0)
+        with pytest.raises(DomainError) as on_cell:
+            decay(cell, dt)
+        with pytest.raises(DomainError, match=re.escape(str(on_cell.value))):
+            _evolved_nodes(_float_nodes(cell), dt)
+
+    @pytest.mark.parametrize("cell, polarity", [(0, 1), (1, -1)])
+    def test_float_pulse_names_the_node_it_drives_negative(self, cell, polarity):
+        array = build_array(2, default_params(), 7.5)
+        pulse = Pulse(100.0, 1.0)  # a 10 V coupled step, released below 0 V
+        with pytest.raises(DomainError) as on_array:
+            batch_pulse(array, [(cell, polarity, pulse)])
+        steps = [0.0] * 4
+        steps[2 * cell + (polarity < 0)] = array.nominal_params.coupling_ratio * pulse.amplitude
+        with pytest.raises(DomainError, match=f"^{re.escape(str(on_array.value))}$"):
+            _evolved_nodes(_float_nodes(array), pulse.duration, steps)
 
 
 class TestDiscreteUpdate:

@@ -3,6 +3,7 @@ output trees, sidecar metadata, and rerun determinism."""
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -95,6 +96,12 @@ class TestSuccessPaths:
         values = dict(zip(header, summary[1].split(",")))
         assert float(values["final_accuracy"]) == 1.0
         assert float(values["total_energy_J"]) > 0.0
+
+    def test_options_may_come_before_the_command(self, tmp_path, capsys):
+        first, last = tmp_path / "first", tmp_path / "last"
+        assert run_cli(capsys, "energy-report", "--seed", "1", "--out", str(first))[0] == 0
+        assert run_cli(capsys, "--seed", "1", "energy-report", "--out", str(last))[0] == 0
+        assert tree_bytes(first) == tree_bytes(last)
 
     def test_fitted_device_block_is_loadable_config(self, tmp_path, capsys):
         cal_out = tmp_path / "cal"
@@ -263,6 +270,25 @@ class TestFailurePaths:
     def test_unknown_command_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["decalcify"])
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["-h"])
+        assert exc_info.value.code == 0
+        text = capsys.readouterr().out
+        for name, description in (
+            ("calibrate", "fit the tunneling constants and write a device block"),
+            ("characterize", "device response CSVs (regimes, pulses, mismatch)"),
+            ("energy-report", "per-update write energy over the device's life"),
+            ("retention-report", "retention time vs bias and vs age"),
+            ("train", "perceptron or network training on simulated cells"),
+        ):
+            assert re.search(rf"^  {name} +{re.escape(description)}$", text, re.MULTILINE)
+
+    def test_unknown_option_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["calibrate", "--bogus"])
+        assert exc_info.value.code == 2
 
     def test_failed_run_leaves_no_partial_outputs(self, tmp_path, capsys):
         # an unreachable step amplitude inside the run must clean up

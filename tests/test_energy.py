@@ -228,6 +228,14 @@ class TestReadoutTrade:
         with pytest.raises(DomainError):
             min_read_power(target, bw)
 
+    @pytest.mark.parametrize("target,bw", [(1e300, 1e3), (1e-300, 1e3), (5e-324, 1e3),
+                                           (1e154, 1e3), (2e-162, 1e300)])
+    def test_min_power_out_of_float_range(self, target, bw):
+        # target**2 overflows (1e300) or underflows to zero (1e-300, 5e-324);
+        # the power underflows to zero (1e154) or overflows to inf (2e-162)
+        with pytest.raises(DomainError, match="^noise_target "):
+            min_read_power(target, bw)
+
 
 class TestEnergyLedger:
     def test_entry_energy(self):

@@ -161,6 +161,22 @@ def test_fast_path_runs_every_other_check():
         state_from_json(self_signed(json.dumps(doc, sort_keys=True, separators=(",", ":"))))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(version="2"), r"^wrong type at version: expected int, got str$"),
+    (lambda doc: doc["nominal_params"].update(c_couple=doc["nominal_params"]["c_total"]),
+     r"^invalid parameters at nominal_params: "),
+    (lambda doc: doc.update(v0=1e-300), r"^invalid value at v0: 1e-300, no set node starts there$"),
+    (lambda doc: doc["mismatch"].update(relative_sigma=-1.0), r"^invalid field at mismatch: "),
+], ids=["version_type", "coupling", "v0", "sigma"])
+def test_signed_document_errors_name_their_field(edit, message):
+    # the checksum holds, so each document reaches the check behind it
+    doc = json.loads(state_to_json(aged_array(2, 1e-3, 3, 1.0)))
+    del doc["checksum"]
+    edit(doc)
+    with pytest.raises(StateFormatError, match=message):
+        state_from_json(self_signed(json.dumps(doc, sort_keys=True, separators=(",", ":"))))
+
+
 def test_a_lone_surrogate_fails_at_checksum():
     text = state_to_json(aged_array(2, 1e-3, 3, 1.0))
     odd = text.replace('"gaussian"', '"gaussian\ud800"')
