@@ -16,7 +16,8 @@ A cell is a one-cell ``DamArray``: its SET and RESET voltages are
 ``cell.global_clock``.  ``decay``, ``set_pulse``, ``reset_pulse`` and
 ``read_weight`` are the array operations on that one cell.  Solvers
 and loops over one cell read its columns once and run on floats, as
-each one-cell array operation pays several numpy calls:
+each one-cell array operation pays several numpy calls (a command builds
+one only for ``retention-report``'s public solves, one per grid row):
 ``_evolved_nodes`` and ``_float_weight`` are ``batch_pulse``, ``decay``
 and ``read_weight`` on ``node.decayed_float``, to the same bits and
 errors.  A pulsed node is ``decayed_float(v + step, ...) - step``, the

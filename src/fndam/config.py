@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Mapping, get_type_hints
 
 from .array import MismatchSpec
@@ -225,7 +225,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Resolved configuration as plain data; json.dumps writes its tuples as lists."""
-        return asdict(self)
+        return _plain(self)
 
     def config_hash(self) -> str:
         """sha256 over the experiment-defining fields.
@@ -244,6 +244,12 @@ class ExperimentConfig:
 
     def with_output_dir(self, output_dir: str) -> "ExperimentConfig":
         return replace(self, output_dir=output_dir)
+
+
+def _plain(block) -> dict:
+    """``asdict`` of a config block (all plain fields), without its deep copy."""
+    return {name: _plain(value) if hasattr(value := getattr(block, name), "__dataclass_fields__")
+            else value for name in block.__dataclass_fields__}
 
 
 _CHECKS = {float: _as_float, int: _as_int, str: _as_str,

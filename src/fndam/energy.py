@@ -179,8 +179,12 @@ def retention_time(cell: DamArray, model: NoiseModel) -> RetentionResult:
     Returns TEN_YEARS_S with saturated=True when the weight outlives it.
     A weight already at or below the floor returns 0 s.
     """
+    return _retention_time(_float_nodes(_one_cell(cell)), model)
+
+
+def _retention_time(nodes, model: NoiseModel) -> RetentionResult:
+    """retention_time on a cell's float nodes (``cell._float_nodes``)."""
     horizon_s = TEN_YEARS_S
-    nodes = _float_nodes(_one_cell(cell))
 
     def margin(t):
         w_v = abs(_float_weight(_evolved_nodes(nodes, t))) / WEIGHT_SCALE

@@ -13,7 +13,11 @@ rerun with the same config produces byte-identical files.  A runner
 keeps its files in memory until every step has succeeded, writes each
 under a temporary name in the output directory and then renames them
 into place, so a run that fails before the renames, or is killed
-before the writes, leaves the output directory as it was.
+before the writes, leaves the output directory as it was.  Every
+one-cell protocol runs on ``fndam.cell``'s float nodes, to the bits and
+errors of the array operations, except that retention-report solves each
+row's amplitudes on its aged one-cell array; ``_char_mismatch`` pulses a
+12-cell array.
 """
 
 from __future__ import annotations
@@ -22,30 +26,28 @@ import functools
 import json
 import math
 import os
-from dataclasses import replace
 from pathlib import Path
 
 from .array import MismatchSpec, advance, batch_pulse, build_array, state_to_json
 from .calibrate import (
     CAL_PULSE_DURATION_S,
     REGIME_RETENTION,
-    age_for_retention,
+    _age_for,
+    _memoized_by_age,
     cell_at_age,
     fit_device_parameters,
 )
 from .cell import (
+    _AMP_TOL_MV,
+    _aged_nodes,
     _evolved_nodes,
     _float_nodes,
     _float_weight,
-    common_mode_step,
-    decay,
+    _solve_amplitude,
     precompensated_amplitude,
-    read_weight,
-    set_pulse,
-    reset_pulse,
 )
 from .config import SCHEMA_VERSION, TOOL_VERSION, TRAIN_KINDS, ExperimentConfig
-from .energy import retention_time, write_energy_trajectory
+from .energy import _retention_time, write_energy_trajectory
 from .errors import ConfigError, DomainError, FndamError
 from .node import Pulse
 from .trainer import (
@@ -139,14 +141,20 @@ def _run(cfg: ExperimentConfig, command: str, steps) -> list[str]:
     return [str(out_dir / name) for name, _ in files]
 
 
-def _fresh_cell(cfg: ExperimentConfig, age_s: float = 0.0):
-    return cell_at_age(cfg.device.fn_params(), age_s, cfg.device.v0)
+def _amplitude(nodes, par, target_dw: float, duration: float) -> float:
+    """``precompensated_amplitude`` on a cell's float nodes."""
+    return _solve_amplitude(nodes, par.coupling_ratio, target_dw, duration, _AMP_TOL_MV)
 
 
-def _weight_trace(cell, window_s: float, n_points: int):
-    """(t, weight) samples of undisturbed decay from the cell's state."""
+def _pulsed(nodes, par, pulse: Pulse, polarity: int = 1):
+    """``set_pulse`` (polarity 1) or ``reset_pulse`` (-1) on a cell's float nodes."""
+    step = pulse.amplitude * par.coupling_ratio
+    return _evolved_nodes(nodes, pulse.duration, (step, 0.0) if polarity == 1 else (0.0, step))
+
+
+def _weight_trace(nodes, window_s: float, n_points: int):
+    """(t, weight) samples of undisturbed decay from a cell's float nodes."""
     t_step = window_s / (n_points - 1)
-    nodes = _float_nodes(cell)
     samples = [(0.0, _float_weight(nodes))]
     for i in range(1, n_points):
         nodes = _evolved_nodes(nodes, t_step)
@@ -155,15 +163,15 @@ def _weight_trace(cell, window_s: float, n_points: int):
 
 
 def _char_regimes(cfg: ExperimentConfig, write, age_at) -> None:
-    exp = cfg.experiment
+    exp, par = cfg.experiment, cfg.device.fn_params()
     rows = []
     # the first regime is a fresh cell; the window retains the other fractions
     ages = (0.0,) + tuple(map(age_at, REGIME_RETENTION[1:]))
     for regime, age in enumerate(ages, start=1):
-        cell = _fresh_cell(cfg, age)
-        amp = precompensated_amplitude(cell, exp.step_mv, CAL_PULSE_DURATION_S)
-        pulsed = set_pulse(cell, Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S))
-        w0 = read_weight(pulsed).weight
+        nodes = _aged_nodes(par, cfg.device.v0, age)
+        amp = _amplitude(nodes, par, exp.step_mv, CAL_PULSE_DURATION_S)
+        pulsed = _pulsed(nodes, par, Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S))
+        w0 = _float_weight(pulsed)
         for t, w in _weight_trace(pulsed, exp.window_s, _TRACE_POINTS):
             rows.append([regime, age, amp, t, w, w / w0])
     header = ["regime", "age_s", "amplitude_V", "t_s", "weight_mV", "retention_fraction"]
@@ -171,42 +179,45 @@ def _char_regimes(cfg: ExperimentConfig, write, age_at) -> None:
 
 
 def _char_bidirectional(cfg: ExperimentConfig, write) -> None:
-    exp = cfg.experiment
-    cell = _fresh_cell(cfg)
-    amp = precompensated_amplitude(cell, exp.step_mv, CAL_PULSE_DURATION_S)
+    exp, par = cfg.experiment, cfg.device.fn_params()
+    nodes = _aged_nodes(par, cfg.device.v0, 0.0)
+    amp = _amplitude(nodes, par, exp.step_mv, CAL_PULSE_DURATION_S)
     pulse = Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S)
-    rows = [[0, "initial", 0.0, read_weight(cell).weight]]
-    step = 0
-    for phase, apply in (("set", set_pulse), ("reset", reset_pulse)):
+    rows = [[0, "initial", 0.0, _float_weight(nodes)]]
+    step, clock = 0, 0.0
+    for phase, polarity in (("set", 1), ("reset", -1)):
         for _ in range(5):
             step += 1
-            cell = apply(cell, pulse)
-            cell = decay(cell, CAL_PULSE_DURATION_S)
-            rows.append([step, phase, cell.global_clock, read_weight(cell).weight])
+            nodes = _pulsed(nodes, par, pulse, polarity)
+            clock += pulse.duration
+            nodes = _evolved_nodes(nodes, CAL_PULSE_DURATION_S)
+            clock += CAL_PULSE_DURATION_S
+            rows.append([step, phase, clock, _float_weight(nodes)])
     write("bidirectional.csv", csv_table(["step", "phase", "t_s", "weight_mV"], rows))
 
 
 def _char_pulse_split(cfg: ExperimentConfig, write) -> None:
+    par = cfg.device.fn_params()
     rows = []
     for n in _SPLIT_CASES:
         duration = _SPLIT_ON_TIME_S / n
         period = _SPLIT_WINDOW_S / n
-        cell = _fresh_cell(cfg)
+        nodes = _aged_nodes(par, cfg.device.v0, 0.0)
         for _ in range(n):
-            cell = set_pulse(cell, Pulse(amplitude=_SPLIT_AMPLITUDE_V,
-                                         duration=duration))
-            cell = decay(cell, period - duration)
-        rows.append([n, duration, n / _SPLIT_WINDOW_S, read_weight(cell).weight])
+            nodes = _pulsed(nodes, par, Pulse(amplitude=_SPLIT_AMPLITUDE_V, duration=duration))
+            nodes = _evolved_nodes(nodes, period - duration)
+        rows.append([n, duration, n / _SPLIT_WINDOW_S, _float_weight(nodes)])
     header = ["n_pulses", "pulse_duration_s", "frequency_Hz", "net_dw_mV"]
     write("pulse_splitting.csv", csv_table(header, rows))
 
 
 def _char_amplitude_sweep(cfg: ExperimentConfig, write) -> None:
+    par = cfg.device.fn_params()
     rows = []
     for amp in cfg.experiment.amplitude_grid_v:
-        cell = _fresh_cell(cfg, _SWEEP_AGE_S)
-        pulsed = set_pulse(cell, Pulse(amplitude=amp, duration=_SWEEP_DURATION_S))
-        dw = read_weight(pulsed).weight
+        nodes = _aged_nodes(par, cfg.device.v0, _SWEEP_AGE_S)
+        pulsed = _pulsed(nodes, par, Pulse(amplitude=amp, duration=_SWEEP_DURATION_S))
+        dw = _float_weight(pulsed)
         if not dw > 0:
             raise DomainError(f"amplitude {amp!r} V moves the weight by {dw!r} mV, "
                               "which has no logarithm")
@@ -216,33 +227,34 @@ def _char_amplitude_sweep(cfg: ExperimentConfig, write) -> None:
 
 
 def _char_pulse_count(cfg: ExperimentConfig, write) -> None:
-    cell = _fresh_cell(cfg)
-    amp = precompensated_amplitude(cell, _COUNT_UNIT_MV, _COUNT_DURATION_S)
+    par = cfg.device.fn_params()
+    nodes = _aged_nodes(par, cfg.device.v0, 0.0)
+    amp = _amplitude(nodes, par, _COUNT_UNIT_MV, _COUNT_DURATION_S)
     pulse = Pulse(amplitude=amp, duration=_COUNT_DURATION_S)
-    period = 2 * _COUNT_DURATION_S
-    rows = []
+    idle = _COUNT_DURATION_S  # the rest of each 2 ms pulse period
+    clock, rows = 0.0, []
     for n in range(1, _COUNT_MAX + 1):  # one pulse train, read after every pulse
-        cell = set_pulse(cell, pulse)
-        cell = decay(cell, period - _COUNT_DURATION_S)
-        dw = read_weight(cell).weight
-        rows.append([n, cell.global_clock, dw, dw / n])
+        nodes = _pulsed(nodes, par, pulse)
+        clock += pulse.duration
+        nodes = _evolved_nodes(nodes, idle)
+        clock += idle
+        dw = _float_weight(nodes)
+        rows.append([n, clock, dw, dw / n])
     header = ["n_pulses", "t_s", "net_dw_mV", "per_pulse_mV"]
     write("pulse_count.csv", csv_table(header, rows), extra={"amplitude_v": amp})
 
 
 def _char_common_mode(cfg: ExperimentConfig, write, age_at) -> None:
-    exp = cfg.experiment
+    exp, par = cfg.experiment, cfg.device.fn_params()
     age = age_at(REGIME_RETENTION[1])
-    cell = _fresh_cell(cfg, age)
-    amp = precompensated_amplitude(cell, _COMMON_MODE_WEIGHT_MV,
-                                   CAL_PULSE_DURATION_S)
-    cell = set_pulse(cell, Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S))
-
-    bumped = common_mode_step(cell, _COMMON_MODE_STEP_V)
-    lopsided = replace(cell, v=[[cell.v[0, 0] + _COMMON_MODE_STEP_V, cell.v[0, 1]]])
+    nodes = _aged_nodes(par, cfg.device.v0, age)
+    amp = _amplitude(nodes, par, _COMMON_MODE_WEIGHT_MV, CAL_PULSE_DURATION_S)
+    nodes = _pulsed(nodes, par, Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S))
+    # the disturbance lifts both nodes (common mode) or the SET node alone
+    bumped = tuple((v + _COMMON_MODE_STEP_V, a, k) for v, a, k in nodes)
+    lopsided = (bumped[0], nodes[1])
     rows = []
-    for arm, start in (("baseline", cell), ("common_mode", bumped),
-                       ("single_ended", lopsided)):
+    for arm, start in (("baseline", nodes), ("common_mode", bumped), ("single_ended", lopsided)):
         for t, w in _weight_trace(start, exp.window_s, _TRACE_POINTS):
             rows.append([arm, t, w])
     write("common_mode.csv", csv_table(["arm", "t_s", "weight_mV"], rows),
@@ -255,8 +267,8 @@ def _char_mismatch(cfg: ExperimentConfig, write) -> None:
     arr = build_array(_MISMATCH_CELLS, par, cfg.device.v0,
                       MismatchSpec(seed=exp.seed))
     initial = arr.weights().tolist()
-    amp = precompensated_amplitude(_fresh_cell(cfg), exp.step_mv,
-                                   CAL_PULSE_DURATION_S)
+    amp = _amplitude(_aged_nodes(par, cfg.device.v0, 0.0), par, exp.step_mv,
+                     CAL_PULSE_DURATION_S)
     pulse = Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S)
     for _ in range(_MISMATCH_PULSES):
         targets = [(i, 1, pulse) for i in range(len(arr))]
@@ -278,8 +290,8 @@ def _characterize_steps(cfg: ExperimentConfig) -> dict:
     regimes and common_mode share one age search per retention fraction.
     """
     par = cfg.device.fn_params()
-    age_at = functools.cache(
-        lambda fraction: age_for_retention(par, fraction, cfg.experiment.window_s))
+    retention = _memoized_by_age(par, cfg.experiment.window_s)[1]
+    age_at = functools.cache(lambda fraction: _age_for(retention, fraction))
     return {
         "regimes": functools.partial(_char_regimes, age_at=age_at),
         "bidirectional": _char_bidirectional,
@@ -314,37 +326,37 @@ def run_energy_report(cfg: ExperimentConfig) -> list[str]:
     return _run(cfg, "energy-report", [_energy_report])
 
 
-def _retention_cell(cfg: ExperimentConfig, bias_v: float, age_s: float,
-                    step_mv: float):
-    cell = cell_at_age(cfg.device.fn_params(), age_s, bias_v)
-    if step_mv == 0.0:
-        return cell
-    amp = precompensated_amplitude(cell, step_mv, CAL_PULSE_DURATION_S)
-    return set_pulse(cell, Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S))
+def _retention_table(cfg: ExperimentConfig, write, name: str, column: str, cells) -> None:
+    """Per (value, bias_v, age_s) of cells and per grid step, the retention_time
+    of a cell synchronized at bias_v, aged age_s and raised by a step_mv SET pulse.
+
+    Each row's aged cell is built once, and its solves go through the public
+    ``precompensated_amplitude``, so a traced run counts them; the pulse and
+    the retention search run on the cell's float nodes.
+    """
+    par, model = cfg.device.fn_params(), cfg.noise.model()
+    rows = []
+    for value, bias_v, age_s in cells:
+        cell = cell_at_age(par, age_s, bias_v)
+        aged = _float_nodes(cell)
+        for step_mv in cfg.experiment.step_grid_mv:
+            nodes = aged
+            if step_mv != 0.0:
+                amp = precompensated_amplitude(cell, step_mv, CAL_PULSE_DURATION_S)
+                nodes = _pulsed(aged, par, Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S))
+            result = _retention_time(nodes, model)
+            rows.append([value, step_mv, result.seconds, result.saturated])
+    write(name, csv_table([column, "step_mV", "retention_s", "saturated"], rows))
 
 
 def _retention_vs_bias(cfg: ExperimentConfig, write) -> None:
-    model = cfg.noise.model()
-    rows = []
-    for bias in cfg.experiment.bias_grid_v:
-        for step in cfg.experiment.step_grid_mv:
-            cell = _retention_cell(cfg, bias, 0.0, step)
-            result = retention_time(cell, model)
-            rows.append([bias, step, result.seconds, result.saturated])
-    header = ["bias_V", "step_mV", "retention_s", "saturated"]
-    write("retention_vs_bias.csv", csv_table(header, rows))
+    _retention_table(cfg, write, "retention_vs_bias.csv", "bias_V",
+                     [(bias, bias, 0.0) for bias in cfg.experiment.bias_grid_v])
 
 
 def _retention_vs_age(cfg: ExperimentConfig, write) -> None:
-    model = cfg.noise.model()
-    rows = []
-    for age in cfg.experiment.age_grid_s:
-        for step in cfg.experiment.step_grid_mv:
-            cell = _retention_cell(cfg, cfg.device.v0, age, step)
-            result = retention_time(cell, model)
-            rows.append([age, step, result.seconds, result.saturated])
-    header = ["age_s", "step_mV", "retention_s", "saturated"]
-    write("retention_vs_age.csv", csv_table(header, rows))
+    _retention_table(cfg, write, "retention_vs_age.csv", "age_s",
+                     [(age, cfg.device.v0, age) for age in cfg.experiment.age_grid_s])
 
 
 def run_retention_report(cfg: ExperimentConfig) -> list[str]:

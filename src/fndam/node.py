@@ -25,11 +25,12 @@ arrays of ``fndam.array`` evolve every node by these same expressions.
 the float log-sum-exp in its own body: the one-cell solvers and loops of
 ``fndam.cell`` and its callers run on it, one call per node evaluation,
 and write a pulse as ``decayed_float(v + step, ...) - step``, the float
-form of ``released``.  ``evolve`` and ``apply_pulse`` are the scalar
-reference: ``tests/test_array_equivalence.py`` holds every array
-operation and every function of ``fndam.cell`` to their bits, node by
-node, and ``tests/test_node.py`` holds ``evolve`` to the ODE above
-through ``solve_ivp``.
+form of ``released``.  ``voltage_at`` writes it out again, as a shared
+helper would add a call to each ``decayed_float``.  ``evolve`` and
+``apply_pulse`` are the scalar reference: ``tests/test_array_equivalence.py``
+holds every array operation and every function of ``fndam.cell`` to
+their bits, node by node, and ``tests/test_node.py`` holds ``evolve`` to
+the ODE above through ``solve_ivp``.
 """
 
 from __future__ import annotations
@@ -170,8 +171,10 @@ def voltage_at(params: FnParams, k0: float, t: float) -> float:
     if t == 0.0:
         log_arg = math.log(k0)
     else:
-        # log(k1*t + k0), evaluated without forming k1*t + k0
-        log_arg = float(np.logaddexp(params.log_k1 + math.log(t), math.log(k0)))
+        # log(k1*t + k0) without forming k1*t + k0: decayed_float's log-sum-exp
+        x, y = params.log_k1 + math.log(t), math.log(k0)
+        hi, lo = (x, y) if x > y else (y, x)
+        log_arg = x + _LOG2 if x == y else hi + math.log1p(math.exp(lo - hi))
     if log_arg <= 0.0:
         raise DomainError("log(k1*t + k0) must be positive")
     return params.k2 / log_arg

@@ -74,7 +74,9 @@ def test_the_record_line_gives_the_ungated_per_command_metrics():
     record = {"record": {"end_to_end": {
         "pass_norm": {"value": 250.0, "n": 40},
         "calibrate_s": {"value": 0.036, "n": 40, "norm": 145.0},
+        "characterize_s": {"value": 0.012, "n": 40, "norm": 48.5, "p75": 0.02},
         "retention_report_s": {"value": 0.0077, "n": 40},
+        "array_cell_ops_per_s": {"value": 2.1e7, "n": 40, "norm": 5.2e4},
         "error_rate": {"value": 0.0, "n": 160},
     }}}
     result = {"correct": True, "attempted": 160, "failed": 0,
@@ -82,8 +84,10 @@ def test_the_record_line_gives_the_ungated_per_command_metrics():
     stdout = "end-to-end (untraced):\n" + json.dumps(record) + "\n" + json.dumps(result) + "\n"
     got_result, got_record = ab_pairs.read_output(stdout)
     assert got_result == result
+    # the normalized medians, not the raw seconds; a metric without one is left out
     assert ab_pairs.run_values(got_result, got_record, [LOWER]) == {
-        "pass_norm": 250.0, "calibrate_s": 0.036, "retention_report_s": 0.0077}
+        "pass_norm": 250.0, "calibrate_s": 145.0, "characterize_s": 48.5,
+        "array_cell_ops_per_s": 5.2e4}
     assert set(ab_pairs.UNGATED) == {
         "calibrate_s", "characterize_s", "energy_report_s", "retention_report_s",
         "train_perceptron_s", "train_network_s", "array_cell_ops_per_s", "fndam_import_s"}
@@ -112,3 +116,22 @@ def test_the_fndam_import_time_sums_the_fndam_self_times():
     assert ab_pairs.fndam_import_seconds(IMPORTTIME) == (310 + 1850 + 402 + 2010) * 1e-6
     assert ab_pairs.fndam_import_seconds("") == 0.0
 
+
+
+def test_import_times_alternate_the_trees_in_abba_order(monkeypatch):
+    """Each side's interpreters interleave with the other side's, so neither
+    runs all of its imports right after its own bench run."""
+    calls = []
+    self_us = {"parent": iter([900, 1100, 1000, 5000, 950]),
+               "change": iter([800, 700, 750, 760, 4000])}
+
+    def fake_stderr(tree):
+        calls.append(tree.name)
+        return f"import time: {next(self_us[tree.name])} | 1 | fndam.node\n"
+
+    monkeypatch.setattr(ab_pairs, "importtime_stderr", fake_stderr)
+    trees = {"parent": Path("/trees/parent"), "change": Path("/trees/change")}
+    times = ab_pairs.import_times(trees, runs=5)
+    assert calls == ["parent", "change", "change", "parent", "parent", "change",
+                     "change", "parent", "parent", "change"]
+    assert times == {"parent": 1000 * 1e-6, "change": 760 * 1e-6}  # medians; outliers drop out

@@ -228,6 +228,19 @@ class TestHash:
         text = json.dumps(load_config({}).to_dict())
         assert load_config(json.loads(text)) == load_config({})
 
+    def test_to_dict_is_asdict(self):
+        """to_dict walks the blocks without asdict's deep copy, to the same dict."""
+        from dataclasses import asdict
+
+        tweaked = load_config({"device": {"v0": 7.4}, "noise": {"sigma0": 0.0},
+                               "experiment": {"age_grid_s": [0.0, 5.0], "train": {
+                                   "kind": "network", "network": {"batch_size": 7}}},
+                               "output_dir": "elsewhere"})
+        for cfg in (load_config({}), tweaked):
+            plain = cfg.to_dict()
+            assert plain == asdict(cfg)
+            assert json.dumps(plain, sort_keys=True) == json.dumps(asdict(cfg), sort_keys=True)
+
 
 class TestHelpers:
     def test_with_seed_and_output_dir(self):

@@ -182,20 +182,27 @@ class TestCharacterizeSelection:
             run_characterize(cfg_at(tmp_path), "impedance")
 
     def test_each_retention_age_is_solved_once_per_run(self, tmp_path, monkeypatch):
-        solved = []
-        solve = fndam.experiments.age_for_retention
+        solved, memos = [], []
+        solve, memoize = fndam.experiments._age_for, fndam.experiments._memoized_by_age
 
-        def counted(params, fraction, window_s):
+        def counted(retention, fraction):
             solved.append(fraction)
-            return solve(params, fraction, window_s)
+            return solve(retention, fraction)
 
-        monkeypatch.setattr(fndam.experiments, "age_for_retention", counted)
+        def counted_memo(params, window_s):
+            memos.append(window_s)
+            return memoize(params, window_s)
+
+        monkeypatch.setattr(fndam.experiments, "_age_for", counted)
+        monkeypatch.setattr(fndam.experiments, "_memoized_by_age", counted_memo)
         # a second full run solves again: nothing is kept between runs
         for out, experiment in (("a", None), ("b", None), ("c", "common_mode")):
             solved.clear()
+            memos.clear()
             run_characterize(cfg_at(tmp_path / out), experiment)
             expected = REGIME_RETENTION[1:] if experiment is None else REGIME_RETENTION[1:2]
             assert tuple(solved) == expected
+            assert memos == [load_config({}).experiment.window_s]  # one memo for both searches
 
 
 class TestEnergyReport:

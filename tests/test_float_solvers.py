@@ -246,4 +246,4 @@ def test_retention_time_matches_the_cell_composition(cell, sigma0, sigma_coeff):
 @settings(max_examples=150, deadline=None)
 def test_weight_trace_matches_the_cell_composition(cell, window, n_points):
     want = outcome(ref_weight_trace, cell, window, n_points)
-    assert outcome(_weight_trace, cell, window, n_points) == want
+    assert outcome(_weight_trace, _float_nodes(cell), window, n_points) == want

@@ -190,9 +190,7 @@ class TestFloatTwin:
 
 
 def logaddexp_via_math(x, y):
-    """The float log-sum-exp ``voltage_at`` ran on before it called
-    ``np.logaddexp``: numpy's ``npy_logaddexp`` operations in numpy's
-    order, through ``math``."""
+    """numpy's ``npy_logaddexp`` operations in numpy's order, through ``math``."""
     if x == y:
         return x + math.log(2.0)
     tmp = x - y
@@ -212,6 +210,17 @@ def reference_voltage_at(params, k0, t):
     return params.k2 / log_arg
 
 
+def numpy_voltage_at(params, k0, t):
+    """``voltage_at`` as it was on numpy's scalar ``logaddexp``, for a valid k0 and t."""
+    if t == 0.0:
+        log_arg = math.log(k0)
+    else:
+        log_arg = float(np.logaddexp(params.log_k1 + math.log(t), math.log(k0)))
+    if log_arg <= 0.0:
+        raise DomainError("log(k1*t + k0) must be positive")
+    return params.k2 / log_arg
+
+
 def value_or_error(fn, *args):
     """repr of fn's value (it tells every float apart), or (type, message) of its error."""
     try:
@@ -221,7 +230,8 @@ def value_or_error(fn, *args):
 
 
 class TestVoltageAtLogSumExp:
-    """``voltage_at``'s ``np.logaddexp`` gives the bits of the float log-sum-exp it replaced."""
+    """``voltage_at``'s float log-sum-exp gives the bits of numpy's scalar
+    ``logaddexp``, which it ran on before, and of the ``math`` reference."""
 
     @settings(max_examples=500, deadline=None)
     @given(k1=st.floats(-50.0, 690.0).map(math.exp), k2=twin_k2,
@@ -236,6 +246,7 @@ class TestVoltageAtLogSumExp:
         params = FnParams(k1=k1, k2=k2)
         got = value_or_error(voltage_at, params, k0, t)
         assert got == value_or_error(reference_voltage_at, params, k0, t)
+        assert got == value_or_error(numpy_voltage_at, params, k0, t)
 
 
 class TestTunnelingCurrent:

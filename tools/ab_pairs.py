@@ -12,11 +12,13 @@ neither side's ``setup_s`` pays for writing bytecode the other already
 has.  Each pair runs ``bench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each tree, the side that runs first alternating
 from pair to pair, and reads the last two lines of its output: the
-result and the ``{"record": ...}`` line before it.  After each bench
-run, the same tree runs ``python -X importtime -c "import fndam.cli"``
-IMPORT_RUNS times with ``PYTHONPATH=<tree>/src``; the median of the
-summed self times of the ``fndam`` modules is the run's
-``fndam_import_s``, fndam's own import time without numpy's.
+result and the ``{"record": ...}`` line before it.  After both bench
+runs of a pair, the two trees run ``python -X importtime -c "import
+fndam.cli"`` IMPORT_RUNS times each with ``PYTHONPATH=<tree>/src``, one
+interpreter at a time in ABBA order, so that the machine's state after
+a bench run weighs on both sides alike; the median of the summed self
+times of the ``fndam`` modules is each side's ``fndam_import_s``,
+fndam's own import time without numpy's.
 
 For each metric ``BENCHMARK.json`` gates, the summary gives each side's
 median and quartiles, the ratio of the medians (change / parent), the
@@ -28,9 +30,11 @@ record line that ``BENCHMARK.json`` does not gate (``calibrate_s`` to
 ``train_network_s``, and ``array_cell_ops_per_s`` on ``array-scale``)
 and ``fndam_import_s`` get the same statistics without a bound, marked
 as ungated, so a gain can be traced to the command or the import it
-sits in.  The last line of output is the summary as one JSON object.
-The exit status is 1 if any run reports ``correct: false`` or a failed
-operation, or gives no result.
+sits in.  A per-command metric is read as its ``norm``, the median in
+units of the bench's reference kernel, as ``pass_norm`` is, since raw
+seconds drift with the shared machine's speed.  The last line of output
+is the summary as one JSON object.  The exit status is 1 if any run
+reports ``correct: false`` or a failed operation, or gives no result.
 """
 
 from __future__ import annotations
@@ -100,11 +104,13 @@ def summarize(parent: list[dict], change: list[dict], gated: list[dict]) -> dict
 
 def run_values(result: dict | None, record: dict | None, gated: list[dict]) -> dict:
     """One run's gated metrics from its result line and its ungated
-    per-command ones from its record line; a gated metric it lacks is NaN."""
+    per-command ones, normalized, from its record line; a gated metric it
+    lacks is NaN, and a per-command one without a ``norm`` is left out."""
     values = {m["name"]: (result or {}).get("metrics", {}).get(m["name"], {})
               .get("value", math.nan) for m in gated}
     reported = (record or {}).get("end_to_end", {})
-    values.update({name: reported[name]["value"] for name in UNGATED if name in reported})
+    values.update({name: reported[name]["norm"] for name in UNGATED
+                   if "norm" in reported.get(name, {})})
     return values
 
 
@@ -121,13 +127,21 @@ def fndam_import_seconds(stderr: str) -> float:
     return total_us * 1e-6
 
 
-def import_time(tree: Path) -> float:
-    """fndam_import_s of tree: the median over IMPORT_RUNS fresh interpreters."""
+def importtime_stderr(tree: Path) -> str:
+    """The stderr of ``python -X importtime -c "import fndam.cli"`` on tree's src."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return statistics.median(fndam_import_seconds(subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", "import fndam.cli"],
-        cwd=tree, env=env, capture_output=True, text=True, check=True).stderr)
-        for _ in range(IMPORT_RUNS))
+    return subprocess.run([sys.executable, "-X", "importtime", "-c", "import fndam.cli"],
+                          cwd=tree, env=env, capture_output=True, text=True, check=True).stderr
+
+
+def import_times(trees: dict[str, Path], runs: int = IMPORT_RUNS) -> dict[str, float]:
+    """fndam_import_s per side: the median over runs fresh interpreters on
+    each tree, the sides alternating interpreter by interpreter in ABBA order."""
+    samples = {side: [] for side in trees}
+    for i in range(runs):
+        for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
+            samples[side].append(fndam_import_seconds(importtime_stderr(trees[side])))
+    return {side: statistics.median(values) for side, values in samples.items()}
 
 
 def export(ref: str, dest: Path) -> None:
@@ -205,7 +219,8 @@ def main(argv=None) -> int:
                     ok = False
                     print(f"pair {i + 1}: {side} run failed: {result}", file=sys.stderr)
                 runs[side].append(run_values(result, record, gated))
-                runs[side][-1]["fndam_import_s"] = import_time(trees[side])
+            for side, seconds in import_times(trees).items():
+                runs[side][-1]["fndam_import_s"] = seconds
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " + ", ".join(
                 f"{name} {runs['parent'][-1][name]:.6g} -> {runs['change'][-1][name]:.6g}"
                 for name in [m["name"] for m in gated] + ["fndam_import_s"]), flush=True)
