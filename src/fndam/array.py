@@ -3,9 +3,8 @@
 An array is a clock-synchronous collection of cells built from one
 nominal parameter set.  Fabrication spread is modeled by perturbing k1
 and k2 of every node independently (four gaussian draws per cell) with
-a seeded generator, then rate-matching each cell so it starts at zero weight.
-The draw stream is PCG64; the algorithm name and seed are stored in
-saved state so an array is reproducible from its document alone.
+a seeded PCG64 generator, then rate-matching each cell so it starts at
+zero weight.
 
 Rate matching solves, for every cell whose nodes differ, the RESET
 voltage at which that node tunnels as fast as the SET node does at v0.
@@ -36,19 +35,17 @@ separators) with the checksum spliced in front, and the checksum is the
 hash of the text it covers: ``"{"`` and everything after the checksum,
 less one trailing newline.  ``state_from_json`` verifies that rule on
 the text itself, so reformatted or re-encoded text, or text whose
-checksum is not the first key, fails at ``checksum``.  Schema version 2,
-the one written and the only one read, stores one list per column under
-``columns``: ``set_v_fg``, ``reset_v_fg``, ``set_k1``, ``reset_k1``,
-``set_k2``, ``reset_k2`` and ``weight_scale``, the last N copies of
-``WEIGHT_SCALE``.  Floats are serialized at full precision, so
-``state_from_json(state_to_json(a)) == a``.  A document is rejected
-with a ``StateFormatError`` naming the JSON path when it cannot
-describe the array: the clock must be finite and non-negative, k1 and
-k2 positive and finite, 0 < v_fg < k2 on every node, and every
-weight_scale entry ``WEIGHT_SCALE``.  Charge quantization is not
-modeled: a document whose ``quantize_charge`` is true is rejected, one
-that carries it as false still loads.  The mismatch draw is gaussian, and a
-document that names another ``mismatch.distribution`` is rejected.
+checksum is not the first key, fails at ``checksum``.  Schema version 3,
+the one written and the only one read, holds only what a load reads:
+one list per node column under ``columns`` (``set_v_fg``,
+``reset_v_fg``, ``set_k1``, ``reset_k1``, ``set_k2``, ``reset_k2``),
+``nominal_params``, ``v0``, ``global_clock`` and the mismatch
+``relative_sigma`` and ``seed`` the cells were drawn with.  Floats are
+serialized at full precision, so ``state_from_json(state_to_json(a))
+== a``.  A document is rejected with a ``StateFormatError`` naming the
+JSON path when it cannot describe the array: the clock must be finite
+and non-negative, k1 and k2 positive and finite, and 0 < v_fg < k2 on
+every node.
 """
 
 from __future__ import annotations
@@ -69,14 +66,11 @@ from .node import (FnParams, Pulse, _require_nonnegative, _require_seed, decayed
 
 WEIGHT_SCALE = 1000.0  # mV per volt of node difference
 STATE_FORMAT = "fndam-array-state"
-STATE_VERSION = 2
-RNG_ALGORITHM = "numpy.random.PCG64"
-MISMATCH_DISTRIBUTION = "gaussian"  # the one draw; state documents name it
+STATE_VERSION = 3
 
 # the (N, 2) SET/RESET columns of a DamArray
 _COLUMNS = ("v", "k1", "log_k1", "k2")
-# schema v2 node column -> (DamArray column, node); log_k1 is recomputed on
-# load, and the document's weight_scale column holds WEIGHT_SCALE per cell
+# document column -> (DamArray column, node); log_k1 is recomputed on load
 _DOC_COLUMNS = {
     "set_v_fg": ("v", 0),
     "reset_v_fg": ("v", 1),
@@ -490,11 +484,9 @@ def _unsigned_document(array: DamArray) -> dict:
     return {
         "format": STATE_FORMAT,
         "version": STATE_VERSION,
-        "rng": {"algorithm": RNG_ALGORITHM, "seed": array.mismatch.seed},
         "mismatch": {
             "relative_sigma": array.mismatch.relative_sigma,
             "seed": array.mismatch.seed,
-            "distribution": MISMATCH_DISTRIBUTION,
         },
         "nominal_params": {"k1": p.k1, "k2": p.k2, "c_total": p.c_total,
                            "c_couple": p.c_couple},
@@ -509,16 +501,16 @@ def state_to_json(array: DamArray) -> str:
     "checksum" sorts first, so it is spliced in front of the string it
     covers.  ``state_from_json`` reads it back losslessly.
     """
-    # "columns" sorts first and "weight_scale" last in it.  Each column is
-    # encoded alone and the text is copied whole only by the final join, so a
-    # save's peak memory stays near two copies of the text.
+    # "columns" sorts first, and the comma after its last column, "set_v_fg",
+    # becomes its closing brace.  Each column is encoded alone and the text is
+    # copied whole only by the final join, so a save's peak memory stays near
+    # two copies of the text.
     parts = ['"columns":{']
     for key, (name, node) in sorted(_DOC_COLUMNS.items()):
         column = getattr(array, name)[:, node].tolist()
         parts += [f'"{key}":', json.dumps(column, separators=(",", ":")), ","]
     rest = json.dumps(_unsigned_document(array), sort_keys=True, separators=(",", ":"))
-    parts += ['"weight_scale":', json.dumps([WEIGHT_SCALE] * len(array), separators=(",", ":")),
-              "},", rest[1:]]
+    parts[-1:] = ["},", rest[1:]]
     digest = hashlib.sha256(b"{")
     for part in parts:
         digest.update(part.encode("utf-8"))
@@ -531,7 +523,7 @@ def _need(doc, key, path, kind=None):
     value = doc[key]
     where = f"{path}.{key}" if path else key
     # bool is an int subclass; keep the two apart for typed fields
-    if kind not in (None, bool) and isinstance(value, bool):
+    if kind is not None and isinstance(value, bool):
         raise StateFormatError(f"wrong type at {where}: expected {kind}, got bool")
     if kind is not None and not isinstance(value, kind):
         raise StateFormatError(
@@ -555,9 +547,6 @@ def _float_at(doc, key, path):
 
 
 def _params_from(doc, path) -> FnParams:
-    # charge quantization is not modeled; documents may carry it switched off
-    if "quantize_charge" in doc and _need(doc, "quantize_charge", path, bool):
-        raise StateFormatError(f"unsupported value at {path}.quantize_charge: true")
     try:
         return FnParams(
             k1=_float_at(doc, "k1", path),
@@ -569,12 +558,12 @@ def _params_from(doc, path) -> FnParams:
         raise StateFormatError(f"invalid parameters at {path}: {exc}") from None
 
 
-def _v2_columns(doc) -> dict[str, np.ndarray]:
-    """Schema v2: one list of numbers per column, all of one length."""
+def _doc_columns(doc) -> dict[str, np.ndarray]:
+    """One list of numbers per node column, all of one length."""
     cols = _need(doc, "columns", "", dict)
     out = {}
     n = None
-    for key in (*_DOC_COLUMNS, "weight_scale"):
+    for key in _DOC_COLUMNS:
         path = f"columns.{key}"
         values = _need(cols, key, "columns", list)
         if not values:
@@ -607,9 +596,6 @@ def _columns_from(cols: dict[str, np.ndarray], v0: float) -> dict[str, np.ndarra
         bad = ~(np.isfinite(cols[key]) & (cols[key] > 0))
         if bad.any():
             reject(key, bad, "must be positive and finite")
-    bad = cols["weight_scale"] != WEIGHT_SCALE
-    if bad.any():
-        reject("weight_scale", bad, f"must be {WEIGHT_SCALE!r}")
     for side in ("set", "reset"):
         v, k2 = cols[f"{side}_v_fg"], cols[f"{side}_k2"]
         bad = ~((v > 0) & (v < k2))
@@ -619,7 +605,7 @@ def _columns_from(cols: dict[str, np.ndarray], v0: float) -> dict[str, np.ndarra
         if not programmable(cols[f"{side}_k2"], v0).all():
             raise StateFormatError(f"invalid value at v0: {v0!r}, no {side} node starts there")
 
-    out = {name: np.empty((len(cols["weight_scale"]), 2)) for name in ("v", "k1", "k2")}
+    out = {name: np.empty((len(cols["set_v_fg"]), 2)) for name in ("v", "k1", "k2")}
     for key, (name, node) in _DOC_COLUMNS.items():
         out[name][:, node] = cols[key]
     out["log_k1"] = log_each(out["k1"])
@@ -659,21 +645,13 @@ def state_from_json(text: str) -> DamArray:
         raise StateFormatError(
             f"checksum mismatch at checksum: stored {stored[:12]}..., computed {actual[:12]}..."
         )
-    rng = _need(doc, "rng", "", dict)
-    algorithm = _need(rng, "algorithm", "rng", str)
-    if algorithm != RNG_ALGORITHM:
-        raise StateFormatError(f"unknown generator at rng.algorithm: {algorithm!r}")
-
     mm = _need(doc, "mismatch", "", dict)
     sigma = _float_at(mm, "relative_sigma", "mismatch")
     seed = _need(mm, "seed", "mismatch", int)
-    distribution = _need(mm, "distribution", "mismatch", str)
     try:
         mismatch = MismatchSpec(relative_sigma=sigma, seed=seed)
     except DomainError as exc:
         raise StateFormatError(f"invalid field at mismatch: {exc}") from None
-    if distribution != MISMATCH_DISTRIBUTION:
-        raise StateFormatError(f"unsupported value at mismatch.distribution: {distribution!r}")
 
     nominal = _params_from(_need(doc, "nominal_params", "", dict), "nominal_params")
     v0 = _float_at(doc, "v0", "")
@@ -683,7 +661,7 @@ def state_from_json(text: str) -> DamArray:
     if not (math.isfinite(clock) and clock >= 0):
         raise StateFormatError(f"invalid clock at global_clock: {clock!r}")
 
-    columns = _columns_from(_v2_columns(doc), v0)
+    columns = _columns_from(_doc_columns(doc), v0)
     return DamArray(
         nominal_params=nominal, mismatch=mismatch, v0=v0, global_clock=clock, **columns
     )

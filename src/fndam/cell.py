@@ -181,13 +181,13 @@ def _evolved_nodes(nodes, dt: float, steps=None):
                        for (v, a, k), s in zip(nodes, steps)])
     for v, _, _ in nodes:
         if not v > 0:
-            _require_driven(nodes)
+            _require_driven([v for v, _, _ in nodes])
     return nodes
 
 
-def _require_driven(nodes) -> None:
-    """``array._driven`` for the first float node (``_float_nodes``) not positive."""
-    for i, (v, _, _) in enumerate(nodes):
+def _require_driven(voltages) -> None:
+    """``array._driven`` for the first node voltage, in ``_float_nodes`` order, not positive."""
+    for i, v in enumerate(voltages):
         if not v > 0:
             raise _driven(*divmod(i, 2), v)
 

@@ -166,7 +166,8 @@ def write_energy_trajectory(
 
 def noise_floor(model: NoiseModel, t: float) -> float:
     """Thermal accumulation floor (V) after t seconds of storage."""
-    _require_nonnegative("t", t)
+    if not 0.0 <= t < math.inf:  # t is checked off its fast path
+        _require_nonnegative("t", t)
     return model.sigma0 + model.sigma_coeff * math.sqrt(t)
 
 

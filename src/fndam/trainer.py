@@ -310,13 +310,13 @@ def _pulse_train(nodes, steps, n, clock, log_on, log_off, on, off):
         v2 = decayed_float(v2 + s2, a2, b2, log_on) - s2
         v3 = decayed_float(v3 + s3, a3, b3, log_on) - s3
         if not (v0 > 0 and v1 > 0 and v2 > 0 and v3 > 0):
-            _require_driven([(v, 0.0, 0.0) for v in (v0, v1, v2, v3)])  # it reads v alone
+            _require_driven((v0, v1, v2, v3))
         v0 = decayed_float(v0, a0, b0, log_off)
         v1 = decayed_float(v1, a1, b1, log_off)
         v2 = decayed_float(v2, a2, b2, log_off)
         v3 = decayed_float(v3, a3, b3, log_off)
         if not (v0 > 0 and v1 > 0 and v2 > 0 and v3 > 0):
-            _require_driven([(v, 0.0, 0.0) for v in (v0, v1, v2, v3)])
+            _require_driven((v0, v1, v2, v3))
         clock += on
         clock += off
     return ((v0, a0, b0), (v1, a1, b1), (v2, a2, b2), (v3, a3, b3)), clock

@@ -338,6 +338,23 @@ class TestValidation:
             with pytest.raises(DomainError, match=message):
                 apply_pulse(v_fg, p, Pulse(amplitude=0.1, duration=0.1))
 
+    def test_coupled_step_below_zero_rejected(self):
+        # polarity -1 lowers the gate by 0.1 * 100 V, past 7.5 V, before any tunneling
+        with pytest.raises(DomainError,
+                           match=r"^pulse drives gate to -2\.5 V <= 0 \(amplitude 100\.0\)$"):
+            apply_pulse(7.5, default_params(), Pulse(amplitude=100.0, duration=0.1), polarity=-1)
+
+    def test_release_below_zero_rejected(self):
+        # at 107.5 V for 1e6 s the gate tunnels down near 7.3 V; releasing
+        # the 100 V step leaves it far below zero
+        with pytest.raises(DomainError, match=r"^pulse release drives gate to -92\.7\d* V <= 0$"):
+            apply_pulse(7.5, default_params(), Pulse(amplitude=1000.0, duration=1e6))
+
+    @pytest.mark.parametrize("k0", [0.5, math.nan, math.inf])
+    def test_voltage_at_rejects_k0(self, k0):
+        with pytest.raises(DomainError, match=re.escape(f"k0 must be finite and >= 1, got {k0!r}")):
+            voltage_at(small_params(), k0, 1.0)
+
     def test_pulse_validates_fields(self):
         with pytest.raises(DomainError):
             Pulse(amplitude=-0.1, duration=0.1)

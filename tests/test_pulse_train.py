@@ -27,9 +27,9 @@ LOG_ON, LOG_OFF = math.log(PULSE_DURATION_S), math.log(IDLE_S)
 def pulse_period(nodes, steps, log_on, log_off):
     nodes = [(decayed_float(v + step, log_k1, k2, log_on) - step, log_k1, k2)
              for (v, log_k1, k2), step in zip(nodes, steps)]
-    _require_driven(nodes)
+    _require_driven([v for v, _, _ in nodes])
     nodes = [(decayed_float(v, log_k1, k2, log_off), log_k1, k2) for v, log_k1, k2 in nodes]
-    _require_driven(nodes)
+    _require_driven([v for v, _, _ in nodes])
     return nodes
 
 
@@ -109,7 +109,7 @@ def test_each_phase_names_its_first_non_positive_node(nodes, steps, log_off, mes
 def test_idle_failure_is_not_a_pulse_failure():
     """The idle-phase example passes the pulse phase's check."""
     nodes = (NOMINAL, NOMINAL, NOMINAL, IDLED_BELOW_ZERO)
-    pulsed = [(decayed_float(v + s, a, b, LOG_ON) - s, a, b)
+    pulsed = [decayed_float(v + s, a, b, LOG_ON) - s
               for (v, a, b), s in zip(nodes, (0.3, 0.0, 0.3, 0.0))]
     _require_driven(pulsed)
     with pytest.raises(FndamError):

@@ -1,6 +1,15 @@
-"""Record the golden output trees of the CLI setups beyond the default config.
+"""Record the golden files under tests/data/golden: the state files and
+sidecars of the six default commands, and the output trees of the CLI
+setups beyond the default config.
 
     python3 tools/record_config_goldens.py
+
+``record_seed(seed, folder)`` runs the six default commands at
+``--seed <seed>`` and keeps only the files that bench/refs/cli does not
+hold: every ``.meta.json`` sidecar and the two ``*_state.json`` array
+state files that ``train`` writes.  ``main`` writes them for each of
+``SEEDS`` into ``tests/data/golden/seed-<n>/``, which
+``tests/test_cli_golden.py`` compares byte for byte with a fresh run.
 
 Each setup in ``SETUPS`` is an optional config and a list of CLI calls
 beyond the six default commands:
@@ -31,10 +40,23 @@ import io
 import json
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
+
+SEEDS = (0, 2104)
+DEFAULT_COMMANDS = (
+    ["calibrate"],
+    ["characterize"],
+    ["energy-report"],
+    ["retention-report"],
+    ["train", "--experiment", "perceptron"],
+    ["train", "--experiment", "network"],
+)
+# the golden files a default command writes; its CSVs are in bench/refs/cli
+KEPT_SUFFIXES = (".meta.json", "_state.json")
 
 # name -> (config or None, [(folder, argv, config file in the tree or None)])
 SETUPS = {
@@ -57,10 +79,18 @@ SETUPS = {
 }
 
 
-def record(name: str, tree: Path) -> None:
-    """Run setup name's calls, writing its tree into tree; SystemExit if a call fails."""
+def _run(name: str, argv: list[str]) -> None:
+    """One quiet CLI call; SystemExit if it fails."""
     from fndam.cli import main
 
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv)
+    if status != 0:
+        raise SystemExit(f"{name}: {' '.join(argv)} failed with status {status}")
+
+
+def record(name: str, tree: Path) -> None:
+    """Run setup name's calls, writing its tree into tree; SystemExit if a call fails."""
     config, calls = SETUPS[name]
     tree.mkdir(parents=True, exist_ok=True)
     if config is not None:
@@ -69,18 +99,34 @@ def record(name: str, tree: Path) -> None:
         options = ["--out", str(tree / folder)]
         if config_file is not None:
             options += ["--config", str(tree / config_file)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            status = main(argv + options)
-        if status != 0:
-            raise SystemExit(f"{name}: {' '.join(argv)} failed with status {status}")
+        _run(name, argv + options)
+
+
+def record_seed(seed: int, folder: Path) -> None:
+    """Run the six default commands at seed, keeping their golden files in folder."""
+    folder.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        for i, argv in enumerate(DEFAULT_COMMANDS):
+            out = Path(scratch) / str(i)
+            _run(f"seed {seed}", argv + ["--seed", str(seed), "--out", str(out)])
+            for path in out.iterdir():
+                if path.name.endswith(KEPT_SUFFIXES):
+                    shutil.copyfile(path, folder / path.name)
+
+
+def _emptied(folder: str) -> Path:
+    tree = GOLDEN / folder
+    shutil.rmtree(tree, ignore_errors=True)
+    return tree
 
 
 def main() -> int:
+    for seed in SEEDS:
+        record_seed(seed, _emptied(f"seed-{seed}"))
     for name in SETUPS:
-        tree = GOLDEN / f"config-{name}"
-        shutil.rmtree(tree, ignore_errors=True)
-        record(name, tree)
-        print(f"{name}: {sum(p.is_file() for p in tree.rglob('*'))} files under {tree}")
+        record(name, _emptied(f"config-{name}"))
+    for tree in sorted(GOLDEN.iterdir()):
+        print(f"{tree.name}: {sum(p.is_file() for p in tree.rglob('*'))} files under {tree}")
     return 0
 
 
