@@ -35,17 +35,17 @@ separators) with the checksum spliced in front, and the checksum is the
 hash of the text it covers: ``"{"`` and everything after the checksum,
 less one trailing newline.  ``state_from_json`` verifies that rule on
 the text itself, so reformatted or re-encoded text, or text whose
-checksum is not the first key, fails at ``checksum``.  Schema version 3,
+checksum is not the first key, fails at ``checksum``.  Schema version 4,
 the one written and the only one read, holds only what a load reads:
 one list per node column under ``columns`` (``set_v_fg``,
-``reset_v_fg``, ``set_k1``, ``reset_k1``, ``set_k2``, ``reset_k2``),
-``nominal_params``, ``v0``, ``global_clock`` and the mismatch
-``relative_sigma`` and ``seed`` the cells were drawn with.  Floats are
-serialized at full precision, so ``state_from_json(state_to_json(a))
-== a``.  A document is rejected with a ``StateFormatError`` naming the
-JSON path when it cannot describe the array: the clock must be finite
-and non-negative, k1 and k2 positive and finite, and 0 < v_fg < k2 on
-every node.
+``reset_v_fg``, ``set_log_k1``, ``reset_log_k1``, ``set_k2``,
+``reset_k2``), ``nominal_params``, ``v0``, ``global_clock`` and the
+mismatch ``relative_sigma`` and ``seed`` the cells were drawn with.
+Floats are serialized at full precision, so ``state_from_json(
+state_to_json(a)) == a`` and a load takes no logarithm.  A document is
+rejected with a ``StateFormatError`` naming the JSON path when it
+cannot describe the array: the clock must be finite and non-negative,
+log k1 finite, k2 positive and finite, and 0 < v_fg < k2 on every node.
 """
 
 from __future__ import annotations
@@ -66,16 +66,16 @@ from .node import (FnParams, Pulse, _require_nonnegative, _require_seed, decayed
 
 WEIGHT_SCALE = 1000.0  # mV per volt of node difference
 STATE_FORMAT = "fndam-array-state"
-STATE_VERSION = 3
+STATE_VERSION = 4
 
 # the (N, 2) SET/RESET columns of a DamArray
-_COLUMNS = ("v", "k1", "log_k1", "k2")
-# document column -> (DamArray column, node); log_k1 is recomputed on load
+_COLUMNS = ("v", "log_k1", "k2")
+# document column -> (DamArray column, node)
 _DOC_COLUMNS = {
     "set_v_fg": ("v", 0),
     "reset_v_fg": ("v", 1),
-    "set_k1": ("k1", 0),
-    "reset_k1": ("k1", 1),
+    "set_log_k1": ("log_k1", 0),
+    "reset_log_k1": ("log_k1", 1),
     "set_k2": ("k2", 0),
     "reset_k2": ("k2", 1),
 }
@@ -112,18 +112,17 @@ class DamArray:
     """N cells as read-only float64 columns sharing one clock.
 
     Column 0 of each (N, 2) column is the SET node, column 1 the RESET
-    node.  ``log_k1`` is ``math.log(k1)`` per node, kept so that no
-    operation takes a logarithm per cell.  Every cell reads
-    ``global_clock`` as its own clock and takes c_total and c_couple
-    from ``nominal_params``.  A column given as a writable array is
-    copied, so no caller can change an array after the fact.  A node
-    voltage, k1 or k2 that is not positive and finite raises DomainError
-    naming the cell and the node.
+    node.  A node's k1 is held only as ``log_k1``, ``math.log(k1)``, the
+    form every operation reads, so none takes a logarithm per cell.
+    Every cell reads ``global_clock`` as its own clock and takes c_total
+    and c_couple from ``nominal_params``.  A column given as a writable
+    array is copied, so no caller can change an array after the fact.  A
+    node voltage or k2 that is not positive and finite, or a log_k1 that
+    is not finite, raises DomainError naming the cell and the node.
     """
 
     v: np.ndarray  # (N, 2) floating-gate voltages, V
-    k1: np.ndarray  # (N, 2) 1/s
-    log_k1: np.ndarray  # (N, 2)
+    log_k1: np.ndarray  # (N, 2) log of k1 in 1/s
     k2: np.ndarray  # (N, 2) V
     nominal_params: FnParams
     mismatch: MismatchSpec
@@ -143,20 +142,21 @@ class DamArray:
                 "columns must be (N, 2), N >= 1; got "
                 + ", ".join(f"{c} {getattr(self, c).shape}" for c in _COLUMNS)
             )
-        for name in ("v", "k1", "k2"):
+        for name, low in (("v", 0.0), ("log_k1", -math.inf), ("k2", 0.0)):
             col = getattr(self, name)
-            bad = ~((col > 0) & (col < math.inf))
+            bad = ~((col > low) & (col < math.inf))
             if bad.any():
                 i, node = np.argwhere(bad)[0].tolist()
                 raise DomainError(f"cell {i} {('SET', 'RESET')[node]} node "
-                                  f"{'voltage' if name == 'v' else name} "
-                                  f"must be positive and finite, got {col[i, node].item()!r}")
+                                  f"{'voltage' if name == 'v' else name} must be "
+                                  f"{'finite' if low < 0 else 'positive and finite'}, "
+                                  f"got {col[i, node].item()!r}")
 
     def __len__(self) -> int:
         return self.v.shape[0]
 
     @classmethod
-    def _of(cls, v, k1, log_k1, k2, nominal_params, mismatch, v0, global_clock) -> DamArray:
+    def _of(cls, v, log_k1, k2, nominal_params, mismatch, v0, global_clock) -> DamArray:
         """An array over columns an operation has just computed.
 
         Skips ``__post_init__``: the columns must already be read-only
@@ -164,7 +164,7 @@ class DamArray:
         writable view of them.
         """
         array = object.__new__(cls)
-        array.__dict__.update(v=v, k1=k1, log_k1=log_k1, k2=k2, nominal_params=nominal_params,
+        array.__dict__.update(v=v, log_k1=log_k1, k2=k2, nominal_params=nominal_params,
                               mismatch=mismatch, v0=v0, global_clock=global_clock)
         return array
 
@@ -182,10 +182,13 @@ class DamArray:
         return WEIGHT_SCALE * (self.v[:, 1] - self.v[:, 0])
 
 
-def _draw_factors(n: int, spec: MismatchSpec) -> np.ndarray:
-    """(n, 2 nodes, 2 params) multiplicative factors, reproducible by seed."""
+def _mismatched(n: int, nominal: FnParams, spec: MismatchSpec):
+    """(k1, k2), each (n, 2): nominal times gaussian factors, four per cell, seeded."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    return 1.0 + spec.relative_sigma * rng.standard_normal((n, 2, 2))
+    # a huge sigma overflows to inf here, which build_array rejects
+    with np.errstate(over="ignore"):
+        factors = 1.0 + spec.relative_sigma * rng.standard_normal((n, 2, 2))
+        return nominal.k1 * factors[:, :, 0], nominal.k2 * factors[:, :, 1]
 
 
 _MATCH_XTOL, _MATCH_RTOL, _MATCH_MAXITER = 1e-14, 1e-15, 200
@@ -370,11 +373,7 @@ def build_array(
     if n < 1:
         raise ArgumentError(f"array size must be >= 1, got {n!r}")
     spec = mismatch if mismatch is not None else NO_MISMATCH
-    # a huge sigma overflows to inf here, which the check below rejects
-    with np.errstate(over="ignore"):
-        factors = _draw_factors(n, spec)
-        k1 = nominal.k1 * factors[:, :, 0]
-        k2 = nominal.k2 * factors[:, :, 1]
+    k1, k2 = _mismatched(n, nominal, spec)
     ok = np.all(np.isfinite(k1) & (k1 > 0) & np.isfinite(k2) & (k2 > 0), axis=1)
     ok &= programmable(k2[:, 0], v0)
     log_k1 = log_each(np.where(ok[:, None], k1, 1.0))
@@ -391,14 +390,14 @@ def build_array(
         raise InitializationError(
             f"{len(bad)} cell(s) failed to initialize", indices=tuple(bad.tolist())
         )
-    return DamArray(v, k1, log_k1, k2, nominal, spec, v0)
+    return DamArray(v, log_k1, k2, nominal, spec, v0)
 
 
 def _with_voltages(array: DamArray, v: np.ndarray, clock: float) -> DamArray:
     """array with the (N, 2) node voltages v just computed, at clock."""
     v.flags.writeable = False
-    return DamArray._of(v, array.k1, array.log_k1, array.k2, array.nominal_params,
-                        array.mismatch, array.v0, clock)
+    return DamArray._of(v, array.log_k1, array.k2, array.nominal_params, array.mismatch,
+                        array.v0, clock)
 
 
 def _evolved(array: DamArray, v: np.ndarray, dt: float) -> DamArray:
@@ -523,12 +522,9 @@ def _need(doc, key, path, kind=None):
     value = doc[key]
     where = f"{path}.{key}" if path else key
     # bool is an int subclass; keep the two apart for typed fields
-    if kind is not None and isinstance(value, bool):
-        raise StateFormatError(f"wrong type at {where}: expected {kind}, got bool")
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
         raise StateFormatError(
-            f"wrong type at {where}: expected {getattr(kind, '__name__', kind)}, "
-            f"got {type(value).__name__}"
+            f"wrong type at {where}: expected {kind.__name__}, got {type(value).__name__}"
         )
     return value
 
@@ -592,10 +588,11 @@ def _columns_from(cols: dict[str, np.ndarray], v0: float) -> dict[str, np.ndarra
         value = float(cols[key][i])
         raise StateFormatError(f"invalid value at columns.{key}[{i}]: {value!r}, {what}")
 
-    for key in ("set_k1", "reset_k1", "set_k2", "reset_k2"):
-        bad = ~(np.isfinite(cols[key]) & (cols[key] > 0))
+    for key in ("set_log_k1", "reset_log_k1", "set_k2", "reset_k2"):
+        low = -math.inf if "log" in key else 0.0  # any finite log k1; a positive k2
+        bad = ~((cols[key] > low) & (cols[key] < math.inf))
         if bad.any():
-            reject(key, bad, "must be positive and finite")
+            reject(key, bad, f"must be {'finite' if low < 0 else 'positive and finite'}")
     for side in ("set", "reset"):
         v, k2 = cols[f"{side}_v_fg"], cols[f"{side}_k2"]
         bad = ~((v > 0) & (v < k2))
@@ -605,10 +602,9 @@ def _columns_from(cols: dict[str, np.ndarray], v0: float) -> dict[str, np.ndarra
         if not programmable(cols[f"{side}_k2"], v0).all():
             raise StateFormatError(f"invalid value at v0: {v0!r}, no {side} node starts there")
 
-    out = {name: np.empty((len(cols["set_v_fg"]), 2)) for name in ("v", "k1", "k2")}
+    out = {name: np.empty((len(cols["set_v_fg"]), 2)) for name in _COLUMNS}
     for key, (name, node) in _DOC_COLUMNS.items():
         out[name][:, node] = cols[key]
-    out["log_k1"] = log_each(out["k1"])
     return out
 
 

@@ -50,11 +50,11 @@ def synchronize(params: FnParams, v0: float) -> DamArray:
     Cells with mismatched nodes come from ``array.build_array``.
     """
     k0_from_initial(params, v0)
-    columns = np.array([v0, v0, params.k1, params.k1, params.log_k1, params.log_k1,
-                        params.k2, params.k2], dtype=np.float64)
+    columns = np.array([v0, v0, params.log_k1, params.log_k1, params.k2, params.k2],
+                       dtype=np.float64)
     columns.flags.writeable = False  # and so are its views, the cell's columns
-    v, k1, log_k1, k2 = columns.reshape(4, 1, 2)
-    return DamArray._of(v, k1, log_k1, k2, params, NO_MISMATCH, v0, 0.0)
+    v, log_k1, k2 = columns.reshape(3, 1, 2)
+    return DamArray._of(v, log_k1, k2, params, NO_MISMATCH, v0, 0.0)
 
 
 def _one_cell(cell: DamArray) -> DamArray:

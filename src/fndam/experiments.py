@@ -28,7 +28,7 @@ import math
 import os
 from pathlib import Path
 
-from .array import MismatchSpec, advance, batch_pulse, build_array, state_to_json
+from .array import MismatchSpec, _mismatched, advance, batch_pulse, build_array, state_to_json
 from .calibrate import (
     CAL_PULSE_DURATION_S,
     REGIME_RETENTION,
@@ -264,8 +264,8 @@ def _char_common_mode(cfg: ExperimentConfig, write, age_at) -> None:
 def _char_mismatch(cfg: ExperimentConfig, write) -> None:
     exp = cfg.experiment
     par = cfg.device.fn_params()
-    arr = build_array(_MISMATCH_CELLS, par, cfg.device.v0,
-                      MismatchSpec(seed=exp.seed))
+    spec = MismatchSpec(seed=exp.seed)
+    arr = build_array(_MISMATCH_CELLS, par, cfg.device.v0, spec)
     initial = arr.weights().tolist()
     amp = _amplitude(_aged_nodes(par, cfg.device.v0, 0.0), par, exp.step_mv,
                      CAL_PULSE_DURATION_S)
@@ -275,9 +275,11 @@ def _char_mismatch(cfg: ExperimentConfig, write) -> None:
         arr = batch_pulse(arr, targets)
         arr = advance(arr, CAL_PULSE_DURATION_S)
     final = arr.weights().tolist()
+    # the array keeps log k1 only; the draw gives each node's k1 itself
+    k1s, k2s = _mismatched(_MISMATCH_CELLS, par, spec)
     rows = [
         [i, k1[0], k2[0], k1[1], k2[1], initial[i], final[i]]
-        for i, (k1, k2) in enumerate(zip(arr.k1.tolist(), arr.k2.tolist()))
+        for i, (k1, k2) in enumerate(zip(k1s.tolist(), k2s.tolist()))
     ]
     header = ["cell", "k1_set", "k2_set", "k1_reset", "k2_reset", "w_initial_mV", "w_final_mV"]
     write("mismatch.csv", csv_table(header, rows),

@@ -160,7 +160,8 @@ def log_each(a) -> np.ndarray:
     scalar one goes through here.
     """
     a = np.asarray(a, dtype=np.float64)
-    return np.array(list(map(math.log, a.ravel().tolist()))).reshape(a.shape)
+    logs = np.fromiter(map(math.log, a.ravel().tolist()), np.float64, count=a.size)
+    return logs.reshape(a.shape)
 
 
 def voltage_at(params: FnParams, k0: float, t: float) -> float:

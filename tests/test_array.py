@@ -17,6 +17,7 @@ from fndam.array import (
     DamArray,
     MismatchSpec,
     WeightReading,
+    _mismatched,
     advance,
     batch_pulse,
     batch_read,
@@ -57,7 +58,7 @@ def small_array(n=4, sigma=0.0, seed=0):
 
 def row(array, i):
     """Cell i of array as a one-cell DamArray: the columns of row i."""
-    columns = (getattr(array, c)[i:i + 1] for c in ("v", "k1", "log_k1", "k2"))
+    columns = (getattr(array, c)[i:i + 1] for c in ("v", "log_k1", "k2"))
     return DamArray(*columns, array.nominal_params, array.mismatch, array.v0, array.global_clock)
 
 
@@ -142,7 +143,7 @@ class TestConstruction:
         v = array.v.copy()
         v[2, 0] = math.nan
         with pytest.raises(DomainError, match="^cell 2 SET node voltage must be positive"):
-            DamArray(v, array.k1, array.log_k1, array.k2, array.nominal_params, array.mismatch,
+            DamArray(v, array.log_k1, array.k2, array.nominal_params, array.mismatch,
                      array.v0)
 
     def test_first_bad_node_is_named(self):
@@ -153,16 +154,19 @@ class TestConstruction:
         with pytest.raises(DomainError, match="^cell 1 RESET node .* got -2.0$"):
             replace(array, v=v)
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("column", ["k1", "k2"])
+    @pytest.mark.parametrize("column, value", [
+        *(("log_k1", value) for value in (-math.inf, math.nan, math.inf)),
+        *(("k2", value) for value in (0.0, -1.0, math.nan, math.inf)),
+    ])
     def test_bad_node_constant_rejected(self, column, value):
+        # any finite log k1 is some k1 > 0: 0.0 and -1.0 are k1 = 1 and 1/e
+        what = "finite" if column == "log_k1" else "positive and finite"
         array = small_array(3)
         col = getattr(array, column).copy()
         col[2, 1] = value
         with pytest.raises(DomainError) as exc_info:
             replace(array, **{column: col})
-        assert str(exc_info.value) == (
-            f"cell 2 RESET node {column} must be positive and finite, got {value!r}")
+        assert str(exc_info.value) == f"cell 2 RESET node {column} must be {what}, got {value!r}"
 
 
 class TestMismatchSpec:
@@ -262,7 +266,7 @@ class TestStatePersistence:
                                "nominal_params", "v0", "version"]
         assert doc["mismatch"] == {"relative_sigma": 1e-3, "seed": 7}
         assert sorted(doc["columns"]) == sorted(
-            ["set_v_fg", "reset_v_fg", "set_k1", "reset_k1", "set_k2", "reset_k2"])
+            ["set_v_fg", "reset_v_fg", "set_log_k1", "reset_log_k1", "set_k2", "reset_k2"])
         assert all(len(col) == 2 for col in doc["columns"].values())
 
     def test_tampered_v2_document_rejected(self):
@@ -278,8 +282,9 @@ class TestStatePersistence:
             state_from_json(canonical(doc))
 
     def test_future_version_rejected(self):
-        # version 1, one object per cell, is no longer read either
-        for version in (1, STATE_VERSION + 1):
+        # version 1, one object per cell, and version 3, which stored k1
+        # itself, are no longer read either
+        for version in (1, 3, STATE_VERSION + 1):
             doc = state_doc(small_array(2))
             doc["version"] = version
             doc["checksum"] = ""
@@ -325,8 +330,8 @@ class TestStatePersistence:
     @pytest.mark.parametrize("value", ["zero", True, None, [1.0]])
     def test_wrong_v2_entry_type_is_located(self, value):
         doc = state_doc(small_array(2))
-        doc["columns"]["set_k1"][1] = value
-        with pytest.raises(StateFormatError, match=r"columns\.set_k1\[1\]"):
+        doc["columns"]["set_log_k1"][1] = value
+        with pytest.raises(StateFormatError, match=r"columns\.set_log_k1\[1\]"):
             state_from_json(signed(doc))
 
     def test_bool_is_not_a_number(self):
@@ -349,8 +354,8 @@ class TestStatePersistence:
     def test_empty_cell_list_rejected(self):
         # one empty column among full ones
         doc = state_doc(small_array(2))
-        doc["columns"]["reset_k1"] = []
-        with pytest.raises(StateFormatError, match=r"^empty cell list at columns\.reset_k1$"):
+        doc["columns"]["reset_log_k1"] = []
+        with pytest.raises(StateFormatError, match=r"^empty cell list at columns\.reset_log_k1$"):
             state_from_json(signed(doc))
 
     def test_empty_v2_columns_rejected(self):
@@ -406,11 +411,11 @@ class TestPhysicalInvariantsOnLoad:
         (("columns", "set_v_fg", 0), 0.0, r"columns\.set_v_fg\[0\]"),
         (("columns", "set_v_fg", 1), -7.5, r"columns\.set_v_fg\[1\]"),
         (("columns", "reset_v_fg", 1), 5000.0, r"columns\.reset_v_fg\[1\]"),
-        (("columns", "reset_k1", 0), 0.0, r"columns\.reset_k1\[0\]"),
+        (("columns", "reset_log_k1", 0), -math.inf, r"columns\.reset_log_k1\[0\]"),
         (("columns", "set_k2", 1), math.inf, r"columns\.set_k2\[1\]"),
-        (("columns", "set_k1", 0), 10**400, r"columns\.set_k1"),
+        (("columns", "set_log_k1", 0), 10**400, r"columns\.set_log_k1"),
         (("v0",), 0.0, "v0"),
-        (("columns", "set_k1", 1), -1.0, r"columns\.set_k1\[1\]"),
+        (("columns", "set_log_k1", 1), math.nan, r"columns\.set_log_k1\[1\]"),
         (("columns", "set_v_fg", 0), math.nan, r"columns\.set_v_fg\[0\]"),
         (("v0",), 10**400, "^number out of float range at v0$"),
         (("global_clock",), 10**400, "^number out of float range at global_clock$"),
@@ -427,7 +432,7 @@ class TestPhysicalInvariantsOnLoad:
 class TestColumns:
     def test_columns_are_read_only(self):
         array = small_array(3)
-        for col in (array.v, array.k1, array.log_k1, array.k2):
+        for col in (array.v, array.log_k1, array.k2):
             with pytest.raises(ValueError):
                 col[0] = 1.0
 
@@ -443,7 +448,7 @@ class TestColumns:
     def test_writable_inputs_are_copied(self):
         array = small_array(2)
         v = np.array(array.v)
-        built = DamArray(v, array.k1, array.log_k1, array.k2, array.nominal_params,
+        built = DamArray(v, array.log_k1, array.k2, array.nominal_params,
                          array.mismatch, array.v0)
         v[0, 0] = 1.0
         assert built == array
@@ -452,7 +457,7 @@ class TestColumns:
     def test_shape_mismatch_rejected(self):
         array = small_array(2)
         with pytest.raises(ArgumentError):
-            DamArray(array.v[:1], array.k1, array.log_k1, array.k2, array.nominal_params,
+            DamArray(array.v[:1], array.log_k1, array.k2, array.nominal_params,
                      array.mismatch, array.v0)
 
     def test_equality_compares_every_column(self):
@@ -467,12 +472,13 @@ class TestColumns:
         nominal = array.nominal_params
         v_reset = rate_matched_voltages(array.log_k1[:, 0], array.k2[:, 0],
                                         array.log_k1[:, 1], array.k2[:, 1], 7.5).tolist()
-        for i, (k1, k2) in enumerate(zip(array.k1.tolist(), array.k2.tolist())):
+        k1s = _mismatched(3, nominal, array.mismatch)[0].tolist()
+        for i, (k1, k2) in enumerate(zip(k1s, array.k2.tolist())):
             set_p, reset_p = (replace(nominal, k1=a, k2=b) for a, b in zip(k1, k2))
             cell = replace(synchronize(set_p, 7.5), v=[[7.5, v_reset[i]]],
-                           k1=[k1], log_k1=[[set_p.log_k1, reset_p.log_k1]], k2=[k2])
+                           log_k1=[[set_p.log_k1, reset_p.log_k1]], k2=[k2])
             cell = decay(cell, 2.0)
             assert cell.v[0].tolist() == array.v[i].tolist()
-            assert cell.k1[0].tolist() == array.k1[i].tolist()
+            assert cell.log_k1[0].tolist() == array.log_k1[i].tolist()
             assert cell.global_clock == array.global_clock
             assert read_weight(cell).weight == array.weights()[i]

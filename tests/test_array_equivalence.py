@@ -108,10 +108,10 @@ def reference_cells(n, nominal, sigma, seed):
 def same_bits(array, cells):
     """Columns of array equal the per-cell reference, bit for bit."""
     v = np.array([c.v for c in cells])
-    k1 = np.array([[p.k1 for p in c.params] for c in cells])
+    log_k1 = np.array([[p.log_k1 for p in c.params] for c in cells])
     k2 = np.array([[p.k2 for p in c.params] for c in cells])
     assert array.v.tobytes() == v.tobytes()
-    assert array.k1.tobytes() == k1.tobytes()
+    assert array.log_k1.tobytes() == log_k1.tobytes()
     assert array.k2.tobytes() == k2.tobytes()
     assert all(c.t == array.global_clock for c in cells)
 

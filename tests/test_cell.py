@@ -106,7 +106,6 @@ class TestSynchronize:
         assert cell.nominal_params == p
         assert cell.mismatch == MismatchSpec(relative_sigma=0.0)
         assert cell.v0 == 7.5
-        assert cell.k1.tolist() == [[p.k1, p.k1]]
         assert cell.log_k1.tolist() == [[p.log_k1, p.log_k1]]
         assert cell.k2.tolist() == [[p.k2, p.k2]]
         assert not cell.v.flags.writeable

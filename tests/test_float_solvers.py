@@ -188,7 +188,7 @@ def fresh_cell(set_p, reset_p):
         return synchronize(set_p, V0)
     v_reset, = rate_matched_voltages([set_p.log_k1], [set_p.k2], [reset_p.log_k1],
                                      [reset_p.k2], V0).tolist()
-    return replace(synchronize(set_p, V0), v=[[V0, v_reset]], k1=[[set_p.k1, reset_p.k1]],
+    return replace(synchronize(set_p, V0), v=[[V0, v_reset]],
                    log_k1=[[set_p.log_k1, reset_p.log_k1]], k2=[[set_p.k2, reset_p.k2]])
 
 

@@ -21,7 +21,7 @@ from fndam.trainer import NetworkConfig, make_blob_dataset, train_network_with_d
 
 from test_network_equivalence import arm_kinds, build_arm
 
-COLUMNS = ("v", "k1", "log_k1", "k2")
+COLUMNS = ("v", "log_k1", "k2")
 
 
 def snapshot(train_set, test_set, arrays):

@@ -138,7 +138,7 @@ def outcome(train, dataset, array, config):
         trace, out = train(dataset, array, config)
     except (FndamError, ArithmeticError, ValueError) as exc:
         return repr((type(exc).__name__, str(exc)))
-    columns = [getattr(out, c).tolist() for c in ("v", "k1", "log_k1", "k2")]
+    columns = [getattr(out, c).tolist() for c in ("v", "log_k1", "k2")]
     return repr((trace.steps, trace.epochs, trace.ledger.entries, trace.final_weights_mv,
                  trace.margin, columns, out.global_clock, out.nominal_params, out.mismatch,
                  out.v0))
@@ -178,7 +178,7 @@ def test_pulse_driving_a_node_non_positive_raises_the_same_error():
     """Nodes that tunnel far faster than the nominal device release below 0 V."""
     nominal = default_params()
     fast = np.full((2, 2), 1e300)
-    array = DamArray(np.full((2, 2), V0), fast, np.log(fast), np.full((2, 2), 1.0), nominal,
+    array = DamArray(np.full((2, 2), V0), np.log(fast), np.full((2, 2), 1.0), nominal,
                      MismatchSpec(relative_sigma=0.0), V0)
     dataset = make_separable_dataset(6, seed=1)
     got = outcome(train_perceptron, dataset, array, TrainerConfig())

@@ -148,7 +148,7 @@ def test_fast_path_runs_every_other_check():
     del doc["checksum"]
     doc["mismatch"]["seed"] = True  # bool is an int subclass, but not a seed
     with pytest.raises(StateFormatError,
-                       match=r"^wrong type at mismatch\.seed: expected <class 'int'>, got bool$"):
+                       match=r"^wrong type at mismatch\.seed: expected int, got bool$"):
         state_from_json(self_signed(json.dumps(doc, sort_keys=True, separators=(",", ":"))))
     doc["mismatch"]["seed"] = 3
     doc["columns"]["set_v_fg"][1] = -1.0

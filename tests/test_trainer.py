@@ -54,7 +54,7 @@ def mlp_grads(theta, x, y):
 
 def first_cell(array):
     """Cell 0 of array as a one-cell DamArray: the columns of row 0."""
-    columns = (getattr(array, c)[:1] for c in ("v", "k1", "log_k1", "k2"))
+    columns = (getattr(array, c)[:1] for c in ("v", "log_k1", "k2"))
     return DamArray(*columns, array.nominal_params, array.mismatch, array.v0, array.global_clock)
 
 
@@ -499,6 +499,10 @@ class TestParameterParking:
 class TestNetworkTraining:
     def small_problem(self):
         return make_blob_dataset(30, seed=11), make_blob_dataset(60, seed=12)
+
+    def test_no_arms_train_nothing(self):
+        train, test = self.small_problem()
+        assert train_network_with_dam_decay(train, test, [], NetworkConfig(seed=0)) == []
 
     def test_no_array_is_plain_sgdm(self):
         # with array=None the loop must be bit-identical to textbook SGDM
