@@ -19,14 +19,14 @@ importing scipy.  A cell with no sign change over its bracket, a NaN
 residual, no convergence in 200 steps or a residual above 1e-10 fails,
 and ``build_array`` reports all failing cells in one InitializationError.
 
-The array holds its state as read-only float64 columns, one entry (or
-one SET/RESET pair) per cell, and every operation is one elementwise
-expression over them.  The decay is ``node.decayed`` and a pulse
-``node.released``, the same expressions ``node.evolve`` and
-``node.apply_pulse`` use, so every node in an array gets the bits it
-would get on its own.  A single cell is the one-cell array (see
-``fndam.cell``).  Operations return a new array and never write into
-their input.
+The array holds read-only float64 columns, one SET/RESET pair per
+cell: the node voltages, its state, and the node constants its mismatch
+draw gives, and every operation is one elementwise expression over
+them.  The decay is ``node.decayed`` and a pulse ``node.released``, the
+same expressions ``node.evolve`` and ``node.apply_pulse`` use, so every
+node in an array gets the bits it would get on its own.  A single cell
+is the one-cell array (see ``fndam.cell``).  Operations return a new
+array and never write into their input.
 
 State documents are JSON trees carrying a format tag, a schema version
 and a SHA-256 checksum.  ``state_to_json`` writes the canonical
@@ -35,17 +35,18 @@ separators) with the checksum spliced in front, and the checksum is the
 hash of the text it covers: ``"{"`` and everything after the checksum,
 less one trailing newline.  ``state_from_json`` verifies that rule on
 the text itself, so reformatted or re-encoded text, or text whose
-checksum is not the first key, fails at ``checksum``.  Schema version 4,
-the one written and the only one read, holds only what a load reads:
-one list per node column under ``columns`` (``set_v_fg``,
-``reset_v_fg``, ``set_log_k1``, ``reset_log_k1``, ``set_k2``,
-``reset_k2``), ``nominal_params``, ``v0``, ``global_clock`` and the
-mismatch ``relative_sigma`` and ``seed`` the cells were drawn with.
-Floats are serialized at full precision, so ``state_from_json(
-state_to_json(a)) == a`` and a load takes no logarithm.  A document is
-rejected with a ``StateFormatError`` naming the JSON path when it
-cannot describe the array: the clock must be finite and non-negative,
-log k1 finite, k2 positive and finite, and 0 < v_fg < k2 on every node.
+checksum is not the first key, fails at ``checksum``.  Schema version 5,
+the one written and the only one read, holds the node voltages under
+``columns`` (``set_v_fg``, ``reset_v_fg``), ``nominal_params``, ``v0``,
+``global_clock`` and the ``mismatch`` ``relative_sigma`` and ``seed``
+with ``constants_sha256``, the SHA-256 of the log_k1 and k2 they draw.
+A load draws them again and checks that digest, since numpy does not
+promise its ``Generator`` streams across releases.  Floats are written
+at full precision, so ``state_from_json(state_to_json(a)) == a``.  A
+document that cannot describe the array fails with a
+``StateFormatError`` naming the JSON path: the clock must be finite and
+non-negative, the draw positive and finite, and 0 < v_fg < k2 and v0
+programmable on every node.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -66,19 +67,10 @@ from .node import (FnParams, Pulse, _require_nonnegative, _require_seed, decayed
 
 WEIGHT_SCALE = 1000.0  # mV per volt of node difference
 STATE_FORMAT = "fndam-array-state"
-STATE_VERSION = 4
+STATE_VERSION = 5
 
-# the (N, 2) SET/RESET columns of a DamArray
-_COLUMNS = ("v", "log_k1", "k2")
-# document column -> (DamArray column, node)
-_DOC_COLUMNS = {
-    "set_v_fg": ("v", 0),
-    "reset_v_fg": ("v", 1),
-    "set_log_k1": ("log_k1", 0),
-    "reset_log_k1": ("log_k1", 1),
-    "set_k2": ("k2", 0),
-    "reset_k2": ("k2", 1),
-}
+# document column -> node of DamArray.v
+_DOC_COLUMNS = {"set_v_fg": 0, "reset_v_fg": 1}
 
 
 @dataclass(frozen=True)
@@ -112,45 +104,39 @@ class DamArray:
     """N cells as read-only float64 columns sharing one clock.
 
     Column 0 of each (N, 2) column is the SET node, column 1 the RESET
-    node.  A node's k1 is held only as ``log_k1``, ``math.log(k1)``, the
-    form every operation reads, so none takes a logarithm per cell.
-    Every cell reads ``global_clock`` as its own clock and takes c_total
-    and c_couple from ``nominal_params``.  A column given as a writable
-    array is copied, so no caller can change an array after the fact.  A
-    node voltage or k2 that is not positive and finite, or a log_k1 that
-    is not finite, raises DomainError naming the cell and the node.
+    node.  The state is ``v``.  The constructor draws the constants
+    ``log_k1`` (``math.log(k1)``, the form every operation reads) and
+    ``k2`` from ``mismatch`` and ``nominal_params`` (``_drawn``), and
+    operations pass them on.  Every cell reads ``global_clock`` as its
+    own clock and takes c_total and c_couple from ``nominal_params``.  A
+    writable ``v`` is copied, so no caller can change an array after the
+    fact.  A voltage, or a drawn k1 or k2, that is not positive and
+    finite raises DomainError naming the cell and the node.
     """
 
     v: np.ndarray  # (N, 2) floating-gate voltages, V
-    log_k1: np.ndarray  # (N, 2) log of k1 in 1/s
-    k2: np.ndarray  # (N, 2) V
+    log_k1: np.ndarray = field(init=False)  # (N, 2) log of k1 in 1/s, drawn
+    k2: np.ndarray = field(init=False)  # (N, 2) V, drawn
     nominal_params: FnParams
     mismatch: MismatchSpec
     v0: float
     global_clock: float = 0.0
 
     def __post_init__(self):
-        for name in _COLUMNS:
-            col = np.asarray(getattr(self, name), dtype=np.float64)
-            if col.flags.writeable:
-                col = col.copy()
-                col.flags.writeable = False
-            object.__setattr__(self, name, col)
-        n = self.v.shape[0] if self.v.ndim == 2 else 0
-        if n < 1 or any(getattr(self, c).shape != (n, 2) for c in _COLUMNS):
-            raise ArgumentError(
-                "columns must be (N, 2), N >= 1; got "
-                + ", ".join(f"{c} {getattr(self, c).shape}" for c in _COLUMNS)
-            )
-        for name, low in (("v", 0.0), ("log_k1", -math.inf), ("k2", 0.0)):
-            col = getattr(self, name)
-            bad = ~((col > low) & (col < math.inf))
+        v = np.asarray(self.v, dtype=np.float64)
+        if v.flags.writeable:
+            v = v.copy()
+            v.flags.writeable = False
+        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] != 2:
+            raise ArgumentError(f"v must be (N, 2), N >= 1; got {v.shape}")
+        k1, log_k1, k2 = _drawn(len(v), self.nominal_params, self.mismatch)
+        for name, col in (("voltage", v), ("k1", k1), ("k2", k2)):
+            bad = ~((col > 0) & (col < math.inf))
             if bad.any():
                 i, node = np.argwhere(bad)[0].tolist()
-                raise DomainError(f"cell {i} {('SET', 'RESET')[node]} node "
-                                  f"{'voltage' if name == 'v' else name} must be "
-                                  f"{'finite' if low < 0 else 'positive and finite'}, "
-                                  f"got {col[i, node].item()!r}")
+                raise DomainError(f"cell {i} {('SET', 'RESET')[node]} node {name} must be "
+                                  f"positive and finite, got {col[i, node].item()!r}")
+        self.__dict__.update(v=v, log_k1=log_k1, k2=k2)
 
     def __len__(self) -> int:
         return self.v.shape[0]
@@ -159,9 +145,9 @@ class DamArray:
     def _of(cls, v, log_k1, k2, nominal_params, mismatch, v0, global_clock) -> DamArray:
         """An array over columns an operation has just computed.
 
-        Skips ``__post_init__``: the columns must already be read-only
-        float64 arrays of the right shapes, and no caller may hold a
-        writable view of them.
+        Skips ``__post_init__`` and the draw: the columns must already
+        be read-only float64 arrays of the right shapes, and no caller
+        may hold a writable view of them.
         """
         array = object.__new__(cls)
         array.__dict__.update(v=v, log_k1=log_k1, k2=k2, nominal_params=nominal_params,
@@ -174,7 +160,8 @@ class DamArray:
         return (
             (self.nominal_params, self.mismatch, self.v0, self.global_clock)
             == (other.nominal_params, other.mismatch, other.v0, other.global_clock)
-            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
+            and all(np.array_equal(getattr(self, c), getattr(other, c))
+                    for c in ("v", "log_k1", "k2"))
         )
 
     def weights(self) -> np.ndarray:
@@ -185,10 +172,24 @@ class DamArray:
 def _mismatched(n: int, nominal: FnParams, spec: MismatchSpec):
     """(k1, k2), each (n, 2): nominal times gaussian factors, four per cell, seeded."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    # a huge sigma overflows to inf here, which build_array rejects
+    # a huge sigma overflows to inf here, which the callers of _drawn reject
     with np.errstate(over="ignore"):
         factors = 1.0 + spec.relative_sigma * rng.standard_normal((n, 2, 2))
         return nominal.k1 * factors[:, :, 0], nominal.k2 * factors[:, :, 1]
+
+
+def _drawn(n: int, nominal: FnParams, spec: MismatchSpec):
+    """The one rule for node constants: the (n, 2) k1, read-only log_k1 (NaN
+    where k1 is not positive and finite) and read-only k2 of n cells."""
+    k1, k2 = _mismatched(n, nominal, spec)
+    log_k1 = log_each(np.where((k1 > 0) & (k1 < math.inf), k1, math.nan))
+    log_k1.flags.writeable = k2.flags.writeable = False
+    return k1, log_k1, k2
+
+
+def _constants_sha256(log_k1: np.ndarray, k2: np.ndarray) -> str:
+    """SHA-256 of the log_k1 and then the k2 column, as little-endian float64."""
+    return hashlib.sha256(np.concatenate([log_k1, k2]).astype("<f8")).hexdigest()
 
 
 _MATCH_XTOL, _MATCH_RTOL, _MATCH_MAXITER = 1e-14, 1e-15, 200
@@ -373,10 +374,9 @@ def build_array(
     if n < 1:
         raise ArgumentError(f"array size must be >= 1, got {n!r}")
     spec = mismatch if mismatch is not None else NO_MISMATCH
-    k1, k2 = _mismatched(n, nominal, spec)
-    ok = np.all(np.isfinite(k1) & (k1 > 0) & np.isfinite(k2) & (k2 > 0), axis=1)
+    k1, log_k1, k2 = _drawn(n, nominal, spec)
+    ok = np.all(np.isfinite(log_k1) & (k2 > 0) & (k2 < math.inf), axis=1)
     ok &= programmable(k2[:, 0], v0)
-    log_k1 = log_each(np.where(ok[:, None], k1, 1.0))
     v = np.full_like(k1, v0)
     # identical nodes start at v0 together; the others are solved at once
     rows = np.flatnonzero(ok & ((k1[:, 0] != k1[:, 1]) | (k2[:, 0] != k2[:, 1])))
@@ -390,7 +390,8 @@ def build_array(
         raise InitializationError(
             f"{len(bad)} cell(s) failed to initialize", indices=tuple(bad.tolist())
         )
-    return DamArray(v, log_k1, k2, nominal, spec, v0)
+    v.flags.writeable = False
+    return DamArray._of(v, log_k1, k2, nominal, spec, v0, 0.0)
 
 
 def _with_voltages(array: DamArray, v: np.ndarray, clock: float) -> DamArray:
@@ -402,8 +403,11 @@ def _with_voltages(array: DamArray, v: np.ndarray, clock: float) -> DamArray:
 
 def _evolved(array: DamArray, v: np.ndarray, dt: float) -> DamArray:
     """array with node voltages v, dt seconds later; every node must be positive."""
+    clock = array.global_clock + dt
+    if clock == math.inf:
+        raise DomainError(f"global_clock {array.global_clock!r} s + {dt!r} s overflows to inf")
     _require_positive(v)
-    return _with_voltages(array, v, array.global_clock + dt)
+    return _with_voltages(array, v, clock)
 
 
 def _require_positive(v: np.ndarray) -> None:
@@ -478,19 +482,20 @@ _SIGNED_OPENING = '{"checksum":"'
 
 
 def _unsigned_document(array: DamArray) -> dict:
-    """The state document without its checksum and columns."""
+    """The state document without its checksum and columns, numpy scalars as floats."""
     p = array.nominal_params
     return {
         "format": STATE_FORMAT,
         "version": STATE_VERSION,
         "mismatch": {
-            "relative_sigma": array.mismatch.relative_sigma,
+            "relative_sigma": float(array.mismatch.relative_sigma),
             "seed": array.mismatch.seed,
+            "constants_sha256": _constants_sha256(array.log_k1, array.k2),
         },
-        "nominal_params": {"k1": p.k1, "k2": p.k2, "c_total": p.c_total,
-                           "c_couple": p.c_couple},
-        "v0": array.v0,
-        "global_clock": array.global_clock,
+        "nominal_params": {"k1": float(p.k1), "k2": float(p.k2),
+                           "c_total": float(p.c_total), "c_couple": float(p.c_couple)},
+        "v0": float(array.v0),
+        "global_clock": float(array.global_clock),
     }
 
 
@@ -505,8 +510,8 @@ def state_to_json(array: DamArray) -> str:
     # copied whole only by the final join, so a save's peak memory stays near
     # two copies of the text.
     parts = ['"columns":{']
-    for key, (name, node) in sorted(_DOC_COLUMNS.items()):
-        column = getattr(array, name)[:, node].tolist()
+    for key, node in sorted(_DOC_COLUMNS.items()):
+        column = array.v[:, node].tolist()
         parts += [f'"{key}":', json.dumps(column, separators=(",", ":")), ","]
     rest = json.dumps(_unsigned_document(array), sort_keys=True, separators=(",", ":"))
     parts[-1:] = ["},", rest[1:]]
@@ -554,58 +559,29 @@ def _params_from(doc, path) -> FnParams:
         raise StateFormatError(f"invalid parameters at {path}: {exc}") from None
 
 
-def _doc_columns(doc) -> dict[str, np.ndarray]:
-    """One list of numbers per node column, all of one length."""
+def _doc_voltages(doc) -> np.ndarray:
+    """The (N, 2) node voltages of the document's columns, all of one length."""
     cols = _need(doc, "columns", "", dict)
-    out = {}
-    n = None
-    for key in _DOC_COLUMNS:
+    v = None
+    for key, node in _DOC_COLUMNS.items():
         path = f"columns.{key}"
         values = _need(cols, key, "columns", list)
         if not values:
             raise StateFormatError(f"empty cell list at {path}")
-        if n is None:
-            n = len(values)
-        elif len(values) != n:
-            raise StateFormatError(f"{path} holds {len(values)} cells, expected {n}")
+        if v is None:
+            v = np.empty((len(values), 2))
+        elif len(values) != len(v):
+            raise StateFormatError(f"{path} holds {len(values)} cells, expected {len(v)}")
         if not set(map(type, values)) <= {float, int}:
             i, bad = next((i, x) for i, x in enumerate(values) if type(x) not in (float, int))
             raise StateFormatError(
                 f"wrong type at {path}[{i}]: expected number, got {type(bad).__name__}"
             )
         try:
-            out[key] = np.array(values, dtype=np.float64)
+            v[:, node] = values
         except OverflowError:
             raise StateFormatError(f"number out of float range at {path}") from None
-    return out
-
-
-def _columns_from(cols: dict[str, np.ndarray], v0: float) -> dict[str, np.ndarray]:
-    """DamArray columns from document columns, checking that they describe cells."""
-
-    def reject(key, bad, what):
-        i = int(np.argmax(bad))
-        value = float(cols[key][i])
-        raise StateFormatError(f"invalid value at columns.{key}[{i}]: {value!r}, {what}")
-
-    for key in ("set_log_k1", "reset_log_k1", "set_k2", "reset_k2"):
-        low = -math.inf if "log" in key else 0.0  # any finite log k1; a positive k2
-        bad = ~((cols[key] > low) & (cols[key] < math.inf))
-        if bad.any():
-            reject(key, bad, f"must be {'finite' if low < 0 else 'positive and finite'}")
-    for side in ("set", "reset"):
-        v, k2 = cols[f"{side}_v_fg"], cols[f"{side}_k2"]
-        bad = ~((v > 0) & (v < k2))
-        if bad.any():
-            reject(f"{side}_v_fg", bad, "must satisfy 0 < v_fg < k2")
-    for side in ("set", "reset"):
-        if not programmable(cols[f"{side}_k2"], v0).all():
-            raise StateFormatError(f"invalid value at v0: {v0!r}, no {side} node starts there")
-
-    out = {name: np.empty((len(cols["set_v_fg"]), 2)) for name in _COLUMNS}
-    for key, (name, node) in _DOC_COLUMNS.items():
-        out[name][:, node] = cols[key]
-    return out
+    return v
 
 
 def state_from_json(text: str) -> DamArray:
@@ -644,6 +620,7 @@ def state_from_json(text: str) -> DamArray:
     mm = _need(doc, "mismatch", "", dict)
     sigma = _float_at(mm, "relative_sigma", "mismatch")
     seed = _need(mm, "seed", "mismatch", int)
+    constants = _need(mm, "constants_sha256", "mismatch", str)
     try:
         mismatch = MismatchSpec(relative_sigma=sigma, seed=seed)
     except DomainError as exc:
@@ -657,7 +634,30 @@ def state_from_json(text: str) -> DamArray:
     if not (math.isfinite(clock) and clock >= 0):
         raise StateFormatError(f"invalid clock at global_clock: {clock!r}")
 
-    columns = _columns_from(_doc_columns(doc), v0)
-    return DamArray(
-        nominal_params=nominal, mismatch=mismatch, v0=v0, global_clock=clock, **columns
-    )
+    v = _doc_voltages(doc)
+
+    def require(ok):
+        """StateFormatError at the first node voltage where ok is False."""
+        for key, node in _DOC_COLUMNS.items():
+            if not ok[:, node].all():
+                i = int(np.argmin(ok[:, node]))
+                raise StateFormatError(f"invalid value at columns.{key}[{i}]: "
+                                       f"{v[i, node].item()!r}, must satisfy 0 < v_fg < k2")
+
+    require((v > 0) & (v < math.inf))
+    try:
+        array = DamArray(v, nominal, mismatch, v0, global_clock=clock)
+    except DomainError as exc:  # the voltages are positive and finite: a bad draw
+        raise StateFormatError(f"invalid draw at mismatch: {exc}") from None
+    drawn = _constants_sha256(array.log_k1, array.k2)
+    if drawn != constants:
+        raise StateFormatError(
+            f"constants mismatch at mismatch: numpy {np.__version__} draws constants with "
+            f"SHA-256 {drawn[:12]}..., the document holds {constants[:12]}..."
+        )
+    require(v < array.k2)
+    for key, node in _DOC_COLUMNS.items():
+        if not programmable(array.k2[:, node], v0).all():
+            raise StateFormatError(f"invalid value at v0: {v0!r}, no {key[:-5]} node starts "
+                                   "there")
+    return array

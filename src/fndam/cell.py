@@ -30,12 +30,11 @@ discrete-time model at every step of an undisturbed schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from .array import (NO_MISMATCH, WEIGHT_SCALE, DamArray, WeightReading, _driven, advance,
-                    batch_pulse)
+from .array import (NO_MISMATCH, WEIGHT_SCALE, DamArray, WeightReading, _driven,
+                    _with_voltages, advance, batch_pulse)
 from .errors import ArgumentError, DomainError, SaturationError, StepSizeError
 from .node import (FnParams, Pulse, _require_finite_positive, _require_int,
                    _require_nonnegative, decayed_float, k0_from_initial)
@@ -95,7 +94,7 @@ def common_mode_step(cell: DamArray, dv: float) -> DamArray:
     v = cell.v + dv
     if not (v > 0).all():
         raise DomainError(f"common-mode step {dv!r} V drives a node non-positive")
-    return replace(cell, v=v)
+    return _with_voltages(cell, v, cell.global_clock)
 
 
 def discrete_update(w_mv: float, w_set: float, params: FnParams, dt: float) -> float:

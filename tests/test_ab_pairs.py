@@ -90,7 +90,8 @@ def test_the_record_line_gives_the_ungated_per_command_metrics():
         "array_cell_ops_per_s": 5.2e4}
     assert set(ab_pairs.UNGATED) == {
         "calibrate_s", "characterize_s", "energy_report_s", "retention_report_s",
-        "train_perceptron_s", "train_network_s", "array_cell_ops_per_s", "fndam_import_s"}
+        "train_perceptron_s", "train_network_s", "array_cell_ops_per_s", "fndam_import_s",
+        "state_to_json_s", "state_from_json_s"}
     assert ab_pairs.UNGATED["array_cell_ops_per_s"] == "higher"
     assert ab_pairs.UNGATED["fndam_import_s"] == "lower"
     # no record line, or no output at all
@@ -135,3 +136,11 @@ def test_import_times_alternate_the_trees_in_abba_order(monkeypatch):
     assert calls == ["parent", "change", "change", "parent", "parent", "change",
                      "change", "parent", "parent", "change"]
     assert times == {"parent": 1000 * 1e-6, "change": 760 * 1e-6}  # medians; outliers drop out
+
+
+def test_the_state_timer_reports_one_save_and_one_load(monkeypatch):
+    monkeypatch.setattr(ab_pairs, "STATE_CELLS", 3)
+    monkeypatch.setattr(ab_pairs, "STATE_RUNS", 2)
+    times = ab_pairs.state_times(_PATH.parents[1], 0)
+    assert sorted(times) == ["state_from_json_s", "state_to_json_s"]
+    assert all(0.0 < t < 10.0 for t in times.values())

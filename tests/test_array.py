@@ -14,6 +14,7 @@ import fndam
 from fndam.array import (
     STATE_FORMAT,
     STATE_VERSION,
+    NO_MISMATCH,
     DamArray,
     MismatchSpec,
     WeightReading,
@@ -57,9 +58,23 @@ def small_array(n=4, sigma=0.0, seed=0):
 
 
 def row(array, i):
-    """Cell i of array as a one-cell DamArray: the columns of row i."""
+    """Cell i of array as a one-cell DamArray over row i of its columns.
+
+    A one-cell draw gives cell 0's constants only, so the row is built
+    as operations build arrays, through ``DamArray._of``.
+    """
     columns = (getattr(array, c)[i:i + 1] for c in ("v", "log_k1", "k2"))
-    return DamArray(*columns, array.nominal_params, array.mismatch, array.v0, array.global_clock)
+    return DamArray._of(*columns, array.nominal_params, array.mismatch, array.v0,
+                        array.global_clock)
+
+
+def hand_made(v, log_k1, k2, nominal, v0):
+    """A fresh array of nodes whose (N, 2) constants no mismatch draw
+    gives, built as ``cell.synchronize`` builds its cell: read-only
+    columns through ``DamArray._of``."""
+    columns = np.array([v, log_k1, k2], dtype=np.float64)
+    columns.flags.writeable = False
+    return DamArray._of(*columns, nominal, NO_MISMATCH, v0, 0.0)
 
 
 class TestBuildArray:
@@ -143,8 +158,7 @@ class TestConstruction:
         v = array.v.copy()
         v[2, 0] = math.nan
         with pytest.raises(DomainError, match="^cell 2 SET node voltage must be positive"):
-            DamArray(v, array.log_k1, array.k2, array.nominal_params, array.mismatch,
-                     array.v0)
+            DamArray(v, array.nominal_params, array.mismatch, array.v0)
 
     def test_first_bad_node_is_named(self):
         array = small_array(3)
@@ -158,15 +172,23 @@ class TestConstruction:
         *(("log_k1", value) for value in (-math.inf, math.nan, math.inf)),
         *(("k2", value) for value in (0.0, -1.0, math.nan, math.inf)),
     ])
-    def test_bad_node_constant_rejected(self, column, value):
-        # any finite log k1 is some k1 > 0: 0.0 and -1.0 are k1 = 1 and 1/e
-        what = "finite" if column == "log_k1" else "positive and finite"
+    def test_bad_node_constant_rejected(self, column, value, monkeypatch):
+        # a draw that gives cell 2's RESET node this log k1 (k1 = exp(value))
+        # or k2; any finite log k1 is some k1 > 0
+        name, got = ("k1", math.exp(value)) if column == "log_k1" else ("k2", value)
+        draw = fndam.array._mismatched
+
+        def patched(n, nominal, spec):
+            k = dict(zip(("k1", "k2"), draw(n, nominal, spec)))
+            k[name][2, 1] = got
+            return k["k1"], k["k2"]
+
         array = small_array(3)
-        col = getattr(array, column).copy()
-        col[2, 1] = value
+        monkeypatch.setattr(fndam.array, "_mismatched", patched)
         with pytest.raises(DomainError) as exc_info:
-            replace(array, **{column: col})
-        assert str(exc_info.value) == f"cell 2 RESET node {column} must be {what}, got {value!r}"
+            DamArray(array.v, array.nominal_params, array.mismatch, array.v0)
+        assert str(exc_info.value) == (
+            f"cell 2 RESET node {name} must be positive and finite, got {got!r}")
 
 
 class TestMismatchSpec:
@@ -198,6 +220,16 @@ class TestBatchOperations:
         # untargeted cells idle for the same window
         assert row(batched, 0) == decay(row(array, 0), 0.5)
         assert batched.global_clock == 0.5
+
+    def test_a_clock_that_would_overflow_is_rejected(self):
+        array = advance(small_array(2), 1e308)
+        pulse = Pulse(amplitude=0.2, duration=1e308)
+        for step in (lambda a: advance(a, 1e308), lambda a: batch_pulse(a, [(0, 1, pulse)])):
+            with pytest.raises(DomainError,
+                               match=r"^global_clock 1e\+308 s \+ 1e\+308 s overflows to inf$"):
+                step(array)
+        # the largest clock an operation reaches is still saved and loaded
+        assert state_from_json(state_to_json(array)) == array
 
     def test_mixed_polarities_in_one_batch(self):
         array = small_array(4)
@@ -264,9 +296,9 @@ class TestStatePersistence:
         assert doc["version"] == STATE_VERSION
         assert sorted(doc) == ["checksum", "columns", "format", "global_clock", "mismatch",
                                "nominal_params", "v0", "version"]
-        assert doc["mismatch"] == {"relative_sigma": 1e-3, "seed": 7}
-        assert sorted(doc["columns"]) == sorted(
-            ["set_v_fg", "reset_v_fg", "set_log_k1", "reset_log_k1", "set_k2", "reset_k2"])
+        assert sorted(doc["mismatch"]) == ["constants_sha256", "relative_sigma", "seed"]
+        assert (doc["mismatch"]["relative_sigma"], doc["mismatch"]["seed"]) == (1e-3, 7)
+        assert sorted(doc["columns"]) == ["reset_v_fg", "set_v_fg"]
         assert all(len(col) == 2 for col in doc["columns"].values())
 
     def test_tampered_v2_document_rejected(self):
@@ -282,9 +314,10 @@ class TestStatePersistence:
             state_from_json(canonical(doc))
 
     def test_future_version_rejected(self):
-        # version 1, one object per cell, and version 3, which stored k1
-        # itself, are no longer read either
-        for version in (1, 3, STATE_VERSION + 1):
+        # version 1, one object per cell, version 3, which stored k1
+        # itself, and version 4, which stored log k1 and k2, are no longer
+        # read either
+        for version in (1, 3, 4, STATE_VERSION + 1):
             doc = state_doc(small_array(2))
             doc["version"] = version
             doc["checksum"] = ""
@@ -317,8 +350,8 @@ class TestStatePersistence:
 
     def test_short_v2_column_is_located(self):
         doc = state_doc(small_array(2))
-        doc["columns"]["set_k2"].pop()
-        with pytest.raises(StateFormatError, match=r"columns\.set_k2"):
+        doc["columns"]["reset_v_fg"].pop()
+        with pytest.raises(StateFormatError, match=r"columns\.reset_v_fg"):
             state_from_json(signed(doc))
 
     def test_wrong_scalar_type_is_located(self):
@@ -330,8 +363,8 @@ class TestStatePersistence:
     @pytest.mark.parametrize("value", ["zero", True, None, [1.0]])
     def test_wrong_v2_entry_type_is_located(self, value):
         doc = state_doc(small_array(2))
-        doc["columns"]["set_log_k1"][1] = value
-        with pytest.raises(StateFormatError, match=r"columns\.set_log_k1\[1\]"):
+        doc["columns"]["reset_v_fg"][1] = value
+        with pytest.raises(StateFormatError, match=r"columns\.reset_v_fg\[1\]"):
             state_from_json(signed(doc))
 
     def test_bool_is_not_a_number(self):
@@ -354,8 +387,8 @@ class TestStatePersistence:
     def test_empty_cell_list_rejected(self):
         # one empty column among full ones
         doc = state_doc(small_array(2))
-        doc["columns"]["reset_log_k1"] = []
-        with pytest.raises(StateFormatError, match=r"^empty cell list at columns\.reset_log_k1$"):
+        doc["columns"]["reset_v_fg"] = []
+        with pytest.raises(StateFormatError, match=r"^empty cell list at columns\.reset_v_fg$"):
             state_from_json(signed(doc))
 
     def test_empty_v2_columns_rejected(self):
@@ -404,24 +437,27 @@ class TestPhysicalInvariantsOnLoad:
 
     @pytest.mark.parametrize("path, value, where", [
         (("v0",), math.inf, "^invalid value at v0: inf, must be positive and finite$"),
-        (("columns", "reset_k2", 0), math.nan, r"columns\.reset_k2\[0\]"),
+        (("mismatch", "constants_sha256"), "0" * 64, "^constants mismatch at mismatch: numpy "),
         (("global_clock",), math.nan, "global_clock"),
         (("global_clock",), -5.0, "global_clock"),
         (("global_clock",), math.inf, "global_clock"),
         (("columns", "set_v_fg", 0), 0.0, r"columns\.set_v_fg\[0\]"),
         (("columns", "set_v_fg", 1), -7.5, r"columns\.set_v_fg\[1\]"),
         (("columns", "reset_v_fg", 1), 5000.0, r"columns\.reset_v_fg\[1\]"),
-        (("columns", "reset_log_k1", 0), -math.inf, r"columns\.reset_log_k1\[0\]"),
-        (("columns", "set_k2", 1), math.inf, r"columns\.set_k2\[1\]"),
-        (("columns", "set_log_k1", 0), 10**400, r"columns\.set_log_k1"),
+        (("mismatch", "relative_sigma"), 2e-3, "^constants mismatch at mismatch: "),
+        (("mismatch", "seed"), 4, "^constants mismatch at mismatch: "),
+        (("mismatch", "relative_sigma"), 1e308, "^invalid draw at mismatch: cell 0 "),
         (("v0",), 0.0, "v0"),
-        (("columns", "set_log_k1", 1), math.nan, r"columns\.set_log_k1\[1\]"),
+        (("mismatch", "constants_sha256"), 5,
+         r"^wrong type at mismatch\.constants_sha256: expected str, got int$"),
         (("columns", "set_v_fg", 0), math.nan, r"columns\.set_v_fg\[0\]"),
         (("v0",), 10**400, "^number out of float range at v0$"),
         (("global_clock",), 10**400, "^number out of float range at global_clock$"),
         (("nominal_params", "k1"), 10**400, r"^number out of float range at nominal_params\.k1$"),
         (("mismatch", "relative_sigma"), 10**400,
          r"^number out of float range at mismatch\.relative_sigma$"),
+        (("columns", "reset_v_fg", 1), 10**400,
+         r"^number out of float range at columns\.reset_v_fg$"),
     ])
     def test_version_2(self, path, value, where):
         text = _edit(state_doc(small_array(2, sigma=1e-3, seed=3)), _set(path, value))
@@ -448,8 +484,7 @@ class TestColumns:
     def test_writable_inputs_are_copied(self):
         array = small_array(2)
         v = np.array(array.v)
-        built = DamArray(v, array.log_k1, array.k2, array.nominal_params,
-                         array.mismatch, array.v0)
+        built = DamArray(v, array.nominal_params, array.mismatch, array.v0)
         v[0, 0] = 1.0
         assert built == array
         assert v.flags.writeable
@@ -457,8 +492,7 @@ class TestColumns:
     def test_shape_mismatch_rejected(self):
         array = small_array(2)
         with pytest.raises(ArgumentError):
-            DamArray(array.v[:1], array.log_k1, array.k2, array.nominal_params,
-                     array.mismatch, array.v0)
+            DamArray(array.v[:, :1], array.nominal_params, array.mismatch, array.v0)
 
     def test_equality_compares_every_column(self):
         array = small_array(2)
@@ -475,9 +509,8 @@ class TestColumns:
         k1s = _mismatched(3, nominal, array.mismatch)[0].tolist()
         for i, (k1, k2) in enumerate(zip(k1s, array.k2.tolist())):
             set_p, reset_p = (replace(nominal, k1=a, k2=b) for a, b in zip(k1, k2))
-            cell = replace(synchronize(set_p, 7.5), v=[[7.5, v_reset[i]]],
-                           log_k1=[[set_p.log_k1, reset_p.log_k1]], k2=[k2])
-            cell = decay(cell, 2.0)
+            cell = decay(hand_made([[7.5, v_reset[i]]], [[set_p.log_k1, reset_p.log_k1]], [k2],
+                                   set_p, 7.5), 2.0)
             assert cell.v[0].tolist() == array.v[i].tolist()
             assert cell.log_k1[0].tolist() == array.log_k1[i].tolist()
             assert cell.global_clock == array.global_clock

@@ -13,7 +13,6 @@ raise the same exception type with the same message.
 """
 
 import math
-from dataclasses import replace
 from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -47,6 +46,7 @@ from fndam.energy import TEN_YEARS_S, NoiseModel, noise_floor, retention_time, R
 from fndam.errors import FndamError
 from fndam.experiments import _weight_trace
 from fndam.node import Pulse
+from test_array import hand_made
 
 V0 = 7.5
 
@@ -188,8 +188,8 @@ def fresh_cell(set_p, reset_p):
         return synchronize(set_p, V0)
     v_reset, = rate_matched_voltages([set_p.log_k1], [set_p.k2], [reset_p.log_k1],
                                      [reset_p.k2], V0).tolist()
-    return replace(synchronize(set_p, V0), v=[[V0, v_reset]],
-                   log_k1=[[set_p.log_k1, reset_p.log_k1]], k2=[[set_p.k2, reset_p.k2]])
+    return hand_made([[V0, v_reset]], [[set_p.log_k1, reset_p.log_k1]],
+                     [[set_p.k2, reset_p.k2]], set_p, V0)
 
 
 @st.composite

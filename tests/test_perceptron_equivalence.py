@@ -9,13 +9,14 @@ ledger, final weights and array, bit for bit, or raise the same
 exception type with the same message.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fndam import trainer
-from fndam.array import DamArray, MismatchSpec, advance, batch_pulse, build_array
+from fndam.array import MismatchSpec, advance, batch_pulse, build_array
 from fndam.calibrate import default_params
 from fndam.cell import _float_nodes, _solve_amplitude, decay, synchronize
 from fndam.energy import EnergyLedger
@@ -37,6 +38,7 @@ from fndam.trainer import (
     make_separable_dataset,
     train_perceptron,
 )
+from test_array import hand_made
 
 V0 = 7.5
 
@@ -176,10 +178,8 @@ def test_float_loop_matches_array_operations(n_points, dataset_seed, seed, epoch
 
 def test_pulse_driving_a_node_non_positive_raises_the_same_error():
     """Nodes that tunnel far faster than the nominal device release below 0 V."""
-    nominal = default_params()
-    fast = np.full((2, 2), 1e300)
-    array = DamArray(np.full((2, 2), V0), np.log(fast), np.full((2, 2), 1.0), nominal,
-                     MismatchSpec(relative_sigma=0.0), V0)
+    array = hand_made(np.full((2, 2), V0), np.full((2, 2), math.log(1e300)), np.ones((2, 2)),
+                      default_params(), V0)
     dataset = make_separable_dataset(6, seed=1)
     got = outcome(train_perceptron, dataset, array, TrainerConfig())
     assert got == outcome(reference_train, dataset, array, TrainerConfig())

@@ -28,6 +28,7 @@ from fndam.cell import (
 )
 from fndam.errors import ArgumentError, DomainError, SaturationError
 from fndam.node import Pulse, decayed, evolve, released
+from test_array import hand_made
 
 V0 = 7.5
 
@@ -86,7 +87,8 @@ def aged_cell(mismatch, age):
     if reset_params != set_params:  # the RESET node rate-matched at V0
         v_reset, = rate_matched_voltages([set_params.log_k1], [set_params.k2],
                                          [reset_params.log_k1], [reset_params.k2], V0).tolist()
-        cell = replace(cell, v=[[V0, v_reset]], k2=[[set_params.k2, reset_params.k2]])
+        cell = hand_made([[V0, v_reset]], [[set_params.log_k1] * 2],
+                         [[set_params.k2, reset_params.k2]], set_params, V0)
     return decay(cell, age) if age > 0 else cell
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fndam.array import WEIGHT_SCALE, DamArray, MismatchSpec, build_array
+from fndam.array import WEIGHT_SCALE, MismatchSpec, build_array
 from fndam.calibrate import default_params
 from fndam.cell import precompensated_amplitude
 from fndam.config import load_config
@@ -50,12 +50,6 @@ def mlp_grads(theta, x, y):
     grad = np.empty_like(theta)
     _mlp_grads_into(_unpack(grad), _unpack(theta), x, np.eye(MlpSpec.n_classes)[y])
     return grad
-
-
-def first_cell(array):
-    """Cell 0 of array as a one-cell DamArray: the columns of row 0."""
-    columns = (getattr(array, c)[:1] for c in ("v", "log_k1", "k2"))
-    return DamArray(*columns, array.nominal_params, array.mismatch, array.v0, array.global_clock)
 
 
 class TestDecisionFunction:
@@ -103,7 +97,7 @@ class TestGradientToPulses:
 
     def amplitude(self):
         """The unit-step amplitude of a fresh cell."""
-        return precompensated_amplitude(first_cell(two_cell_array()),
+        return precompensated_amplitude(build_array(1, default_params(), 7.5),
                                         TrainerConfig().unit_step_mv, PULSE_DURATION_S)
 
     def test_rounds_to_nearest_unit_step(self):

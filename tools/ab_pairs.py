@@ -18,7 +18,11 @@ fndam.cli"`` IMPORT_RUNS times each with ``PYTHONPATH=<tree>/src``, one
 interpreter at a time in ABBA order, so that the machine's state after
 a bench run weighs on both sides alike; the median of the summed self
 times of the ``fndam`` modules is each side's ``fndam_import_s``,
-fndam's own import time without numpy's.
+fndam's own import time without numpy's.  On ``array-scale``, each
+tree then also runs one interpreter of ``STATE_TIMER``, in the pair's
+order: the median time of STATE_RUNS saves (``state_to_json_s``) and
+loads (``state_from_json_s``) of a built array of STATE_CELLS cells at
+the pair's seed, advanced 10 s.
 
 For each metric ``BENCHMARK.json`` gates, the summary gives each side's
 median and quartiles, the ratio of the medians (change / parent), the
@@ -27,10 +31,10 @@ gain (won at least nine tenths of the pairs, and the medians differ by
 more than the parent's interquartile range) and whether the change's
 median stays within the metric's bound.  The per-command metrics of the
 record line that ``BENCHMARK.json`` does not gate (``calibrate_s`` to
-``train_network_s``, and ``array_cell_ops_per_s`` on ``array-scale``)
-and ``fndam_import_s`` get the same statistics without a bound, marked
-as ungated, so a gain can be traced to the command or the import it
-sits in.  A per-command metric is read as its ``norm``, the median in
+``train_network_s``, and ``array_cell_ops_per_s`` on ``array-scale``),
+``fndam_import_s`` and the two state times get the same statistics
+without a bound, marked as ungated, so a gain can be traced to the
+command or the import it sits in.  A per-command metric is read as its ``norm``, the median in
 units of the bench's reference kernel, as ``pass_norm`` is, since raw
 seconds drift with the shared machine's speed.  The last line of output
 is the summary as one JSON object.  The exit status is 1 if any run
@@ -59,8 +63,29 @@ UNGATED = {name: "lower" for name in (
     "calibrate_s", "characterize_s", "energy_report_s", "retention_report_s",
     "train_perceptron_s", "train_network_s")}
 UNGATED["array_cell_ops_per_s"] = "higher"
-UNGATED["fndam_import_s"] = "lower"
+UNGATED.update(fndam_import_s="lower", state_to_json_s="lower", state_from_json_s="lower")
 IMPORT_RUNS = 5  # interpreters per fndam_import_s
+STATE_CELLS, STATE_RUNS = 10**4, 9  # array size, and saves and loads per interpreter
+# argv: cells, seed, runs; prints the median seconds of one save and of one load
+STATE_TIMER = """
+import json, statistics, sys, time
+from fndam.array import MismatchSpec, advance, build_array, state_from_json, state_to_json
+from fndam.calibrate import default_params
+cells, seed, runs = map(int, sys.argv[1:])
+array = advance(build_array(cells, default_params(), 7.5, MismatchSpec(seed=seed)), 10.0)
+text = state_to_json(array)
+
+def median_s(call, arg):
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        call(arg)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+print(json.dumps({"state_to_json_s": median_s(state_to_json, array),
+                  "state_from_json_s": median_s(state_from_json, text)}))
+"""
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -144,6 +169,14 @@ def import_times(trees: dict[str, Path], runs: int = IMPORT_RUNS) -> dict[str, f
     return {side: statistics.median(values) for side, values in samples.items()}
 
 
+def state_times(tree: Path, seed: int) -> dict[str, float]:
+    """``STATE_TIMER``'s save and load seconds, one fresh interpreter on tree's src."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    argv = [sys.executable, "-c", STATE_TIMER, str(STATE_CELLS), str(seed), str(STATE_RUNS)]
+    return json.loads(subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
+                                     check=True).stdout)
+
+
 def export(ref: str, dest: Path) -> None:
     """The committed tree of ref, written into dest."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
@@ -221,6 +254,9 @@ def main(argv=None) -> int:
                 runs[side].append(run_values(result, record, gated))
             for side, seconds in import_times(trees).items():
                 runs[side][-1]["fndam_import_s"] = seconds
+            if args.workload == "array-scale":
+                for side in order:
+                    runs[side][-1].update(state_times(trees[side], args.seed))
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " + ", ".join(
                 f"{name} {runs['parent'][-1][name]:.6g} -> {runs['change'][-1][name]:.6g}"
                 for name in [m["name"] for m in gated] + ["fndam_import_s"]), flush=True)
