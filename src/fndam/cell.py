@@ -106,6 +106,8 @@ def discrete_update(w_mv: float, w_set: float, params: FnParams, dt: float) -> f
     reference it linearizes (they agree within 1% for |w| <= 5 mV and
     dt <= 1 s).  Raises StepSizeError when the decay term reaches 1.
     """
+    if not math.isfinite(w_mv):
+        raise DomainError(f"w_mv must be finite, got {w_mv!r}")
     _require_finite_positive("w_set", w_set)
     _require_nonnegative("dt", dt)
     factor = (

@@ -82,11 +82,16 @@ class EnergyLedger:
         self, cell_id: str, t_s: float, amplitude_v: float, duration_s: float, n_pulses: int = 1
     ) -> LedgerEntry:
         n_pulses = _pulse_count(n_pulses)
+        t_s, duration_s = float(t_s), float(duration_s)
+        # both are checked off the fast path
+        if not (0.0 <= t_s < math.inf and 0.0 < duration_s < math.inf):
+            _require_nonnegative("t_s", t_s)
+            _require_finite_positive("duration_s", duration_s)
         entry = LedgerEntry(
             cell_id=str(cell_id),
-            t_s=float(t_s),
+            t_s=t_s,
             amplitude_v=float(amplitude_v),
-            duration_s=float(duration_s),
+            duration_s=duration_s,
             n_pulses=n_pulses,
             energy_j=n_pulses * write_energy(self.c_in, amplitude_v),
         )
@@ -106,19 +111,29 @@ def write_energy(c_in: float, v_in: float) -> float:
     _require_finite_positive("c_in", c_in)
     if not math.isfinite(v_in):
         raise DomainError(f"v_in must be finite, got {v_in!r}")
-    return 0.5 * c_in * v_in * v_in
+    energy = 0.5 * c_in * v_in * v_in
+    if energy == math.inf:
+        raise DomainError(f"v_in {v_in!r} V at c_in {c_in!r} F needs a write energy "
+                          "out of float range")
+    return energy
 
 
 def v_train_required(v_target: float, v_fg: float, coupling_ratio: float) -> float:
     """Input amplitude needed to lift the gate to v_target through the divider."""
     if not (0 < coupling_ratio < 1):
         raise DomainError(f"coupling_ratio must be in (0, 1), got {coupling_ratio!r}")
+    _require_finite_positive("v_target", v_target)
+    _require_finite_positive("v_fg", v_fg)
     if v_target < v_fg:
         raise DomainError(
             f"cannot program upward through tunneling: target {v_target!r} V "
             f"below gate {v_fg!r} V"
         )
-    return (v_target - v_fg) / coupling_ratio
+    v_train = (v_target - v_fg) / coupling_ratio
+    if v_train == math.inf:
+        raise DomainError(f"target {v_target!r} V above gate {v_fg!r} V at coupling_ratio "
+                          f"{coupling_ratio!r} needs an input amplitude out of float range")
+    return v_train
 
 
 def setpoint_write(

@@ -185,13 +185,17 @@ def tunneling_current(params: FnParams, v_fg: float) -> float:
     """Magnitude of the FN tunneling current at gate voltage v_fg.
 
     The gate discharges: dV/dt = -tunneling_current(v)/c_total.  Returns
-    amps; underflows to 0.0 once the true value drops below float range.
+    amps; underflows to 0.0 once the true value drops below float range,
+    and raises DomainError where its product overflows.
     """
     _require_finite_positive("v_fg", v_fg)
     # c_total * (k1/k2) * v^2 * exp(-k2/v), exponent assembled in log space
     # so that huge k1 and tiny exp(-k2/v) never meet as bare floats.
     exponent = params.log_k1 - params.k2 / v_fg
-    return params.c_total * v_fg * v_fg / params.k2 * math.exp(exponent)
+    current = params.c_total * v_fg * v_fg / params.k2 * math.exp(exponent)
+    if not current < math.inf:  # inf, or nan where inf meets an exp that underflows
+        raise DomainError(f"v_fg {v_fg!r} V needs a tunneling current out of float range")
+    return current
 
 
 def decayed(v, log_k1, k2, log_dt):

@@ -34,7 +34,8 @@ from fndam.energy import DEFAULT_C_IN
 from fndam.errors import DomainError
 from fndam.experiments import run_calibrate
 
-COMMON_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli" / "common"
+# every file the six default commands write at seed 0 (tools/record_goldens.py)
+SEED_0 = Path(__file__).resolve().parent / "data" / "golden" / "seed-0"
 
 # evaluate_calibration(default_params()) — frozen so that any drift in
 # the physics or the solvers shows up as a diff against these numbers
@@ -171,7 +172,7 @@ class TestFit:
         assert points
         assert len(points) == len(set(points))
         for name in ("fitted_device.json", "calibration_metrics.csv"):
-            assert (tmp_path / name).read_bytes() == (COMMON_REFS / name).read_bytes()
+            assert (tmp_path / name).read_bytes() == (SEED_0 / name).read_bytes()
 
     def test_energy_that_underflows_is_a_domain_error(self):
         # at the smallest subnormal c_in the energy target reads 0.0, which

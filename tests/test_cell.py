@@ -264,11 +264,12 @@ class TestDiscreteUpdate:
         dict(w_set=math.nan),
         dict(dt=-1.0),
         dict(dt=math.nan),
+        dict(w_mv=math.nan),
     ])
     def test_domain_validation(self, kwargs):
         args = dict(w_mv=1.0, w_set=7.5, params=default_params(), dt=0.1)
         args.update(kwargs)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=f"^{next(iter(kwargs))} must be "):
             discrete_update(**args)
 
 

@@ -1,61 +1,40 @@
-"""Every file that the six CLI commands write equals its reference, byte
-for byte.
+"""The six default commands write the seed-0 and seed-2104 golden trees,
+byte for byte.
 
-The CSVs and fitted_device.json are compared with bench/refs/cli,
-recorded by bench/record_refs.py: files that do not depend on the seed
-live in ``common``, the rest in ``seed-<n>``.  The array state files
-that ``train`` writes and every ``.meta.json`` sidecar have their own
-references under tests/data/golden/seed-<n>, recorded with the six
-commands at ``--seed <n>``.
+tools/record_goldens.py defines both setups: calibrate, characterize,
+energy-report, retention-report and both train experiments at --seed
+<n>, all writing into tests/data/golden/seed-<n>.  Each setup runs once
+for this module; one test compares the CSVs, the fitted device and every
+sidecar, the other the two array state files that train writes.
 """
-
-import contextlib
-import io
-from pathlib import Path
 
 import pytest
 
-from fndam.cli import main
-
-REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli"
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
-COMMANDS = (
-    ["calibrate"],
-    ["characterize"],
-    ["energy-report"],
-    ["retention-report"],
-    ["train", "--experiment", "perceptron"],
-    ["train", "--experiment", "network"],
-)
+from test_golden import GOLDEN, SEED_SETUPS, record_goldens, tree_files
 
 
-def reference_files(seed):
-    return {p.name: p.read_bytes()
-            for folder in (REFS / "common", REFS / f"seed-{seed}")
-            for p in folder.iterdir()}
+@pytest.fixture(scope="module", params=(0, 2104))
+def trees(request, tmp_path_factory):
+    """(written, expected): a fresh seed tree's files and the golden ones."""
+    name = f"seed-{request.param}"
+    assert name in SEED_SETUPS
+    tree = tmp_path_factory.mktemp(name)
+    record_goldens.record(name, tree)
+    return tree_files(tree), tree_files(GOLDEN / name)
 
 
-@pytest.mark.parametrize("seed", (0, 2104))
-def test_outputs_equal_the_references(seed, tmp_path):
-    written = {}
-    for i, argv in enumerate(COMMANDS):
-        out = tmp_path / str(i)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
-        written.update((p.name, p.read_bytes()) for p in out.iterdir()
-                       if not p.name.endswith("_state.json"))
-    expected = reference_files(seed)
-    expected.update((p.name, p.read_bytes()) for p in (GOLDEN / f"seed-{seed}").glob("*.meta.json"))
+def _split(trees, state):
+    return [{path: data for path, data in files.items() if path.endswith("_state.json") == state}
+            for files in trees]
+
+
+def test_outputs_equal_the_references(trees):
+    written, expected = _split(trees, state=False)
     assert sorted(written) == sorted(expected)
-    assert [name for name in sorted(expected) if written[name] != expected[name]] == []
+    assert [path for path in sorted(expected) if written[path] != expected[path]] == []
 
 
-@pytest.mark.parametrize("seed", (0, 2104))
-def test_train_state_files_equal_the_golden_bytes(seed, tmp_path):
-    for argv in COMMANDS[4:]:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv + ["--seed", str(seed), "--out", str(tmp_path)]) == 0
-    written = {p.name: p.read_bytes() for p in tmp_path.glob("*_state.json")}
-    expected = {p.name: p.read_bytes() for p in (GOLDEN / f"seed-{seed}").glob("*_state.json")}
+def test_train_state_files_equal_the_golden_bytes(trees):
+    written, expected = _split(trees, state=True)
     assert sorted(expected) == ["network_state.json", "perceptron_state.json"]
     assert written == expected

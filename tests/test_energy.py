@@ -53,6 +53,10 @@ class TestWriteEnergy:
         with pytest.raises(DomainError):
             write_energy(c_in, v_in)
 
+    def test_energy_out_of_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^v_in 1e\+300 V at c_in 1e-12 F needs a write "):
+            write_energy(1e-12, 1e300)
+
 
 class TestVTrainRequired:
     def test_divider_relationship(self):
@@ -71,6 +75,16 @@ class TestVTrainRequired:
     def test_coupling_ratio_bounds(self, cr):
         with pytest.raises(DomainError):
             v_train_required(7.6, 7.5, cr)
+
+    @pytest.mark.parametrize("v_target,v_fg,name", [(math.nan, 7.0, "v_target"),
+                                                     (8.0, math.nan, "v_fg")])
+    def test_voltages_must_be_finite(self, v_target, v_fg, name):
+        with pytest.raises(DomainError, match=f"^{name} must be positive and finite, got nan"):
+            v_train_required(v_target, v_fg, 0.1)
+
+    def test_amplitude_out_of_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="at coupling_ratio 5e-324 needs an input amplitude"):
+            v_train_required(8.0, 7.0, 5e-324)
 
 
 class TestWriteEnergyTrajectory:
@@ -279,6 +293,16 @@ class TestEnergyLedger:
         entry = EnergyLedger().record("c0", 0.0, 0.5, 1e-3, n_pulses=3.0)
         assert entry.n_pulses == 3 and type(entry.n_pulses) is int
         assert entry.energy_j == 3 * write_energy(1e-12, 0.5)
+
+    @pytest.mark.parametrize("t_s,duration_s,message", [
+        (math.nan, 1e-3, "t_s must be >= 0, got nan"),
+        (0.0, math.nan, "duration_s must be positive and finite, got nan"),
+    ])
+    def test_time_and_duration_are_checked(self, t_s, duration_s, message):
+        ledger = EnergyLedger()
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            ledger.record("c0", t_s, 1.0, duration_s)
+        assert ledger.entries == ()
 
     def test_validation(self):
         with pytest.raises(DomainError):

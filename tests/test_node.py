@@ -269,6 +269,10 @@ class TestTunnelingCurrent:
         p = default_params()
         assert tunneling_current(p, 1.0) == 0.0
 
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^v_fg 1e\+160 V needs a tunneling current "):
+            tunneling_current(default_params(), 1e160)
+
 
 class TestPulses:
     def test_positive_pulse_accelerates_discharge(self):

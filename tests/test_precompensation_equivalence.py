@@ -27,7 +27,7 @@ from fndam.cell import (
     synchronize,
 )
 from fndam.errors import ArgumentError, DomainError, SaturationError
-from fndam.node import Pulse, decayed, evolve, released
+from fndam.node import FnParams, Pulse, decayed, evolve, released
 from test_array import hand_made
 
 V0 = 7.5
@@ -139,6 +139,22 @@ def test_same_amplitude_as_bisection(mismatch, age, target, duration, tol):
         assert got[0] is ArgumentError
         assert got[1].startswith(
             f"tol_mv={tol!r} mV is below the resolution of the amplitude solve")
+
+
+def test_a_midpoint_release_at_0_v_fails_as_the_array_pulse_does():
+    # A SET node about one ulp of the step above 0 V on a node that does
+    # not decay: the 32 V pulse releases it to 4.4e-16 V, but at the 24 V
+    # midpoint k2 / (k2 / v) rounds one ulp down and the release lands on
+    # 0 V.  The solve fails there, as the array pulse does.
+    nominal = FnParams(k1=math.exp(-300.0), k2=2.61)
+    cell = hand_made([[6e-16, 6e-16]], [[-300.0] * 2], [[2.61] * 2], nominal, 6e-16)
+    nodes = _float_nodes(cell)
+    assert released(6e-16, 0.1 * 32.0, -300.0, 2.61, 0.0) > 0
+    assert released(6e-16, 0.1 * 24.0, -300.0, 2.61, 0.0) == 0.0
+    expected = outcome(bisection_amplitude, cell, 1e-13, 1.0, 1, 32.0, 0.0)
+    assert expected == (DomainError, "cell 0 SET node driven to 0 V <= 0")
+    assert outcome(_solve_amplitude, nodes, 0.1, 1e-13, 1.0, 0.0) == (
+        DomainError, "pulse release drives gate to 0 V <= 0")
 
 
 @settings(max_examples=200, deadline=None)

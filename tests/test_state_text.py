@@ -9,17 +9,15 @@ so does any text that signs itself by that rule; reformatted, reordered,
 the text is the fast path: no load serializes the parsed document again.
 """
 
-import contextlib
 import hashlib
-import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fndam.array import MismatchSpec, advance, build_array, state_from_json, state_to_json
 from fndam.calibrate import DEFAULT_V0, default_params
-from fndam.cli import main
 from fndam.errors import StateFormatError
 
 MUTATIONS = ("none", "flip_payload", "flip_checksum", "indent", "key_order", "no_newline",
@@ -179,18 +177,11 @@ def test_a_lone_surrogate_fails_at_checksum():
         state_from_json(odd)
 
 
-def cli_state_files(tmp_path):
-    for experiment in ("perceptron", "network"):
-        out = tmp_path / experiment
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["train", "--experiment", experiment, "--seed", "0",
-                         "--out", str(out)]) == 0
-        yield from sorted(out.glob("*_state.json"))
-
-
-def test_written_files_take_the_fast_path(tmp_path):
-    # bench/refs/cli records the CSVs only; the state files come from the CLI
-    texts = [p.read_text() for p in cli_state_files(tmp_path)]
+def test_written_files_take_the_fast_path():
+    # the two state files `train` writes at seed 0; tests/test_cli_golden.py
+    # holds the CLI to these bytes
+    golden = Path(__file__).resolve().parent / "data" / "golden" / "seed-0"
+    texts = [p.read_text() for p in sorted(golden.glob("*_state.json"))]
     assert len(texts) == 2
     array = aged_array(10_000, 1e-3, 0, 60.0)
     texts.append(state_to_json(array))
