@@ -23,7 +23,7 @@ for ep in trace.epochs:
     print(f"{ep.epoch:>5}  {ep.accuracy:8.2f}  {ep.mean_abs_update_mv:18.4f}  "
           f"{ep.energy_j:.3e}")
 
-amps = trace.amplitudes_issued()
+amps = [e.amplitude_v for e in trace.ledger.entries]  # in issue order
 print(f"\nfinal weights: w0 = {trace.final_weights_mv[0]:+.3f} mV, "
       f"w1 = {trace.final_weights_mv[1]:+.3f} mV")
 print(f"pulse amplitude for one 0.05 mV step: "

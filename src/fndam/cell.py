@@ -104,19 +104,24 @@ def discrete_update(w_mv: float, w_set: float, params: FnParams, dt: float) -> f
 
     Valid for small weights and steps; the two-node simulation is the
     reference it linearizes (they agree within 1% for |w| <= 5 mV and
-    dt <= 1 s).  Raises StepSizeError when the decay term reaches 1.
+    dt <= 1 s).  A zero step returns w_mv.  Raises StepSizeError when the
+    decay term reaches 1, and DomainError where it is NaN.
     """
     if not math.isfinite(w_mv):
         raise DomainError(f"w_mv must be finite, got {w_mv!r}")
     _require_finite_positive("w_set", w_set)
     _require_nonnegative("dt", dt)
+    if dt == 0.0:  # the rate may overflow, and inf * 0 is NaN
+        return w_mv
     factor = (
         math.exp(params.log_k1 - params.k2 / w_set)
         * (2.0 * w_set + params.k2)
         / params.k2
         * dt
     )
-    if factor >= 1.0:
+    if not factor < 1.0:
+        if math.isnan(factor):  # an exp that underflows meets a 2*w_set + k2 that overflows
+            raise DomainError(f"decay factor at w_set={w_set!r} V is out of float range")
         raise StepSizeError(
             f"decay factor {factor:.3g} >= 1 at dt={dt!r}; reduce the step"
         )

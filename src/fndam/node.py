@@ -186,7 +186,7 @@ def tunneling_current(params: FnParams, v_fg: float) -> float:
 
     The gate discharges: dV/dt = -tunneling_current(v)/c_total.  Returns
     amps; underflows to 0.0 once the true value drops below float range,
-    and raises DomainError where its product overflows.
+    and raises DomainError where the current itself overflows.
     """
     _require_finite_positive("v_fg", v_fg)
     # c_total * (k1/k2) * v^2 * exp(-k2/v), exponent assembled in log space
@@ -194,7 +194,12 @@ def tunneling_current(params: FnParams, v_fg: float) -> float:
     exponent = params.log_k1 - params.k2 / v_fg
     current = params.c_total * v_fg * v_fg / params.k2 * math.exp(exponent)
     if not current < math.inf:  # inf, or nan where inf meets an exp that underflows
-        raise DomainError(f"v_fg {v_fg!r} V needs a tunneling current out of float range")
+        # a product overflowed on the way: the whole current in log space
+        log_current = (math.log(params.c_total) + 2.0 * math.log(v_fg) - math.log(params.k2)
+                       + exponent)
+        if not log_current <= _MAX_EXP_ARG:
+            raise DomainError(f"v_fg {v_fg!r} V needs a tunneling current out of float range")
+        current = math.exp(log_current)
     return current
 
 

@@ -3,13 +3,16 @@ network arm where the array's physics supplies the weight decay.
 
 The perceptron keeps its two weights on two cells of a DamArray.  Each
 training point costs one sample interval of wall-clock time; a violated
-margin turns into a gradient, the gradient into a polarity, a pulse
-count and a precompensated amplitude, and the pulses into array
-operations whose energy lands in an EnergyLedger.  The loop runs those
-operations on the cells' float nodes (``cell._evolved_nodes``, and
-``_pulse_train`` for each segment of a pulse train, one call per
-segment), to the bits and errors of ``batch_pulse`` and ``advance``, and
-builds the trained array once at the end.
+margin turns into a gradient and the gradient into a polarity and a
+pulse count per weight.  Once both counts are known, one precompensated
+amplitude is solved for the step, only if it has pulses, and the pulses
+become array operations whose energy lands in an EnergyLedger.  Every
+step takes this one path; a step without pulses only ages.  The loop
+runs those operations on the cells' float nodes
+(``cell._evolved_nodes``, and ``_pulse_train`` for each segment of a
+pulse train, one call per segment), to the bits and errors of
+``batch_pulse`` and ``advance``, and builds the trained array once at
+the end.
 
 The network trainer runs ordinary SGD-with-momentum in software but
 parks every parameter on a DAM cell between iterations, so weights
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,38 +111,29 @@ def hinge_gradient(x: Sequence[float], y: int, w: Sequence[float]) -> tuple[floa
 class PulseCommand(NamedTuple):
     polarity: int
     n_pulses: int
-    amplitude_v: float
     clipped: bool = False
 
 
-def gradient_to_pulses(
-    update_mv: float, config: TrainerConfig, amplitude: Callable[[], float]
-) -> PulseCommand:
-    """Quantize a desired weight change into pulses.
+def gradient_to_pulses(update_mv: float, unit_step_mv: float) -> PulseCommand:
+    """Quantize a desired weight change into a count of unit-step pulses.
 
     update_mv is the signed post-learning-rate weight change.  Its sign
     picks SET (+) or RESET (-); its magnitude is rounded to the nearest
-    whole number of unit steps.  `amplitude()` gives the pulse amplitude
-    that moves the weight by one unit step at the cell's current age; it
-    is called only when there are pulses to issue.  Counts beyond
-    MAX_PULSES_PER_UPDATE are clipped and flagged; a NaN update raises
-    DomainError.
+    whole number of unit steps of unit_step_mv.  The command holds no
+    amplitude: the trainer solves one per step, after both counts are
+    known.  Counts beyond MAX_PULSES_PER_UPDATE are clipped and flagged;
+    a NaN update raises DomainError.
     """
     if math.isnan(update_mv):
         raise DomainError(f"update_mv must not be NaN, got {update_mv!r}")
-    n_exact = abs(update_mv) / config.unit_step_mv
+    n_exact = abs(update_mv) / unit_step_mv
     # round(n_exact) exceeds the cap exactly when n_exact does by more than
     # half a step; deciding on the float first never rounds an infinite count
     clipped = n_exact > MAX_PULSES_PER_UPDATE + 0.5
     n_pulses = MAX_PULSES_PER_UPDATE if clipped else int(round(n_exact))
     if n_pulses == 0:
-        return PulseCommand(polarity=1, n_pulses=0, amplitude_v=0.0)
-    return PulseCommand(
-        polarity=1 if update_mv > 0 else -1,
-        n_pulses=n_pulses,
-        amplitude_v=amplitude(),
-        clipped=clipped,
-    )
+        return PulseCommand(polarity=1, n_pulses=0)
+    return PulseCommand(polarity=1 if update_mv > 0 else -1, n_pulses=n_pulses, clipped=clipped)
 
 
 class StepRecord(NamedTuple):
@@ -181,16 +175,6 @@ class TrainingTrace(NamedTuple):
     @property
     def total_energy_j(self) -> float:
         return self.ledger.total_energy()
-
-    def amplitudes_issued(self) -> list[float]:
-        """Every pulse-train amplitude in issue order (for drift checks)."""
-        out = []
-        for rec in self.steps:
-            if rec.n_pulses0 > 0:
-                out.append(rec.amplitude0_v)
-            if rec.n_pulses1 > 0:
-                out.append(rec.amplitude1_v)
-        return out
 
 
 def best_margin(dataset: Sequence[LabeledPoint]) -> float:
@@ -329,10 +313,10 @@ def train_perceptron(
 
     Cell 0 carries w0, cell 1 carries w1.  Every training point costs
     one sample interval; a margin violation (y*f < 1) issues pulse
-    trains whose amplitudes come from a pristine reference cell aged in
-    lockstep with the array, so amplitudes depend on device age, not on
-    the momentary weight values.  Refuses datasets that the decision
-    family cannot separate.
+    trains of one amplitude, solved once the step's counts are known on
+    a pristine reference cell aged in lockstep with the array, so
+    amplitudes depend on device age, not on the momentary weight values.
+    Refuses datasets that the decision family cannot separate.
 
     Each segment of a pulse train is one ``_pulse_train`` call: a node
     pulses while the period index is below its count, so the per-node
@@ -376,51 +360,34 @@ def train_perceptron(
             w = weights()
             loss = hinge_loss(point.x, point.y, w)
             grad = hinge_gradient(point.x, point.y, w)
-            commands = (PulseCommand(1, 0, 0.0), PulseCommand(1, 0, 0.0))
+            commands = [gradient_to_pulses(-config.learning_rate * g, config.unit_step_mv)
+                        for g in grad]
+            # per node in row-major order: its pulse count
+            counts = [0] * 4
+            for j, c in enumerate(commands):
+                counts[2 * j + (c.polarity == -1)] = c.n_pulses
+            longest = max(counts)
+            # one solve serves both commands: it depends on the reference alone
+            amplitude = _solve_amplitude(reference, ratio, config.unit_step_mv, PULSE_DURATION_S,
+                                         _AMP_TOL_MV) if longest else 0.0
+            pulse_step = amplitude * ratio
+            # one segment of periods ends at each distinct count
+            start = 0
+            for end in sorted(set(counts) - {0}):
+                segment = [pulse_step if n >= end else 0.0 for n in counts]
+                nodes, clock = _pulse_train(nodes, segment, end - start, clock, log_on,
+                                            log_off, PULSE_DURATION_S, idle)
+                start = end
             step_energy = 0.0
-            if grad != (0.0, 0.0):
-                solved = []
-
-                def amplitude():
-                    # one solve serves both commands: it depends on the reference alone
-                    if not solved:
-                        solved.append(_solve_amplitude(reference, ratio, config.unit_step_mv,
-                                                       PULSE_DURATION_S, _AMP_TOL_MV))
-                    return solved[0]
-
-                commands = tuple(
-                    gradient_to_pulses(-config.learning_rate * g, config, amplitude)
-                    for g in grad
-                )
-                # per node in row-major order: its pulse step and pulse count
-                pulse_steps, counts = [0.0] * 4, [0] * 4
-                for j, c in enumerate(commands):
-                    node = 2 * j + (c.polarity == -1)
-                    pulse_steps[node] = c.amplitude_v * ratio
-                    counts[node] = c.n_pulses
-                longest = max(counts)
-                # one segment of periods ends at each distinct count
-                start = 0
-                for end in sorted(set(counts) - {0}):
-                    segment = [s if n >= end else 0.0 for s, n in zip(pulse_steps, counts)]
-                    nodes, clock = _pulse_train(nodes, segment, end - start, clock, log_on,
-                                                log_off, PULSE_DURATION_S, idle)
-                    start = end
-                for j, c in enumerate(commands):
-                    if c.n_pulses > 0:
-                        entry = ledger.record(
-                            cell_id=j,
-                            t_s=t_sample,
-                            amplitude_v=c.amplitude_v,
-                            duration_s=PULSE_DURATION_S,
-                            n_pulses=c.n_pulses,
-                        )
-                        epoch_entries.append(entry)
-                        step_energy += entry.energy_j
-                reference = _evolved_nodes(reference, longest * period)
-                remainder = SAMPLE_INTERVAL_S - longest * period
-            else:
-                remainder = SAMPLE_INTERVAL_S
+            for j, c in enumerate(commands):
+                if c.n_pulses > 0:
+                    entry = ledger.record(cell_id=j, t_s=t_sample, amplitude_v=amplitude,
+                                          duration_s=PULSE_DURATION_S, n_pulses=c.n_pulses)
+                    epoch_entries.append(entry)
+                    step_energy += entry.energy_j
+            # a step without pulses ages the reference by 0 s, which leaves it as it is
+            reference = _evolved_nodes(reference, longest * period)
+            remainder = SAMPLE_INTERVAL_S - longest * period
             nodes = _evolved_nodes(nodes, remainder)
             clock += remainder
             reference = _evolved_nodes(reference, remainder)
@@ -441,8 +408,8 @@ def train_perceptron(
                     g1=grad[1],
                     n_pulses0=commands[0].n_pulses,
                     n_pulses1=commands[1].n_pulses,
-                    amplitude0_v=commands[0].amplitude_v,
-                    amplitude1_v=commands[1].amplitude_v,
+                    amplitude0_v=amplitude if commands[0].n_pulses else 0.0,
+                    amplitude1_v=amplitude if commands[1].n_pulses else 0.0,
                     energy_j=step_energy,
                     clipped=commands[0].clipped or commands[1].clipped,
                 )

@@ -250,7 +250,7 @@ def test_10_perceptron_converges_with_exact_energy_books():
     assert len(accuracies) <= 5
     assert accuracies[-1] == 1.0
 
-    amps = trace.amplitudes_issued()
+    amps = [e.amplitude_v for e in trace.ledger.entries]
     assert len(amps) > 1
     assert all(b >= a for a, b in zip(amps, amps[1:]))
 

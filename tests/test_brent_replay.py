@@ -125,6 +125,39 @@ def test_replay_reports_no_sign_change_and_nan():
     assert [math.isnan(v) for v in values] == [False] * (len(values) - 1) + [True]
 
 
+def test_a_nan_residual_at_the_lower_end_stops_the_search():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.nan if x == 0.0 else x - 0.5
+
+    assert scipy_root(f, 0.0, 2.0) is ValueError
+    assert calls == [0.0]
+    calls.clear()
+    root, why = _brentq(f, 0.0, 2.0, 1e-12)
+    assert math.isnan(root) and why == "residual at 0.0 is NaN"
+    assert calls == [0.0]
+
+
+def test_a_root_at_the_lower_end_is_returned():
+    def f(x):
+        return x + 1.25
+
+    assert _brentq(f, -1.25, 3.0, 1e-12) == (optimize.brentq(f, -1.25, 3.0, xtol=1e-12), None)
+    assert _brentq(f, -1.25, 3.0, 1e-12) == (-1.25, None)
+
+
+def test_an_extrapolation_that_divides_by_zero_bisects():
+    """Residuals of about 1e-250 make the product of the two slopes underflow
+    to 0: Python raises ZeroDivisionError where C's quotient is inf or NaN,
+    and both then bisect."""
+    def f(x):
+        return 1e-250 * (x - 0.3) ** 3
+
+    assert _brentq(f, -2.0, 3.0, 1e-12) == (optimize.brentq(f, -2.0, 3.0, xtol=1e-12), None)
+
+
 class TestAgeSearchErrors:
     def test_nan_retention_names_the_fraction(self):
         def retention(age):

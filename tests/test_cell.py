@@ -258,6 +258,18 @@ class TestDiscreteUpdate:
         with pytest.raises(StepSizeError):
             discrete_update(1.0, 7.5, default_params(), 100.0)
 
+    def test_zero_dt_is_identity_where_the_rate_overflows(self):
+        # exp(log k1 - k2/w_set) * (2*w_set + k2) / k2 overflows, and inf * 0 s is NaN
+        params = FnParams(k1=1e308, k2=1.0)
+        for w_mv in (1.0, -0.0):
+            assert repr(discrete_update(w_mv, 1e300, params, 0.0)) == repr(w_mv)
+
+    def test_nan_factor_is_a_domain_error(self):
+        # exp(log k1 - k2/w_set) underflows to 0 and 2*w_set + k2 overflows to inf
+        params = FnParams(k1=5e-324, k2=1e308)
+        with pytest.raises(DomainError, match=r"^decay factor at w_set=5e\+307 V is out of "):
+            discrete_update(1.0, 5e307, params, 1.0)
+
     @pytest.mark.parametrize("kwargs", [
         dict(w_set=0.0),
         dict(w_set=-1.0),

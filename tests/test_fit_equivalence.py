@@ -173,3 +173,16 @@ def test_non_finite_start_raises_domain_error():
     with pytest.raises(ValueError, match="not finite in the initial point"), \
             np.errstate(all="ignore"):
         optimize.least_squares(fun, [2.0, 0.0], diff_step=1e-4)
+
+
+def test_a_step_that_rounds_to_zero_meets_ftol():
+    """A residual of 1e-150 on a slope of 1e200: the Gauss-Newton step of
+    -1e-350 rounds to 0, so the predicted and the actual reduction are both
+    0.  least_squares then takes the step's ratio as 1, which meets ftol as
+    well as xtol: status 4, where a ratio of 0 would give 3."""
+    def fun(x):
+        return np.array([1e-150 + 1e200 * (x[0] - 1.0)])
+
+    replay, scipy = both(fun, [1.0])
+    assert replay == scipy
+    assert replay[3] == 4

@@ -3,6 +3,7 @@ property, pulse mechanics."""
 
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -272,6 +273,24 @@ class TestTunnelingCurrent:
     def test_overflow_is_a_domain_error(self):
         with pytest.raises(DomainError, match=r"^v_fg 1e\+160 V needs a tunneling current "):
             tunneling_current(default_params(), 1e160)
+        with pytest.raises(DomainError, match=r"^v_fg 1e\+160 V needs a tunneling current "):
+            tunneling_current(FnParams(k1=1.0, k2=1e10, c_total=1.0, c_couple=0.1), 1e160)
+
+    @pytest.mark.parametrize("params, v_fg", [
+        # c_total * v_fg * v_fg overflows for a current of about 1e300 A
+        (FnParams(k1=1.0, k2=1e10, c_total=1.0, c_couple=0.1), 1e155),
+        # c_total * v_fg * v_fg / k2 overflows where exp(log k1 - k2/v_fg) underflows
+        (FnParams(k1=5e-324, k2=2e300, c_total=1e10, c_couple=1.0), 1e300),
+    ])
+    def test_an_intermediate_overflow_returns_the_current(self, params, v_fg):
+        with localcontext(prec=40):
+            k1, k2, v = Decimal(params.k1), Decimal(params.k2), Decimal(v_fg)
+            exact = Decimal(params.c_total) * v * v / k2 * (k1.ln() - k2 / v).exp()
+        assert tunneling_current(params, v_fg) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_a_finite_product_keeps_its_bits(self):
+        params = FnParams(k1=1.0, k2=1e10, c_total=1.0, c_couple=0.1)
+        assert tunneling_current(params, 1e150) == 9.999999999999999e289
 
 
 class TestPulses:

@@ -10,6 +10,7 @@ exception type with the same message.
 """
 
 import math
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,6 @@ from fndam.trainer import (
     PULSE_FREQUENCY_HZ,
     SAMPLE_INTERVAL_S,
     EpochSummary,
-    PulseCommand,
     StepRecord,
     TrainerConfig,
     TrainingTrace,
@@ -43,18 +43,28 @@ from test_array import hand_made
 V0 = 7.5
 
 
+class Command(NamedTuple):
+    """One weight's pulse train, with the amplitude its own solve gave."""
+
+    polarity: int
+    n_pulses: int
+    amplitude_v: float
+    clipped: bool = False
+
+
 def reference_command(update_mv, config, cell):
-    """gradient_to_pulses with the amplitude solved on `cell` for this command."""
+    """A pulse count as gradient_to_pulses rounds it, with the amplitude solved
+    on `cell` for this command alone."""
     n_pulses = int(round(abs(update_mv) / config.unit_step_mv))
     if n_pulses == 0:
-        return PulseCommand(polarity=1, n_pulses=0, amplitude_v=0.0)
+        return Command(polarity=1, n_pulses=0, amplitude_v=0.0)
     clipped = n_pulses > trainer.MAX_PULSES_PER_UPDATE
     if clipped:
         n_pulses = trainer.MAX_PULSES_PER_UPDATE
     amplitude = _solve_amplitude(_float_nodes(cell), cell.nominal_params.coupling_ratio,
                                  config.unit_step_mv, PULSE_DURATION_S, trainer._AMP_TOL_MV)
-    return PulseCommand(polarity=1 if update_mv > 0 else -1, n_pulses=n_pulses,
-                        amplitude_v=amplitude, clipped=clipped)
+    return Command(polarity=1 if update_mv > 0 else -1, n_pulses=n_pulses,
+                   amplitude_v=amplitude, clipped=clipped)
 
 
 def reference_train(dataset, array, config):
@@ -77,7 +87,7 @@ def reference_train(dataset, array, config):
             w = tuple(array.weights().tolist())
             loss = hinge_loss(point.x, point.y, w)
             grad = hinge_gradient(point.x, point.y, w)
-            commands = (PulseCommand(1, 0, 0.0), PulseCommand(1, 0, 0.0))
+            commands = (Command(1, 0, 0.0), Command(1, 0, 0.0))
             step_energy = 0.0
             if grad != (0.0, 0.0):
                 commands = tuple(

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from fndam.array import WEIGHT_SCALE, MismatchSpec, build_array
 from fndam.calibrate import default_params
-from fndam.cell import precompensated_amplitude
 from fndam.config import load_config
 from fndam.energy import EnergyLedger
 from fndam.errors import ArgumentError, DomainError
@@ -22,6 +21,7 @@ from fndam.trainer import (
     LabeledPoint,
     MlpSpec,
     NetworkConfig,
+    PulseCommand,
     TrainerConfig,
     _mlp_grads_into,
     _parked,
@@ -92,41 +92,29 @@ class TestHinge:
 
 
 class TestGradientToPulses:
-    def config(self, **kw):
-        return TrainerConfig(**kw)
-
-    def amplitude(self):
-        """The unit-step amplitude of a fresh cell."""
-        return precompensated_amplitude(build_array(1, default_params(), 7.5),
-                                        TrainerConfig().unit_step_mv, PULSE_DURATION_S)
+    UNIT_MV = TrainerConfig().unit_step_mv  # 0.05 mV
 
     def test_rounds_to_nearest_unit_step(self):
-        cfg = self.config()  # unit 0.05 mV
-        cmd = gradient_to_pulses(0.12, cfg, self.amplitude)  # 2.4 units
+        cmd = gradient_to_pulses(0.12, self.UNIT_MV)  # 2.4 units
         assert cmd.n_pulses == 2
         assert cmd.polarity == 1
         assert not cmd.clipped
 
     def test_one_unit_is_one_pulse(self):
-        cmd = gradient_to_pulses(0.05, self.config(), self.amplitude)
-        assert cmd.n_pulses == 1
-        assert cmd.amplitude_v == self.amplitude() > 0.0
+        assert gradient_to_pulses(0.05, self.UNIT_MV) == PulseCommand(1, 1, False)
 
     def test_sub_half_unit_is_dropped(self):
-        def unused():
-            raise AssertionError("no pulses, so no amplitude solve")
-
-        cmd = gradient_to_pulses(0.02, self.config(), unused)  # 0.4 units
-        assert cmd.n_pulses == 0
-        assert cmd.amplitude_v == 0.0
+        # under half a unit step (0.02 mV is 0.4 units): no pulses, at SET polarity
+        for update_mv in (0.02, -0.02, 0.0, -0.0):
+            assert gradient_to_pulses(update_mv, self.UNIT_MV) == PulseCommand(1, 0, False)
 
     def test_negative_update_selects_reset(self):
-        cmd = gradient_to_pulses(-0.25, self.config(), self.amplitude)
+        cmd = gradient_to_pulses(-0.25, self.UNIT_MV)
         assert cmd.polarity == -1
         assert cmd.n_pulses == 5
 
     def test_oversized_update_is_clipped(self):
-        cmd = gradient_to_pulses(100.0, self.config(), self.amplitude)  # 2000 units
+        cmd = gradient_to_pulses(100.0, self.UNIT_MV)  # 2000 units
         assert cmd.clipped
         assert cmd.n_pulses == MAX_PULSES_PER_UPDATE
 
@@ -137,17 +125,13 @@ class TestGradientToPulses:
     ])
     def test_clipping_is_decided_before_rounding(self, units, n_pulses, clipped):
         assert MAX_PULSES_PER_UPDATE == 1000
-        cfg = self.config(unit_step_mv=1.0)
         for sign in (1, -1):
-            cmd = gradient_to_pulses(sign * units, cfg, lambda: 0.5)
+            cmd = gradient_to_pulses(sign * units, 1.0)
             assert (cmd.polarity, cmd.n_pulses, cmd.clipped) == (sign, n_pulses, clipped)
 
     def test_nan_update_is_a_domain_error(self):
-        def unused():
-            raise AssertionError("a NaN update has no pulses to solve for")
-
         with pytest.raises(DomainError, match="update_mv"):
-            gradient_to_pulses(math.nan, self.config(), unused)
+            gradient_to_pulses(math.nan, self.UNIT_MV)
 
 
 class TestTrainerConfig:
@@ -256,7 +240,7 @@ class TestTrainPerceptron:
 
     def test_amplitudes_never_decrease(self):
         (trace, _), _, _ = self.run_small()
-        amps = trace.amplitudes_issued()
+        amps = [e.amplitude_v for e in trace.ledger.entries]
         assert len(amps) > 1
         assert all(b >= a for a, b in zip(amps, amps[1:]))
 
