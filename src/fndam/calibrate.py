@@ -24,8 +24,8 @@ dimensionless initial decay speed and decoupling the two axes.
 The characterization builds no cell: it runs on the float nodes of
 ``fndam.cell``, to the bits and errors of the one-cell array.  One
 memoized composition, aged nodes -> step amplitude -> window retention,
-serves ``step_amplitude``, ``weight_retention`` and
-``evaluate_calibration``.
+serves ``step_amplitude``, ``weight_retention``, ``age_for_retention``
+and ``evaluate_calibration``.
 """
 
 from __future__ import annotations
@@ -96,8 +96,7 @@ def default_params(**overrides) -> FnParams:
 
 def cell_at_age(params: FnParams, age_s: float, v0: float = DEFAULT_V0) -> DamArray:
     """Synchronized cell that has decayed undisturbed for age_s seconds."""
-    cell = synchronize(params, v0)
-    return decay(cell, age_s) if age_s > 0 else cell
+    return decay(synchronize(params, v0), age_s)
 
 
 def step_amplitude(params: FnParams, age_s: float) -> float:
@@ -105,10 +104,9 @@ def step_amplitude(params: FnParams, age_s: float) -> float:
     return _memoized_by_age(params)[0](age_s)
 
 
-def weight_retention(params: FnParams, age_s: float,
-                     window_s: float = RETENTION_WINDOW_S) -> float:
-    """Fraction of a freshly programmed 1 mV weight left after window_s."""
-    return _memoized_by_age(params, window_s)[1](age_s)
+def weight_retention(params: FnParams, age_s: float) -> float:
+    """Fraction of a freshly programmed 1 mV weight left after RETENTION_WINDOW_S."""
+    return _memoized_by_age(params)[1](age_s)
 
 
 def age_for_retention(params: FnParams, fraction: float,
@@ -119,7 +117,7 @@ def age_for_retention(params: FnParams, fraction: float,
     gate discharges), so the crossing is bracketed by doubling and then
     solved by Brent's method.
     """
-    return _age_for(lambda age: weight_retention(params, age, window_s), fraction)
+    return _age_for(_memoized_by_age(params, window_s)[1], fraction)
 
 
 def _age_for(retention, fraction: float) -> float:
@@ -181,13 +179,13 @@ def _memoized_by_age(params: FnParams, window_s: float = RETENTION_WINDOW_S):
     """step_amplitude and weight_retention (over window_s) of params, each
     age solved once.
 
-    The one composition of aged nodes, amplitude and retention.  Both age
-    searches of evaluate_calibration start from the fresh cell and double
-    their bracket over the same ages, and the root each returns is an age
-    it has already solved, so without the memo it would repeat solves it
-    has made.  Each age's nodes are computed once for both.  The memo is
-    plain dicts, so a one-off call of step_amplitude or weight_retention
-    pays no cache construction.
+    The one composition of aged nodes, amplitude and retention.  An age
+    search evaluates its bracket's ends again as Brent's method starts,
+    and the two searches of evaluate_calibration double their brackets
+    over the same ages and return roots they have solved, so without
+    the memo they would repeat solves.  Each age's nodes are computed
+    once for both.  The memo is plain dicts, so a one-off call of
+    step_amplitude or weight_retention pays no cache construction.
     """
     aged, amplitudes, retentions = {}, {}, {}
 

@@ -113,12 +113,10 @@ def discrete_update(w_mv: float, w_set: float, params: FnParams, dt: float) -> f
     _require_nonnegative("dt", dt)
     if dt == 0.0:  # the rate may overflow, and inf * 0 is NaN
         return w_mv
-    factor = (
-        math.exp(params.log_k1 - params.k2 / w_set)
-        * (2.0 * w_set + params.k2)
-        / params.k2
-        * dt
-    )
+    rate = math.exp(params.log_k1 - params.k2 / w_set)
+    factor = rate * (2.0 * w_set + params.k2) / params.k2 * dt
+    if factor == math.inf:  # 2*w_set + k2 may overflow where the factor does not
+        factor = rate * (2.0 * (w_set / params.k2) + 1.0) * dt
     if not factor < 1.0:
         if math.isnan(factor):  # an exp that underflows meets a 2*w_set + k2 that overflows
             raise DomainError(f"decay factor at w_set={w_set!r} V is out of float range")
@@ -157,10 +155,9 @@ def _float_nodes(array: DamArray):
 
 def _aged_nodes(params: FnParams, v0: float, age_s: float):
     """The float nodes (``_float_nodes``) of ``synchronize(params, v0)`` after
-    ``decay`` by age_s seconds; an age_s that is not positive leaves them fresh."""
+    ``decay`` by age_s seconds."""
     k0_from_initial(params, v0)
-    nodes = ((v0, params.log_k1, params.k2),) * 2
-    return _evolved_nodes(nodes, age_s) if age_s > 0 else nodes
+    return _evolved_nodes(((v0, params.log_k1, params.k2),) * 2, age_s)
 
 
 def _float_weight(nodes) -> float:

@@ -69,8 +69,9 @@ class EnergyLedger:
     """Append-only record of every programming pulse issued.
 
     One entry per (cell, pulse train); energy is n_pulses * (1/2) *
-    c_in * amplitude^2.  Totals are plain sums over entries in
-    insertion order, so they match an external re-summation exactly.
+    c_in * amplitude^2.  The total adds the entries left to right from
+    0.0, so a left-to-right re-summation matches it on every Python;
+    since 3.12, the builtin ``sum()`` of floats is compensated.
     """
 
     def __init__(self, c_in: float = DEFAULT_C_IN):
@@ -103,7 +104,10 @@ class EnergyLedger:
         return tuple(self._entries)
 
     def total_energy(self) -> float:
-        return sum(e.energy_j for e in self._entries)
+        total = 0.0
+        for e in self._entries:
+            total += e.energy_j
+        return total
 
 
 def write_energy(c_in: float, v_in: float) -> float:

@@ -371,9 +371,7 @@ def _train_perceptron(cfg: ExperimentConfig, write) -> None:
     dataset = make_separable_dataset(st.n_points, margin=st.margin,
                                      seed=st.dataset_seed)
     par = cfg.device.fn_params()
-    arr = build_array(2, par, cfg.device.v0)
-    if st.pre_age_s > 0:
-        arr = advance(arr, st.pre_age_s)
+    arr = advance(build_array(2, par, cfg.device.v0), st.pre_age_s)
     tcfg = TrainerConfig(
         learning_rate=st.learning_rate,
         unit_step_mv=st.unit_step_mv,
@@ -414,7 +412,7 @@ def _train_network(cfg: ExperimentConfig, write) -> None:
             return None
         arr = build_array(MlpSpec.n_params, par, cfg.device.v0,
                           MismatchSpec(relative_sigma=sigma, seed=st.mismatch_seed))
-        return advance(arr, st.pre_age_s) if st.pre_age_s > 0 else arr
+        return advance(arr, st.pre_age_s)
 
     arms = []
     for sigma in (None, 0.0, st.mismatch_sigma):

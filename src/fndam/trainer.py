@@ -122,8 +122,11 @@ def gradient_to_pulses(update_mv: float, unit_step_mv: float) -> PulseCommand:
     whole number of unit steps of unit_step_mv.  The command holds no
     amplitude: the trainer solves one per step, after both counts are
     known.  Counts beyond MAX_PULSES_PER_UPDATE are clipped and flagged;
-    a NaN update raises DomainError.
+    a NaN update, or a unit step that is not positive and finite, raises
+    DomainError.
     """
+    if not 0.0 < unit_step_mv < math.inf:  # checked off the fast path
+        _require_finite_positive("unit_step_mv", unit_step_mv)
     if math.isnan(update_mv):
         raise DomainError(f"update_mv must not be NaN, got {update_mv!r}")
     n_exact = abs(update_mv) / unit_step_mv
@@ -352,7 +355,7 @@ def train_perceptron(
     log_on, log_off = math.log(PULSE_DURATION_S), math.log(idle)
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
-        epoch_entries = []  # as recorded: a copy of ledger.entries per epoch costs O(ledger)
+        epoch_energy = 0.0  # summed as booked, so no Python version's sum() rounds it
         abs_updates: list[float] = []
         for point_index in order:
             point = dataset[int(point_index)]
@@ -383,8 +386,8 @@ def train_perceptron(
                 if c.n_pulses > 0:
                     entry = ledger.record(cell_id=j, t_s=t_sample, amplitude_v=amplitude,
                                           duration_s=PULSE_DURATION_S, n_pulses=c.n_pulses)
-                    epoch_entries.append(entry)
                     step_energy += entry.energy_j
+                    epoch_energy += entry.energy_j
             # a step without pulses ages the reference by 0 s, which leaves it as it is
             reference = _evolved_nodes(reference, longest * period)
             remainder = SAMPLE_INTERVAL_S - longest * period
@@ -422,7 +425,7 @@ def train_perceptron(
                 mean_abs_update_mv=(
                     float(np.mean(abs_updates)) if abs_updates else 0.0
                 ),
-                energy_j=sum(e.energy_j for e in epoch_entries),
+                energy_j=epoch_energy,
                 n_updates=len(abs_updates),
             )
         )

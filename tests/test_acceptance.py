@@ -254,7 +254,9 @@ def test_10_perceptron_converges_with_exact_energy_books():
     assert len(amps) > 1
     assert all(b >= a for a, b in zip(amps, amps[1:]))
 
-    ledger_sum = sum(e.energy_j for e in trace.ledger.entries)
+    ledger_sum = 0.0  # left to right: sum() of floats is compensated since 3.12
+    for e in trace.ledger.entries:
+        ledger_sum += e.energy_j
     assert trace.total_energy_j == ledger_sum
     _gate("perceptron training run", t0, 60.0,
           f"100% accuracy by epoch {accuracies.index(1.0) + 1}, "

@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fndam.array import state_to_json
 from fndam.calibrate import (
     CAL_PULSE_DURATION_S,
     CAL_STEP_MV,
     DEFAULT_K1,
     DEFAULT_K2,
+    DEFAULT_V0,
     ENERGY_HORIZON_S,
     ENERGY_OFFSET_V,
     FACTOR_TARGETS,
@@ -29,6 +31,7 @@ from fndam.calibrate import (
     step_amplitude,
     weight_retention,
 )
+from fndam.cell import synchronize
 from fndam.config import load_config
 from fndam.energy import DEFAULT_C_IN
 from fndam.errors import DomainError
@@ -109,7 +112,44 @@ class TestShippedCalibration:
         assert ENERGY_OFFSET_V == 0.01
 
 
+class TestCellAge:
+    """An age is the time a fresh cell has decayed; 0 s is the fresh cell."""
+
+    @pytest.mark.parametrize("age_s", [-1.0, -math.inf, math.nan])
+    @pytest.mark.parametrize("at_age", [cell_at_age, step_amplitude, weight_retention])
+    def test_an_age_that_is_no_time_is_rejected(self, at_age, age_s):
+        with pytest.raises(DomainError, match=f"^dt must be >= 0, got {age_s!r}$"):
+            at_age(default_params(), age_s)
+
+    def test_age_0_is_the_fresh_cell(self):
+        params = default_params()
+        cell, fresh = cell_at_age(params, 0.0), synchronize(params, DEFAULT_V0)
+        assert state_to_json(cell) == state_to_json(fresh)
+        assert repr(cell.global_clock) == "0.0"
+        assert repr(step_amplitude(params, 0.0)) == repr(FROZEN_METRICS["amp_fresh_v"])
+        assert repr(weight_retention(params, 0.0)) == repr(FROZEN_METRICS["retention_fresh"])
+
+
 class TestAgeForRetention:
+    def test_each_searched_age_is_solved_once(self, monkeypatch):
+        import fndam.calibrate as calibrate
+
+        ages, solves = [], []
+        aged, solve = calibrate._aged_nodes, calibrate._solve_amplitude
+
+        def aging(params, v0, age_s):
+            ages.append(age_s)
+            return aged(params, v0, age_s)
+
+        def counting(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(calibrate, "_aged_nodes", aging)
+        monkeypatch.setattr(calibrate, "_solve_amplitude", counting)
+        assert repr(age_for_retention(default_params(), 0.7)) == "77.66116299505659"
+        assert len(solves) == len(set(ages)) == len(ages)
+
     def test_already_satisfied_returns_zero(self):
         # fresh retention is 0.26, so any smaller fraction is met at age 0
         assert age_for_retention(default_params(), 0.10) == 0.0

@@ -264,6 +264,15 @@ class TestDiscreteUpdate:
         for w_mv in (1.0, -0.0):
             assert repr(discrete_update(w_mv, 1e300, params, 0.0)) == repr(w_mv)
 
+    def test_a_sum_that_overflows_in_a_factor_below_1_is_no_step_size_error(self):
+        # 2*w_set + k2 overflows before the division by k2; the factor is
+        # exp(-1) * (2*(w_set/k2) + 1) * 0.1
+        w = discrete_update(1.0, 1e308, FnParams(k1=1.0, k2=1e308), 0.1)
+        assert w == pytest.approx((1 - 0.11036383235143271) * 1.0, rel=1e-12)
+        # the same sum in a factor above 1 is still one
+        with pytest.raises(StepSizeError, match=r"^decay factor 1.1e\+299 >= 1 at dt=0.1"):
+            discrete_update(1.0, 1e308, FnParams(k1=1e300, k2=1e308), 0.1)
+
     def test_nan_factor_is_a_domain_error(self):
         # exp(log k1 - k2/w_set) underflows to 0 and 2*w_set + k2 overflows to inf
         params = FnParams(k1=5e-324, k2=1e308)

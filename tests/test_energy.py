@@ -263,7 +263,20 @@ class TestEnergyLedger:
         for i in range(200):
             ledger.record(f"c{i % 5}", float(i), float(rng.uniform(0.05, 2.0)),
                           1e-3, n_pulses=int(rng.integers(1, 6)))
-        assert ledger.total_energy() == sum(e.energy_j for e in ledger.entries)
+        resummed = 0.0  # left to right: sum() of floats is compensated since 3.12
+        for e in ledger.entries:
+            resummed += e.energy_j
+        assert ledger.total_energy() == resummed
+
+    def test_total_adds_left_to_right_from_0_0_on_every_python(self):
+        assert repr(EnergyLedger().total_energy()) == "0.0"
+        # ten 1e-16 J entries after 1.0 J, each below half an ulp of 1.0: the
+        # compensated sum() of Python 3.12 and later gives 1.000000000000001
+        ledger = EnergyLedger(c_in=2.0)
+        ledger.record("c0", 0.0, 1.0, 1e-3)
+        for _ in range(10):
+            ledger.record("c0", 0.0, 1e-8, 1e-3)
+        assert repr(ledger.total_energy()) == "1.0"
 
     def test_zero_pulse_entry_costs_nothing(self):
         ledger = EnergyLedger()

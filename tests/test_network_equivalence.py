@@ -3,8 +3,9 @@
 ``reference_train`` below is ``train_network_with_dam_decay`` as it ran
 on one arm at a time: a 2-D gradient per minibatch
 (``reference_grad``), and per device iteration a mean-preserving park
-(``reference_park``), one ``advance`` and one ``weights()`` read.  The
-lockstep trainer, given the same arms in one call, must return the same
+(``reference_park``), one ``advance`` and one ``weights()`` read, and
+per epoch a 2-D test accuracy (``reference_accuracy``).  The lockstep
+trainer, given the same arms in one call, must return the same
 epochs, parameters and arrays, bit for bit, or raise the exception type
 and message that running the arms one after another raises first.
 """
@@ -27,7 +28,6 @@ from fndam.trainer import (
     _mlp_grads_into,
     _unpack,
     make_blob_dataset,
-    mlp_accuracy,
     train_network_with_dam_decay,
 )
 
@@ -61,6 +61,13 @@ def reference_grad(theta, x, y):
     g_w1 = x.T @ back
     g_b1 = back.sum(axis=0)
     return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+
+
+def reference_accuracy(theta, x, y):
+    """Share of the rows of x whose largest logit is at their label y."""
+    w1, b1, w2, b2 = _unpack(theta)
+    logits = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+    return float(np.mean(np.argmax(logits, axis=1) == y))
 
 
 def reference_park(array, theta):
@@ -105,7 +112,7 @@ def reference_train(train_set, test_set, array, config):
                         theta = array.weights()
                 epochs.append(NetworkEpoch(
                     epoch=epoch,
-                    test_accuracy=mlp_accuracy(theta, x_test, y_test),
+                    test_accuracy=reference_accuracy(theta, x_test, y_test),
                     mean_abs_weight=float(np.mean(np.abs(theta))),
                     decay_only=decay_only,
                 ))

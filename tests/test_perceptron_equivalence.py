@@ -129,12 +129,14 @@ def reference_train(dataset, array, config):
             ))
 
         w_now = tuple(array.weights().tolist())
-        epoch_entries = ledger.entries[epoch_energy_start:]
+        epoch_energy = 0.0  # left to right: sum() of floats is compensated since 3.12
+        for e in ledger.entries[epoch_energy_start:]:
+            epoch_energy += e.energy_j
         epochs.append(EpochSummary(
             epoch=epoch,
             accuracy=_accuracy(dataset, w_now),
             mean_abs_update_mv=float(np.mean(abs_updates)) if abs_updates else 0.0,
-            energy_j=sum(e.energy_j for e in epoch_entries),
+            energy_j=epoch_energy,
             n_updates=len(abs_updates),
         ))
 

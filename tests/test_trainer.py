@@ -129,6 +129,11 @@ class TestGradientToPulses:
             cmd = gradient_to_pulses(sign * units, 1.0)
             assert (cmd.polarity, cmd.n_pulses, cmd.clipped) == (sign, n_pulses, clipped)
 
+    @pytest.mark.parametrize("unit_step_mv", [-0.05, 0.0, math.nan, math.inf])
+    def test_a_unit_step_that_is_no_step_is_a_domain_error(self, unit_step_mv):
+        with pytest.raises(DomainError, match=r"^unit_step_mv must be positive and finite"):
+            gradient_to_pulses(1.0, unit_step_mv)
+
     def test_nan_update_is_a_domain_error(self):
         with pytest.raises(DomainError, match="update_mv"):
             gradient_to_pulses(math.nan, self.UNIT_MV)
@@ -224,6 +229,15 @@ class TestTrainPerceptron:
         assert len(trace.epochs) == config.epochs
         assert trace.margin >= 0.3
 
+    def test_an_epoch_without_pulses_books_0_0_joules(self):
+        # every update is far below half a 0.05 mV unit step
+        config = TrainerConfig(learning_rate=1e-6, epochs=2)
+        trace, _ = train_perceptron(make_separable_dataset(6, seed=0),
+                                    build_array(2, default_params(), 7.5), config)
+        assert trace.ledger.entries == ()
+        assert [repr(e.energy_j) for e in trace.epochs] == ["0.0", "0.0"]
+        assert repr(trace.total_energy_j) == "0.0"
+
     def test_violations_pulse_and_margins_do_not(self):
         (trace, _), _, config = self.run_small()
         saw_update = False
@@ -246,7 +260,10 @@ class TestTrainPerceptron:
 
     def test_energy_totals_are_ledger_exact(self):
         (trace, _), _, _ = self.run_small()
-        assert trace.total_energy_j == sum(e.energy_j for e in trace.ledger.entries)
+        ledger_sum = 0.0  # left to right: sum() of floats is compensated since 3.12
+        for e in trace.ledger.entries:
+            ledger_sum += e.energy_j
+        assert trace.total_energy_j == ledger_sum
         np.testing.assert_allclose(
             trace.total_energy_j, sum(r.energy_j for r in trace.steps), rtol=1e-12
         )
