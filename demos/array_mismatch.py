@@ -39,10 +39,10 @@ cell = set_pulse(cell, Pulse(amplitude=amp, duration=0.5))
 bumped = common_mode_step(cell, 0.1)
 lopsided = replace(cell, v=[[cell.v[0, 0] + 0.1, cell.v[0, 1]]])
 print(f"\n2 mV weight, 100 mV bump, read immediately: "
-      f"common-mode shifts {abs(read_weight(bumped).weight - read_weight(cell).weight):.4f} mV, "
-      f"single-ended shifts {abs(read_weight(lopsided).weight - read_weight(cell).weight):.1f} mV")
-w_quiet = read_weight(decay(cell, 40.0)).weight
-d_common = abs(read_weight(decay(bumped, 40.0)).weight - w_quiet)
-d_single = abs(read_weight(decay(lopsided, 40.0)).weight - w_quiet)
+      f"common-mode shifts {abs(read_weight(bumped) - read_weight(cell)):.4f} mV, "
+      f"single-ended shifts {abs(read_weight(lopsided) - read_weight(cell)):.1f} mV")
+w_quiet = read_weight(decay(cell, 40.0))
+d_common = abs(read_weight(decay(bumped, 40.0)) - w_quiet)
+d_single = abs(read_weight(decay(lopsided, 40.0)) - w_quiet)
 print(f"after 40 s of decay: common-mode deviation {d_common:.3f} mV, "
       f"single-ended {d_single:.3f} mV ({d_single / d_common:.1f}x worse)")

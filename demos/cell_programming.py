@@ -19,8 +19,8 @@ for age in REGIME_AGES_S:
     cell = cell_at_age(par, age)
     amp = precompensated_amplitude(cell, 1.0, CAL_PULSE_DURATION_S)
     cell = set_pulse(cell, Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S))
-    w0 = read_weight(cell).weight
-    w40 = read_weight(decay(cell, 40.0)).weight
+    w0 = read_weight(cell)
+    w40 = read_weight(decay(cell, 40.0))
     print(f"{age:<10.4g}   {amp * 1e3:7.1f} mV             "
           f"{w0:.3f} -> {w40:.3f} mV  ({100 * w40 / w0:.0f}%)")
 
@@ -32,7 +32,7 @@ pulse = Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S)
 up = set_pulse(cell, pulse)
 down = reset_pulse(up, pulse)
 print(f"\nset then reset at the mid regime: 0 -> "
-      f"{read_weight(up).weight:+.4f} -> {read_weight(down).weight:+.4f} mV")
+      f"{read_weight(up):+.4f} -> {read_weight(down):+.4f} mV")
 
 # Ten small steps accumulate linearly while the pulses stay short.
 cell = cell_at_age(par, REGIME_AGES_S[1])
@@ -40,5 +40,5 @@ unit = precompensated_amplitude(cell, 0.1, 0.001)
 for _ in range(10):
     cell = set_pulse(cell, Pulse(amplitude=unit, duration=0.001))
     cell = decay(cell, 0.001)
-print(f"ten 0.1 mV pulses: {read_weight(cell).weight:.4f} mV "
+print(f"ten 0.1 mV pulses: {read_weight(cell):.4f} mV "
       f"(ideal 1.0000 mV)")

@@ -360,9 +360,8 @@ def rate_matched_voltages(set_log_k1, set_k2, reset_log_k1, reset_k2, v0: float)
     return out
 
 
-def build_array(
-    n: int, nominal: FnParams, v0: float, mismatch: MismatchSpec | None = None
-) -> DamArray:
+def build_array(n: int, nominal: FnParams, v0: float,
+                mismatch: MismatchSpec = NO_MISMATCH) -> DamArray:
     """n freshly synchronized cells with seeded per-node k1/k2 mismatch.
 
     A cell whose nodes are identical starts at v0 on both, as
@@ -373,8 +372,7 @@ def build_array(
         raise ArgumentError(f"array size must be an integer, got {n!r}")
     if n < 1:
         raise ArgumentError(f"array size must be >= 1, got {n!r}")
-    spec = mismatch if mismatch is not None else NO_MISMATCH
-    k1, log_k1, k2 = _drawn(n, nominal, spec)
+    k1, log_k1, k2 = _drawn(n, nominal, mismatch)
     ok = np.all(np.isfinite(log_k1) & (k2 > 0) & (k2 < math.inf), axis=1)
     ok &= programmable(k2[:, 0], v0)
     v = np.full_like(k1, v0)
@@ -391,7 +389,7 @@ def build_array(
             f"{len(bad)} cell(s) failed to initialize", indices=tuple(bad.tolist())
         )
     v.flags.writeable = False
-    return DamArray._of(v, log_k1, k2, nominal, spec, v0, 0.0)
+    return DamArray._of(v, log_k1, k2, nominal, mismatch, v0, 0.0)
 
 
 def _with_voltages(array: DamArray, v: np.ndarray, clock: float) -> DamArray:

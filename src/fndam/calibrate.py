@@ -109,15 +109,14 @@ def weight_retention(params: FnParams, age_s: float) -> float:
     return _memoized_by_age(params)[1](age_s)
 
 
-def age_for_retention(params: FnParams, fraction: float,
-                      window_s: float = RETENTION_WINDOW_S) -> float:
-    """Device age at which the window retention first reaches `fraction`.
+def age_for_retention(params: FnParams, fraction: float) -> float:
+    """Device age at which the retention over RETENTION_WINDOW_S first reaches `fraction`.
 
     Retention rises monotonically with age (the device stiffens as the
     gate discharges), so the crossing is bracketed by doubling and then
     solved by Brent's method.
     """
-    return _age_for(_memoized_by_age(params, window_s)[1], fraction)
+    return _age_for(_memoized_by_age(params)[1], fraction)
 
 
 def _age_for(retention, fraction: float) -> float:

@@ -13,11 +13,14 @@ with WEIGHT_SCALE = 1000 mV per volt.
 
 A cell is a one-cell ``DamArray``: its SET and RESET voltages are
 ``cell.v[0, 0]`` and ``cell.v[0, 1]`` and its clock is
-``cell.global_clock``.  ``decay``, ``set_pulse``, ``reset_pulse`` and
-``read_weight`` are the array operations on that one cell.  Solvers
-and loops over one cell read its columns once and run on floats, as
-each one-cell array operation pays several numpy calls (a command builds
-one only for ``retention-report``'s public solves, one per grid row):
+``cell.global_clock``.  Each operation on a cell (``decay``,
+``set_pulse``, ``reset_pulse``, ``common_mode_step``, ``read_weight``,
+``precompensated_amplitude``, ``energy.retention_time``) raises
+ArgumentError for an array of any other size, naming it, before it does
+any work; ``read_weight`` returns the weight, a float in mV.  Solvers
+and loops over one cell read its columns once and run on floats, as each
+one-cell array operation pays several numpy calls (a command builds one
+only for ``retention-report``'s public solves, one per grid row):
 ``_evolved_nodes`` and ``_float_weight`` are ``batch_pulse``, ``decay``
 and ``read_weight`` on ``node.decayed_float``, to the same bits and
 errors.  A pulsed node is ``decayed_float(v + step, ...) - step``, the
@@ -33,8 +36,8 @@ import math
 
 import numpy as np
 
-from .array import (NO_MISMATCH, WEIGHT_SCALE, DamArray, WeightReading, _driven,
-                    _with_voltages, advance, batch_pulse)
+from .array import (NO_MISMATCH, WEIGHT_SCALE, DamArray, _driven, _with_voltages, advance,
+                    batch_pulse)
 from .errors import ArgumentError, DomainError, SaturationError, StepSizeError
 from .node import (FnParams, Pulse, _require_finite_positive, _require_int,
                    _require_nonnegative, decayed_float, k0_from_initial)
@@ -63,24 +66,24 @@ def _one_cell(cell: DamArray) -> DamArray:
     return cell
 
 
-def read_weight(cell: DamArray) -> WeightReading:
-    """Differential weight in mV and the clock it was read at."""
-    return WeightReading(*_one_cell(cell).weights().tolist(), cell.global_clock)
+def read_weight(cell: DamArray) -> float:
+    """Differential weight in mV, as read at ``cell.global_clock``."""
+    return _one_cell(cell).weights().tolist()[0]
 
 
 def decay(cell: DamArray, dt: float) -> DamArray:
     """Both nodes tunnel undisturbed for dt seconds."""
-    return advance(cell, dt)
+    return advance(_one_cell(cell), dt)
 
 
 def set_pulse(cell: DamArray, pulse: Pulse) -> DamArray:
     """Pulse the SET node (raises the weight); RESET node idles."""
-    return batch_pulse(cell, [(0, 1, pulse)])
+    return batch_pulse(_one_cell(cell), [(0, 1, pulse)])
 
 
 def reset_pulse(cell: DamArray, pulse: Pulse) -> DamArray:
     """Pulse the RESET node (lowers the weight); SET node idles."""
-    return batch_pulse(cell, [(0, -1, pulse)])
+    return batch_pulse(_one_cell(cell), [(0, -1, pulse)])
 
 
 def common_mode_step(cell: DamArray, dv: float) -> DamArray:
@@ -91,7 +94,7 @@ def common_mode_step(cell: DamArray, dv: float) -> DamArray:
     """
     if not math.isfinite(dv):
         raise DomainError(f"dv must be finite, got {dv!r}")
-    v = cell.v + dv
+    v = _one_cell(cell).v + dv
     if not (v > 0).all():
         raise DomainError(f"common-mode step {dv!r} V drives a node non-positive")
     return _with_voltages(cell, v, cell.global_clock)
@@ -161,7 +164,7 @@ def _aged_nodes(params: FnParams, v0: float, age_s: float):
 
 
 def _float_weight(nodes) -> float:
-    """``read_weight(cell).weight`` of a cell's float nodes."""
+    """``read_weight(cell)`` of a cell's float nodes."""
     return WEIGHT_SCALE * (nodes[1][0] - nodes[0][0])
 
 

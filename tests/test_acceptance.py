@@ -103,8 +103,8 @@ def test_03_retention_regimes_and_programming_amplitudes():
         cell = cell_at_age(par, age)
         amp = precompensated_amplitude(cell, 1.0, CAL_PULSE_DURATION_S)
         cell = set_pulse(cell, Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S))
-        w0 = read_weight(cell).weight
-        w40 = read_weight(decay(cell, 40.0)).weight
+        w0 = read_weight(cell)
+        w40 = read_weight(decay(cell, 40.0))
         amps.append(amp)
         retentions.append(w40 / w0)
     for (lo, hi), r in zip(bands, retentions):
@@ -154,7 +154,7 @@ def test_05_linearized_update_tracks_two_node_simulation():
         w_set = float(rng.uniform(6.0, 7.5))
         dt = float(rng.uniform(0.0, 1.0))
         cell = replace(synchronize(par, w_set), v=[[w_set, w_set + w_mv / 1000.0]])
-        w_sim = read_weight(decay(cell, dt)).weight
+        w_sim = read_weight(decay(cell, dt))
         w_lin = discrete_update(w_mv, w_set, par, dt)
         worst = max(worst, abs(w_lin - w_sim) / abs(w_sim))
     assert worst < 0.01
@@ -192,7 +192,7 @@ def test_07_split_pulse_net_change_consistency():
         for _ in range(n):
             cell = set_pulse(cell, Pulse(amplitude=0.5, duration=duration))
             cell = decay(cell, period - duration)
-        net.append(read_weight(cell).weight)
+        net.append(read_weight(cell))
     spread = (max(net) - min(net)) / (sum(net) / len(net))
     assert spread < 0.05
     _gate("pulse splitting consistency", t0, 10.0,
@@ -207,7 +207,7 @@ def test_08_log_step_size_linear_in_amplitude():
     for amp in grid:
         cell = cell_at_age(par, 1e7)
         pulsed = set_pulse(cell, Pulse(amplitude=float(amp), duration=1e-4))
-        ln_dw.append(math.log(read_weight(pulsed).weight))
+        ln_dw.append(math.log(read_weight(pulsed)))
     ln_dw = np.array(ln_dw)
     slope, intercept = np.polyfit(grid, ln_dw, 1)
     resid = ln_dw - (slope * grid + intercept)
@@ -225,10 +225,10 @@ def test_09_common_mode_rejection_ratio():
     amp = precompensated_amplitude(cell, 2.0, CAL_PULSE_DURATION_S)
     cell = set_pulse(cell, Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S))
 
-    w_base = read_weight(decay(cell, 40.0)).weight
-    w_common = read_weight(decay(common_mode_step(cell, 0.1), 40.0)).weight
+    w_base = read_weight(decay(cell, 40.0))
+    w_common = read_weight(decay(common_mode_step(cell, 0.1), 40.0))
     lopsided = replace(cell, v=[[cell.v[0, 0] + 0.1, cell.v[0, 1]]])
-    w_single = read_weight(decay(lopsided, 40.0)).weight
+    w_single = read_weight(decay(lopsided, 40.0))
 
     d_common = abs(w_common - w_base)
     d_single = abs(w_single - w_base)

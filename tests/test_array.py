@@ -102,7 +102,7 @@ class TestBuildArray:
         array = small_array(5, sigma=0.0)
         first = row(array, 0)
         assert all(row(array, i) == first for i in range(len(array)))
-        assert all(read_weight(row(array, i)).weight == 0.0 for i in range(len(array)))
+        assert all(read_weight(row(array, i)) == 0.0 for i in range(len(array)))
 
     def test_mismatch_spread_tracks_sigma(self):
         # pull the realized k1/k2 factors back out of the built cells
@@ -209,7 +209,7 @@ class TestBatchOperations:
     def test_advance_moves_every_clock(self):
         array = advance(small_array(3), 2.5)
         assert array.global_clock == 2.5
-        assert all(read_weight(row(array, i)).timestamp == 2.5 for i in range(len(array)))
+        assert all(row(array, i).global_clock == 2.5 for i in range(len(array)))
 
     def test_batch_pulse_matches_single_cell_path(self):
         array = small_array(3)
@@ -268,7 +268,7 @@ class TestBatchOperations:
         readings = batch_read(array)
         assert len(readings) == len(array)
         for i, reading in enumerate(readings):
-            assert reading == read_weight(row(array, i))
+            assert reading == (read_weight(row(array, i)), array.global_clock)
             assert isinstance(reading, WeightReading)
 
     def test_reading_is_immutable_and_exported(self):
@@ -514,4 +514,4 @@ class TestColumns:
             assert cell.v[0].tolist() == array.v[i].tolist()
             assert cell.log_k1[0].tolist() == array.log_k1[i].tolist()
             assert cell.global_clock == array.global_clock
-            assert read_weight(cell).weight == array.weights()[i]
+            assert read_weight(cell) == array.weights()[i]

@@ -160,7 +160,7 @@ def test_single_cell_api_matches_reference(sigma, seed, dt, width, polarity, amp
 
     ref, cell = ref.decay(dt), decay(cell, dt)
     same_bits(cell, [ref])
-    assert read_weight(cell) == WeightReading(ref.weight(), ref.t)
+    assert (read_weight(cell), cell.global_clock) == (ref.weight(), ref.t)
 
     pulse = Pulse(amp, width)
     expected = ref.pulse(polarity, pulse)

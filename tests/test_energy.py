@@ -195,10 +195,10 @@ class TestRetentionTime:
         result = retention_time(cell, model)
         assert not result.saturated
         t = result.seconds
-        w_after = abs(read_weight(decay(cell, t)).weight) / 1000.0
+        w_after = abs(read_weight(decay(cell, t))) / 1000.0
         assert w_after <= noise_floor(model, t)
         t_before = t - 2.0 * max(1.0, 1e-3 * t)
-        w_before = abs(read_weight(decay(cell, t_before)).weight) / 1000.0
+        w_before = abs(read_weight(decay(cell, t_before))) / 1000.0
         assert w_before > noise_floor(model, t_before)
 
     def test_larger_weight_lives_longer(self):

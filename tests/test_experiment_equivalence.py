@@ -5,13 +5,14 @@ The references below are those protocols as they ran on whole cells:
 ``synchronize`` and ``decay`` for an aged cell, ``set_pulse``,
 ``reset_pulse``, ``decay`` and ``read_weight`` for each step, the array
 clock, ``common_mode_step`` and a replaced SET column for the
-common-mode arms, ``retention_time`` of a cell, and one
-``age_for_retention`` per searched fraction.  Each case builds a config
-from a device block (u, k2 and v0, with k1 = u*exp(k2/v0), and c_in) and
-retention grids within the config's bounds, runs one step of each form
-and compares what it writes: the text of every file, whose floats are
-reprs, and the repr of its sidecar fields.  A failing step must raise
-the same exception type with the same message.
+common-mode arms, ``retention_time`` of a cell, and one age search
+(``age_for_retention`` over the config's window) per searched
+fraction.  Each case builds a config from a device block (u, k2 and
+v0, with k1 = u*exp(k2/v0), and c_in) and retention grids within the
+config's bounds, runs one step of each form and compares what it
+writes: the text of every file, whose floats are reprs, and the repr of
+its sidecar fields.  A failing step must raise the same exception type
+with the same message.
 """
 
 import functools
@@ -21,7 +22,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fndam.calibrate import CAL_PULSE_DURATION_S, REGIME_RETENTION, age_for_retention
+from fndam.calibrate import CAL_PULSE_DURATION_S, REGIME_RETENTION, _age_for, _memoized_by_age
 from fndam.cell import (
     _evolved_nodes,
     _float_nodes,
@@ -83,7 +84,7 @@ def ref_regimes(cfg, write, age_at):
         cell = _fresh_cell(cfg, age)
         amp = precompensated_amplitude(cell, exp.step_mv, CAL_PULSE_DURATION_S)
         pulsed = set_pulse(cell, Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S))
-        w0 = read_weight(pulsed).weight
+        w0 = read_weight(pulsed)
         for t, w in _ref_weight_trace(pulsed, exp.window_s, _TRACE_POINTS):
             rows.append([regime, age, amp, t, w, w / w0])
     header = ["regime", "age_s", "amplitude_V", "t_s", "weight_mV", "retention_fraction"]
@@ -95,14 +96,14 @@ def ref_bidirectional(cfg, write):
     cell = _fresh_cell(cfg)
     amp = precompensated_amplitude(cell, exp.step_mv, CAL_PULSE_DURATION_S)
     pulse = Pulse(amplitude=amp, duration=CAL_PULSE_DURATION_S)
-    rows = [[0, "initial", 0.0, read_weight(cell).weight]]
+    rows = [[0, "initial", 0.0, read_weight(cell)]]
     step = 0
     for phase, apply in (("set", set_pulse), ("reset", reset_pulse)):
         for _ in range(5):
             step += 1
             cell = apply(cell, pulse)
             cell = decay(cell, CAL_PULSE_DURATION_S)
-            rows.append([step, phase, cell.global_clock, read_weight(cell).weight])
+            rows.append([step, phase, cell.global_clock, read_weight(cell)])
     write("bidirectional.csv", csv_table(["step", "phase", "t_s", "weight_mV"], rows))
 
 
@@ -115,7 +116,7 @@ def ref_pulse_split(cfg, write):
         for _ in range(n):
             cell = set_pulse(cell, Pulse(amplitude=_SPLIT_AMPLITUDE_V, duration=duration))
             cell = decay(cell, period - duration)
-        rows.append([n, duration, n / _SPLIT_WINDOW_S, read_weight(cell).weight])
+        rows.append([n, duration, n / _SPLIT_WINDOW_S, read_weight(cell)])
     header = ["n_pulses", "pulse_duration_s", "frequency_Hz", "net_dw_mV"]
     write("pulse_splitting.csv", csv_table(header, rows))
 
@@ -125,7 +126,7 @@ def ref_amplitude_sweep(cfg, write):
     for amp in cfg.experiment.amplitude_grid_v:
         cell = _fresh_cell(cfg, _SWEEP_AGE_S)
         pulsed = set_pulse(cell, Pulse(amplitude=amp, duration=_SWEEP_DURATION_S))
-        dw = read_weight(pulsed).weight
+        dw = read_weight(pulsed)
         if not dw > 0:
             raise DomainError(f"amplitude {amp!r} V moves the weight by {dw!r} mV, "
                               "which has no logarithm")
@@ -143,7 +144,7 @@ def ref_pulse_count(cfg, write):
     for n in range(1, _COUNT_MAX + 1):
         cell = set_pulse(cell, pulse)
         cell = decay(cell, period - _COUNT_DURATION_S)
-        dw = read_weight(cell).weight
+        dw = read_weight(cell)
         rows.append([n, cell.global_clock, dw, dw / n])
     header = ["n_pulses", "t_s", "net_dw_mV", "per_pulse_mV"]
     write("pulse_count.csv", csv_table(header, rows), extra={"amplitude_v": amp})
@@ -199,7 +200,7 @@ def ref_retention_vs_age(cfg, write):
 def reference_steps(cfg):
     par = cfg.device.fn_params()
     age_at = functools.cache(
-        lambda fraction: age_for_retention(par, fraction, cfg.experiment.window_s))
+        lambda fraction: _age_for(_memoized_by_age(par, cfg.experiment.window_s)[1], fraction))
     return {
         "regimes": functools.partial(ref_regimes, age_at=age_at),
         "bidirectional": ref_bidirectional,

@@ -48,12 +48,12 @@ def bisection_amplitude(
     if amp_max <= 0:
         raise DomainError(f"amp_max must be positive, got {amp_max!r}")
 
-    w0 = read_weight(cell).weight
+    w0 = read_weight(cell)
     sign = 1.0 if polarity == 1 else -1.0
 
     def net_change(amp):
         pulsed = batch_pulse(cell, [(0, polarity, Pulse(amplitude=amp, duration=duration))])
-        return sign * (read_weight(pulsed).weight - w0)
+        return sign * (read_weight(pulsed) - w0)
 
     hi_change = net_change(amp_max)
     if hi_change < target_dw - tol_mv:
@@ -176,5 +176,5 @@ def test_closed_form_pulse_is_pulse_cell(mismatch, age, polarity, amp, duration)
 
     diff = v_idle - v_pulsed if polarity == 1 else v_pulsed - v_idle
     after = batch_pulse(cell, [(0, polarity, Pulse(amplitude=amp, duration=duration))])
-    assert read_weight(after).weight == WEIGHT_SCALE * diff
+    assert read_weight(after) == WEIGHT_SCALE * diff
 

@@ -1,6 +1,7 @@
 """Every name the package re-exports has a use outside the unit tests,
-and so does every defaulted parameter of its functions and methods and
-every defaulted field of its dataclasses.
+and so does every defaulted parameter of the public functions, methods
+and classes that its modules define, re-exported or not, and every
+defaulted field of its dataclasses.
 
 A use of a name is a name or attribute in the package's own modules, the
 demos or the benchmark (whose string constants count too, so the names
@@ -12,7 +13,8 @@ passes it; a value no caller passes belongs in a constant.  A dataclass
 field is a parameter of the class's generated ``__init__``, and a named
 tuple's field one of its generated ``__new__``, so a field with a
 default or a ``default_factory`` needs a call of the class that passes
-it.
+it.  A ``fndam.config`` block's fields are set: ``config._load`` builds
+each block from a JSON document through ``cls(**given)``.
 
 A dataclass is kept where its generated ``__init__`` does work: it
 validates in ``__post_init__``, or ``fndam.config`` builds it from its
@@ -88,15 +90,13 @@ def test_every_export_is_used_outside_the_unit_tests():
 
 
 # Defaulted parameters that no call outside the unit tests sets, each with
-# the reason it stays settable.
-_BUILT_FROM_JSON = "config._load builds it from a JSON document through cls(**given)"
+# the reason it stays settable (the fndam.config blocks are built_from_json).
+_PASSED_BY_CLI = "cli.main passes --experiment through _COMMANDS"
 UNSET_ALLOWED = {
     "apply_pulse.polarity": "the scalar reference that tests/test_array_equivalence.py "
                             "holds RESET pulses against",
-    "ExperimentConfig.__init__.device": _BUILT_FROM_JSON,
-    "ExperimentConfig.__init__.noise": _BUILT_FROM_JSON,
-    "ExperimentConfig.__init__.experiment": _BUILT_FROM_JSON,
-    "ExperimentConfig.__init__.output_dir": _BUILT_FROM_JSON,
+    "run_characterize.experiment": _PASSED_BY_CLI,
+    "run_train.experiment": _PASSED_BY_CLI,
 }
 
 
@@ -120,36 +120,63 @@ def calls_outside_unit_tests() -> dict[str, list[ast.Call]]:
     return calls
 
 
-def exported_signatures():
-    """(called name, qualified name, parameters) of each re-exported function,
-    public method and constructor, a method's receiver dropped.  The
-    constructor is ``__init__``, hand-written or a dataclass's, or a named
-    tuple's ``__new__``, whose receiver is the class."""
-    for export in sorted(exported_names()):
-        obj = getattr(fndam, export, None)  # TOOL_VERSION is re-exported as __version__
+def package_definitions():
+    """(module name, name, object) of every function and class defined in a
+    module of the package."""
+    for info in pkgutil.iter_modules(fndam.__path__, "fndam."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == info.name:
+                yield info.name, name, obj
+
+
+def package_classes():
+    """Every class defined in a module of the package, with its module's name."""
+    for module, _, obj in package_definitions():
+        if inspect.isclass(obj):
+            yield module, obj
+
+
+def public_signatures():
+    """(called name, qualified name, parameters) of each public function,
+    public method and constructor defined in a module of the package, a
+    method's receiver dropped.  The constructor is ``__init__``,
+    hand-written or a dataclass's, or a named tuple's ``__new__``, whose
+    receiver is the class."""
+    for _, name, obj in package_definitions():
+        if name.startswith("_"):
+            continue
         if inspect.isfunction(obj):
-            yield export, export, list(inspect.signature(obj).parameters.values())
-        elif inspect.isclass(obj):
-            for attr, member in vars(obj).items():
-                if attr in ("__init__", "__new__"):
-                    called = export
-                elif attr.startswith("_"):
-                    continue
-                else:
-                    called = attr
-                func = getattr(member, "__func__", member)  # classmethod, staticmethod
-                if inspect.isfunction(func):
-                    params = list(inspect.signature(func).parameters.values())
-                    if attr == "__new__" or not isinstance(member, staticmethod):
-                        params = params[1:]
-                    yield called, f"{export}.{attr}", params
+            yield name, name, list(inspect.signature(obj).parameters.values())
+            continue
+        for attr, member in vars(obj).items():
+            if attr in ("__init__", "__new__"):
+                called = name
+            elif attr.startswith("_"):
+                continue
+            else:
+                called = attr
+            func = getattr(member, "__func__", member)  # classmethod, staticmethod
+            if inspect.isfunction(func):
+                params = list(inspect.signature(func).parameters.values())
+                if attr == "__new__" or not isinstance(member, staticmethod):
+                    params = params[1:]
+                yield called, f"{name}.{attr}", params
+
+
+def built_from_json() -> set[str]:
+    """The constructor parameters of the fndam.config blocks, in
+    ``public_signatures``'s qualified names."""
+    return {f"{cls.__qualname__}.__init__.{f.name}" for module, cls in package_classes()
+            if module == "fndam.config" and dataclasses.is_dataclass(cls)
+            for f in dataclasses.fields(cls)}
 
 
 def defaulted_parameters_no_caller_sets() -> list[str]:
     """A parameter is set by a call that passes it by keyword or by position."""
     calls = calls_outside_unit_tests()
     unset = []
-    for called, qualname, params in exported_signatures():
+    for called, qualname, params in public_signatures():
         sites = calls.get(called, [])
         for i, param in enumerate(params):
             if param.default is param.empty:
@@ -163,20 +190,11 @@ def defaulted_parameters_no_caller_sets() -> list[str]:
 
 
 def test_every_defaulted_parameter_is_set_outside_the_unit_tests():
-    unset = defaulted_parameters_no_caller_sets()
+    unset = sorted(set(defaulted_parameters_no_caller_sets()) - built_from_json())
     new = [name for name in unset if name not in UNSET_ALLOWED]
     assert not new, f"{len(new)} defaulted parameters no caller sets: {', '.join(new)}"
     stale = sorted(set(UNSET_ALLOWED) - set(unset))
     assert not stale, f"allowed but set or gone: {', '.join(stale)}"
-
-
-def package_classes():
-    """Every class defined in a module of the package, with its module's name."""
-    for info in pkgutil.iter_modules(fndam.__path__, "fndam."):
-        module = importlib.import_module(info.name)
-        for obj in vars(module).values():
-            if inspect.isclass(obj) and obj.__module__ == info.name:
-                yield info.name, obj
 
 
 def test_every_dataclass_validates_or_is_a_config_block():
