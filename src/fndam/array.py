@@ -22,9 +22,10 @@ and ``build_array`` reports all failing cells in one InitializationError.
 The array holds read-only float64 columns, one SET/RESET pair per
 cell: the node voltages, its state, and the node constants its mismatch
 draw gives, and every operation is one elementwise expression over
-them.  The decay is ``node.decayed`` and a pulse ``node.released``, the
-same expressions ``node.evolve`` and ``node.apply_pulse`` use, so every
-node in an array gets the bits it would get on its own.  A single cell
+them.  The decay is ``node.decayed``, the column kernel, and a pulse
+``decayed(v + step, ...) - step``: the same bits ``node.evolve`` and
+``node.apply_pulse`` get on ``node.decayed_float``, so every node in an
+array gets the bits it would get on its own.  A single cell
 is the one-cell array (see ``fndam.cell``).  Operations return a new
 array and never write into their input.
 
@@ -62,8 +63,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DomainError, InitializationError, StateFormatError
-from .node import (FnParams, Pulse, _require_nonnegative, _require_seed, decayed, log_each,
-                   programmable, released)
+from .node import (FnParams, Pulse, _require_nonnegative, _require_record, _require_seed,
+                   decayed, log_each, programmable)
 
 WEIGHT_SCALE = 1000.0  # mV per volt of node difference
 STATE_FORMAT = "fndam-array-state"
@@ -181,6 +182,8 @@ def _mismatched(n: int, nominal: FnParams, spec: MismatchSpec):
 def _drawn(n: int, nominal: FnParams, spec: MismatchSpec):
     """The one rule for node constants: the (n, 2) k1, read-only log_k1 (NaN
     where k1 is not positive and finite) and read-only k2 of n cells."""
+    _require_record("nominal_params", nominal, FnParams)
+    _require_record("mismatch", spec, MismatchSpec)
     k1, k2 = _mismatched(n, nominal, spec)
     log_k1 = log_each(np.where((k1 > 0) & (k1 < math.inf), k1, math.nan))
     log_k1.flags.writeable = k2.flags.writeable = False
@@ -471,8 +474,8 @@ def batch_pulse(array: DamArray, targets: Sequence[tuple[int, int, Pulse]]) -> D
             raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
         step[idx, 0 if polarity == 1 else 1] = pulse.amplitude * ratio
 
-    return _evolved(array, released(array.v, step, array.log_k1, array.k2,
-                                    math.log(duration)), duration)
+    v = decayed(array.v + step, array.log_k1, array.k2, math.log(duration)) - step
+    return _evolved(array, v, duration)
 
 
 # state_to_json's text opens with '{"checksum":"', 64 hex digits and '",'

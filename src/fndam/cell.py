@@ -23,8 +23,8 @@ one-cell array operation pays several numpy calls (a command builds one
 only for ``retention-report``'s public solves, one per grid row):
 ``_evolved_nodes`` and ``_float_weight`` are ``batch_pulse``, ``decay``
 and ``read_weight`` on ``node.decayed_float``, to the same bits and
-errors.  A pulsed node is ``decayed_float(v + step, ...) - step``, the
-float form of ``node.released``, so each node evaluation is one call.
+errors.  A pulsed node is ``decayed_float(v + step, ...) - step``, as
+in ``node.apply_pulse``, so each node evaluation is one call.
 ``precompensated_amplitude`` is a bisection on such pulses.
 ``decay_schedule`` evaluates the alpha*eta_n factor of the paper's
 discrete-time model at every step of an undisturbed schedule.
@@ -208,8 +208,8 @@ def precompensated_amplitude(cell: DamArray, target_dw: float, duration: float) 
     The amplitude is the one a bisection over [0, 32 V] returns: the
     first midpoint whose net change lies within 1e-3 mV of the target,
     the bracket narrowing until it spans 1e-12 * 32 V.  Each midpoint
-    is one pulse in closed form: ``node.released`` on floats for the
-    SET node against ``node.decayed_float`` on the idle RESET node,
+    is one pulse in closed form: ``node.decayed_float`` of the lifted
+    SET node less its step, against the idle RESET node's decay,
     read as ``read_weight`` reads.  These are the bits a pulsed and read
     cell gives.
 

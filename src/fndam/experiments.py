@@ -111,9 +111,14 @@ def csv_table(header, rows) -> str:
 
 def _run(cfg: ExperimentConfig, command: str, steps) -> list[str]:
     """Run the steps, each as step(cfg, write), write every file into
-    output_dir under a temporary name, then rename each into place; a run
-    that fails before the renames, or is killed during the steps, leaves
-    output_dir as it was."""
+    output_dir under a temporary name, then rename each into place.
+
+    A run that fails or is interrupted before the renames leaves
+    output_dir as it was; one interrupted during them leaves each file as
+    the old run or the new one wrote it.  Either way every temporary
+    file still present is removed.  A SIGKILL runs no clean-up, so it is
+    outside this guarantee once the first temporary file is written.
+    """
     stamp = {"command": command, "config_hash": cfg.config_hash(),
              "schema_version": SCHEMA_VERSION, "tool_version": TOOL_VERSION,
              "seed": cfg.experiment.seed}
@@ -132,12 +137,12 @@ def _run(cfg: ExperimentConfig, command: str, steps) -> list[str]:
     try:
         for part, (_, content) in zip(parts, files):
             part.write_text(content, encoding="utf-8", newline="")
+        for part, (name, _) in zip(parts, files):
+            os.replace(part, out_dir / name)
     except BaseException:
         for part in parts:
             part.unlink(missing_ok=True)
         raise
-    for part, (name, _) in zip(parts, files):
-        os.replace(part, out_dir / name)
     return [str(out_dir / name) for name, _ in files]
 
 

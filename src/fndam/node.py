@@ -19,18 +19,19 @@ composes exactly under ``log(exp(a) + k1*dt)`` and evaluating that as a
 log-sum-exp keeps full precision even when ``exp(k2/v)`` is far outside
 float range.  A node's state is its gate voltage, a plain float; k0 is the
 initial condition of an undisturbed trajectory (``voltage_at``) and is
-not stored.  ``decayed`` and ``released`` are elementwise, so the cell
-arrays of ``fndam.array`` evolve every node by these same expressions.
-``decayed_float`` is ``decayed`` on one Python float, bit for bit, with
-the float log-sum-exp in its own body: the one-cell solvers and loops of
+not stored.  The closed form has two kernels, one per shape: ``decayed``
+is elementwise on numpy columns, so the cell arrays of ``fndam.array``
+evolve every node by one expression, and ``decayed_float`` gives its
+bits on one Python float, with the float log-sum-exp in its own body.
+``evolve``, ``apply_pulse``, the one-cell solvers and loops of
 ``fndam.cell`` and its callers run on it, one call per node evaluation,
-and write a pulse as ``decayed_float(v + step, ...) - step``, the float
-form of ``released``.  ``voltage_at`` writes it out again, as a shared
-helper would add a call to each ``decayed_float``.  ``evolve`` and
-``apply_pulse`` are the scalar reference: ``tests/test_array_equivalence.py``
-holds every array operation and every function of ``fndam.cell`` to
-their bits, node by node, and ``tests/test_node.py`` holds ``evolve`` to
-the ODE above through ``solve_ivp``.
+and write a pulse as ``decayed_float(v + step, ...) - step``; the
+array's ``batch_pulse`` writes the same on ``decayed``.  ``voltage_at``
+writes the log-sum-exp out again, as a shared helper would add a call to
+each ``decayed_float``.  ``tests/test_array_equivalence.py`` holds every
+array operation and every function of ``fndam.cell`` to the bits of
+``evolve`` and ``apply_pulse``, node by node, and ``tests/test_node.py``
+holds ``evolve`` to the ODE above through ``solve_ivp``.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ _MAX_EXP_ARG = math.log(np.finfo(float).max)  # ~709.78
 _LOG2 = math.log(2.0)  # numpy's NPY_LOGE2, the logaddexp of two equal arguments
 
 
-# The range checks of the package's functions and classes; each raises
-# DomainError naming the input.  The state loader and the config loader
-# keep their own checks, which name the JSON or config path.
+# The range checks of the package's functions and classes raise DomainError
+# naming the input, and the record type check ArgumentError.  The state and
+# config loaders keep their own checks, which name the JSON or config path.
 def _require_finite_positive(name, value):
     if not (math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
@@ -72,6 +73,12 @@ def _require_seed(seed):
     """A generator seed is an int in [0, 2**64); a bool is not one."""
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise DomainError(f"seed must be a 64-bit unsigned int, got {seed!r}")
+
+
+def _require_record(name, value, cls):
+    """A record argument must be an instance of its class; ArgumentError names it."""
+    if not isinstance(value, cls):
+        raise ArgumentError(f"{name} must be of type {cls.__name__}, got {value!r}")
 
 
 def _pulse_count(n_pulses) -> int:
@@ -207,9 +214,9 @@ def decayed(v, log_k1, k2, log_dt):
     """Gate voltage after exp(log_dt) seconds of undisturbed tunneling decay.
 
     With a = k2/v the new log-argument is log(exp(a) + k1*dt), computed
-    as a log-sum-exp.  Elementwise on floats and numpy arrays alike:
-    ``evolve`` and every array operation call this one expression, so a
-    cell in an array decays to the same bits as the cell on its own.
+    as a log-sum-exp.  The column kernel: every array operation calls
+    this one expression, elementwise, and ``decayed_float`` gives its bits
+    on one float, so a cell in an array decays as the cell on its own.
     """
     # sub-resolution decay: k2/(k2/v) can land one ulp above v, and
     # tunneling must never raise the gate voltage
@@ -217,7 +224,7 @@ def decayed(v, log_k1, k2, log_dt):
 
 
 def decayed_float(v, log_k1, k2, log_dt):
-    """``decayed`` on one Python float, to the same bits.
+    """The float kernel: ``decayed`` on one Python float, to the same bits.
 
     The log-sum-exp is numpy's ``npy_logaddexp``: its float operations
     in its order, through ``math`` instead of numpy's scalar ufunc
@@ -238,21 +245,10 @@ def decayed_float(v, log_k1, k2, log_dt):
     return v if v < decayed_v else decayed_v  # min(decayed_v, v) without its call
 
 
-def released(v, step, log_k1, k2, log_dt):
-    """Gate voltage after one pulse: lifted by step, decayed, released.
-
-    The gate tunnels at v + step for exp(log_dt) seconds and the coupled
-    step is then taken off again.  Elementwise like ``decayed``: every
-    pulse on an array or a node is this expression, and the float loops
-    write it on ``decayed_float`` to the same bits.
-    """
-    return decayed(v + step, log_k1, k2, log_dt) - step
-
-
 def evolve(v_fg: float, params: FnParams, dt: float) -> float:
     """Gate voltage v_fg after dt seconds of undisturbed tunneling decay.
 
-    Uses the closed form (see ``decayed``).  Exact semigroup:
+    Uses the closed form (see ``decayed_float``).  Exact semigroup:
     evolve(dt1) then evolve(dt2) equals evolve(dt1+dt2) to rounding.
     dt = 0 returns v_fg unchanged, bit for bit.
     """
@@ -260,28 +256,20 @@ def evolve(v_fg: float, params: FnParams, dt: float) -> float:
     _require_nonnegative("dt", dt)
     if dt == 0.0:
         return v_fg
-    return float(decayed(v_fg, params.log_k1, params.k2, math.log(dt)))
+    return float(decayed_float(v_fg, params.log_k1, params.k2, math.log(dt)))
 
 
-def apply_pulse(v_fg: float, params: FnParams, pulse: Pulse, polarity: int = 1) -> float:
+def apply_pulse(v_fg: float, params: FnParams, pulse: Pulse) -> float:
     """Gate voltage v_fg after one rectangular input pulse coupled onto the gate.
 
-    The gate is displaced by polarity * coupling_ratio * amplitude,
-    tunnels at the displaced voltage for the pulse duration, and is
-    released.  The net effect is purely the extra (polarity +1) or
-    suppressed (polarity -1) tunneling while the pulse was high: for a
-    positive pulse the node ends *below* an unpulsed reference.
+    The gate is lifted by coupling_ratio * amplitude, tunnels at the
+    lifted voltage for the pulse duration, and is released.  The net
+    effect is purely the extra tunneling while the pulse was high: the
+    node ends *below* an unpulsed reference.
     """
     _require_finite_positive("v_fg", v_fg)
-    if isinstance(polarity, (bool, np.bool_)) or polarity not in (1, -1):
-        raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
-    step = polarity * params.coupling_ratio * pulse.amplitude
-    v_up = v_fg + step
-    if v_up <= 0:
-        raise DomainError(
-            f"pulse drives gate to {v_up:.6g} V <= 0 (amplitude {pulse.amplitude!r})"
-        )
-    v_down = float(released(v_fg, step, params.log_k1, params.k2, math.log(pulse.duration)))
+    step = params.coupling_ratio * pulse.amplitude
+    v_down = decayed_float(v_fg + step, params.log_k1, params.k2, math.log(pulse.duration)) - step
     if v_down <= 0:
         raise DomainError(f"pulse release drives gate to {v_down:.6g} V <= 0")
     return v_down

@@ -286,7 +286,7 @@ def _pulse_train(nodes, steps, n, clock, log_on, log_off, on, off):
     ``array._driven`` for its first node left non-positive.  The nodes
     are local floats for the whole train, and each node evaluation is
     one ``decayed_float`` call: the pulse is
-    ``decayed_float(v + step, ...) - step``, ``node.released`` on floats.
+    ``decayed_float(v + step, ...) - step``, as in ``node.apply_pulse``.
     Returns the nodes and the clock.
     """
     (v0, a0, b0), (v1, a1, b1), (v2, a2, b2), (v3, a3, b3) = nodes

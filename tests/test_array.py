@@ -190,6 +190,21 @@ class TestConstruction:
         assert str(exc_info.value) == (
             f"cell 2 RESET node {name} must be positive and finite, got {got!r}")
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: build_array(2, default_params(), 7.5, None),
+         "mismatch must be of type MismatchSpec, got None"),
+        (lambda: build_array(2, default_params(), 7.5, {"relative_sigma": 0.0}),
+         "mismatch must be of type MismatchSpec, got {'relative_sigma': 0.0}"),
+        (lambda: build_array(2, {"k1": 1.0, "k2": 2.0}, 7.5),
+         "nominal_params must be of type FnParams, got {'k1': 1.0, 'k2': 2.0}"),
+        (lambda: DamArray([[7.5, 7.5]], None, MismatchSpec(), 7.5),
+         "nominal_params must be of type FnParams, got None"),
+    ])
+    def test_record_argument_of_the_wrong_type_rejected(self, make, message):
+        with pytest.raises(ArgumentError) as exc_info:
+            make()
+        assert str(exc_info.value) == message
+
 
 class TestMismatchSpec:
     @pytest.mark.parametrize("kwargs", [

@@ -343,6 +343,35 @@ class TestFailurePaths:
         assert writes == [".energy_trajectory.csv.part", ".energy_trajectory.csv.meta.json.part"]
         assert tree_bytes(out) == before
 
+    def test_interrupted_rename_leaves_no_part_file(self, monkeypatch, tmp_path, capsys):
+        # a rerun at another seed into a good tree, interrupted at its k-th
+        # rename: every file is the old run's or the new run's, and no
+        # temporary file is left
+        out, new_out = tmp_path / "o", tmp_path / "new"
+        assert run_cli(capsys, "retention-report", "--out", str(out))[0] == 0
+        assert run_cli(capsys, "retention-report", "--seed", "5", "--out", str(new_out))[0] == 0
+        old, new = tree_bytes(out), tree_bytes(new_out)
+        assert sorted(old) == sorted(new) and old != new
+        replace = os.replace
+        for k in range(1, len(old) + 1):
+            renames = []
+
+            def interrupted(src, dst):
+                renames.append(dst)
+                if len(renames) == k:
+                    raise KeyboardInterrupt
+                return replace(src, dst)
+
+            monkeypatch.setattr(experiments.os, "replace", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                main(["retention-report", "--seed", "5", "--out", str(out)])
+            monkeypatch.undo()
+            got = tree_bytes(out)
+            assert sorted(got) == sorted(old), k
+            assert all(got[name] in (old[name], new[name]) for name in got), k
+            for name, content in old.items():
+                (out / name).write_bytes(content)
+
     @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
     def test_killed_run_leaves_out_as_it_was(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from fndam.calibrate import DEFAULT_K1, DEFAULT_K2, DEFAULT_V0, default_params
-from fndam.errors import ArgumentError, DomainError
+from fndam.errors import DomainError
 from fndam.node import (
     FnParams,
     Pulse,
@@ -300,22 +300,10 @@ class TestPulses:
         idle = evolve(DEFAULT_V0, p, 0.5)
         assert pulsed < idle
 
-    def test_negative_polarity_suppresses_discharge(self):
-        p = default_params()
-        held = apply_pulse(DEFAULT_V0, p, Pulse(amplitude=1.0, duration=0.5), polarity=-1)
-        idle = evolve(DEFAULT_V0, p, 0.5)
-        assert idle <= held < DEFAULT_V0
-
     def test_zero_amplitude_pulse_is_idle_decay(self):
         p = default_params()
         pulsed = apply_pulse(DEFAULT_V0, p, Pulse(amplitude=0.0, duration=2.0))
         np.testing.assert_allclose(pulsed, evolve(DEFAULT_V0, p, 2.0), rtol=1e-15)
-
-    def test_bad_polarity_rejected(self):
-        p = default_params()
-        for polarity in (0, True, False, np.True_):  # True == 1, but a bool is no polarity
-            with pytest.raises(ArgumentError, match="polarity must be"):
-                apply_pulse(DEFAULT_V0, p, Pulse(amplitude=0.1, duration=0.1), polarity=polarity)
 
 
 class TestValidation:
@@ -360,12 +348,6 @@ class TestValidation:
                     evolve(v_fg, p, dt)
             with pytest.raises(DomainError, match=message):
                 apply_pulse(v_fg, p, Pulse(amplitude=0.1, duration=0.1))
-
-    def test_coupled_step_below_zero_rejected(self):
-        # polarity -1 lowers the gate by 0.1 * 100 V, past 7.5 V, before any tunneling
-        with pytest.raises(DomainError,
-                           match=r"^pulse drives gate to -2\.5 V <= 0 \(amplitude 100\.0\)$"):
-            apply_pulse(7.5, default_params(), Pulse(amplitude=100.0, duration=0.1), polarity=-1)
 
     def test_release_below_zero_rejected(self):
         # at 107.5 V for 1e6 s the gate tunnels down near 7.3 V; releasing

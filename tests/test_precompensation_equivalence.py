@@ -27,7 +27,7 @@ from fndam.cell import (
     synchronize,
 )
 from fndam.errors import ArgumentError, DomainError, SaturationError
-from fndam.node import FnParams, Pulse, decayed, evolve, released
+from fndam.node import FnParams, Pulse, decayed, evolve
 from test_array import hand_made
 
 V0 = 7.5
@@ -149,8 +149,8 @@ def test_a_midpoint_release_at_0_v_fails_as_the_array_pulse_does():
     nominal = FnParams(k1=math.exp(-300.0), k2=2.61)
     cell = hand_made([[6e-16, 6e-16]], [[-300.0] * 2], [[2.61] * 2], nominal, 6e-16)
     nodes = _float_nodes(cell)
-    assert released(6e-16, 0.1 * 32.0, -300.0, 2.61, 0.0) > 0
-    assert released(6e-16, 0.1 * 24.0, -300.0, 2.61, 0.0) == 0.0
+    assert decayed(6e-16 + 0.1 * 32.0, -300.0, 2.61, 0.0) - 0.1 * 32.0 > 0
+    assert decayed(6e-16 + 0.1 * 24.0, -300.0, 2.61, 0.0) - 0.1 * 24.0 == 0.0
     expected = outcome(bisection_amplitude, cell, 1e-13, 1.0, 1, 32.0, 0.0)
     assert expected == (DomainError, "cell 0 SET node driven to 0 V <= 0")
     assert outcome(_solve_amplitude, nodes, 0.1, 1e-13, 1.0, 0.0) == (
@@ -168,7 +168,8 @@ def test_closed_form_pulse_is_pulse_cell(mismatch, age, polarity, amp, duration)
     pulsed_params, idle_params = params[pulsed], params[idle]
     step = pulsed_params.coupling_ratio * amp
     log_dt = math.log(duration)
-    v_pulsed = float(released(v[pulsed], step, pulsed_params.log_k1, pulsed_params.k2, log_dt))
+    v_pulsed = float(decayed(v[pulsed] + step, pulsed_params.log_k1, pulsed_params.k2, log_dt)
+                     - step)
     v_idle = float(decayed(v[idle], idle_params.log_k1, idle_params.k2, log_dt))
     # the gate lifted by the step, decayed as a node on its own, released
     lifted = evolve(v[pulsed] + step, pulsed_params, duration)

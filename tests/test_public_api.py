@@ -93,8 +93,6 @@ def test_every_export_is_used_outside_the_unit_tests():
 # the reason it stays settable (the fndam.config blocks are built_from_json).
 _PASSED_BY_CLI = "cli.main passes --experiment through _COMMANDS"
 UNSET_ALLOWED = {
-    "apply_pulse.polarity": "the scalar reference that tests/test_array_equivalence.py "
-                            "holds RESET pulses against",
     "run_characterize.experiment": _PASSED_BY_CLI,
     "run_train.experiment": _PASSED_BY_CLI,
 }
