@@ -16,7 +16,6 @@ from .errors import (
     InitializationError,
     SaturationError,
     StateFormatError,
-    StepSizeError,
 )
 from .node import (
     FnParams,
@@ -30,8 +29,6 @@ from .node import (
 from .cell import (
     common_mode_step,
     decay,
-    decay_schedule,
-    discrete_update,
     precompensated_amplitude,
     read_weight,
     reset_pulse,

@@ -457,22 +457,26 @@ def batch_pulse(array: DamArray, targets: Sequence[tuple[int, int, Pulse]]) -> D
     step = np.zeros((n, 2))
     seen = set()
     duration = None
-    for idx, polarity, pulse in targets:
-        if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)) or not 0 <= idx < n:
-            raise ArgumentError(f"cell index {idx!r} out of range for {n} cells")
-        if idx in seen:
-            raise ArgumentError(f"duplicate cell index {idx} in batch")
-        seen.add(idx)
-        if duration is None:
-            duration = pulse.duration
-        elif pulse.duration != duration:
-            raise ArgumentError(
-                f"batch pulses must share one duration; got {pulse.duration!r} "
-                f"after {duration!r}"
-            )
-        if isinstance(polarity, (bool, np.bool_)) or polarity not in (1, -1):
-            raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
-        step[idx, 0 if polarity == 1 else 1] = pulse.amplitude * ratio
+    try:  # a pulse that is not a Pulse fails at its first attribute
+        for idx, polarity, pulse in targets:
+            if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)) or not 0 <= idx < n:
+                raise ArgumentError(f"cell index {idx!r} out of range for {n} cells")
+            if idx in seen:
+                raise ArgumentError(f"duplicate cell index {idx} in batch")
+            seen.add(idx)
+            if duration is None:
+                duration = pulse.duration
+            elif pulse.duration != duration:
+                raise ArgumentError(
+                    f"batch pulses must share one duration; got {pulse.duration!r} "
+                    f"after {duration!r}"
+                )
+            if isinstance(polarity, (bool, np.bool_)) or polarity not in (1, -1):
+                raise ArgumentError(f"polarity must be +1 or -1, got {polarity!r}")
+            step[idx, 0 if polarity == 1 else 1] = pulse.amplitude * ratio
+    except AttributeError:
+        _require_record("pulse", pulse, Pulse)
+        raise
 
     v = decayed(array.v + step, array.log_k1, array.k2, math.log(duration)) - step
     return _evolved(array, v, duration)

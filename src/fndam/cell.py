@@ -16,8 +16,8 @@ A cell is a one-cell ``DamArray``: its SET and RESET voltages are
 ``cell.global_clock``.  Each operation on a cell (``decay``,
 ``set_pulse``, ``reset_pulse``, ``common_mode_step``, ``read_weight``,
 ``precompensated_amplitude``, ``energy.retention_time``) raises
-ArgumentError for an array of any other size, naming it, before it does
-any work; ``read_weight`` returns the weight, a float in mV.  Solvers
+ArgumentError for anything but a one-cell array before any work, naming
+its type or size; ``read_weight`` returns the weight, a float in mV.  Solvers
 and loops over one cell read its columns once and run on floats, as each
 one-cell array operation pays several numpy calls (a command builds one
 only for ``retention-report``'s public solves, one per grid row):
@@ -26,8 +26,6 @@ and ``read_weight`` on ``node.decayed_float``, to the same bits and
 errors.  A pulsed node is ``decayed_float(v + step, ...) - step``, as
 in ``node.apply_pulse``, so each node evaluation is one call.
 ``precompensated_amplitude`` is a bisection on such pulses.
-``decay_schedule`` evaluates the alpha*eta_n factor of the paper's
-discrete-time model at every step of an undisturbed schedule.
 """
 
 from __future__ import annotations
@@ -38,9 +36,9 @@ import numpy as np
 
 from .array import (NO_MISMATCH, WEIGHT_SCALE, DamArray, _driven, _with_voltages, advance,
                     batch_pulse)
-from .errors import ArgumentError, DomainError, SaturationError, StepSizeError
-from .node import (FnParams, Pulse, _require_finite_positive, _require_int,
-                   _require_nonnegative, decayed_float, k0_from_initial)
+from .errors import ArgumentError, DomainError, SaturationError
+from .node import (FnParams, Pulse, _require_finite_positive, _require_nonnegative,
+                   _require_record, decayed_float, k0_from_initial)
 
 _AMP_MAX_V = 32.0  # the largest amplitude a precompensation solve tries
 _AMP_TOL_MV = 1e-3  # precompensated_amplitude's tolerance on the weight step
@@ -60,7 +58,8 @@ def synchronize(params: FnParams, v0: float) -> DamArray:
 
 
 def _one_cell(cell: DamArray) -> DamArray:
-    """cell, if it is a one-cell array; ArgumentError naming its size if not."""
+    """cell, if it is a one-cell array; ArgumentError naming its type or size if not."""
+    _require_record("cell", cell, DamArray)
     if len(cell) != 1:
         raise ArgumentError(f"expected a one-cell array, got {len(cell)} cells")
     return cell
@@ -98,56 +97,6 @@ def common_mode_step(cell: DamArray, dv: float) -> DamArray:
     if not (v > 0).all():
         raise DomainError(f"common-mode step {dv!r} V drives a node non-positive")
     return _with_voltages(cell, v, cell.global_clock)
-
-
-def discrete_update(w_mv: float, w_set: float, params: FnParams, dt: float) -> float:
-    """One linearized step of undisturbed decay about the SET-node voltage.
-
-        w' = (1 - (k1/k2) * (2*W_S + k2) * exp(-k2/W_S) * dt) * w
-
-    Valid for small weights and steps; the two-node simulation is the
-    reference it linearizes (they agree within 1% for |w| <= 5 mV and
-    dt <= 1 s).  A zero step returns w_mv.  Raises StepSizeError when the
-    decay term reaches 1, and DomainError where it is NaN.
-    """
-    if not math.isfinite(w_mv):
-        raise DomainError(f"w_mv must be finite, got {w_mv!r}")
-    _require_finite_positive("w_set", w_set)
-    _require_nonnegative("dt", dt)
-    if dt == 0.0:  # the rate may overflow, and inf * 0 is NaN
-        return w_mv
-    rate = math.exp(params.log_k1 - params.k2 / w_set)
-    factor = rate * (2.0 * w_set + params.k2) / params.k2 * dt
-    if factor == math.inf:  # 2*w_set + k2 may overflow where the factor does not
-        factor = rate * (2.0 * (w_set / params.k2) + 1.0) * dt
-    if not factor < 1.0:
-        if math.isnan(factor):  # an exp that underflows meets a 2*w_set + k2 that overflows
-            raise DomainError(f"decay factor at w_set={w_set!r} V is out of float range")
-        raise StepSizeError(
-            f"decay factor {factor:.3g} >= 1 at dt={dt!r}; reduce the step"
-        )
-    return (1.0 - factor) * w_mv
-
-
-def decay_schedule(params: FnParams, k0: float, dt_step: float, n_steps: int) -> np.ndarray:
-    """Per-step weight decay factors at steps n = 0..n_steps-1 of an undisturbed cell.
-
-        alpha*eta_n = k1 * (2/log(k1*n*dt + k0) + 1) / (k1*n*dt + k0) * dt
-
-    Decreases like 1/n, so the cumulative product behaves like a
-    stochastic-approximation learning-rate schedule.
-    """
-    _require_int("n_steps", n_steps)
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be positive, got {n_steps!r}")
-    _require_finite_positive("dt_step", dt_step)
-    if not (math.isfinite(k0) and k0 > 1.0):
-        raise DomainError(f"k0 must be finite and > 1, got {k0!r}")
-    log_k1 = params.log_k1
-    # at n = 0, log gives -inf and logaddexp(-inf, log k0) is log k0 exactly
-    with np.errstate(divide="ignore"):
-        log_eff = np.logaddexp(log_k1 + np.log(np.arange(n_steps) * dt_step), math.log(k0))
-    return np.exp(log_k1 - log_eff) * (2.0 / log_eff + 1.0) * dt_step
 
 
 def _float_nodes(array: DamArray):

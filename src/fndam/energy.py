@@ -22,7 +22,7 @@ from .array import WEIGHT_SCALE, DamArray
 from .cell import _evolved_nodes, _float_nodes, _float_weight, _one_cell
 from .errors import DomainError
 from .node import (FnParams, _pulse_count, _require_finite_positive, _require_int,
-                   _require_nonnegative, k0_from_initial, voltage_at)
+                   _require_nonnegative, _require_record, k0_from_initial, voltage_at)
 
 ELECTRON_CHARGE = 1.602e-19  # coulomb
 TEN_YEARS_S = 10 * 365.25 * 86400.0  # retention search horizon
@@ -199,7 +199,9 @@ def retention_time(cell: DamArray, model: NoiseModel) -> RetentionResult:
     Returns TEN_YEARS_S with saturated=True when the weight outlives it.
     A weight already at or below the floor returns 0 s.
     """
-    return _retention_time(_float_nodes(_one_cell(cell)), model)
+    nodes = _float_nodes(_one_cell(cell))
+    _require_record("model", model, NoiseModel)
+    return _retention_time(nodes, model)
 
 
 def _retention_time(nodes, model: NoiseModel) -> RetentionResult:

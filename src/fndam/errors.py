@@ -13,10 +13,6 @@ class ArgumentError(FndamError, ValueError):
     """Arguments are individually valid but mutually inconsistent."""
 
 
-class StepSizeError(FndamError, ValueError):
-    """A discrete update step is too large for the linearized form to hold."""
-
-
 class SaturationError(FndamError, RuntimeError):
     """A requested programming target cannot be reached within limits."""
 

@@ -250,13 +250,19 @@ def evolve(v_fg: float, params: FnParams, dt: float) -> float:
 
     Uses the closed form (see ``decayed_float``).  Exact semigroup:
     evolve(dt1) then evolve(dt2) equals evolve(dt1+dt2) to rounding.
-    dt = 0 returns v_fg unchanged, bit for bit.
+    dt = 0 returns v_fg unchanged, bit for bit.  DomainError where k2/v_fg
+    and k1*dt both underflow, so the log-argument rounds to 0.
     """
+    _require_record("params", params, FnParams)
     _require_finite_positive("v_fg", v_fg)
     _require_nonnegative("dt", dt)
     if dt == 0.0:
         return v_fg
-    return float(decayed_float(v_fg, params.log_k1, params.k2, math.log(dt)))
+    try:
+        return float(decayed_float(v_fg, params.log_k1, params.k2, math.log(dt)))
+    except ZeroDivisionError:
+        raise DomainError(f"decay of v_fg={v_fg!r} V by dt={dt!r} s with {params!r} "
+                          "is out of float range") from None
 
 
 def apply_pulse(v_fg: float, params: FnParams, pulse: Pulse) -> float:
@@ -265,11 +271,19 @@ def apply_pulse(v_fg: float, params: FnParams, pulse: Pulse) -> float:
     The gate is lifted by coupling_ratio * amplitude, tunnels at the
     lifted voltage for the pulse duration, and is released.  The net
     effect is purely the extra tunneling while the pulse was high: the
-    node ends *below* an unpulsed reference.
+    node ends *below* an unpulsed reference.  DomainError where the
+    lifted k2/v and k1*duration both underflow, as in ``evolve``.
     """
+    _require_record("params", params, FnParams)
+    _require_record("pulse", pulse, Pulse)
     _require_finite_positive("v_fg", v_fg)
     step = params.coupling_ratio * pulse.amplitude
-    v_down = decayed_float(v_fg + step, params.log_k1, params.k2, math.log(pulse.duration)) - step
+    try:
+        v_down = decayed_float(v_fg + step, params.log_k1, params.k2,
+                               math.log(pulse.duration)) - step
+    except ZeroDivisionError:
+        raise DomainError(f"{pulse!r} on v_fg={v_fg!r} V with {params!r} "
+                          "is out of float range") from None
     if v_down <= 0:
         raise DomainError(f"pulse release drives gate to {v_down:.6g} V <= 0")
     return v_down

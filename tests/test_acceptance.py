@@ -13,7 +13,10 @@ The checks deliberately re-derive their oracles here rather than
 importing expectations from the unit suite: the ODE integration, the
 two-node reference simulation, the decay-schedule bound, and the byte
 trees are all rebuilt from scratch so a regression in the library
-cannot hide behind a regression in a shared helper.
+cannot hide behind a regression in a shared helper.  Checks 05 and 06
+hold the paper's linearized model, ``tests/paper_model.py``, to the
+library's simulation: the linearized update to the two-node decay, and
+its decay schedule to the O(1/n) bound.
 """
 
 import math
@@ -33,8 +36,6 @@ from fndam.calibrate import (
 from fndam.cell import (
     common_mode_step,
     decay,
-    decay_schedule,
-    discrete_update,
     precompensated_amplitude,
     read_weight,
     set_pulse,
@@ -60,6 +61,7 @@ from fndam.trainer import (
     train_network_with_dam_decay,
     train_perceptron,
 )
+from paper_model import decay_schedule, discrete_update
 
 TWELVE_DAYS_S = 12 * 86400.0
 

@@ -28,9 +28,10 @@ from fndam.array import (
     state_to_json,
 )
 from fndam.calibrate import default_params
-from fndam.cell import decay, read_weight, set_pulse, synchronize
+from fndam.cell import decay, precompensated_amplitude, read_weight, set_pulse, synchronize
+from fndam.energy import retention_time
 from fndam.errors import ArgumentError, DomainError, InitializationError, StateFormatError
-from fndam.node import Pulse
+from fndam.node import Pulse, apply_pulse, evolve
 
 
 def state_doc(array):
@@ -199,6 +200,19 @@ class TestConstruction:
          "nominal_params must be of type FnParams, got {'k1': 1.0, 'k2': 2.0}"),
         (lambda: DamArray([[7.5, 7.5]], None, MismatchSpec(), 7.5),
          "nominal_params must be of type FnParams, got None"),
+        (lambda: read_weight(7.5), "cell must be of type DamArray, got 7.5"),
+        (lambda: read_weight("x"), "cell must be of type DamArray, got 'x'"),
+        (lambda: decay([1], 1.0), "cell must be of type DamArray, got [1]"),
+        (lambda: precompensated_amplitude("x", 1.0, 0.5),
+         "cell must be of type DamArray, got 'x'"),
+        (lambda: batch_pulse(build_array(2, default_params(), 7.5), [(0, 1, 0.5)]),
+         "pulse must be of type Pulse, got 0.5"),
+        (lambda: set_pulse(synchronize(default_params(), 7.5), 0.5),
+         "pulse must be of type Pulse, got 0.5"),
+        (lambda: retention_time(synchronize(default_params(), 7.5), None),
+         "model must be of type NoiseModel, got None"),
+        (lambda: evolve(7.5, None, 1.0), "params must be of type FnParams, got None"),
+        (lambda: apply_pulse(7.5, default_params(), 0.5), "pulse must be of type Pulse, got 0.5"),
     ])
     def test_record_argument_of_the_wrong_type_rejected(self, make, message):
         with pytest.raises(ArgumentError) as exc_info:

@@ -18,16 +18,15 @@ from fndam.cell import (
     _solve_amplitude,
     common_mode_step,
     decay,
-    decay_schedule,
-    discrete_update,
     precompensated_amplitude,
     read_weight,
     reset_pulse,
     set_pulse,
     synchronize,
 )
-from fndam.errors import ArgumentError, DomainError, SaturationError, StepSizeError
+from fndam.errors import ArgumentError, DomainError, SaturationError
 from fndam.node import FnParams, Pulse, k0_from_initial, voltage_at
+from paper_model import StepSizeError, decay_schedule, discrete_update
 
 
 def small_params(**overrides):

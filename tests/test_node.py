@@ -355,6 +355,20 @@ class TestValidation:
         with pytest.raises(DomainError, match=r"^pulse release drives gate to -92\.7\d* V <= 0$"):
             apply_pulse(7.5, default_params(), Pulse(amplitude=1000.0, duration=1e6))
 
+    @pytest.mark.parametrize("step, message", [
+        (lambda p: evolve(1e300, p, 1e-300),
+         "decay of v_fg=1e+300 V by dt=1e-300 s with {p!r} is out of float range"),
+        (lambda p: apply_pulse(7.5, p, Pulse(1e300, 1e-300)),
+         "Pulse(amplitude=1e+300, duration=1e-300) on v_fg=7.5 V with {p!r} "
+         "is out of float range"),
+    ])
+    def test_a_log_argument_that_underflows_to_zero_is_a_domain_error(self, step, message):
+        # k2/v and k1*dt both underflow, so log(exp(k2/v) + k1*dt) rounds to 0
+        p = FnParams(k1=5e-324, k2=1e-300)
+        with pytest.raises(DomainError) as exc_info:
+            step(p)
+        assert str(exc_info.value) == message.format(p=p)
+
     @pytest.mark.parametrize("k0", [0.5, math.nan, math.inf])
     def test_voltage_at_rejects_k0(self, k0):
         with pytest.raises(DomainError, match=re.escape(f"k0 must be finite and >= 1, got {k0!r}")):

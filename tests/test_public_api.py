@@ -5,9 +5,11 @@ defaulted field of its dataclasses.
 
 A use of a name is a name or attribute in the package's own modules, the
 demos or the benchmark (whose string constants count too, so the names
-the tracer wraps are uses), in the acceptance checks, or a word inside
-a fenced code block of the README.  Docstrings and README prose do not
-count: describing a name does not use it.  A use of a defaulted
+the tracer wraps are uses), or a word inside a fenced code block of the
+README.  Docstrings and README prose do not count: describing a name
+does not use it.  No test counts, the acceptance checks included: code
+that only tests call is a test oracle and lives under ``tests/`` (the
+paper's linearized model is ``tests/paper_model.py``).  A use of a defaulted
 parameter is a call in those files, or in the README Quick start, that
 passes it; a value no caller passes belongs in a constant.  A dataclass
 field is a parameter of the class's generated ``__init__``, and a named
@@ -65,10 +67,9 @@ def names_used_in(path: Path) -> set[str]:
 
 
 def files_outside_unit_tests() -> list[Path]:
-    """The package's own modules, the demos, the benchmark and the acceptance checks."""
+    """The package's own modules, the demos and the benchmark."""
     files = [p for p in (ROOT / "src").rglob("*.py") if p != INIT]
-    return files + [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").rglob("*.py"),
-                    ROOT / "tests" / "test_acceptance.py"]
+    return files + [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").rglob("*.py")]
 
 
 def readme_code_words() -> set[str]:
